@@ -6,7 +6,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.3
 
-.PHONY: all build test race vet shield-vet staticcheck govulncheck lint-extra fmt sim sim-long tamper-test replication-test fuzz bench-json server-test
+.PHONY: all build test benchmark-check race vet shield-vet staticcheck govulncheck lint-extra fmt sim sim-long tamper-test replication-test fuzz bench-json server-test
 
 all: build vet shield-vet test
 
@@ -15,6 +15,12 @@ build:
 
 test:
 	go test ./...
+
+# benchmark/ is a nested module (BENCHMARK.json runs it), so the root
+# `./...` patterns never descend into it: this is the gate that catches an
+# internal/ API change breaking it before benchmark time.
+benchmark-check:
+	cd benchmark && go vet ./... && go test ./...
 
 race:
 	go test -race ./...

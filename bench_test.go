@@ -289,7 +289,11 @@ func BenchmarkFig12_BackgroundJobs(b *testing.B) {
 // (optionally threaded) SST encryption in isolation (Figure 13).
 func BenchmarkFig13_ChunkedEncryption(b *testing.B) {
 	key, _ := crypt.NewDEK()
-	iv, _ := crypt.NewIV()
+	// A benchmark may reuse one nonce prefix across files; production never does.
+	sealer, err := crypt.NewSealer(key, []byte("fig13pfx"), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	payload := make([]byte, 4<<20)
 	for _, chunk := range []int{4 << 10, 256 << 10, 2 << 20} {
 		for _, workers := range []int{1, 4} {
@@ -301,7 +305,7 @@ func BenchmarkFig13_ChunkedEncryption(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					w := crypt.NewChunkedWriter(f, key, iv, chunk, workers)
+					w := crypt.NewSealedWriter(f, sealer, chunk, workers)
 					if _, err := w.Write(payload); err != nil {
 						b.Fatal(err)
 					}

@@ -105,19 +105,6 @@ type Config struct {
 	// ablation knob for the paper's Table 2 ("Encrypted SST" row); it
 	// violates the threat model and exists only for measurement.
 	PlaintextWAL bool
-
-	// LegacyCTR writes new files in format v1 (CTR, unauthenticated), as
-	// builds before format v2 did. Reads accept both formats regardless;
-	// the knob exists for mixed-version coexistence tests and staged
-	// rollouts.
-	LegacyCTR bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.CompactionChunkSize == 0 {
-		c.CompactionChunkSize = 64 << 10
-	}
-	return c
 }
 
 // Validate checks mode-specific requirements.
@@ -138,10 +125,7 @@ func (c Config) BuildFS() (vfs.FS, error) {
 		return nil, err
 	}
 	if c.Mode == ModeEncFS {
-		if c.WALBufferSize > 0 {
-			return encfs.NewWithWALBuffer(c.FS, c.InstanceDEK, c.WALBufferSize), nil
-		}
-		return encfs.New(c.FS, c.InstanceDEK), nil
+		return encfs.New(c.FS, c.InstanceDEK, c.WALBufferSize), nil
 	}
 	return c.FS, nil
 }
@@ -155,7 +139,7 @@ func (c Config) BuildWrapper() (lsm.FileWrapper, error) {
 	if c.Mode != ModeSHIELD {
 		return lsm.NopWrapper{}, nil
 	}
-	return newShieldWrapper(c.withDefaults()), nil
+	return newShieldWrapper(c), nil
 }
 
 // cacheFreshness anchors a store's freshness epoch in the passkey-sealed

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"shield/internal/crypt"
+	"shield/internal/kds"
 	"shield/internal/lsm"
 	"shield/internal/seccache"
 	"shield/internal/vfs"
@@ -36,15 +38,41 @@ func countFormats(t *testing.T, fs vfs.FS, dir string) (v1, v2 int) {
 	return v1, v2
 }
 
-// TestV1V2Coexistence: a store written in format v1 (LegacyCTR) must stay
-// fully readable when reopened by a default (v2-writing) instance, the two
-// formats must coexist in one tree, compaction must migrate everything to
-// v2, and a legacy-configured instance must still read the v2 result —
-// format is negotiated per file from its header, never from config.
+// v1SSTWrapper writes SSTs the way builds before format v2 did — header
+// version 1 over an AES-CTR body — and is the real SHIELD wrapper for
+// everything else. CTR ciphertext depends only on (key, IV, offset), so
+// BufferedWriter produces the very bytes the old chunked CTR writer did.
+type v1SSTWrapper struct {
+	lsm.FileWrapper
+	kds kds.Service
+}
+
+func (w v1SSTWrapper) WrapCreate(name string, kind lsm.FileKind, f vfs.WritableFile) (vfs.WritableFile, string, error) {
+	if kind != lsm.FileKindSST {
+		return w.FileWrapper.WrapCreate(name, kind, f)
+	}
+	id, dek, err := w.kds.CreateDEK()
+	if err != nil {
+		return nil, "", err
+	}
+	iv, err := crypt.NewIV()
+	if err != nil {
+		return nil, "", err
+	}
+	if err := vfs.WriteFull(f, encodeHeader(id, iv, shieldVersion)); err != nil {
+		return nil, "", err
+	}
+	return crypt.NewBufferedWriter(f, dek, iv, 64<<10), string(id), nil
+}
+
+// TestV1V2Coexistence: a store whose SSTs are format v1 (as builds before
+// sealing wrote them) must stay fully readable when reopened by today's
+// v2-writing instance, the two formats must coexist in one tree, and
+// compaction must migrate everything to v2 — format is negotiated per file
+// from its header, never from config.
 func TestV1V2Coexistence(t *testing.T) {
 	fs := vfs.NewMem()
 	svc := newCrashKDS()
-	legacy := Config{Mode: ModeSHIELD, FS: fs, KDS: svc, LegacyCTR: true}
 	modern := Config{Mode: ModeSHIELD, FS: fs, KDS: svc}
 	opts := lsm.Options{MemtableSize: 16 << 10, L0CompactionTrigger: 100}
 
@@ -52,7 +80,14 @@ func TestV1V2Coexistence(t *testing.T) {
 		return []byte(fmt.Sprintf("%s-value-%04d", gen, i))
 	}
 
-	db, err := Open("db", legacy, opts)
+	wrapper, err := modern.BuildWrapper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacyOpts := opts
+	legacyOpts.FS = fs
+	legacyOpts.Wrapper = v1SSTWrapper{FileWrapper: wrapper, kds: svc}
+	db, err := lsm.Open("db", legacyOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,21 +156,20 @@ func TestV1V2Coexistence(t *testing.T) {
 		t.Fatalf("compacted store has %d v1 / %d v2 SSTs, want all v2", v1, v2)
 	}
 
-	// A legacy-configured instance reads the v2 files fine: LegacyCTR only
-	// selects the format for new writes.
-	db3, err := Open("db", legacy, opts)
+	// The migrated store reopens and serves both generations.
+	db3, err := Open("db", modern, opts)
 	if err != nil {
-		t.Fatalf("legacy reopen of v2 store: %v", err)
+		t.Fatalf("reopen of migrated store: %v", err)
 	}
 	defer db3.Close()
 	for i := 0; i < 300; i += 37 {
 		for _, gen := range []string{"old", "new"} {
 			got, err := db3.Get([]byte(fmt.Sprintf("%s-%04d", gen, i)))
 			if err != nil {
-				t.Fatalf("legacy read %s-%04d: %v", gen, i, err)
+				t.Fatalf("migrated read %s-%04d: %v", gen, i, err)
 			}
 			if string(got) != string(value(gen, i)) {
-				t.Fatalf("legacy read %s-%04d = %q", gen, i, got)
+				t.Fatalf("migrated read %s-%04d = %q", gen, i, got)
 			}
 		}
 	}

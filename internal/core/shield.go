@@ -204,7 +204,7 @@ func (s *shieldWrapper) WrapCreate(name string, kind lsm.FileKind, f vfs.Writabl
 	// MANIFEST are append-many streams and stay on v1 CTR (their records
 	// carry CRCs inside the ciphertext; see DESIGN.md §13).
 	version := uint32(shieldVersion)
-	if kind == lsm.FileKindSST && !s.cfg.LegacyCTR {
+	if kind == lsm.FileKindSST {
 		version = shieldVersion2
 	}
 	hdr := encodeHeader(id, iv, version)
@@ -212,18 +212,15 @@ func (s *shieldWrapper) WrapCreate(name string, kind lsm.FileKind, f vfs.Writabl
 		return nil, "", fmt.Errorf("core: writing header for %s: %w", name, err)
 	}
 
-	if version == shieldVersion2 {
+	switch kind {
+	case lsm.FileKindSST:
 		sealer, err := crypt.NewSealer(dek, iv[:crypt.SealedNoncePrefixLen], hdr)
 		if err != nil {
 			return nil, "", err
 		}
-		return crypt.NewChunkedSealedWriter(f, sealer, s.cfg.CompactionChunkSize, s.cfg.EncryptionThreads), string(id), nil
-	}
-	switch kind {
+		return crypt.NewSealedWriter(f, sealer, s.cfg.CompactionChunkSize, s.cfg.EncryptionThreads), string(id), nil
 	case lsm.FileKindWAL:
 		return crypt.NewBufferedWriter(f, dek, iv, s.cfg.WALBufferSize), string(id), nil
-	case lsm.FileKindSST:
-		return crypt.NewChunkedWriter(f, dek, iv, s.cfg.CompactionChunkSize, s.cfg.EncryptionThreads), string(id), nil
 	default: // MANIFEST: small, infrequent appends
 		return crypt.NewBufferedWriter(f, dek, iv, 0), string(id), nil
 	}

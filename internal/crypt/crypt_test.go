@@ -306,14 +306,19 @@ func TestDecryptingReaderAt(t *testing.T) {
 	}
 }
 
-// TestChunkedWriterErrorPropagation: writes after Close-induced drain should
-// not panic, and output equals input length.
+// TestChunkedWriterLengths: under the parallel pipeline every payload length,
+// including the empty one and exact block multiples, stores the plaintext
+// plus one tag per full block plus the mandatory final block's tag.
 func TestChunkedWriterLengths(t *testing.T) {
 	key, iv := testKeyIV(t)
+	sealer, err := NewSealer(key, iv[:SealedNoncePrefixLen], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, total := range []int{0, 1, 4095, 4096, 4097, 1 << 20} {
 		fs := vfs.NewMem()
 		f, _ := fs.Create("f")
-		w := NewChunkedWriter(f, key, iv, 4096, 3)
+		w := NewSealedWriter(f, sealer, 4096, 3)
 		payload := make([]byte, total)
 		if _, err := w.Write(payload); err != nil {
 			t.Fatal(err)
@@ -322,8 +327,8 @@ func TestChunkedWriterLengths(t *testing.T) {
 			t.Fatal(err)
 		}
 		info, _ := fs.Stat("f")
-		if info.Size != int64(total) {
-			t.Fatalf("total=%d: stored %d bytes", total, info.Size)
+		if plain, err := SealedPlainSize(info.Size); err != nil || plain != int64(total) {
+			t.Fatalf("total=%d: stored %d bytes = %d plaintext (err=%v)", total, info.Size, plain, err)
 		}
 	}
 }

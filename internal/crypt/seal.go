@@ -59,8 +59,8 @@ var errSealTruncated = fmt.Errorf("crypt: sealed body truncated: %w", vfs.ErrInt
 
 // Sealer seals and opens fixed-size blocks under one DEK and per-file nonce
 // prefix. It is stateless after construction and safe for concurrent use,
-// which is what lets ChunkedWriter seal chunks on multiple goroutines while
-// keeping the output byte-identical to the serial path.
+// which is what lets SealedWriter seal chunks on multiple goroutines while
+// keeping the output byte-identical to sealing inline.
 type Sealer struct {
 	aead   cipher.AEAD
 	prefix [SealedNoncePrefixLen]byte
@@ -156,115 +156,40 @@ func SealedPlainSize(bodyLen int64) (int64, error) {
 	return plain, err
 }
 
+// leadingBlock is the one statement of where a sealed block ends and where
+// its tag sits: given the rem bytes of a sealed body that remain from a block
+// boundary, the leading block is n bytes long (sealedCipherBlock, or all of
+// rem for the short final block) and its GCM tag is its last SealedTagSize
+// bytes, starting at tagOff. Writer, keyless digest and reader all derive
+// the tag chain from this.
+func leadingBlock(rem int64) (n, tagOff int64) {
+	n = min(rem, sealedCipherBlock)
+	return n, n - SealedTagSize
+}
+
+// hashTags folds the GCM tag of every block in ct into h, in block order.
+// ct is a run of consecutive sealed blocks starting on a block boundary; only
+// its last block may be the short final one.
+func hashTags(h hash.Hash, ct []byte) {
+	for len(ct) > 0 {
+		n, tagOff := leadingBlock(int64(len(ct)))
+		h.Write(ct[tagOff:n])
+		ct = ct[n:]
+	}
+}
+
 // TagChainDigest hashes the per-block GCM tags of a sealed body, in block
 // order, into the file digest the manifest anchors. It needs only the
 // ciphertext — tags sit at fixed offsets — so a storage node can compute it
 // without holding any key; the digest is only *meaningful* against the
 // manifest because each tag is unforgeable without the DEK.
 func TagChainDigest(body []byte) ([]byte, error) {
-	full, _, err := sealedBodyLayout(int64(len(body)))
-	if err != nil {
+	if _, _, err := sealedBodyLayout(int64(len(body))); err != nil {
 		return nil, err
 	}
 	h := sha256.New()
-	for i := int64(0); i < full; i++ {
-		blk := body[i*sealedCipherBlock : (i+1)*sealedCipherBlock]
-		h.Write(blk[SealedBlockSize:])
-	}
-	h.Write(body[len(body)-SealedTagSize:])
+	hashTags(h, body)
 	return h.Sum(nil), nil
-}
-
-// SealedWriter writes a format-v2 body to an append-only file: full blocks
-// are sealed as they fill, and Sync (or Close) finalizes the file with the
-// mandatory final block. After finalization the writer accepts no more
-// data — v2 is for write-once files (SSTs, CURRENT); append-many streams
-// (WAL, MANIFEST) stay on format v1.
-type SealedWriter struct {
-	f      vfs.WritableFile
-	s      *Sealer
-	buf    []byte // pending plaintext, < SealedBlockSize after Write returns
-	idx    uint32
-	digest hash.Hash
-	final  []byte // tag-chain digest, set at finalization
-	err    error
-}
-
-// NewSealedWriter wraps f (positioned just past the plaintext header) with
-// sealed encryption.
-func NewSealedWriter(f vfs.WritableFile, s *Sealer) *SealedWriter {
-	return &SealedWriter{f: f, s: s, digest: sha256.New()}
-}
-
-func (w *SealedWriter) sealAndWrite(plain []byte, final bool) error {
-	ct := w.s.SealBlock(nil, plain, w.idx, final)
-	w.digest.Write(ct[len(plain):])
-	w.idx++
-	return vfs.WriteFull(w.f, ct)
-}
-
-// Write implements io.Writer; full blocks are sealed and written eagerly.
-func (w *SealedWriter) Write(p []byte) (int, error) {
-	if w.err != nil {
-		return 0, w.err
-	}
-	if w.final != nil {
-		return 0, fmt.Errorf("crypt: write after sealed file was finalized")
-	}
-	w.buf = append(w.buf, p...)
-	for len(w.buf) >= SealedBlockSize {
-		if err := w.sealAndWrite(w.buf[:SealedBlockSize], false); err != nil {
-			w.err = err
-			// p was absorbed into the buffer before the failure; report it
-			// consumed so the caller's offsets match (io.Writer contract).
-			return len(p), err
-		}
-		w.buf = w.buf[SealedBlockSize:]
-	}
-	return len(p), nil
-}
-
-// finalize seals the tail (possibly empty) as the final block.
-func (w *SealedWriter) finalize() error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.final != nil {
-		return nil
-	}
-	if err := w.sealAndWrite(w.buf, true); err != nil {
-		w.err = err
-		return err
-	}
-	w.buf = nil
-	w.final = w.digest.Sum(nil)
-	return nil
-}
-
-// Sync finalizes the sealed body and syncs the file. No writes may follow.
-func (w *SealedWriter) Sync() error {
-	if err := w.finalize(); err != nil {
-		return err
-	}
-	return w.f.Sync()
-}
-
-// Close finalizes (if Sync has not already) and closes the file.
-func (w *SealedWriter) Close() error {
-	ferr := w.finalize()
-	cerr := w.f.Close()
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
-}
-
-// FileDigest returns the tag-chain digest; ok is false until finalization.
-func (w *SealedWriter) FileDigest() ([]byte, bool) {
-	if w.final == nil {
-		return nil, false
-	}
-	return append([]byte(nil), w.final...), true
 }
 
 // SealedReaderAt reads a format-v2 body with per-block verification: every
@@ -298,10 +223,8 @@ func NewSealedReaderAt(f vfs.RandomAccessFile, s *Sealer, headerLen int64) (*Sea
 // blockExtent returns the ciphertext offset and length of block idx.
 func (r *SealedReaderAt) blockExtent(idx int64) (off, n int64) {
 	off = idx * sealedCipherBlock
-	if idx < r.full {
-		return off, sealedCipherBlock
-	}
-	return off, r.bodyLen - off
+	n, _ = leadingBlock(r.bodyLen - off)
+	return off, n
 }
 
 // ReadAt implements io.ReaderAt over the verified plaintext body.
@@ -341,18 +264,20 @@ func (r *SealedReaderAt) Size() (int64, error) { return r.plainSize, nil }
 // Close closes the underlying file.
 func (r *SealedReaderAt) Close() error { return r.f.Close() }
 
-// FileDigest recomputes the tag-chain digest from the stored ciphertext.
-// It does not authenticate blocks — callers compare the result against the
-// manifest-recorded digest (whose tags only the DEK holder could forge).
+// FileDigest recomputes the tag-chain digest from the stored ciphertext,
+// reading only the tags. It does not authenticate blocks — callers compare
+// the result against the manifest-recorded digest (whose tags only the DEK
+// holder could forge).
 func (r *SealedReaderAt) FileDigest() ([]byte, error) {
 	h := sha256.New()
 	var tag [SealedTagSize]byte
-	for idx := int64(0); idx <= r.full; idx++ {
-		coff, clen := r.blockExtent(idx)
-		if _, err := r.f.ReadAt(tag[:], r.headerLen+coff+clen-SealedTagSize); err != nil && err != io.EOF {
+	for off := int64(0); off < r.bodyLen; {
+		n, tagOff := leadingBlock(r.bodyLen - off)
+		if _, err := r.f.ReadAt(tag[:], r.headerLen+off+tagOff); err != nil && err != io.EOF {
 			return nil, err
 		}
 		h.Write(tag[:])
+		off += n
 	}
 	return h.Sum(nil), nil
 }
@@ -370,7 +295,7 @@ func (r *SealedReaderAt) VerifyAll() ([]byte, error) {
 		if _, err := r.s.OpenBlock(nil, ct, uint32(idx), idx == r.full); err != nil {
 			return nil, err
 		}
-		h.Write(ct[clen-SealedTagSize:])
+		hashTags(h, ct)
 	}
 	return h.Sum(nil), nil
 }

@@ -2,7 +2,7 @@ package crypt
 
 import (
 	"crypto/sha256"
-	"fmt"
+	"errors"
 	"hash"
 	"sync"
 
@@ -87,75 +87,57 @@ func (w *BufferedWriter) Close() error {
 	return w.f.Close()
 }
 
-// ChunkedWriter encrypts an SST body in fixed-size chunks,
-// optionally on multiple goroutines (Section 5.2's multi-threaded
-// compaction encryption). Chunks are dispatched to workers as they fill and
-// written back strictly in order, so the on-disk byte stream is identical
-// to inline encryption.
-type ChunkedWriter struct {
+// SealedWriter writes a format-v2 body (seal.go) to an append-only file. It
+// is the one writer for write-once files: SSTs under SHIELD, every
+// non-stream file under EncFS. Plaintext accumulates into chunks of whole
+// blocks; each chunk is sealed inline or on `workers` goroutines (Section
+// 5.2's multi-threaded compaction encryption) and written back strictly in
+// order, so the bytes on disk depend on neither the worker count nor the
+// chunk size. Sync (or Close) finalizes the body with the mandatory final
+// block, after which the writer accepts no more data; append-many streams
+// (WAL, MANIFEST) use BufferedWriter instead.
+type SealedWriter struct {
 	f         vfs.WritableFile
-	key       DEK
-	iv        [IVSize]byte
-	chunkSize int
-
-	cur []byte // plaintext accumulating for the current chunk
-	off int64  // body offset of cur's first byte
-
-	// Sealed (format v2) mode: non-nil sealer switches chunk encryption
-	// from CTR to per-block AES-GCM. nextBlock numbers blocks across
-	// chunks; the tag-chain digest accumulates in retirement order, which
-	// is plaintext order, so parallel and serial runs agree byte-for-byte.
 	sealer    *Sealer
-	nextBlock uint32
-	digest    hash.Hash
-	finalTag  []byte
-	finalized bool
+	chunkSize int // a multiple of SealedBlockSize
+	workers   int
 
-	// Parallel pipeline (nil when workers <= 1).
-	jobs    chan *chunkJob
-	order   []*chunkJob
-	wg      sync.WaitGroup
-	started bool
-	workers int
-	err     error
+	cur       []byte    // plaintext accumulating for the current chunk
+	nextBlock uint32    // index of cur's first block
+	digest    hash.Hash // tag chain, folded in retirement (= plaintext) order
+	sum       []byte    // the file digest; non-nil once finalized
+	err       error     // first failure; every later call returns it
+
+	// Parallel pipeline, started by the first chunk when workers > 1.
+	jobs  chan *chunkJob
+	order []*chunkJob // in flight, oldest first
+	wg    sync.WaitGroup
 }
 
 type chunkJob struct {
 	plain    []byte
-	off      int64
-	firstIdx uint32 // sealed mode: index of the chunk's first block
-	final    bool   // sealed mode: this chunk carries the final block
+	firstIdx uint32 // index of the chunk's first block
+	final    bool   // this chunk ends with the final block
 	done     chan []byte
-	err      error
 }
 
-// NewChunkedWriter wraps f with chunk-granular encryption on `workers`
-// goroutines (workers <= 1 encrypts inline).
-func NewChunkedWriter(f vfs.WritableFile, key DEK, iv [IVSize]byte, chunkSize, workers int) *ChunkedWriter {
-	if chunkSize <= 0 {
-		chunkSize = 64 << 10
-	}
-	return &ChunkedWriter{f: f, key: key, iv: iv, chunkSize: chunkSize, workers: workers}
-}
-
-// NewChunkedSealedWriter is NewChunkedWriter for format v2: chunks are
-// sealed per-block under sealer instead of CTR-encrypted. chunkSize is
-// rounded up to a multiple of SealedBlockSize so chunk boundaries and block
-// boundaries coincide. Sync finalizes the sealed body (no writes after), as
-// NewSealedWriter does.
-func NewChunkedSealedWriter(f vfs.WritableFile, sealer *Sealer, chunkSize, workers int) *ChunkedWriter {
+// NewSealedWriter wraps f (positioned just past the plaintext header) with
+// sealed encryption in chunks of chunkSize bytes on `workers` goroutines
+// (workers <= 1 seals inline). chunkSize defaults to 64 KiB and is rounded
+// up to a multiple of SealedBlockSize so chunk and block boundaries coincide.
+func NewSealedWriter(f vfs.WritableFile, sealer *Sealer, chunkSize, workers int) *SealedWriter {
 	if chunkSize <= 0 {
 		chunkSize = 64 << 10
 	}
 	if r := chunkSize % SealedBlockSize; r != 0 {
 		chunkSize += SealedBlockSize - r
 	}
-	return &ChunkedWriter{f: f, sealer: sealer, chunkSize: chunkSize, workers: workers, digest: sha256.New()}
+	return &SealedWriter{f: f, sealer: sealer, chunkSize: chunkSize, workers: workers, digest: sha256.New()}
 }
 
 // sealChunk seals one chunk job: every full block non-final, then — only on
 // the final job — the 0..SealedBlockSize-1 byte tail as the final block.
-func (w *ChunkedWriter) sealChunk(job *chunkJob) []byte {
+func (w *SealedWriter) sealChunk(job *chunkJob) []byte {
 	p := job.plain
 	idx := job.firstIdx
 	out := make([]byte, 0, len(p)+((len(p)/SealedBlockSize)+1)*SealedTagSize)
@@ -170,58 +152,37 @@ func (w *ChunkedWriter) sealChunk(job *chunkJob) []byte {
 	return out
 }
 
-// digestTags folds a retired chunk's block tags into the file digest.
-func (w *ChunkedWriter) digestTags(job *chunkJob, ct []byte) {
-	full := len(job.plain) / SealedBlockSize
-	for i := 0; i < full; i++ {
-		end := (i + 1) * sealedCipherBlock
-		w.digest.Write(ct[end-SealedTagSize : end])
-	}
-	if job.final {
-		w.digest.Write(ct[len(ct)-SealedTagSize:])
-	}
-}
-
-func (w *ChunkedWriter) startWorkers() {
+func (w *SealedWriter) startWorkers() {
+	// Two chunks per worker: one being sealed, one queued, so a worker never
+	// idles while the producer fills the next chunk.
 	w.jobs = make(chan *chunkJob, w.workers*2)
 	for i := 0; i < w.workers; i++ {
 		w.wg.Add(1)
 		go func() {
 			defer w.wg.Done()
 			for job := range w.jobs {
-				if w.sealer != nil {
-					job.done <- w.sealChunk(job)
-					continue
-				}
-				ct := make([]byte, len(job.plain))
-				job.err = EncryptAt(w.key, w.iv, ct, job.plain, job.off)
-				job.done <- ct
+				job.done <- w.sealChunk(job)
 			}
 		}()
 	}
-	w.started = true
 }
 
 // Write implements io.Writer.
-func (w *ChunkedWriter) Write(p []byte) (int, error) {
+func (w *SealedWriter) Write(p []byte) (int, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
-	if w.finalized {
-		return 0, fmt.Errorf("crypt: write after sealed file was finalized")
+	if w.sum != nil {
+		return 0, errors.New("crypt: write after sealed file was finalized")
 	}
 	consumed := 0
 	for len(p) > 0 {
-		room := w.chunkSize - len(w.cur)
-		n := len(p)
-		if n > room {
-			n = room
-		}
+		n := min(len(p), w.chunkSize-len(w.cur))
 		w.cur = append(w.cur, p[:n]...)
 		consumed += n
 		p = p[n:]
-		if len(w.cur) >= w.chunkSize {
-			if err := w.dispatch(); err != nil {
+		if len(w.cur) == w.chunkSize {
+			if err := w.dispatch(false); err != nil {
 				w.err = err
 				// Report the bytes actually accepted so far (io.Writer
 				// contract: n < len(p) must accompany a non-nil error).
@@ -232,144 +193,94 @@ func (w *ChunkedWriter) Write(p []byte) (int, error) {
 	return consumed, nil
 }
 
-// dispatch hands the full current chunk to the pipeline (or encrypts
-// inline when single-threaded).
-func (w *ChunkedWriter) dispatch() error {
-	return w.dispatchJob(false)
-}
-
-// dispatchJob ships the accumulated chunk; final marks the sealed tail job
-// (which is dispatched even when empty — the final block is mandatory).
-func (w *ChunkedWriter) dispatchJob(final bool) error {
-	if len(w.cur) == 0 && !final {
-		return nil
-	}
-	plain := w.cur
-	off := w.off
-	w.off += int64(len(plain))
+// dispatch ships the accumulated chunk: sealed and written inline when
+// single-threaded, handed to the pipeline otherwise. final marks the tail
+// chunk, which ships even when empty because the final block is mandatory.
+func (w *SealedWriter) dispatch(final bool) error {
+	job := &chunkJob{plain: w.cur, firstIdx: w.nextBlock, final: final}
 	w.cur = nil
-	job := &chunkJob{plain: plain, off: off, final: final, done: make(chan []byte, 1)}
-	if w.sealer != nil {
-		job.firstIdx = w.nextBlock
-		w.nextBlock += uint32(len(plain) / SealedBlockSize)
-		if final {
-			w.nextBlock++
-		}
-	}
-
+	w.nextBlock += uint32(len(job.plain) / SealedBlockSize)
 	if w.workers <= 1 {
-		var ct []byte
-		if w.sealer != nil {
-			ct = w.sealChunk(job)
-		} else {
-			ct = make([]byte, len(plain))
-			if err := EncryptAt(w.key, w.iv, ct, plain, off); err != nil {
-				return err
-			}
-		}
-		if err := vfs.WriteFull(w.f, ct); err != nil {
-			return err
-		}
-		if w.sealer != nil {
-			w.digestTags(job, ct)
-		}
-		return nil
+		return w.retire(w.sealChunk(job))
 	}
-
-	if !w.started {
+	if w.jobs == nil {
 		w.startWorkers()
 	}
+	job.done = make(chan []byte, 1)
 	w.jobs <- job
 	w.order = append(w.order, job)
 	// Keep the pipeline bounded; retire completed chunks in order.
 	for len(w.order) > w.workers*2 {
-		if err := w.retireOne(); err != nil {
+		if err := w.retireOldest(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// retireOne waits for the oldest in-flight chunk and writes it.
-func (w *ChunkedWriter) retireOne() error {
-	job := w.order[0]
-	w.order = w.order[1:]
-	ct := <-job.done
-	if job.err != nil {
-		return job.err
-	}
+// retire appends one sealed chunk to the file and the tag chain.
+func (w *SealedWriter) retire(ct []byte) error {
 	if err := vfs.WriteFull(w.f, ct); err != nil {
 		return err
 	}
-	if w.sealer != nil {
-		w.digestTags(job, ct)
-	}
+	hashTags(w.digest, ct)
 	return nil
 }
 
-// drain flushes the partial chunk and retires every in-flight chunk. In
-// sealed mode the tail flush is the finalization: the partial chunk ships
-// as the final job and the sealed body is complete afterwards.
-func (w *ChunkedWriter) drain() error {
-	if w.sealer != nil {
-		if !w.finalized {
-			if err := w.dispatchJob(true); err != nil {
-				return err
-			}
-			w.finalized = true
-		}
-	} else if err := w.dispatch(); err != nil {
-		return err
-	}
-	for len(w.order) > 0 {
-		if err := w.retireOne(); err != nil {
-			return err
-		}
-	}
-	if w.sealer != nil && w.finalTag == nil && w.finalized {
-		w.finalTag = w.digest.Sum(nil)
-	}
-	return nil
+// retireOldest waits for the oldest in-flight chunk and retires it.
+func (w *SealedWriter) retireOldest() error {
+	job := w.order[0]
+	w.order = w.order[1:]
+	return w.retire(<-job.done)
 }
 
-// Sync drains the pipeline and syncs the file. In sealed mode this
-// finalizes the body: no writes may follow.
-func (w *ChunkedWriter) Sync() error {
-	if w.err != nil {
+// finalize ships the tail as the final chunk and retires everything in
+// flight; the sealed body and its digest are complete afterwards.
+func (w *SealedWriter) finalize() error {
+	if w.err != nil || w.sum != nil {
 		return w.err
 	}
-	if err := w.drain(); err != nil {
+	err := w.dispatch(true)
+	for err == nil && len(w.order) > 0 {
+		err = w.retireOldest()
+	}
+	if err != nil {
 		w.err = err
+		return err
+	}
+	w.sum = w.digest.Sum(nil)
+	return nil
+}
+
+// Sync finalizes the sealed body and syncs the file. No writes may follow.
+func (w *SealedWriter) Sync() error {
+	if err := w.finalize(); err != nil {
 		return err
 	}
 	return w.f.Sync()
 }
 
-// Close drains, stops workers, and closes the file.
-func (w *ChunkedWriter) Close() error {
-	var derr error
-	if w.err != nil {
-		derr = w.err
-	} else {
-		derr = w.drain()
-	}
-	if w.started {
+// Close finalizes (if Sync has not already), joins the workers, and closes
+// the file.
+func (w *SealedWriter) Close() error {
+	ferr := w.finalize()
+	if w.jobs != nil {
 		close(w.jobs)
 		w.wg.Wait()
-		w.started = false
+		w.jobs = nil
 	}
 	cerr := w.f.Close()
-	if derr != nil {
-		return derr
+	if ferr != nil {
+		return ferr
 	}
 	return cerr
 }
 
-// FileDigest returns the sealed tag-chain digest; ok is false for CTR-mode
-// writers and before finalization.
-func (w *ChunkedWriter) FileDigest() ([]byte, bool) {
-	if w.finalTag == nil {
+// FileDigest returns the tag-chain digest; ok is false until the body has
+// been finalized without error.
+func (w *SealedWriter) FileDigest() ([]byte, bool) {
+	if w.sum == nil {
 		return nil, false
 	}
-	return append([]byte(nil), w.finalTag...), true
+	return append([]byte(nil), w.sum...), true
 }

@@ -219,15 +219,33 @@ func (c *Client) discard(cc *clientConn) {
 // retryable reports whether a request may be re-sent after a transport
 // failure that could have delivered it. Reads, metadata ops, syncs, and
 // closes are idempotent; writes are deduplicated server-side by sequence
-// number; Remove/Rename retried after being applied surface ErrNotFound,
-// which callers treat as the (already reached) goal state.
+// number; a Remove/Rename that was applied before its reply was lost
+// answers ErrNotFound on the re-send, which roundTrip resolves through
+// alreadyApplied — callers never see that case.
 func retryable(req *Request) bool {
 	return req.Op != OpWrite || req.Seq != 0
+}
+
+// alreadyApplied decides what a re-sent Remove or Rename that answered
+// ErrNotFound means: an earlier attempt may have reached the node and been
+// applied before its reply was lost, in which case the goal state already
+// holds and the caller must see success. A removed file being absent is the
+// goal; a rename is confirmed by the new name existing.
+func (c *Client) alreadyApplied(req *Request) bool {
+	switch req.Op {
+	case OpRemove:
+		return true
+	case OpRename:
+		_, err := c.Stat(req.Name2)
+		return err == nil
+	}
+	return false
 }
 
 // roundTrip sends one request with deadlines, backoff, and redial.
 func (c *Client) roundTrip(req *Request) (*Response, error) {
 	var lastErr error
+	resent := false // an earlier attempt was sent and may have been applied
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			metrics.Net.Retries.Add(1)
@@ -251,11 +269,16 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 				cc.conn.SetDeadline(time.Time{}) //nolint:errcheck
 				c.putBack(cc)
 				if resp.Err != "" {
-					return &resp, mapRemoteError(resp.Err)
+					err := mapRemoteError(resp.Err)
+					if resent && errors.Is(err, vfs.ErrNotFound) && c.alreadyApplied(req) {
+						return &resp, nil
+					}
+					return &resp, err
 				}
 				return &resp, nil
 			}
 		}
+		resent = true
 		if netretry.IsTimeout(err) {
 			metrics.Net.Timeouts.Add(1)
 		}

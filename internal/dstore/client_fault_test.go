@@ -153,6 +153,59 @@ func TestConnDropRetriedTransparently(t *testing.T) {
 	}
 }
 
+// TestLostReplyRenameRemoveIdempotent drops exactly the reply to a Rename
+// (then a Remove) the server has applied. The re-send answers ErrNotFound —
+// the source is gone — and the client must recognise the goal state instead
+// of failing the engine's CURRENT.tmp -> CURRENT install. ErrNotFound on a
+// first attempt, or on a re-send whose target does not exist either, is a
+// real answer and still surfaces.
+func TestLostReplyRenameRemoveIdempotent(t *testing.T) {
+	base := vfs.NewMem()
+	srv, err := NewServer(base, "127.0.0.1:0", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// dial returns a client whose dropN-th reply is lost (0: none).
+	dial := func(dropN int) *Client {
+		c, err := DialConfig(newDropResponseNProxy(t, srv.Addr(), dropN).addr(), fastDStoreConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	for _, name := range []string{"CURRENT.tmp", "obsolete"} {
+		if err := vfs.WriteFile(base, name, []byte(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := dial(1).Rename("CURRENT.tmp", "CURRENT"); err != nil {
+		t.Fatalf("Rename whose reply was lost: %v", err)
+	}
+	if got, err := vfs.ReadFile(base, "CURRENT"); err != nil || string(got) != "CURRENT.tmp" {
+		t.Fatalf("renamed file = %q, %v", got, err)
+	}
+	if err := dial(1).Remove("obsolete"); err != nil {
+		t.Fatalf("Remove whose reply was lost: %v", err)
+	}
+	if _, err := base.Stat("obsolete"); !errors.Is(err, vfs.ErrNotFound) {
+		t.Fatalf("removed file still present (err=%v)", err)
+	}
+
+	clean := dial(0)
+	if err := clean.Rename("missing", "CURRENT"); !errors.Is(err, vfs.ErrNotFound) {
+		t.Fatalf("first-attempt Rename of a missing file: %v, want ErrNotFound", err)
+	}
+	if err := clean.Remove("missing"); !errors.Is(err, vfs.ErrNotFound) {
+		t.Fatalf("first-attempt Remove of a missing file: %v, want ErrNotFound", err)
+	}
+	if err := dial(1).Rename("missing", "nowhere"); !errors.Is(err, vfs.ErrNotFound) {
+		t.Fatalf("re-sent Rename with no target either: %v, want ErrNotFound", err)
+	}
+}
+
 // TestCloseUnblocksPendingCheckout: with a 1-conn pool held by a slow
 // request, a second request blocks on checkout. Close must unblock it with
 // ErrClosed instead of leaving it hung forever.

@@ -200,7 +200,7 @@ func TestRemoteDigest(t *testing.T) {
 	if _, err := f.Write(header); err != nil {
 		t.Fatal(err)
 	}
-	w := crypt.NewSealedWriter(f, sealer)
+	w := crypt.NewSealedWriter(f, sealer, 0, 0)
 	if _, err := w.Write(payload); err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,10 @@
 //
 // The LSM core stays unchanged and unaware — encfs.FS satisfies vfs.FS, so
 // it drops in wherever the plain filesystem would. Each file begins with a
-// small plaintext header (magic, version, random IV); the body is
-// AES-128-CTR ciphertext under the instance DEK.
+// small plaintext header (magic, version, random IV); the body is encrypted
+// under the instance DEK in the format the version names: per-block AES-GCM
+// (v2, authenticated) for write-once files, AES-128-CTR (v1) for the
+// append-many WAL and MANIFEST streams.
 //
 // Trade-offs (Section 4.2): one DEK for everything means no per-file blast-
 // radius limits and no cheap rotation — rotating requires re-encrypting the
@@ -58,30 +60,15 @@ type FS struct {
 	// per-write encryption-initialization cost. 0 encrypts every write
 	// individually.
 	walBufSize int
-
-	// legacyCTR forces new files onto format v1 (CTR). It exists for
-	// mixed-version coexistence tests and staged rollouts; reads always
-	// accept both versions regardless.
-	legacyCTR bool
 }
 
 // New returns an encrypting FS over base using the instance DEK key. The DEK
 // is supplied at startup (e.g. by an operator or a KDS) and held only in
-// memory for the lifetime of the instance.
-func New(base vfs.FS, key crypt.DEK) *FS {
-	return &FS{base: base, key: key}
-}
-
-// NewWithWALBuffer is New with the WAL-buffer optimization enabled for log
-// files (the "EncFS + WAL-Buf" variant of the paper's evaluation).
-func NewWithWALBuffer(base vfs.FS, key crypt.DEK, walBufSize int) *FS {
+// memory for the lifetime of the instance. A positive walBufSize enables the
+// WAL-buffer optimization for log files (the "EncFS + WAL-Buf" variant of
+// the paper's evaluation).
+func New(base vfs.FS, key crypt.DEK, walBufSize int) *FS {
 	return &FS{base: base, key: key, walBufSize: walBufSize}
-}
-
-// NewLegacyCTR returns an FS that writes format v1 (CTR) files, as builds
-// before format v2 did. Reading is unaffected — both formats open.
-func NewLegacyCTR(base vfs.FS, key crypt.DEK, walBufSize int) *FS {
-	return &FS{base: base, key: key, walBufSize: walBufSize, legacyCTR: true}
 }
 
 // streamFile reports whether name is an append-many stream that must stay
@@ -106,7 +93,7 @@ func (e *FS) Create(name string) (vfs.WritableFile, error) {
 		return nil, err
 	}
 	version := uint32(latestVersion)
-	if e.legacyCTR || streamFile(name) {
+	if streamFile(name) {
 		version = headerVersion
 	}
 	var hdr [HeaderLen]byte
@@ -123,7 +110,9 @@ func (e *FS) Create(name string) (vfs.WritableFile, error) {
 			f.Close()
 			return nil, err
 		}
-		return crypt.NewSealedWriter(f, sealer), nil
+		// Default chunk size, sealed inline: EncFS sits below the engine and
+		// has no compaction-thread setting to honour.
+		return crypt.NewSealedWriter(f, sealer, 0, 0), nil
 	}
 	bufSize := 0
 	if e.walBufSize > 0 && strings.HasSuffix(name, ".log") {
@@ -171,7 +160,7 @@ func (e *FS) Open(name string) (vfs.RandomAccessFile, error) {
 		}
 		err = serr
 	} else {
-		//shield:noauthread format v1 compatibility: CTR files written before sealing existed remain readable
+		//shield:noauthread format v1 has no tags to verify: every WAL/MANIFEST stream is v1 by design (record CRCs sit inside the ciphertext, DESIGN.md §13), as are files from builds that predate sealing
 		r, err = crypt.NewDecryptingReaderAt(f, e.key, iv, HeaderLen)
 	}
 	if err != nil {

@@ -18,7 +18,7 @@ func newFS(t *testing.T) (*vfs.MemFS, *FS, crypt.DEK) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return base, New(base, dek), dek
+	return base, New(base, dek, 0), dek
 }
 
 func TestTransparentRoundTrip(t *testing.T) {
@@ -110,7 +110,7 @@ func TestWrongKeyFailsAuthentication(t *testing.T) {
 	}
 	// Format v2 authenticates: a wrong key must fail loudly, never return
 	// noise (v1 CTR decrypted to garbage here).
-	efs2 := New(base, other)
+	efs2 := New(base, other, 0)
 	got, err := vfs.ReadFile(efs2, "f")
 	if err == nil {
 		if bytes.Equal(got, payload) {
@@ -146,7 +146,7 @@ func TestPerFileIVsDiffer(t *testing.T) {
 func TestWALBufferVariant(t *testing.T) {
 	base := vfs.NewMem()
 	dek, _ := crypt.NewDEK()
-	efs := NewWithWALBuffer(base, dek, 512)
+	efs := New(base, dek, 512)
 
 	// .log files buffer; Sync persists.
 	f, err := efs.Create("000001.log")

@@ -213,20 +213,18 @@ func (d *DB) commitGroup(group []*commitWaiter) error {
 		rec = scratch
 	}
 
-	if !d.opts.DisableWAL {
-		if err := w.AddRecord(rec); err != nil {
+	if err := w.AddRecord(rec); err != nil {
+		d.setBGErr(err)
+		return errDegraded(err)
+	}
+	d.metWAL.Add(int64(len(rec)))
+	if needSync {
+		if err := w.Sync(); err != nil {
 			d.setBGErr(err)
 			return errDegraded(err)
 		}
-		d.metWAL.Add(int64(len(rec)))
-		if needSync {
-			if err := w.Sync(); err != nil {
-				d.setBGErr(err)
-				return errDegraded(err)
-			}
-			d.metWALSyncs.Add(1)
-			metrics.Engine.WALSyncs.Add(1)
-		}
+		d.metWALSyncs.Add(1)
+		metrics.Engine.WALSyncs.Add(1)
 	}
 
 	err := decodeBatch(rec, func(seq base.SeqNum, kind base.Kind, key, value []byte) error {

@@ -165,11 +165,14 @@ type compactionPlan struct {
 	busy     []uint64 // file numbers locked by this plan
 }
 
+// levelSizeMultiplier is the fanout between level targets.
+const levelSizeMultiplier = 10
+
 // levelTarget returns the size target for a level under leveled compaction.
 func (d *DB) levelTarget(level int) uint64 {
 	t := d.opts.BaseLevelSize
 	for i := 1; i < level; i++ {
-		t *= uint64(d.opts.LevelSizeMultiplier)
+		t *= levelSizeMultiplier
 	}
 	return t
 }
@@ -632,7 +635,14 @@ func (d *DB) claimManualPlan(lvl int) (*compactionPlan, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.manualWaiters++
-	defer func() { d.manualWaiters-- }()
+	defer func() {
+		d.manualWaiters--
+		// Background scheduling was suppressed while this step waited. Re-arm
+		// it on the way out — also when leaving without a plan — or a writer
+		// stalled on the L0 limit that deferred to this step sleeps forever.
+		d.maybeScheduleCompactionLocked()
+		d.bgCond.Broadcast()
+	}()
 	for {
 		if d.closed {
 			return nil, ErrClosed

@@ -195,9 +195,6 @@ type Options struct {
 	// BaseLevelSize is the target size of L1. Default 16 MiB.
 	BaseLevelSize uint64
 
-	// LevelSizeMultiplier is the fanout between level targets. Default 10.
-	LevelSizeMultiplier int
-
 	// TargetFileSize caps individual compaction output files. Default 4 MiB.
 	TargetFileSize uint64
 
@@ -227,10 +224,6 @@ type Options struct {
 	// SyncWrites makes every committed batch fsync the WAL. Default false
 	// (matching db_bench's default of buffered, non-synced WAL writes).
 	SyncWrites bool
-
-	// DisableWAL turns the WAL off entirely (crash consistency is lost);
-	// used by benchmarks isolating non-WAL costs.
-	DisableWAL bool
 
 	// Compactor, when non-nil, executes compactions remotely (offloaded
 	// compaction). Flushes always run locally.
@@ -302,9 +295,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BaseLevelSize == 0 {
 		o.BaseLevelSize = 16 << 20
-	}
-	if o.LevelSizeMultiplier == 0 {
-		o.LevelSizeMultiplier = 10
 	}
 	if o.TargetFileSize == 0 {
 		o.TargetFileSize = 4 << 20

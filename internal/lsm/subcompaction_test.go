@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"shield/internal/crypt"
@@ -12,25 +13,29 @@ import (
 	"shield/internal/vfs"
 )
 
-// detEncWrapper encrypts every SST with one fixed DEK/IV so two runs over
-// the same inputs produce comparable ciphertext regardless of output file
-// numbers. Test-only: real deployments derive a fresh DEK per file.
+// detEncWrapper seals every SST under one fixed DEK and nonce prefix so two
+// runs over the same inputs produce comparable ciphertext regardless of
+// output file numbers. Test-only: real deployments derive a fresh DEK and
+// prefix per file.
 type detEncWrapper struct {
 	threads int
 }
 
-var (
-	detDEK = crypt.DEK{0x42, 0x17, 0x99, 0x03, 0x42, 0x17, 0x99, 0x03,
-		0x42, 0x17, 0x99, 0x03, 0x42, 0x17, 0x99, 0x03}
-	detIV = [crypt.IVSize]byte{0xAA, 0x55, 0xAA, 0x55}
-)
+func detSealer() *crypt.Sealer {
+	s, err := crypt.NewSealer(crypt.DEK{0x42, 0x17, 0x99, 0x03, 0x42, 0x17, 0x99, 0x03,
+		0x42, 0x17, 0x99, 0x03, 0x42, 0x17, 0x99, 0x03}, []byte("detnonce"), nil)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
 
 func (w detEncWrapper) WrapCreate(_ string, _ FileKind, f vfs.WritableFile) (vfs.WritableFile, string, error) {
-	return crypt.NewChunkedWriter(f, detDEK, detIV, 1024, w.threads), "det", nil
+	return crypt.NewSealedWriter(f, detSealer(), crypt.SealedBlockSize, w.threads), "det", nil
 }
 
 func (w detEncWrapper) WrapOpen(_ string, _ FileKind, f vfs.RandomAccessFile) (vfs.RandomAccessFile, error) {
-	return crypt.NewDecryptingReaderAt(f, detDEK, detIV, 0)
+	return crypt.NewSealedReaderAt(f, detSealer(), 0)
 }
 
 func (w detEncWrapper) WrapOpenSequential(_ string, _ FileKind, f vfs.SequentialFile) (vfs.SequentialFile, error) {
@@ -261,10 +266,10 @@ type failingCreateWrapper struct {
 }
 
 func (w failingCreateWrapper) WrapCreate(name string, kind FileKind, f vfs.WritableFile) (vfs.WritableFile, string, error) {
-	if *w.remaining <= 0 {
+	// Shards create their outputs on parallel goroutines.
+	if atomic.AddInt32(w.remaining, -1) < 0 {
 		return nil, "", fmt.Errorf("injected create failure")
 	}
-	*w.remaining--
 	return w.detEncWrapper.WrapCreate(name, kind, f)
 }
 
