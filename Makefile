@@ -6,7 +6,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.3
 
-.PHONY: all build test benchmark-check race vet shield-vet staticcheck govulncheck lint-extra fmt sim sim-long tamper-test replication-test fuzz bench-json server-test
+.PHONY: all build test benchmark-check race read-path-check vet shield-vet staticcheck govulncheck lint-extra fmt sim sim-long tamper-test replication-test fuzz bench-json server-test
 
 all: build vet shield-vet test
 
@@ -24,6 +24,14 @@ benchmark-check:
 
 race:
 	go test -race ./...
+
+# The read path's mechanism, pinned: inner reads per sealed ReadAt, per table
+# open, per cache miss and per digest walk, and the steady-state allocation
+# counts. The allocation tests carry a !race build tag (AllocsPerRun is
+# meaningless under the race detector), so `make race` skips them and this
+# target is where they run.
+read-path-check:
+	go test -run 'InnerReads|Allocs' ./internal/crypt/ ./internal/lsm/sstable/ ./internal/dstore/
 
 fmt:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
@@ -96,13 +104,18 @@ replication-test:
 tamper-test:
 	go run ./cmd/shield-sim -seeds $(SIM_SEEDS) -bitrot -rollback
 
-# Coverage-guided fuzzing of the sealed (format v2) parser: arbitrary
-# bodies must round-trip or fail as integrity errors — never panic or
-# misclassify. FUZZTIME bounds the run; CI uses a short burst, leave it
-# running locally to dig deeper.
+# Coverage-guided fuzzing of the sealed (format v2) parser and reader:
+# arbitrary bodies must round-trip or fail as integrity errors, and any span
+# of a tampered body must read as the per-block oracle reads it — never panic
+# or misclassify. FUZZTIME bounds each target; CI uses a short burst, leave
+# it running locally to dig deeper. Minimization is capped because its 60 s
+# default otherwise eats a short burst whole (execs drop to 0/sec after the
+# first new-coverage input).
 FUZZTIME ?= 30s
+FUZZFLAGS = -run='^$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 fuzz:
-	go test -run='^$$' -fuzz=FuzzSealedOpen -fuzztime=$(FUZZTIME) ./internal/crypt/
+	go test $(FUZZFLAGS) -fuzz=FuzzSealedOpen ./internal/crypt/
+	go test $(FUZZFLAGS) -fuzz=FuzzSealedReadAt ./internal/crypt/
 
 # Third-party linters. These reach the network to fetch the pinned tool the
 # first time; they are deliberately NOT part of `make all` so an offline

@@ -18,6 +18,7 @@ import (
 	"shield/internal/dstore"
 	"shield/internal/kds"
 	"shield/internal/lsm"
+	"shield/internal/lsm/base"
 	"shield/internal/lsm/sstable"
 	"shield/internal/vfs"
 )
@@ -517,6 +518,129 @@ func BenchmarkFig19_DSFillRandom(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// sealedBenchFile writes a sealed SST of nKeys ~100-byte entries to fs (the
+// layout SHIELD gives a table, minus the DEK-ID header) and returns its name
+// and sealer.
+func sealedBenchFile(b *testing.B, fs vfs.FS, nKeys int) (string, *crypt.Sealer) {
+	b.Helper()
+	sealer, err := crypt.NewSealer(crypt.DEK{1, 2, 3}, []byte("benchpfx"), []byte("bench-header"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw, err := fs.Create("bench.sst")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := sstable.NewWriter(crypt.NewSealedWriter(raw, sealer, 0, 0), sstable.WriterOptions{})
+	for i := 0; i < nKeys; i++ {
+		ikey := base.MakeInternalKey([]byte(fmt.Sprintf("key-%08d", i)), 1, base.KindSet)
+		if err := w.Add(ikey, []byte(fmt.Sprintf("%080d", i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		b.Fatal(err)
+	}
+	return "bench.sst", sealer
+}
+
+// reportInnerReads reports the storage reads counted since before, per op.
+func reportInnerReads(b *testing.B, cfs *vfs.CountingFS, before vfs.Snapshot) {
+	b.ReportMetric(float64(cfs.Stats.Snapshot().ReadOps-before.ReadOps)/float64(b.N), "inner-reads/op")
+}
+
+// BenchmarkSealedReadAt is the crypt layer of a block-cache miss on its own:
+// one ReadAt through crypt.SealedReaderAt over memfs, block-aligned, at the
+// offset an SST data block really has (straddling two sealed blocks), and a
+// 64 KiB span. inner-reads/op is the storage reads each outer read cost.
+func BenchmarkSealedReadAt(b *testing.B) {
+	cfs := vfs.NewCounting(vfs.NewMem())
+	name, sealer := sealedBenchFile(b, cfs, 20000)
+	f, err := cfs.Open(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	r, err := crypt.NewSealedReaderAt(f, sealer, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	size, _ := r.Size()
+	for _, c := range []struct {
+		name     string
+		off, len int64
+	}{
+		{"aligned4k", 0, 4096},
+		{"straddle4k", 1500, 4096},
+		{"64k", 1500, 64 << 10},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p := make([]byte, c.len)
+			stride := (size - c.len - c.off) / crypt.SealedBlockSize
+			b.SetBytes(c.len)
+			b.ReportAllocs()
+			before := cfs.Stats.Snapshot()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := c.off + (int64(i)*7919%stride)*crypt.SealedBlockSize
+				if _, err := r.ReadAt(p, off); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportInnerReads(b, cfs, before)
+		})
+	}
+}
+
+// BenchmarkTableOpen is the per-file open cost that key-per-file multiplies:
+// wrap a sealed ~2 MiB table and sstable.NewReader it (footer, index, filter,
+// properties), over memfs and over a loopback dstore where every inner read
+// is a TCP round trip.
+func BenchmarkTableOpen(b *testing.B) {
+	for _, remote := range []bool{false, true} {
+		name := "memfs"
+		if remote {
+			name = "dstore-loopback"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfs := vfs.NewCounting(vfs.NewMem())
+			var fs vfs.FS = cfs
+			if remote {
+				srv, err := dstore.NewServer(cfs, "127.0.0.1:0", 0, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer srv.Close()
+				client, err := dstore.Dial(srv.Addr(), 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer client.Close()
+				fs = client
+			}
+			file, sealer := sealedBenchFile(b, fs, 20000)
+			f, err := fs.Open(file)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer f.Close()
+			b.ReportAllocs()
+			before := cfs.Stats.Snapshot()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sealed, err := crypt.NewSealedReaderAt(f, sealer, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sstable.NewReader(sealed, sstable.ReaderOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportInnerReads(b, cfs, before)
 		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"sync"
 
 	"shield/internal/vfs"
 )
@@ -88,43 +89,60 @@ func NewSealer(key DEK, noncePrefix []byte, aad []byte) (*Sealer, error) {
 	return s, nil
 }
 
-// blockNonce derives the 12-byte GCM nonce for block idx.
-func (s *Sealer) blockNonce(idx uint32) [12]byte {
-	var n [12]byte
-	copy(n[:SealedNoncePrefixLen], s.prefix[:])
-	binary.BigEndian.PutUint32(n[SealedNoncePrefixLen:], idx)
-	return n
+// scratch holds the nonce and AAD of the block being sealed or opened.
+// cipher.AEAD is an interface, so either one built on the stack escapes and
+// costs an allocation per block; a pooled struct costs none in the steady
+// state. Nonce and AAD are public (file header, nonce prefix, block index):
+// no DEK or derived key material is ever written to a pooled scratch.
+type scratch struct {
+	nonce [12]byte
+	aad   []byte
 }
 
-// blockAAD derives the AAD for block idx: header ‖ index ‖ final-flag.
-func (s *Sealer) blockAAD(idx uint32, final bool) []byte {
-	aad := make([]byte, 0, len(s.aad)+5)
-	aad = append(aad, s.aad...)
-	var tail [5]byte
-	binary.BigEndian.PutUint32(tail[:4], idx)
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// blockParams derives block idx's GCM nonce (file prefix ‖ index) and AAD
+// (header ‖ index ‖ final-flag) into sc.
+func (s *Sealer) blockParams(sc *scratch, idx uint32, final bool) (nonce, aad []byte) {
+	copy(sc.nonce[:SealedNoncePrefixLen], s.prefix[:])
+	binary.BigEndian.PutUint32(sc.nonce[SealedNoncePrefixLen:], idx)
+	sc.aad = append(sc.aad[:0], s.aad...)
+	sc.aad = binary.BigEndian.AppendUint32(sc.aad, idx)
 	if final {
-		tail[4] = 1
+		sc.aad = append(sc.aad, 1)
+	} else {
+		sc.aad = append(sc.aad, 0)
 	}
-	return append(aad, tail[:]...)
+	return sc.nonce[:], sc.aad
 }
 
 // SealBlock appends block idx's ciphertext (plaintext + tag) to dst.
 // Non-final blocks must be exactly SealedBlockSize long; the final block is
 // 0..SealedBlockSize-1 bytes.
 func (s *Sealer) SealBlock(dst, plain []byte, idx uint32, final bool) []byte {
-	nonce := s.blockNonce(idx)
-	return s.aead.Seal(dst, nonce[:], plain, s.blockAAD(idx, final))
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	nonce, aad := s.blockParams(sc, idx, final)
+	return s.aead.Seal(dst, nonce, plain, aad)
 }
 
 // OpenBlock authenticates and decrypts one sealed block, appending the
 // plaintext to dst. A failed tag (or wrong idx/final position) returns an
 // error wrapping vfs.ErrIntegrity.
 func (s *Sealer) OpenBlock(dst, sealed []byte, idx uint32, final bool) ([]byte, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return s.open(sc, dst, sealed, idx, final)
+}
+
+// open is OpenBlock on the caller's scratch. dst may be sealed[:0]: GCM
+// permits exact in-place overlap.
+func (s *Sealer) open(sc *scratch, dst, sealed []byte, idx uint32, final bool) ([]byte, error) {
 	if len(sealed) < SealedTagSize {
 		return dst, fmt.Errorf("crypt: sealed block %d short (%d bytes): %w", idx, len(sealed), vfs.ErrIntegrity)
 	}
-	nonce := s.blockNonce(idx)
-	out, err := s.aead.Open(dst, nonce[:], sealed, s.blockAAD(idx, final))
+	nonce, aad := s.blockParams(sc, idx, final)
+	out, err := s.aead.Open(dst, nonce, sealed, aad)
 	if err != nil {
 		return dst, fmt.Errorf("crypt: sealed block %d failed authentication: %w", idx, vfs.ErrIntegrity)
 	}
@@ -220,14 +238,39 @@ func NewSealedReaderAt(f vfs.RandomAccessFile, s *Sealer, headerLen int64) (*Sea
 	return &SealedReaderAt{f: f, s: s, headerLen: headerLen, bodyLen: bodyLen, plainSize: plain, full: full}, nil
 }
 
-// blockExtent returns the ciphertext offset and length of block idx.
-func (r *SealedReaderAt) blockExtent(idx int64) (off, n int64) {
-	off = idx * sealedCipherBlock
-	n, _ = leadingBlock(r.bodyLen - off)
-	return off, n
+// digestExtentBlocks is how many sealed blocks FileDigest and VerifyAll fetch
+// per inner read.
+const digestExtentBlocks = 64
+
+// readExtent fetches the ciphertext of sealed blocks first..last with exactly
+// one inner ReadAt: the unit every read of the body goes through, so one
+// outer call costs one storage round trip however many blocks it covers. The
+// extent lands in buf when buf has the capacity, else in a new buffer; it is
+// the caller's working memory for this call only and is never shared, so
+// every byte a caller is handed was read and authenticated in that call.
+// A read that comes back short is an I/O error, not evidence of tampering
+// (the body length was validated at open).
+func (r *SealedReaderAt) readExtent(buf []byte, first, last int64) ([]byte, error) {
+	off := first * sealedCipherBlock
+	end := min((last+1)*sealedCipherBlock, r.bodyLen)
+	if int64(cap(buf)) < end-off {
+		buf = make([]byte, end-off)
+	}
+	ct := buf[:end-off]
+	n, err := r.f.ReadAt(ct, r.headerLen+off)
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	if n < len(ct) {
+		return nil, fmt.Errorf("crypt: sealed blocks %d..%d: read %d of %d bytes: %w", first, last, n, len(ct), io.ErrUnexpectedEOF)
+	}
+	return ct, nil
 }
 
-// ReadAt implements io.ReaderAt over the verified plaintext body.
+// ReadAt implements io.ReaderAt over the verified plaintext body. Blocks are
+// authenticated in order and released to p one by one: on a failed tag n
+// counts only the bytes of the blocks before it, and p[n:] holds no plaintext
+// of the failing block or any later one.
 func (r *SealedReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("crypt: negative offset %d", off)
@@ -235,24 +278,43 @@ func (r *SealedReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	if off >= r.plainSize {
 		return 0, io.EOF
 	}
-	n := 0
-	for len(p) > 0 && off < r.plainSize {
-		idx := off / SealedBlockSize
-		coff, clen := r.blockExtent(idx)
-		ct := make([]byte, clen)
-		if _, err := r.f.ReadAt(ct, r.headerLen+coff); err != nil && err != io.EOF {
-			return n, err
-		}
-		plain, err := r.s.OpenBlock(nil, ct, uint32(idx), idx == r.full)
-		if err != nil {
-			return n, err
-		}
-		c := copy(p, plain[off-idx*SealedBlockSize:])
-		n += c
-		p = p[c:]
-		off += int64(c)
+	end := min(off+int64(len(p)), r.plainSize)
+	if end == off {
+		return 0, nil
 	}
-	if len(p) > 0 {
+	first := off / SealedBlockSize
+	ct, err := r.readExtent(nil, first, (end-1)/SealedBlockSize)
+	if err != nil {
+		return 0, err
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	n := 0
+	for idx := first; len(ct) > 0; idx++ {
+		clen, plainLen := leadingBlock(int64(len(ct)))
+		sealed := ct[:clen]
+		ct = ct[clen:]
+		// [lo, hi) is the part of this block's plaintext that p wants.
+		base := idx * SealedBlockSize
+		lo, hi := max(off, base)-base, min(end, base+plainLen)-base
+		dst := p[n : n+int(hi-lo)]
+		if lo == 0 && hi == plainLen {
+			// Wholly inside p: decrypt straight into the caller's buffer.
+			if _, err := r.s.open(sc, dst[:0], sealed, uint32(idx), idx == r.full); err != nil {
+				clear(dst)
+				return n, err
+			}
+		} else {
+			// Partial block: open in place in the extent, copy the part wanted.
+			plain, err := r.s.open(sc, sealed[:0], sealed, uint32(idx), idx == r.full)
+			if err != nil {
+				return n, err
+			}
+			copy(dst, plain[lo:hi])
+		}
+		n += len(dst)
+	}
+	if n < len(p) {
 		return n, io.EOF
 	}
 	return n, nil
@@ -264,38 +326,38 @@ func (r *SealedReaderAt) Size() (int64, error) { return r.plainSize, nil }
 // Close closes the underlying file.
 func (r *SealedReaderAt) Close() error { return r.f.Close() }
 
-// FileDigest recomputes the tag-chain digest from the stored ciphertext,
-// reading only the tags. It does not authenticate blocks — callers compare
-// the result against the manifest-recorded digest (whose tags only the DEK
-// holder could forge).
-func (r *SealedReaderAt) FileDigest() ([]byte, error) {
-	h := sha256.New()
-	var tag [SealedTagSize]byte
-	for off := int64(0); off < r.bodyLen; {
-		n, tagOff := leadingBlock(r.bodyLen - off)
-		if _, err := r.f.ReadAt(tag[:], r.headerLen+off+tagOff); err != nil && err != io.EOF {
-			return nil, err
-		}
-		h.Write(tag[:])
-		off += n
-	}
-	return h.Sum(nil), nil
-}
+// FileDigest recomputes the tag-chain digest from the stored ciphertext. It
+// does not authenticate blocks — callers compare the result against the
+// manifest-recorded digest (whose tags only the DEK holder could forge).
+func (r *SealedReaderAt) FileDigest() ([]byte, error) { return r.tagChain(false) }
 
 // VerifyAll authenticates every block of the body (the scrub's full pass)
 // and returns the tag-chain digest.
-func (r *SealedReaderAt) VerifyAll() ([]byte, error) {
+func (r *SealedReaderAt) VerifyAll() ([]byte, error) { return r.tagChain(true) }
+
+// tagChain walks the body in extents of digestExtentBlocks blocks, one inner
+// read each (storage round trips, not bytes, price a remote walk), folding
+// every block's tag into the digest and, when verify is set, opening each
+// block in place first.
+func (r *SealedReaderAt) tagChain(verify bool) ([]byte, error) {
 	h := sha256.New()
-	for idx := int64(0); idx <= r.full; idx++ {
-		coff, clen := r.blockExtent(idx)
-		ct := make([]byte, clen)
-		if _, err := r.f.ReadAt(ct, r.headerLen+coff); err != nil && err != io.EOF {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	var buf []byte // one extent buffer for the whole walk
+	for first := int64(0); first <= r.full; first += digestExtentBlocks {
+		ct, err := r.readExtent(buf, first, min(first+digestExtentBlocks-1, r.full))
+		if err != nil {
 			return nil, err
 		}
-		if _, err := r.s.OpenBlock(nil, ct, uint32(idx), idx == r.full); err != nil {
-			return nil, err
-		}
+		buf = ct
 		hashTags(h, ct)
+		for idx := first; verify && len(ct) > 0; idx++ {
+			clen, _ := leadingBlock(int64(len(ct)))
+			if _, err := r.s.open(sc, ct[:0], ct[:clen], uint32(idx), idx == r.full); err != nil {
+				return nil, err
+			}
+			ct = ct[clen:]
+		}
 	}
 	return h.Sum(nil), nil
 }

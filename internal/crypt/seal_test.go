@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -391,6 +392,273 @@ func TestSealedWriterBaseFailure(t *testing.T) {
 	}
 }
 
+// oracleReadAt is the per-block read loop that SealedReaderAt.ReadAt used to
+// be, kept as the reference the coalesced reader is held to: one block at a
+// time, opened into a fresh buffer and copied out.
+func oracleReadAt(s *Sealer, body, p []byte, off int64) (int, error) {
+	full, plainSize, err := sealedBodyLayout(int64(len(body)))
+	if err != nil {
+		return 0, err
+	}
+	if off >= plainSize {
+		return 0, io.EOF
+	}
+	n := 0
+	for len(p) > 0 && off < plainSize {
+		idx := off / SealedBlockSize
+		coff := idx * sealedCipherBlock
+		clen, _ := leadingBlock(int64(len(body)) - coff)
+		plain, err := s.OpenBlock(nil, body[coff:coff+clen], uint32(idx), idx == full)
+		if err != nil {
+			return n, err
+		}
+		c := copy(p, plain[off-idx*SealedBlockSize:])
+		n, p, off = n+c, p[c:], off+int64(c)
+	}
+	if len(p) > 0 {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// checkAgainstOracle reads (off, length) through r and through the oracle
+// and requires the same count, error class and bytes; past n, p must hold
+// nothing but what the caller put there (or zeros).
+func checkAgainstOracle(t testing.TB, r *SealedReaderAt, s *Sealer, body []byte, off int64, length int) {
+	t.Helper()
+	const fill = 0xEE
+	got := bytes.Repeat([]byte{fill}, length)
+	want := bytes.Repeat([]byte{fill}, length)
+	gn, gerr := r.ReadAt(got, off)
+	wn, werr := oracleReadAt(s, body, want, off)
+	if gn != wn || (gerr == nil) != (werr == nil) || (gerr == io.EOF) != (werr == io.EOF) ||
+		errors.Is(gerr, vfs.ErrIntegrity) != errors.Is(werr, vfs.ErrIntegrity) {
+		t.Fatalf("body=%d off=%d len=%d: ReadAt = (%d, %v), oracle = (%d, %v)", len(body), off, length, gn, gerr, wn, werr)
+	}
+	if !bytes.Equal(got[:gn], want[:wn]) {
+		t.Fatalf("body=%d off=%d len=%d: bytes differ from the oracle", len(body), off, length)
+	}
+	for i, b := range got[gn:] {
+		if b != fill && b != 0 {
+			t.Fatalf("body=%d off=%d len=%d: p[%d] = %#x past n=%d (unreleased plaintext?)", len(body), off, length, gn+i, b, gn)
+		}
+	}
+}
+
+// boundaryGrid returns every plaintext position within one byte of a block
+// boundary or of the end of a size-byte body.
+func boundaryGrid(size int) []int64 {
+	var grid []int64
+	for b := 0; b <= size+SealedBlockSize; b += SealedBlockSize {
+		for _, v := range []int{b - 1, b, b + 1, size - 1, size, size + 1} {
+			if v >= 0 && v <= size+1 {
+				grid = append(grid, int64(v))
+			}
+		}
+	}
+	return grid
+}
+
+func TestSealedReadAtMatchesOracle(t *testing.T) {
+	s, _ := newTestSealer(t)
+	rng := rand.New(rand.NewSource(14))
+	for _, size := range []int{0, 1, SealedBlockSize - 1, SealedBlockSize, SealedBlockSize + 1,
+		2 * SealedBlockSize, 3*SealedBlockSize + 17, 64<<10 + 5} {
+		payload := make([]byte, size)
+		rng.Read(payload)
+		body := sealToMem(t, s, payload)
+		r, err := openSealed(t, s, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid := boundaryGrid(size)
+		for _, off := range grid {
+			checkAgainstOracle(t, r, s, body, off, 0)
+			for _, end := range grid { // includes ends exactly at and one past plainSize
+				if end > off {
+					checkAgainstOracle(t, r, s, body, off, int(end-off))
+				}
+			}
+		}
+		r.Close()
+	}
+}
+
+func TestSealedReadAtTamperMidExtent(t *testing.T) {
+	s, _ := newTestSealer(t)
+	const blocks = 5
+	payload := make([]byte, blocks*SealedBlockSize+300)
+	rand.New(rand.NewSource(15)).Read(payload)
+	body := sealToMem(t, s, payload)
+
+	// The read starts inside block 0 and ends inside the final block, so the
+	// extent has a partial block at each end and whole blocks between.
+	const off, length = 100, blocks*SealedBlockSize + 100
+	for j := 0; j <= blocks; j++ {
+		mut := append([]byte(nil), body...)
+		mut[j*sealedCipherBlock+7] ^= 0x01
+		r := mustOpenSealed(t, s, mut)
+		p := bytes.Repeat([]byte{0xEE}, length)
+		n, err := r.ReadAt(p, off)
+		if !errors.Is(err, vfs.ErrIntegrity) {
+			t.Fatalf("block %d flipped: err = %v, want an integrity error", j, err)
+		}
+		if want := max(0, j*SealedBlockSize-off); n != want {
+			t.Fatalf("block %d flipped: n = %d, want the %d bytes of the blocks before it", j, n, want)
+		}
+		if !bytes.Equal(p[:n], payload[off:off+n]) {
+			t.Fatalf("block %d flipped: verified prefix differs from the payload", j)
+		}
+		for i, b := range p[n:] {
+			if b != 0xEE && b != 0 {
+				t.Fatalf("block %d flipped: p[%d] = %#x, plaintext released past the failing block", j, n+i, b)
+			}
+		}
+		checkAgainstOracle(t, r, s, mut, off, length)
+	}
+}
+
+func mustOpenSealed(t testing.TB, s *Sealer, body []byte) *SealedReaderAt {
+	t.Helper()
+	r, err := openSealed(t, s, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// TestSealedReadAtInnerFault: a failing device is an I/O error. It must not
+// read as tampering, or the engine would quarantine a healthy file.
+func TestSealedReadAtInnerFault(t *testing.T) {
+	s, _ := newTestSealer(t)
+	payload := make([]byte, 3*SealedBlockSize)
+	body := sealToMem(t, s, payload)
+	ffs := vfs.NewFault(vfs.NewMem(), 1)
+	if err := vfs.WriteFile(ffs, "f", body); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ffs.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := NewSealedReaderAt(f, s, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs.Inject(vfs.FaultRule{Op: vfs.FaultRead, Path: "f"})
+	for name, read := range map[string]func() error{
+		"ReadAt":     func() error { _, err := r.ReadAt(make([]byte, 2*SealedBlockSize), 10); return err },
+		"FileDigest": func() error { _, err := r.FileDigest(); return err },
+		"VerifyAll":  func() error { _, err := r.VerifyAll(); return err },
+	} {
+		if err := read(); !errors.Is(err, vfs.ErrInjected) || errors.Is(err, vfs.ErrIntegrity) {
+			t.Fatalf("%s over a failing file: err = %v, want the injected fault and no integrity class", name, err)
+		}
+	}
+}
+
+// shortFile returns at most limit bytes per ReadAt with a nil error: a
+// transfer that came back short without saying why.
+type shortFile struct {
+	vfs.RandomAccessFile
+	limit int
+}
+
+func (f shortFile) ReadAt(p []byte, off int64) (int, error) {
+	return f.RandomAccessFile.ReadAt(p[:min(len(p), f.limit)], off)
+}
+
+func TestSealedReadAtShortInnerRead(t *testing.T) {
+	s, _ := newTestSealer(t)
+	body := sealToMem(t, s, make([]byte, 3*SealedBlockSize))
+	r := mustOpenSealed(t, s, body)
+	r.f = shortFile{r.f, sealedCipherBlock + 5}
+	n, err := r.ReadAt(make([]byte, 2*SealedBlockSize), 0)
+	if n != 0 || !errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, vfs.ErrIntegrity) {
+		t.Fatalf("short inner read: (%d, %v), want (0, unexpected EOF) and no integrity class", n, err)
+	}
+}
+
+// TestSealedReadAtInnerReads pins the mechanism: whatever the span, one outer
+// ReadAt is one inner ReadAt, and a digest walk is one per 64-block extent.
+func TestSealedReadAtInnerReads(t *testing.T) {
+	s, _ := newTestSealer(t)
+	const blocks = 150
+	payload := make([]byte, blocks*SealedBlockSize+99)
+	rand.New(rand.NewSource(16)).Read(payload)
+	cfs := vfs.NewCounting(vfs.NewMem())
+	if err := vfs.WriteFile(cfs, "f", sealToMem(t, s, payload)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := cfs.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := NewSealedReaderAt(f, s, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	innerReads := func(fn func()) int64 {
+		before := cfs.Stats.Snapshot().ReadOps
+		fn()
+		return cfs.Stats.Snapshot().ReadOps - before
+	}
+	for _, rd := range []struct{ off, n int }{
+		{0, 1}, {0, SealedBlockSize}, {4000, 4200}, {SealedBlockSize - 1, 2},
+		{3 * SealedBlockSize, 64 << 10}, {0, len(payload)}, {len(payload) - 5, 100},
+	} {
+		p := make([]byte, rd.n)
+		if got := innerReads(func() { r.ReadAt(p, int64(rd.off)) }); got != 1 {
+			t.Errorf("ReadAt(off=%d, len=%d): %d inner reads, want 1", rd.off, rd.n, got)
+		}
+		if end := min(rd.off+rd.n, len(payload)); !bytes.Equal(p[:end-rd.off], payload[rd.off:end]) {
+			t.Errorf("ReadAt(off=%d, len=%d): wrong bytes", rd.off, rd.n)
+		}
+	}
+	wantWalk := int64((blocks + 1 + digestExtentBlocks - 1) / digestExtentBlocks) // +1: the final block
+	if got := innerReads(func() { r.FileDigest() }); got != wantWalk {
+		t.Errorf("FileDigest over %d blocks: %d inner reads, want %d", blocks+1, got, wantWalk)
+	}
+	if got := innerReads(func() { r.VerifyAll() }); got != wantWalk {
+		t.Errorf("VerifyAll over %d blocks: %d inner reads, want %d", blocks+1, got, wantWalk)
+	}
+}
+
+// TestSealedReadAtConcurrent: the nonce/AAD scratch pool is the reader's
+// only shared mutable state; eight goroutines reading overlapping spans must
+// each see exactly the payload (run under -race).
+func TestSealedReadAtConcurrent(t *testing.T) {
+	s, _ := newTestSealer(t)
+	payload := make([]byte, 40*SealedBlockSize+123)
+	rand.New(rand.NewSource(17)).Read(payload)
+	r := mustOpenSealed(t, s, sealToMem(t, s, payload))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 300; i++ {
+				off := rng.Intn(len(payload))
+				p := make([]byte, 1+rng.Intn(3*SealedBlockSize))
+				n, err := r.ReadAt(p, int64(off))
+				if err != nil && err != io.EOF {
+					t.Errorf("ReadAt(off=%d, len=%d): %v", off, len(p), err)
+					return
+				}
+				if !bytes.Equal(p[:n], payload[off:off+n]) {
+					t.Errorf("ReadAt(off=%d, len=%d): bytes differ from the payload", off, len(p))
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+}
+
 // FuzzSealedOpen feeds arbitrary bodies to the sealed reader: it must either
 // reject them (typed as integrity errors for impossible layouts) or round
 // genuine sealed data back — never panic, never return unauthenticated bytes
@@ -432,5 +700,35 @@ func FuzzSealedOpen(f *testing.F) {
 		if _, err := r.FileDigest(); err != nil && err != io.EOF {
 			t.Fatalf("digest scan: %v", err)
 		}
+	})
+}
+
+// FuzzSealedReadAt tampers a genuinely sealed body (mask XORed in, cycled)
+// and reads an arbitrary span: the coalesced reader must agree with the
+// per-block oracle or fail with an integrity error — never panic, never hand
+// back bytes the oracle would not.
+func FuzzSealedReadAt(f *testing.F) {
+	dek := DEK{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	s, err := NewSealer(dek, []byte("fuzzpref"), []byte("hdr"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte("tail"), []byte{}, int64(0), 4)
+	f.Add(bytes.Repeat([]byte{7}, 2*SealedBlockSize+9), []byte{}, int64(SealedBlockSize-1), 2*SealedBlockSize)
+	f.Add(bytes.Repeat([]byte{9}, 2*SealedBlockSize), append(make([]byte, sealedCipherBlock+3), 0x10), int64(10), 2*SealedBlockSize)
+	f.Fuzz(func(t *testing.T, payload, mask []byte, off int64, length int) {
+		if len(payload) > 16*SealedBlockSize || length < 0 || length > 17*SealedBlockSize || off < 0 {
+			t.Skip() // a handful of blocks reaches every case; larger only slows the fuzzer
+		}
+		body, _ := referenceSeal(s, payload)
+		for i := 0; len(mask) > 0 && i < len(body); i++ {
+			body[i] ^= mask[i%len(mask)]
+		}
+		r, err := openSealed(t, s, body)
+		if err != nil {
+			t.Fatalf("open of a correctly sized body: %v", err)
+		}
+		defer r.Close()
+		checkAgainstOracle(t, r, s, body, off, length)
 	})
 }

@@ -244,6 +244,13 @@ func (c *Client) alreadyApplied(req *Request) bool {
 
 // roundTrip sends one request with deadlines, backoff, and redial.
 func (c *Client) roundTrip(req *Request) (*Response, error) {
+	return c.roundTripInto(req, nil)
+}
+
+// roundTripInto is roundTrip with the reply's Data decoded into data's
+// backing array when it fits (gob reuses a destination slice with enough
+// capacity), so a read lands in the caller's buffer without a copy.
+func (c *Client) roundTripInto(req *Request, data []byte) (*Response, error) {
 	var lastErr error
 	resent := false // an earlier attempt was sent and may have been applied
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
@@ -264,7 +271,7 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 		cc.conn.SetDeadline(time.Now().Add(c.cfg.RequestTimeout)) //nolint:errcheck
 		err = cc.enc.Encode(req)
 		if err == nil {
-			var resp Response
+			resp := Response{Data: data[:0]}
 			if err = cc.dec.Decode(&resp); err == nil {
 				cc.conn.SetDeadline(time.Time{}) //nolint:errcheck
 				c.putBack(cc)
@@ -494,12 +501,29 @@ type remoteRandom struct {
 	size   int64
 }
 
+// ReadAt is one round trip per maxReadLen bytes of p, so in practice one.
 func (r *remoteRandom) ReadAt(p []byte, off int64) (int, error) {
-	resp, err := r.c.roundTrip(&Request{Op: OpReadAt, Handle: r.handle, Off: off, Len: len(p)})
+	total := 0
+	for {
+		n, err := r.readChunk(p[total:min(total+maxReadLen, len(p))], off+int64(total))
+		total += n
+		if err != nil || total == len(p) {
+			return total, err
+		}
+	}
+}
+
+func (r *remoteRandom) readChunk(p []byte, off int64) (int, error) {
+	// Capacity clipped to len(p): a reply longer than asked for must not
+	// spill into the caller's bytes past p.
+	resp, err := r.c.roundTripInto(&Request{Op: OpReadAt, Handle: r.handle, Off: off, Len: len(p)}, p[:0:len(p)])
 	if err != nil {
 		return 0, err
 	}
-	n := copy(p, resp.Data)
+	n := len(resp.Data)
+	if n > len(p) || (n > 0 && &resp.Data[0] != &p[0]) {
+		n = copy(p, resp.Data) // gob did not decode in place: keep what fits
+	}
 	// Only report EOF when the server did; a short response mid-file is a
 	// transfer anomaly, not end-of-file.
 	if resp.EOF {

@@ -226,14 +226,40 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err := dec.Decode(&req); err != nil {
 			return
 		}
-		resp := s.handle(&req)
-		if err := enc.Encode(resp); err != nil {
+		// An OpReadAt reply aliases a pooled buffer, held only from the read
+		// until the reply is on the wire.
+		var readBuf *[]byte
+		if req.Op == OpReadAt {
+			readBuf = readBufPool.Get().(*[]byte)
+		}
+		err := enc.Encode(s.handle(&req, readBuf))
+		if readBuf != nil && cap(*readBuf) <= maxPooledReadBuf {
+			readBufPool.Put(readBuf)
+		}
+		if err != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) handle(req *Request) *Response {
+const (
+	// maxReadLen bounds one OpReadAt. Len arrives straight off the socket, so
+	// without a bound a single frame could panic the node (negative) or make
+	// it allocate without limit; clients split larger reads.
+	maxReadLen = 16 << 20
+
+	// maxPooledReadBuf caps the reply buffers readBufPool keeps.
+	maxPooledReadBuf = 1 << 20
+)
+
+var readBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// handle executes one request. readBuf is the reply buffer of an OpReadAt
+// (nil for every other op).
+func (s *Server) handle(req *Request, readBuf *[]byte) *Response {
+	if req.Op == OpReadAt && (req.Len < 0 || req.Len > maxReadLen) {
+		return &Response{Err: fmt.Sprintf("dstore: read length %d outside [0, %d]", req.Len, maxReadLen)}
+	}
 	switch req.Op {
 	case OpWrite, OpReadAt:
 		n := len(req.Data)
@@ -330,7 +356,10 @@ func (s *Server) handle(req *Request) *Response {
 		if !ok {
 			return fail(fmt.Errorf("dstore: unknown read handle %d", req.Handle))
 		}
-		buf := make([]byte, req.Len)
+		if cap(*readBuf) < req.Len {
+			*readBuf = make([]byte, req.Len)
+		}
+		buf := (*readBuf)[:req.Len]
 		n, err := f.ReadAt(buf, req.Off)
 		resp.Data = buf[:n]
 		resp.N = n

@@ -2,10 +2,12 @@ package dstore
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -249,5 +251,78 @@ func TestRemoteDigest(t *testing.T) {
 	}
 	if _, err := client.Digest("sst", 1<<40); err == nil {
 		t.Fatal("digest with absurd offset succeeded")
+	}
+}
+
+// TestHostileReadLenRejected: OpReadAt's Len comes straight off the socket.
+// A negative or enormous value must get an error reply — not a makeslice
+// panic that kills the node, not an allocation of that size — and both the
+// connection and the server keep serving.
+func TestHostileReadLenRejected(t *testing.T) {
+	srv, client := newPair(t, 0, 1<<30) // a bandwidth cap: Len must not reach the link model either
+	payload := []byte("still here after the hostile frames")
+	if err := vfs.WriteFile(client, "f", payload); err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	call := func(req Request) Response {
+		t.Helper()
+		if err := enc.Encode(&req); err != nil {
+			t.Fatal(err)
+		}
+		var resp Response
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatalf("%+v: no reply (server gone?): %v", req, err)
+		}
+		return resp
+	}
+	open := call(Request{Op: OpOpen, Name: "f"})
+	if open.Err != "" {
+		t.Fatal(open.Err)
+	}
+	for _, n := range []int{-1, maxReadLen + 1, 1 << 40} {
+		if resp := call(Request{Op: OpReadAt, Handle: open.Handle, Len: n}); resp.Err == "" || len(resp.Data) != 0 {
+			t.Fatalf("Len=%d: reply Err=%q with %d bytes, want an error reply", n, resp.Err, len(resp.Data))
+		}
+	}
+	// Same connection, same handle: a normal read still works.
+	if resp := call(Request{Op: OpReadAt, Handle: open.Handle, Len: len(payload)}); resp.Err != "" || !bytes.Equal(resp.Data, payload) {
+		t.Fatalf("read after the hostile frames: Err=%q data=%q", resp.Err, resp.Data)
+	}
+	// And so does the ordinary client.
+	if got, err := vfs.ReadFile(client, "f"); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("client read after the hostile frames: %q, %v", got, err)
+	}
+}
+
+// TestRemoteReadAtSplitsAboveMaxReadLen: no caller can trip the server's
+// limit legitimately, because the client splits a larger buffer.
+func TestRemoteReadAtSplitsAboveMaxReadLen(t *testing.T) {
+	srv, client := newPair(t, 0, 0)
+	payload := make([]byte, maxReadLen+maxReadLen/2+13)
+	rand.New(rand.NewSource(3)).Read(payload)
+	if err := vfs.WriteFile(client, "big", payload); err != nil {
+		t.Fatal(err)
+	}
+	f, err := client.Open("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	before := srv.Stats().ReadOps
+	got := make([]byte, len(payload)+100) // past EOF: the last chunk reports it
+	n, err := f.ReadAt(got, 0)
+	if n != len(payload) || err != io.EOF || !bytes.Equal(got[:n], payload) {
+		t.Fatalf("ReadAt = (%d, %v), want (%d, EOF) and the payload", n, err, len(payload))
+	}
+	if ops := srv.Stats().ReadOps - before; ops != 2 {
+		t.Fatalf("%d server reads for a %d-byte buffer, want 2 (maxReadLen = %d)", ops, len(got), maxReadLen)
 	}
 }

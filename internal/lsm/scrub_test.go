@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"shield/internal/crypt"
 	"shield/internal/vfs"
 )
 
@@ -290,4 +291,37 @@ func TestBestEffortRecoveryMissingSST(t *testing.T) {
 		t.Fatalf("best-effort open with missing SST: %v", err)
 	}
 	db.Close()
+}
+
+// TestSealedReadFaultIsNotCorruption: the sealed reader fetches a whole
+// extent with one read, so a device error now fails several blocks at once.
+// It must still classify as I/O, not as corruption: a corruption verdict
+// quarantines the file.
+func TestSealedReadFaultIsNotCorruption(t *testing.T) {
+	ffs := vfs.NewFault(vfs.NewMem(), 1)
+	raw, err := ffs.Create("f.sst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := crypt.NewSealedWriter(raw, detSealer(), 0, 0)
+	if _, err := w.Write(make([]byte, 3*crypt.SealedBlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ffs.Open("f.sst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := detEncWrapper{}.WrapOpen("f.sst", FileKindSST, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs.Inject(vfs.FaultRule{Op: vfs.FaultRead, Path: "f.sst"})
+	_, err = r.ReadAt(make([]byte, 2*crypt.SealedBlockSize), 100)
+	if !errors.Is(err, vfs.ErrInjected) || isCorruptionErr(err) {
+		t.Fatalf("read over a failing device: err = %v, corruption = %v; want the injected fault, not corruption", err, isCorruptionErr(err))
+	}
 }

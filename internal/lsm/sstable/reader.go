@@ -84,9 +84,36 @@ func NewReader(f vfs.RandomAccessFile, opts ReaderOptions) (*Reader, error) {
 		}
 	}
 	r := &Reader{f: f, opts: opts}
+	indexHandle, filterHandle, propsHandle := getHandle(0), getHandle(16), getHandle(32)
 
-	indexHandle := getHandle(0)
-	indexData, err := r.readRaw(indexHandle)
+	// Filter, prefix filter, index and properties sit back to back between
+	// the last data block and the footer (Writer.Finish), so a table open is
+	// two reads: the footer above, then everything from the lowest footer
+	// handle up to the footer, with each block sliced out of that one buffer
+	// (which r.filter and r.prefixFilter keep alive for the reader's life).
+	metaEnd := uint64(size - footerLen)
+	metaOff := metaEnd
+	for _, h := range []blockHandle{indexHandle, filterHandle, propsHandle} {
+		if h.length == 0 {
+			continue
+		}
+		if h.length > metaEnd || h.offset > metaEnd-h.length {
+			return nil, fmt.Errorf("%w: footer handle [%d,+%d) outside the %d-byte table", ErrCorruption, h.offset, h.length, size)
+		}
+		metaOff = min(metaOff, h.offset)
+	}
+	meta := make([]byte, metaEnd-metaOff)
+	if _, err := f.ReadAt(meta, int64(metaOff)); err != nil && err != io.EOF {
+		return nil, fmt.Errorf("sstable: reading metadata: %w", err)
+	}
+	metaBlock := func(h blockHandle) ([]byte, error) {
+		if h.length > 0 && h.offset >= metaOff && h.offset <= metaEnd && h.length <= metaEnd-h.offset {
+			return decodeBlock(meta[h.offset-metaOff:][:h.length], h.offset)
+		}
+		return r.readRaw(h) // not in the tail this writer lays out: its own read
+	}
+
+	indexData, err := metaBlock(indexHandle)
 	if err != nil {
 		return nil, fmt.Errorf("sstable: reading index: %w", err)
 	}
@@ -105,26 +132,20 @@ func NewReader(f vfs.RandomAccessFile, opts ReaderOptions) (*Reader, error) {
 		return nil, it.err
 	}
 
-	filterHandle := getHandle(16)
-	if filterHandle.length > 0 {
-		r.filter, err = r.readRaw(filterHandle)
-		if err != nil {
-			return nil, fmt.Errorf("sstable: reading filter: %w", err)
-		}
+	r.filter, err = metaBlock(filterHandle)
+	if err != nil {
+		return nil, fmt.Errorf("sstable: reading filter: %w", err)
 	}
-	propsData, err := r.readRaw(getHandle(32))
+	propsData, err := metaBlock(propsHandle)
 	if err != nil {
 		return nil, fmt.Errorf("sstable: reading properties: %w", err)
 	}
 	if err := json.Unmarshal(propsData, &r.props); err != nil {
 		return nil, fmt.Errorf("sstable: decoding properties: %w", err)
 	}
-	if r.props.PrefixFilterLen > 0 {
-		h := blockHandle{offset: r.props.PrefixFilterOffset, length: r.props.PrefixFilterLen}
-		r.prefixFilter, err = r.readRaw(h)
-		if err != nil {
-			return nil, fmt.Errorf("sstable: reading prefix filter: %w", err)
-		}
+	r.prefixFilter, err = metaBlock(blockHandle{offset: r.props.PrefixFilterOffset, length: r.props.PrefixFilterLen})
+	if err != nil {
+		return nil, fmt.Errorf("sstable: reading prefix filter: %w", err)
 	}
 
 	if opts.PinMeta && opts.Cache != nil {
@@ -144,24 +165,31 @@ func NewReader(f vfs.RandomAccessFile, opts ReaderOptions) (*Reader, error) {
 	return r, nil
 }
 
-// readRaw fetches a block, verifies its CRC-32C trailer (catching media
-// corruption and — since the checksum lives inside the encrypted body —
-// ciphertext tampering), and decompresses it if needed.
+// readRaw fetches a block with one read and decodes it.
 func (r *Reader) readRaw(h blockHandle) ([]byte, error) {
 	if h.length == 0 {
 		return nil, nil
-	}
-	if h.length < 1+blockTrailerLen {
-		return nil, fmt.Errorf("%w: block handle too short (%d bytes)", ErrCorruption, h.length)
 	}
 	buf := make([]byte, h.length)
 	if _, err := r.f.ReadAt(buf, int64(h.offset)); err != nil && err != io.EOF {
 		return nil, err
 	}
-	checked := buf[:h.length-blockTrailerLen] // payload + type byte
-	want := binary.LittleEndian.Uint32(buf[h.length-blockTrailerLen:])
+	return decodeBlock(buf, h.offset)
+}
+
+// decodeBlock takes the stored bytes of the block at off (payload, type byte,
+// CRC-32C), verifies the checksum (catching media corruption and — since the
+// checksum lives inside the encrypted body — ciphertext tampering), and
+// decompresses the payload if needed. A raw block is returned as a subslice
+// of buf.
+func decodeBlock(buf []byte, off uint64) ([]byte, error) {
+	if len(buf) < 1+blockTrailerLen {
+		return nil, fmt.Errorf("%w: block handle too short (%d bytes)", ErrCorruption, len(buf))
+	}
+	checked := buf[:len(buf)-blockTrailerLen] // payload + type byte
+	want := binary.LittleEndian.Uint32(buf[len(checked):])
 	if got := crc32.Checksum(checked, castagnoli); got != want {
-		return nil, fmt.Errorf("%w: block at %d fails checksum (media corruption or tampering)", ErrCorruption, h.offset)
+		return nil, fmt.Errorf("%w: block at %d fails checksum (media corruption or tampering)", ErrCorruption, off)
 	}
 	data := checked[:len(checked)-1]
 	switch checked[len(checked)-1] {
@@ -171,11 +199,11 @@ func (r *Reader) readRaw(h blockHandle) ([]byte, error) {
 		fr := flate.NewReader(bytes.NewReader(data))
 		out, err := io.ReadAll(fr)
 		if err != nil {
-			return nil, fmt.Errorf("%w: decompressing block at %d: %v", ErrCorruption, h.offset, err)
+			return nil, fmt.Errorf("%w: decompressing block at %d: %v", ErrCorruption, off, err)
 		}
 		return out, fr.Close()
 	default:
-		return nil, fmt.Errorf("%w: unknown block type %d at %d", ErrCorruption, checked[len(checked)-1], h.offset)
+		return nil, fmt.Errorf("%w: unknown block type %d at %d", ErrCorruption, checked[len(checked)-1], off)
 	}
 }
 

@@ -1,0 +1,89 @@
+package sstable
+
+import (
+	"fmt"
+	"sync/atomic"
+	"testing"
+
+	"shield/internal/cache"
+	"shield/internal/crypt"
+	"shield/internal/lsm/base"
+	"shield/internal/vfs"
+)
+
+// countingFile counts the ReadAt calls the table reader issues: the outer
+// side of a sealed file, whose inner side vfs.CountingFS counts.
+type countingFile struct {
+	vfs.RandomAccessFile
+	reads atomic.Int64
+}
+
+func (f *countingFile) ReadAt(p []byte, off int64) (int, error) {
+	f.reads.Add(1)
+	return f.RandomAccessFile.ReadAt(p, off)
+}
+
+// TestTableOpenAndGetInnerReads pins the read path's cost in storage reads
+// on a sealed ~2 MiB table, the way SHIELD wraps one: opening it is at most
+// two reads at either level however many metadata blocks it carries, and a
+// Get that misses the block cache is exactly one.
+func TestTableOpenAndGetInnerReads(t *testing.T) {
+	sealer, err := crypt.NewSealer(crypt.DEK{1, 2, 3}, []byte("readpath"), []byte("hdr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 20000 // ~100 B entries: ~2 MiB of data blocks
+	for name, wopts := range map[string]WriterOptions{
+		"bloom":        {},
+		"bloom+prefix": {PrefixExtractor: firstN(8)},
+		"no filter":    {BloomBitsPerKey: -1},
+	} {
+		cfs := vfs.NewCounting(vfs.NewMem())
+		raw, err := cfs.Create("t.sst")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewWriter(crypt.NewSealedWriter(raw, sealer, 0, 0), wopts)
+		for i := 0; i < keys; i++ {
+			ikey := base.MakeInternalKey([]byte(fmt.Sprintf("key-%08d", i)), 1, base.KindSet)
+			if err := w.Add(ikey, []byte(fmt.Sprintf("%080d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		inner, err := cfs.Open("t.sst")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed, err := crypt.NewSealedReaderAt(inner, sealer, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outer := &countingFile{RandomAccessFile: sealed}
+		innerReads := func() int64 { return cfs.Stats.Snapshot().ReadOps }
+
+		r, err := NewReader(outer, ReaderOptions{Cache: cache.New(1 << 20), FileNum: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if o, i := outer.reads.Load(), innerReads(); o > 2 || i > 2 {
+			t.Errorf("%s: table open took %d outer and %d inner reads, want at most 2 of each", name, o, i)
+		}
+		if wopts.PrefixExtractor != nil && !r.MayContainPrefix([]byte("key-0000")) {
+			t.Errorf("%s: prefix filter not loaded from the metadata read", name)
+		}
+
+		for pass, want := range []int64{1, 0} { // miss, then the same block from the cache
+			beforeOuter, beforeInner := outer.reads.Load(), innerReads()
+			if _, _, err := r.Get([]byte(fmt.Sprintf("key-%08d", keys/2)), 100); err != nil {
+				t.Fatalf("%s: Get: %v", name, err)
+			}
+			if o, i := outer.reads.Load()-beforeOuter, innerReads()-beforeInner; o != want || i != want {
+				t.Errorf("%s: Get pass %d took %d outer and %d inner reads, want %d of each", name, pass, o, i, want)
+			}
+		}
+		r.Close()
+	}
+}

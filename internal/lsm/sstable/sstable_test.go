@@ -2,6 +2,7 @@ package sstable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -216,14 +217,24 @@ func TestCorruptFooterRejected(t *testing.T) {
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	data, _ := vfs.ReadFile(fs, "t.sst")
-	data[len(data)-1] ^= 0xff // clobber the magic
-	vfs.WriteFile(fs, "t.sst", data)
-
-	raf, _ := fs.Open("t.sst")
-	defer raf.Close()
-	if _, err := NewReader(raf, ReaderOptions{}); err == nil {
-		t.Fatal("corrupt footer accepted")
+	good, _ := vfs.ReadFile(fs, "t.sst")
+	footer := len(good) - footerLen
+	for name, clobber := range map[string]func(data []byte){
+		"magic": func(data []byte) { data[len(data)-1] ^= 0xff },
+		// A handle that does not fit the file must be refused before anything
+		// is sized from it.
+		"index length past the file":   func(data []byte) { binary.LittleEndian.PutUint64(data[footer+8:], 1<<40) },
+		"filter offset past the file":  func(data []byte) { binary.LittleEndian.PutUint64(data[footer+16:], uint64(len(data))) },
+		"props offset+length overflow": func(data []byte) { binary.LittleEndian.PutUint64(data[footer+32:], ^uint64(0)-2) },
+	} {
+		data := append([]byte(nil), good...)
+		clobber(data)
+		vfs.WriteFile(fs, "t.sst", data)
+		raf, _ := fs.Open("t.sst")
+		if _, err := NewReader(raf, ReaderOptions{}); !errors.Is(err, ErrCorruption) {
+			t.Errorf("%s: NewReader err = %v, want ErrCorruption", name, err)
+		}
+		raf.Close()
 	}
 }
 
