@@ -6,7 +6,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.3
 
-.PHONY: all build test benchmark-check race read-path-check vet shield-vet staticcheck govulncheck lint-extra fmt sim sim-long tamper-test replication-test fuzz bench-json server-test
+.PHONY: all build test benchmark-check race io-path-check vet shield-vet staticcheck govulncheck lint-extra fmt sim sim-long tamper-test replication-test fuzz bench-json server-test
 
 all: build vet shield-vet test
 
@@ -25,13 +25,17 @@ benchmark-check:
 race:
 	go test -race ./...
 
-# The read path's mechanism, pinned: inner reads per sealed ReadAt, per table
-# open, per cache miss and per digest walk, and the steady-state allocation
-# counts. The allocation tests carry a !race build tag (AllocsPerRun is
-# meaningless under the race detector), so `make race` skips them and this
-# target is where they run.
-read-path-check:
-	go test -run 'InnerReads|Allocs' ./internal/crypt/ ./internal/lsm/sstable/ ./internal/dstore/
+# The I/O paths' mechanisms, pinned. Reads: inner reads per sealed ReadAt, per
+# table open, per cache miss and per digest walk. Writes: allocations per Put,
+# per memtable entry, per sealed chunk and per memfs append, and the
+# equivalence tests of what the write path replaced (extent-backed memfs
+# bodies against a flat slice, the memtable arena under concurrent readers,
+# recycled sealed-writer jobs, pooled Put batches). The allocation tests carry
+# a !race build tag (allocation counts are meaningless under the race
+# detector), so `make race` skips them and this target is where they run.
+io-path-check:
+	go test -run 'InnerReads|Allocs|SliceOracle|Arena|OutlivesMemtable|PooledPutBatch|SealedWriter|Towers' \
+		./internal/crypt/ ./internal/lsm/ ./internal/lsm/skiplist/ ./internal/lsm/sstable/ ./internal/vfs/ ./internal/dstore/
 
 fmt:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }

@@ -644,3 +644,97 @@ func BenchmarkTableOpen(b *testing.B) {
 		})
 	}
 }
+
+// The write path, one layer per benchmark, so each number reproduces without
+// the full benchmark/ run.
+
+// BenchmarkPut is lsm's own cost of a 20-byte key / 276-byte value Put on
+// memfs with no FileWrapper (no encrypting writer under the WAL): batch,
+// commit pipeline, WAL record, memtable insert, with flushes and compactions
+// running behind it as they do in `mono-fill`. synced adds the WAL Sync per
+// commit (free on memfs: it prices the call path, not a device).
+func BenchmarkPut(b *testing.B) {
+	for _, synced := range []bool{false, true} {
+		name := "unsynced"
+		if synced {
+			name = "synced"
+		}
+		b.Run(name, func(b *testing.B) {
+			db, err := lsm.Open("db", lsm.Options{FS: vfs.NewMem(), MemtableSize: 4 << 20, SyncWrites: synced})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			key, value := []byte("user0000000000000000"), make([]byte, 276)
+			b.SetBytes(int64(len(key) + len(value)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j, n := len(key)-1, i*7919%200000; n > 0; j, n = j-1, n/10 {
+					key[j] = byte('0' + n%10)
+				}
+				if err := db.Put(key, value); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// discardFile is a device that costs nothing, so a writer above it is
+// measured alone.
+type discardFile struct{}
+
+func (discardFile) Write(p []byte) (int, error) { return len(p), nil }
+func (discardFile) Sync() error                 { return nil }
+func (discardFile) Close() error                { return nil }
+
+// BenchmarkSealedWriter is crypt.SealedWriter alone: 4 KiB writes (an SST
+// block) into 64 KiB chunks, sealed inline or on two workers. Compare MB/s
+// with the raw AEAD rate (`crypt.seal_mb_s` in the benchmark's calibration).
+func BenchmarkSealedWriter(b *testing.B) {
+	sealer, err := crypt.NewSealer(crypt.DEK{1, 2, 3}, []byte("benchpfx"), []byte("bench-header"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	block := make([]byte, 4096)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			w := crypt.NewSealedWriter(discardFile{}, sealer, 0, workers)
+			b.SetBytes(int64(len(block)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := w.Write(block); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkMemFSAppend is the device model's own charge for growing a file:
+// one op appends 64 KiB chunks (a sealed SST chunk) until the file holds
+// 64 MiB.
+func BenchmarkMemFSAppend(b *testing.B) {
+	b.Run("64KiB-into-64MiB", func(b *testing.B) {
+		const fileSize = 64 << 20
+		chunk := make([]byte, 64<<10)
+		b.SetBytes(fileSize)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f, err := vfs.NewMem().Create("f")
+			if err != nil {
+				b.Fatal(err)
+			}
+			for n := 0; n < fileSize; n += len(chunk) {
+				if _, err := f.Write(chunk); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}

@@ -4,11 +4,12 @@ package crypt
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
 // Allocation counts mean nothing under the race detector (it instruments and
-// allocates on its own), hence the build tag; `make read-path-check` runs
+// allocates on its own), hence the build tag; `make io-path-check` runs
 // these without -race.
 
 // TestSealedReadAtAllocs: a sealed read allocates its ciphertext extent and
@@ -53,5 +54,58 @@ func TestSealOpenBlockAllocs(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Errorf("OpenBlock into a caller buffer: %v allocs, want 0", a)
+	}
+}
+
+// discardFile accepts every write and keeps nothing.
+type discardFile struct{}
+
+func (discardFile) Write(p []byte) (int, error) { return len(p), nil }
+func (discardFile) Sync() error                 { return nil }
+func (discardFile) Close() error                { return nil }
+
+// TestSealedWriterWriteAllocs: once the writer holds its 2*workers+1 chunk
+// jobs (one when inline), writing allocates nothing: no plaintext chunk
+// regrown from empty, no ciphertext buffer, no done channel, no job per chunk,
+// on the producer or on a worker (the count is the whole process's).
+func TestSealedWriterWriteAllocs(t *testing.T) {
+	s, _ := newTestSealer(t)
+	piece := make([]byte, 4<<10)
+	rand.New(rand.NewSource(21)).Read(piece)
+	for _, workers := range []int{1, 2} {
+		const chunk = 64 << 10
+		w := NewSealedWriter(discardFile{}, s, chunk, workers)
+		// Twice the bound: a job's ciphertext buffer is made when a worker
+		// first seals it, which trails its dispatch; by now the last job
+		// made has also been retired once.
+		for i := 0; i < 2*(2*workers+1)*chunk/len(piece); i++ {
+			if _, err := w.Write(piece); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Counted over a whole MiB (16 chunks), not per call:
+		// testing.AllocsPerRun rounds down, and a few allocations per chunk
+		// would read 0. The best of five rounds, because a goroutine that
+		// blocks on a channel may take a sudog from the heap when a GC has
+		// just emptied the runtime's cache; anything the writer allocates per
+		// chunk shows in every round.
+		best := ^uint64(0)
+		for round := 0; round < 5 && best != 0; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < (1<<20)/len(piece); i++ {
+				if _, err := w.Write(piece); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.Mallocs-before.Mallocs)
+		}
+		if best != 0 {
+			t.Errorf("workers=%d: %d allocations writing 1 MiB in steady state, want 0", workers, best)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -392,6 +392,64 @@ func TestSealedWriterBaseFailure(t *testing.T) {
 	}
 }
 
+// TestSealedWriterCloseMidPipeline closes a writer that has chunks in flight
+// and a partial chunk accumulating, never having called Sync. The recycled
+// jobs must all be accounted for before (at most 2*workers+1 of them, one
+// inline) and released after, the workers must exit, and the bytes must be
+// the reference body: which job carried which chunk leaves no trace.
+func TestSealedWriterCloseMidPipeline(t *testing.T) {
+	payload := make([]byte, 23*SealedBlockSize+1234)
+	rand.New(rand.NewSource(19)).Read(payload)
+	s, _ := newTestSealer(t)
+	want, wantDigest := referenceSeal(s, payload)
+
+	for _, workers := range []int{0, 1, 2, 4} {
+		before := runtime.NumGoroutine()
+		mem := vfs.NewMem()
+		f, err := mem.Create("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewSealedWriter(f, s, SealedBlockSize, workers)
+		for p := payload; len(p) > 0; {
+			n := min(len(p), 1000) // pieces that straddle chunk boundaries
+			if _, err := w.Write(p[:n]); err != nil {
+				t.Fatal(err)
+			}
+			p = p[n:]
+		}
+		jobs, bound := len(w.free)+len(w.order), 1
+		if workers > 1 {
+			bound = 2*workers + 1
+		}
+		if w.cur != nil {
+			jobs++
+		}
+		if jobs > bound {
+			t.Fatalf("workers=%d: %d chunk jobs alive after 23 chunks, want <= %d", workers, jobs, bound)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("workers=%d: Close: %v", workers, err)
+		}
+		if w.cur != nil || w.free != nil || w.order != nil {
+			t.Fatalf("workers=%d: chunk buffers survive Close (cur=%v free=%d order=%d)", workers, w.cur != nil, len(w.free), len(w.order))
+		}
+		if got, _ := vfs.ReadFile(mem, "f"); !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: body differs from the reference seal", workers)
+		}
+		if d, ok := w.FileDigest(); !ok || !bytes.Equal(d, wantDigest) {
+			t.Fatalf("workers=%d: digest %x ok=%v, want %x", workers, d, ok, wantDigest)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("workers=%d: %d goroutines before, %d after Close", workers, before, n)
+		}
+	}
+}
+
 // oracleReadAt is the per-block read loop that SealedReaderAt.ReadAt used to
 // be, kept as the reference the coalesced reader is held to: one block at a
 // time, opened into a fresh buffer and copied out.

@@ -102,11 +102,17 @@ type SealedWriter struct {
 	chunkSize int // a multiple of SealedBlockSize
 	workers   int
 
-	cur       []byte    // plaintext accumulating for the current chunk
-	nextBlock uint32    // index of cur's first block
+	cur       *chunkJob // its plain is the chunk accumulating; nil between chunks
+	nextBlock uint32    // index of the current chunk's first block
 	digest    hash.Hash // tag chain, folded in retirement (= plaintext) order
 	sum       []byte    // the file digest; non-nil once finalized
 	err       error     // first failure; every later call returns it
+
+	// Retired jobs wait here to be filled again, so a file of any length
+	// allocates at most 2*workers+1 of them (one inline) and nothing per
+	// chunk. Their buffers are scratch: plaintext and ciphertext of this file
+	// only, dropped with the writer at Close.
+	free []*chunkJob
 
 	// Parallel pipeline, started by the first chunk when workers > 1.
 	jobs  chan *chunkJob
@@ -114,11 +120,15 @@ type SealedWriter struct {
 	wg    sync.WaitGroup
 }
 
+// chunkJob is one chunk on its way through the writer: filled by Write,
+// sealed by sealChunk (inline or on a worker), written and folded into the
+// digest by retire, then reused.
 type chunkJob struct {
 	plain    []byte
-	firstIdx uint32 // index of the chunk's first block
-	final    bool   // this chunk ends with the final block
-	done     chan []byte
+	sealed   []byte
+	firstIdx uint32        // index of the chunk's first block
+	final    bool          // this chunk ends with the final block
+	done     chan struct{} // worker mode: receives once the chunk is sealed
 }
 
 // NewSealedWriter wraps f (positioned just past the plaintext header) with
@@ -135,12 +145,16 @@ func NewSealedWriter(f vfs.WritableFile, sealer *Sealer, chunkSize, workers int)
 	return &SealedWriter{f: f, sealer: sealer, chunkSize: chunkSize, workers: workers, digest: sha256.New()}
 }
 
-// sealChunk seals one chunk job: every full block non-final, then — only on
-// the final job — the 0..SealedBlockSize-1 byte tail as the final block.
-func (w *SealedWriter) sealChunk(job *chunkJob) []byte {
+// sealChunk seals one chunk job into job.sealed: every full block non-final,
+// then, only on the final job, the 0..SealedBlockSize-1 byte tail as the
+// final block.
+func (w *SealedWriter) sealChunk(job *chunkJob) {
 	p := job.plain
 	idx := job.firstIdx
-	out := make([]byte, 0, len(p)+((len(p)/SealedBlockSize)+1)*SealedTagSize)
+	out := job.sealed[:0]
+	if need := len(p) + (len(p)/SealedBlockSize+1)*SealedTagSize; cap(out) < need {
+		out = make([]byte, 0, need)
+	}
 	for len(p) >= SealedBlockSize {
 		out = w.sealer.SealBlock(out, p[:SealedBlockSize], idx, false)
 		idx++
@@ -149,7 +163,7 @@ func (w *SealedWriter) sealChunk(job *chunkJob) []byte {
 	if job.final {
 		out = w.sealer.SealBlock(out, p, idx, true)
 	}
-	return out
+	job.sealed = out
 }
 
 func (w *SealedWriter) startWorkers() {
@@ -161,10 +175,31 @@ func (w *SealedWriter) startWorkers() {
 		go func() {
 			defer w.wg.Done()
 			for job := range w.jobs {
-				job.done <- w.sealChunk(job)
+				w.sealChunk(job)
+				job.done <- struct{}{}
 			}
 		}()
 	}
+}
+
+// nextJob returns a job to fill: a retired one, or a new one while the writer
+// is still below its bound. The first chunk's buffer grows with what is
+// written, so a small file costs what it holds; later ones are made whole.
+func (w *SealedWriter) nextJob() *chunkJob {
+	if n := len(w.free); n > 0 {
+		job := w.free[n-1]
+		w.free = w.free[:n-1]
+		job.plain = job.plain[:0]
+		return job
+	}
+	job := &chunkJob{}
+	if w.nextBlock > 0 {
+		job.plain = make([]byte, 0, w.chunkSize)
+	}
+	if w.workers > 1 {
+		job.done = make(chan struct{}, 1) // one send per dispatch, never blocks the worker
+	}
+	return job
 }
 
 // Write implements io.Writer.
@@ -177,11 +212,14 @@ func (w *SealedWriter) Write(p []byte) (int, error) {
 	}
 	consumed := 0
 	for len(p) > 0 {
-		n := min(len(p), w.chunkSize-len(w.cur))
-		w.cur = append(w.cur, p[:n]...)
+		if w.cur == nil {
+			w.cur = w.nextJob()
+		}
+		n := min(len(p), w.chunkSize-len(w.cur.plain))
+		w.cur.plain = append(w.cur.plain, p[:n]...)
 		consumed += n
 		p = p[n:]
-		if len(w.cur) == w.chunkSize {
+		if len(w.cur.plain) == w.chunkSize {
 			if err := w.dispatch(false); err != nil {
 				w.err = err
 				// Report the bytes actually accepted so far (io.Writer
@@ -197,16 +235,20 @@ func (w *SealedWriter) Write(p []byte) (int, error) {
 // single-threaded, handed to the pipeline otherwise. final marks the tail
 // chunk, which ships even when empty because the final block is mandatory.
 func (w *SealedWriter) dispatch(final bool) error {
-	job := &chunkJob{plain: w.cur, firstIdx: w.nextBlock, final: final}
+	job := w.cur
+	if job == nil {
+		job = w.nextJob()
+	}
 	w.cur = nil
+	job.firstIdx, job.final = w.nextBlock, final
 	w.nextBlock += uint32(len(job.plain) / SealedBlockSize)
 	if w.workers <= 1 {
-		return w.retire(w.sealChunk(job))
+		w.sealChunk(job)
+		return w.retire(job)
 	}
 	if w.jobs == nil {
 		w.startWorkers()
 	}
-	job.done = make(chan []byte, 1)
 	w.jobs <- job
 	w.order = append(w.order, job)
 	// Keep the pipeline bounded; retire completed chunks in order.
@@ -218,20 +260,27 @@ func (w *SealedWriter) dispatch(final bool) error {
 	return nil
 }
 
-// retire appends one sealed chunk to the file and the tag chain.
-func (w *SealedWriter) retire(ct []byte) error {
-	if err := vfs.WriteFull(w.f, ct); err != nil {
+// retire appends one sealed chunk to the file and the tag chain, and frees
+// its job for the next chunk.
+func (w *SealedWriter) retire(job *chunkJob) error {
+	if err := vfs.WriteFull(w.f, job.sealed); err != nil {
 		return err
 	}
-	hashTags(w.digest, ct)
+	hashTags(w.digest, job.sealed)
+	w.free = append(w.free, job)
 	return nil
 }
 
-// retireOldest waits for the oldest in-flight chunk and retires it.
+// retireOldest waits for the oldest in-flight chunk and retires it. order is
+// compacted in place: re-sliced forward, every few appends would reallocate
+// it for the life of the file.
 func (w *SealedWriter) retireOldest() error {
 	job := w.order[0]
-	w.order = w.order[1:]
-	return w.retire(<-job.done)
+	n := copy(w.order, w.order[1:])
+	w.order[n] = nil
+	w.order = w.order[:n]
+	<-job.done
+	return w.retire(job)
 }
 
 // finalize ships the tail as the final chunk and retires everything in
@@ -269,6 +318,8 @@ func (w *SealedWriter) Close() error {
 		w.wg.Wait()
 		w.jobs = nil
 	}
+	// The chunk buffers held this file's plaintext; they go with it.
+	w.cur, w.free, w.order = nil, nil, nil
 	cerr := w.f.Close()
 	if ferr != nil {
 		return ferr

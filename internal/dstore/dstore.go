@@ -243,9 +243,10 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 const (
-	// maxReadLen bounds one OpReadAt. Len arrives straight off the socket, so
-	// without a bound a single frame could panic the node (negative) or make
-	// it allocate without limit; clients split larger reads.
+	// maxReadLen bounds one OpReadAt. Len and Off arrive straight off the
+	// socket, so without a check a single frame could panic the node (either
+	// one negative) or make it allocate without limit; clients split larger
+	// reads.
 	maxReadLen = 16 << 20
 
 	// maxPooledReadBuf caps the reply buffers readBufPool keeps.
@@ -257,8 +258,13 @@ var readBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // handle executes one request. readBuf is the reply buffer of an OpReadAt
 // (nil for every other op).
 func (s *Server) handle(req *Request, readBuf *[]byte) *Response {
-	if req.Op == OpReadAt && (req.Len < 0 || req.Len > maxReadLen) {
-		return &Response{Err: fmt.Sprintf("dstore: read length %d outside [0, %d]", req.Len, maxReadLen)}
+	if req.Op == OpReadAt {
+		if req.Len < 0 || req.Len > maxReadLen {
+			return &Response{Err: fmt.Sprintf("dstore: read length %d outside [0, %d]", req.Len, maxReadLen)}
+		}
+		if req.Off < 0 {
+			return &Response{Err: fmt.Sprintf("dstore: negative read offset %d", req.Off)}
+		}
 	}
 	switch req.Op {
 	case OpWrite, OpReadAt:

@@ -254,10 +254,11 @@ func TestRemoteDigest(t *testing.T) {
 	}
 }
 
-// TestHostileReadLenRejected: OpReadAt's Len comes straight off the socket.
-// A negative or enormous value must get an error reply — not a makeslice
-// panic that kills the node, not an allocation of that size — and both the
-// connection and the server keep serving.
+// TestHostileReadLenRejected: OpReadAt's Len and Off come straight off the
+// socket. A negative or enormous Len, or a negative Off, must get an error
+// reply — not a makeslice or slice-bounds panic that kills the node, not an
+// allocation of that size — and both the connection and the server keep
+// serving.
 func TestHostileReadLenRejected(t *testing.T) {
 	srv, client := newPair(t, 0, 1<<30) // a bandwidth cap: Len must not reach the link model either
 	payload := []byte("still here after the hostile frames")
@@ -291,6 +292,9 @@ func TestHostileReadLenRejected(t *testing.T) {
 		if resp := call(Request{Op: OpReadAt, Handle: open.Handle, Len: n}); resp.Err == "" || len(resp.Data) != 0 {
 			t.Fatalf("Len=%d: reply Err=%q with %d bytes, want an error reply", n, resp.Err, len(resp.Data))
 		}
+	}
+	if resp := call(Request{Op: OpReadAt, Handle: open.Handle, Off: -1, Len: len(payload)}); resp.Err == "" || len(resp.Data) != 0 {
+		t.Fatalf("Off=-1: reply Err=%q with %d bytes, want an error reply", resp.Err, len(resp.Data))
 	}
 	// Same connection, same handle: a normal read still works.
 	if resp := call(Request{Op: OpReadAt, Handle: open.Handle, Len: len(payload)}); resp.Err != "" || !bytes.Equal(resp.Data, payload) {

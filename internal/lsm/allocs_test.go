@@ -1,0 +1,83 @@
+//go:build !race
+
+package lsm
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"shield/internal/lsm/base"
+	"shield/internal/vfs"
+)
+
+// Allocation counts mean nothing under the race detector, hence the build
+// tag; `make io-path-check` runs these without -race.
+
+// allocsPer returns the heap allocations per call of fn, as a fraction:
+// testing.AllocsPerRun rounds down to a whole number, which would pass
+// anything below one allocation per call.
+func allocsPer(runs int, fn func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// TestPutAllocs pins the write path's mechanism. A Put in steady state
+// allocates nothing of its own: the batch and its commit-pipeline seat come
+// from a pool, an uncontended commit needs no channel and no group slice, and
+// the memtable copies the entry into its arena. What remains is amortised
+// growth: an arena slab per several hundred entries, node and tower slabs,
+// and a memfs extent per 256 KiB of WAL. The engine is opened with no
+// FileWrapper, so the number is lsm's own and not an encrypting writer's, and
+// the memtable is large enough that no flush runs inside the measurement.
+func TestPutAllocs(t *testing.T) {
+	opts := testOptions(vfs.NewMem())
+	opts.MemtableSize = 256 << 20
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	key := []byte("user0000000000000000")
+	value := make([]byte, 276)
+	i := 0
+	put := func() {
+		i++
+		for j, n := len(key)-1, i; n > 0; j, n = j-1, n/10 {
+			key[j] = byte('0' + n%10)
+		}
+		if err := db.Put(key, value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i < 2000 {
+		put()
+	}
+	if a := allocsPer(20000, put); a > 0.1 {
+		t.Errorf("DB.Put: %.3f allocs per call in steady state, want <= 0.1 (slab and extent growth only)", a)
+	}
+}
+
+// TestMemTableAddAllocs: an entry costs no allocation of its own, only its
+// share of the slabs it is carved from.
+func TestMemTableAddAllocs(t *testing.T) {
+	const entries = 10000
+	m := newMemTable(1)
+	keys := make([][]byte, entries)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user%016d", i*7919%entries))
+	}
+	value := make([]byte, 276)
+	i := 0
+	if a := allocsPer(entries, func() {
+		m.add(base.SeqNum(i+1), base.KindSet, keys[i], value)
+		i++
+	}); a >= 0.05 {
+		t.Errorf("memTable.add: %.3f allocs per entry over %d entries, want < 0.05", a, entries)
+	}
+}

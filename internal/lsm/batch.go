@@ -17,6 +17,9 @@ import (
 type Batch struct {
 	data  []byte
 	count uint32
+	// waiter is the batch's seat in the commit pipeline while a Write of it
+	// is in flight (commit.go); living here, Write allocates none.
+	waiter commitWaiter
 }
 
 const batchHeaderLen = 12
@@ -29,9 +32,7 @@ func NewBatch() *Batch {
 // Reset clears the batch for reuse.
 func (b *Batch) Reset() {
 	b.data = b.data[:batchHeaderLen]
-	for i := range b.data {
-		b.data[i] = 0
-	}
+	clear(b.data)
 	b.count = 0
 }
 

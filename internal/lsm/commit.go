@@ -33,8 +33,13 @@ import (
 // latency for the first waiter and the size of the merged record.
 const maxCommitGroup = 128
 
+// maxCommitScratch is the largest merged-record buffer the pipeline keeps
+// between groups: one group of large batches must not pin its record's size
+// for the life of the DB.
+const maxCommitScratch = 1 << 20
+
 // commitWaiter is one Write (or memtable-rotation) request travelling
-// through the pipeline.
+// through the pipeline. A Write's waiter is the one embedded in its Batch.
 type commitWaiter struct {
 	batch  *Batch
 	sync   bool
@@ -43,9 +48,12 @@ type commitWaiter struct {
 	// err is the commit result; readable after done is closed, or by the
 	// waiter itself after leading.
 	err error
-	// done is closed by the leader once this waiter's group committed.
+	// done and lead exist only on a waiter that was queued behind a leader
+	// (commitSend makes them, under p.mu); one that finds the pipeline idle
+	// leads at once and never has channels. done is closed by the leader once
+	// this waiter's group committed, lead to promote it from follower to
+	// leader. Exactly one of the two is ever closed.
 	done chan struct{}
-	// lead is closed to promote this waiter from follower to leader.
 	lead chan struct{}
 }
 
@@ -63,9 +71,13 @@ type commitPipeline struct {
 	closed  bool
 	// idle signals Close when the leader retires (leading -> false).
 	idle *sync.Cond
-	// scratch is the leader-owned buffer for merged multi-writer records.
-	// Only the current leader touches it, and the WAL writer copies out of
-	// it before the leader retires, so one buffer serves all groups.
+	// group and scratch are leader-owned: the gathered waiters and the buffer
+	// for merged multi-writer records. Only the current leader touches them
+	// (leadership passes under mu), and the WAL writer copies out of scratch
+	// before the leader retires, so one of each serves all groups. The leader
+	// clears group of pointers before it retires; scratch is kept only up to
+	// maxCommitScratch.
+	group   []*commitWaiter
 	scratch []byte
 }
 
@@ -84,6 +96,7 @@ func (d *DB) commitSend(w *commitWaiter) error {
 		return ErrClosed
 	}
 	if p.leading {
+		w.done, w.lead = make(chan struct{}), make(chan struct{})
 		p.queue = append(p.queue, w)
 		p.mu.Unlock()
 		select {
@@ -109,8 +122,7 @@ func (d *DB) commitLead(w *commitWaiter) {
 	// Gather followers. A rotation commits alone (it must observe the exact
 	// memtable state its position in the arrival order implies), and a queued
 	// rotation ends the group before it — it will lead its own "group" next.
-	group := make([]*commitWaiter, 1, 8)
-	group[0] = w
+	group := append(p.group[:0], w)
 	if !w.rotate {
 		p.mu.Lock()
 		n := 0
@@ -128,10 +140,15 @@ func (d *DB) commitLead(w *commitWaiter) {
 	} else {
 		err = d.commitGroup(group)
 	}
-	for _, g := range group {
+	// The leader reads its own result straight from w; only followers are
+	// parked on a channel.
+	w.err = err
+	for _, g := range group[1:] {
 		g.err = err
 		close(g.done)
 	}
+	clear(group)
+	p.group = group[:0]
 
 	// Handoff: promote the queue head, or retire if nobody is waiting. After
 	// Close marks the pipeline closed the queue is already drained (failed
@@ -170,7 +187,8 @@ func (d *DB) commitClose() {
 // commitGroup persists one group: one merged WAL record, at most one fsync,
 // one memtable apply pass. Runs only on the leader.
 func (d *DB) commitGroup(group []*commitWaiter) error {
-	if err := d.makeRoomForWrite(); err != nil {
+	w, mem, err := d.makeRoomForWrite()
+	if err != nil {
 		return err
 	}
 
@@ -186,11 +204,6 @@ func (d *DB) commitGroup(group []*commitWaiter) error {
 			needSync = true
 		}
 	}
-
-	d.mu.Lock()
-	w := d.walWriter
-	mem := d.mem
-	d.mu.Unlock()
 
 	// One record for the whole group. A single-writer group commits its own
 	// encoding unchanged; a multi-writer group concatenates the bodies under
@@ -209,8 +222,11 @@ func (d *DB) commitGroup(group []*commitWaiter) error {
 		for _, r := range group {
 			scratch = append(scratch, r.batch.data[batchHeaderLen:]...)
 		}
-		p.scratch = scratch
 		rec = scratch
+		if cap(scratch) > maxCommitScratch {
+			scratch = nil
+		}
+		p.scratch = scratch
 	}
 
 	if err := w.AddRecord(rec); err != nil {
@@ -227,7 +243,7 @@ func (d *DB) commitGroup(group []*commitWaiter) error {
 		metrics.Engine.WALSyncs.Add(1)
 	}
 
-	err := decodeBatch(rec, func(seq base.SeqNum, kind base.Kind, key, value []byte) error {
+	err = decodeBatch(rec, func(seq base.SeqNum, kind base.Kind, key, value []byte) error {
 		mem.add(seq, kind, key, value)
 		return nil
 	})

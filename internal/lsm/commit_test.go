@@ -455,3 +455,64 @@ func TestFlushRotationCommitsAlone(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 }
+
+// TestPooledPutBatchReuseKeepsHookCopy: Put and Delete take their batch from
+// a pool, so the record a commit hook is shown (for a single-writer group,
+// the batch's own bytes) is overwritten by the very next Put. The hook
+// contract has always been "copy what you keep"; this pins that a copy is
+// enough (each kept record still decodes to its own operation after the pool
+// has recycled the batch many times over) and that a caller-owned batch
+// passed to Write is left exactly as the caller built it.
+func TestPooledPutBatchReuseKeepsHookCopy(t *testing.T) {
+	db, err := Open("db", testOptions(vfs.NewMem()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var kept [][]byte
+	db.commitHook = func(_ int, _, _ base.SeqNum, rec []byte) {
+		kept = append(kept, append([]byte(nil), rec...))
+	}
+
+	const ops = 300
+	key := func(i int) string { return fmt.Sprintf("key-%04d", i) }
+	val := func(i int) string { return fmt.Sprintf("value-%04d-%0*d", i, i%97, i) }
+	for i := 0; i < ops; i++ {
+		if i%10 == 9 {
+			err = db.Delete([]byte(key(i - 1)))
+		} else {
+			err = db.Put([]byte(key(i)), []byte(val(i)))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	own := NewBatch()
+	own.Put([]byte("mine"), []byte("untouched"))
+	ownBytes := append([]byte(nil), own.data[batchHeaderLen:]...)
+	if err := db.Write(own, false); err != nil {
+		t.Fatal(err)
+	}
+	if own.Count() != 1 || !bytes.Equal(own.data[batchHeaderLen:], ownBytes) {
+		t.Fatal("Write changed the body of a caller-owned batch")
+	}
+
+	if len(kept) != ops+1 {
+		t.Fatalf("hook saw %d groups, want %d single-writer groups", len(kept), ops+1)
+	}
+	for i, rec := range kept[:ops] {
+		err := decodeBatch(rec, func(seq base.SeqNum, kind base.Kind, k, v []byte) error {
+			wantKind, wantKey, wantVal := base.KindSet, key(i), val(i)
+			if i%10 == 9 {
+				wantKind, wantKey, wantVal = base.KindDelete, key(i-1), ""
+			}
+			if seq != base.SeqNum(i+1) || kind != wantKind || string(k) != wantKey || string(v) != wantVal {
+				t.Errorf("kept record %d decodes to seq=%d kind=%v key=%q value=%q", i, seq, kind, k, v)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("kept record %d: %v", i, err)
+		}
+	}
+}

@@ -892,18 +892,36 @@ func (d *DB) startNewLogLocked() error {
 
 // ---- Write path ----
 
+// opBatches recycles the one-record batches behind Put and Delete.
+var opBatches = sync.Pool{New: func() any { return NewBatch() }}
+
+// maxPooledBatch is the largest batch buffer opBatches keeps: a single huge
+// value must not stay pinned in the pool.
+const maxPooledBatch = 64 << 10
+
 // Put sets key to value.
 func (d *DB) Put(key, value []byte) error {
-	b := NewBatch()
+	b := opBatches.Get().(*Batch)
 	b.Put(key, value)
-	return d.Write(b, d.opts.SyncWrites)
+	return d.writeOp(b)
 }
 
 // Delete removes key.
 func (d *DB) Delete(key []byte) error {
-	b := NewBatch()
+	b := opBatches.Get().(*Batch)
 	b.Delete(key)
-	return d.Write(b, d.opts.SyncWrites)
+	return d.writeOp(b)
+}
+
+// writeOp commits a pooled batch and returns it to the pool: by the time
+// Write returns, the WAL and the memtable have both copied out of it.
+func (d *DB) writeOp(b *Batch) error {
+	err := d.Write(b, d.opts.SyncWrites)
+	if cap(b.data) <= maxPooledBatch {
+		b.Reset()
+		opBatches.Put(b)
+	}
+	return err
 }
 
 // Write atomically commits a batch. When sync is true the WAL is fsynced
@@ -926,11 +944,13 @@ func (d *DB) Write(b *Batch, sync bool) error {
 		return fmt.Errorf("%w: %w", ErrDegraded, err)
 	}
 	d.mu.Unlock()
-	return d.commitSend(&commitWaiter{batch: b, sync: sync, done: make(chan struct{}), lead: make(chan struct{})})
+	b.waiter = commitWaiter{batch: b, sync: sync}
+	return d.commitSend(&b.waiter)
 }
 
-// makeRoomForWrite rotates a full memtable and stalls on back-pressure.
-func (d *DB) makeRoomForWrite() error {
+// makeRoomForWrite rotates a full memtable and stalls on back-pressure, then
+// returns the WAL and memtable the leader's group commits into.
+func (d *DB) makeRoomForWrite() (*wal.Writer, *memTable, error) {
 	stallStart := time.Time{}
 	for {
 		d.mu.Lock()
@@ -938,15 +958,16 @@ func (d *DB) makeRoomForWrite() error {
 		case d.bgErr != nil:
 			err := d.bgErr
 			d.mu.Unlock()
-			return fmt.Errorf("%w: %w", ErrDegraded, err)
+			return nil, nil, fmt.Errorf("%w: %w", ErrDegraded, err)
 		case d.mem.approximateSize() < d.opts.MemtableSize:
+			w, mem := d.walWriter, d.mem
 			d.mu.Unlock()
 			if !stallStart.IsZero() {
 				stalled := time.Since(stallStart).Nanoseconds()
 				d.metStallNanos.Add(stalled)
 				metrics.Jobs.StallNanos.Add(stalled)
 			}
-			return nil
+			return w, mem, nil
 		case len(d.imm) >= 2:
 			// Too many unflushed memtables: wait for flush.
 			if stallStart.IsZero() {
@@ -972,14 +993,14 @@ func (d *DB) makeRoomForWrite() error {
 			if err := d.startNewLogLocked(); err != nil {
 				d.setBGErrLocked(err)
 				d.mu.Unlock()
-				return fmt.Errorf("%w: %w", ErrDegraded, err)
+				return nil, nil, fmt.Errorf("%w: %w", ErrDegraded, err)
 			}
 			d.maybeScheduleFlushLocked()
 			d.mu.Unlock()
 			if old != nil {
 				if err := old.Close(); err != nil {
 					d.setBGErr(err)
-					return fmt.Errorf("%w: %w", ErrDegraded, err)
+					return nil, nil, fmt.Errorf("%w: %w", ErrDegraded, err)
 				}
 			}
 		}
@@ -1472,8 +1493,7 @@ func (d *DB) Flush() error {
 	if d.opts.ReadOnly {
 		return ErrReadOnly
 	}
-	rot := &commitWaiter{rotate: true, done: make(chan struct{}), lead: make(chan struct{})}
-	if err := d.commitSend(rot); err != nil {
+	if err := d.commitSend(&commitWaiter{rotate: true}); err != nil {
 		return err
 	}
 	d.mu.Lock()

@@ -11,17 +11,53 @@ import (
 type memTable struct {
 	list   *skiplist.List
 	logNum uint64 // WAL file backing this memtable
+
+	// slab is the arena entries are copied into: each add carves
+	// key ‖ trailer ‖ value off its free tail and hands the skiplist two
+	// capacity-clipped views. Slabs are never reused or freed one by one; they
+	// live exactly as long as the memtable (readers and iterators hold it) and
+	// go together when it is dropped after its flush.
+	slab []byte
+}
+
+// Arena slabs start at memSlabMin and double to memSlabMax, so a near-empty
+// memtable (every reopen has one) does not pay for a full one's slab. An
+// entry larger than memSlabMax gets an allocation of its own.
+const (
+	memSlabMin = 4 << 10
+	memSlabMax = 256 << 10
+)
+
+// alloc returns n fresh bytes of arena.
+func (m *memTable) alloc(n int) []byte {
+	if n > memSlabMax {
+		return make([]byte, n)
+	}
+	if n > cap(m.slab)-len(m.slab) {
+		size := min(max(2*cap(m.slab), memSlabMin), memSlabMax)
+		for size < n {
+			size *= 2
+		}
+		m.slab = make([]byte, 0, size)
+	}
+	at := len(m.slab)
+	m.slab = m.slab[:at+n]
+	return m.slab[at : at+n : at+n]
 }
 
 func newMemTable(logNum uint64) *memTable {
 	return &memTable{list: skiplist.New(base.CompareInternal), logNum: logNum}
 }
 
-// add inserts one record. Callers serialize adds (the commit pipeline).
+// add inserts a copy of one record. Callers serialize adds (the commit
+// pipeline). approximateSize counts len(ikey)+len(value) per record and
+// nothing of the arena's slack, so flush timing does not depend on slab sizes.
 func (m *memTable) add(seq base.SeqNum, kind base.Kind, key, value []byte) {
-	ikey := base.MakeInternalKey(key, seq, kind)
-	v := append([]byte(nil), value...)
-	m.list.Insert(ikey, v)
+	k := len(key) + base.TrailerLen
+	buf := m.alloc(k + len(value))
+	ikey := base.AppendInternalKey(buf[:0], key, seq, kind)
+	copy(buf[k:], value)
+	m.list.Insert(ikey[:k:k], buf[k:])
 }
 
 // get returns the newest record for userKey visible at seq.

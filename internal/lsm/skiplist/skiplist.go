@@ -4,15 +4,17 @@
 // atomically published next pointers, mirroring LevelDB's memtable contract.
 package skiplist
 
-import (
-	"math/rand"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 const (
 	maxHeight = 12
-	branching = 4
+	branching = 4 // a power of two: randomHeight reads it as a bit mask
+
+	// Nodes and tower links are carved from slabs that start at minSlab
+	// entries and double to maxSlab, so a near-empty list stays small and a
+	// full one allocates once per several hundred inserts.
+	minSlab = 32
+	maxSlab = 1024
 )
 
 // node is a skiplist node. next pointers are atomic so readers never observe
@@ -31,26 +33,54 @@ type List struct {
 	size   atomic.Int64
 	count  atomic.Int64
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	// Writer-owned state (Insert is single-writer by contract): the slabs new
+	// nodes and towers are carved from, and the xorshift state behind
+	// randomHeight. Readers reach slab memory only through published next
+	// pointers, never through these slices. The slabs live as long as the list.
+	nodes []node
+	links []atomic.Pointer[node]
+	rnd   uint64
 }
 
 // New returns an empty list ordered by cmp.
 func New(cmp func(a, b []byte) int) *List {
 	head := &node{next: make([]atomic.Pointer[node], maxHeight)}
-	l := &List{cmp: cmp, head: head, rng: rand.New(rand.NewSource(0xdecaf))}
+	// A constant seed: a given insert sequence always builds the same towers.
+	l := &List{cmp: cmp, head: head, rnd: 0xdecaf}
 	l.height.Store(1)
 	return l
 }
 
+// randomHeight draws a tower height: h with probability branching^-(h-1).
 func (l *List) randomHeight() int {
-	l.rngMu.Lock()
+	l.rnd ^= l.rnd << 13
+	l.rnd ^= l.rnd >> 7
+	l.rnd ^= l.rnd << 17
+	// xorshift64*: the multiply scrambles the weak low bits; use the high ones.
+	x := (l.rnd * 0x2545F4914F6CDD1D) >> 32
 	h := 1
-	for h < maxHeight && l.rng.Intn(branching) == 0 {
+	for h < maxHeight && x&(branching-1) == 0 {
 		h++
+		x /= branching
 	}
-	l.rngMu.Unlock()
 	return h
+}
+
+// nextSlab is the size of the slab that follows one of n entries.
+func nextSlab(n int) int { return min(max(2*n, minSlab), maxSlab) }
+
+// newNode carves a node with an h-link tower from the slabs.
+func (l *List) newNode(key, value []byte, h int) *node {
+	if len(l.nodes) == cap(l.nodes) {
+		l.nodes = make([]node, 0, nextSlab(cap(l.nodes)))
+	}
+	if len(l.links)+h > cap(l.links) {
+		l.links = make([]atomic.Pointer[node], 0, nextSlab(cap(l.links)))
+	}
+	at := len(l.links)
+	l.links = l.links[:at+h]
+	l.nodes = append(l.nodes, node{key: key, value: value, next: l.links[at : at+h : at+h]})
+	return &l.nodes[len(l.nodes)-1]
 }
 
 // findGreaterOrEqual returns the first node with key >= key, filling prev
@@ -89,7 +119,7 @@ func (l *List) Insert(key, value []byte) {
 		l.height.Store(int32(h))
 	}
 
-	n := &node{key: key, value: value, next: make([]atomic.Pointer[node], h)}
+	n := l.newNode(key, value, h)
 	for i := 0; i < h; i++ {
 		n.next[i].Store(prev[i].next[i].Load())
 		prev[i].next[i].Store(n)

@@ -106,6 +106,33 @@ func TestConcurrentReadDuringInsert(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSameSequenceSameTowers: tower heights come from a list-owned generator
+// with a constant seed, so two lists fed the same inserts are the same
+// structure, and the heights keep the 1/branching geometric shape.
+func TestSameSequenceSameTowers(t *testing.T) {
+	a, b := New(bytes.Compare), New(bytes.Compare)
+	const entries = 40000
+	for i := 0; i < entries; i++ {
+		k := []byte(fmt.Sprintf("k%08d", i*7919%entries))
+		a.Insert(k, nil)
+		b.Insert(k, nil)
+	}
+	var byHeight [maxHeight + 1]int
+	for x, y := a.head.next[0].Load(), b.head.next[0].Load(); x != nil; x, y = x.next[0].Load(), y.next[0].Load() {
+		if !bytes.Equal(x.key, y.key) || len(x.next) != len(y.next) {
+			t.Fatalf("lists diverge at %q: tower %d vs %q: tower %d", x.key, len(x.next), y.key, len(y.next))
+		}
+		byHeight[len(x.next)]++
+	}
+	// Expected share of height h is (3/4)(1/4)^(h-1); hold the first three to
+	// within a fifth of that.
+	for h, want := 1, 0.75*entries; h <= 3; h, want = h+1, want/branching {
+		if got := float64(byHeight[h]); got < 0.8*want || got > 1.2*want {
+			t.Errorf("%d towers of height %d, want about %.0f", byHeight[h], h, want)
+		}
+	}
+}
+
 func TestRandomizedAgainstSortedSlice(t *testing.T) {
 	l := New(bytes.Compare)
 	rng := rand.New(rand.NewSource(9))

@@ -3,6 +3,7 @@ package sstable
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"shield/internal/lsm/base"
 )
@@ -16,9 +17,8 @@ import (
 
 // blockBuilder accumulates sorted entries into one block.
 type blockBuilder struct {
-	buf     []byte
-	count   int
-	lastKey []byte
+	buf   []byte
+	count int
 }
 
 func (b *blockBuilder) add(key, value []byte) {
@@ -30,13 +30,17 @@ func (b *blockBuilder) add(key, value []byte) {
 	b.buf = append(b.buf, key...)
 	b.buf = append(b.buf, value...)
 	b.count++
-	b.lastKey = append(b.lastKey[:0], key...)
 }
 
 func (b *blockBuilder) sizeEstimate() int { return len(b.buf) }
 func (b *blockBuilder) empty() bool       { return b.count == 0 }
 
-func (b *blockBuilder) finish() []byte { return b.buf }
+// finish returns the block, with room behind it for the writer's trailer so
+// that Writer.writeBlock can ship payload and trailer in one Write.
+func (b *blockBuilder) finish() []byte {
+	b.buf = slices.Grow(b.buf, 1+blockTrailerLen)
+	return b.buf
+}
 
 func (b *blockBuilder) reset() {
 	b.buf = b.buf[:0]

@@ -108,8 +108,7 @@ type Writer struct {
 
 	offset   uint64
 	smallest []byte
-	largest  []byte
-	lastKey  []byte
+	largest  []byte // the last key added; nil before the first Add
 	closed   bool
 }
 
@@ -131,10 +130,9 @@ func (w *Writer) Add(ikey, value []byte) error {
 	if w.closed {
 		return fmt.Errorf("sstable: writer closed")
 	}
-	if w.lastKey != nil && base.CompareInternal(ikey, w.lastKey) <= 0 {
+	if w.largest != nil && base.CompareInternal(ikey, w.largest) <= 0 {
 		return fmt.Errorf("sstable: keys out of order")
 	}
-	w.lastKey = append(w.lastKey[:0], ikey...)
 	if w.smallest == nil {
 		w.smallest = append([]byte(nil), ikey...)
 	}
@@ -176,7 +174,7 @@ func (w *Writer) flushBlock() error {
 	if err != nil {
 		return err
 	}
-	w.index.add(w.block.lastKey, handle.encode())
+	w.index.add(w.largest, handle.encode())
 	w.props.DataBlocks++
 	w.block.reset()
 	return nil
@@ -219,10 +217,15 @@ func (w *Writer) writeBlock(data []byte, blockType byte) (blockHandle, error) {
 	crc := crc32.Checksum(data, castagnoli)
 	crc = crc32.Update(crc, castagnoli, tail[:1])
 	binary.LittleEndian.PutUint32(tail[1:], crc)
-	if err := vfs.WriteFull(w.f, data); err != nil {
-		return blockHandle{}, err
+	// One Write when the trailer fits behind the payload in the caller's
+	// buffer (a data block's builder keeps that room), two when it does not.
+	var err error
+	if cap(data)-len(data) >= len(tail) {
+		err = vfs.WriteFull(w.f, append(data, tail[:]...))
+	} else if err = vfs.WriteFull(w.f, data); err == nil {
+		err = vfs.WriteFull(w.f, tail[:])
 	}
-	if err := vfs.WriteFull(w.f, tail[:]); err != nil {
+	if err != nil {
 		return blockHandle{}, err
 	}
 	w.offset += h.length

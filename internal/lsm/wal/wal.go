@@ -44,7 +44,11 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 type Writer struct {
 	f        vfs.WritableFile
 	blockOff int // offset within the current block
-	written  atomic.Int64
+	// hdr is emit's fragment header. It lives here and not on emit's stack
+	// because a buffer handed to an interface's Write escapes: one heap
+	// allocation per record otherwise.
+	hdr     [headerSize]byte
+	written atomic.Int64
 	// syncs counts Sync calls and syncBytes the high-water mark of appended
 	// bytes covered by a completed Sync. Together they make the engine's
 	// group-commit ratio observable: under group commit, syncs stays below
@@ -123,7 +127,7 @@ func (w *Writer) AddRecord(data []byte) error {
 }
 
 func (w *Writer) emit(typ byte, frag []byte) error {
-	var hdr [headerSize]byte
+	hdr := &w.hdr
 	binary.LittleEndian.PutUint16(hdr[4:6], uint16(len(frag)))
 	hdr[6] = typ
 	crc := crc32.Update(0, castagnoli, hdr[6:7])

@@ -2,7 +2,6 @@ package vfs
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"path"
 	"sort"
@@ -47,7 +46,7 @@ type CrashFS struct {
 // or dropped (Remove, Rename) it; such orphaned inodes are frozen and
 // represent the on-disk state a crash would roll the entry back to.
 type crashInode struct {
-	data   []byte
+	body   fileBody
 	synced int
 }
 
@@ -88,7 +87,8 @@ func NewCrashFrom(img *CrashImage, torn bool, seed int64) *CrashFS {
 			if err != nil {
 				panic("vfs: rebuilding crash fs: " + err.Error())
 			}
-			ino := &crashInode{data: data, synced: len(data)}
+			ino := &crashInode{synced: len(data)}
+			ino.body.append(data)
 			c.live[name] = ino
 			c.durable[name] = ino
 		}
@@ -202,7 +202,7 @@ func (c *CrashFS) List(dir string) ([]FileInfo, error) {
 	var infos []FileInfo
 	for name, ino := range c.live {
 		if path.Dir(name) == dir {
-			infos = append(infos, FileInfo{Name: path.Base(name), Size: int64(len(ino.data))})
+			infos = append(infos, FileInfo{Name: path.Base(name), Size: int64(ino.body.len())})
 		}
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
@@ -257,7 +257,7 @@ func (c *CrashFS) Stat(name string) (FileInfo, error) {
 	if !ok {
 		return FileInfo{}, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	return FileInfo{Name: path.Base(name), Size: int64(len(ino.data))}, nil
+	return FileInfo{Name: path.Base(name), Size: int64(ino.body.len())}, nil
 }
 
 // imageEntry is one durable directory entry at snapshot time.
@@ -279,8 +279,8 @@ func (c *CrashFS) snapshotLocked() *CrashImage {
 	img := &CrashImage{entries: make(map[string]imageEntry, len(c.durable)), seed: c.rng.Int63()}
 	for name, ino := range c.durable {
 		e := imageEntry{
-			durable:  append([]byte(nil), ino.data[:ino.synced]...),
-			volatile: append([]byte(nil), ino.data[ino.synced:]...),
+			durable:  ino.body.bytes(0, ino.synced),
+			volatile: ino.body.bytes(ino.synced, ino.body.len()),
 		}
 		img.entries[name] = e
 	}
@@ -386,7 +386,7 @@ type crashWritable struct {
 func (w *crashWritable) Write(p []byte) (int, error) {
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
-	w.ino.data = append(w.ino.data, p...)
+	w.ino.body.append(p)
 	return len(p), nil
 }
 
@@ -395,7 +395,7 @@ func (w *crashWritable) Write(p []byte) (int, error) {
 func (w *crashWritable) Sync() error {
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
-	w.ino.synced = len(w.ino.data)
+	w.ino.synced = w.ino.body.len()
 	w.fs.boundary("sync:" + w.name) //shield:nolockio boundary is in-memory crash-point bookkeeping on the owning CrashFS; it never touches storage and expects mu held
 	return nil
 }
@@ -413,21 +413,13 @@ type crashRandom struct {
 func (r *crashRandom) ReadAt(p []byte, off int64) (int, error) {
 	r.fs.mu.Lock()
 	defer r.fs.mu.Unlock()
-	data := r.ino.data
-	if off >= int64(len(data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return r.ino.body.readAt(p, off)
 }
 
 func (r *crashRandom) Size() (int64, error) {
 	r.fs.mu.Lock()
 	defer r.fs.mu.Unlock()
-	return int64(len(r.ino.data)), nil
+	return int64(r.ino.body.len()), nil
 }
 
 func (r *crashRandom) Close() error { return nil }
