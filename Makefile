@@ -33,9 +33,13 @@ race:
 # recycled sealed-writer jobs, pooled Put batches). The allocation tests carry
 # a !race build tag (allocation counts are meaningless under the race
 # detector), so `make race` skips them and this target is where they run.
+# Served commands: allocations per pipeline through server.handle and through
+# resp.Client, per ReadCommand, the in-place parser against its bufio oracle,
+# and the lazily armed deadlines.
 io-path-check:
-	go test -run 'InnerReads|Allocs|SliceOracle|Arena|OutlivesMemtable|PooledPutBatch|SealedWriter|Towers' \
-		./internal/crypt/ ./internal/lsm/ ./internal/lsm/skiplist/ ./internal/lsm/sstable/ ./internal/vfs/ ./internal/dstore/
+	go test -run 'InnerReads|Allocs|SliceOracle|Arena|OutlivesMemtable|PooledPutBatch|SealedWriter|Towers|MatchesOracle|SplitAcrossReads|Deadline' \
+		./internal/crypt/ ./internal/lsm/ ./internal/lsm/skiplist/ ./internal/lsm/sstable/ ./internal/vfs/ ./internal/dstore/ \
+		./internal/resp/ ./internal/server/
 
 fmt:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
@@ -108,10 +112,12 @@ replication-test:
 tamper-test:
 	go run ./cmd/shield-sim -seeds $(SIM_SEEDS) -bitrot -rollback
 
-# Coverage-guided fuzzing of the sealed (format v2) parser and reader:
+# Coverage-guided fuzzing. The sealed (format v2) parser and reader:
 # arbitrary bodies must round-trip or fail as integrity errors, and any span
 # of a tampered body must read as the per-block oracle reads it — never panic
-# or misclassify. FUZZTIME bounds each target; CI uses a short burst, leave
+# or misclassify. The RESP command parser, differentially: the in-place
+# reader and the bufio oracle must agree on commands, error class and stream
+# position for any input in any chunking. FUZZTIME bounds each target; CI uses a short burst, leave
 # it running locally to dig deeper. Minimization is capped because its 60 s
 # default otherwise eats a short burst whole (execs drop to 0/sec after the
 # first new-coverage input).
@@ -120,6 +126,7 @@ FUZZFLAGS = -run='^$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 fuzz:
 	go test $(FUZZFLAGS) -fuzz=FuzzSealedOpen ./internal/crypt/
 	go test $(FUZZFLAGS) -fuzz=FuzzSealedReadAt ./internal/crypt/
+	go test $(FUZZFLAGS) -fuzz=FuzzReadCommand ./internal/resp/
 
 # Third-party linters. These reach the network to fetch the pinned tool the
 # first time; they are deliberately NOT part of `make all` so an offline

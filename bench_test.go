@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -20,6 +21,8 @@ import (
 	"shield/internal/lsm"
 	"shield/internal/lsm/base"
 	"shield/internal/lsm/sstable"
+	"shield/internal/resp"
+	"shield/internal/server"
 	"shield/internal/vfs"
 )
 
@@ -737,4 +740,95 @@ func BenchmarkMemFSAppend(b *testing.B) {
 			}
 		}
 	})
+}
+
+// stubEngine is a shard that costs nothing, so the serving layer above it
+// is measured alone.
+type stubEngine struct{ value []byte }
+
+func (e stubEngine) Get([]byte) ([]byte, error)   { return e.value, nil }
+func (e stubEngine) Write(*lsm.Batch, bool) error { return nil }
+func (e stubEngine) Metrics() lsm.Metrics         { return lsm.Metrics{} }
+
+// BenchmarkServedPipeline is one connection's round trip over loopback: 16
+// commands (8 SET, 8 GET, 20-byte keys, 256-byte values) sent with
+// resp.Client, executed by server.Server over two shards, replies read back.
+// stub-engine prices resp + server + the sockets; memfs-engine adds the real
+// engine with Sync on. ns/cmd and allocs/cmd count both ends of the
+// connection (the client's eight caller-owned GET values are 0.5 allocs/cmd).
+func BenchmarkServedPipeline(b *testing.B) {
+	const depth = 16
+	value := make([]byte, 256)
+	for _, engine := range []struct {
+		name string
+		open func(b *testing.B) server.Engine
+	}{
+		{"stub-engine", func(*testing.B) server.Engine { return stubEngine{value: value} }},
+		{"memfs-engine", func(b *testing.B) server.Engine {
+			db, err := lsm.Open("db", lsm.Options{FS: vfs.NewMem(), MemtableSize: 4 << 20})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { db.Close() }) //nolint:errcheck // scratch store
+			return db
+		}},
+	} {
+		b.Run(engine.name, func(b *testing.B) {
+			srv, err := server.New(server.Config{Shards: []server.Engine{engine.open(b), engine.open(b)}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := srv.Listen("127.0.0.1:0"); err != nil {
+				b.Fatal(err)
+			}
+			served := make(chan error, 1)
+			go func() { served <- srv.Serve() }()
+			defer func() {
+				srv.Close() //nolint:errcheck // Close only returns nil
+				if err := <-served; err != nil {
+					b.Error(err)
+				}
+			}()
+			cl, err := resp.Dial(srv.Addr(), 5*time.Second)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			cl.Timeout = 30 * time.Second
+
+			key := []byte("user0000000000000000")
+			roundTrip := func(i int) {
+				for j := 0; j < depth; j++ {
+					for p, n := len(key)-1, (i*depth+j)*7919%20000; n > 0; p, n = p-1, n/10 {
+						key[p] = byte('0' + n%10)
+					}
+					if j%2 == 0 {
+						cl.Send([]byte("SET"), key, value) //nolint:errcheck // Flush reports it
+					} else {
+						cl.Send([]byte("GET"), key) //nolint:errcheck
+					}
+				}
+				if err := cl.Flush(); err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < depth; j++ {
+					if v, err := cl.Recv(); err != nil || v.IsError() {
+						b.Fatalf("reply %d: %+v, %v", j, v, err)
+					}
+				}
+			}
+			roundTrip(0) // connection set-up and buffer growth stay outside
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				roundTrip(i)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			cmds := float64(b.N * depth)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/cmds, "ns/cmd")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/cmds, "allocs/cmd")
+		})
+	}
 }

@@ -168,9 +168,14 @@ func TestLeaseExpiryReclaimAndStaleComplete(t *testing.T) {
 	if st.Completed != 1 {
 		t.Fatalf("completed = %d, want 1", st.Completed)
 	}
-	wj, _, _ := w.Stats()
-	if wj != 1 {
-		t.Fatalf("healthy worker jobs = %d, want 1", wj)
+	// The worker counts a job once the orchestrator's reply to its complete
+	// has come back, which is after Compact has returned the result here.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if wj, _, _ := w.Stats(); wj == 1 {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("healthy worker jobs = %d, want 1", wj)
+		}
 	}
 }
 

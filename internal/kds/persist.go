@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"strings"
+	"sync"
 
 	"shield/internal/crypt"
 	"shield/internal/vfs"
@@ -59,14 +61,21 @@ type PersistentStore struct {
 	path    string
 	aesKey  crypt.DEK
 	hmacKey []byte
+
+	// saveMu serialises Save. The snapshot is taken inside it, so snapshots
+	// reach disk in the order in which they observed the store: an older one
+	// can never land over a newer one and lose a DEK that already protects a
+	// file. Nothing but Save takes it, and it is never held with Store.mu.
+	saveMu  sync.Mutex
+	saveSeq uint64 // guarded by saveMu; names each save's own temp file
 }
 
 // OpenPersistentStore loads (or initializes) a store snapshot at path,
 // sealed with masterKey. Mutating operations snapshot the store afterwards;
 // key issue/fetch volumes are low (one per file creation), so the
 // write-behind simplicity costs little.
-func OpenPersistentStore(fs vfs.FS, path string, masterKey []byte, policy Policy) (*PersistentStore, error) {
-	ps := &PersistentStore{Store: NewStore(policy), fs: fs, path: path}
+func OpenPersistentStore(fs vfs.FS, file string, masterKey []byte, policy Policy) (*PersistentStore, error) {
+	ps := &PersistentStore{Store: NewStore(policy), fs: fs, path: file}
 	aesRaw := crypt.HKDFSHA256(masterKey, []byte("kds-persist-v1"), []byte("aes"), crypt.KeySize)
 	defer crypt.Zeroize(aesRaw)
 	var err error
@@ -76,7 +85,20 @@ func OpenPersistentStore(fs vfs.FS, path string, masterKey []byte, policy Policy
 	}
 	ps.hmacKey = crypt.HKDFSHA256(masterKey, []byte("kds-persist-v1"), []byte("hmac"), persistTagLen)
 
-	data, err := vfs.ReadFile(fs, path)
+	// A leftover temp file means a save crashed before its rename; the live
+	// snapshot (if any) is intact, the partial file is garbage.
+	infos, err := fs.List(path.Dir(file))
+	if err != nil && !errors.Is(err, vfs.ErrNotFound) {
+		return nil, err
+	}
+	for _, fi := range infos {
+		if strings.HasPrefix(fi.Name, path.Base(file)+".") && strings.HasSuffix(fi.Name, ".tmp") {
+			if err := fs.Remove(path.Join(path.Dir(file), fi.Name)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	data, err := vfs.ReadFile(fs, file)
 	switch {
 	case errors.Is(err, vfs.ErrNotFound):
 		return ps, nil
@@ -152,8 +174,24 @@ func (ps *PersistentStore) load(data []byte) error {
 	return nil
 }
 
-// Save snapshots the store to disk (write-then-rename).
+// Save snapshots the store to disk (write-then-rename), one save at a time.
+// Issuers that race here queue up; each one's snapshot includes its own
+// mutation, since that happened before it called Save.
 func (ps *PersistentStore) Save() error {
+	ps.saveMu.Lock()
+	defer ps.saveMu.Unlock()
+	ps.saveSeq++
+	return ps.writeSnapshot(fmt.Sprintf("%s.%d.tmp", ps.path, ps.saveSeq))
+}
+
+// writeSnapshot seals the store's current state into tmp and renames it
+// over the live snapshot. Save calls it with saveMu held.
+func (ps *PersistentStore) writeSnapshot(tmp string) (err error) {
+	defer func() {
+		if err != nil {
+			ps.fs.Remove(tmp) //nolint:errcheck // best effort; the next open sweeps what is left
+		}
+	}()
 	s := ps.Store
 	s.mu.Lock()
 	st := persistedState{
@@ -199,7 +237,6 @@ func (ps *PersistentStore) Save() error {
 	out = append(out, body...)
 	out = append(out, crypt.HMACSHA256(ps.hmacKey, out)...)
 
-	tmp := ps.path + ".tmp"
 	if err := vfs.WriteFile(ps.fs, tmp, out); err != nil {
 		return err
 	}

@@ -2,8 +2,11 @@ package kds
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
+	"shield/internal/crypt"
 	"shield/internal/vfs"
 )
 
@@ -161,4 +164,134 @@ func TestPersistentStoreBehindServer(t *testing.T) {
 	if got != dek {
 		t.Fatal("DEK lost across KDS node restart")
 	}
+}
+
+// TestConcurrentIssuersAllPersist: issuers that race in CreateDEK must each
+// succeed, and every DEK one of them was handed must be in the snapshot a
+// restart loads — none failed by a sibling's rename of a shared temp file,
+// none dropped because an older snapshot landed over a newer one.
+func TestConcurrentIssuersAllPersist(t *testing.T) {
+	fs := vfs.NewMem()
+	master := []byte("kds-root-secret")
+	ps, err := OpenPersistentStore(fs, "kds.db", master, DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const issuers, perIssuer = 8, 40
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		issued = make(map[KeyID]crypt.DEK)
+	)
+	for i := 0; i < issuers; i++ {
+		server := fmt.Sprintf("compute-%d", i)
+		ps.Authorize(server)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < perIssuer; j++ {
+				id, dek, err := ps.CreateDEK(server)
+				if err != nil {
+					t.Errorf("%s: CreateDEK %d: %v", server, j, err)
+					return
+				}
+				mu.Lock()
+				issued[id] = dek
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	assertAllPersisted(t, fs, master, issued, "after the run")
+	if infos, _ := fs.List("."); len(infos) != 1 {
+		t.Errorf("files left beside the snapshot: %v", infos)
+	}
+}
+
+// assertAllPersisted reopens the store from fs and checks that every DEK in
+// acked is there, unchanged.
+func assertAllPersisted(t *testing.T, fs vfs.FS, master []byte, acked map[KeyID]crypt.DEK, when string) {
+	t.Helper()
+	ps, err := OpenPersistentStore(fs, "kds.db", master, DefaultPolicy())
+	if err != nil {
+		t.Fatalf("%s: reopen: %v", when, err)
+	}
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	for id, dek := range acked {
+		if e := ps.keys[id]; e == nil {
+			t.Fatalf("%s: acknowledged DEK %s is gone (%d of %d keys on disk)", when, id, len(ps.keys), len(acked))
+		} else if e.dek != dek {
+			t.Fatalf("%s: DEK %s changed", when, id)
+		}
+	}
+}
+
+// TestNoAckedDEKLostAtAnyCrashPoint enumerates every durability boundary of
+// a run with concurrent issuers. In the image of each one, strict or torn,
+// every DEK whose CreateDEK had returned before the boundary must load: a
+// returned CreateDEK means the key may already protect a file.
+func TestNoAckedDEKLostAtAnyCrashPoint(t *testing.T) {
+	cfs := vfs.NewCrash(17)
+	master := []byte("kds-root-secret")
+	var (
+		mu     sync.Mutex
+		acked  = make(map[KeyID]crypt.DEK)
+		points []crashPoint
+	)
+	cfs.AfterSync(func(event string, img *vfs.CrashImage) {
+		mu.Lock()
+		defer mu.Unlock()
+		p := crashPoint{event: event, img: img, acked: make(map[KeyID]crypt.DEK, len(acked))}
+		for id, dek := range acked {
+			p.acked[id] = dek
+		}
+		points = append(points, p)
+	})
+	ps, err := OpenPersistentStore(cfs, "kds.db", master, DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		server := fmt.Sprintf("compute-%d", i)
+		ps.Authorize(server)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 6; j++ {
+				id, dek, err := ps.CreateDEK(server)
+				if err != nil {
+					t.Errorf("%s: CreateDEK %d: %v", server, j, err)
+					return
+				}
+				mu.Lock()
+				acked[id] = dek
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if len(points) < 4*6 {
+		t.Fatalf("only %d crash points for %d issues", len(points), 4*6)
+	}
+	for i, p := range points {
+		when := fmt.Sprintf("crash point %d (%s)", i, p.event)
+		assertAllPersisted(t, p.img.Strict(), master, p.acked, when+", strict")
+		assertAllPersisted(t, p.img.Torn(int64(i)), master, p.acked, when+", torn")
+	}
+}
+
+// crashPoint is one durability boundary: the image a crash there leaves, and
+// the DEKs whose issue had been acknowledged by then.
+type crashPoint struct {
+	event string
+	img   *vfs.CrashImage
+	acked map[KeyID]crypt.DEK
 }

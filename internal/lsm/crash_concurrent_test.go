@@ -11,52 +11,31 @@ import (
 	"shield/internal/vfs"
 )
 
-// pairingCompactor wraps the local compactor to (a) record the peak number
-// of concurrently executing compaction jobs and (b) briefly hold the first
-// job until a second arrives, widening the window in which crash images
-// are captured with >= 2 jobs in flight.
-type pairingCompactor struct {
+// peakCompactor wraps the local compactor to record the peak number of
+// concurrently executing compaction jobs and of subcompaction shards. It
+// does nothing to bring jobs together: the workload and the options below
+// keep two runnable plans around (an over-target L1 beside a filling L0), so
+// the scheduler overlaps them on its own, on an idle machine and under
+// -race alike. An earlier version held a lone job for up to 100 ms of wall
+// clock, a window a loaded machine could miss.
+type peakCompactor struct {
 	inner   Compactor
 	mu      sync.Mutex
-	cond    *sync.Cond
 	running int
 	peak    int
-	sawPair bool
 	subPeak atomic.Int64
 }
 
-func newPairingCompactor(inner Compactor) *pairingCompactor {
-	c := &pairingCompactor{inner: inner}
-	c.cond = sync.NewCond(&c.mu)
-	return c
-}
-
-func (c *pairingCompactor) Compact(job CompactionJob) (CompactionResult, error) {
+func (c *peakCompactor) Compact(job CompactionJob) (CompactionResult, error) {
 	c.mu.Lock()
 	c.running++
-	if c.running > c.peak {
-		c.peak = c.running
-	}
-	if c.running >= 2 {
-		c.sawPair = true
-		c.cond.Broadcast()
-	} else if !c.sawPair {
-		// Hold the lone job a moment so a second pick can catch up; give up
-		// quickly so a workload phase with only one runnable plan proceeds.
-		deadline := time.Now().Add(100 * time.Millisecond)
-		for c.running < 2 && !c.sawPair && time.Now().Before(deadline) {
-			c.mu.Unlock()
-			time.Sleep(time.Millisecond)
-			c.mu.Lock()
-		}
-	}
+	c.peak = max(c.peak, c.running)
 	c.mu.Unlock()
 
 	res, err := c.inner.Compact(job)
 
 	c.mu.Lock()
 	c.running--
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	if int64(res.Subcompactions) > c.subPeak.Load() {
 		c.subPeak.Store(int64(res.Subcompactions))
@@ -64,7 +43,7 @@ func (c *pairingCompactor) Compact(job CompactionJob) (CompactionResult, error) 
 	return res, err
 }
 
-func (c *pairingCompactor) peakRunning() int {
+func (c *peakCompactor) peakRunning() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.peak
@@ -101,19 +80,25 @@ func TestCrashRecoveryConcurrentCompactions(t *testing.T) {
 	var (
 		ptMu   sync.Mutex
 		points []crashPoint
-		acked  atomic.Int64
 	)
+	// Compaction and flush goroutines sync while the writer keeps getting
+	// acks, so the ack count a crash point promises is the one noted BEFORE
+	// its image was captured; read afterwards, it can include a Put whose
+	// WAL sync the image is too old to hold.
+	fs := &ackedBeforeSyncFS{FS: cfs}
 	cfs.AfterSync(func(event string, img *vfs.CrashImage) {
 		ptMu.Lock()
-		points = append(points, crashPoint{event: event, img: img, acked: acked.Load()})
+		points = append(points, crashPoint{event: event, img: img, acked: fs.atSync})
 		ptMu.Unlock()
 	})
+	acked := &fs.acked
 
-	pairing := newPairingCompactor(&LocalCompactor{FS: cfs})
-	opts := crashTestOptions(cfs)
+	pairing := &peakCompactor{inner: &LocalCompactor{FS: fs}}
+	opts := crashTestOptions(fs)
 	opts.MaxBackgroundJobs = 4
 	opts.MaxSubcompactions = 3
 	opts.Compactor = pairing
+	opts.BaseLevelSize = 2 << 10 // L1 is over target as soon as a range settles: see peakCompactor
 
 	db, err := Open("db", opts)
 	if err != nil {
@@ -154,6 +139,44 @@ func TestCrashRecoveryConcurrentCompactions(t *testing.T) {
 		verifyCrashImage(t, "torn", i, pt, pt.img.Torn(0), ops)
 	}
 }
+
+// ackedBeforeSyncFS notes the workload's ack count just before every
+// durability boundary of the CrashFS below it. Its mutex makes "note the
+// count, sync, run the AfterSync hook" one step, so the hook (which the
+// CrashFS calls on the syncing goroutine, inside Sync) reads the count that
+// belongs to its image.
+type ackedBeforeSyncFS struct {
+	vfs.FS
+	acked  atomic.Int64
+	mu     sync.Mutex
+	atSync int64 // guarded by mu
+}
+
+func (f *ackedBeforeSyncFS) synced(sync func() error) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.atSync = f.acked.Load()
+	return sync()
+}
+
+func (f *ackedBeforeSyncFS) SyncDir(dir string) error {
+	return f.synced(func() error { return f.FS.SyncDir(dir) })
+}
+
+func (f *ackedBeforeSyncFS) Create(name string) (vfs.WritableFile, error) {
+	w, err := f.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &ackedBeforeSyncFile{WritableFile: w, fs: f}, nil
+}
+
+type ackedBeforeSyncFile struct {
+	vfs.WritableFile
+	fs *ackedBeforeSyncFS
+}
+
+func (w *ackedBeforeSyncFile) Sync() error { return w.fs.synced(w.WritableFile.Sync) }
 
 // batchCrashPoint is one crash image plus a snapshot of how many ops each
 // concurrent writer had been acked for when the boundary fired.

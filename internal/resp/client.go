@@ -15,10 +15,33 @@ type Client struct {
 	r    *Reader
 	w    *Writer
 
-	// Timeout, when nonzero, bounds each Flush and each Recv.
+	// Timeout, when nonzero, bounds each Flush and each Recv. The socket
+	// deadlines behind it are re-armed lazily (see Deadline), and the read
+	// one only when a Recv has to wait for the network at all.
 	Timeout time.Duration
 
-	pending int
+	readBy, writeBy Deadline
+	recvArmed       bool // the current Recv has looked at its deadline
+}
+
+// timedConn is the connection as the Client's Reader and Writer see it:
+// whatever makes them touch the socket — a Recv that finds nothing buffered,
+// a Flush, a Send that outgrows the buffer — does so under a deadline.
+type timedConn struct{ c *Client }
+
+func (t timedConn) Read(p []byte) (int, error) {
+	if c := t.c; c.Timeout > 0 && !c.recvArmed {
+		c.recvArmed = true // once per Recv, or a trickling peer could stretch one forever
+		c.readBy.Arm(c.Timeout, c.conn.SetReadDeadline)
+	}
+	return t.c.conn.Read(p)
+}
+
+func (t timedConn) Write(p []byte) (int, error) {
+	if c := t.c; c.Timeout > 0 {
+		c.writeBy.Arm(c.Timeout, c.conn.SetWriteDeadline)
+	}
+	return t.c.conn.Write(p)
 }
 
 // Dial connects to a RESP server.
@@ -32,12 +55,13 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, r: NewReader(conn), w: NewWriter(conn)}
+	c := &Client{conn: conn}
+	c.r, c.w = NewReader(timedConn{c}), NewWriter(timedConn{c})
+	return c
 }
 
 // Send queues one command without flushing.
 func (c *Client) Send(args ...[]byte) error {
-	c.pending++
 	return c.w.Command(args...)
 }
 
@@ -51,26 +75,13 @@ func (c *Client) SendStrings(args ...string) error {
 }
 
 // Flush pushes every queued command to the server.
-func (c *Client) Flush() error {
-	if c.Timeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.Timeout)) //nolint:errcheck
-	}
-	return c.w.Flush()
-}
+func (c *Client) Flush() error { return c.w.Flush() }
 
 // Recv reads the next in-order reply.
 func (c *Client) Recv() (Value, error) {
-	if c.Timeout > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(c.Timeout)) //nolint:errcheck
-	}
-	if c.pending > 0 {
-		c.pending--
-	}
+	c.recvArmed = false
 	return c.r.ReadReply()
 }
-
-// Pending reports queued-but-unanswered commands (sent or not yet flushed).
-func (c *Client) Pending() int { return c.pending }
 
 // Do sends one command, flushes, and returns its reply.
 func (c *Client) Do(args ...string) (Value, error) {

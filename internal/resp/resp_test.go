@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
+	"time"
 )
 
 func readAll(t *testing.T, r *Reader) [][]string {
@@ -194,5 +196,194 @@ func TestCommandRoundTrip(t *testing.T) {
 	args, err := NewReader(&buf).ReadCommand()
 	if err != nil || len(args) != 3 || string(args[2]) != "binary\x00\r\n" {
 		t.Fatalf("round trip: %q %v", args, err)
+	}
+}
+
+// Next returns only what is complete in the window, as views that a later
+// Fill may overwrite; a partial command stays put until its bytes arrive.
+func TestNextViewsAndPartialTail(t *testing.T) {
+	src := &chunked{data: []byte("PING\r\n*2\r\n$3\r\nGET\r\n$5\r\nhel" + "lo\r\nQUIT\r\n"), cuts: []byte{27, 255}}
+	r := NewReader(src)
+	if args, err := r.Next(); args != nil || err != nil {
+		t.Fatalf("Next on an empty window = %q, %v", args, err)
+	}
+	if err := r.Fill(); err != nil {
+		t.Fatal(err)
+	}
+	args, err := r.Next()
+	if err != nil || len(args) != 1 || string(args[0]) != "PING" {
+		t.Fatalf("first command = %q, %v", args, err)
+	}
+	if args, err := r.Next(); args != nil || err != nil {
+		t.Fatalf("Next on a partial command = %q, %v; want nil, nil", args, err)
+	}
+	if r.w == r.r {
+		t.Fatal("the partial command was consumed")
+	}
+	if err := r.Fill(); err != nil {
+		t.Fatal(err)
+	}
+	get, err := r.Next()
+	if err != nil || len(get) != 2 || string(get[1]) != "hello" {
+		t.Fatalf("completed command = %q, %v", get, err)
+	}
+	quit, err := r.Next()
+	if err != nil || len(quit) != 1 || string(quit[0]) != "QUIT" {
+		t.Fatalf("third command = %q, %v", quit, err)
+	}
+	// Both vectors came out of one window and stay valid side by side.
+	if string(get[0]) != "GET" || string(get[1]) != "hello" {
+		t.Fatalf("earlier view changed under a later Next: %q", get)
+	}
+	if err := r.Fill(); err != io.EOF {
+		t.Fatalf("Fill at end of stream = %v, want io.EOF", err)
+	}
+}
+
+// failAfter yields its bytes and then fails, so a parser that waits for the
+// rest of a frame returns instead of blocking.
+type failAfter struct{ data []byte }
+
+var errCut = errors.New("connection cut")
+
+func (f *failAfter) Read(p []byte) (int, error) {
+	if len(f.data) == 0 {
+		return 0, errCut
+	}
+	n := copy(p, f.data)
+	f.data = f.data[n:]
+	return n, nil
+}
+
+// A declared bulk length reserves memory only as bytes arrive: the header
+// of a 64 MiB argument alone must not make the reader allocate 64 MiB.
+func TestDeclaredBulkLengthReservesNothing(t *testing.T) {
+	r := NewReader(&failAfter{data: []byte("*2\r\n$3\r\nSET\r\n$67108864\r\nonly these bytes")})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := r.ReadCommand()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errCut) {
+		t.Fatalf("ReadCommand = %v, want the source's error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("a declared 64 MiB bulk with 16 bytes sent allocated %d bytes", got)
+	}
+}
+
+// A window grown for one large value shrinks back once it is drained, and
+// while the value is still arriving the parser does not rescan it per read.
+func TestWindowGrowsWithBytesAndShrinksBack(t *testing.T) {
+	big := bytes.Repeat([]byte("v"), 300<<10)
+	var in bytes.Buffer
+	w := NewWriter(&in)
+	w.Command([]byte("SET"), []byte("k"), big) //nolint:errcheck
+	w.Command([]byte("PING"))                  //nolint:errcheck
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&chunked{data: in.Bytes(), cuts: []byte{255}}) // 8 KiB pieces
+	args, err := r.ReadCommand()
+	if err != nil || len(args) != 3 || !bytes.Equal(args[2], big) {
+		t.Fatalf("large SET: %d args, %v", len(args), err)
+	}
+	if len(r.buf) < len(big) || len(r.buf) > 4*len(big) {
+		t.Fatalf("window is %d bytes after a %d-byte value", len(r.buf), len(big))
+	}
+	if args, err = r.ReadCommand(); err != nil || string(args[0]) != "PING" {
+		t.Fatalf("command after the large one: %q, %v", args, err)
+	}
+	if _, err := r.ReadCommand(); err != io.EOF {
+		t.Fatalf("end of stream: %v", err)
+	}
+	if len(r.buf) != bufSize {
+		t.Fatalf("drained window kept %d bytes, want %d", len(r.buf), bufSize)
+	}
+}
+
+// countingWriter records the size of every Write it receives.
+type countingWriter struct{ writes []int }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, len(p))
+	return len(p), nil
+}
+
+// shortWriter accepts half of every Write without saying why.
+type shortWriter struct{}
+
+func (shortWriter) Write(p []byte) (int, error) { return len(p) / 2, nil }
+
+// A batch of replies leaves in one Write at Flush; only a buffer past
+// maxRetained is written out early, and a write error sticks.
+func TestWriterOneWritePerFlush(t *testing.T) {
+	var dst countingWriter
+	w := NewWriter(&dst)
+	for i := 0; i < 16; i++ {
+		w.Bulk(make([]byte, 256)) //nolint:errcheck
+		w.Status("OK")            //nolint:errcheck
+	}
+	if len(dst.writes) != 0 {
+		t.Fatalf("%d writes before Flush", len(dst.writes))
+	}
+	if err := w.Flush(); err != nil || len(dst.writes) != 1 || dst.writes[0] != 16*(6+256+2+5) {
+		t.Fatalf("Flush: %v, writes %v", err, dst.writes)
+	}
+	if err := w.Flush(); err != nil || len(dst.writes) != 1 {
+		t.Fatalf("empty Flush wrote: %v, writes %v", err, dst.writes)
+	}
+	w.Bulk(make([]byte, maxRetained)) //nolint:errcheck
+	if len(dst.writes) != 2 {
+		t.Fatalf("a %d-byte reply stayed buffered: writes %v", maxRetained, dst.writes)
+	}
+
+	bad := NewWriter(shortWriter{})
+	bad.Status("a longer reply") //nolint:errcheck
+	if err := bad.Flush(); err != io.ErrShortWrite {
+		t.Fatalf("short write: %v", err)
+	}
+	if err := bad.Status("OK"); err != io.ErrShortWrite {
+		t.Fatalf("error did not stick: %v", err)
+	}
+}
+
+// A deadline is set again only once an eighth of it has been used up, so
+// the bound in force is always within [7/8·T, T] — also after T changes.
+func TestDeadlineStale(t *testing.T) {
+	const T = 8 * time.Second
+	var d Deadline
+	t0 := time.Now()
+	if !d.stale(t0, T) {
+		t.Fatal("a fresh Deadline is not stale")
+	}
+	for _, c := range []struct {
+		after   time.Duration
+		timeout time.Duration
+		stale   bool
+	}{
+		{0, T, false},
+		{T/8 - time.Millisecond, T, false},
+		{T / 8, T, true}, // re-armed at t0+T/8
+		{T/8 + time.Second - time.Millisecond, T, false},
+		{T/8 + time.Second, T / 8, true},                // shorter timeout: the old deadline is too far out
+		{T/8 + time.Second + time.Millisecond, T, true}, // longer timeout: too little left
+		{3 * T, T, true}, // long idle: already expired
+	} {
+		if got := d.stale(t0.Add(c.after), c.timeout); got != c.stale {
+			t.Errorf("at +%v with timeout %v: stale = %v, want %v", c.after, c.timeout, got, c.stale)
+		}
+	}
+}
+
+// ReadReply must reject input that nests arrays without bound instead of
+// recursing on it.
+func TestReplyNestingBounded(t *testing.T) {
+	r := NewReader(strings.NewReader(strings.Repeat("*1\r\n", 100) + ":1\r\n"))
+	if _, err := r.ReadReply(); !IsProtocolError(err) {
+		t.Fatalf("100 nested arrays: %v, want a protocol error", err)
+	}
+	r = NewReader(strings.NewReader(strings.Repeat("*1\r\n", maxReplyDepth) + ":1\r\n"))
+	if v, err := r.ReadReply(); err != nil || len(v.Array) != 1 {
+		t.Fatalf("%d nested arrays: %+v, %v", maxReplyDepth, v, err)
 	}
 }

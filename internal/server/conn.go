@@ -7,104 +7,155 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"shield/internal/lsm"
 	"shield/internal/metrics"
 	"shield/internal/resp"
 )
 
-// pendingBatch is one shard's coalesced writes for the current segment of a
-// pipeline batch, plus the commit verdict the segment's replies consult.
-type pendingBatch struct {
-	b   *lsm.Batch
-	err error
-}
+// maxKeptBatch bounds the encoded size of a shard batch a connection keeps
+// for reuse; one grown past it by a large value is dropped after its commit.
+const maxKeptBatch = 256 << 10
+
+type opKind uint8
+
+const (
+	opSet opKind = iota
+	opDel
+	opGet
+	opStatus
+	opError
+	opBulk
+	opEmptyArray
+)
 
 // queued is one command awaiting its reply. Replies are emitted strictly in
 // command order; writes resolve when their shard's coalesced batch commits.
 type queued struct {
-	op    string // "SET", "DEL", "GET", or "" for a precomputed reply
-	shard int
-	key   []byte
-	nDel  int64       // DEL: keys folded into this slot's reply
-	ready *resp.Value // precomputed reply (PING, ECHO, errors, ...)
+	op    opKind
+	shard int    // opSet, opGet, opDel (or spansShards)
+	arg   []byte // opGet key, opBulk payload: a view, emitted before the next Fill
+	nDel  int64  // opDel: keys folded into this slot's reply
+	text  string // opStatus, opError
 }
 
-// handle runs one connection's read-execute-reply loop.
-func (s *Server) handle(conn net.Conn) {
-	r := resp.NewReader(conn)
-	r.MaxBulkLen = s.cfg.MaxBulkLen
-	w := resp.NewWriter(conn)
+// spansShards marks a DEL whose keys hash to more than one shard; its reply
+// fails if any involved shard's commit failed.
+const spansShards = -2
 
-	for {
-		// Idle deadline: a connection that cannot produce a complete
-		// command within the window is a slow client and is dropped.
-		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)) //nolint:errcheck
-		cmd, err := r.ReadCommand()
-		if err != nil {
-			if s.replyReadError(conn, w, err) {
-				continue
-			}
-			return
+// shardCounts are one connection's not yet published ShardStats increments.
+type shardCounts struct{ gets, sets, dels, writeBatches, errors int64 }
+
+// conn is one connection's execution state. Everything a command needs is
+// here and reused from batch to batch, so a steady pipeline allocates
+// nothing and, until its counters are published once per batch, writes no
+// memory another connection reads.
+type conn struct {
+	s  *Server
+	nc net.Conn
+	r  *resp.Reader
+	w  *resp.Writer // over conn.Write, which arms the write deadline
+
+	// A segment is the run of commands since the last read boundary: its
+	// writes folded into one batch per shard, its replies queued.
+	batches []lsm.Batch // per shard
+	errs    []error     // per shard: commit verdict of the segment being emitted
+	dirty   []int       // shards with a non-empty batch
+	commits []func()    // per shard: its commit as a ready func value, so that `go` allocates nothing
+	wg      sync.WaitGroup
+	segment []queued
+
+	counts          []shardCounts // per shard
+	ncmd            int64         // commands dispatched and not yet published
+	readBy, writeBy resp.Deadline
+}
+
+func (s *Server) newConn(nc net.Conn) *conn {
+	n := len(s.cfg.Shards)
+	c := &conn{
+		s: s, nc: nc, r: resp.NewReader(nc),
+		batches: make([]lsm.Batch, n), errs: make([]error, n), counts: make([]shardCounts, n),
+		commits: make([]func(), n),
+	}
+	c.r.MaxBulkLen = s.cfg.MaxBulkLen
+	c.w = resp.NewWriter(c)
+	for shard := range c.commits {
+		c.commits[shard] = func() {
+			defer c.wg.Done()
+			c.commitShard(shard)
 		}
+	}
+	return c
+}
 
-		// Pipelining: keep parsing while bytes are already buffered, so a
-		// burst of commands executes as one batch with one reply flush.
-		batch := [][][]byte{cmd}
-		var stashed error
-		for r.Buffered() > 0 && len(batch) < s.cfg.MaxPipeline {
-			next, err := r.ReadCommand()
-			if err != nil {
-				stashed = err
+// Write sends reply bytes under the write deadline, re-armed lazily.
+func (c *conn) Write(p []byte) (int, error) {
+	c.writeBy.Arm(c.s.cfg.WriteTimeout, c.nc.SetWriteDeadline)
+	return c.nc.Write(p)
+}
+
+// handle runs one connection's loop: execute every command that is complete
+// in the read window as one batch, answer the batch with one Write, and only
+// then wait for more bytes. A partial command at the tail of the window
+// waits there without holding back the replies of those before it.
+func (s *Server) handle(nc net.Conn) {
+	c := s.newConn(nc)
+	// Idle deadline: a connection that cannot produce a complete command
+	// within the window is a slow client and is dropped. It is looked at
+	// again only after commands have run, never between the reads of one
+	// command.
+	ran := true
+	for {
+		n, quit := 0, false
+		var perr error
+		for n < s.cfg.MaxPipeline && !quit {
+			var args [][]byte
+			if args, perr = c.r.Next(); args == nil {
 				break
 			}
-			batch = append(batch, next)
+			n++
+			quit = c.dispatch(args)
+		}
+		if n > 0 || perr != nil {
+			c.flush()
+			if perr != nil {
+				// A recoverable protocol error gets -ERR and the reader is
+				// already at the next line; a fatal one gets -ERR and the
+				// connection closes (the stream position is ambiguous).
+				metrics.Serve.ProtocolErrors.Add(1)
+				c.w.Error("ERR Protocol error: " + perr.Error()) //nolint:errcheck // Flush reports it
+			}
+			c.publish(n)
+			if err := c.w.Flush(); err != nil {
+				metrics.Serve.SlowClientDrops.Add(1)
+				s.cfg.Logger("server: %s: reply flush: %v", nc.RemoteAddr(), err)
+				return
+			}
+			if quit || (perr != nil && !resp.IsRecoverable(perr)) {
+				return
+			}
+			ran = true
+			continue // the window may hold more complete commands
 		}
 
-		metrics.Serve.PipelineBatches.Add(1)
-		metrics.Serve.Commands.Add(int64(len(batch)))
-		if len(batch) > 1 {
-			metrics.Serve.PipelinedCmds.Add(int64(len(batch)))
+		if ran {
+			ran = false
+			c.readBy.Arm(s.cfg.IdleTimeout, nc.SetReadDeadline)
 		}
-
-		quit := s.execute(batch, w)
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)) //nolint:errcheck
-		if err := w.Flush(); err != nil {
-			metrics.Serve.SlowClientDrops.Add(1)
-			s.cfg.Logger("server: %s: reply flush: %v", conn.RemoteAddr(), err)
+		// Checked after arming: Close sets closed and then pokes the read
+		// deadline, so either this sees closed or the poke outlives the arm.
+		if s.closed.Load() {
 			return
 		}
-		if quit {
-			return
-		}
-		if stashed != nil {
-			if s.replyReadError(conn, w, stashed) {
-				continue
+		if err := c.r.Fill(); err != nil {
+			if isTimeout(err) && !s.closed.Load() {
+				metrics.Serve.SlowClientDrops.Add(1)
+				s.cfg.Logger("server: %s: idle/slow client dropped", nc.RemoteAddr())
 			}
 			return
 		}
 	}
-}
-
-// replyReadError answers a ReadCommand failure. It returns true when the
-// connection can keep going: a recoverable protocol error gets an -ERR
-// reply and the reader is already resynced at the next line. Fatal protocol
-// errors get the reply but close the connection (the stream position is
-// ambiguous); timeouts and I/O errors just close.
-func (s *Server) replyReadError(conn net.Conn, w *resp.Writer, err error) bool {
-	if resp.IsProtocolError(err) {
-		metrics.Serve.ProtocolErrors.Add(1)
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)) //nolint:errcheck
-		w.Error("ERR Protocol error: " + sanitize(err.Error()))   //nolint:errcheck
-		w.Flush()                                                 //nolint:errcheck
-		return resp.IsRecoverable(err)
-	}
-	if isTimeout(err) && !s.closed.Load() {
-		metrics.Serve.SlowClientDrops.Add(1)
-		s.cfg.Logger("server: %s: idle/slow client dropped", conn.RemoteAddr())
-	}
-	return false
 }
 
 func isTimeout(err error) bool {
@@ -112,226 +163,226 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// execute runs one pipeline batch: commands are classified in order,
-// consecutive writes are folded into one engine batch per shard, and every
-// read boundary commits the pending writes before the read executes — so a
-// GET observes earlier SETs of the same pipeline and never later ones.
-// Replies are written to w strictly in command order. Returns true when the
-// client sent QUIT.
-func (s *Server) execute(cmds [][][]byte, w *resp.Writer) (quit bool) {
-	var (
-		pending = make(map[int]*pendingBatch) // shard -> coalesced writes
-		segment []queued                      // replies not yet emitted
-	)
-
-	write := func(shard int) *lsm.Batch {
-		pb := pending[shard]
-		if pb == nil {
-			pb = &pendingBatch{b: lsm.NewBatch()}
-			pending[shard] = pb
-		}
-		return pb.b
-	}
-
-	flush := func() {
-		s.commitPending(pending)
-		s.emit(segment, pending, w)
-		pending = make(map[int]*pendingBatch)
-		segment = segment[:0]
-	}
-
-	for _, args := range cmds {
-		name := strings.ToUpper(string(args[0]))
-		switch name {
-		case "SET":
-			if len(args) != 3 {
-				segment = append(segment, errReply("ERR wrong number of arguments for 'set' command"))
-				continue
-			}
-			shard := s.shardFor(args[1])
-			write(shard).Put(args[1], args[2])
-			s.shardStats[shard].Sets.Add(1)
-			segment = append(segment, queued{op: "SET", shard: shard, key: args[1]})
-		case "DEL":
-			if len(args) < 2 {
-				segment = append(segment, errReply("ERR wrong number of arguments for 'del' command"))
-				continue
-			}
-			// Blind delete: a tombstone per key, no existence probe (a
-			// read before every delete would defeat write coalescing), so
-			// the reply counts tombstones written, not keys that existed.
-			q := queued{op: "DEL", shard: -1, nDel: int64(len(args) - 1)}
-			for _, key := range args[1:] {
-				shard := s.shardFor(key)
-				write(shard).Delete(key)
-				s.shardStats[shard].Dels.Add(1)
-				if q.shard == -1 {
-					q.shard = shard
-				} else if q.shard != shard {
-					q.shard = spansShards
-				}
-			}
-			segment = append(segment, q)
-		case "GET":
-			if len(args) != 2 {
-				segment = append(segment, errReply("ERR wrong number of arguments for 'get' command"))
-				continue
-			}
-			shard := s.shardFor(args[1])
-			s.shardStats[shard].Gets.Add(1)
-			segment = append(segment, queued{op: "GET", shard: shard, key: args[1]})
-			flush() // read boundary: earlier writes must be visible, later ones must not
-		case "PING":
-			v := resp.Value{Kind: resp.KindStatus, Str: []byte("PONG")}
-			if len(args) == 2 {
-				v = resp.Value{Kind: resp.KindBulk, Str: args[1]}
-			}
-			segment = append(segment, queued{ready: &v})
-		case "ECHO":
-			if len(args) != 2 {
-				segment = append(segment, errReply("ERR wrong number of arguments for 'echo' command"))
-				continue
-			}
-			segment = append(segment, queued{ready: &resp.Value{Kind: resp.KindBulk, Str: args[1]}})
-		case "INFO":
-			// Flush first so the rendered counters include this pipeline's
-			// own writes.
-			flush()
-			segment = append(segment, queued{ready: &resp.Value{Kind: resp.KindBulk, Str: s.renderInfo()}})
-		case "COMMAND":
-			// Client libraries probe this at connect; an empty array keeps
-			// them happy without a command table.
-			segment = append(segment, queued{ready: &resp.Value{Kind: resp.KindArray}})
-		case "QUIT":
-			segment = append(segment, queued{ready: &resp.Value{Kind: resp.KindStatus, Str: []byte("OK")}})
-			flush()
-			return true
-		default:
-			segment = append(segment, errReply(fmt.Sprintf("ERR unknown command '%s'", sanitize(name))))
+// publish adds the connection's pending counts to the shared counters: once
+// per batch, before its replies are sent, so whoever has read a reply finds
+// its command counted. n is the size of the batch that just ran.
+func (c *conn) publish(n int) {
+	var writeBatches int64
+	for i := range c.counts {
+		if p := &c.counts[i]; *p != (shardCounts{}) {
+			st := c.s.shardStats[i]
+			addTo(&st.Gets, p.gets)
+			addTo(&st.Sets, p.sets)
+			addTo(&st.Dels, p.dels)
+			addTo(&st.WriteBatches, p.writeBatches)
+			addTo(&st.Errors, p.errors)
+			writeBatches += p.writeBatches
+			*p = shardCounts{}
 		}
 	}
-	flush()
+	addTo(&metrics.Serve.Commands, c.ncmd)
+	addTo(&metrics.Serve.WriteBatches, writeBatches)
+	c.ncmd = 0
+	if n > 0 {
+		metrics.Serve.PipelineBatches.Add(1)
+	}
+	if n > 1 {
+		metrics.Serve.PipelinedCmds.Add(int64(n))
+	}
+}
+
+// addTo skips the shared cache line when there is nothing to add.
+func addTo(a *atomic.Int64, n int64) {
+	if n != 0 {
+		a.Add(n)
+	}
+}
+
+// batch returns shard's batch of the current segment, marking it dirty on
+// first use.
+func (c *conn) batch(shard int) *lsm.Batch {
+	b := &c.batches[shard]
+	if b.Empty() {
+		c.dirty = append(c.dirty, shard)
+	}
+	return b
+}
+
+func (c *conn) queue(q queued) { c.segment = append(c.segment, q) }
+
+func (c *conn) fail(text string) { c.queue(queued{op: opError, text: text}) }
+
+// dispatch classifies one command: consecutive writes are folded into one
+// engine batch per shard, and every read boundary commits the pending
+// writes before the read executes — so a GET observes earlier SETs of the
+// same pipeline and never later ones. Replies are queued strictly in command
+// order. Returns true when the client sent QUIT.
+func (c *conn) dispatch(args [][]byte) (quit bool) {
+	c.ncmd++
+	var upper [8]byte // longer than any known command
+	name := upper[:0]
+	if len(args[0]) <= len(upper) {
+		for _, ch := range args[0] {
+			if 'a' <= ch && ch <= 'z' {
+				ch -= 'a' - 'A'
+			}
+			name = append(name, ch)
+		}
+	}
+	switch string(name) {
+	case "SET":
+		if len(args) != 3 {
+			c.fail("ERR wrong number of arguments for 'set' command")
+			return false
+		}
+		shard := c.s.shardFor(args[1])
+		c.batch(shard).Put(args[1], args[2])
+		c.counts[shard].sets++
+		c.queue(queued{op: opSet, shard: shard})
+	case "DEL":
+		if len(args) < 2 {
+			c.fail("ERR wrong number of arguments for 'del' command")
+			return false
+		}
+		// Blind delete: a tombstone per key, no existence probe (a
+		// read before every delete would defeat write coalescing), so
+		// the reply counts tombstones written, not keys that existed.
+		q := queued{op: opDel, shard: -1, nDel: int64(len(args) - 1)}
+		for _, key := range args[1:] {
+			shard := c.s.shardFor(key)
+			c.batch(shard).Delete(key)
+			c.counts[shard].dels++
+			if q.shard == -1 {
+				q.shard = shard
+			} else if q.shard != shard {
+				q.shard = spansShards
+			}
+		}
+		c.queue(q)
+	case "GET":
+		if len(args) != 2 {
+			c.fail("ERR wrong number of arguments for 'get' command")
+			return false
+		}
+		shard := c.s.shardFor(args[1])
+		c.counts[shard].gets++
+		c.queue(queued{op: opGet, shard: shard, arg: args[1]})
+		c.flush() // read boundary: earlier writes must be visible, later ones must not
+	case "PING":
+		if len(args) == 2 {
+			c.queue(queued{op: opBulk, arg: args[1]})
+		} else {
+			c.queue(queued{op: opStatus, text: "PONG"})
+		}
+	case "ECHO":
+		if len(args) != 2 {
+			c.fail("ERR wrong number of arguments for 'echo' command")
+			return false
+		}
+		c.queue(queued{op: opBulk, arg: args[1]})
+	case "INFO":
+		// Commit and publish first so the rendered counters include this
+		// pipeline's own commands.
+		c.flush()
+		c.publish(0)
+		c.w.Bulk(c.s.renderInfo()) //nolint:errcheck // Flush reports it
+	case "COMMAND":
+		// Client libraries probe this at connect; an empty array keeps
+		// them happy without a command table.
+		c.queue(queued{op: opEmptyArray})
+	case "QUIT":
+		c.queue(queued{op: opStatus, text: "OK"})
+		return true
+	default:
+		c.fail(fmt.Sprintf("ERR unknown command '%s'", strings.ToUpper(string(args[0]))))
+	}
 	return false
 }
 
-// spansShards marks a DEL whose keys hash to more than one shard; its reply
-// fails if any involved shard's commit failed.
-const spansShards = -2
-
-// errReply queues a precomputed -ERR reply.
-func errReply(msg string) queued {
-	return queued{ready: &resp.Value{Kind: resp.KindError, Str: []byte(msg)}}
-}
-
-// sanitize strips CR/LF so client- or engine-controlled text cannot break
-// reply framing.
-func sanitize(sv string) string {
-	return strings.Map(func(r rune) rune {
-		if r == '\r' || r == '\n' {
-			return ' '
+// flush ends the current segment: commit its writes, emit its replies.
+func (c *conn) flush() {
+	// Each commit joins its shard engine's group-commit loop, where it
+	// merges with batches arriving concurrently from other connections. The
+	// first dirty shard commits here; only the others need a goroutine.
+	for i, shard := range c.dirty {
+		c.counts[shard].writeBatches++
+		if i > 0 {
+			c.wg.Add(1)
+			go c.commits[shard]()
 		}
-		return r
-	}, sv)
-}
-
-// commitPending commits every shard's coalesced batch, in parallel across
-// shards. Each commit joins that shard engine's group-commit loop, where it
-// merges with batches arriving concurrently from other connections.
-func (s *Server) commitPending(pending map[int]*pendingBatch) {
-	if len(pending) == 0 {
-		return
 	}
-	if len(pending) == 1 {
-		for shard, pb := range pending {
-			s.commitShard(shard, pb)
+	if len(c.dirty) > 0 {
+		c.commitShard(c.dirty[0])
+		c.wg.Wait()
+	}
+	c.emit()
+	for _, shard := range c.dirty {
+		c.errs[shard] = nil
+		if b := &c.batches[shard]; b.Len() > maxKeptBatch {
+			*b = lsm.Batch{}
+		} else {
+			b.Reset()
 		}
-		return
 	}
-	var wg sync.WaitGroup
-	for shard, pb := range pending {
-		wg.Add(1)
-		go func(shard int, pb *pendingBatch) {
-			defer wg.Done()
-			s.commitShard(shard, pb)
-		}(shard, pb)
-	}
-	wg.Wait()
+	c.dirty, c.segment = c.dirty[:0], c.segment[:0]
 }
 
-func (s *Server) commitShard(shard int, pb *pendingBatch) {
-	metrics.Serve.WriteBatches.Add(1)
-	s.shardStats[shard].WriteBatches.Add(1)
-	pb.err = s.cfg.Shards[shard].Write(pb.b, s.sync)
+func (c *conn) commitShard(shard int) {
+	c.errs[shard] = c.s.cfg.Shards[shard].Write(&c.batches[shard], c.s.sync)
 }
 
 // emit writes the segment's replies in command order. Write replies consult
 // their shard batch's commit verdict.
-func (s *Server) emit(segment []queued, pending map[int]*pendingBatch, w *resp.Writer) {
-	shardErr := func(shard int) error {
-		if pb := pending[shard]; pb != nil {
-			return pb.err
-		}
-		return nil
-	}
-	for _, q := range segment {
-		switch {
-		case q.ready != nil:
-			writeValue(w, *q.ready)
-		case q.op == "SET":
-			if err := shardErr(q.shard); err != nil {
-				s.shardStats[q.shard].Errors.Add(1)
-				w.Error("ERR " + sanitize(err.Error())) //nolint:errcheck
-			} else {
+func (c *conn) emit() {
+	w := c.w
+	for i := range c.segment {
+		q := &c.segment[i]
+		var err error
+		switch q.op {
+		case opStatus:
+			w.Status(q.text) //nolint:errcheck // the writer's error sticks; Flush reports it
+		case opError:
+			w.Error(q.text) //nolint:errcheck
+		case opBulk:
+			w.Bulk(q.arg) //nolint:errcheck
+		case opEmptyArray:
+			w.ArrayHeader(0) //nolint:errcheck
+		case opSet:
+			if err = c.errs[q.shard]; err == nil {
 				w.Status("OK") //nolint:errcheck
+			} else {
+				c.counts[q.shard].errors++
 			}
-		case q.op == "DEL":
-			var err error
-			if q.shard == spansShards {
-				for shard := range pending {
-					if e := shardErr(shard); e != nil && err == nil {
-						err = e
-					}
+		case opDel:
+			for _, shard := range c.dirty {
+				if err == nil && (q.shard == shard || q.shard == spansShards) {
+					err = c.errs[shard]
 				}
-			} else {
-				err = shardErr(q.shard)
 			}
-			if err != nil {
-				w.Error("ERR " + sanitize(err.Error())) //nolint:errcheck
-			} else {
+			if err == nil {
 				w.Int(q.nDel) //nolint:errcheck
 			}
-		case q.op == "GET":
-			v, err := s.cfg.Shards[q.shard].Get(q.key)
-			switch {
+		case opGet:
+			var v []byte
+			switch v, err = c.s.cfg.Shards[q.shard].Get(q.arg); {
 			case err == nil:
 				w.Bulk(v) //nolint:errcheck
 			case errors.Is(err, lsm.ErrNotFound):
 				w.Null() //nolint:errcheck
+				err = nil
 			default:
-				s.shardStats[q.shard].Errors.Add(1)
-				w.Error("ERR " + sanitize(err.Error())) //nolint:errcheck
+				c.counts[q.shard].errors++
 			}
+		}
+		if err != nil {
+			w.Error("ERR " + err.Error()) //nolint:errcheck
 		}
 	}
 }
 
-func writeValue(w *resp.Writer, v resp.Value) {
-	switch v.Kind {
-	case resp.KindStatus:
-		w.Status(string(v.Str)) //nolint:errcheck
-	case resp.KindError:
-		w.Error(string(v.Str)) //nolint:errcheck
-	case resp.KindInt:
-		w.Int(v.Int) //nolint:errcheck
-	case resp.KindBulk:
-		w.Bulk(v.Str) //nolint:errcheck
-	case resp.KindArray:
-		w.ArrayHeader(len(v.Array)) //nolint:errcheck
-		for _, e := range v.Array {
-			writeValue(w, e)
-		}
-	}
-}
+// sanitize strips CR/LF so configured text cannot break INFO's line framing
+// (Writer.Error does the same for error replies).
+var sanitize = strings.NewReplacer("\r", " ", "\n", " ").Replace
 
 // renderInfo builds the INFO reply: a Redis-style key:value section for the
 // server plus one per shard, exposing the serving counters and the engine

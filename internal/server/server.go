@@ -17,7 +17,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -149,14 +148,17 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// shardFor routes a key to a shard by FNV-1a hash.
+// shardFor routes a key to a shard by its 32-bit FNV-1a hash (hash/fnv's
+// New32a, inlined: stores on disk are sharded by exactly this function).
 func (s *Server) shardFor(key []byte) int {
 	if len(s.cfg.Shards) == 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	h.Write(key) //nolint:errcheck // fnv never errors
-	return int(h.Sum32() % uint32(len(s.cfg.Shards)))
+	h := uint32(2166136261)
+	for _, c := range key {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return int(h % uint32(len(s.cfg.Shards)))
 }
 
 // NumShards reports the shard count.

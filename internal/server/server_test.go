@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"shield/internal/lsm"
+	"shield/internal/metrics"
 	"shield/internal/resp"
 	"shield/internal/server"
 	"shield/internal/vfs"
@@ -368,5 +369,126 @@ func TestSlowClientDropped(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := io.ReadAll(conn); err != nil {
 		t.Fatalf("expected server to close the slow connection, got %v", err)
+	}
+}
+
+// TestPartialTailDoesNotHoldBackReplies: a pipeline whose last command is
+// still incomplete must not delay the replies of the complete commands
+// before it. The partial command is answered once its bytes arrive.
+func TestPartialTailDoesNotHoldBackReplies(t *testing.T) {
+	_, addr := newTestServer(t, 2, server.Config{})
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	r := resp.NewReader(conn)
+
+	if _, err := conn.Write([]byte("SET k hello\r\nPING\r\n*2\r\n$3\r\nGET\r\n$1\r\n")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second)) // IdleTimeout is 5 minutes
+	for _, want := range []string{"+OK", "+PONG"} {
+		v, err := r.ReadReply()
+		if err != nil {
+			t.Fatalf("reply %s held back behind a partial command: %v", want, err)
+		}
+		if got := renderValue(v); got != want {
+			t.Fatalf("reply = %s, want %s", got, want)
+		}
+	}
+	if _, err := conn.Write([]byte("k\r\n")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	v, err := r.ReadReply()
+	if err != nil || string(v.Str) != "hello" {
+		t.Fatalf("GET completed later = %+v, %v", v, err)
+	}
+}
+
+// TestInfoSeesOwnPipeline: counters are published once per batch, but an
+// INFO in the middle of a pipeline still reports the commands before it.
+func TestInfoSeesOwnPipeline(t *testing.T) {
+	s, addr := newTestServer(t, 2, server.Config{})
+	cl, err := resp.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer cl.Close()
+	for _, cmd := range [][]string{{"SET", "a", "1"}, {"SET", "b", "2"}, {"GET", "a"}, {"INFO"}, {"SET", "c", "3"}} {
+		if err := cl.SendStrings(cmd...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var info string
+	for i := 0; i < 5; i++ {
+		v, err := cl.Recv()
+		if err != nil || v.IsError() {
+			t.Fatalf("reply %d: %+v, %v", i, v, err)
+		}
+		if i == 3 {
+			info = string(v.Str)
+		}
+	}
+	sets, gets := 0, 0
+	for _, line := range strings.Split(info, "\r\n") {
+		var n int
+		if scan(line, "ops_set:%d", &n) {
+			sets += n
+		} else if scan(line, "ops_get:%d", &n) {
+			gets += n
+		}
+	}
+	if sets != 2 || gets != 1 {
+		t.Errorf("INFO inside the pipeline shows ops_set=%d ops_get=%d, want 2 and 1:\n%s", sets, gets, info)
+	}
+	var total int64
+	for _, snap := range s.Stats() {
+		total += snap.Sets
+	}
+	if total != 3 {
+		t.Errorf("after the pipeline Stats shows %d sets, want 3", total)
+	}
+}
+
+func scan(line, format string, n *int) bool {
+	got, err := fmt.Sscanf(line, format, n)
+	return err == nil && got == 1
+}
+
+// TestStuckReaderDropped checks the write deadline: a client that sends
+// commands and never reads its replies is dropped within WriteTimeout once
+// the socket buffers are full, instead of wedging its handler.
+func TestStuckReaderDropped(t *testing.T) {
+	_, addr := newTestServer(t, 1, server.Config{WriteTimeout: 300 * time.Millisecond})
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	drops := metrics.Serve.SlowClientDrops.Load()
+	// ~64 MB of replies requested, none read. The writer runs beside the
+	// test because the server stops reading once it blocks on its replies.
+	payload := strings.Repeat("x", 32<<10)
+	go func() {
+		for i := 0; i < 2000; i++ {
+			if _, err := conn.Write([]byte("ECHO " + payload + "\r\n")); err != nil {
+				return
+			}
+		}
+	}()
+	// The replies stay unread until the server has given up on the client.
+	for deadline := time.Now().Add(10 * time.Second); metrics.Serve.SlowClientDrops.Load() == drops; {
+		if time.Now().After(deadline) {
+			t.Fatal("a client that never reads was not dropped at the write deadline")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := io.Copy(io.Discard, conn); n >= int64(2000*len(payload)) {
+		t.Fatalf("all %d reply bytes arrived (%v): the connection was not closed", n, err)
 	}
 }
