@@ -6,7 +6,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.3
 
-.PHONY: all build test benchmark-check race io-path-check vet shield-vet staticcheck govulncheck lint-extra fmt sim sim-long tamper-test replication-test fuzz bench-json server-test
+.PHONY: all build test benchmark-check race io-path-check vet shield-vet shield-vet-suppressions loc staticcheck govulncheck lint-extra fmt sim sim-long tamper-test replication-test fuzz server-test
 
 all: build vet shield-vet test
 
@@ -60,6 +60,13 @@ shield-vet:
 shield-vet-suppressions:
 	go run ./cmd/shield-vet -suppressions ./...
 
+# Non-test Go lines per package outside benchmark/ (the number a change that
+# claims to simplify quotes), with the total last.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
+
 # Seeded whole-stack fault simulation (cmd/shield-sim, DESIGN.md §10).
 # `sim` is the quick local gate; `sim-long` widens the fault matrix with the
 # disaggregated data path and bit-rot. Replay a failure with the exact
@@ -75,18 +82,6 @@ sim:
 server-test:
 	go test -race ./internal/resp/ ./internal/server/
 	go run ./cmd/shield-sim -seeds 20 -connstorm
-
-# Benchmark-regression profile (DESIGN.md §11, §16): a deterministic run of
-# the parallel-compaction A/B pair, the engine group-commit profile, the
-# YCSB-A/B/C pin-off/pin-on mixes, and the serving layer on the full SHIELD
-# stack, emitting machine-readable BENCH_10.json and gating self-relative
-# ratios (group-commit ratio, pinned read win, parallel speedup) against
-# the committed BENCH_5.json baseline. CI uploads the report as an artifact
-# so the bench trajectory is diffable across PRs. BENCH_SCALE shrinks/grows
-# the op counts.
-BENCH_SCALE ?= 0.5
-bench-json:
-	go run ./cmd/shield-bench -regress -scale $(BENCH_SCALE) -json BENCH_10.json -baseline BENCH_5.json
 
 sim-long:
 	go run ./cmd/shield-sim -seeds $(SIM_SEEDS)

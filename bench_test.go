@@ -1,13 +1,14 @@
-// Benchmarks mapping to the paper's tables and figures. Each BenchmarkXxx
-// exercises the code path behind one evaluation artifact with testing.B
-// semantics; the full parameter sweeps (and printed table rows) live in
-// cmd/shield-bench, which reuses the same internal/experiments harness.
+// Benchmarks with testing.B semantics. Each table and figure of the paper is
+// defined once, in internal/experiments (what cmd/shield-bench prints);
+// BenchmarkExperiment runs those definitions. The rest are what no experiment
+// covers: one ablation, and one micro-benchmark per layer of the read, write
+// and served paths.
 package shield_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"shield/internal/core"
 	"shield/internal/crypt"
 	"shield/internal/dstore"
+	"shield/internal/experiments"
 	"shield/internal/kds"
 	"shield/internal/lsm"
 	"shield/internal/lsm/base"
@@ -26,402 +28,19 @@ import (
 	"shield/internal/vfs"
 )
 
-// openBenchDB opens a fresh in-memory DB for one encryption variant.
-func openBenchDB(b *testing.B, mode core.Mode, walBuf int) *lsm.DB {
-	b.Helper()
-	cfg := core.Config{Mode: mode, FS: vfs.NewMem(), WALBufferSize: walBuf}
-	switch mode {
-	case core.ModeEncFS:
-		dek, err := crypt.NewDEK()
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.InstanceDEK = dek
-	case core.ModeSHIELD:
-		cfg.KDS = kds.NewLocal(kds.NewStore(kds.Policy{MaxFetches: 1}), "bench")
-	}
-	db, err := core.Open("db", cfg, lsm.Options{
-		MemtableSize:        1 << 20,
-		BaseLevelSize:       4 << 20,
-		TargetFileSize:      1 << 20,
-		L0CompactionTrigger: 4,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { db.Close() })
-	return db
-}
-
-// variants mirror the paper's comparison lines.
-var benchVariants = []struct {
-	name   string
-	mode   core.Mode
-	walBuf int
-}{
-	{"RocksDB", core.ModeNone, 0},
-	{"EncFS", core.ModeEncFS, 0},
-	{"SHIELD", core.ModeSHIELD, 0},
-	{"EncFS_WALBuf", core.ModeEncFS, 512},
-	{"SHIELD_WALBuf", core.ModeSHIELD, 512},
-}
-
-// BenchmarkFig4_EncryptionInit measures the one-shot encryption cost
-// (full initialization per call) across write sizes — Figure 4a's
-// encryption line.
-func BenchmarkFig4_EncryptionInit(b *testing.B) {
-	key, _ := crypt.NewDEK()
-	iv, _ := crypt.NewIV()
-	for _, size := range []int{64, 1024, 4096, 65536} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			src := make([]byte, size)
-			dst := make([]byte, size)
-			b.SetBytes(int64(size))
+// BenchmarkExperiment runs every registered table and figure at the smallest
+// scale the harness accepts, discarding the report: one op is one whole
+// experiment, so the number is a smoke-level cost of the run, not a paper
+// result (`shield-bench -experiment <id>` prints those).
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := crypt.EncryptAt(key, iv, dst, src, int64(i)); err != nil {
+				if err := experiments.Run(e.ID, experiments.Options{Scale: 0.01, Out: io.Discard}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkTable2_WALEncryption reproduces Table 2's three rows: plaintext,
-// SST-only encryption, and SST+WAL encryption under fillrandom.
-func BenchmarkTable2_WALEncryption(b *testing.B) {
-	rows := []struct {
-		name    string
-		mode    core.Mode
-		sstOnly bool
-	}{
-		{"NoEncryption", core.ModeNone, false},
-		{"EncryptedSST", core.ModeSHIELD, true},
-		{"EncryptedAll", core.ModeSHIELD, false},
-	}
-	for _, row := range rows {
-		b.Run(row.name, func(b *testing.B) {
-			cfg := core.Config{Mode: row.mode, FS: vfs.NewMem(), PlaintextWAL: row.sstOnly}
-			if row.mode == core.ModeSHIELD {
-				cfg.KDS = kds.NewLocal(kds.NewStore(kds.Policy{MaxFetches: 1}), "bench")
-			}
-			db, err := core.Open("db", cfg, lsm.Options{MemtableSize: 1 << 20})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			kg := bench.NewKeyGen(16)
-			vg := bench.NewValueGen(100, 1)
-			rng := rand.New(rand.NewSource(1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := rng.Uint64() % 1_000_000
-				if err := db.Put(kg.Key(n), vg.Value(n)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig7_FillRandom is the paper's worst case: random small writes
-// under each variant (Figure 7 left).
-func BenchmarkFig7_FillRandom(b *testing.B) {
-	for _, v := range benchVariants {
-		b.Run(v.name, func(b *testing.B) {
-			db := openBenchDB(b, v.mode, v.walBuf)
-			kg := bench.NewKeyGen(16)
-			vg := bench.NewValueGen(100, 1)
-			rng := rand.New(rand.NewSource(1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := rng.Uint64() % 1_000_000
-				if err := db.Put(kg.Key(n), vg.Value(n)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig7_ReadRandom is Figure 7's read side: random point lookups on
-// a preloaded store, where decryption hides inside engine latency.
-func BenchmarkFig7_ReadRandom(b *testing.B) {
-	const keys = 50_000
-	for _, v := range benchVariants {
-		b.Run(v.name, func(b *testing.B) {
-			db := openBenchDB(b, v.mode, v.walBuf)
-			if err := bench.Preload(db, bench.Workload{KeyCount: keys}); err != nil {
-				b.Fatal(err)
-			}
-			kg := bench.NewKeyGen(16)
-			rng := rand.New(rand.NewSource(2))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Get(kg.Key(rng.Uint64() % keys)); err != nil && !errors.Is(err, lsm.ErrNotFound) {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig7_Mixgraph is the Mixgraph macro workload (Figure 7 right).
-func BenchmarkFig7_Mixgraph(b *testing.B) {
-	const keys = 20_000
-	for _, v := range benchVariants {
-		b.Run(v.name, func(b *testing.B) {
-			db := openBenchDB(b, v.mode, v.walBuf)
-			if err := bench.Preload(db, bench.Workload{KeyCount: keys}); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			r := bench.Mixgraph(db, bench.Workload{NumOps: b.N, KeyCount: keys})
-			if r.Errors > 0 {
-				b.Fatalf("%d errors", r.Errors)
-			}
-		})
-	}
-}
-
-// BenchmarkFig8_MixedRatio sweeps read percentages (Figure 8).
-func BenchmarkFig8_MixedRatio(b *testing.B) {
-	const keys = 20_000
-	for _, ratio := range []int{0, 50, 90, 100} {
-		for _, mode := range []core.Mode{core.ModeNone, core.ModeSHIELD} {
-			b.Run(fmt.Sprintf("read%d/%v", ratio, mode), func(b *testing.B) {
-				db := openBenchDB(b, mode, 0)
-				if err := bench.Preload(db, bench.Workload{KeyCount: keys}); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				r := bench.MixedRatio(db, bench.Workload{NumOps: b.N, KeyCount: keys, ReadPct: ratio})
-				if r.Errors > 0 {
-					b.Fatalf("%d errors", r.Errors)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig9_YCSB runs the six YCSB mixes under SHIELD vs plaintext
-// (Figure 9).
-func BenchmarkFig9_YCSB(b *testing.B) {
-	const keys = 5_000
-	for _, kind := range bench.AllYCSB {
-		for _, mode := range []core.Mode{core.ModeNone, core.ModeSHIELD} {
-			b.Run(fmt.Sprintf("%c/%v", kind, mode), func(b *testing.B) {
-				db := openBenchDB(b, mode, 512)
-				if err := bench.YCSBLoad(db, bench.Workload{KeyCount: keys, ValueSize: 1024}); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				r := bench.YCSB(db, kind, bench.Workload{NumOps: b.N, KeyCount: keys, ValueSize: 1024})
-				if r.Errors > 0 {
-					b.Fatalf("%d errors", r.Errors)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig10_ValueSize sweeps value sizes (Figure 10): encryption
-// overhead amortizes as values grow.
-func BenchmarkFig10_ValueSize(b *testing.B) {
-	for _, vs := range []int{50, 100, 1000} {
-		for _, mode := range []core.Mode{core.ModeNone, core.ModeSHIELD} {
-			b.Run(fmt.Sprintf("v%d/%v", vs, mode), func(b *testing.B) {
-				db := openBenchDB(b, mode, 0)
-				kg := bench.NewKeyGen(16)
-				vg := bench.NewValueGen(vs, 1)
-				rng := rand.New(rand.NewSource(1))
-				b.SetBytes(int64(vs + 16))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					n := rng.Uint64() % 1_000_000
-					if err := db.Put(kg.Key(n), vg.Value(n)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig11_WriterThreads varies client parallelism (Figure 11).
-func BenchmarkFig11_WriterThreads(b *testing.B) {
-	for _, threads := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("threads=%d/SHIELD_WALBuf", threads), func(b *testing.B) {
-			db := openBenchDB(b, core.ModeSHIELD, 512)
-			b.ResetTimer()
-			r := bench.FillRandom(db, bench.Workload{NumOps: b.N, Threads: threads})
-			if r.Errors > 0 {
-				b.Fatalf("%d errors", r.Errors)
-			}
-		})
-	}
-}
-
-// BenchmarkFig12_BackgroundJobs varies flush/compaction parallelism
-// (Figure 12).
-func BenchmarkFig12_BackgroundJobs(b *testing.B) {
-	for _, jobs := range []int{2, 8} {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			cfg := core.Config{
-				Mode:          core.ModeSHIELD,
-				FS:            vfs.NewMem(),
-				WALBufferSize: 512,
-				KDS:           kds.NewLocal(kds.NewStore(kds.Policy{MaxFetches: 1}), "bench"),
-			}
-			db, err := core.Open("db", cfg, lsm.Options{
-				MemtableSize:      1 << 20,
-				MaxBackgroundJobs: jobs,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			b.ResetTimer()
-			r := bench.FillRandom(db, bench.Workload{NumOps: b.N, Threads: 4})
-			if r.Errors > 0 {
-				b.Fatalf("%d errors", r.Errors)
-			}
-		})
-	}
-}
-
-// BenchmarkFig13_ChunkedEncryption measures SHIELD's chunk-granular
-// (optionally threaded) SST encryption in isolation (Figure 13).
-func BenchmarkFig13_ChunkedEncryption(b *testing.B) {
-	key, _ := crypt.NewDEK()
-	// A benchmark may reuse one nonce prefix across files; production never does.
-	sealer, err := crypt.NewSealer(key, []byte("fig13pfx"), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 4<<20)
-	for _, chunk := range []int{4 << 10, 256 << 10, 2 << 20} {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("chunk=%d/threads=%d", chunk, workers), func(b *testing.B) {
-				fs := vfs.NewMem()
-				b.SetBytes(int64(len(payload)))
-				for i := 0; i < b.N; i++ {
-					f, err := fs.Create("out")
-					if err != nil {
-						b.Fatal(err)
-					}
-					w := crypt.NewSealedWriter(f, sealer, chunk, workers)
-					if _, err := w.Write(payload); err != nil {
-						b.Fatal(err)
-					}
-					if err := w.Close(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig14_WALBufferSize sweeps the WAL buffer (Figure 14).
-func BenchmarkFig14_WALBufferSize(b *testing.B) {
-	for _, buf := range []int{0, 512, 2048} {
-		b.Run(fmt.Sprintf("buf=%d", buf), func(b *testing.B) {
-			db := openBenchDB(b, core.ModeSHIELD, buf)
-			kg := bench.NewKeyGen(16)
-			vg := bench.NewValueGen(100, 1)
-			rng := rand.New(rand.NewSource(1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := rng.Uint64() % 1_000_000
-				if err := db.Put(kg.Key(n), vg.Value(n)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig15_CompactionStyles compares compaction policies under
-// SHIELD (Figure 15's write side).
-func BenchmarkFig15_CompactionStyles(b *testing.B) {
-	for _, style := range []lsm.CompactionStyle{lsm.CompactionLeveled, lsm.CompactionUniversal, lsm.CompactionFIFO} {
-		b.Run(style.String(), func(b *testing.B) {
-			cfg := core.Config{
-				Mode:          core.ModeSHIELD,
-				FS:            vfs.NewMem(),
-				WALBufferSize: 512,
-				KDS:           kds.NewLocal(kds.NewStore(kds.Policy{MaxFetches: 1}), "bench"),
-			}
-			db, err := core.Open("db", cfg, lsm.Options{
-				MemtableSize:     1 << 20,
-				CompactionStyle:  style,
-				FIFOMaxTableSize: 32 << 20,
-				UniversalMaxRuns: 6,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			kg := bench.NewKeyGen(16)
-			vg := bench.NewValueGen(100, 1)
-			rng := rand.New(rand.NewSource(1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := rng.Uint64() % 500_000
-				if err := db.Put(kg.Key(n), vg.Value(n)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable3Fig16_KDS measures DEK issue+fetch round trips through the
-// network KDS at two synthetic latencies (Figure 16's underlying cost; the
-// full Table 3 I/O-distribution sweep runs via cmd/shield-bench).
-func BenchmarkTable3Fig16_KDS(b *testing.B) {
-	for _, lat := range []time.Duration{0, 2750 * time.Microsecond} {
-		b.Run(fmt.Sprintf("latency=%v", lat), func(b *testing.B) {
-			store := kds.NewStore(kds.Policy{MaxFetches: 0, Latency: lat})
-			store.Authorize("a")
-			store.Authorize("bfetch")
-			srv, err := kds.NewServer(store, "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			creator := kds.NewClient("a", srv.Addr())
-			defer creator.Close()
-			fetcher := kds.NewClient("bfetch", srv.Addr())
-			defer fetcher.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id, _, err := creator.CreateDEK()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := fetcher.FetchDEK(id); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig17_DatasetValueSize uses the paper's stress-test shape
-// (16-byte keys, 240-byte values) under SHIELD.
-func BenchmarkFig17_DatasetValueSize(b *testing.B) {
-	db := openBenchDB(b, core.ModeSHIELD, 512)
-	kg := bench.NewKeyGen(16)
-	vg := bench.NewValueGen(240, 1)
-	rng := rand.New(rand.NewSource(1))
-	b.SetBytes(256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := rng.Uint64() % 10_000_000
-		if err := db.Put(kg.Key(n), vg.Value(n)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -453,71 +72,6 @@ func BenchmarkAblation_CompressThenEncrypt(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := db.Put(kg.Key(rng.Uint64()%1_000_000), payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// openDSBenchDB stands up a loopback disaggregated deployment (Figures
-// 18–24's substrate) and returns the compute-side DB.
-func openDSBenchDB(b *testing.B, mode core.Mode, bandwidth int64) *lsm.DB {
-	b.Helper()
-	storage, err := dstore.NewServer(vfs.NewMem(), "127.0.0.1:0", 0, bandwidth)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { storage.Close() })
-	remote, err := dstore.Dial(storage.Addr(), 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { remote.Close() })
-	cfg := core.Config{Mode: mode, FS: remote, WALBufferSize: 512}
-	if mode == core.ModeSHIELD {
-		cfg.KDS = kds.NewLocal(kds.NewStore(kds.Policy{MaxFetches: 1}), "bench")
-	}
-	db, err := core.Open("db", cfg, lsm.Options{MemtableSize: 1 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { db.Close() })
-	return db
-}
-
-// BenchmarkFig18_Bandwidth varies the emulated link (Figure 18c).
-func BenchmarkFig18_Bandwidth(b *testing.B) {
-	for _, mbps := range []int64{100, 1000} {
-		b.Run(fmt.Sprintf("bw=%dMbps", mbps), func(b *testing.B) {
-			db := openDSBenchDB(b, core.ModeSHIELD, mbps<<20/8)
-			kg := bench.NewKeyGen(16)
-			vg := bench.NewValueGen(100, 1)
-			rng := rand.New(rand.NewSource(1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := rng.Uint64() % 1_000_000
-				if err := db.Put(kg.Key(n), vg.Value(n)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig19_DSFillRandom is the DS write baseline (Figure 19; Figures
-// 20–24's full sweeps run via cmd/shield-bench).
-func BenchmarkFig19_DSFillRandom(b *testing.B) {
-	for _, mode := range []core.Mode{core.ModeNone, core.ModeSHIELD} {
-		b.Run(mode.String(), func(b *testing.B) {
-			db := openDSBenchDB(b, mode, 125<<20)
-			kg := bench.NewKeyGen(16)
-			vg := bench.NewValueGen(100, 1)
-			rng := rand.New(rand.NewSource(1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := rng.Uint64() % 1_000_000
-				if err := db.Put(kg.Key(n), vg.Value(n)); err != nil {
 					b.Fatal(err)
 				}
 			}

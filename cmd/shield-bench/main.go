@@ -5,7 +5,6 @@
 //	shield-bench -experiment fig7            # one experiment
 //	shield-bench -experiment all -scale 0.5  # everything, half-size
 //	shield-bench -list                       # show experiment ids
-//	shield-bench -regress -json BENCH_5.json # scheduler regression profile
 //	shield-bench -net :6399 -clients 16      # drive a running shield-server
 //
 // Each experiment prints the rows/series of the corresponding table or
@@ -28,9 +27,6 @@ func main() {
 		scale      = flag.Float64("scale", 1.0, "operation-count multiplier")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		diskLat    = flag.Duration("disk-read-latency", 0, "emulated SSD read latency for monolith experiments (e.g. 60us)")
-		regress    = flag.Bool("regress", false, "run the compaction-scheduler regression profile instead of an experiment")
-		jsonOut    = flag.String("json", "", "with -regress: also write the machine-readable report to this file")
-		baseline   = flag.String("baseline", "", "with -regress: gate self-relative metrics against this prior report (e.g. BENCH_5.json); exit 1 on regression")
 
 		netAddr  = flag.String("net", "", "benchmark a running shield-server at this address instead of an in-process engine")
 		clients  = flag.Int("clients", 8, "with -net: concurrent client connections")
@@ -64,50 +60,8 @@ func main() {
 		}
 		return
 	}
-	if *regress {
-		report, err := bench.RunRegression(*scale, os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "shield-bench:", err)
-			os.Exit(1)
-		}
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut) //shield:nofs the report goes to the host path the user passed via -json; the CLI mounts no vfs
-			if err == nil {
-				err = report.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "shield-bench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		if *baseline != "" {
-			f, err := os.Open(*baseline) //shield:nofs the baseline is a host path the user passed via -baseline; the CLI mounts no vfs
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "shield-bench:", err)
-				os.Exit(1)
-			}
-			base, err := bench.ReadRegressReport(f)
-			f.Close() //nolint:errcheck // read-only file
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "shield-bench:", err)
-				os.Exit(1)
-			}
-			if fails := bench.CompareBaseline(report, base); len(fails) > 0 {
-				for _, f := range fails {
-					fmt.Fprintln(os.Stderr, "shield-bench: REGRESSION:", f)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("baseline gate vs %s: PASS\n", *baseline)
-		}
-		return
-	}
 	if *experiment == "" {
-		fmt.Fprintln(os.Stderr, "usage: shield-bench -experiment <id>|all [-scale N] | shield-bench -regress [-json FILE]")
+		fmt.Fprintln(os.Stderr, "usage: shield-bench -experiment <id>|all [-scale N] | shield-bench -list | shield-bench -net ADDR")
 		os.Exit(2)
 	}
 

@@ -188,19 +188,6 @@ func FillRandom(db DB, w Workload) Result {
 	})
 }
 
-// FillSeq writes NumOps sequential keys (db_bench fillseq).
-func FillSeq(db DB, w Workload) Result {
-	w = w.withDefaults()
-	if w.Name == "" {
-		w.Name = "fillseq"
-	}
-	kg := NewKeyGen(w.KeySize)
-	vg := NewValueGen(w.ValueSize, w.Seed)
-	return run(w, func(t int, i uint64, rng *rand.Rand) error {
-		return db.Put(kg.Key(i), vg.Value(i))
-	})
-}
-
 // ReadRandom reads NumOps uniformly random existing keys (db_bench
 // readrandom). Missing keys are not errors when the preload was random
 // (collisions leave holes), so only unexpected failures count.

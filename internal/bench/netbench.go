@@ -3,9 +3,8 @@ package bench
 // Network benchmark: drives a running shield-server over RESP with N
 // concurrent pipelined client connections, so serving-layer throughput and
 // latency (parse + shard routing + group commit + reply) land in the same
-// harness as the engine-level workloads. Used standalone against a live
-// server (shield-bench -net) and by the regression profile, which boots an
-// in-process server so the report also captures the group-commit ratio.
+// harness as the engine-level workloads. Used against a live server
+// (shield-bench -net).
 
 import (
 	"fmt"

@@ -38,6 +38,12 @@ package compactsvc
 
 import "shield/internal/lsm"
 
+// maxMessage caps one wire message in either direction. The largest real ones
+// list a job's files (inputs on poll, outputs on complete) at two user keys,
+// a DEK-ID and a digest each: 16 KiB per file leaves room for keys of several
+// KiB, and a job has at most lsm.MaxJobOutputFiles outputs.
+const maxMessage = lsm.MaxJobOutputFiles * (16 << 10)
+
 type wireRequest struct {
 	Op     string                `json:"op"` // "poll" | "heartbeat" | "complete"
 	Worker string                `json:"worker"`

@@ -1,8 +1,6 @@
 package compactsvc
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -11,6 +9,7 @@ import (
 	"time"
 
 	"shield/internal/lsm"
+	"shield/internal/netretry"
 	"shield/internal/vfs"
 )
 
@@ -97,7 +96,7 @@ type leaseRec struct {
 // passes.
 type Orchestrator struct {
 	fs  vfs.FS // engine-side view of shared storage, used to sweep dead attempts
-	ln  net.Listener
+	ln  *netretry.Listener
 	cfg OrchestratorConfig
 
 	mu        sync.Mutex
@@ -108,36 +107,33 @@ type Orchestrator struct {
 	nextLease uint64
 	stats     OrchestratorStats
 	closed    bool
-	conns     map[net.Conn]struct{}
 	done      chan struct{}
-	wg        sync.WaitGroup
+	wg        sync.WaitGroup // the janitor
 }
 
 // NewOrchestrator starts an orchestrator on addr. fs is the engine's view of
 // the shared storage (the same FS the engine itself runs on), used only to
 // remove the fenced partial outputs of dead attempts.
 func NewOrchestrator(fs vfs.FS, addr string, cfg OrchestratorConfig) (*Orchestrator, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("compactsvc: listen: %w", err)
-	}
 	o := &Orchestrator{
 		fs:     fs,
-		ln:     ln,
 		cfg:    cfg.withDefaults(),
 		jobs:   make(map[uint64]*job),
 		leases: make(map[uint64]leaseRec),
-		conns:  make(map[net.Conn]struct{}),
 		done:   make(chan struct{}),
 	}
-	o.wg.Add(2)
-	go o.acceptLoop()
+	ln, err := netretry.Listen(addr, o.serveConn)
+	if err != nil {
+		return nil, fmt.Errorf("compactsvc: listen: %w", err)
+	}
+	o.ln = ln
+	o.wg.Add(1)
 	go o.janitor()
 	return o, nil
 }
 
 // Addr returns the listen address workers dial.
-func (o *Orchestrator) Addr() string { return o.ln.Addr().String() }
+func (o *Orchestrator) Addr() string { return o.ln.Addr() }
 
 // Stats snapshots the counters.
 func (o *Orchestrator) Stats() OrchestratorStats {
@@ -167,16 +163,13 @@ func (o *Orchestrator) Close() error {
 	}
 	o.closed = true
 	close(o.done)
-	err := o.ln.Close()
-	for c := range o.conns {
-		c.Close()
-	}
 	for _, j := range o.jobs {
 		if j.state != stateDone {
 			o.finishLocked(j, fmt.Errorf("compactsvc: orchestrator closed: %w", lsm.ErrJobLost))
 		}
 	}
 	o.mu.Unlock()
+	err := o.ln.Close()
 	o.wg.Wait()
 	return err
 }
@@ -317,39 +310,11 @@ func (o *Orchestrator) janitor() {
 	}
 }
 
-func (o *Orchestrator) acceptLoop() {
-	defer o.wg.Done()
-	for {
-		conn, err := o.ln.Accept()
-		if err != nil {
-			return
-		}
-		o.mu.Lock()
-		if o.closed {
-			o.mu.Unlock()
-			conn.Close()
-			return
-		}
-		o.conns[conn] = struct{}{}
-		o.wg.Add(1)
-		o.mu.Unlock()
-		go o.serveConn(conn)
-	}
-}
-
 func (o *Orchestrator) serveConn(conn net.Conn) {
-	defer o.wg.Done()
-	defer func() {
-		o.mu.Lock()
-		delete(o.conns, conn)
-		o.mu.Unlock()
-		conn.Close()
-	}()
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	enc := json.NewEncoder(conn)
+	wire := netretry.NewJSONConn(conn, maxMessage)
 	for {
 		var req wireRequest
-		if err := dec.Decode(&req); err != nil {
+		if err := wire.Recv(&req); err != nil {
 			return
 		}
 		var resp *wireResponse
@@ -363,7 +328,7 @@ func (o *Orchestrator) serveConn(conn net.Conn) {
 		default:
 			resp = &wireResponse{Err: fmt.Sprintf("compactsvc: unknown op %q", req.Op)}
 		}
-		if err := enc.Encode(resp); err != nil {
+		if err := wire.Send(resp); err != nil {
 			return
 		}
 	}

@@ -1,8 +1,6 @@
 package compactsvc
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -56,14 +54,12 @@ type Worker struct {
 
 	connMu sync.Mutex // serializes wire rounds (heartbeats interleave with nothing else)
 	conn   net.Conn
-	enc    *json.Encoder
-	dec    *json.Decoder
+	wire   *netretry.JSONConn
 
 	mu       sync.Mutex
 	jobs     int64
 	bytesIn  int64
 	bytesOut int64
-	stale    int64
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -93,14 +89,6 @@ func (w *Worker) Stats() (jobs, bytesRead, bytesWritten int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.jobs, w.bytesIn, w.bytesOut
-}
-
-// StaleJobs reports results the orchestrator discarded because the lease
-// had been revoked (this worker was presumed dead).
-func (w *Worker) StaleJobs() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stale
 }
 
 // Close stops the polling loop and waits for it — including any job still
@@ -189,14 +177,13 @@ func (w *Worker) execute(claim *wireResponse) {
 		// attempt: the worker died mid-job and the result is discarded.
 		return
 	}
-	w.mu.Lock()
 	if resp.Stale {
-		w.stale++
-	} else {
-		w.jobs++
-		w.bytesIn += res.BytesRead
-		w.bytesOut += res.BytesWritten
+		return // the lease was revoked: the orchestrator discarded the result
 	}
+	w.mu.Lock()
+	w.jobs++
+	w.bytesIn += res.BytesRead
+	w.bytesOut += res.BytesWritten
 	w.mu.Unlock()
 }
 
@@ -244,14 +231,13 @@ func (w *Worker) call(req *wireRequest) (*wireResponse, error) {
 			return nil, fmt.Errorf("compactsvc: dial %s: %w", w.addr, err)
 		}
 		w.conn = conn
-		w.enc = json.NewEncoder(conn)
-		w.dec = json.NewDecoder(bufio.NewReader(conn))
+		w.wire = netretry.NewJSONConn(conn, maxMessage)
 	}
 	w.conn.SetDeadline(time.Now().Add(w.cfg.RequestTimeout)) //nolint:errcheck
-	err := w.enc.Encode(req)
+	err := w.wire.Send(req)
 	var resp wireResponse
 	if err == nil {
-		err = w.dec.Decode(&resp)
+		err = w.wire.Recv(&resp)
 	}
 	if err != nil {
 		if netretry.IsTimeout(err) {

@@ -193,7 +193,7 @@ func (s *shieldWrapper) WrapCreate(name string, kind lsm.FileKind, f vfs.Writabl
 	if s.cfg.Cache != nil {
 		// Best effort: we hold the DEK in memory, so a cache-persistence
 		// failure (storage may itself be degraded) must not fail the write
-		// path; the cache tracks SaveErrors for visibility.
+		// path.
 		s.cfg.Cache.Put(id, dek) //nolint:errcheck
 	}
 	iv, err := crypt.NewIV()

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"shield/internal/crypt"
+	"shield/internal/netretry"
 	"shield/internal/vfs"
 )
 
@@ -79,7 +80,7 @@ type Response struct {
 type Server struct {
 	base  vfs.FS
 	stats *vfs.CountingFS
-	ln    net.Listener
+	ln    *netretry.Listener
 
 	latency     time.Duration
 	bytesPerSec int64
@@ -90,9 +91,6 @@ type Server struct {
 	writers map[uint64]*writerEntry
 	readers map[uint64]vfs.RandomAccessFile
 	nextID  uint64
-	closed  bool
-	conns   map[net.Conn]struct{}
-	wg      sync.WaitGroup
 }
 
 // writerEntry is a server-side open write handle plus the duplicate-
@@ -109,27 +107,24 @@ type writerEntry struct {
 // NewServer starts a storage node on addr serving base. latency and
 // bytesPerSec emulate the network link (0 disables each).
 func NewServer(base vfs.FS, addr string, latency time.Duration, bytesPerSec int64) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dstore: listen: %w", err)
-	}
 	s := &Server{
 		base:        base,
 		stats:       vfs.NewCounting(base),
-		ln:          ln,
 		latency:     latency,
 		bytesPerSec: bytesPerSec,
 		writers:     make(map[uint64]*writerEntry),
 		readers:     make(map[uint64]vfs.RandomAccessFile),
-		conns:       make(map[net.Conn]struct{}),
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	ln, err := netretry.Listen(addr, s.serveConn)
+	if err != nil {
+		return nil, fmt.Errorf("dstore: listen: %w", err)
+	}
+	s.ln = ln
 	return s, nil
 }
 
 // Addr returns the listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.ln.Addr() }
 
 // Stats exposes the server-side I/O counters.
 func (s *Server) Stats() vfs.Snapshot { return s.stats.Stats.Snapshot() }
@@ -138,14 +133,6 @@ func (s *Server) Stats() vfs.Snapshot { return s.stats.Stats.Snapshot() }
 // service (e.g. the offloaded-compaction worker) uses to reach the same
 // files without crossing the network.
 func (s *Server) LocalFS() vfs.FS { return s.stats }
-
-// SetNetwork adjusts the emulated link at runtime.
-func (s *Server) SetNetwork(latency time.Duration, bytesPerSec int64) {
-	s.linkMu.Lock()
-	s.latency = latency
-	s.bytesPerSec = bytesPerSec
-	s.linkMu.Unlock()
-}
 
 // charge models the link: fixed round-trip latency plus serialization time
 // of n bytes on a shared link.
@@ -168,57 +155,23 @@ func (s *Server) charge(n int) {
 	}
 }
 
-// Close stops the server and releases all handles.
+// Close stops the server, then releases the handles its clients left open.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
 	err := s.ln.Close()
-	for c := range s.conns {
-		c.Close()
-	}
-	for _, w := range s.writers {
+	s.mu.Lock()
+	writers, readers := s.writers, s.readers
+	s.writers, s.readers = make(map[uint64]*writerEntry), make(map[uint64]vfs.RandomAccessFile)
+	s.mu.Unlock()
+	for _, w := range writers {
 		w.f.Close()
 	}
-	for _, r := range s.readers {
+	for _, r := range readers {
 		r.Close()
 	}
-	s.mu.Unlock()
-	s.wg.Wait()
 	return err
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 	for {

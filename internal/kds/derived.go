@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync"
-	"time"
 
 	"shield/internal/crypt"
 )
@@ -28,7 +27,6 @@ type Derived struct {
 	authorized map[string]bool
 	revokedSrv map[string]bool
 	revokedKey map[KeyID]bool
-	latency    time.Duration
 }
 
 // NewDerived creates a derivation-based KDS from a master secret.
@@ -57,22 +55,11 @@ func (d *Derived) RevokeServer(serverID string) {
 	delete(d.authorized, serverID)
 }
 
-// SetLatency sets the synthetic service time.
-func (d *Derived) SetLatency(lat time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.latency = lat
-}
-
 func (d *Derived) check(serverID string) error {
 	d.mu.Lock()
-	lat := d.latency
 	revoked := d.revokedSrv[serverID]
 	ok := d.authorized[serverID]
 	d.mu.Unlock()
-	if lat > 0 {
-		time.Sleep(lat)
-	}
 	if revoked {
 		return fmt.Errorf("%w: %s", ErrRevoked, serverID)
 	}

@@ -1,10 +1,8 @@
 package kds
 
 import (
-	"bufio"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -34,6 +32,10 @@ type wireRequest struct {
 	Token string `json:"token,omitempty"`
 }
 
+// maxMessage caps one wire message in either direction. Real ones stay under
+// 1 KiB (IDs, a hex DEK, an error string).
+const maxMessage = 64 << 10
+
 type wireResponse struct {
 	OK     bool   `json:"ok"`
 	Err    string `json:"err,omitempty"`
@@ -45,83 +47,35 @@ type wireResponse struct {
 // modeling the decentralized replica set.
 type Server struct {
 	store Backend
-	ln    net.Listener
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	ln    *netretry.Listener
 }
 
 // NewServer starts a KDS server on addr (e.g. "127.0.0.1:0") backed by store.
 func NewServer(store Backend, addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
+	s := &Server{store: store}
+	ln, err := netretry.Listen(addr, s.serveConn)
 	if err != nil {
 		return nil, fmt.Errorf("kds: listen: %w", err)
 	}
-	s := &Server{store: store, ln: ln, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.ln = ln
 	return s, nil
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.ln.Addr() }
 
 // Close stops the server and disconnects all clients.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	err := s.ln.Close()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
+func (s *Server) Close() error { return s.ln.Close() }
 
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	enc := json.NewEncoder(conn)
+	wire := netretry.NewJSONConn(conn, maxMessage)
 	for {
 		var req wireRequest
-		if err := dec.Decode(&req); err != nil {
+		if err := wire.Recv(&req); err != nil {
 			return
 		}
 		resp := s.handle(req)
-		if err := enc.Encode(&resp); err != nil {
+		if err := wire.Send(&resp); err != nil {
 			return
 		}
 	}
@@ -223,8 +177,7 @@ type Client struct {
 
 	mu     sync.Mutex // guards connection state below
 	conn   net.Conn
-	enc    *json.Encoder
-	dec    *json.Decoder
+	wire   *netretry.JSONConn
 	ep     *netretry.Endpoint // replica the live connection is dialed to
 	closed bool
 }
@@ -268,16 +221,16 @@ func (c *Client) Close() error {
 
 // connect returns the live connection, dialing replicas in the group's
 // failover order when there is none.
-func (c *Client) connect() (net.Conn, *json.Encoder, *json.Decoder, error) {
+func (c *Client) connect() (net.Conn, *netretry.JSONConn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, nil, nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	if c.conn != nil {
-		conn, enc, dec := c.conn, c.enc, c.dec
+		conn, wire := c.conn, c.wire
 		c.mu.Unlock()
-		return conn, enc, dec, nil
+		return conn, wire, nil
 	}
 	c.mu.Unlock()
 
@@ -293,22 +246,21 @@ func (c *Client) connect() (net.Conn, *json.Encoder, *json.Decoder, error) {
 		if c.closed {
 			c.mu.Unlock()
 			conn.Close()
-			return nil, nil, nil, ErrClosed
+			return nil, nil, ErrClosed
 		}
 		ep.Success()
 		c.group.Promote(ep)
 		c.ep = ep
 		c.conn = conn
-		c.enc = json.NewEncoder(conn)
-		c.dec = json.NewDecoder(bufio.NewReader(conn))
-		enc, dec := c.enc, c.dec
+		c.wire = netretry.NewJSONConn(conn, maxMessage)
+		wire := c.wire
 		c.mu.Unlock()
-		return conn, enc, dec, nil
+		return conn, wire, nil
 	}
 	if lastErr == nil {
 		lastErr = errors.New("no addresses configured")
 	}
-	return nil, nil, nil, fmt.Errorf("%w: %v", ErrNoReplica, lastErr)
+	return nil, nil, fmt.Errorf("%w: %v", ErrNoReplica, lastErr)
 }
 
 // dropConn discards a failed connection, charges the failure to its
@@ -347,7 +299,7 @@ func (c *Client) roundTrip(req wireRequest, idempotent bool) (wireResponse, erro
 				return wireResponse{}, ErrClosed
 			}
 		}
-		conn, enc, dec, err := c.connect()
+		conn, wire, err := c.connect()
 		if err != nil {
 			if errors.Is(err, ErrClosed) {
 				return wireResponse{}, err
@@ -356,10 +308,10 @@ func (c *Client) roundTrip(req wireRequest, idempotent bool) (wireResponse, erro
 			continue
 		}
 		conn.SetDeadline(time.Now().Add(c.cfg.RequestTimeout)) //nolint:errcheck
-		err = enc.Encode(&req)
+		err = wire.Send(&req)
 		if err == nil {
 			var resp wireResponse
-			if err = dec.Decode(&resp); err == nil {
+			if err = wire.Recv(&resp); err == nil {
 				conn.SetDeadline(time.Time{}) //nolint:errcheck
 				return resp, nil
 			}

@@ -1,14 +1,10 @@
 package kds
 
 import (
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"path"
-	"strings"
-	"sync"
 
 	"shield/internal/crypt"
 	"shield/internal/vfs"
@@ -21,17 +17,16 @@ import (
 // (the KDS's own root secret, which a deployment guards with an HSM or
 // operator passphrase; here it is supplied by the caller).
 //
-// On-disk layout mirrors the secure cache:
+// On disk the snapshot is a crypt.StateFile with no extra header bytes:
 //
 //	magic(4) version(4) iv(16) len(4) ciphertext hmac(32)
 //
-// with AES-128-CTR under the master key and an HMAC-SHA256 tag (key =
-// HKDF(master, "kds-hmac")) over everything before it.
+// with AES-128-CTR under a key derived from the master key and an
+// HMAC-SHA256 tag (key = HKDF(master, "hmac")) over everything before it.
 
 const (
-	persistMagic   = 0x4b445350 // "KDSP"
-	persistVersion = 1
-	persistTagLen  = 32
+	persistMagic      = 0x4b445350 // "KDSP"
+	persistHMACKeyLen = 32
 )
 
 // ErrBadMasterKey reports that a snapshot cannot be authenticated.
@@ -57,17 +52,11 @@ type persistedState struct {
 // PersistentStore is a Store whose state survives restarts.
 type PersistentStore struct {
 	*Store
-	fs      vfs.FS
-	path    string
-	aesKey  crypt.DEK
-	hmacKey []byte
-
-	// saveMu serialises Save. The snapshot is taken inside it, so snapshots
-	// reach disk in the order in which they observed the store: an older one
-	// can never land over a newer one and lose a DEK that already protects a
-	// file. Nothing but Save takes it, and it is never held with Store.mu.
-	saveMu  sync.Mutex
-	saveSeq uint64 // guarded by saveMu; names each save's own temp file
+	// state serialises Save and takes each snapshot inside the save's turn,
+	// so snapshots reach disk in the order in which they observed the store:
+	// an older one can never land over a newer one and lose a DEK that
+	// already protects a file. It is never held with Store.mu.
+	state crypt.StateFile
 }
 
 // OpenPersistentStore loads (or initializes) a store snapshot at path,
@@ -75,70 +64,40 @@ type PersistentStore struct {
 // key issue/fetch volumes are low (one per file creation), so the
 // write-behind simplicity costs little.
 func OpenPersistentStore(fs vfs.FS, file string, masterKey []byte, policy Policy) (*PersistentStore, error) {
-	ps := &PersistentStore{Store: NewStore(policy), fs: fs, path: file}
+	ps := &PersistentStore{
+		Store: NewStore(policy),
+		state: crypt.StateFile{FS: fs, Path: file, Magic: persistMagic},
+	}
 	aesRaw := crypt.HKDFSHA256(masterKey, []byte("kds-persist-v1"), []byte("aes"), crypt.KeySize)
 	defer crypt.Zeroize(aesRaw)
 	var err error
-	ps.aesKey, err = crypt.DEKFromBytes(aesRaw)
+	ps.state.AES, err = crypt.DEKFromBytes(aesRaw)
 	if err != nil {
 		return nil, err
 	}
-	ps.hmacKey = crypt.HKDFSHA256(masterKey, []byte("kds-persist-v1"), []byte("hmac"), persistTagLen)
+	ps.state.HMAC = crypt.HKDFSHA256(masterKey, []byte("kds-persist-v1"), []byte("hmac"), persistHMACKeyLen)
 
-	// A leftover temp file means a save crashed before its rename; the live
-	// snapshot (if any) is intact, the partial file is garbage.
-	infos, err := fs.List(path.Dir(file))
-	if err != nil && !errors.Is(err, vfs.ErrNotFound) {
-		return nil, err
-	}
-	for _, fi := range infos {
-		if strings.HasPrefix(fi.Name, path.Base(file)+".") && strings.HasSuffix(fi.Name, ".tmp") {
-			if err := fs.Remove(path.Join(path.Dir(file), fi.Name)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	data, err := vfs.ReadFile(fs, file)
+	plain, err := ps.state.Load(0, nil)
 	switch {
 	case errors.Is(err, vfs.ErrNotFound):
 		return ps, nil
+	case errors.Is(err, crypt.ErrStateCorrupt), errors.Is(err, crypt.ErrStateAuth):
+		// Unlike the secure cache, this file is the only copy of the keys:
+		// damage of either kind fails closed.
+		return nil, fmt.Errorf("%w: %v", ErrBadMasterKey, err)
 	case err != nil:
 		return nil, err
 	}
-	if err := ps.load(data); err != nil {
+	// The decrypted snapshot holds every DEK in hex; wipe it once decoded.
+	defer crypt.Zeroize(plain)
+	if err := ps.decode(plain); err != nil {
 		return nil, err
 	}
 	return ps, nil
 }
 
-func (ps *PersistentStore) load(data []byte) error {
-	const hdrLen = 4 + 4 + crypt.IVSize + 4
-	if len(data) < hdrLen+persistTagLen {
-		return fmt.Errorf("%w: truncated", ErrBadMasterKey)
-	}
-	if binary.LittleEndian.Uint32(data[0:4]) != persistMagic {
-		return fmt.Errorf("%w: bad magic", ErrBadMasterKey)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != persistVersion {
-		return fmt.Errorf("kds: unsupported snapshot version %d", v)
-	}
-	var iv [crypt.IVSize]byte
-	copy(iv[:], data[8:8+crypt.IVSize])
-	n := binary.LittleEndian.Uint32(data[8+crypt.IVSize : hdrLen])
-	if int(n) != len(data)-hdrLen-persistTagLen {
-		return fmt.Errorf("%w: length mismatch", ErrBadMasterKey)
-	}
-	body := data[hdrLen : hdrLen+int(n)]
-	tag := data[hdrLen+int(n):]
-	if !crypt.VerifyHMACSHA256(ps.hmacKey, data[:hdrLen+int(n)], tag) {
-		return ErrBadMasterKey
-	}
-	plain := make([]byte, len(body))
-	if err := crypt.EncryptAt(ps.aesKey, iv, plain, body, 0); err != nil {
-		return err
-	}
-	// The decrypted snapshot holds every DEK in hex; wipe it once decoded.
-	defer crypt.Zeroize(plain)
+// decode fills the store from an unsealed snapshot.
+func (ps *PersistentStore) decode(plain []byte) error {
 	var st persistedState
 	if err := json.Unmarshal(plain, &st); err != nil {
 		return fmt.Errorf("%w: payload decode: %v", ErrBadMasterKey, err)
@@ -174,24 +133,16 @@ func (ps *PersistentStore) load(data []byte) error {
 	return nil
 }
 
-// Save snapshots the store to disk (write-then-rename), one save at a time.
-// Issuers that race here queue up; each one's snapshot includes its own
-// mutation, since that happened before it called Save.
+// Save snapshots the store to disk, one save at a time. Issuers that race
+// here queue up; each one's snapshot includes its own mutation, since that
+// happened before it called Save.
 func (ps *PersistentStore) Save() error {
-	ps.saveMu.Lock()
-	defer ps.saveMu.Unlock()
-	ps.saveSeq++
-	return ps.writeSnapshot(fmt.Sprintf("%s.%d.tmp", ps.path, ps.saveSeq))
+	return ps.state.Save(ps.snapshot)
 }
 
-// writeSnapshot seals the store's current state into tmp and renames it
-// over the live snapshot. Save calls it with saveMu held.
-func (ps *PersistentStore) writeSnapshot(tmp string) (err error) {
-	defer func() {
-		if err != nil {
-			ps.fs.Remove(tmp) //nolint:errcheck // best effort; the next open sweeps what is left
-		}
-	}()
+// snapshot serializes the store's current state; the state file seals and
+// wipes the result.
+func (ps *PersistentStore) snapshot() ([]byte, error) {
 	s := ps.Store
 	s.mu.Lock()
 	st := persistedState{
@@ -213,41 +164,7 @@ func (ps *PersistentStore) writeSnapshot(tmp string) (err error) {
 		st.RevokedSrv = append(st.RevokedSrv, srv)
 	}
 	s.mu.Unlock()
-
-	plain, err := json.Marshal(&st)
-	if err != nil {
-		return err
-	}
-	// The marshaled snapshot holds every DEK in hex; wipe it once encrypted.
-	defer crypt.Zeroize(plain)
-	iv, err := crypt.NewIV()
-	if err != nil {
-		return err
-	}
-	body := make([]byte, len(plain))
-	if err := crypt.EncryptAt(ps.aesKey, iv, body, plain, 0); err != nil {
-		return err
-	}
-	const hdrLen = 4 + 4 + crypt.IVSize + 4
-	out := make([]byte, hdrLen, hdrLen+len(body)+persistTagLen)
-	binary.LittleEndian.PutUint32(out[0:4], persistMagic)
-	binary.LittleEndian.PutUint32(out[4:8], persistVersion)
-	copy(out[8:8+crypt.IVSize], iv[:])
-	binary.LittleEndian.PutUint32(out[8+crypt.IVSize:hdrLen], uint32(len(body)))
-	out = append(out, body...)
-	out = append(out, crypt.HMACSHA256(ps.hmacKey, out)...)
-
-	if err := vfs.WriteFile(ps.fs, tmp, out); err != nil {
-		return err
-	}
-	if err := ps.fs.Rename(tmp, ps.path); err != nil {
-		return err
-	}
-	// The rename is not durable until the parent directory is synced: a
-	// crash here could resurrect the previous snapshot — or, on a fresh
-	// store, no snapshot at all — losing issued keys the caller already
-	// acted on.
-	return ps.fs.SyncDir(path.Dir(ps.path))
+	return json.Marshal(&st)
 }
 
 // Authorize enrolls a server and persists the snapshot (best effort: an

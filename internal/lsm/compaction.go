@@ -60,6 +60,10 @@ type CompactionJob struct {
 	Compression     sstable.Compression `json:"compression"`
 }
 
+// MaxJobOutputFiles is how many output file numbers the engine reserves for
+// one compaction job (CompactionJob.MaxOutputFiles).
+const MaxJobOutputFiles = 256
+
 // JobLevel is one level's input file set.
 type JobLevel struct {
 	Level int                     `json:"level"`
@@ -513,9 +517,8 @@ func (d *DB) runCompactionPlan(plan *compactionPlan) error {
 
 	if !plan.fifoOnly {
 		d.mu.Lock()
-		const reserve = 256
 		firstNum := d.nextFileNum
-		d.nextFileNum += reserve
+		d.nextFileNum += MaxJobOutputFiles
 		smallestSnap := d.smallestSnapshotLocked()
 		d.mu.Unlock()
 
@@ -536,7 +539,7 @@ func (d *DB) runCompactionPlan(plan *compactionPlan) error {
 			Bottommost:         plan.bottommost,
 			SmallestSnapshot:   uint64(smallestSnap),
 			FirstOutputFileNum: firstNum,
-			MaxOutputFiles:     reserve,
+			MaxOutputFiles:     MaxJobOutputFiles,
 			TargetFileSize:     targetSize,
 			MaxSubcompactions:  maxSub,
 			BlockSize:          d.opts.BlockSize,

@@ -496,14 +496,7 @@ func installCurrent(fsys vfs.FS, dir string, manifestNum uint64, epoch uint64) e
 	if epoch > 0 {
 		content += fmt.Sprintf("epoch %d\n", epoch)
 	}
-	tmp := currentFileName(dir) + ".tmp"
-	if err := vfs.WriteFile(fsys, tmp, []byte(content)); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp, currentFileName(dir)); err != nil {
-		return err
-	}
-	return fsys.SyncDir(dir)
+	return vfs.ReplaceFile(fsys, currentFileName(dir), []byte(content))
 }
 
 // parseCurrent splits a CURRENT file into the manifest name (first line)
@@ -1021,15 +1014,6 @@ func (d *DB) setBGErrLocked(err error) {
 		d.opts.Logger("lsm: entering degraded (read-only) mode: %v", err)
 	}
 	d.bgCond.Broadcast()
-}
-
-// CompactionsHalted reports whether background compactions are paused after
-// an ENOSPC abort. The halt clears on the next successful flush or on reopen;
-// it does not affect reads or writes.
-func (d *DB) CompactionsHalted() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.compactionsHalted
 }
 
 // Degraded reports whether the DB is in read-only degraded mode: a prior

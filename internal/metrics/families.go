@@ -1,0 +1,255 @@
+package metrics
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"sync/atomic"
+)
+
+// The six process-wide counter families (see counters.go): the sets call
+// sites report into, then the live and the snapshot type of each family and
+// of one endpoint's counters. The zero value of a live set is ready to use.
+var (
+	Engine   = &EngineCounters{}
+	Jobs     = &JobCounters{}
+	Recovery = &RecoveryCounters{}
+	Serve    = &ServeCounters{}
+	Storage  = &StorageCounters{}
+	Net      = &NetCounters{}
+)
+
+type (
+	EngineCounters   engine[atomic.Int64]
+	EngineSnapshot   engine[int64]
+	JobCounters      jobs[atomic.Int64]
+	JobsSnapshot     jobs[int64]
+	RecoveryCounters recovery[atomic.Int64]
+	RecoverySnapshot recovery[int64]
+	ServeCounters    serve[atomic.Int64]
+	ServeSnapshot    serve[int64]
+	StorageCounters  storage[atomic.Int64]
+	StorageSnapshot  storage[int64]
+	EndpointCounters endpoint[atomic.Int64]
+	EndpointSnapshot endpoint[int64]
+)
+
+// engine counts the foreground commit and read paths across every open
+// engine in the process: committed batches, commit-path WAL fsyncs (the
+// wal_syncs/writes pair behind the group-commit ratio), how often the
+// pipeline actually coalesced concurrent writers, and prefix-filter seek
+// outcomes.
+type engine[T any] struct {
+	Writes         T `metric:"writes"`          // committed batches (each acked writer counts once)
+	WALSyncs       T `metric:"wal_syncs"`       // commit-path fsyncs; < Writes under group commit
+	GroupedCommits T `metric:"grouped_commits"` // commit groups that coalesced >1 writer
+	GroupedWriters T `metric:"grouped_writers"` // writers that rode those coalesced groups
+	PrefixSeeks    T `metric:"prefix_seeks"`    // iterator seeks routed through SeekPrefixGE
+	PrefixSkips    T `metric:"prefix_skips"`    // tables skipped because the prefix bloom proved absence
+}
+
+func (c *EngineCounters) Snapshot() EngineSnapshot              { return snapshot[EngineSnapshot](c) }
+func (s EngineSnapshot) Sub(prev EngineSnapshot) EngineSnapshot { return delta(s, prev) }
+func (s EngineSnapshot) Any() bool                              { return active(s) }
+func (s EngineSnapshot) String() string                         { return render(s) }
+
+// jobs counts the background-job scheduler: compaction jobs claimed and
+// finished, the running-jobs gauge and its high-water mark, picks that had
+// to wait for a free job slot (the "queued" signal), subcompaction shards
+// launched, per-job I/O volume, and write-stall time attributable to
+// compaction debt.
+type jobs[T any] struct {
+	CompactionsStarted    T `metric:"jobs"`              // jobs claimed (manual + background)
+	CompactionsDone       T `metric:"done"`              // jobs released (success or failure)
+	CompactionsRunning    T `metric:"running,gauge"`     // jobs in flight right now
+	MaxRunning            T `metric:"max_running,gauge"` // high-water mark of CompactionsRunning
+	SchedDeferred         T `metric:"deferred"`          // runnable plans deferred for lack of a job slot
+	SubcompactionsStarted T `metric:"subcompactions"`    // key-range shards launched inside jobs
+	BytesRead             T `metric:"read_bytes"`        // compaction input bytes across all jobs
+	BytesWritten          T `metric:"written_bytes"`     // compaction output bytes across all jobs
+	StallNanos            T `metric:"stall_ns"`          // writer stall time waiting on background debt
+}
+
+func (c *JobCounters) Snapshot() JobsSnapshot             { return snapshot[JobsSnapshot](c) }
+func (s JobsSnapshot) Sub(prev JobsSnapshot) JobsSnapshot { return delta(s, prev) }
+func (s JobsSnapshot) Any() bool                          { return active(s) }
+func (s JobsSnapshot) String() string                     { return render(s) }
+
+// JobStarted records a claimed job and maintains the running gauge and its
+// high-water mark.
+func (c *JobCounters) JobStarted() {
+	c.CompactionsStarted.Add(1)
+	running := c.CompactionsRunning.Add(1)
+	for {
+		max := c.MaxRunning.Load()
+		if running <= max || c.MaxRunning.CompareAndSwap(max, running) {
+			return
+		}
+	}
+}
+
+// JobDone records a released job.
+func (c *JobCounters) JobDone() {
+	c.CompactionsDone.Add(1)
+	c.CompactionsRunning.Add(-1)
+}
+
+// recovery counts crash-recovery and integrity-checking events: WAL replay
+// volume, torn tails truncated, files the recovery or scrub pass
+// quarantined, and how much data the scrub verified.
+type recovery[T any] struct {
+	WALRecordsReplayed  T `metric:"wal_replayed"`    // batch records re-applied from WALs at open
+	WALTailTruncations  T `metric:"wal_truncations"` // WALs ended early at a torn/corrupt tail
+	FilesQuarantined    T `metric:"quarantined"`     // corrupt files moved aside (lost/) or dropped
+	ScrubBlocksVerified T `metric:"scrub_blocks"`    // SST blocks whose checksums a scrub verified
+	RecoveryNanos       T `metric:"recovery_ns"`     // total time spent inside DB recovery
+}
+
+func (c *RecoveryCounters) Snapshot() RecoverySnapshot                { return snapshot[RecoverySnapshot](c) }
+func (s RecoverySnapshot) Sub(prev RecoverySnapshot) RecoverySnapshot { return delta(s, prev) }
+func (s RecoverySnapshot) Any() bool                                  { return active(s) }
+func (s RecoverySnapshot) String() string                             { return render(s) }
+
+// serve counts serving-layer events: connection lifecycle, commands
+// executed, pipelining behavior, and the misbehaving-client paths (protocol
+// errors, slow clients dropped at a deadline). Per-shard op counters live on
+// server.Server — the shard count is a runtime value — but the process-wide
+// totals report here so the bench harness can print them next to the engine
+// counters.
+type serve[T any] struct {
+	ConnsOpened     T `metric:"conns"`         // connections accepted
+	ConnsOpen       T `metric:"open,gauge"`    // connections open right now
+	Commands        T `metric:"commands"`      // commands executed (all types)
+	PipelineBatches T `metric:"batches"`       // reader cycles that executed >= 1 command
+	PipelinedCmds   T `metric:"pipelined"`     // commands arriving in a batch of >= 2
+	WriteBatches    T `metric:"write_batches"` // coalesced per-shard write batches committed
+	ProtocolErrors  T `metric:"proto_errors"`  // -ERR replies to malformed frames
+	SlowClientDrops T `metric:"slow_drops"`    // connections closed at a read/write deadline
+}
+
+func (c *ServeCounters) Snapshot() ServeSnapshot { return snapshot[ServeSnapshot](c) }
+
+// storage counts resource-exhaustion events on the persistence paths:
+// out-of-space errors surfaced by the filesystem layer, entries into the
+// engine's read-only degraded mode, compactions aborted to retain their
+// inputs, and secure-cache snapshot saves dropped for lack of space.
+type storage[T any] struct {
+	NoSpaceErrors     T `metric:"no_space"`            // writes refused with vfs.ErrNoSpace
+	DegradedEntries   T `metric:"degraded_entries"`    // times a DB poisoned itself into read-only mode
+	CompactionAborts  T `metric:"compaction_aborts"`   // compactions aborted with inputs retained
+	CacheSavesDropped T `metric:"cache_saves_dropped"` // seccache snapshot saves skipped (non-fatal)
+}
+
+func (c *StorageCounters) Snapshot() StorageSnapshot               { return snapshot[StorageSnapshot](c) }
+func (s StorageSnapshot) Sub(prev StorageSnapshot) StorageSnapshot { return delta(s, prev) }
+
+// network counts fault-tolerance events on the network paths: the KDS
+// client, the disaggregated-storage client, and the offloaded compaction
+// client all report into one counter set so the bench harness can print how
+// much retrying/failover a run needed.
+type network[T any] struct {
+	Retries          T `metric:"retries"`                                      // requests re-sent after a transport failure
+	Timeouts         T `metric:"timeouts"`                                     // attempts that hit the per-request deadline
+	Failovers        T `metric:"failovers"`                                    // connections moved to a different replica
+	Redials          T `metric:"redials"`                                      // pool slots re-dialed after a discarded conn
+	DegradedWrites   T `metric:"degraded_writes"`                              // writes refused because the KDS is unreachable
+	DegradedReads    T `metric:"degraded_reads"`                               // reads that failed even after the secure cache
+	QuorumShortfalls T `json:",omitempty" metric:"quorum_shortfalls,optional"` // replicated mutations acked by fewer than quorum replicas
+	Resyncs          T `json:",omitempty" metric:"resyncs,optional"`           // replica rejoin re-sync passes completed
+	ResyncBytes      T `json:",omitempty" metric:"resync_bytes,optional"`      // bytes copied to rejoining replicas
+}
+
+// endpoint is the per-replica breakdown of the network counters: one set
+// per endpoint address, so an operator can see WHICH storage node is failing
+// over, being resynced, or eating errors — the aggregate view cannot
+// distinguish one sick replica from uniform flakiness.
+type endpoint[T any] struct {
+	Failovers   T `json:"failovers" metric:"failovers"`                 // times traffic was re-pointed at this endpoint
+	Errors      T `json:"errors" metric:"errors"`                       // transport failures charged to this endpoint
+	Resyncs     T `json:"resyncs,omitempty" metric:"resyncs"`           // re-sync passes that repaired this endpoint
+	ResyncBytes T `json:"resync_bytes,omitempty" metric:"resync_bytes"` // bytes copied to this endpoint during re-sync
+}
+
+// NetCounters is the live network family with its per-endpoint sets.
+type NetCounters struct {
+	network[atomic.Int64]
+	epMu       sync.Mutex
+	byEndpoint map[string]*EndpointCounters
+}
+
+// NetSnapshot is a point-in-time copy of NetCounters.
+type NetSnapshot struct {
+	network[int64]
+	// Endpoints breaks the counters down per replica address (only
+	// endpoints that registered activity appear).
+	Endpoints map[string]EndpointSnapshot `json:",omitempty"`
+}
+
+// Endpoint returns (lazily creating) the per-endpoint counter set for addr.
+func (c *NetCounters) Endpoint(addr string) *EndpointCounters {
+	c.epMu.Lock()
+	defer c.epMu.Unlock()
+	if c.byEndpoint == nil {
+		c.byEndpoint = make(map[string]*EndpointCounters)
+	}
+	ec, ok := c.byEndpoint[addr]
+	if !ok {
+		ec = &EndpointCounters{}
+		c.byEndpoint[addr] = ec
+	}
+	return ec
+}
+
+// Snapshot returns the current counter values, per endpoint included.
+func (c *NetCounters) Snapshot() NetSnapshot {
+	s := NetSnapshot{network: snapshot[network[int64]](&c.network)}
+	c.epMu.Lock()
+	defer c.epMu.Unlock()
+	s.Endpoints = make(map[string]EndpointSnapshot, len(c.byEndpoint))
+	for addr, ec := range c.byEndpoint {
+		s.Endpoints[addr] = snapshot[EndpointSnapshot](ec)
+	}
+	return s
+}
+
+// Reset zeroes every counter and forgets the endpoints.
+func (c *NetCounters) Reset() {
+	reset(&c.network)
+	c.epMu.Lock()
+	c.byEndpoint = nil
+	c.epMu.Unlock()
+}
+
+// Any reports whether any fault-tolerance event occurred.
+func (s NetSnapshot) Any() bool { return active(s.network) }
+
+// Sub returns the delta s minus prev. Endpoint counters subtract pairwise;
+// endpoints absent from prev pass through unchanged.
+func (s NetSnapshot) Sub(prev NetSnapshot) NetSnapshot {
+	out := NetSnapshot{network: delta(s.network, prev.network)}
+	out.Endpoints = make(map[string]EndpointSnapshot, len(s.Endpoints))
+	for addr, es := range s.Endpoints {
+		out.Endpoints[addr] = delta(es, prev.Endpoints[addr])
+	}
+	return out
+}
+
+// String renders the counters, then each endpoint's in address order.
+func (s NetSnapshot) String() string {
+	out := render(s.network)
+	for _, addr := range s.EndpointOrder() {
+		out += fmt.Sprintf(" [%s: %s]", addr, render(s.Endpoints[addr]))
+	}
+	return out
+}
+
+// EndpointOrder returns the snapshot's endpoint addresses sorted, so
+// rendered breakdowns (String, the server's INFO) are deterministic.
+func (s NetSnapshot) EndpointOrder() []string {
+	addrs := make([]string, 0, len(s.Endpoints))
+	for a := range s.Endpoints {
+		addrs = append(addrs, a)
+	}
+	sort.Strings(addrs)
+	return addrs
+}

@@ -1,5 +1,6 @@
-// Package metrics provides the latency histogram and throughput accounting
-// used by the benchmark harness.
+// Package metrics provides the latency histogram the benchmark harness uses
+// and the process-wide counter families the engine, the network clients and
+// the serving layer report into.
 package metrics
 
 import (
@@ -16,7 +17,6 @@ type Histogram struct {
 	buckets [256]int64
 	count   int64
 	sum     int64
-	min     int64
 	max     int64
 }
 
@@ -49,9 +49,6 @@ func (h *Histogram) Record(d time.Duration) {
 	h.buckets[bucketFor(ns)]++
 	h.count++
 	h.sum += ns
-	if h.count == 1 || ns < h.min {
-		h.min = ns
-	}
 	if ns > h.max {
 		h.max = ns
 	}
@@ -104,7 +101,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 func (h *Histogram) Merge(other *Histogram) {
 	other.mu.Lock()
 	buckets := other.buckets
-	oCount, oSum, oMin, oMax := other.count, other.sum, other.min, other.max
+	oCount, oSum, oMax := other.count, other.sum, other.max
 	other.mu.Unlock()
 
 	h.mu.Lock()
@@ -112,20 +109,18 @@ func (h *Histogram) Merge(other *Histogram) {
 	for i, c := range buckets {
 		h.buckets[i] += c
 	}
-	if oCount > 0 {
-		if h.count == 0 || oMin < h.min {
-			h.min = oMin
-		}
-		if oMax > h.max {
-			h.max = oMax
-		}
+	if oMax > h.max {
+		h.max = oMax
 	}
 	h.count += oCount
 	h.sum += oSum
 }
 
-// String summarizes the distribution.
+// String summarizes the distribution as of one instant: Merge copies h under
+// one acquisition of its lock, and the five values come from that copy.
 func (h *Histogram) String() string {
+	var at Histogram
+	at.Merge(h)
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.99), time.Duration(h.max))
+		at.count, at.Mean(), at.Quantile(0.50), at.Quantile(0.99), time.Duration(at.max))
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -103,5 +104,25 @@ func TestAccuracyWithinBucketResolution(t *testing.T) {
 	hi := time.Duration(float64(exact) * 1.10)
 	if got < lo || got > hi {
 		t.Fatalf("p50 %v outside [%v,%v]", got, lo, hi)
+	}
+}
+
+// TestStringWhileRecording: String used to read max after releasing the
+// lock, a data race with Record (run under -race).
+func TestStringWhileRecording(t *testing.T) {
+	h := &Histogram{}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= 20_000; i++ {
+			h.Record(time.Duration(i) * time.Microsecond)
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		_ = h.String()
+	}
+	<-done
+	if want := "n=20000 "; !strings.HasPrefix(h.String(), want) {
+		t.Fatalf("String() = %q, want prefix %q", h.String(), want)
 	}
 }

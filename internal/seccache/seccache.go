@@ -9,7 +9,8 @@
 // compacted-away file is deleted, so only keys for live files remain
 // recoverable.
 //
-// On-disk layout:
+// On disk the cache is a crypt.StateFile whose header carries the PBKDF2
+// salt:
 //
 //	magic(4) version(4) salt(16) iv(16) len(4) ciphertext hmac(32)
 //
@@ -19,12 +20,10 @@
 package seccache
 
 import (
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"path"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,7 +36,6 @@ import (
 
 const (
 	magic      = 0x53434348 // "SCCH"
-	version    = 1
 	saltSize   = 16
 	hmacSize   = 32
 	pbkdf2Iter = 4096
@@ -49,27 +47,14 @@ var (
 	ErrNotCached  = errors.New("seccache: DEK not in cache")
 )
 
-// errStructural marks damage that is provably file corruption (truncation,
-// bad magic, inconsistent lengths) rather than a possible passkey mismatch.
-// The cache is only an optimization — every DEK is recoverable from the KDS —
-// so structural damage cold-starts the cache instead of failing the open.
-// An HMAC mismatch stays ErrBadPasskey: it is indistinguishable from a wrong
-// passkey, and failing closed is the right call for a security cache.
-var errStructural = errors.New("seccache: structurally corrupt cache file")
-
 // Cache is a secure, persistent DEK cache. It is safe for concurrent use.
 //
 // Locking: mu guards the entry map and counters and is never held across
-// I/O — Get/Put/Has on other goroutines must not stall behind a disk (or,
-// disaggregated, a network) write. Persistence encodes a sealed snapshot
-// under mu, then writes it under saveMu; snapSeq orders snapshots by the
-// state they observed so a slow older write can never clobber a newer one.
+// I/O — Get/Put on other goroutines must not stall behind a disk (or,
+// disaggregated, a network) write. Persistence encodes a snapshot under mu
+// inside state.Save's turn, which then seals and writes it without mu.
 type Cache struct {
-	fs      vfs.FS
-	path    string
-	aesKey  crypt.DEK
-	hmacKey []byte
-	salt    [saltSize]byte
+	state   crypt.StateFile
 	mu      sync.Mutex
 	entries map[kds.KeyID]crypt.DEK
 	// epochs holds per-store freshness-epoch floors (rollback detection),
@@ -77,68 +62,54 @@ type Cache struct {
 	// who can roll the data directory back cannot roll the floor back
 	// without the passkey.
 	epochs    map[string]uint64
-	snapSeq   uint64
 	hits      int64
 	misses    int64
-	saveErrs  int64
 	autosave  bool
 	recovered bool
-
-	saveMu   sync.Mutex // serializes snapshot writes; never nested with mu
-	savedSeq uint64     // guarded by saveMu: newest snapshot on disk
 }
 
 // Open loads (or creates) the cache at path, unsealing it with passkey.
 // Opening an existing cache with the wrong passkey fails with ErrBadPasskey.
 func Open(fs vfs.FS, path string, passkey []byte) (*Cache, error) {
 	c := &Cache{
-		fs:       fs,
-		path:     path,
+		state:    crypt.StateFile{FS: fs, Path: path, Magic: magic},
 		entries:  make(map[kds.KeyID]crypt.DEK),
 		epochs:   make(map[string]uint64),
 		autosave: true,
 	}
-	// A leftover .tmp means a save crashed between WriteFile and Rename; the
-	// live cache (if any) is intact, the partial file is garbage.
-	if err := fs.Remove(path + ".tmp"); err != nil && !errors.Is(err, vfs.ErrNotFound) {
-		return nil, err
-	}
-	data, err := vfs.ReadFile(fs, path)
+	plain, err := c.state.Load(saltSize, func(salt []byte) { c.deriveKeys(passkey, salt) })
 	switch {
-	case errors.Is(err, vfs.ErrNotFound):
-		if err := c.coldStart(passkey); err != nil {
-			return nil, err
-		}
-		return c, nil
-	case err != nil:
+	case err == nil:
+	case errors.Is(err, vfs.ErrNotFound), errors.Is(err, crypt.ErrStateCorrupt):
+		// The cache is only an optimization — every DEK is recoverable from
+		// the KDS — so damage that is provably file corruption cold-starts
+		// it instead of failing the open.
+		c.recovered = errors.Is(err, crypt.ErrStateCorrupt)
+		return c, c.coldStart(passkey)
+	case errors.Is(err, crypt.ErrStateAuth):
+		// Indistinguishable from a wrong passkey, and failing closed is the
+		// right call for a security cache.
+		return nil, ErrBadPasskey
+	default:
 		return nil, err
 	}
-	if err := c.load(data, passkey); err != nil {
-		if errors.Is(err, errStructural) {
-			// Treat a structurally corrupt cache as cold: every DEK it held
-			// is re-fetchable from the KDS.
-			if err := c.coldStart(passkey); err != nil {
-				return nil, err
-			}
-			c.recovered = true
-			return c, nil
-		}
+	// The decrypted payload holds every DEK in hex; wipe it once decoded.
+	defer crypt.Zeroize(plain)
+	if err := c.decode(plain); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// coldStart resets to an empty cache with a fresh salt, so derived keys are
+// coldStart starts an empty cache under a fresh salt, so derived keys are
 // stable from here on.
 func (c *Cache) coldStart(passkey []byte) error {
-	c.entries = make(map[kds.KeyID]crypt.DEK)
-	c.epochs = make(map[string]uint64)
-	iv, err := crypt.NewIV()
+	salt, err := crypt.NewIV()
 	if err != nil {
 		return err
 	}
-	copy(c.salt[:], iv[:])
-	c.deriveKeys(passkey)
+	c.state.Extra = salt[:saltSize]
+	c.deriveKeys(passkey, c.state.Extra)
 	return nil
 }
 
@@ -150,46 +121,17 @@ func (c *Cache) Recovered() bool {
 	return c.recovered
 }
 
-func (c *Cache) deriveKeys(passkey []byte) {
-	dk := crypt.PBKDF2SHA256(passkey, c.salt[:], pbkdf2Iter, crypt.KeySize+hmacSize)
+func (c *Cache) deriveKeys(passkey, salt []byte) {
+	dk := crypt.PBKDF2SHA256(passkey, salt, pbkdf2Iter, crypt.KeySize+hmacSize)
 	defer crypt.Zeroize(dk)
-	copy(c.aesKey[:], dk[:crypt.KeySize])
+	copy(c.state.AES[:], dk[:crypt.KeySize])
 	// Copy rather than alias: retaining a sub-slice would keep the whole
 	// derived buffer (AES half included) alive and un-wipeable.
-	c.hmacKey = append(c.hmacKey[:0], dk[crypt.KeySize:]...)
+	c.state.HMAC = append(c.state.HMAC[:0], dk[crypt.KeySize:]...)
 }
 
-func (c *Cache) load(data []byte, passkey []byte) error {
-	const hdrLen = 4 + 4 + saltSize + crypt.IVSize + 4
-	if len(data) < hdrLen+hmacSize {
-		return fmt.Errorf("%w: truncated", errStructural)
-	}
-	if binary.LittleEndian.Uint32(data[0:4]) != magic {
-		return fmt.Errorf("%w: bad magic", errStructural)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != version {
-		return fmt.Errorf("seccache: unsupported version %d", v)
-	}
-	copy(c.salt[:], data[8:8+saltSize])
-	c.deriveKeys(passkey)
-
-	var iv [crypt.IVSize]byte
-	copy(iv[:], data[8+saltSize:8+saltSize+crypt.IVSize])
-	n := binary.LittleEndian.Uint32(data[8+saltSize+crypt.IVSize : hdrLen])
-	if int(n) != len(data)-hdrLen-hmacSize {
-		return fmt.Errorf("%w: length mismatch", errStructural)
-	}
-	body := data[hdrLen : hdrLen+int(n)]
-	tag := data[hdrLen+int(n):]
-	if !crypt.VerifyHMACSHA256(c.hmacKey, data[:hdrLen+int(n)], tag) {
-		return ErrBadPasskey
-	}
-	plain := make([]byte, len(body))
-	if err := crypt.EncryptAt(c.aesKey, iv, plain, body, 0); err != nil {
-		return err
-	}
-	// The decrypted payload holds every DEK in hex; wipe it once decoded.
-	defer crypt.Zeroize(plain)
+// decode fills the maps from an unsealed payload.
+func (c *Cache) decode(plain []byte) error {
 	var raw map[string]string
 	if err := json.Unmarshal(plain, &raw); err != nil {
 		return fmt.Errorf("%w: payload decode: %v", ErrBadPasskey, err)
@@ -279,15 +221,6 @@ func (c *Cache) Put(id kds.KeyID, dek crypt.DEK) error {
 	return nil
 }
 
-// Has reports whether id is cached, without touching the hit/miss counters
-// (used to decide whether degraded KDS-less operation is possible).
-func (c *Cache) Has(id kds.KeyID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[id]
-	return ok
-}
-
 // Delete removes a DEK — called when its file is deleted after compaction,
 // ensuring only current keys remain accessible.
 func (c *Cache) Delete(id kds.KeyID) error {
@@ -319,50 +252,34 @@ func (c *Cache) Stats() (hits, misses int64) {
 	return c.hits, c.misses
 }
 
-// SaveErrors reports how many persistence attempts have failed — the cache
-// keeps serving from memory across save failures (storage may itself be
-// degraded), and this counter is how operators notice.
-func (c *Cache) SaveErrors() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.saveErrs
-}
-
 // Save persists the cache immediately.
 func (c *Cache) Save() error {
 	return c.save()
 }
 
-// save encodes a sealed snapshot of the current state under mu (CPU only),
-// releases it, and hands the bytes to writeSnapshot. Concurrent mutators
-// therefore never queue behind storage latency — the failure mode the PR 3
-// degraded-mode work measured when the cache directory is slow or remote.
+// save snapshots the current state under mu (CPU only) and has the state
+// file seal and write it with mu released, so Get never queues behind
+// storage latency — the failure mode the PR 3 degraded-mode work measured
+// when the cache directory is slow or remote.
 func (c *Cache) save() error {
-	c.mu.Lock()
-	c.snapSeq++
-	seq := c.snapSeq
-	out, err := c.encodeLocked()
-	c.mu.Unlock()
-	if err == nil {
-		err = c.writeSnapshot(seq, out)
-	}
-	if err != nil {
+	err := c.state.Save(func() ([]byte, error) {
 		c.mu.Lock()
-		c.saveErrs++
-		c.mu.Unlock()
-		if errors.Is(err, vfs.ErrNoSpace) {
-			// A full cache disk must not fail the write path: the cache is an
-			// optimization (every DEK is re-fetchable from the KDS) and the
-			// entry is already live in memory. Count the drop and keep
-			// serving; a later save retries once mutations continue.
-			metrics.Storage.CacheSavesDropped.Add(1)
-			return nil
-		}
+		defer c.mu.Unlock()
+		return c.encodeLocked()
+	})
+	if errors.Is(err, vfs.ErrNoSpace) {
+		// A full cache disk must not fail the write path: the cache is an
+		// optimization (every DEK is re-fetchable from the KDS) and the
+		// entry is already live in memory. Count the drop and keep
+		// serving; a later save retries once mutations continue.
+		metrics.Storage.CacheSavesDropped.Add(1)
+		return nil
 	}
 	return err
 }
 
-// encodeLocked serializes and seals the entry map. Caller holds mu.
+// encodeLocked serializes the entry and epoch maps; the state file seals and
+// wipes the result. Caller holds mu.
 func (c *Cache) encodeLocked() ([]byte, error) {
 	raw := make(map[string]string, len(c.entries)+len(c.epochs))
 	for id, dek := range c.entries {
@@ -375,53 +292,5 @@ func (c *Cache) encodeLocked() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("seccache: encode: %w", err)
 	}
-	// The marshaled payload holds every DEK in hex; wipe it once encrypted.
-	defer crypt.Zeroize(plain)
-	iv, err := crypt.NewIV()
-	if err != nil {
-		return nil, err
-	}
-	body := make([]byte, len(plain))
-	if err := crypt.EncryptAt(c.aesKey, iv, body, plain, 0); err != nil {
-		return nil, err
-	}
-
-	const hdrLen = 4 + 4 + saltSize + crypt.IVSize + 4
-	out := make([]byte, hdrLen, hdrLen+len(body)+hmacSize)
-	binary.LittleEndian.PutUint32(out[0:4], magic)
-	binary.LittleEndian.PutUint32(out[4:8], version)
-	copy(out[8:8+saltSize], c.salt[:])
-	copy(out[8+saltSize:8+saltSize+crypt.IVSize], iv[:])
-	binary.LittleEndian.PutUint32(out[8+saltSize+crypt.IVSize:hdrLen], uint32(len(body)))
-	out = append(out, body...)
-	out = append(out, crypt.HMACSHA256(c.hmacKey, out)...)
-	return out, nil
-}
-
-// writeSnapshot persists one encoded snapshot: write-then-rename so a crash
-// mid-save never corrupts the live cache, then sync the directory so the
-// rename itself survives power loss. A snapshot whose seq is not newer than
-// the last one written is dropped — seq is assigned under mu at encode
-// time, so it orders snapshots by the state they observed, and a slow older
-// writer cannot overwrite a newer cache file.
-//
-//shield:nolockio saveMu only orders snapshot writes; no read or mutate path takes it
-func (c *Cache) writeSnapshot(seq uint64, out []byte) error {
-	c.saveMu.Lock()
-	defer c.saveMu.Unlock()
-	if seq <= c.savedSeq {
-		return nil
-	}
-	tmp := c.path + ".tmp"
-	if err := vfs.WriteFile(c.fs, tmp, out); err != nil {
-		return err
-	}
-	if err := c.fs.Rename(tmp, c.path); err != nil {
-		return err
-	}
-	if err := c.fs.SyncDir(path.Dir(c.path)); err != nil {
-		return err
-	}
-	c.savedSeq = seq
-	return nil
+	return plain, nil
 }

@@ -161,9 +161,6 @@ func (s *Server) shardFor(key []byte) int {
 	return int(h % uint32(len(s.cfg.Shards)))
 }
 
-// NumShards reports the shard count.
-func (s *Server) NumShards() int { return len(s.cfg.Shards) }
-
 // Listen binds addr (use "127.0.0.1:0" for an ephemeral port) without
 // starting to accept; Serve then drives the accept loop.
 func (s *Server) Listen(addr string) error {
@@ -217,14 +214,6 @@ func (s *Server) Serve() error {
 			s.handle(conn)
 		}()
 	}
-}
-
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	if err := s.Listen(addr); err != nil {
-		return err
-	}
-	return s.Serve()
 }
 
 // track registers conn and accounts its future handler in s.wg inside the

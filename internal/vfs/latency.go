@@ -1,36 +1,6 @@
 package vfs
 
-import (
-	"sync"
-	"time"
-)
-
-// LatencyFS wraps an FS and injects a fixed per-operation latency and a
-// bandwidth cap, emulating a network link between compute and storage
-// servers (the paper's 1 Gbps switch between Server 1 and Server 2).
-//
-// Latency is charged once per FS round trip (write call, positional read,
-// create, open). Bandwidth is modeled as a token bucket shared by all files:
-// transferring n bytes over a link of B bytes/sec costs n/B seconds, charged
-// synchronously to the caller performing the transfer.
-type LatencyFS struct {
-	base FS
-
-	// PerOp is the round-trip latency charged to every FS operation.
-	PerOp time.Duration
-
-	// BytesPerSec caps throughput; zero means unlimited.
-	BytesPerSec int64
-
-	mu      sync.Mutex
-	nextUse time.Time // token-bucket: earliest time the link is free
-}
-
-// NewLatency wraps base with perOp round-trip latency and a bandwidth cap of
-// bytesPerSec (0 = unlimited).
-func NewLatency(base FS, perOp time.Duration, bytesPerSec int64) *LatencyFS {
-	return &LatencyFS{base: base, PerOp: perOp, BytesPerSec: bytesPerSec}
-}
+import "time"
 
 // ReadLatencyFS charges a device latency to positional reads only — the
 // storage model of a monolithic host with an SSD: WAL appends land in the
@@ -70,177 +40,3 @@ func (rl *readLatencyFile) ReadAt(p []byte, off int64) (int, error) {
 
 func (rl *readLatencyFile) Size() (int64, error) { return rl.f.Size() }
 func (rl *readLatencyFile) Close() error         { return rl.f.Close() }
-
-// SyncLatencyFS charges a device latency to every WritableFile.Sync — the
-// durability-barrier model of a monolithic host with an SSD: appends land
-// in the OS page cache (free), while fsync pays a flash program round
-// trip. It is what makes group commit measurable on a memory-speed
-// substrate: the only way a concurrent synced workload beats one device
-// round trip per write is to coalesce writers behind a shared sync.
-type SyncLatencyFS struct {
-	FS
-	perSync time.Duration
-}
-
-// NewSyncLatency wraps base, charging perSync to every Sync.
-func NewSyncLatency(base FS, perSync time.Duration) *SyncLatencyFS {
-	return &SyncLatencyFS{FS: base, perSync: perSync}
-}
-
-// Create implements FS.
-func (s *SyncLatencyFS) Create(name string) (WritableFile, error) {
-	f, err := s.FS.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &syncLatencyFile{f: f, d: s.perSync}, nil
-}
-
-type syncLatencyFile struct {
-	f WritableFile
-	d time.Duration
-}
-
-func (sl *syncLatencyFile) Write(p []byte) (int, error) { return sl.f.Write(p) }
-
-func (sl *syncLatencyFile) Sync() error {
-	if sl.d > 0 {
-		time.Sleep(sl.d)
-	}
-	return sl.f.Sync()
-}
-
-// Close implies Sync in the vfs contract, so it pays the barrier too.
-func (sl *syncLatencyFile) Close() error {
-	if sl.d > 0 {
-		time.Sleep(sl.d)
-	}
-	return sl.f.Close()
-}
-
-// charge sleeps for the operation latency plus the serialization time of n
-// bytes on the shared link.
-func (l *LatencyFS) charge(n int) {
-	wait := l.PerOp
-	if l.BytesPerSec > 0 && n > 0 {
-		xfer := time.Duration(int64(n) * int64(time.Second) / l.BytesPerSec)
-		l.mu.Lock()
-		now := time.Now()
-		start := l.nextUse
-		if start.Before(now) {
-			start = now
-		}
-		l.nextUse = start.Add(xfer)
-		wait += l.nextUse.Sub(now)
-		l.mu.Unlock()
-	}
-	if wait > 0 {
-		time.Sleep(wait)
-	}
-}
-
-// Create implements FS.
-func (l *LatencyFS) Create(name string) (WritableFile, error) {
-	l.charge(0)
-	f, err := l.base.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &latencyWritable{f: f, fs: l}, nil
-}
-
-// Open implements FS.
-func (l *LatencyFS) Open(name string) (RandomAccessFile, error) {
-	l.charge(0)
-	f, err := l.base.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &latencyRandom{f: f, fs: l}, nil
-}
-
-// OpenSequential implements FS.
-func (l *LatencyFS) OpenSequential(name string) (SequentialFile, error) {
-	l.charge(0)
-	f, err := l.base.OpenSequential(name)
-	if err != nil {
-		return nil, err
-	}
-	return &latencySequential{f: f, fs: l}, nil
-}
-
-// Remove implements FS.
-func (l *LatencyFS) Remove(name string) error {
-	l.charge(0)
-	return l.base.Remove(name)
-}
-
-// Rename implements FS.
-func (l *LatencyFS) Rename(oldname, newname string) error {
-	l.charge(0)
-	return l.base.Rename(oldname, newname)
-}
-
-// List implements FS.
-func (l *LatencyFS) List(dir string) ([]FileInfo, error) {
-	l.charge(0)
-	return l.base.List(dir)
-}
-
-// MkdirAll implements FS.
-func (l *LatencyFS) MkdirAll(dir string) error { return l.base.MkdirAll(dir) }
-
-// SyncDir implements FS.
-func (l *LatencyFS) SyncDir(dir string) error {
-	l.charge(0)
-	return l.base.SyncDir(dir)
-}
-
-// Stat implements FS.
-func (l *LatencyFS) Stat(name string) (FileInfo, error) {
-	l.charge(0)
-	return l.base.Stat(name)
-}
-
-type latencyWritable struct {
-	f  WritableFile
-	fs *LatencyFS
-}
-
-func (w *latencyWritable) Write(p []byte) (int, error) {
-	w.fs.charge(len(p))
-	return w.f.Write(p)
-}
-
-func (w *latencyWritable) Sync() error {
-	w.fs.charge(0)
-	return w.f.Sync()
-}
-
-func (w *latencyWritable) Close() error { return w.f.Close() }
-
-type latencyRandom struct {
-	f  RandomAccessFile
-	fs *LatencyFS
-}
-
-func (r *latencyRandom) ReadAt(p []byte, off int64) (int, error) {
-	r.fs.charge(len(p))
-	return r.f.ReadAt(p, off)
-}
-
-func (r *latencyRandom) Size() (int64, error) { return r.f.Size() }
-func (r *latencyRandom) Close() error         { return r.f.Close() }
-
-type latencySequential struct {
-	f  SequentialFile
-	fs *LatencyFS
-}
-
-func (s *latencySequential) Read(p []byte) (int, error) {
-	n, err := s.f.Read(p)
-	s.fs.charge(n)
-	return n, err
-}
-
-func (s *latencySequential) Close() error { return s.f.Close() }

@@ -12,10 +12,9 @@ import (
 // MemFS is an in-memory FS used by tests and benchmarks that want to factor
 // out disk latency. It is safe for concurrent use.
 type MemFS struct {
-	mu       sync.Mutex
-	files    map[string]*memFile
-	dirs     map[string]bool
-	dirSyncs int64
+	mu    sync.Mutex
+	files map[string]*memFile
+	dirs  map[string]bool
 }
 
 // NewMem returns an empty in-memory filesystem.
@@ -208,21 +207,8 @@ func (m *MemFS) MkdirAll(dir string) error {
 
 // SyncDir implements FS. MemFS keeps directory entries durable as soon as
 // they are created (it has no namespace-volatility model — CrashFS does), so
-// this only counts the call.
-func (m *MemFS) SyncDir(dir string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.dirSyncs++
-	return nil
-}
-
-// DirSyncs reports how many SyncDir calls the filesystem has seen (used by
-// tests asserting that durability barriers are issued).
-func (m *MemFS) DirSyncs() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dirSyncs
-}
+// there is nothing to do.
+func (m *MemFS) SyncDir(dir string) error { return nil }
 
 // Stat implements FS.
 func (m *MemFS) Stat(name string) (FileInfo, error) {

@@ -40,13 +40,6 @@ func (q *QuotaFS) SetLimit(limit int64) {
 	q.limit = limit
 }
 
-// Limit returns the current byte budget (<= 0 means unlimited).
-func (q *QuotaFS) Limit() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.limit
-}
-
 // Used returns the bytes currently charged against the budget.
 func (q *QuotaFS) Used() int64 {
 	q.mu.Lock()

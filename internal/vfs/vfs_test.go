@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // fsFactories lets every conformance test run against each implementation.
@@ -22,7 +21,6 @@ func fsFactories(t *testing.T) map[string]func() FS {
 			return &prefixFS{base: NewOS(), prefix: dir}
 		},
 		"counting": func() FS { return NewCounting(NewMem()) },
-		"latency":  func() FS { return NewLatency(NewMem(), 0, 0) },
 		"fault":    func() FS { return NewFault(NewMem(), 1) },
 		"crash":    func() FS { return NewCrash(1) },
 	}
@@ -241,36 +239,6 @@ func TestCountingFS(t *testing.T) {
 	delta := c.Stats.Snapshot().Sub(prev)
 	if delta.BytesWritten != 10 || delta.Creates != 1 {
 		t.Fatalf("delta: %+v", delta)
-	}
-}
-
-func TestLatencyFSCharges(t *testing.T) {
-	l := NewLatency(NewMem(), 2*time.Millisecond, 0)
-	start := time.Now()
-	f, err := l.Create("f") // one op
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte("x")) // second op
-	f.Close()
-	if elapsed := time.Since(start); elapsed < 4*time.Millisecond {
-		t.Fatalf("latency not charged: %v", elapsed)
-	}
-}
-
-func TestLatencyFSBandwidth(t *testing.T) {
-	// 1 MiB at 10 MiB/s should take ~100ms.
-	l := NewLatency(NewMem(), 0, 10<<20)
-	f, _ := l.Create("f")
-	start := time.Now()
-	f.Write(make([]byte, 1<<20))
-	elapsed := time.Since(start)
-	f.Close()
-	if elapsed < 80*time.Millisecond {
-		t.Fatalf("bandwidth cap not applied: %v", elapsed)
-	}
-	if elapsed > 500*time.Millisecond {
-		t.Fatalf("bandwidth cap too aggressive: %v", elapsed)
 	}
 }
 
