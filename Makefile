@@ -6,7 +6,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.3
 
-.PHONY: all build test benchmark-check race io-path-check vet shield-vet shield-vet-suppressions loc staticcheck govulncheck lint-extra fmt sim sim-long tamper-test replication-test fuzz server-test
+.PHONY: all build test benchmark-check race io-path-check vet shield-vet shield-vet-suppressions loc knobs staticcheck govulncheck lint-extra fmt sim sim-long tamper-test replication-test fuzz server-test
 
 all: build vet shield-vet test
 
@@ -66,6 +66,27 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
+
+# Every exported field of every Options/Config/Policy struct outside
+# benchmark/, with the non-test files that set it (`Field:` in a literal,
+# `.Field =`, or `&x.Field` handed to a flag); `-` marks a knob nothing sets.
+# The declaring file is left out, so a withDefaults does not count as a
+# setter. It is grep: a field name two structs share is credited to both.
+# The rule the list is read against (DESIGN.md §11): a knob stays while a
+# cmd/ flag, an example, a sim band, an experiment or benchmark/ sets it to a
+# non-default, or it is a safety check; otherwise it becomes a constant.
+knobs:
+	@grep -rlE '^type [A-Za-z]*(Options|Config|Policy) struct' --include='*.go' --exclude='*_test.go' cmd internal | sort \
+	| while read -r f; do awk -v f="$$f" ' \
+		/^type [A-Za-z]*(Options|Config|Policy) struct/ { s = $$2; next } \
+		s != "" && /^}/ { s = "" } \
+		s != "" && /^\t[A-Z][A-Za-z0-9]*[ ,]/ { n = $$1; sub(/,$$/, "", n); print f, s, n }' "$$f"; done \
+	| while read -r f s n; do \
+		d=$$(dirname "$$f"); \
+		set -- $$(grep -rlE "(^|[^A-Za-z0-9_])$$n:|\.$$n (=|\+=|\|=) |&[A-Za-z_.]*\.$$n[,)]" --include='*.go' --exclude='*_test.go' \
+			cmd examples internal benchmark | grep -vx "$$f" | sort); \
+		printf '%-52s %s\n' "$${d#internal/}.$$s.$$n" "$${*:--}"; \
+	done
 
 # Seeded whole-stack fault simulation (cmd/shield-sim, DESIGN.md §10).
 # `sim` is the quick local gate; `sim-long` widens the fault matrix with the

@@ -20,16 +20,12 @@ type entry struct {
 	charge int64
 }
 
-// shard is one LRU segment. Pinned entries live in their own map, outside
-// the recency list, so the eviction loop never has to skip over them: it
-// only ever sees evictable entries and stays O(evicted).
+// shard is one LRU segment.
 type shard struct {
 	mu      sync.Mutex
 	ll      *list.List
 	items   map[Key]*list.Element
-	pinned  map[Key]*entry
-	used    int64 // total charge: LRU entries + pinned entries
-	pinUsed int64 // charge held by pinned entries (subset of used)
+	used    int64 // total charge
 	maxSize int64
 }
 
@@ -58,7 +54,6 @@ func New(capacity int64) *LRU {
 	for i := range c.shards {
 		c.shards[i].ll = list.New()
 		c.shards[i].items = make(map[Key]*list.Element)
-		c.shards[i].pinned = make(map[Key]*entry)
 		c.shards[i].maxSize = per
 		if int64(i) < rem {
 			c.shards[i].maxSize++
@@ -81,10 +76,7 @@ func (c *LRU) Get(k Key) (any, bool) {
 	s.mu.Lock()
 	var v any
 	var ok bool
-	if e, pinnedHit := s.pinned[k]; pinnedHit {
-		// Pinned entries carry no recency: they cannot be evicted anyway.
-		v, ok = e.value, true
-	} else if el, lruHit := s.items[k]; lruHit {
+	if el, hit := s.items[k]; hit {
 		s.ll.MoveToFront(el)
 		v, ok = el.Value.(*entry).value, true
 	}
@@ -99,19 +91,12 @@ func (c *LRU) Get(k Key) (any, bool) {
 }
 
 // Put inserts value under k with the given charge, evicting LRU entries to
-// stay within capacity. A key that is currently pinned stays pinned: the
-// pinned entry is updated in place.
+// stay within capacity.
 func (c *LRU) Put(k Key, value any, charge int64) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.maxSize <= 0 {
-		return
-	}
-	if e, ok := s.pinned[k]; ok {
-		s.used += charge - e.charge
-		s.pinUsed += charge - e.charge
-		e.value, e.charge = value, charge
 		return
 	}
 	if el, ok := s.items[k]; ok {
@@ -124,43 +109,6 @@ func (c *LRU) Put(k Key, value any, charge int64) {
 		s.items[k] = el
 		s.used += charge
 	}
-	s.evictLocked()
-}
-
-// PutPinned inserts value under k into the pinned charge class: the entry
-// counts against capacity but is never evicted, only removed by EvictFile.
-// Unpinned overflow is shed to make room; if pinned charge alone exceeds the
-// shard's capacity the shard runs over budget (pins are a correctness-free
-// accounting promise, the caller bounds what it pins). An existing unpinned
-// entry under k is promoted.
-func (c *LRU) PutPinned(k Key, value any, charge int64) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.maxSize <= 0 {
-		return
-	}
-	if el, ok := s.items[k]; ok {
-		e := el.Value.(*entry)
-		s.ll.Remove(el)
-		delete(s.items, k)
-		s.used -= e.charge
-	}
-	if e, ok := s.pinned[k]; ok {
-		s.used += charge - e.charge
-		s.pinUsed += charge - e.charge
-		e.value, e.charge = value, charge
-	} else {
-		s.pinned[k] = &entry{key: k, value: value, charge: charge}
-		s.used += charge
-		s.pinUsed += charge
-	}
-	s.evictLocked()
-}
-
-// evictLocked sheds unpinned LRU entries until the shard fits its capacity
-// or only pinned charge remains. Shard mutex held.
-func (s *shard) evictLocked() {
 	for s.used > s.maxSize {
 		back := s.ll.Back()
 		if back == nil {
@@ -189,15 +137,6 @@ func (c *LRU) EvictFile(file uint64) {
 			}
 			el = next
 		}
-		// Deleting the file releases its pins too — the only way pinned
-		// charge is ever reclaimed.
-		for k, e := range s.pinned {
-			if k.File == file {
-				delete(s.pinned, k)
-				s.used -= e.charge
-				s.pinUsed -= e.charge
-			}
-		}
 		s.mu.Unlock()
 	}
 }
@@ -207,25 +146,13 @@ func (c *LRU) Stats() (hits, misses int64) {
 	return c.nHit.Load(), c.nMiss.Load()
 }
 
-// Used returns the total charge currently held (pinned included).
+// Used returns the total charge currently held.
 func (c *LRU) Used() int64 {
 	var n int64
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		n += s.used
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Pinned returns the charge held by the pinned class.
-func (c *LRU) Pinned() int64 {
-	var n int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.pinUsed
 		s.mu.Unlock()
 	}
 	return n

@@ -199,158 +199,3 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestPinnedSurvivesChurnStorm: pinned entries must survive a churn storm
-// that turns over the whole LRU class many times; unpinned entries still
-// evict, and the charge accounting stays exact throughout.
-func TestPinnedSurvivesChurnStorm(t *testing.T) {
-	const capacity = 8 * 1024
-	c := New(capacity)
-
-	// Pin a handful of entries (file 100) before the storm.
-	const nPinned, pinCharge = 10, 64
-	for i := 0; i < nPinned; i++ {
-		c.PutPinned(Key{File: 100, Offset: uint64(i)}, fmt.Sprintf("pin-%d", i), pinCharge)
-	}
-	if got := c.Pinned(); got != nPinned*pinCharge {
-		t.Fatalf("Pinned() = %d, want %d", got, nPinned*pinCharge)
-	}
-
-	// Storm: push ~100x capacity of unpinned churn through the cache.
-	for i := 0; i < 8000; i++ {
-		c.Put(Key{File: 1, Offset: uint64(i)}, i, 100)
-	}
-
-	// Every pinned entry survived, with its value intact.
-	for i := 0; i < nPinned; i++ {
-		v, ok := c.Get(Key{File: 100, Offset: uint64(i)})
-		if !ok {
-			t.Fatalf("pinned entry %d evicted by churn", i)
-		}
-		if want := fmt.Sprintf("pin-%d", i); v.(string) != want {
-			t.Fatalf("pinned entry %d = %v, want %q", i, v, want)
-		}
-	}
-	// Unpinned entries still evict: the early storm keys are long gone.
-	for i := 0; i < 10; i++ {
-		if _, ok := c.Get(Key{File: 1, Offset: uint64(i)}); ok {
-			t.Fatalf("storm key %d survived a 100x-capacity churn", i)
-		}
-	}
-	// Exact accounting: total within capacity, pinned charge unchanged.
-	if used := c.Used(); used > capacity {
-		t.Fatalf("Used() = %d exceeds capacity %d (pins within budget)", used, capacity)
-	}
-	if got := c.Pinned(); got != nPinned*pinCharge {
-		t.Fatalf("Pinned() = %d after storm, want %d", got, nPinned*pinCharge)
-	}
-}
-
-// TestPinnedChargeAccounting covers the pinned-class bookkeeping edges:
-// update-in-place recharges, promotion of an existing LRU entry, Put on a
-// pinned key staying pinned, and EvictFile as the only pin release.
-func TestPinnedChargeAccounting(t *testing.T) {
-	c := New(1 << 20)
-	k := Key{File: 5, Offset: 0}
-
-	// Promote an existing unpinned entry: charge moves classes, not doubled.
-	c.Put(k, "lru", 100)
-	c.PutPinned(k, "pinned", 150)
-	if used, pinned := c.Used(), c.Pinned(); used != 150 || pinned != 150 {
-		t.Fatalf("after promote: used=%d pinned=%d, want 150/150", used, pinned)
-	}
-
-	// Re-pin with a new charge: updated in place.
-	c.PutPinned(k, "pinned2", 80)
-	if used, pinned := c.Used(), c.Pinned(); used != 80 || pinned != 80 {
-		t.Fatalf("after recharge: used=%d pinned=%d, want 80/80", used, pinned)
-	}
-
-	// Plain Put on a pinned key keeps it pinned (L0 block re-read path).
-	c.Put(k, "pinned3", 120)
-	if used, pinned := c.Used(), c.Pinned(); used != 120 || pinned != 120 {
-		t.Fatalf("after Put on pinned key: used=%d pinned=%d, want 120/120", used, pinned)
-	}
-	if v, ok := c.Get(k); !ok || v.(string) != "pinned3" {
-		t.Fatalf("pinned value after Put = %v,%v", v, ok)
-	}
-
-	// EvictFile is the release.
-	c.EvictFile(5)
-	if used, pinned := c.Used(), c.Pinned(); used != 0 || pinned != 0 {
-		t.Fatalf("after EvictFile: used=%d pinned=%d, want 0/0", used, pinned)
-	}
-	if _, ok := c.Get(k); ok {
-		t.Fatal("pinned entry served after EvictFile")
-	}
-}
-
-// TestPinnedConcurrentChurn hammers pinned and unpinned traffic from many
-// goroutines (a -race target) and then checks the invariants: pins all
-// present, accounting exact.
-func TestPinnedConcurrentChurn(t *testing.T) {
-	const capacity = 16 * 1024
-	c := New(capacity)
-	const nPinned, pinCharge = 16, 32
-	for i := 0; i < nPinned; i++ {
-		c.PutPinned(Key{File: 200, Offset: uint64(i)}, i, pinCharge)
-	}
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 4000; i++ {
-				switch i % 4 {
-				case 0, 1:
-					c.Put(Key{File: uint64(g), Offset: uint64(i)}, i, 100)
-				case 2:
-					c.Get(Key{File: 200, Offset: uint64(i % nPinned)})
-				default:
-					if i%500 == 0 {
-						c.EvictFile(uint64(g))
-					} else {
-						c.Pinned()
-						c.Used()
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	for i := 0; i < nPinned; i++ {
-		if _, ok := c.Get(Key{File: 200, Offset: uint64(i)}); !ok {
-			t.Fatalf("pinned entry %d lost during concurrent churn", i)
-		}
-	}
-	if got := c.Pinned(); got != nPinned*pinCharge {
-		t.Fatalf("Pinned() = %d, want %d", got, nPinned*pinCharge)
-	}
-	if used := c.Used(); used > capacity {
-		t.Fatalf("Used() = %d exceeds capacity %d", used, capacity)
-	}
-}
-
-// TestPinsMayExceedCapacity: pinning beyond capacity is allowed (the caller
-// bounds pins); the LRU class is starved but pinned entries stay readable.
-func TestPinsMayExceedCapacity(t *testing.T) {
-	c := New(64) // 8 per shard
-	for i := 0; i < 32; i++ {
-		c.PutPinned(Key{File: 1, Offset: uint64(i)}, i, 100)
-	}
-	for i := 0; i < 32; i++ {
-		if _, ok := c.Get(Key{File: 1, Offset: uint64(i)}); !ok {
-			t.Fatalf("over-budget pinned entry %d not served", i)
-		}
-	}
-	if got, want := c.Pinned(), int64(32*100); got != want {
-		t.Fatalf("Pinned() = %d, want %d", got, want)
-	}
-	// LRU inserts are shed immediately: pins already exceed capacity.
-	c.Put(Key{File: 2, Offset: 0}, "x", 10)
-	if used := c.Used(); used != 32*100 {
-		t.Fatalf("Used() = %d, want %d (unpinned insert must be shed)", used, 32*100)
-	}
-}

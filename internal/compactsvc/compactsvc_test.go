@@ -1,7 +1,9 @@
 package compactsvc
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -76,8 +78,6 @@ func TestRemoteJobExecution(t *testing.T) {
 		FirstOutputFileNum: 10,
 		MaxOutputFiles:     16,
 		TargetFileSize:     1 << 20,
-		BlockSize:          4096,
-		BloomBitsPerKey:    10,
 	}
 	res, err := orch.Compact(job)
 	if err != nil {
@@ -205,8 +205,6 @@ func TestRemoteSubcompactedJob(t *testing.T) {
 		FirstOutputFileNum: 10,
 		MaxOutputFiles:     30,
 		TargetFileSize:     4 << 10, // several outputs per shard
-		BlockSize:          4096,
-		BloomBitsPerKey:    10,
 		MaxSubcompactions:  3,
 	}
 	res, err := orch.Compact(job)
@@ -242,5 +240,56 @@ func TestRemoteSubcompactedJob(t *testing.T) {
 	}
 	if total != 750 {
 		t.Fatalf("sharded merge produced %d entries, want 750", total)
+	}
+}
+
+// TestParentEncodedJobRunsOffloaded: a job the previous build encoded (its own
+// block_size/bloom_bits_per_key/compression fields, pinned boundaries) goes
+// over the wire to a worker of this build, against the store that build wrote,
+// and the worker writes what that build's executor wrote. The fixtures are
+// lsm's (see internal/lsm/compat_test.go).
+func TestParentEncodedJobRunsOffloaded(t *testing.T) {
+	osfs, fs := vfs.NewOS(), vfs.NewMem()
+	fs.MkdirAll("db")
+	entries, err := osfs.List("../lsm/testdata/parent_store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := vfs.ReadFile(osfs, "../lsm/testdata/parent_store/"+e.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vfs.WriteFile(fs, "db/"+e.Name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var job lsm.CompactionJob
+	var want lsm.CompactionResult
+	for name, into := range map[string]any{"compaction_job.golden.json": &job, "compaction_result.golden.json": &want} {
+		data, err := vfs.ReadFile(osfs, "../lsm/testdata/"+name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, into); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	orch, _ := startPair(t, fs)
+	res, err := orch.Compact(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BytesRead != want.BytesRead || res.BytesWritten != want.BytesWritten ||
+		res.Subcompactions != want.Subcompactions || len(res.Outputs) != len(want.Outputs) {
+		t.Fatalf("offloaded result %+v, the parent's own %+v", res, want)
+	}
+	for i, out := range res.Outputs {
+		// File numbers are fenced per lease; everything else is the table.
+		out.FileNum = want.Outputs[i].FileNum
+		if !reflect.DeepEqual(out, want.Outputs[i]) {
+			t.Fatalf("output %d = %+v, the parent's own %+v", i, out, want.Outputs[i])
+		}
 	}
 }

@@ -70,8 +70,6 @@ func testJob(m1, m2 manifest.FileMetadata) lsm.CompactionJob {
 		FirstOutputFileNum: 10,
 		MaxOutputFiles:     30,
 		TargetFileSize:     1 << 20,
-		BlockSize:          4096,
-		BloomBitsPerKey:    10,
 	}
 }
 

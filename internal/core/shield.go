@@ -27,7 +27,7 @@ var ErrDegraded = errors.New("core: degraded: KDS unavailable")
 // degrading over) from policy denials like ErrUnauthorized or
 // ErrAlreadyIssued, which are authoritative answers and must surface as-is.
 func kdsUnavailable(err error) bool {
-	return errors.Is(err, kds.ErrNoReplica) || errors.Is(err, kds.ErrUnconfirmed)
+	return errors.Is(err, kds.ErrNoReplica)
 }
 
 // SHIELD file header (plaintext, precedes the encrypted body):
@@ -170,7 +170,7 @@ func Stats(w lsm.FileWrapper) (WrapperStats, bool) {
 // WrapCreate implements lsm.FileWrapper. Every new WAL/SST/MANIFEST gets a
 // fresh DEK; CURRENT (no user data, must be readable at bootstrap) passes
 // through.
-func (s *shieldWrapper) WrapCreate(name string, kind lsm.FileKind, f vfs.WritableFile) (vfs.WritableFile, string, error) {
+func (s *shieldWrapper) WrapCreate(name string, kind lsm.FileKind, f vfs.WritableFile) (_ vfs.WritableFile, _ string, err error) {
 	if kind == lsm.FileKindCurrent || kind == lsm.FileKindOther {
 		return f, "", nil
 	}
@@ -190,6 +190,16 @@ func (s *shieldWrapper) WrapCreate(name string, kind lsm.FileKind, f vfs.Writabl
 	s.names[name] = id
 	s.created++
 	s.mu.Unlock()
+	// A failure from here on must undo that registration itself: the caller
+	// never learns the DEK-ID, so its cleanup has nothing to hand FileDeleted.
+	defer func() {
+		if err != nil {
+			s.FileDeleted(name, string(id))
+			s.mu.Lock()
+			s.created--
+			s.mu.Unlock()
+		}
+	}()
 	if s.cfg.Cache != nil {
 		// Best effort: we hold the DEK in memory, so a cache-persistence
 		// failure (storage may itself be degraded) must not fail the write

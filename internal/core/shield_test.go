@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"shield/internal/crypt"
 	"shield/internal/kds"
 	"shield/internal/lsm"
 	"shield/internal/seccache"
@@ -250,4 +251,73 @@ func TestWrapperStats(t *testing.T) {
 	if _, ok := Stats(lsm.NopWrapper{}); ok {
 		t.Fatal("Stats accepted a non-SHIELD wrapper")
 	}
+}
+
+// TestWrapCreateFailureReleasesDEK: WrapCreate obtains the DEK first and can
+// still fail after that, on the header write (ENOSPC here). It returns no
+// DEK-ID then, so nothing the caller does can release the key: the wrapper
+// must have undone its own registration — memory, secure cache, counters, and
+// under RevokeOnDelete the KDS entry — for every kind of file it keys.
+func TestWrapCreateFailureReleasesDEK(t *testing.T) {
+	fault := vfs.NewFault(vfs.NewMem(), 1)
+	store := kds.NewStore(kds.Policy{})
+	svc := &recordingKDS{Service: kds.NewLocal(store, "s")}
+	cache, err := seccache.Open(vfs.NewMem(), "c.bin", []byte("pw"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapper, err := Config{Mode: ModeSHIELD, FS: fault, KDS: svc, Cache: cache, RevokeOnDelete: true}.BuildWrapper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := wrapper.(*shieldWrapper)
+	fault.Inject(vfs.FaultRule{Op: vfs.FaultWrite, Err: vfs.ErrNoSpace})
+
+	for _, kind := range []lsm.FileKind{lsm.FileKindSST, lsm.FileKindWAL, lsm.FileKindManifest} {
+		name := "db/000007." + kind.String()
+		raw, err := fault.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		issuedBefore, _, _ := store.Stats()
+		w, id, err := wrapper.WrapCreate(name, kind, raw)
+		if !errors.Is(err, vfs.ErrNoSpace) || w != nil || id != "" {
+			t.Fatalf("%v: WrapCreate = %v, %q, %v; want the ENOSPC of the header write", kind, w, id, err)
+		}
+		if issued, _, _ := store.Stats(); issued != issuedBefore+1 {
+			t.Fatalf("%v: KDS issued %d DEKs for the call, want 1 (the failure must come after CreateDEK)", kind, issued-issuedBefore)
+		}
+		if st, _ := Stats(wrapper); st.DEKsCreated != 0 {
+			t.Fatalf("%v: wrapper counts %d DEKs created, want 0", kind, st.DEKsCreated)
+		}
+		sw.mu.Lock()
+		deks, names := len(sw.deks), len(sw.names)
+		sw.mu.Unlock()
+		if deks != 0 || names != 0 || cache.Len() != 0 {
+			t.Fatalf("%v: %d DEKs and %d names in memory, %d in the secure cache; want none", kind, deks, names, cache.Len())
+		}
+	}
+	// RevokeOnDelete: the three orphaned keys are dead at the KDS as well.
+	if len(svc.issued) != 3 {
+		t.Fatalf("KDS issued %d keys, want one per kind", len(svc.issued))
+	}
+	for _, id := range svc.issued {
+		if _, err := svc.FetchDEK(id); !errors.Is(err, kds.ErrKeyRevoked) {
+			t.Fatalf("FetchDEK(%s) = %v, want ErrKeyRevoked", id, err)
+		}
+	}
+}
+
+// recordingKDS remembers the ID of every DEK it hands out.
+type recordingKDS struct {
+	kds.Service
+	issued []kds.KeyID
+}
+
+func (r *recordingKDS) CreateDEK() (kds.KeyID, crypt.DEK, error) {
+	id, dek, err := r.Service.CreateDEK()
+	if err == nil {
+		r.issued = append(r.issued, id)
+	}
+	return id, dek, err
 }

@@ -43,11 +43,6 @@ var (
 	ErrNoReplica      = errors.New("kds: no replica reachable")
 	ErrClosed         = errors.New("kds: service closed")
 	ErrPolicyViolated = errors.New("kds: request denied by policy")
-
-	// ErrUnconfirmed reports that a non-idempotent request failed after it
-	// may already have reached a replica; re-sending it could apply it
-	// twice, so the client surfaces the uncertainty instead of retrying.
-	ErrUnconfirmed = errors.New("kds: request outcome unknown")
 )
 
 // Backend is the server-side key-store interface: what a KDS front end

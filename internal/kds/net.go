@@ -133,13 +133,6 @@ type ClientConfig struct {
 	// between attempts (defaults 5ms and 250ms).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-
-	// NoIdempotencyTokens disables the create-token protocol, for
-	// backends that do not implement TokenCreator. Without tokens a
-	// create whose transport fails after the request may have been
-	// delivered is NOT retried — it fails with ErrUnconfirmed, because a
-	// blind re-send could double-issue a DEK.
-	NoIdempotencyTokens bool
 }
 
 func (cfg ClientConfig) withDefaults() ClientConfig {
@@ -163,10 +156,10 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 
 // Client is a Service that talks to one or more KDS replicas over TCP.
 // Every request carries a deadline and fails over between replicas with
-// jittered exponential backoff; idempotent requests (fetch, revoke, and
-// token-carrying creates) are retried across replicas, non-idempotent
-// ones surface ErrUnconfirmed rather than risk double application. It is
-// safe for concurrent use; requests are serialized over one connection.
+// jittered exponential backoff. Every request is idempotent (fetch and
+// revoke by nature, create by the token it carries), so all of them are
+// retried across replicas. It is safe for concurrent use; requests are
+// serialized over one connection.
 type Client struct {
 	serverID string
 	group    *netretry.Group
@@ -281,12 +274,11 @@ func (c *Client) dropConn(conn net.Conn) {
 	}
 }
 
-// roundTrip sends one request with deadlines, backoff, and failover.
-// idempotent requests are re-sent on transport errors; others fail with
-// ErrUnconfirmed once the request may have been delivered.
+// roundTrip sends one request with deadlines, backoff, and failover,
+// re-sending it on transport errors.
 //
 //shield:nolockio reqMu is the request queue: serializing I/O over the shared connection is its whole job
-func (c *Client) roundTrip(req wireRequest, idempotent bool) (wireResponse, error) {
+func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
 	req.ServerID = c.serverID
@@ -321,9 +313,6 @@ func (c *Client) roundTrip(req wireRequest, idempotent bool) (wireResponse, erro
 		}
 		c.dropConn(conn)
 		lastErr = err
-		if !idempotent {
-			return wireResponse{}, fmt.Errorf("%w: %v", ErrUnconfirmed, err)
-		}
 	}
 	return wireResponse{}, fmt.Errorf("%w: request failed after %d attempts: %v",
 		ErrNoReplica, c.cfg.MaxAttempts, lastErr)
@@ -351,20 +340,14 @@ func mapWireError(msg string) error {
 	return errors.New(msg)
 }
 
-// CreateDEK implements Service. Unless disabled, the request carries an
-// idempotency token so transport-level retries cannot double-issue a DEK.
+// CreateDEK implements Service. The request carries an idempotency token so
+// transport-level retries cannot double-issue a DEK.
 func (c *Client) CreateDEK() (KeyID, crypt.DEK, error) {
-	req := wireRequest{Op: "create"}
-	idempotent := false
-	if !c.cfg.NoIdempotencyTokens {
-		token, err := newCreateToken()
-		if err != nil {
-			return "", crypt.DEK{}, err
-		}
-		req.Token = token
-		idempotent = true
+	token, err := newCreateToken()
+	if err != nil {
+		return "", crypt.DEK{}, err
 	}
-	resp, err := c.roundTrip(req, idempotent)
+	resp, err := c.roundTrip(wireRequest{Op: "create", Token: token})
 	if err != nil {
 		return "", crypt.DEK{}, err
 	}
@@ -388,7 +371,7 @@ func (c *Client) CreateDEK() (KeyID, crypt.DEK, error) {
 // server, and re-fetch by the same server is policy-checked server-side),
 // so transport failures retry freely.
 func (c *Client) FetchDEK(id KeyID) (crypt.DEK, error) {
-	resp, err := c.roundTrip(wireRequest{Op: "fetch", KeyID: string(id)}, true)
+	resp, err := c.roundTrip(wireRequest{Op: "fetch", KeyID: string(id)})
 	if err != nil {
 		return crypt.DEK{}, err
 	}
@@ -406,7 +389,7 @@ func (c *Client) FetchDEK(id KeyID) (crypt.DEK, error) {
 
 // RevokeDEK implements Service. Revocation is idempotent.
 func (c *Client) RevokeDEK(id KeyID) error {
-	resp, err := c.roundTrip(wireRequest{Op: "revoke", KeyID: string(id)}, true)
+	resp, err := c.roundTrip(wireRequest{Op: "revoke", KeyID: string(id)})
 	if err != nil {
 		return err
 	}

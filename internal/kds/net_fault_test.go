@@ -177,33 +177,6 @@ func TestCreateRetryDoesNotDoubleIssueDEK(t *testing.T) {
 	}
 }
 
-// TestCreateUnconfirmedWithoutTokens disables the token protocol and loses
-// the first response: the client must NOT blindly retry (that could mint a
-// second key) and instead surface ErrUnconfirmed.
-func TestCreateUnconfirmedWithoutTokens(t *testing.T) {
-	store := NewStore(DefaultPolicy())
-	store.Authorize("server-1")
-	srv, err := NewServer(store, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	proxy := newDropFirstResponseProxy(t, srv.Addr())
-
-	cfg := fastConfig()
-	cfg.NoIdempotencyTokens = true
-	client := NewClientConfig("server-1", cfg, proxy.addr())
-	defer client.Close()
-
-	_, _, err = client.CreateDEK()
-	if !errors.Is(err, ErrUnconfirmed) {
-		t.Fatalf("CreateDEK err = %v, want ErrUnconfirmed", err)
-	}
-	if issued, _, _ := store.Stats(); issued != 1 {
-		t.Fatalf("store issued %d DEKs, want 1 (the unconfirmed one)", issued)
-	}
-}
-
 // TestHungReplicaTimesOutAndFailsOver lists a replica that accepts
 // connections but never answers ahead of a healthy one. The per-request
 // deadline must fire and the client must fail over, quickly.

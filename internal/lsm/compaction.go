@@ -47,17 +47,10 @@ type CompactionJob struct {
 	// 1 runs the merge serially.
 	MaxSubcompactions int `json:"max_subcompactions,omitempty"`
 
-	// Boundaries optionally pins the shard split points (ascending user
-	// keys); empty derives them from the input files' ranges. Pinning the
-	// boundaries at the serial path's output cut points makes the sharded
-	// outputs byte-identical to the serial outputs (the equivalence the
-	// tests assert).
-	Boundaries [][]byte `json:"boundaries,omitempty"`
-
-	// Table-format knobs, mirrored from Options.
-	BlockSize       int                 `json:"block_size"`
-	BloomBitsPerKey int                 `json:"bloom_bits_per_key"`
-	Compression     sstable.Compression `json:"compression"`
+	// WriterOptions is the outputs' table format, the engine's own carried
+	// verbatim (its fields encode inline: block_size, bloom_bits_per_key,
+	// compression), so an offloaded worker writes the table the engine would.
+	sstable.WriterOptions
 }
 
 // MaxJobOutputFiles is how many output file numbers the engine reserves for
@@ -98,19 +91,6 @@ func (c *LocalCompactor) Compact(job CompactionJob) (CompactionResult, error) {
 	return RunCompaction(c.FS, c.Wrapper, job)
 }
 
-// newTableWriter builds an SST writer honoring the DB's table options. The
-// flush path (the only caller) threads the prefix extractor through, so L0
-// files carry prefix blooms; compaction outputs are built from the
-// JSON-serializable CompactionJob and carry none (see Options.PrefixExtractor).
-func newTableWriter(f vfs.WritableFile, opts Options) *sstable.Writer {
-	return sstable.NewWriter(f, sstable.WriterOptions{
-		BlockSize:       opts.BlockSize,
-		BloomBitsPerKey: opts.BloomBitsPerKey,
-		Compression:     opts.Compression,
-		PrefixExtractor: opts.PrefixExtractor,
-	})
-}
-
 // RunCompaction merges the job's inputs into output tables on fs. It is the
 // single compaction implementation shared by the in-process path and the
 // offloaded-compaction worker. When the job allows subcompactions the merge
@@ -126,30 +106,28 @@ func RunCompaction(fs vfs.FS, wrapper FileWrapper, job CompactionJob) (Compactio
 	if wrapper == nil {
 		wrapper = NopWrapper{}
 	}
-	bounds := job.Boundaries
-	if len(bounds) == 0 {
-		bounds = subcompactionBoundaries(job)
-	}
-	var bytesRead int64
+	bounds := subcompactionBoundaries(job)
+	res := CompactionResult{Subcompactions: len(bounds) + 1}
 	for _, lvl := range job.Inputs {
 		for _, f := range lvl.Files {
-			bytesRead += int64(f.Size)
+			res.BytesRead += int64(f.Size)
 		}
 	}
-	res, err := runShardedCompaction(fs, wrapper, job, bounds)
-	res.BytesRead = bytesRead
+	outs, err := runShardedCompaction(fs, wrapper, job, bounds)
 	// The output files' directory entries must be durable before the caller
 	// logs the manifest edit referencing them.
-	if err == nil && len(res.Outputs) > 0 {
-		if serr := fs.SyncDir(job.Dir); serr != nil {
-			removeOutputs(fs, wrapper, job.Dir, res.Outputs)
-			res.Outputs, res.BytesWritten = nil, 0
-			err = serr
+	if err == nil && len(outs) > 0 {
+		if err = fs.SyncDir(job.Dir); err != nil {
+			abortOutputs(outs)
 		}
 	}
 	if err != nil {
 		metrics.Storage.CompactionAborts.Add(1)
-		return CompactionResult{BytesRead: bytesRead, Subcompactions: res.Subcompactions}, err
+		return res, err
+	}
+	for _, o := range outs {
+		res.Outputs = append(res.Outputs, o.meta)
+		res.BytesWritten += int64(o.meta.Size)
 	}
 	return res, nil
 }
@@ -542,9 +520,7 @@ func (d *DB) runCompactionPlan(plan *compactionPlan) error {
 			MaxOutputFiles:     MaxJobOutputFiles,
 			TargetFileSize:     targetSize,
 			MaxSubcompactions:  maxSub,
-			BlockSize:          d.opts.BlockSize,
-			BloomBitsPerKey:    d.opts.BloomBitsPerKey,
-			Compression:        d.opts.Compression,
+			WriterOptions:      d.opts.tableOptions(),
 		}
 		compactor := d.opts.Compactor
 		if compactor == nil {

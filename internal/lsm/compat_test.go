@@ -1,0 +1,216 @@
+package lsm
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"path"
+	"reflect"
+	"sort"
+	"testing"
+
+	"shield/internal/lsm/sstable"
+	"shield/internal/vfs"
+)
+
+// The fixtures under testdata/ were written by the build before this one
+// (commit 7645441), the last with Options.PrefixExtractor, CompactionJob's
+// own BlockSize/BloomBitsPerKey/Compression and CompactionJob.Boundaries:
+//
+//   - parent_store/ is a plain store (BlockSize 1024, PrefixExtractor = first
+//     3 bytes, no compaction): three flushes, generation g putting every
+//     (g+1)-th key from g, the last one also deleting every 40th key from 5.
+//     Its three L0 tables carry prefix filter blocks.
+//   - compaction_job.golden.json is json.MarshalIndent of the job merging
+//     those tables into L1 in two shards, boundaries pinned.
+//   - compaction_result.golden.json is what RunCompaction returned for it
+//     there (with the boundaries derived, as they always are now).
+
+func fixtureKey(i int) []byte { return []byte(fmt.Sprintf("u%02d:%04d", i%7, i)) }
+func fixtureVal(i, gen int) string {
+	return fmt.Sprintf("value-%04d-gen%d-%s", i, gen, "abcdefghijklmnopqrstuvwxyz0123456789abcdefghijklmnopqrstuvwxyz")
+}
+
+// parentStoreModel is what parent_store holds.
+func parentStoreModel() map[string]string {
+	m := map[string]string{}
+	for gen := 0; gen < 3; gen++ {
+		for i := gen; i < 300; i += gen + 1 {
+			m[string(fixtureKey(i))] = fixtureVal(i, gen)
+		}
+	}
+	for i := 5; i < 300; i += 40 {
+		delete(m, string(fixtureKey(i)))
+	}
+	return m
+}
+
+// loadFixture copies the files of an on-disk directory into dir on a fresh
+// in-memory filesystem.
+func loadFixture(t *testing.T, osDir, dir string) vfs.FS {
+	t.Helper()
+	osfs, mem := vfs.NewOS(), vfs.NewMem()
+	if err := mem.MkdirAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := osfs.List(osDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := vfs.ReadFile(osfs, path.Join(osDir, e.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vfs.WriteFile(mem, path.Join(dir, e.Name), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return mem
+}
+
+// checkAgainstModel reads every key of want by Get and by one full scan.
+func checkAgainstModel(t *testing.T, db *DB, want map[string]string) {
+	t.Helper()
+	for k, v := range want {
+		if got, err := db.Get([]byte(k)); err != nil || string(got) != v {
+			t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, v)
+		}
+	}
+	keys := make([]string, 0, len(want))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	it, err := db.NewIter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	n := 0
+	for ok := it.First(); ok; ok = it.Next() {
+		if n >= len(keys) || string(it.Key()) != keys[n] || string(it.Value()) != want[keys[n]] {
+			t.Fatalf("scan entry %d = %q, not in the model at that place", n, it.Key())
+		}
+		n++
+	}
+	if err := it.Err(); err != nil || n != len(keys) {
+		t.Fatalf("scan returned %d entries, %v; want %d", n, err, len(keys))
+	}
+}
+
+// TestParentStoreWithPrefixFiltersOpens: a store whose tables carry the prefix
+// filter block this build no longer reads opens under ParanoidChecks, reads
+// back whole, and scrubs clean.
+func TestParentStoreWithPrefixFiltersOpens(t *testing.T) {
+	fs := loadFixture(t, "testdata/parent_store", "db")
+	for _, name := range listNames(t, fs, "db") {
+		if data, _ := vfs.ReadFile(fs, "db/"+name); path.Ext(name) == ".sst" && !bytes.Contains(data, []byte(`"prefix_filter_offset"`)) {
+			t.Fatalf("%s carries no prefix filter; the fixture no longer tests what it is for", name)
+		}
+	}
+	db, err := Open("db", Options{FS: fs, ParanoidChecks: true, L0CompactionTrigger: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstModel(t, db, parentStoreModel())
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	report, err := Scrub(fs, "db", ScrubOptions{})
+	if err != nil || !report.Clean() || report.SSTsChecked != 3 {
+		t.Fatalf("scrub: %v\n%s", err, report)
+	}
+}
+
+// parentCompactionJob is CompactionJob as the parent build declared it.
+type parentCompactionJob struct {
+	Dir                string              `json:"dir"`
+	Inputs             []JobLevel          `json:"inputs"`
+	OutputLevel        int                 `json:"output_level"`
+	Bottommost         bool                `json:"bottommost"`
+	SmallestSnapshot   uint64              `json:"smallest_snapshot"`
+	FirstOutputFileNum uint64              `json:"first_output_file_num"`
+	MaxOutputFiles     uint64              `json:"max_output_files"`
+	TargetFileSize     uint64              `json:"target_file_size"`
+	MaxSubcompactions  int                 `json:"max_subcompactions,omitempty"`
+	Boundaries         [][]byte            `json:"boundaries,omitempty"`
+	BlockSize          int                 `json:"block_size"`
+	BloomBitsPerKey    int                 `json:"bloom_bits_per_key"`
+	Compression        sstable.Compression `json:"compression"`
+}
+
+func readGolden(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := vfs.ReadFile(vfs.NewOS(), "testdata/"+name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func decodeStrict(t *testing.T, data []byte, into any) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
+		t.Fatalf("decoding into %T: %v", into, err)
+	}
+}
+
+// TestParentCompactionJobGolden: the job wire format is unchanged for every
+// field both builds have. A job the parent encoded decodes here (the pinned
+// boundaries it may carry are dropped), this build's encoding of it decodes
+// with the parent's struct and is the parent's own encoding byte for byte,
+// and running it here gives the result the parent got.
+func TestParentCompactionJobGolden(t *testing.T) {
+	golden := readGolden(t, "compaction_job.golden.json")
+	var parent parentCompactionJob
+	decodeStrict(t, golden, &parent)
+	if len(parent.Boundaries) == 0 {
+		t.Fatal("golden job pins no boundaries; it no longer covers a dropped field")
+	}
+
+	var job CompactionJob
+	if err := json.Unmarshal(golden, &job); err != nil {
+		t.Fatal(err)
+	}
+	if want := (sstable.WriterOptions{BlockSize: 1024, BloomBitsPerKey: 10}); job.WriterOptions != want {
+		t.Fatalf("decoded table options %+v, want %+v", job.WriterOptions, want)
+	}
+	if job.Dir != "db" || job.OutputLevel != 1 || !job.Bottommost || job.MaxSubcompactions != 2 ||
+		len(job.Inputs) != 1 || len(job.Inputs[0].Files) != 3 || !reflect.DeepEqual(job.Inputs, parent.Inputs) {
+		t.Fatalf("decoded job differs from the parent's: %+v", job)
+	}
+
+	encoded, err := json.MarshalIndent(job, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back parentCompactionJob
+	decodeStrict(t, encoded, &back)
+	parent.Boundaries = nil
+	if !reflect.DeepEqual(back, parent) {
+		t.Fatalf("this build's encoding reads back at the parent as\n%+v\nwant\n%+v", back, parent)
+	}
+	if parentEncoded, _ := json.MarshalIndent(parent, "", "  "); !bytes.Equal(encoded, parentEncoded) {
+		t.Fatalf("encodings differ:\nhere:\n%s\nparent:\n%s", encoded, parentEncoded)
+	}
+
+	goldenResult := readGolden(t, "compaction_result.golden.json")
+	var wantRes CompactionResult
+	decodeStrict(t, goldenResult, &wantRes)
+	fs := loadFixture(t, "testdata/parent_store", "db")
+	res, err := RunCompaction(fs, nil, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := json.MarshalIndent(res, "", "  "); !bytes.Equal(append(got, '\n'), goldenResult) {
+		t.Fatalf("result differs from the parent's:\nhere:\n%s\nparent:\n%s", got, goldenResult)
+	}
+	// Everything the store holds, and nothing it deleted, is in the outputs.
+	keys, _ := readJobOutputs(t, fs, NopWrapper{}, job.Dir, res.Outputs)
+	if want := parentStoreModel(); len(keys) != len(want) {
+		t.Fatalf("outputs hold %d records, the store %d live keys", len(keys), len(want))
+	}
+}

@@ -14,11 +14,10 @@ import (
 func TestFIFONoWriteStall(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := Options{
-		FS:                  fs,
-		MemtableSize:        8 << 10, // many small L0 files
-		CompactionStyle:     CompactionFIFO,
-		FIFOMaxTableSize:    64 << 20, // cap far beyond the data written
-		L0StopWritesTrigger: 4,        // would wedge writes if applied
+		FS:               fs,
+		MemtableSize:     8 << 10, // many small L0 files: far past l0StopWritesTrigger
+		CompactionStyle:  CompactionFIFO,
+		FIFOMaxTableSize: 64 << 20, // cap far beyond the data written
 	}
 	db, err := Open("db", opts)
 	if err != nil {
@@ -33,8 +32,8 @@ func TestFIFONoWriteStall(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if files := db.NumFilesAtLevel(0); files <= 4 {
-		t.Fatalf("expected many L0 files under FIFO, got %d", files)
+	if files := db.NumFilesAtLevel(0); files <= l0StopWritesTrigger {
+		t.Fatalf("expected more than %d L0 files under FIFO, got %d", l0StopWritesTrigger, files)
 	}
 	if _, err := db.Get([]byte("k019999")); err != nil {
 		t.Fatal(err)

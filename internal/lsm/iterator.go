@@ -30,15 +30,6 @@ type internalIterator interface {
 	Close() error
 }
 
-// prefixSeeker is the optional fast path for prefix-scoped seeks: position at
-// the first entry >= target, or report false without error when the source
-// provably holds no key with the given extractor prefix (a bloom-filter
-// skip). Sources without the interface fall back to a plain SeekGE — the
-// filter only ever removes work, never entries.
-type prefixSeeker interface {
-	SeekPrefixGE(prefix, target []byte) bool
-}
-
 // sstIterAdapter adapts sstable.Iter and owns the table-cache release.
 type sstIterAdapter struct {
 	it      *sstable.Iter
@@ -46,23 +37,11 @@ type sstIterAdapter struct {
 	// wrapErr, when set, types errors surfacing from lazy block loads
 	// (e.g. a sealed block failing authentication mid-iteration).
 	wrapErr func(error) error
-	// mayContainPrefix, when set, consults the table's prefix bloom filter;
-	// a definite miss lets SeekPrefixGE skip the table entirely.
-	mayContainPrefix func(prefix []byte) bool
 }
 
 func (s *sstIterAdapter) First() bool               { return s.it.First() }
 func (s *sstIterAdapter) Next() bool                { return s.it.Next() }
 func (s *sstIterAdapter) SeekGE(target []byte) bool { return s.it.SeekGE(target) }
-
-// SeekPrefixGE skips the table when its prefix bloom proves the prefix
-// absent; otherwise it degrades to a plain SeekGE.
-func (s *sstIterAdapter) SeekPrefixGE(prefix, target []byte) bool {
-	if s.mayContainPrefix != nil && !s.mayContainPrefix(prefix) {
-		return false
-	}
-	return s.it.SeekGE(target)
-}
 func (s *sstIterAdapter) SeekLT(target []byte) bool { return s.it.SeekLT(target) }
 func (s *sstIterAdapter) Last() bool                { return s.it.Last() }
 func (s *sstIterAdapter) Valid() bool               { return s.it.Valid() }
@@ -132,19 +111,6 @@ func (m *mergingIter) First() bool {
 
 func (m *mergingIter) SeekGE(target []byte) bool {
 	return m.initHeap(func(it internalIterator) bool { return it.SeekGE(target) })
-}
-
-// SeekPrefixGE seeks every child, letting prefix-aware children (SST tables,
-// level runs) skip themselves via their bloom filters. Children without the
-// fast path (memtables) do a full SeekGE, so no visible prefixed entry is
-// ever lost.
-func (m *mergingIter) SeekPrefixGE(prefix, target []byte) bool {
-	return m.initHeap(func(it internalIterator) bool {
-		if ps, ok := it.(prefixSeeker); ok {
-			return ps.SeekPrefixGE(prefix, target)
-		}
-		return it.SeekGE(target)
-	})
 }
 
 // reverseSelect positions every child with pos and keeps only the child
@@ -222,17 +188,6 @@ type Iterator struct {
 	value   []byte
 	valid   bool
 	onClose func()
-
-	// prefixExtract mirrors Options.PrefixExtractor; nil disables
-	// SeekPrefixGE's filter path. onPrefixSeek, when set, counts prefix
-	// seeks for metrics.
-	prefixExtract func(userKey []byte) []byte
-	onPrefixSeek  func()
-	// activePrefix/prefixMode scope iteration after SeekPrefixGE: tables
-	// whose blooms miss were skipped, so the stream is only complete while
-	// keys still carry the prefix.
-	activePrefix []byte
-	prefixMode   bool
 }
 
 // findNextUserKey advances the merged stream to the next visible user entry
@@ -264,7 +219,6 @@ func (it *Iterator) findNextUserKey(skipCurrent []byte) {
 
 // First positions at the smallest visible key.
 func (it *Iterator) First() bool {
-	it.prefixMode = false
 	if !it.m.First() {
 		it.valid = false
 		return false
@@ -275,38 +229,11 @@ func (it *Iterator) First() bool {
 
 // SeekGE positions at the first visible key >= userKey.
 func (it *Iterator) SeekGE(userKey []byte) bool {
-	it.prefixMode = false
 	if !it.m.SeekGE(base.SearchKey(userKey, it.seq)) {
 		it.valid = false
 		return false
 	}
 	it.findNextUserKey(nil)
-	return it.valid
-}
-
-// SeekPrefixGE positions at the first visible key >= userKey that shares
-// userKey's extractor prefix, consulting per-table prefix bloom filters to
-// skip tables that provably lack the prefix. Without a configured
-// PrefixExtractor it is exactly SeekGE. After a successful prefix seek the
-// iterator is scoped to the prefix: Next returns false at the first key past
-// it, and reverse positioning (Prev/SeekLT/Last) leaves prefix mode.
-func (it *Iterator) SeekPrefixGE(userKey []byte) bool {
-	if it.prefixExtract == nil {
-		return it.SeekGE(userKey)
-	}
-	if it.onPrefixSeek != nil {
-		it.onPrefixSeek()
-	}
-	it.activePrefix = append(it.activePrefix[:0], it.prefixExtract(userKey)...)
-	it.prefixMode = true
-	if !it.m.SeekPrefixGE(it.activePrefix, base.SearchKey(userKey, it.seq)) {
-		it.valid = false
-		return false
-	}
-	it.findNextUserKey(nil)
-	if it.valid && !bytes.HasPrefix(it.key, it.activePrefix) {
-		it.valid = false
-	}
 	return it.valid
 }
 
@@ -318,9 +245,6 @@ func (it *Iterator) Next() bool {
 	cur := append([]byte(nil), it.key...)
 	it.m.Next()
 	it.findNextUserKey(cur)
-	if it.valid && it.prefixMode && !bytes.HasPrefix(it.key, it.activePrefix) {
-		it.valid = false
-	}
 	return it.valid
 }
 
@@ -331,7 +255,6 @@ func (it *Iterator) Next() bool {
 // cost asymmetry of backward LSM iteration.
 func (it *Iterator) resolveBackward(bound []byte) bool {
 	it.valid = false
-	it.prefixMode = false
 	unbounded := bound == nil
 	cur := append([]byte(nil), bound...)
 	for {
@@ -508,48 +431,6 @@ func (c *concatIter) SeekGE(target []byte) bool {
 		return true
 	}
 	return c.Next()
-}
-
-// SeekPrefixGE walks the run from the file that would hold target, trying a
-// prefix-filtered seek per file and stopping once a file's smallest key lies
-// past the prefix range — in a sorted non-overlapping run no later file can
-// hold a prefixed key either.
-func (c *concatIter) SeekPrefixGE(prefix, target []byte) bool {
-	lo, hi := 0, len(c.files)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if base.CompareInternal(c.files[mid].largest, target) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for c.idx = lo; c.idx < len(c.files); c.idx++ {
-		// A user key greater than the prefix that does not extend it sorts
-		// after every key carrying the prefix.
-		small := base.UserKey(c.files[c.idx].smallest)
-		if bytes.Compare(small, prefix) > 0 && !bytes.HasPrefix(small, prefix) {
-			break
-		}
-		if !c.openIdx() {
-			return false
-		}
-		var ok bool
-		if ps, isPS := c.cur.(prefixSeeker); isPS {
-			ok = ps.SeekPrefixGE(prefix, target)
-		} else {
-			ok = c.cur.SeekGE(target)
-		}
-		if ok {
-			return true
-		}
-		if err := c.cur.Err(); err != nil {
-			c.err = err
-			return false
-		}
-	}
-	c.closeCur()
-	return false
 }
 
 // SeekLT positions at the largest entry < target across the run.

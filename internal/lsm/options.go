@@ -149,12 +149,10 @@ type Options struct {
 	// many bytes. Default 4 MiB.
 	MemtableSize int64
 
-	// BlockSize is the SST data-block size. Default 4096.
+	// BlockSize is the SST data-block size. Default 4096. With Compression it
+	// is the part of the table format (sstable.WriterOptions) a caller sets;
+	// see tableOptions.
 	BlockSize int
-
-	// BloomBitsPerKey sizes SST bloom filters. Default 10; negative
-	// disables filters.
-	BloomBitsPerKey int
 
 	// Compression compresses SST data blocks before they are encrypted
 	// (ciphertext does not compress, so the pipeline order matters).
@@ -165,32 +163,9 @@ type Options struct {
 	// 0 keeps the default, negative disables the cache.
 	BlockCacheSize int64
 
-	// PinL0AndMeta pins the hot top of the read path in the block cache:
-	// every table's index and filter bytes, plus the data blocks of L0 files,
-	// are charged to a pinned class that eviction skips, so a scan-heavy
-	// churn cannot evict the blocks every point read touches. Pins are
-	// released when the file is deleted (L0 files never change level: a
-	// compaction consuming them writes new files). Pinned charge counts
-	// against BlockCacheSize; size the cache to hold L0 plus metadata with
-	// room to spare. Default off.
-	PinL0AndMeta bool
-
-	// PrefixExtractor, when non-nil, derives a bucketing prefix from a user
-	// key. It must return a byte-prefix of the key (so keys sharing a prefix
-	// are contiguous) and must be pure and goroutine-safe. When set, flushed
-	// SSTs carry a second bloom filter over distinct prefixes, and
-	// Iterator.SeekPrefixGE consults it to skip tables that provably hold no
-	// key with the sought prefix. Compaction outputs carry no prefix filter
-	// (compactions may execute on an offloaded worker that cannot be handed
-	// a Go function); reads degrade to unfiltered seeks there. Default nil.
-	PrefixExtractor func(userKey []byte) []byte
-
 	// L0CompactionTrigger is the L0 file count that starts a leveled
 	// compaction (or the run count for universal). Default 4.
 	L0CompactionTrigger int
-
-	// L0StopWritesTrigger stalls writes when L0 grows past it. Default 20.
-	L0StopWritesTrigger int
 
 	// BaseLevelSize is the target size of L1. Default 16 MiB.
 	BaseLevelSize uint64
@@ -269,18 +244,23 @@ type Options struct {
 	Logger func(format string, args ...any)
 }
 
+// l0StopWritesTrigger stalls writes while L0 holds this many files or more.
+const l0StopWritesTrigger = 20
+
+// tableOptions is the table format this DB writes, in the form that travels:
+// a flush hands it to the table writer, a compaction puts it in its
+// CompactionJob and the executor, local or remote, hands that to the writer.
+// What is left zero (the bloom filter's bits per key) is the writer's default.
+func (o Options) tableOptions() sstable.WriterOptions {
+	return sstable.WriterOptions{BlockSize: o.BlockSize, Compression: o.Compression}
+}
+
 func (o Options) withDefaults() Options {
 	if o.Wrapper == nil {
 		o.Wrapper = NopWrapper{}
 	}
 	if o.MemtableSize == 0 {
 		o.MemtableSize = 4 << 20
-	}
-	if o.BlockSize == 0 {
-		o.BlockSize = 4096
-	}
-	if o.BloomBitsPerKey == 0 {
-		o.BloomBitsPerKey = 10
 	}
 	if o.BlockCacheSize == 0 {
 		o.BlockCacheSize = 8 << 20
@@ -289,9 +269,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.L0CompactionTrigger == 0 {
 		o.L0CompactionTrigger = 4
-	}
-	if o.L0StopWritesTrigger == 0 {
-		o.L0StopWritesTrigger = 20
 	}
 	if o.BaseLevelSize == 0 {
 		o.BaseLevelSize = 16 << 20

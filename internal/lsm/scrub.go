@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -10,7 +9,6 @@ import (
 	"strings"
 
 	"shield/internal/lsm/manifest"
-	"shield/internal/lsm/sstable"
 	"shield/internal/lsm/wal"
 	"shield/internal/metrics"
 	"shield/internal/vfs"
@@ -248,7 +246,7 @@ func Scrub(fsys vfs.FS, dir string, opts ScrubOptions) (*ScrubReport, error) {
 		for _, f := range st.ver.Levels[lvl] {
 			name := sstFileName(dir, f.FileNum)
 			s.report.SSTsChecked++
-			action, detail, verdict := s.checkSST(name, f)
+			action, detail, verdict := s.classifySST(name, f)
 			if verdict == VerdictOK && s.report.EpochRegressed {
 				// Authentic bytes, stale tree.
 				verdict = VerdictStaleEpoch
@@ -409,73 +407,24 @@ func (s *scrubber) sniffEncrypted(name string) bool {
 	return s.opts.Encrypted(prefix[:n])
 }
 
-// checkSST verifies one table: block checksums (which for sealed files are
-// AEAD-authenticated reads), then the tag-chain digest against the digest
-// the manifest anchored. Returns "" when healthy, otherwise the action to
+// classifySST runs checkSST on one table and turns its answer into what a
+// scrub does about it. Returns "" when healthy, otherwise the action to
 // take, a detail string, and always the per-file verdict.
-func (s *scrubber) checkSST(name string, meta *manifest.FileMetadata) (ScrubAction, string, ScrubVerdict) {
-	raw, err := s.fs.Open(name)
-	if err != nil {
-		if errors.Is(err, vfs.ErrNotFound) {
-			return ScrubMissing, "referenced by the manifest but absent", VerdictTampered
-		}
-		return ScrubSkipped, "unreadable: " + err.Error(), VerdictUndecryptable
-	}
-	// transformed records whether the wrapper actually decrypts this file:
-	// if it does (we hold the key), a downstream checksum failure is genuine
-	// corruption even though the raw prefix looks "encrypted".
-	transformed := false
-	verify := func() (int64, error) {
-		wrapped, err := s.opts.Wrapper.WrapOpen(name, FileKindSST, raw)
-		if err != nil {
-			return 0, err
-		}
-		transformed = wrapped != vfs.RandomAccessFile(raw)
-		r, err := sstable.NewReader(wrapped, sstable.ReaderOptions{})
-		if err != nil {
-			return 0, err
-		}
-		n, err := r.VerifyChecksums()
-		if err != nil {
-			return n, err
-		}
-		// Hash-tree anchor: the manifest recorded a tag-chain digest when
-		// this file was installed; a validly-sealed file with a different
-		// chain is an older version spliced back in.
-		if meta.Digest != "" {
-			dr, ok := wrapped.(interface{ FileDigest() ([]byte, error) })
-			if !ok {
-				return n, &IntegrityError{
-					Path: name, Kind: FileKindSST,
-					Detail: fmt.Sprintf("manifest records digest %s but the file is not sealed (replaced with an unauthenticated file?)", meta.Digest),
-				}
-			}
-			sum, err := dr.FileDigest()
-			if err != nil {
-				return n, err
-			}
-			if got := hex.EncodeToString(sum); got != meta.Digest {
-				return n, &IntegrityError{
-					Path: name, Kind: FileKindSST,
-					Detail: fmt.Sprintf("tag-chain digest %s does not match manifest digest %s (file replaced?)", got, meta.Digest),
-				}
-			}
-		}
-		return n, nil
-	}
-	n, err := verify()
-	raw.Close()
+func (s *scrubber) classifySST(name string, meta *manifest.FileMetadata) (ScrubAction, string, ScrubVerdict) {
+	n, transformed, err := checkSST(s.fs, s.opts.Wrapper, name, meta)
 	s.report.BlocksVerified += n
 	metrics.Recovery.ScrubBlocksVerified.Add(n)
-	if err == nil {
+	switch {
+	case err == nil:
 		return "", "", VerdictOK
-	}
-	if !isCorruptionErr(err) {
+	case errors.Is(err, vfs.ErrNotFound):
+		return ScrubMissing, "referenced by the manifest but absent", VerdictTampered
+	case !isCorruptionErr(err):
 		// Cannot be read, but not provably corrupt (e.g. DEK unresolvable).
 		return ScrubSkipped, "unverifiable: " + err.Error(), VerdictUndecryptable
-	}
-	if !transformed && s.sniffEncrypted(name) {
-		// Looks corrupt only because we lack the key — never quarantine.
+	case !transformed && s.sniffEncrypted(name):
+		// The wrapper does not decrypt this file, so it looks corrupt only
+		// because we lack the key — never quarantine.
 		return ScrubSkipped, "encrypted with an unavailable key; not verified", VerdictUndecryptable
 	}
 	return ScrubQuarantined, err.Error(), VerdictTampered

@@ -325,3 +325,66 @@ func TestSealedReadFaultIsNotCorruption(t *testing.T) {
 		t.Fatalf("read over a failing device: err = %v, corruption = %v; want the injected fault, not corruption", err, isCorruptionErr(err))
 	}
 }
+
+// undigestedWrapper opens SSTs the way trackingWrapper sealed them but hands
+// back a file that exposes no FileDigest: what the engine sees when a sealed
+// table the manifest anchored has been replaced by one that carries no tag
+// chain at all.
+type undigestedWrapper struct{ *trackingWrapper }
+
+func (w undigestedWrapper) WrapOpen(name string, kind FileKind, f vfs.RandomAccessFile) (vfs.RandomAccessFile, error) {
+	r, err := w.trackingWrapper.WrapOpen(name, kind, f)
+	if err != nil || kind != FileKindSST {
+		return r, err
+	}
+	return struct{ vfs.RandomAccessFile }{r}, nil
+}
+
+// TestParanoidOpenRejectsFileWithoutTheAnchoredDigest: the manifest records a
+// tag-chain digest for a table, and the file now there cannot produce one.
+// Open used to skip such a file as "nothing to compare" while Scrub called it
+// tampered; both now give Scrub's answer, through the one check.
+func TestParanoidOpenRejectsFileWithoutTheAnchoredDigest(t *testing.T) {
+	fs := vfs.NewMem()
+	w := newTrackingWrapper()
+	opts := Options{FS: fs, Wrapper: w, MemtableSize: 1 << 20, L0CompactionTrigger: 100}
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	victim := firstSST(t, fs)
+
+	opts.Wrapper = undigestedWrapper{w}
+	report, err := Scrub(fs, "db", ScrubOptions{Wrapper: opts.Wrapper, DryRun: true})
+	if err != nil || report.Verdict(victim) != VerdictTampered {
+		t.Fatalf("scrub verdict = %v, %v; want tampered", report.Verdict(victim), err)
+	}
+
+	opts.ParanoidChecks = true
+	var ie *IntegrityError
+	if _, err := Open("db", opts); !errors.As(err, &ie) || ie.Path != victim {
+		t.Fatalf("paranoid open = %v, want an *IntegrityError naming %s", err, victim)
+	}
+
+	opts.BestEffortRecovery = true
+	db, err = Open("db", opts)
+	if err != nil {
+		t.Fatalf("best-effort open: %v", err)
+	}
+	defer db.Close()
+	if lost := listNames(t, fs, "db/lost"); len(lost) != 1 || "db/"+lost[0] != victim {
+		t.Fatalf("lost/ holds %v, want the one table %s", lost, victim)
+	}
+	if _, err := db.Get([]byte("k")); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get after the table was dropped = %v, want ErrNotFound", err)
+	}
+}

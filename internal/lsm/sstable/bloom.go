@@ -1,7 +1,5 @@
 package sstable
 
-import "bytes"
-
 // Bloom filter over user keys, the LevelDB construction: k probes derived
 // from a single hash via double hashing with a rotated delta.
 
@@ -73,33 +71,6 @@ func (f *bloomFilter) build() []byte {
 		}
 	}
 	return out
-}
-
-// prefixBloomFilter is the prefix variant: a bloom over the distinct
-// extractor prefixes of a table's keys, serialized in the same wire format
-// as the whole-key filter (so bloomMayContain tests both). Keys arrive in
-// sorted order and prefix-sharing keys are contiguous, so deduplicating
-// against the previous prefix is exact — the filter holds one hash per
-// distinct prefix, keeping its false-positive rate at the configured
-// bits-per-key regardless of how many keys share a prefix.
-type prefixBloomFilter struct {
-	bloomFilter
-	last    []byte
-	started bool
-}
-
-func newPrefixBloomFilter(bitsPerKey int) *prefixBloomFilter {
-	return &prefixBloomFilter{bloomFilter: *newBloomFilter(bitsPerKey)}
-}
-
-// addPrefix records a prefix; consecutive duplicates are dropped.
-func (f *prefixBloomFilter) addPrefix(p []byte) {
-	if f.started && bytes.Equal(f.last, p) {
-		return
-	}
-	f.started = true
-	f.last = append(f.last[:0], p...)
-	f.add(p)
 }
 
 // bloomMayContain tests key against a serialized filter. An empty filter

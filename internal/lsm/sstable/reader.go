@@ -30,16 +30,6 @@ type ReaderOptions struct {
 
 	// FileNum identifies this table in the cache keyspace.
 	FileNum uint64
-
-	// PinMeta charges the eagerly loaded index, filter, and prefix-filter
-	// bytes to the cache's pinned class. The metadata blocks sit at their
-	// own file offsets, so the pins share the data-block keyspace without
-	// collision and EvictFile releases them with the rest of the file.
-	PinMeta bool
-
-	// PinData inserts this table's data blocks into the pinned class instead
-	// of the LRU class — set for L0 files under the engine's PinL0AndMeta.
-	PinData bool
 }
 
 // Reader provides lookups and iteration over one SST file.
@@ -49,10 +39,7 @@ type Reader struct {
 	index []indexEntry
 	// filter is the serialized bloom filter (may be nil).
 	filter []byte
-	// prefixFilter is the serialized prefix bloom filter (nil when the file
-	// carries none — older files, or no extractor at write time).
-	prefixFilter []byte
-	props        Properties
+	props  Properties
 }
 
 type indexEntry struct {
@@ -86,11 +73,13 @@ func NewReader(f vfs.RandomAccessFile, opts ReaderOptions) (*Reader, error) {
 	r := &Reader{f: f, opts: opts}
 	indexHandle, filterHandle, propsHandle := getHandle(0), getHandle(16), getHandle(32)
 
-	// Filter, prefix filter, index and properties sit back to back between
-	// the last data block and the footer (Writer.Finish), so a table open is
-	// two reads: the footer above, then everything from the lowest footer
-	// handle up to the footer, with each block sliced out of that one buffer
-	// (which r.filter and r.prefixFilter keep alive for the reader's life).
+	// Filter, index and properties sit back to back between the last data
+	// block and the footer (Writer.Finish), so a table open is two reads: the
+	// footer above, then everything from the lowest footer handle up to the
+	// footer, with each block sliced out of that one buffer (which r.filter
+	// keeps alive for the reader's life). Tables written before the prefix
+	// filter was removed carry one more block between filter and index; no
+	// footer handle names it, so it is read past and never decoded.
 	metaEnd := uint64(size - footerLen)
 	metaOff := metaEnd
 	for _, h := range []blockHandle{indexHandle, filterHandle, propsHandle} {
@@ -142,25 +131,6 @@ func NewReader(f vfs.RandomAccessFile, opts ReaderOptions) (*Reader, error) {
 	}
 	if err := json.Unmarshal(propsData, &r.props); err != nil {
 		return nil, fmt.Errorf("sstable: decoding properties: %w", err)
-	}
-	r.prefixFilter, err = metaBlock(blockHandle{offset: r.props.PrefixFilterOffset, length: r.props.PrefixFilterLen})
-	if err != nil {
-		return nil, fmt.Errorf("sstable: reading prefix filter: %w", err)
-	}
-
-	if opts.PinMeta && opts.Cache != nil {
-		// Charge the resident metadata to the pinned class under the blocks'
-		// real file offsets: the cache budget then reflects the bytes these
-		// tables hold in memory, and EvictFile releases the pins when the
-		// file is deleted. The pinned values share r's slices — no copies.
-		pin := func(off uint64, data []byte) {
-			if len(data) > 0 {
-				opts.Cache.PutPinned(cache.Key{File: opts.FileNum, Offset: off}, data, int64(len(data)))
-			}
-		}
-		pin(indexHandle.offset, indexData)
-		pin(filterHandle.offset, r.filter)
-		pin(r.props.PrefixFilterOffset, r.prefixFilter)
 	}
 	return r, nil
 }
@@ -219,28 +189,13 @@ func (r *Reader) readBlock(h blockHandle) ([]byte, error) {
 		return nil, err
 	}
 	if r.opts.Cache != nil {
-		k := cache.Key{File: r.opts.FileNum, Offset: h.offset}
-		if r.opts.PinData {
-			r.opts.Cache.PutPinned(k, data, int64(len(data)))
-		} else {
-			r.opts.Cache.Put(k, data, int64(len(data)))
-		}
+		r.opts.Cache.Put(cache.Key{File: r.opts.FileNum, Offset: h.offset}, data, int64(len(data)))
 	}
 	return data, nil
 }
 
 // Properties returns the table's properties block.
 func (r *Reader) Properties() Properties { return r.props }
-
-// MayContainPrefix reports whether the table may hold a key with the given
-// extractor prefix. Tables without a prefix filter (older files, compaction
-// outputs) answer true — absence of the filter never causes a false skip.
-func (r *Reader) MayContainPrefix(prefix []byte) bool {
-	if r.prefixFilter == nil {
-		return true
-	}
-	return bloomMayContain(r.prefixFilter, prefix)
-}
 
 // VerifyChecksums reads every data block, verifying each CRC-32C trailer
 // (which for SHIELD files checks MAC-equivalent integrity of the decrypted

@@ -34,9 +34,8 @@ func TestTableOpenAndGetInnerReads(t *testing.T) {
 	}
 	const keys = 20000 // ~100 B entries: ~2 MiB of data blocks
 	for name, wopts := range map[string]WriterOptions{
-		"bloom":        {},
-		"bloom+prefix": {PrefixExtractor: firstN(8)},
-		"no filter":    {BloomBitsPerKey: -1},
+		"bloom":     {},
+		"no filter": {BloomBitsPerKey: -1},
 	} {
 		cfs := vfs.NewCounting(vfs.NewMem())
 		raw, err := cfs.Create("t.sst")
@@ -70,9 +69,6 @@ func TestTableOpenAndGetInnerReads(t *testing.T) {
 		}
 		if o, i := outer.reads.Load(), innerReads(); o > 2 || i > 2 {
 			t.Errorf("%s: table open took %d outer and %d inner reads, want at most 2 of each", name, o, i)
-		}
-		if wopts.PrefixExtractor != nil && !r.MayContainPrefix([]byte("key-0000")) {
-			t.Errorf("%s: prefix filter not loaded from the metadata read", name)
 		}
 
 		for pass, want := range []int64{1, 0} { // miss, then the same block from the cache

@@ -48,25 +48,22 @@ const (
 	FlateCompression
 )
 
-// WriterOptions configures table construction.
+// WriterOptions is the table format's description: everything that decides
+// the bytes of an SST besides its entries. The engine carries it verbatim
+// from its options into every CompactionJob (the JSON names are that wire
+// format) and on to NewWriter, so a flush, a local compaction and an
+// offloaded worker cannot build different tables from the same settings.
 type WriterOptions struct {
 	// BlockSize is the uncompressed data-block flush threshold (default 4096).
-	BlockSize int
+	BlockSize int `json:"block_size"`
 
 	// BloomBitsPerKey sizes the filter (default 10); 0 keeps the default,
 	// negative disables the filter.
-	BloomBitsPerKey int
+	BloomBitsPerKey int `json:"bloom_bits_per_key"`
 
 	// Compression compresses data blocks (metadata blocks stay raw). A
 	// compressed block that does not shrink is stored raw.
-	Compression Compression
-
-	// PrefixExtractor, when non-nil, adds a second bloom filter over the
-	// distinct extractor prefixes of the table's user keys, sized by
-	// BloomBitsPerKey. The filter block's handle is recorded in the JSON
-	// properties (not the fixed footer), so files without one — and readers
-	// that predate it — interoperate unchanged.
-	PrefixExtractor func(userKey []byte) []byte
+	Compression Compression `json:"compression"`
 }
 
 func (o WriterOptions) withDefaults() WriterOptions {
@@ -88,23 +85,17 @@ type Properties struct {
 	RawKeyBytes uint64 `json:"raw_key_bytes"`
 	RawValBytes uint64 `json:"raw_val_bytes"`
 	DataBlocks  uint64 `json:"data_blocks"`
-
-	// PrefixFilterOffset/Len locate the optional prefix bloom filter block;
-	// both zero when the table carries none.
-	PrefixFilterOffset uint64 `json:"prefix_filter_offset,omitempty"`
-	PrefixFilterLen    uint64 `json:"prefix_filter_len,omitempty"`
 }
 
 // Writer builds one SST file. Keys must be added in strictly increasing
 // internal-key order.
 type Writer struct {
-	f            vfs.WritableFile
-	opts         WriterOptions
-	block        blockBuilder
-	index        blockBuilder
-	filter       *bloomFilter
-	prefixFilter *prefixBloomFilter
-	props        Properties
+	f      vfs.WritableFile
+	opts   WriterOptions
+	block  blockBuilder
+	index  blockBuilder
+	filter *bloomFilter
+	props  Properties
 
 	offset   uint64
 	smallest []byte
@@ -118,9 +109,6 @@ func NewWriter(f vfs.WritableFile, opts WriterOptions) *Writer {
 	w := &Writer{f: f, opts: opts}
 	if opts.BloomBitsPerKey > 0 {
 		w.filter = newBloomFilter(opts.BloomBitsPerKey)
-		if opts.PrefixExtractor != nil {
-			w.prefixFilter = newPrefixBloomFilter(opts.BloomBitsPerKey)
-		}
 	}
 	return w
 }
@@ -141,9 +129,6 @@ func (w *Writer) Add(ikey, value []byte) error {
 	w.block.add(ikey, value)
 	if w.filter != nil {
 		w.filter.add(base.UserKey(ikey))
-	}
-	if w.prefixFilter != nil {
-		w.prefixFilter.addPrefix(w.opts.PrefixExtractor(base.UserKey(ikey)))
 	}
 	w.props.NumEntries++
 	if _, kind := base.DecodeTrailer(ikey); kind == base.KindDelete {
@@ -249,9 +234,6 @@ func (w *Writer) EstimatedSize() uint64 {
 	return w.offset + uint64(w.block.sizeEstimate())
 }
 
-// NumEntries returns the number of entries added.
-func (w *Writer) NumEntries() uint64 { return w.props.NumEntries }
-
 // Smallest and Largest return copies of the bounding internal keys; valid
 // after at least one Add.
 func (w *Writer) Smallest() []byte { return append([]byte(nil), w.smallest...) }
@@ -279,17 +261,6 @@ func (w *Writer) Finish() error {
 			w.f.Close()
 			return err
 		}
-	}
-
-	// The prefix filter block precedes the properties block that locates it.
-	if w.prefixFilter != nil {
-		h, err := w.writeRaw(w.prefixFilter.build())
-		if err != nil {
-			w.f.Close()
-			return err
-		}
-		w.props.PrefixFilterOffset = h.offset
-		w.props.PrefixFilterLen = h.length
 	}
 
 	indexHandle, err := w.writeRaw(w.index.finish())

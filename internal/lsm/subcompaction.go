@@ -79,31 +79,24 @@ func subcompactionBoundaries(job CompactionJob) [][]byte {
 }
 
 // runShardedCompaction executes the job across the shards the boundaries
-// define (none = one serial shard). On any shard error every output of
-// every shard is removed — the job-level abort-and-retain contract is
-// unchanged from the serial path.
-func runShardedCompaction(fs vfs.FS, wrapper FileWrapper, job CompactionJob, bounds [][]byte) (CompactionResult, error) {
+// define (none = one serial shard) and returns every finished output in key
+// order. On any shard error every output of every shard is aborted — the
+// job-level abort-and-retain contract is unchanged from the serial path.
+func runShardedCompaction(fs vfs.FS, wrapper FileWrapper, job CompactionJob, bounds [][]byte) ([]*sstOutput, error) {
 	n := len(bounds) + 1
-	res := CompactionResult{Subcompactions: n}
 	if n == 1 {
-		sr, err := runCompactionShard(fs, wrapper, job, nil, nil, job.FirstOutputFileNum, job.MaxOutputFiles, nil)
-		if err != nil {
-			return CompactionResult{Subcompactions: n}, err
-		}
-		res.Outputs = sr.outputs
-		res.BytesWritten = sr.written
-		return res, nil
+		return runCompactionShard(fs, wrapper, job, nil, nil, job.FirstOutputFileNum, job.MaxOutputFiles, nil)
 	}
 
 	per := job.MaxOutputFiles / uint64(n)
 	if per == 0 {
-		return res, fmt.Errorf("lsm: %d subcompactions over %d reserved file numbers", n, job.MaxOutputFiles)
+		return nil, fmt.Errorf("lsm: %d subcompactions over %d reserved file numbers", n, job.MaxOutputFiles)
 	}
 	metrics.Jobs.SubcompactionsStarted.Add(int64(n))
 	var (
 		wg      sync.WaitGroup
 		abort   atomic.Bool
-		results = make([]shardResult, n)
+		results = make([][]*sstOutput, n)
 		errs    = make([]error, n)
 	)
 	for i := 0; i < n; i++ {
@@ -117,14 +110,11 @@ func runShardedCompaction(fs vfs.FS, wrapper FileWrapper, job CompactionJob, bou
 		wg.Add(1)
 		go func(i int, start, end []byte) {
 			defer wg.Done()
-			sr, err := runCompactionShard(fs, wrapper, job,
+			results[i], errs[i] = runCompactionShard(fs, wrapper, job,
 				start, end, job.FirstOutputFileNum+uint64(i)*per, per, &abort)
-			if err != nil {
+			if errs[i] != nil {
 				abort.Store(true)
-				errs[i] = err
-				return
 			}
-			results[i] = sr
 		}(i, start, end)
 	}
 	wg.Wait()
@@ -144,30 +134,25 @@ func runShardedCompaction(fs vfs.FS, wrapper FileWrapper, job CompactionJob, bou
 			}
 		}
 	}
-	if firstErr != nil {
-		// Failed shards already removed their own outputs; remove the
-		// survivors' too so the aborted job leaves nothing behind.
-		for _, sr := range results {
-			removeOutputs(fs, wrapper, job.Dir, sr.outputs)
-		}
-		return CompactionResult{Subcompactions: n}, firstErr
-	}
 	// Shard order is key order, so appending keeps outputs sorted and
 	// non-overlapping across the whole job.
-	for _, sr := range results {
-		res.Outputs = append(res.Outputs, sr.outputs...)
-		res.BytesWritten += sr.written
+	var outs []*sstOutput
+	for _, r := range results {
+		outs = append(outs, r...)
 	}
-	return res, nil
+	if firstErr != nil {
+		// Failed shards already aborted their own outputs; abort the
+		// survivors' too so the job leaves nothing behind.
+		abortOutputs(outs)
+		return nil, firstErr
+	}
+	return outs, nil
 }
 
-// removeOutputs deletes compaction output files and releases their DEK
-// registrations (abort path).
-func removeOutputs(fs vfs.FS, wrapper FileWrapper, dir string, outputs []manifest.FileMetadata) {
-	for _, o := range outputs {
-		name := sstFileName(dir, o.FileNum)
-		fs.Remove(name)
-		wrapper.FileDeleted(name, o.DEKID)
+// abortOutputs discards a job's outputs (abort path).
+func abortOutputs(outs []*sstOutput) {
+	for _, o := range outs {
+		o.abort()
 	}
 }
 
@@ -183,23 +168,16 @@ func shardOverlapsFile(start, end []byte, f manifest.FileMetadata) bool {
 	return true
 }
 
-type shardResult struct {
-	outputs []manifest.FileMetadata
-	written int64
-}
-
 // runCompactionShard merges the job's inputs restricted to user keys in
 // [start, end) (nil bounds are open), writing outputs numbered from
 // firstNum within a budget of maxFiles. A non-nil abort flag is polled so
 // a failing sibling shard cancels this one early.
 //
-// Failure is abort-and-retain: every output this shard created is closed
-// and removed — releasing its quota and DEK registration — and the inputs
-// remain authoritative.
-//
-//shield:nosyncdir shard outputs become durable as a set: the dispatcher (RunCompaction) syncs the directory once after every shard finishes, before the manifest edit installs
+// Failure is abort-and-retain: every output this shard created is aborted —
+// releasing its quota and DEK registration — and the inputs remain
+// authoritative.
 func runCompactionShard(fs vfs.FS, wrapper FileWrapper, job CompactionJob,
-	start, end []byte, firstNum, maxFiles uint64, abort *atomic.Bool) (res shardResult, retErr error) {
+	start, end []byte, firstNum, maxFiles uint64, abort *atomic.Bool) (_ []*sstOutput, retErr error) {
 
 	// Open the inputs that can intersect this shard and build the merge.
 	var iters []internalIterator
@@ -217,17 +195,17 @@ func runCompactionShard(fs vfs.FS, wrapper FileWrapper, job CompactionJob,
 			name := sstFileName(job.Dir, f.FileNum)
 			raw, err := fs.Open(name)
 			if err != nil {
-				return res, fmt.Errorf("lsm: compaction input %d: %w", f.FileNum, err)
+				return nil, fmt.Errorf("lsm: compaction input %d: %w", f.FileNum, err)
 			}
 			wrapped, err := wrapper.WrapOpen(name, FileKindSST, raw)
 			if err != nil {
 				raw.Close()
-				return res, err
+				return nil, err
 			}
 			r, err := sstable.NewReader(wrapped, sstable.ReaderOptions{FileNum: f.FileNum})
 			if err != nil {
 				wrapped.Close()
-				return res, fmt.Errorf("lsm: compaction input %d: %w", f.FileNum, err)
+				return nil, fmt.Errorf("lsm: compaction input %d: %w", f.FileNum, err)
 			}
 			readers = append(readers, r)
 			iters = append(iters, &sstIterAdapter{it: r.NewIter()})
@@ -237,92 +215,20 @@ func runCompactionShard(fs vfs.FS, wrapper FileWrapper, job CompactionJob,
 
 	smallestSnapshot := base.SeqNum(job.SmallestSnapshot)
 	var (
-		w             *sstable.Writer
-		outName       string
-		outDEKID      string
-		outFile       vfs.WritableFile
-		outFileNum    uint64
+		outs          []*sstOutput
+		out           *sstOutput // the one being filled (the last of outs), or nil
 		nextOutNum    = firstNum
 		lastOutNum    = firstNum + maxFiles
 		lastUserKey   []byte
 		haveUserKey   bool
 		lastSeqForKey base.SeqNum
 		prevAddedUser []byte
-		writerOpts    = Options{BlockSize: job.BlockSize, BloomBitsPerKey: job.BloomBitsPerKey, Compression: job.Compression}
 	)
-
-	type createdOutput struct{ name, dekID string }
-	var created []createdOutput
 	defer func() {
-		if retErr == nil {
-			return
+		if retErr != nil {
+			abortOutputs(outs)
 		}
-		if w != nil {
-			w.Abort()
-			w = nil
-		}
-		for _, c := range created {
-			fs.Remove(c.name)
-			wrapper.FileDeleted(c.name, c.dekID)
-		}
-		res = shardResult{}
 	}()
-
-	openOutput := func() error {
-		if nextOutNum >= lastOutNum {
-			return fmt.Errorf("lsm: compaction exhausted reserved file numbers")
-		}
-		outFileNum = nextOutNum
-		nextOutNum++
-		outName = sstFileName(job.Dir, outFileNum)
-		raw, err := fs.Create(outName)
-		if err != nil {
-			return err
-		}
-		wrapped, dekID, err := wrapper.WrapCreate(outName, FileKindSST, raw)
-		if err != nil {
-			// The raw file exists but never joined created; remove it here
-			// or the aborted job would leak it.
-			raw.Close()
-			fs.Remove(outName)
-			return err
-		}
-		outDEKID = dekID
-		outFile = wrapped
-		created = append(created, createdOutput{name: outName, dekID: dekID})
-		w = newTableWriter(wrapped, writerOpts)
-		return nil
-	}
-
-	finishOutput := func() error {
-		if w == nil || w.NumEntries() == 0 {
-			if w != nil {
-				// Empty output: finish and delete.
-				if err := w.Finish(); err != nil {
-					return err
-				}
-				fs.Remove(outName)
-				wrapper.FileDeleted(outName, outDEKID)
-				created = created[:len(created)-1]
-				w = nil
-			}
-			return nil
-		}
-		if err := w.Finish(); err != nil {
-			return err
-		}
-		res.outputs = append(res.outputs, manifest.FileMetadata{
-			FileNum:  outFileNum,
-			Size:     w.FileSize(),
-			Smallest: w.Smallest(),
-			Largest:  w.Largest(),
-			DEKID:    outDEKID,
-			Digest:   fileDigest(outFile),
-		})
-		res.written += int64(w.FileSize())
-		w = nil
-		return nil
-	}
 
 	var ok bool
 	if start == nil {
@@ -334,7 +240,7 @@ func runCompactionShard(fs vfs.FS, wrapper FileWrapper, job CompactionJob,
 	}
 	for ; ok; ok = merged.Next() {
 		if abort != nil && abort.Load() {
-			return res, errShardAborted
+			return nil, errShardAborted
 		}
 		ikey := merged.Key()
 		userKey := base.UserKey(ikey)
@@ -365,27 +271,38 @@ func runCompactionShard(fs vfs.FS, wrapper FileWrapper, job CompactionJob,
 
 		// Cut the output at the target size, but only between user keys so
 		// all versions of a key share one file.
-		if w != nil && w.EstimatedSize() >= job.TargetFileSize &&
+		if out != nil && out.w.EstimatedSize() >= job.TargetFileSize &&
 			prevAddedUser != nil && !bytes.Equal(userKey, prevAddedUser) {
-			if err := finishOutput(); err != nil {
-				return res, err
+			if err := out.finish(); err != nil {
+				return nil, err
 			}
+			out = nil
 		}
-		if w == nil {
-			if err := openOutput(); err != nil {
-				return res, err
+		if out == nil {
+			if nextOutNum >= lastOutNum {
+				return nil, fmt.Errorf("lsm: compaction exhausted reserved file numbers")
 			}
+			var err error
+			if out, err = createSSTOutput(fs, wrapper, job.Dir, nextOutNum, job.WriterOptions); err != nil {
+				return nil, err
+			}
+			nextOutNum++
+			outs = append(outs, out)
 		}
-		if err := w.Add(ikey, merged.Value()); err != nil {
-			return res, err
+		if err := out.w.Add(ikey, merged.Value()); err != nil {
+			return nil, err
 		}
 		prevAddedUser = append(prevAddedUser[:0], userKey...)
 	}
 	if err := merged.Err(); err != nil {
-		return res, err
+		return nil, err
 	}
-	if err := finishOutput(); err != nil {
-		return res, err
+	// An output is created only for an entry about to be added, so the one
+	// still open is never empty.
+	if out != nil {
+		if err := out.finish(); err != nil {
+			return nil, err
+		}
 	}
-	return res, nil
+	return outs, nil
 }

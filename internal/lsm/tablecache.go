@@ -17,15 +17,9 @@ type tableCache struct {
 	dir        string
 	wrapper    FileWrapper
 	blockCache *cache.LRU
-	// pinMeta charges every reader's index/filter bytes to the block cache's
-	// pinned class (Options.PinL0AndMeta). Set once at Open, read-only after.
-	pinMeta bool
 
 	mu      sync.Mutex
 	entries map[uint64]*tableEntry
-	// pinData marks files (L0) whose data blocks are cached pinned. Files
-	// are marked before their first reader opens and unmarked on evict.
-	pinData map[uint64]bool
 }
 
 type tableEntry struct {
@@ -41,16 +35,7 @@ func newTableCache(fs vfs.FS, dir string, wrapper FileWrapper, blockCache *cache
 		wrapper:    wrapper,
 		blockCache: blockCache,
 		entries:    make(map[uint64]*tableEntry),
-		pinData:    make(map[uint64]bool),
 	}
-}
-
-// setPinData marks fileNum's data blocks for the pinned cache class. Must be
-// called before the file's first reader opens (at flush install / recovery).
-func (tc *tableCache) setPinData(fileNum uint64) {
-	tc.mu.Lock()
-	tc.pinData[fileNum] = true
-	tc.mu.Unlock()
 }
 
 // get returns an open reader for fileNum and a release function the caller
@@ -75,15 +60,7 @@ func (tc *tableCache) get(fileNum uint64) (*sstable.Reader, func(), error) {
 		raw.Close()
 		return nil, nil, err
 	}
-	tc.mu.Lock()
-	pinData := tc.pinData[fileNum]
-	tc.mu.Unlock()
-	reader, err := sstable.NewReader(wrapped, sstable.ReaderOptions{
-		Cache:   tc.blockCache,
-		FileNum: fileNum,
-		PinMeta: tc.pinMeta,
-		PinData: pinData,
-	})
+	reader, err := sstable.NewReader(wrapped, sstable.ReaderOptions{Cache: tc.blockCache, FileNum: fileNum})
 	if err != nil {
 		wrapped.Close()
 		return nil, nil, fmt.Errorf("lsm: table %d: %w", fileNum, err)
@@ -120,7 +97,6 @@ func (tc *tableCache) release(fileNum uint64, e *tableEntry) {
 // blocks from the block cache.
 func (tc *tableCache) evict(fileNum uint64) {
 	tc.mu.Lock()
-	delete(tc.pinData, fileNum)
 	e, ok := tc.entries[fileNum]
 	if ok && !e.dead {
 		e.dead = true

@@ -36,16 +36,13 @@ type (
 
 // engine counts the foreground commit and read paths across every open
 // engine in the process: committed batches, commit-path WAL fsyncs (the
-// wal_syncs/writes pair behind the group-commit ratio), how often the
-// pipeline actually coalesced concurrent writers, and prefix-filter seek
-// outcomes.
+// wal_syncs/writes pair behind the group-commit ratio), and how often the
+// pipeline actually coalesced concurrent writers.
 type engine[T any] struct {
 	Writes         T `metric:"writes"`          // committed batches (each acked writer counts once)
 	WALSyncs       T `metric:"wal_syncs"`       // commit-path fsyncs; < Writes under group commit
 	GroupedCommits T `metric:"grouped_commits"` // commit groups that coalesced >1 writer
 	GroupedWriters T `metric:"grouped_writers"` // writers that rode those coalesced groups
-	PrefixSeeks    T `metric:"prefix_seeks"`    // iterator seeks routed through SeekPrefixGE
-	PrefixSkips    T `metric:"prefix_skips"`    // tables skipped because the prefix bloom proved absence
 }
 
 func (c *EngineCounters) Snapshot() EngineSnapshot              { return snapshot[EngineSnapshot](c) }

@@ -103,12 +103,12 @@ func TestGaugesSurviveSub(t *testing.T) {
 }
 
 // TestAnyCoversEveryCounter: the hand-written Any of the engine family used
-// to ignore GroupedWriters and PrefixSkips.
+// to ignore GroupedWriters.
 func TestAnyCoversEveryCounter(t *testing.T) {
 	var c EngineCounters
-	c.PrefixSkips.Add(1)
+	c.GroupedWriters.Add(1)
 	if !c.Snapshot().Any() {
-		t.Fatal("Any() = false with PrefixSkips = 1")
+		t.Fatal("Any() = false with GroupedWriters = 1")
 	}
 }
 

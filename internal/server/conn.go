@@ -78,7 +78,6 @@ func (s *Server) newConn(nc net.Conn) *conn {
 		batches: make([]lsm.Batch, n), errs: make([]error, n), counts: make([]shardCounts, n),
 		commits: make([]func(), n),
 	}
-	c.r.MaxBulkLen = s.cfg.MaxBulkLen
 	c.w = resp.NewWriter(c)
 	for shard := range c.commits {
 		c.commits[shard] = func() {
@@ -415,9 +414,6 @@ func (s *Server) renderInfo() []byte {
 		fmt.Fprintf(&buf, "group_commit_ratio:%.3f\r\n", snap.Engine.GroupCommitRatio())
 		fmt.Fprintf(&buf, "block_cache_hits:%d\r\n", snap.Engine.BlockCacheHits)
 		fmt.Fprintf(&buf, "block_cache_misses:%d\r\n", snap.Engine.BlockCacheMisses)
-		fmt.Fprintf(&buf, "block_cache_pinned_bytes:%d\r\n", snap.Engine.BlockCachePinned)
-		fmt.Fprintf(&buf, "prefix_seeks:%d\r\n", snap.Engine.PrefixSeeks)
-		fmt.Fprintf(&buf, "prefix_skips:%d\r\n", snap.Engine.PrefixSkips)
 		fmt.Fprintf(&buf, "flushes:%d\r\n", snap.Engine.Flushes)
 		fmt.Fprintf(&buf, "compactions:%d\r\n", snap.Engine.Compactions)
 	}

@@ -64,9 +64,6 @@ type Config struct {
 	// hard. Default 5 seconds.
 	DrainTimeout time.Duration
 
-	// MaxBulkLen bounds one argument's size (default resp.DefaultMaxBulkLen).
-	MaxBulkLen int
-
 	// Logger receives connection-level event lines; nil discards.
 	Logger func(format string, args ...any)
 }

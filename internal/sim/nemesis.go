@@ -78,10 +78,8 @@ func (e event) String() string {
 // a kill window, which is the hard case the re-sync path must absorb).
 // Crashes and bit-rot can land anywhere.
 func planNemesis(cfg Config, rng *rand.Rand) []event {
-	n := cfg.Events
-	if n <= 0 {
-		return nil
-	}
+	// The schedule is one event per 60 operations, at least four.
+	n := max(cfg.Ops/60, 4)
 	// Draw distinct steps across the run, then walk them assigning kinds
 	// under the pairing discipline.
 	steps := make(map[uint64]bool, n)

@@ -24,6 +24,9 @@ import (
 )
 
 const (
+	// keysPerWorker sizes each worker's private key range.
+	keysPerWorker = 24
+
 	simDir      = "db"
 	simServerID = "sim-server"
 	cachePath   = "seccache"
@@ -43,12 +46,6 @@ type Config struct {
 
 	// Workers is the number of concurrent workload goroutines (default 4).
 	Workers int
-
-	// KeysPerWorker sizes each worker's private key range (default 24).
-	KeysPerWorker int
-
-	// Events is the nemesis schedule length (default Ops/60, min 4).
-	Events int
 
 	// MaxEvents, when > 0, truncates the schedule to its first MaxEvents
 	// entries — the reducer's lever. The zero value applies no cap (the
@@ -105,15 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.KeysPerWorker <= 0 {
-		c.KeysPerWorker = 24
-	}
-	if c.Events == 0 {
-		c.Events = c.Ops / 60
-		if c.Events < 4 {
-			c.Events = 4
-		}
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Minute
@@ -255,7 +243,7 @@ func Run(cfg Config) *Result {
 
 	s := &simulation{cfg: cfg, plan: plan}
 	for w := 0; w < cfg.Workers; w++ {
-		for k := 0; k < cfg.KeysPerWorker; k++ {
+		for k := 0; k < keysPerWorker; k++ {
 			s.keys = append(s.keys, fmt.Sprintf("w%02d-k%03d", w, k))
 		}
 	}
@@ -496,7 +484,7 @@ func (s *simulation) openDBLocked() {
 			s.note("open hit ENOSPC; freeing space and retrying")
 			s.quota.SetLimit(0)
 			s.quotaLimit = 0
-		case errors.Is(err, kds.ErrNoReplica) || errors.Is(err, kds.ErrUnconfirmed):
+		case errors.Is(err, kds.ErrNoReplica):
 			s.note("open with all KDS replicas down; restarting them")
 			s.restartKDSLocked()
 		case errors.Is(err, vfs.ErrInjected):
@@ -809,7 +797,7 @@ func (s *simulation) crashToLocked(img *vfs.CrashImage, torn bool, tornSeed int6
 func (s *simulation) worker(id int, wg *sync.WaitGroup) {
 	defer wg.Done()
 	rng := rand.New(rand.NewSource(subSeed(s.cfg.Seed, 100+uint64(id))))
-	own := s.keys[id*s.cfg.KeysPerWorker : (id+1)*s.cfg.KeysPerWorker]
+	own := s.keys[id*keysPerWorker : (id+1)*keysPerWorker]
 	ops := s.cfg.Ops / s.cfg.Workers
 	for i := 0; i < ops && !s.dead.Load(); i++ {
 		step := s.clock.tick()
