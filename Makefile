@@ -35,11 +35,14 @@ race:
 # detector), so `make race` skips them and this target is where they run.
 # Served commands: allocations per pipeline through server.handle and through
 # resp.Client, per ReadCommand, the in-place parser against its bufio oracle,
-# and the lazily armed deadlines.
+# and the lazily armed deadlines. The dstore wire: frames per sequential,
+# random and compaction read (counted at Server.Stats), read-ahead against
+# direct reads, allocations per remote read and per read served from the
+# read-ahead packet, the frame codec against gob and against hostile peers.
 io-path-check:
-	go test -run 'InnerReads|Allocs|SliceOracle|Arena|OutlivesMemtable|PooledPutBatch|SealedWriter|Towers|MatchesOracle|SplitAcrossReads|Deadline' \
+	go test -run 'InnerReads|Allocs|SliceOracle|Arena|OutlivesMemtable|PooledPutBatch|SealedWriter|Towers|MatchesOracle|SplitAcrossReads|Deadline|ReadAhead|Frame' \
 		./internal/crypt/ ./internal/lsm/ ./internal/lsm/skiplist/ ./internal/lsm/sstable/ ./internal/vfs/ ./internal/dstore/ \
-		./internal/resp/ ./internal/server/
+		./internal/resp/ ./internal/server/ ./internal/netretry/
 
 fmt:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
@@ -133,7 +136,10 @@ tamper-test:
 # of a tampered body must read as the per-block oracle reads it — never panic
 # or misclassify. The RESP command parser, differentially: the in-place
 # reader and the bufio oracle must agree on commands, error class and stream
-# position for any input in any chunking. FUZZTIME bounds each target; CI uses a short burst, leave
+# position for any input in any chunking. The two decoders a storage-side
+# attacker reaches before any AEAD check: the dstore frame (typed error or a
+# value that re-encodes to the bytes consumed, allocation bounded by the
+# input) and the SHIELD file header. FUZZTIME bounds each target; CI uses a short burst, leave
 # it running locally to dig deeper. Minimization is capped because its 60 s
 # default otherwise eats a short burst whole (execs drop to 0/sec after the
 # first new-coverage input).
@@ -143,6 +149,8 @@ fuzz:
 	go test $(FUZZFLAGS) -fuzz=FuzzSealedOpen ./internal/crypt/
 	go test $(FUZZFLAGS) -fuzz=FuzzSealedReadAt ./internal/crypt/
 	go test $(FUZZFLAGS) -fuzz=FuzzReadCommand ./internal/resp/
+	go test $(FUZZFLAGS) -fuzz=FuzzDstoreFrame ./internal/dstore/
+	go test $(FUZZFLAGS) -fuzz=FuzzParseHeader ./internal/core/
 
 # Third-party linters. These reach the network to fetch the pinned tool the
 # first time; they are deliberately NOT part of `make all` so an offline

@@ -1,11 +1,12 @@
 package dstore
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -30,7 +31,9 @@ type Config struct {
 	// RequestTimeout is the per-attempt deadline covering send and
 	// receive, so a hung storage node cannot wedge the engine
 	// (default 10s — remote writes ride the emulated link's bandwidth
-	// cap, so the deadline must cover packet serialization time).
+	// cap, so the deadline must cover packet serialization time). It is
+	// re-armed lazily (netretry.Deadline): an attempt is bounded by
+	// something in [7/8·RequestTimeout, RequestTimeout].
 	RequestTimeout time.Duration
 
 	// MaxAttempts is the total number of transport attempts per request
@@ -70,8 +73,8 @@ func (cfg Config) withDefaults() Config {
 // compaction traffic does not head-of-line-block foreground reads.
 //
 // Fault tolerance: every request carries a deadline; a connection that
-// sees a transport error is discarded (a gob stream cannot be resynced
-// mid-conversation) and its pool slot redials lazily; idempotent requests
+// sees a transport error or a malformed frame is discarded (its stream
+// position is unknown) and its pool slot redials lazily; idempotent requests
 // retry with jittered backoff. Writes are made idempotent by per-handle
 // sequence numbers the server deduplicates, so a retried packet whose
 // response was lost is not appended twice.
@@ -92,8 +95,20 @@ type Client struct {
 
 type clientConn struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	fr   frameReader
+	fw   frameWriter
+	by   netretry.Deadline
+	out  []byte // request head and meta
+}
+
+// exchange sends req and reads the reply into resp, a read's data into dst.
+func (cc *clientConn) exchange(req *Request, resp *Response, dst []byte, timeout time.Duration) error {
+	cc.by.Arm(timeout, cc.conn.SetDeadline)
+	cc.out = appendRequest(cc.out[:0], req)
+	if err := cc.fw.send(cc.out, req.Data); err != nil {
+		return err
+	}
+	return readResponse(&cc.fr, resp, dst)
 }
 
 // Dial connects to a storage node with a pool of nConns connections
@@ -128,7 +143,7 @@ func (c *Client) dial() (*clientConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dstore: dial %s: %w", c.addr, err)
 	}
-	cc := &clientConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	cc := &clientConn{conn: conn, fr: frameReader{r: bufio.NewReader(conn)}, fw: frameWriter{conn: conn}}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -205,9 +220,9 @@ func (c *Client) putBack(cc *clientConn) {
 	c.pool <- cc
 }
 
-// discard closes a connection that saw a transport error — its gob stream
-// may be desynced and would poison every later request — and returns an
-// empty slot to the pool for a lazy redial.
+// discard closes a connection that saw a transport error or a malformed
+// frame — its stream may be desynced and would poison every later request —
+// and returns an empty slot to the pool for a lazy redial.
 func (c *Client) discard(cc *clientConn) {
 	cc.conn.Close()
 	c.mu.Lock()
@@ -244,46 +259,45 @@ func (c *Client) alreadyApplied(req *Request) bool {
 
 // roundTrip sends one request with deadlines, backoff, and redial.
 func (c *Client) roundTrip(req *Request) (*Response, error) {
-	return c.roundTripInto(req, nil)
+	resp, err := c.roundTripInto(req, nil)
+	return &resp, err
 }
 
-// roundTripInto is roundTrip with the reply's Data decoded into data's
-// backing array when it fits (gob reuses a destination slice with enough
-// capacity), so a read lands in the caller's buffer without a copy.
-func (c *Client) roundTripInto(req *Request, data []byte) (*Response, error) {
+// roundTripInto is roundTrip with a read reply's data read straight into
+// dst, which must be at least as long as the read asked for.
+func (c *Client) roundTripInto(req *Request, dst []byte) (Response, error) {
+	// A request no frame can carry fails here, before anything is sent.
+	if len(req.Name) > maxStr || len(req.Name2) > maxStr || len(req.Data) > writePacketSize {
+		return Response{}, fmt.Errorf("dstore: %v request does not fit a frame: %w", req.Op, netretry.ErrMessageTooLarge)
+	}
 	var lastErr error
 	resent := false // an earlier attempt was sent and may have been applied
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			metrics.Net.Retries.Add(1)
 			if !netretry.Sleep(netretry.Delay(attempt-1, c.cfg.BackoffBase, c.cfg.BackoffMax), c.done) {
-				return nil, ErrClosed
+				return Response{}, ErrClosed
 			}
 		}
 		cc, err := c.checkout()
 		if err != nil {
 			if errors.Is(err, ErrClosed) {
-				return nil, err
+				return Response{}, err
 			}
 			lastErr = err // dial failure: nothing sent, always retryable
 			continue
 		}
-		cc.conn.SetDeadline(time.Now().Add(c.cfg.RequestTimeout)) //nolint:errcheck
-		err = cc.enc.Encode(req)
-		if err == nil {
-			resp := Response{Data: data[:0]}
-			if err = cc.dec.Decode(&resp); err == nil {
-				cc.conn.SetDeadline(time.Time{}) //nolint:errcheck
-				c.putBack(cc)
-				if resp.Err != "" {
-					err := mapRemoteError(resp.Err)
-					if resent && errors.Is(err, vfs.ErrNotFound) && c.alreadyApplied(req) {
-						return &resp, nil
-					}
-					return &resp, err
+		var resp Response
+		if err = cc.exchange(req, &resp, dst, c.cfg.RequestTimeout); err == nil {
+			c.putBack(cc)
+			if resp.Err != "" {
+				err := mapRemoteError(resp.Err)
+				if resent && errors.Is(err, vfs.ErrNotFound) && c.alreadyApplied(req) {
+					return resp, nil
 				}
-				return &resp, nil
+				return resp, err
 			}
+			return resp, nil
 		}
 		resent = true
 		if netretry.IsTimeout(err) {
@@ -292,17 +306,17 @@ func (c *Client) roundTripInto(req *Request, data []byte) (*Response, error) {
 		c.discard(cc)
 		lastErr = err
 		if netretry.Permanent(err) {
-			return nil, fmt.Errorf("dstore: %w (not retried: permanent)", err)
+			return Response{}, fmt.Errorf("dstore: %w (not retried: permanent)", err)
 		}
 		if !retryable(req) {
-			return nil, netretry.Transport(fmt.Errorf("dstore: %w (not retried: non-idempotent)", err))
+			return Response{}, netretry.Transport(fmt.Errorf("dstore: %w (not retried: non-idempotent)", err))
 		}
 	}
 	// Exhausted attempts on dial/send/receive failures: the node itself is
 	// unreachable or resetting. The transport class tells replica-set callers
 	// this is a node-health event (demote, fail over) rather than an answer
 	// from a live node, which must never trigger failover.
-	return nil, netretry.Transport(fmt.Errorf("dstore: request failed after %d attempts: %w",
+	return Response{}, netretry.Transport(fmt.Errorf("dstore: request failed after %d attempts: %w",
 		c.cfg.MaxAttempts, lastErr))
 }
 
@@ -327,11 +341,14 @@ func mapRemoteError(msg string) error {
 	}
 }
 
-// writePacketSize is the client-side write-aggregation buffer, modeling the
-// packet streaming of distributed-filesystem clients (HDFS's DFSOutputStream
-// sends 64 KiB packets): appends accumulate locally and ship in one RPC when
-// the packet fills, on Sync, or on Close. Without this, every small WAL
-// append would pay a full network round trip — which no real DFS client does.
+// writePacketSize is the packet of distributed-filesystem clients (HDFS's
+// DFSOutputStream and DFSInputStream stream 64 KiB packets), in both
+// directions. Writes: appends accumulate locally and ship in one RPC when
+// the packet fills, on Sync, or on Close. Reads: a read that continues the
+// previous one on its handle fetches a whole packet and the reads after it
+// are served from it (remoteRandom). Without this, every small WAL append
+// and every table block of a compaction input would pay a full network
+// round trip — which no real DFS client does.
 const writePacketSize = 64 << 10
 
 // Create implements vfs.FS.
@@ -495,14 +512,77 @@ func (w *remoteWritable) Close() error {
 	return err
 }
 
+// remoteRandom is a read handle. It streams ahead like an HDFS input
+// stream: a read that starts inside the span of the handle's previous read
+// (sequential, or overlapping it as a sealed reader's block-aligned reads
+// do) fetches one writePacketSize packet, and the reads that follow are
+// copied out of it without a round trip. Reads that start anywhere else, and
+// reads of a packet or more, go to the wire as they are, so a random point
+// read costs exactly one round trip. The packet never extends past the size
+// seen at open, and files are append-only, so its bytes cannot go stale.
 type remoteRandom struct {
 	c      *Client
 	handle uint64
 	size   int64
+
+	mu         sync.Mutex
+	prev, next int64  // the span [prev, next) of the previous read
+	ahead      []byte // bytes [aheadOff, aheadOff+len(ahead)) of the file
+	aheadOff   int64
+	spare      []byte // a retired packet buffer nothing reads from any more
 }
 
-// ReadAt is one round trip per maxReadLen bytes of p, so in practice one.
+// ReadAt serves p from the packet when it lies inside it; otherwise it is a
+// packet fetch or a direct read, one round trip per maxReadLen bytes of p.
 func (r *remoteRandom) ReadAt(p []byte, off int64) (int, error) {
+	end := off + int64(len(p))
+	r.mu.Lock()
+	if len(p) > 0 && off >= r.aheadOff && end <= r.aheadOff+int64(len(r.ahead)) {
+		copy(p, r.ahead[off-r.aheadOff:])
+		r.prev, r.next = off, end
+		r.mu.Unlock()
+		return len(p), nil
+	}
+	stream := len(p) > 0 && len(p) < writePacketSize && end <= r.size &&
+		r.next > r.prev && off >= r.prev && off <= r.next
+	r.prev, r.next = off, end
+	if !stream {
+		r.mu.Unlock()
+		return r.readWire(p, off)
+	}
+	// The new packet starts at off. Bytes of it the current packet already
+	// holds are carried over, so each fetch brings a full packet of new ones.
+	from, carry := off, []byte(nil)
+	if off >= r.aheadOff && off < r.aheadOff+int64(len(r.ahead)) {
+		carry = r.ahead[off-r.aheadOff:]
+		from = r.aheadOff + int64(len(r.ahead))
+	}
+	fetch := int(min(writePacketSize, r.size-from))
+	buf := append(slices.Grow(r.spare[:0], len(carry)+fetch), carry...)
+	r.spare = nil
+	r.mu.Unlock()
+
+	// The round trip runs unlocked: reads the packet already holds, on
+	// other goroutines, do not wait for it.
+	n, err := r.readWire(buf[len(buf):len(buf)+fetch], from)
+	buf = buf[:len(buf)+n]
+	got := copy(p, buf)
+	r.mu.Lock()
+	if err == nil {
+		r.spare, r.ahead, r.aheadOff = r.ahead, buf, off
+	} else {
+		r.spare = buf
+	}
+	r.mu.Unlock()
+	if got < len(p) {
+		return got, err
+	}
+	return got, nil
+}
+
+// readWire reads p at off over the wire, one round trip per maxReadLen bytes
+// of p, so in practice one.
+func (r *remoteRandom) readWire(p []byte, off int64) (int, error) {
 	total := 0
 	for {
 		n, err := r.readChunk(p[total:min(total+maxReadLen, len(p))], off+int64(total))
@@ -514,16 +594,11 @@ func (r *remoteRandom) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (r *remoteRandom) readChunk(p []byte, off int64) (int, error) {
-	// Capacity clipped to len(p): a reply longer than asked for must not
-	// spill into the caller's bytes past p.
-	resp, err := r.c.roundTripInto(&Request{Op: OpReadAt, Handle: r.handle, Off: off, Len: len(p)}, p[:0:len(p)])
+	resp, err := r.c.roundTripInto(&Request{Op: OpReadAt, Handle: r.handle, Off: off, Len: len(p)}, p)
 	if err != nil {
 		return 0, err
 	}
 	n := len(resp.Data)
-	if n > len(p) || (n > 0 && &resp.Data[0] != &p[0]) {
-		n = copy(p, resp.Data) // gob did not decode in place: keep what fits
-	}
 	// Only report EOF when the server did; a short response mid-file is a
 	// transfer anomaly, not end-of-file.
 	if resp.EOF {

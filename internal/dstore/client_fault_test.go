@@ -1,7 +1,6 @@
 package dstore
 
 import (
-	"encoding/gob"
 	"errors"
 	"io"
 	"net"
@@ -257,44 +256,17 @@ func TestCloseUnblocksPendingCheckout(t *testing.T) {
 // ReadAt response without the EOF flag — the mid-file anomaly case.
 func fakeShortReadServer(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var req Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					resp := &Response{}
-					switch req.Op {
-					case OpOpen:
-						resp.Handle = 1
-						resp.Size = 100
-					case OpReadAt:
-						// Short payload, mid-file: EOF deliberately false.
-						resp.Data = []byte("short")
-						resp.N = 5
-					}
-					if err := enc.Encode(resp); err != nil {
-						return
-					}
-				}
-			}(conn)
+	addr, _ := fakeServer(t, func(req *Request) []byte {
+		switch req.Op {
+		case OpOpen:
+			return replyFrame(Response{Handle: 1, Size: 100})
+		case OpReadAt:
+			// Short payload, mid-file: EOF deliberately false.
+			return replyFrame(Response{Data: []byte("short"), N: 5})
 		}
-	}()
-	return ln.Addr().String()
+		return replyFrame(Response{})
+	})
+	return addr
 }
 
 // TestReadAtMidFileShortResponse: a short response without the server's

@@ -11,8 +11,8 @@
 package dstore
 
 import (
+	"bufio"
 	"crypto/sha256"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -47,7 +47,7 @@ const (
 	OpSum
 )
 
-// Request is the wire request. A single struct keeps gob simple.
+// Request is the wire request; frame.go has its encoding.
 type Request struct {
 	Op     Op
 	Name   string
@@ -65,7 +65,7 @@ type Request struct {
 	Seq uint64
 }
 
-// Response is the wire response.
+// Response is the wire response; frame.go has its encoding.
 type Response struct {
 	Err    string
 	Handle uint64
@@ -172,25 +172,36 @@ func (s *Server) Close() error {
 }
 
 func (s *Server) serveConn(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	s.serve(conn) //nolint:errcheck // the peer is dropped whatever ended it
+}
+
+// serve answers one connection's requests until the peer hangs up or sends
+// something other than a well-formed frame, and returns what ended it. Any
+// error drops the peer: past a bad frame the stream cannot be trusted.
+func (s *Server) serve(conn net.Conn) error {
+	fr := frameReader{r: bufio.NewReader(conn)}
+	fw := frameWriter{conn: conn}
+	// data holds a request's data, then the reply's: an OpWrite's packet is
+	// applied before the reply is built, and an OpReadAt has none.
+	var data, out []byte
 	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		// An OpReadAt reply aliases a pooled buffer, held only from the read
-		// until the reply is on the wire.
-		var readBuf *[]byte
-		if req.Op == OpReadAt {
-			readBuf = readBufPool.Get().(*[]byte)
-		}
-		err := enc.Encode(s.handle(&req, readBuf))
-		if readBuf != nil && cap(*readBuf) <= maxPooledReadBuf {
-			readBufPool.Put(readBuf)
-		}
+		req, err := readRequest(&fr, &data)
 		if err != nil {
-			return
+			return err
+		}
+		var resp Response
+		if err := s.handle(&req, &resp, &data); err != nil {
+			resp = Response{Err: err.Error()}
+		}
+		if out, err = appendResponse(out[:0], &resp); err != nil { // a listing too long for one frame
+			resp = Response{Err: err.Error()}
+			out, _ = appendResponse(out[:0], &resp)
+		}
+		if err := fw.send(out, resp.Data); err != nil {
+			return err
+		}
+		if cap(data) > maxRetained {
+			data = nil
 		}
 	}
 }
@@ -202,21 +213,20 @@ const (
 	// reads.
 	maxReadLen = 16 << 20
 
-	// maxPooledReadBuf caps the reply buffers readBufPool keeps.
-	maxPooledReadBuf = 1 << 20
+	// maxRetained caps each buffer a connection keeps between frames: a
+	// larger one, grown for one long listing or read, is dropped after it.
+	maxRetained = 1 << 20
 )
 
-var readBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// handle executes one request. readBuf is the reply buffer of an OpReadAt
-// (nil for every other op).
-func (s *Server) handle(req *Request, readBuf *[]byte) *Response {
+// handle executes one request into resp, or returns the error the reply
+// carries instead. An OpReadAt reads into *buf.
+func (s *Server) handle(req *Request, resp *Response, buf *[]byte) error {
 	if req.Op == OpReadAt {
 		if req.Len < 0 || req.Len > maxReadLen {
-			return &Response{Err: fmt.Sprintf("dstore: read length %d outside [0, %d]", req.Len, maxReadLen)}
+			return fmt.Errorf("dstore: read length %d outside [0, %d]", req.Len, maxReadLen)
 		}
 		if req.Off < 0 {
-			return &Response{Err: fmt.Sprintf("dstore: negative read offset %d", req.Off)}
+			return fmt.Errorf("dstore: negative read offset %d", req.Off)
 		}
 	}
 	switch req.Op {
@@ -230,16 +240,11 @@ func (s *Server) handle(req *Request, readBuf *[]byte) *Response {
 		s.charge(0)
 	}
 
-	resp := &Response{}
-	fail := func(err error) *Response {
-		resp.Err = err.Error()
-		return resp
-	}
 	switch req.Op {
 	case OpCreate:
 		f, err := s.stats.Create(req.Name)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		s.mu.Lock()
 		s.nextID++
@@ -252,7 +257,7 @@ func (s *Server) handle(req *Request, readBuf *[]byte) *Response {
 		w, ok := s.writers[req.Handle]
 		s.mu.Unlock()
 		if !ok {
-			return fail(fmt.Errorf("dstore: unknown write handle %d", req.Handle))
+			return fmt.Errorf("dstore: unknown write handle %d", req.Handle)
 		}
 		w.mu.Lock()
 		if req.Seq != 0 && req.Seq == w.lastSeq {
@@ -269,17 +274,17 @@ func (s *Server) handle(req *Request, readBuf *[]byte) *Response {
 		w.mu.Unlock()
 		resp.N = n
 		if err != nil {
-			return fail(err)
+			return err
 		}
 	case OpSync:
 		s.mu.Lock()
 		w, ok := s.writers[req.Handle]
 		s.mu.Unlock()
 		if !ok {
-			return fail(fmt.Errorf("dstore: unknown write handle %d", req.Handle))
+			return fmt.Errorf("dstore: unknown write handle %d", req.Handle)
 		}
 		if err := w.f.Sync(); err != nil {
-			return fail(err)
+			return err
 		}
 	case OpCloseW:
 		s.mu.Lock()
@@ -288,18 +293,18 @@ func (s *Server) handle(req *Request, readBuf *[]byte) *Response {
 		s.mu.Unlock()
 		if ok {
 			if err := w.f.Close(); err != nil {
-				return fail(err)
+				return err
 			}
 		}
 	case OpOpen:
 		f, err := s.stats.Open(req.Name)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		size, err := f.Size()
 		if err != nil {
 			f.Close()
-			return fail(err)
+			return err
 		}
 		s.mu.Lock()
 		s.nextID++
@@ -313,20 +318,19 @@ func (s *Server) handle(req *Request, readBuf *[]byte) *Response {
 		f, ok := s.readers[req.Handle]
 		s.mu.Unlock()
 		if !ok {
-			return fail(fmt.Errorf("dstore: unknown read handle %d", req.Handle))
+			return fmt.Errorf("dstore: unknown read handle %d", req.Handle)
 		}
-		if cap(*readBuf) < req.Len {
-			*readBuf = make([]byte, req.Len)
+		if cap(*buf) < req.Len {
+			*buf = make([]byte, req.Len)
 		}
-		buf := (*readBuf)[:req.Len]
-		n, err := f.ReadAt(buf, req.Off)
-		resp.Data = buf[:n]
+		n, err := f.ReadAt((*buf)[:req.Len], req.Off)
+		resp.Data = (*buf)[:n]
 		resp.N = n
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				resp.EOF = true
 			} else {
-				return fail(err)
+				return err
 			}
 		}
 	case OpCloseR:
@@ -339,31 +343,31 @@ func (s *Server) handle(req *Request, readBuf *[]byte) *Response {
 		}
 	case OpRemove:
 		if err := s.stats.Remove(req.Name); err != nil {
-			return fail(err)
+			return err
 		}
 	case OpRename:
 		if err := s.stats.Rename(req.Name, req.Name2); err != nil {
-			return fail(err)
+			return err
 		}
 	case OpList:
 		infos, err := s.stats.List(req.Name)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		resp.Infos = infos
 	case OpMkdir:
 		if err := s.stats.MkdirAll(req.Name); err != nil {
-			return fail(err)
+			return err
 		}
 	case OpStat:
 		info, err := s.stats.Stat(req.Name)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		resp.Infos = []vfs.FileInfo{info}
 	case OpSyncDir:
 		if err := s.stats.SyncDir(req.Name); err != nil {
-			return fail(err)
+			return err
 		}
 	case OpDigest:
 		// Compute a sealed file's tag-chain digest node-side. The digest is
@@ -374,14 +378,14 @@ func (s *Server) handle(req *Request, readBuf *[]byte) *Response {
 		// node stays format-agnostic beyond the block layout).
 		data, err := vfs.ReadFile(s.stats, req.Name)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		if req.Off < 0 || req.Off > int64(len(data)) {
-			return fail(fmt.Errorf("dstore: digest offset %d outside file of %d bytes", req.Off, len(data)))
+			return fmt.Errorf("dstore: digest offset %d outside file of %d bytes", req.Off, len(data))
 		}
 		d, err := crypt.TagChainDigest(data[req.Off:])
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		resp.Data = d
 		resp.N = len(data) - int(req.Off)
@@ -392,13 +396,13 @@ func (s *Server) handle(req *Request, readBuf *[]byte) *Response {
 		// instead of shipping every body across the link.
 		data, err := vfs.ReadFile(s.stats, req.Name)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		sum := sha256.Sum256(data)
 		resp.Data = sum[:]
 		resp.Size = int64(len(data))
 	default:
-		return fail(fmt.Errorf("dstore: unknown op %d", req.Op))
+		return fmt.Errorf("dstore: unknown op %d", req.Op)
 	}
-	return resp
+	return nil
 }

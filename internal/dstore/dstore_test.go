@@ -2,12 +2,10 @@ package dstore
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -255,10 +253,10 @@ func TestRemoteDigest(t *testing.T) {
 }
 
 // TestHostileReadLenRejected: OpReadAt's Len and Off come straight off the
-// socket. A negative or enormous Len, or a negative Off, must get an error
-// reply — not a makeslice or slice-bounds panic that kills the node, not an
-// allocation of that size — and both the connection and the server keep
-// serving.
+// socket in a well-formed frame. A negative or enormous Len, or a negative
+// Off, must get an error reply — not a makeslice or slice-bounds panic that
+// kills the node, not an allocation of that size — and both the connection
+// and the server keep serving.
 func TestHostileReadLenRejected(t *testing.T) {
 	srv, client := newPair(t, 0, 1<<30) // a bandwidth cap: Len must not reach the link model either
 	payload := []byte("still here after the hostile frames")
@@ -266,38 +264,21 @@ func TestHostileReadLenRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	call := func(req Request) Response {
-		t.Helper()
-		if err := enc.Encode(&req); err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatalf("%+v: no reply (server gone?): %v", req, err)
-		}
-		return resp
-	}
-	open := call(Request{Op: OpOpen, Name: "f"})
+	w := dialWire(t, srv.Addr())
+	open := w.call(Request{Op: OpOpen, Name: "f"})
 	if open.Err != "" {
 		t.Fatal(open.Err)
 	}
 	for _, n := range []int{-1, maxReadLen + 1, 1 << 40} {
-		if resp := call(Request{Op: OpReadAt, Handle: open.Handle, Len: n}); resp.Err == "" || len(resp.Data) != 0 {
+		if resp := w.call(Request{Op: OpReadAt, Handle: open.Handle, Len: n}); resp.Err == "" || len(resp.Data) != 0 {
 			t.Fatalf("Len=%d: reply Err=%q with %d bytes, want an error reply", n, resp.Err, len(resp.Data))
 		}
 	}
-	if resp := call(Request{Op: OpReadAt, Handle: open.Handle, Off: -1, Len: len(payload)}); resp.Err == "" || len(resp.Data) != 0 {
+	if resp := w.call(Request{Op: OpReadAt, Handle: open.Handle, Off: -1, Len: len(payload)}); resp.Err == "" || len(resp.Data) != 0 {
 		t.Fatalf("Off=-1: reply Err=%q with %d bytes, want an error reply", resp.Err, len(resp.Data))
 	}
 	// Same connection, same handle: a normal read still works.
-	if resp := call(Request{Op: OpReadAt, Handle: open.Handle, Len: len(payload)}); resp.Err != "" || !bytes.Equal(resp.Data, payload) {
+	if resp := w.call(Request{Op: OpReadAt, Handle: open.Handle, Len: len(payload)}); resp.Err != "" || !bytes.Equal(resp.Data, payload) {
 		t.Fatalf("read after the hostile frames: Err=%q data=%q", resp.Err, resp.Data)
 	}
 	// And so does the ordinary client.

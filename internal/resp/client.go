@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net"
 	"time"
+
+	"shield/internal/netretry"
 )
 
 // Client is a pipelined RESP client: queue commands with Send, push them
@@ -16,11 +18,11 @@ type Client struct {
 	w    *Writer
 
 	// Timeout, when nonzero, bounds each Flush and each Recv. The socket
-	// deadlines behind it are re-armed lazily (see Deadline), and the read
-	// one only when a Recv has to wait for the network at all.
+	// deadlines behind it are re-armed lazily (see netretry.Deadline), and
+	// the read one only when a Recv has to wait for the network at all.
 	Timeout time.Duration
 
-	readBy, writeBy Deadline
+	readBy, writeBy netretry.Deadline
 	recvArmed       bool // the current Recv has looked at its deadline
 }
 

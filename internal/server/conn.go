@@ -11,6 +11,7 @@ import (
 
 	"shield/internal/lsm"
 	"shield/internal/metrics"
+	"shield/internal/netretry"
 	"shield/internal/resp"
 )
 
@@ -68,7 +69,7 @@ type conn struct {
 
 	counts          []shardCounts // per shard
 	ncmd            int64         // commands dispatched and not yet published
-	readBy, writeBy resp.Deadline
+	readBy, writeBy netretry.Deadline
 }
 
 func (s *Server) newConn(nc net.Conn) *conn {
