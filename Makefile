@@ -38,9 +38,11 @@ race:
 # and the lazily armed deadlines. The dstore wire: frames per sequential,
 # random and compaction read (counted at Server.Stats), read-ahead against
 # direct reads, allocations per remote read and per read served from the
-# read-ahead packet, the frame codec against gob and against hostile peers.
+# read-ahead packet, the frame codec against hostile peers. Table opens:
+# allocations per open, flat in the table's size. Manual compaction: bytes
+# read by CompactRange against the tables it replaces (RewritesOnce).
 io-path-check:
-	go test -run 'InnerReads|Allocs|SliceOracle|Arena|OutlivesMemtable|PooledPutBatch|SealedWriter|Towers|MatchesOracle|SplitAcrossReads|Deadline|ReadAhead|Frame' \
+	go test -run 'InnerReads|Allocs|SliceOracle|Arena|OutlivesMemtable|PooledPutBatch|SealedWriter|Towers|MatchesOracle|SplitAcrossReads|Deadline|ReadAhead|Frame|RewritesOnce' \
 		./internal/crypt/ ./internal/lsm/ ./internal/lsm/skiplist/ ./internal/lsm/sstable/ ./internal/vfs/ ./internal/dstore/ \
 		./internal/resp/ ./internal/server/ ./internal/netretry/
 
@@ -139,7 +141,10 @@ tamper-test:
 # position for any input in any chunking. The two decoders a storage-side
 # attacker reaches before any AEAD check: the dstore frame (typed error or a
 # value that re-encodes to the bytes consumed, allocation bounded by the
-# input) and the SHIELD file header. FUZZTIME bounds each target; CI uses a short burst, leave
+# input) and the SHIELD file header. The SST table open: on any bytes, as
+# given and with every block's checksum recomputed, open, scan and Get
+# succeed or fail as sstable.ErrCorruption, allocation bounded by the input.
+# FUZZTIME bounds each target; CI uses a short burst, leave
 # it running locally to dig deeper. Minimization is capped because its 60 s
 # default otherwise eats a short burst whole (execs drop to 0/sec after the
 # first new-coverage input).
@@ -151,6 +156,7 @@ fuzz:
 	go test $(FUZZFLAGS) -fuzz=FuzzReadCommand ./internal/resp/
 	go test $(FUZZFLAGS) -fuzz=FuzzDstoreFrame ./internal/dstore/
 	go test $(FUZZFLAGS) -fuzz=FuzzParseHeader ./internal/core/
+	go test $(FUZZFLAGS) -fuzz=FuzzTableOpen ./internal/lsm/sstable/
 
 # Third-party linters. These reach the network to fetch the pinned tool the
 # first time; they are deliberately NOT part of `make all` so an offline

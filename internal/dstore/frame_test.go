@@ -4,14 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io"
 	"math/rand"
 	"net"
-	"reflect"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -143,16 +140,12 @@ func hostileRequests() map[string][]byte {
 	truncated := append(head(uint32(metaLen), 1<<20), valid[frameHead:]...)
 	truncated = append(truncated, make([]byte, 100)...)
 
-	var gobbed bytes.Buffer
-	if err := gob.NewEncoder(&gobbed).Encode(&Request{Op: OpOpen, Name: "f"}); err != nil {
-		panic(err)
-	}
 	return map[string][]byte{
 		"declares 64 MiB":        append(append(preamble[:], head(uint32(metaLen), 64<<20)...), valid[frameHead:]...),
 		"truncated":              append(preamble[:], truncated...),
 		"name overruns frame":    append(preamble[:], nameOverrun...),
 		"unknown op":             append(preamble[:], unknownOp...),
-		"gob-speaking client":    gobbed.Bytes(),
+		"gob-speaking client":    []byte(gobRequest),
 		"stray bytes after meta": append(append(preamble[:], head(uint32(metaLen+1), 0)...), append(valid[frameHead:], 0)...),
 	}
 }
@@ -255,10 +248,10 @@ func TestHostileFramesDropPeer(t *testing.T) {
 // exactly the bytes they consumed; they never panic, and what they allocate
 // follows the input's length, not the lengths it declares.
 func FuzzDstoreFrame(f *testing.F) {
-	for _, req := range sampleRequests(rand.New(rand.NewSource(1)), 8, false) {
+	for _, req := range sampleRequests(rand.New(rand.NewSource(1)), 8) {
 		f.Add(append(appendRequest(nil, &req), req.Data...))
 	}
-	for _, resp := range sampleResponses(rand.New(rand.NewSource(2)), 8, false) {
+	for _, resp := range sampleResponses(rand.New(rand.NewSource(2)), 8) {
 		f.Add(replyFrame(resp))
 	}
 	for _, raw := range hostileRequests() {
@@ -309,101 +302,56 @@ func FuzzDstoreFrame(f *testing.F) {
 	})
 }
 
-// The samples span every field's range; big ones have names of the
-// longest length a str holds and data past a packet, small ones (the fuzz
-// seeds, which the fuzzer mutates byte by byte) a few dozen bytes each.
+// The samples are the fuzz seeds, which the fuzzer mutates byte by byte, so
+// every name and data field is at most a few dozen bytes.
 
-func randName(rng *rand.Rand, big bool) string {
-	switch rng.Intn(4) {
-	case 0:
+// gobRequest is what a gob encoder sent for Request{Op: OpOpen, Name: "f"}
+// on the wire the binary frame replaced.
+const gobRequest = "Z\x7f\x03\x01\x01\aRequest\x01\xff\x80\x00\x01\b\x01\x02Op\x01\x06\x00\x01\x04Name\x01\f\x00" +
+	"\x01\x05Name2\x01\f\x00\x01\x06Handle\x01\x06\x00\x01\x03Off\x01\x04\x00\x01\x03Len\x01\x04\x00" +
+	"\x01\x04Data\x01\n\x00\x01\x03Seq\x01\x06\x00\x00\x00\b\xff\x80\x01\x05\x01\x01f\x00"
+
+func randName(rng *rand.Rand) string {
+	if rng.Intn(4) == 0 {
 		return ""
-	case 1:
-		if big {
-			return strings.Repeat("n", maxStr)
-		}
 	}
 	b := make([]byte, rng.Intn(40))
 	rng.Read(b)
 	return string(b)
 }
 
-func randData(rng *rand.Rand, big bool) []byte {
+func randData(rng *rand.Rand) []byte {
 	if rng.Intn(3) == 0 {
 		return nil
 	}
-	n := 40
-	if big {
-		n = 3 * writePacketSize / 2
-	}
-	b := make([]byte, rng.Intn(n)+1)
+	b := make([]byte, rng.Intn(40)+1)
 	rng.Read(b)
 	return b
 }
 
-func sampleRequests(rng *rand.Rand, n int, big bool) []Request {
+func sampleRequests(rng *rand.Rand, n int) []Request {
 	out := make([]Request, n)
 	for i := range out {
 		out[i] = Request{
-			Op: Op(rng.Intn(int(OpSum)) + 1), Name: randName(rng, big), Name2: randName(rng, big),
+			Op: Op(rng.Intn(int(OpSum)) + 1), Name: randName(rng), Name2: randName(rng),
 			Handle: rng.Uint64(), Off: int64(rng.Uint64()), Len: int(int64(rng.Uint64())), Seq: rng.Uint64(),
-			Data: randData(rng, big),
+			Data: randData(rng),
 		}
 	}
 	return out
 }
 
-func sampleResponses(rng *rand.Rand, n int, big bool) []Response {
+func sampleResponses(rng *rand.Rand, n int) []Response {
 	out := make([]Response, n)
 	for i := range out {
 		var infos []vfs.FileInfo
 		for j := rng.Intn(4) * rng.Intn(4); j > 0; j-- {
-			infos = append(infos, vfs.FileInfo{Name: randName(rng, big), Size: int64(rng.Uint64())})
+			infos = append(infos, vfs.FileInfo{Name: randName(rng), Size: int64(rng.Uint64())})
 		}
 		out[i] = Response{
-			Err: randName(rng, big), Handle: rng.Uint64(), N: int(int64(rng.Uint64())), Size: int64(rng.Uint64()),
-			Data: randData(rng, big), Infos: infos, EOF: rng.Intn(2) == 0,
+			Err: randName(rng), Handle: rng.Uint64(), N: int(int64(rng.Uint64())), Size: int64(rng.Uint64()),
+			Data: randData(rng), Infos: infos, EOF: rng.Intn(2) == 0,
 		}
 	}
 	return out
-}
-
-// TestFrameMatchesGob is the differential check of the codec against the
-// gob encoding it replaced: for each value, what a frame round trip decodes
-// is exactly what a gob round trip decodes.
-func TestFrameMatchesGob(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	viaGob := func(in, out any) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-			t.Fatal(err)
-		}
-		if err := gob.NewDecoder(&buf).Decode(out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, req := range sampleRequests(rng, 200, true) {
-		fr := frameReader{r: bufio.NewReader(bytes.NewReader(append(appendRequest(nil, &req), req.Data...))), greeted: true}
-		var data []byte
-		got, err := readRequest(&fr, &data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want Request
-		viaGob(&req, &want)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("request: frame decoded %+.80v, gob %+.80v", got, want)
-		}
-	}
-	for _, resp := range sampleResponses(rng, 200, true) {
-		fr := frameReader{r: bufio.NewReader(bytes.NewReader(replyFrame(resp))), greeted: true}
-		var got Response
-		if err := readResponse(&fr, &got, nil); err != nil {
-			t.Fatal(err)
-		}
-		var want Response
-		viaGob(&resp, &want)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("reply: frame decoded %+.80v, gob %+.80v", got, want)
-		}
-	}
 }

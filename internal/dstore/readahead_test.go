@@ -136,11 +136,13 @@ func TestReadAheadInterleavedMatchesDirect(t *testing.T) {
 }
 
 // TestReadAheadCompactRange: a full compaction of an encrypted tree over
-// dstore reads its input in packets. Each input file costs four reads that
-// continue no previous one — the SHIELD header, then the table's footer and
-// metadata, then the first data block — and its last packet is a partial
-// one; everything else is one frame per 64 KiB of input. (Before read-ahead
-// it was one frame per 4 KiB table block.)
+// dstore reads the tree once, as one job whose input is exactly the tables
+// live before the call, and reads it in packets. Each input file costs four
+// reads that continue no previous one — the SHIELD header, then the table's
+// footer and metadata, then the first data block — and its last packet is a
+// partial one; everything else is one frame per 64 KiB of input. (Before
+// read-ahead it was one frame per 4 KiB table block; before CompactRange
+// became one job it read the tree once per level it passed through.)
 func TestReadAheadCompactRange(t *testing.T) {
 	srv, client := newPair(t, 0, 0)
 	cfg := core.Config{
@@ -166,11 +168,18 @@ func TestReadAheadCompactRange(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	before, readBefore := srv.Stats(), db.Metrics().CompactionRead
+	m := db.Metrics()
+	if m.Compactions != 0 {
+		t.Fatalf("%d compactions ran before CompactRange; the flushed tables are no longer the live ones", m.Compactions)
+	}
+	before := srv.Stats()
 	if err := db.CompactRange(); err != nil {
 		t.Fatal(err)
 	}
-	d, input := srv.Stats().Sub(before), db.Metrics().CompactionRead-readBefore
+	d, input := srv.Stats().Sub(before), db.Metrics().CompactionRead
+	if input != m.FlushWritten {
+		t.Fatalf("CompactRange read %d bytes of input; the live tables hold %d", input, m.FlushWritten)
+	}
 	packets := (input + writePacketSize - 1) / writePacketSize
 	const perFile, slack = 4 + 1, 4
 	t.Logf("input %d bytes (%d packets) in %d files: %d read frames", input, packets, d.Opens, d.ReadOps)

@@ -234,7 +234,7 @@ func (d *DB) tryLeveledPlanLocked(level int) *compactionPlan {
 		if len(v.Levels[0]) == 0 {
 			return nil
 		}
-		plan := d.newLeveledPlanLocked(0, v.Levels[0])
+		plan := d.newLeveledPlanLocked(0, v.Levels[0], 1)
 		if d.planConflictsLocked(plan) {
 			return nil
 		}
@@ -246,7 +246,7 @@ func (d *DB) tryLeveledPlanLocked(level int) *compactionPlan {
 		if d.busyFiles[f.FileNum] {
 			continue
 		}
-		plan := d.newLeveledPlanLocked(level, []*manifest.FileMetadata{f})
+		plan := d.newLeveledPlanLocked(level, []*manifest.FileMetadata{f}, level+1)
 		if !d.planConflictsLocked(plan) {
 			return plan
 		}
@@ -254,32 +254,32 @@ func (d *DB) tryLeveledPlanLocked(level int) *compactionPlan {
 	return nil
 }
 
-// newLeveledPlanLocked assembles a level→level+1 plan for inputs0 without
-// checking conflicts. The plan claims every output-level file overlapping
-// the inputs' key hull, which is what makes concurrently running plans
-// disjoint: any range conflict between two jobs would surface as a shared
-// input file. d.mu held.
-func (d *DB) newLeveledPlanLocked(level int, inputs0 []*manifest.FileMetadata) *compactionPlan {
+// newLeveledPlanLocked assembles, without checking conflicts, a plan that
+// merges inputs0 (files of level), every file of the levels between level and
+// outputLevel, and every outputLevel file overlapping their key hull into
+// outputLevel. Claiming the output level's whole overlap is what makes
+// concurrently running plans disjoint: any range conflict between two jobs
+// would surface as a shared input file. Returns nil when nothing above
+// outputLevel is an input. d.mu held.
+func (d *DB) newLeveledPlanLocked(level int, inputs0 []*manifest.FileMetadata, outputLevel int) *compactionPlan {
 	v := d.current
-	smallest, largest := keyRange(inputs0)
-	outputLevel := level + 1
-	inputs1 := v.Overlapping(outputLevel, base.UserKey(smallest), base.UserKey(largest))
-	plan := &compactionPlan{outputLevel: outputLevel, l0: level == 0}
-	plan.inputs = append(plan.inputs, JobLevel{Level: level, Files: derefFiles(inputs0)})
-	if len(inputs1) > 0 {
-		plan.inputs = append(plan.inputs, JobLevel{Level: outputLevel, Files: derefFiles(inputs1)})
-	}
-	allSmallest, allLargest := smallest, largest
-	if len(inputs1) > 0 {
-		s2, l2 := keyRange(inputs1)
-		if base.CompareInternal(s2, allSmallest) < 0 {
-			allSmallest = s2
-		}
-		if base.CompareInternal(l2, allLargest) > 0 {
-			allLargest = l2
+	plan := &compactionPlan{outputLevel: outputLevel, l0: level == 0 && len(inputs0) > 0}
+	var smallest, largest []byte
+	add := func(lvl int, files []*manifest.FileMetadata) {
+		if len(files) > 0 {
+			plan.inputs = append(plan.inputs, JobLevel{Level: lvl, Files: derefFiles(files)})
+			smallest, largest = widenRange(smallest, largest, files)
 		}
 	}
-	plan.bottommost = d.isBottommostLocked(outputLevel, base.UserKey(allSmallest), base.UserKey(allLargest))
+	add(level, inputs0)
+	for lvl := level + 1; lvl < outputLevel; lvl++ {
+		add(lvl, v.Levels[lvl])
+	}
+	if len(plan.inputs) == 0 {
+		return nil
+	}
+	add(outputLevel, v.Overlapping(outputLevel, base.UserKey(smallest), base.UserKey(largest)))
+	plan.bottommost = d.isBottommostLocked(outputLevel, base.UserKey(smallest), base.UserKey(largest))
 	for _, in := range plan.inputs {
 		for _, f := range in.Files {
 			plan.busy = append(plan.busy, f.FileNum)
@@ -365,7 +365,9 @@ func (d *DB) isBottommostLocked(outputLevel int, smallestUser, largestUser []byt
 	return true
 }
 
-func keyRange(files []*manifest.FileMetadata) (smallest, largest []byte) {
+// widenRange extends the internal-key range [smallest, largest] (nil when
+// empty) to cover files.
+func widenRange(smallest, largest []byte, files []*manifest.FileMetadata) ([]byte, []byte) {
 	for _, f := range files {
 		if smallest == nil || base.CompareInternal(f.Smallest, smallest) < 0 {
 			smallest = f.Smallest
@@ -423,7 +425,7 @@ func (d *DB) maybeScheduleCompactionLocked() {
 		return
 	}
 	if d.manualWaiters > 0 {
-		// A manual CompactRange step is waiting to claim its plan; starting
+		// A manual CompactRange job is waiting to claim its plan; starting
 		// more background jobs here could starve it forever.
 		return
 	}
@@ -569,14 +571,21 @@ func (d *DB) runCompactionPlan(plan *compactionPlan) error {
 	return nil
 }
 
-// CompactRange forces full compaction of the whole key space, level by
-// level, waiting for each step to finish. It first flushes the memtable.
+// CompactRange flushes the memtable, then compacts the whole key space into
+// the bottom level as one job and waits for it to install.
 //
-// Background jobs keep running: each manual step claims its input files
-// like any other job and waits — rebuilding its plan from the then-current
-// version after every wait, never running a stale pick — while a
-// conflicting job is in flight. Two concurrent CompactRange callers, or a
-// manual step racing a background pick, can therefore never install
+// Under leveled compaction the job merges every file above the bottom level
+// with the bottom-level files that overlap their key range, and runs
+// bottommost: what survives is the newest version of each live key (plus
+// what a pinned snapshot still needs), with no tombstone left to hide
+// anything. When nothing lives above the bottom level no job runs. Under
+// universal and FIFO compaction it drains the style's own picks instead.
+//
+// Background jobs keep running: the manual job claims its inputs like any
+// other job (the level-0 slot included) and waits — rebuilding its plan from
+// the then-current version after every wait, never running a stale pick —
+// while a conflicting job is in flight. Two concurrent CompactRange callers,
+// or a manual job racing a background pick, can therefore never install
 // overlapping edits.
 func (d *DB) CompactRange() error {
 	if d.opts.ReadOnly {
@@ -590,35 +599,28 @@ func (d *DB) CompactRange() error {
 		return d.compactAllRuns()
 	}
 
-	for lvl := 0; lvl < manifest.NumLevels-1; lvl++ {
-		plan, err := d.claimManualPlan(lvl)
-		if err != nil {
-			return err
-		}
-		if plan == nil {
-			continue
-		}
-		err = d.runCompactionPlan(plan)
-		d.finishManualPlan(plan)
-		if err != nil {
-			return err
-		}
+	plan, err := d.claimManualPlan()
+	if err != nil || plan == nil {
+		return err
 	}
-	return nil
+	err = d.runCompactionPlan(plan)
+	d.finishManualPlan(plan)
+	return err
 }
 
-// claimManualPlan builds a whole-level plan for lvl→lvl+1 and claims it,
-// waiting while any in-flight job holds a conflicting file. Returns a nil
-// plan when the level is empty.
-func (d *DB) claimManualPlan(lvl int) (*compactionPlan, error) {
+// claimManualPlan builds CompactRange's one plan and claims it, waiting while
+// any in-flight job holds a conflicting file — which every in-flight leveled
+// job does, since each consumes a file above the bottom level. Returns a nil
+// plan when there is nothing to compact.
+func (d *DB) claimManualPlan() (*compactionPlan, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.manualWaiters++
 	defer func() {
 		d.manualWaiters--
-		// Background scheduling was suppressed while this step waited. Re-arm
+		// Background scheduling was suppressed while this job waited. Re-arm
 		// it on the way out — also when leaving without a plan — or a writer
-		// stalled on the L0 limit that deferred to this step sleeps forever.
+		// stalled on the L0 limit that deferred to this job sleeps forever.
 		d.maybeScheduleCompactionLocked()
 		d.bgCond.Broadcast()
 	}()
@@ -627,13 +629,12 @@ func (d *DB) claimManualPlan(lvl int) (*compactionPlan, error) {
 			return nil, ErrClosed
 		}
 		if d.bgErr != nil {
-			return nil, d.bgErr
+			return nil, errDegraded(d.bgErr)
 		}
-		files := d.current.Levels[lvl]
-		if len(files) == 0 {
+		plan := d.newLeveledPlanLocked(0, d.current.Levels[0], manifest.NumLevels-1)
+		if plan == nil {
 			return nil, nil
 		}
-		plan := d.newLeveledPlanLocked(lvl, files)
 		if !d.planConflictsLocked(plan) {
 			d.claimPlanLocked(plan)
 			return plan, nil
@@ -642,7 +643,7 @@ func (d *DB) claimManualPlan(lvl int) (*compactionPlan, error) {
 	}
 }
 
-// finishManualPlan releases a manual step's claim and wakes waiters.
+// finishManualPlan releases the manual job's claim and wakes waiters.
 func (d *DB) finishManualPlan(plan *compactionPlan) {
 	d.mu.Lock()
 	d.releasePlanLocked(plan)
@@ -661,7 +662,7 @@ func (d *DB) compactAllRuns() error {
 			return ErrClosed
 		}
 		if d.bgErr != nil {
-			err := d.bgErr
+			err := errDegraded(d.bgErr)
 			d.mu.Unlock()
 			return err
 		}

@@ -100,7 +100,7 @@ type DB struct {
 	// job starts are not claimed by it, so a second L0 job's outputs could
 	// interleave the first's at the base level.
 	l0Jobs int
-	// manualWaiters counts CompactRange steps waiting to claim a plan;
+	// manualWaiters counts CompactRange jobs waiting to claim a plan;
 	// while nonzero the scheduler starts no new background jobs, so a
 	// manual compaction cannot be starved by a busy write load.
 	manualWaiters int

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"encoding/hex"
-	"fmt"
 
 	"shield/internal/lsm/manifest"
 	"shield/internal/lsm/sstable"
@@ -224,7 +223,7 @@ func (d *DB) rotateMemtable() error {
 	if err := d.startNewLogLocked(); err != nil {
 		d.setBGErrLocked(err)
 		d.mu.Unlock()
-		return fmt.Errorf("%w: %w", ErrDegraded, err)
+		return errDegraded(err)
 	}
 	d.maybeScheduleFlushLocked()
 	d.mu.Unlock()
@@ -253,7 +252,7 @@ func (d *DB) Flush() error {
 	if d.bgErr != nil {
 		err := d.bgErr
 		d.mu.Unlock()
-		return fmt.Errorf("%w: %w", ErrDegraded, err)
+		return errDegraded(err)
 	}
 	if len(d.imm) == 0 {
 		d.mu.Unlock()

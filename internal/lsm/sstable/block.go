@@ -71,18 +71,19 @@ func (it *blockIter) next() bool {
 	}
 	klen, n := binary.Uvarint(it.data[it.off:])
 	if n <= 0 {
-		it.err = fmt.Errorf("sstable: corrupt block entry at %d", it.off)
+		it.err = fmt.Errorf("%w: bad block entry at %d", ErrCorruption, it.off)
 		return false
 	}
 	it.off += n
 	vlen, n := binary.Uvarint(it.data[it.off:])
 	if n <= 0 {
-		it.err = fmt.Errorf("sstable: corrupt block entry at %d", it.off)
+		it.err = fmt.Errorf("%w: bad block entry at %d", ErrCorruption, it.off)
 		return false
 	}
 	it.off += n
-	if it.off+int(klen)+int(vlen) > len(it.data) {
-		it.err = fmt.Errorf("sstable: block entry overruns block")
+	// Compared unsigned, so lengths past MaxInt cannot wrap into range.
+	if left := uint64(len(it.data) - it.off); klen > left || vlen > left-klen {
+		it.err = fmt.Errorf("%w: block entry at %d overruns the block", ErrCorruption, it.off)
 		return false
 	}
 	it.key = it.data[it.off : it.off+int(klen)]
@@ -159,11 +160,11 @@ func (h blockHandle) encode() []byte {
 func decodeHandle(b []byte) (blockHandle, error) {
 	off, n := binary.Uvarint(b)
 	if n <= 0 {
-		return blockHandle{}, fmt.Errorf("sstable: corrupt block handle")
+		return blockHandle{}, fmt.Errorf("%w: bad block handle", ErrCorruption)
 	}
 	length, m := binary.Uvarint(b[n:])
 	if m <= 0 {
-		return blockHandle{}, fmt.Errorf("sstable: corrupt block handle")
+		return blockHandle{}, fmt.Errorf("%w: bad block handle", ErrCorruption)
 	}
 	return blockHandle{offset: off, length: length}, nil
 }

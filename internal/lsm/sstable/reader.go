@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"shield/internal/cache"
 	"shield/internal/lsm/base"
@@ -106,19 +107,8 @@ func NewReader(f vfs.RandomAccessFile, opts ReaderOptions) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sstable: reading index: %w", err)
 	}
-	it := newBlockIter(indexData)
-	for it.next() {
-		h, err := decodeHandle(it.val)
-		if err != nil {
-			return nil, err
-		}
-		r.index = append(r.index, indexEntry{
-			lastKey: append([]byte(nil), it.key...),
-			handle:  h,
-		})
-	}
-	if it.err != nil {
-		return nil, it.err
+	if r.index, err = decodeIndex(indexData, metaEnd); err != nil {
+		return nil, err
 	}
 
 	r.filter, err = metaBlock(filterHandle)
@@ -130,9 +120,42 @@ func NewReader(f vfs.RandomAccessFile, opts ReaderOptions) (*Reader, error) {
 		return nil, fmt.Errorf("sstable: reading properties: %w", err)
 	}
 	if err := json.Unmarshal(propsData, &r.props); err != nil {
-		return nil, fmt.Errorf("sstable: decoding properties: %w", err)
+		return nil, fmt.Errorf("%w: decoding properties: %w", ErrCorruption, err)
 	}
 	return r, nil
+}
+
+// decodeIndex decodes the index block in one allocation: a first pass counts
+// the entries, and each entry's last key is a view into data, which index
+// blocks store whole (blockIter.next), so data lives as long as the index.
+// The views are capacity-clipped, so an append to one cannot overwrite the
+// entry behind it. The data blocks must follow one another without overlap
+// and end by bodyEnd, as the writer lays them out, so a scan never reads
+// more than the file holds.
+func decodeIndex(data []byte, bodyEnd uint64) ([]indexEntry, error) {
+	n := 0
+	count := blockIter{data: data, off: -1}
+	for count.next() {
+		n++
+	}
+	if count.err != nil {
+		return nil, count.err
+	}
+	index := make([]indexEntry, 0, n)
+	var prevEnd uint64
+	it := blockIter{data: data, off: -1}
+	for it.next() {
+		h, err := decodeHandle(it.val)
+		if err != nil {
+			return nil, err
+		}
+		if h.offset < prevEnd || h.length > bodyEnd || h.offset > bodyEnd-h.length {
+			return nil, fmt.Errorf("%w: data block handle [%d,+%d) overlaps its predecessor or leaves the table body", ErrCorruption, h.offset, h.length)
+		}
+		prevEnd = h.offset + h.length
+		index = append(index, indexEntry{lastKey: it.key[:len(it.key):len(it.key)], handle: h})
+	}
+	return index, nil
 }
 
 // readRaw fetches a block with one read and decodes it.
@@ -166,15 +189,31 @@ func decodeBlock(buf []byte, off uint64) ([]byte, error) {
 	case rawBlock:
 		return data, nil
 	case flateBlock:
-		fr := flate.NewReader(bytes.NewReader(data))
-		out, err := io.ReadAll(fr)
+		out, err := inflate(data)
 		if err != nil {
 			return nil, fmt.Errorf("%w: decompressing block at %d: %v", ErrCorruption, off, err)
 		}
-		return out, fr.Close()
+		return out, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown block type %d at %d", ErrCorruption, checked[len(checked)-1], off)
 	}
+}
+
+// flateReaders recycles DEFLATE decompressors: a fresh one allocates tens of
+// KiB of window and tables, more than the block it would decode.
+var flateReaders sync.Pool
+
+// inflate decompresses one DEFLATE block.
+func inflate(data []byte) ([]byte, error) {
+	src := bytes.NewReader(data)
+	fr, _ := flateReaders.Get().(io.ReadCloser)
+	if fr == nil {
+		fr = flate.NewReader(src)
+	} else if err := fr.(flate.Resetter).Reset(src, nil); err != nil {
+		return nil, err
+	}
+	defer flateReaders.Put(fr)
+	return io.ReadAll(fr)
 }
 
 // readBlock fetches a data block, consulting the block cache first.

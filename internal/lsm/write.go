@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -60,7 +59,7 @@ func (d *DB) Write(b *Batch, sync bool) error {
 	if d.bgErr != nil {
 		err := d.bgErr
 		d.mu.Unlock()
-		return fmt.Errorf("%w: %w", ErrDegraded, err)
+		return errDegraded(err)
 	}
 	d.mu.Unlock()
 	b.waiter = commitWaiter{batch: b, sync: sync}
@@ -77,7 +76,7 @@ func (d *DB) makeRoomForWrite() (*wal.Writer, *memTable, error) {
 		case d.bgErr != nil:
 			err := d.bgErr
 			d.mu.Unlock()
-			return nil, nil, fmt.Errorf("%w: %w", ErrDegraded, err)
+			return nil, nil, errDegraded(err)
 		case d.mem.approximateSize() < d.opts.MemtableSize:
 			w, mem := d.walWriter, d.mem
 			d.mu.Unlock()
@@ -112,14 +111,14 @@ func (d *DB) makeRoomForWrite() (*wal.Writer, *memTable, error) {
 			if err := d.startNewLogLocked(); err != nil {
 				d.setBGErrLocked(err)
 				d.mu.Unlock()
-				return nil, nil, fmt.Errorf("%w: %w", ErrDegraded, err)
+				return nil, nil, errDegraded(err)
 			}
 			d.maybeScheduleFlushLocked()
 			d.mu.Unlock()
 			if old != nil {
 				if err := old.Close(); err != nil {
 					d.setBGErr(err)
-					return nil, nil, fmt.Errorf("%w: %w", ErrDegraded, err)
+					return nil, nil, errDegraded(err)
 				}
 			}
 		}
@@ -153,5 +152,5 @@ func (d *DB) Degraded() error {
 	if d.bgErr == nil {
 		return nil
 	}
-	return fmt.Errorf("%w: %w", ErrDegraded, d.bgErr)
+	return errDegraded(d.bgErr)
 }
