@@ -129,12 +129,14 @@ func classify(name string) string {
 
 // describeEncryption sniffs the file's header.
 func describeEncryption(data []byte) string {
-	if id, ok := core.DEKIDFromHeader(data); ok {
-		return "SHIELD per-file DEK " + id
-	}
-	if len(data) >= 4 && data[0] == 0x46 && data[1] == 0x43 && data[2] == 0x4e && data[3] == 0x45 {
-		// "ENCF" little-endian magic 0x454e4346.
-		return "EncFS instance DEK"
+	id, ok := core.DEKIDFromHeader(data)
+	switch {
+	case ok && id == "":
+		return "instance DEK"
+	case ok:
+		return "per-file DEK " + id
+	case core.EncryptedSniffer(data) && !core.IsShieldHeader(data):
+		return "legacy EncFS instance DEK"
 	}
 	return "plaintext (or foreign format)"
 }

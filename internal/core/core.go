@@ -1,19 +1,22 @@
 // Package core implements the paper's two encryption designs on top of the
 // LSM engine:
 //
-//   - ModeEncFS — instance-level encryption (Section 4): the whole
-//     filesystem is wrapped by internal/encfs with a single instance DEK.
-//     The engine is unaware; there are no per-file keys and no rotation.
+//   - ModeEncFS — instance-level encryption (Section 4): every file the
+//     engine writes, CURRENT included, is encrypted under one instance DEK.
+//     There are no per-file keys, no KDS and no rotation.
 //
 //   - ModeSHIELD — encryption embedded in the write path (Section 5): every
 //     WAL, SST, and MANIFEST file gets its own DEK from a KDS; the DEK-ID
 //     travels in a plaintext file header (metadata-enabled DEK sharing,
-//     Section 5.4); WAL writes are batched in an application-managed buffer
-//     before encryption (Section 5.3); compaction output is encrypted in
-//     configurable chunks, optionally on multiple goroutines (Section 5.2);
-//     a passkey-sealed secure cache avoids repeated KDS round trips; and
-//     compaction rotates DEKs for free — new output files always get new
-//     keys, and the old keys are pruned and revoked when their files die.
+//     Section 5.4); a passkey-sealed secure cache avoids repeated KDS round
+//     trips; and compaction rotates DEKs for free — new output files always
+//     get new keys, and the old keys are pruned and revoked when their files
+//     die.
+//
+// Both are one lsm.FileWrapper with one file header; they differ only in
+// where keys come from. Both batch WAL writes in an application-managed
+// buffer before encryption (Section 5.3) and seal SST output in configurable
+// chunks, optionally on multiple goroutines (Section 5.2).
 //
 // The package exposes Open, which wires a Config into lsm.Options and
 // returns a regular *lsm.DB.
@@ -24,7 +27,6 @@ import (
 	"fmt"
 
 	"shield/internal/crypt"
-	"shield/internal/encfs"
 	"shield/internal/kds"
 	"shield/internal/lsm"
 	"shield/internal/seccache"
@@ -39,7 +41,7 @@ const (
 	// ModeNone runs the plain engine (the "unencrypted RocksDB" baseline).
 	ModeNone Mode = iota
 
-	// ModeEncFS applies instance-level encryption below the engine.
+	// ModeEncFS encrypts every file under one instance DEK.
 	ModeEncFS
 
 	// ModeSHIELD embeds per-file encryption into the engine's write path.
@@ -70,7 +72,7 @@ type Config struct {
 	FS vfs.FS
 
 	// InstanceDEK is the single DEK for ModeEncFS, supplied at startup and
-	// held only in memory.
+	// held only in memory. It must not be all zeros.
 	InstanceDEK crypt.DEK
 
 	// KDS issues and resolves per-file DEKs for ModeSHIELD.
@@ -101,9 +103,9 @@ type Config struct {
 	// authorized servers.
 	RevokeOnDelete bool
 
-	// PlaintextWAL leaves the WAL unencrypted under ModeSHIELD. This is an
-	// ablation knob for the paper's Table 2 ("Encrypted SST" row); it
-	// violates the threat model and exists only for measurement.
+	// PlaintextWAL leaves the WAL unencrypted. This is an ablation knob for
+	// the paper's Table 2 ("Encrypted SST" row); it violates the threat
+	// model and exists only for measurement.
 	PlaintextWAL bool
 }
 
@@ -115,31 +117,32 @@ func (c Config) Validate() error {
 	if c.Mode == ModeSHIELD && c.KDS == nil {
 		return errors.New("core: ModeSHIELD requires a KDS")
 	}
+	if c.Mode == ModeEncFS && c.InstanceDEK == (crypt.DEK{}) {
+		return errors.New("core: ModeEncFS requires an InstanceDEK")
+	}
 	return nil
 }
 
-// BuildFS returns the filesystem the engine should run on: the EncFS wrap
-// for instance-level encryption, the raw FS otherwise.
+// BuildFS validates c and returns the filesystem the engine runs on: c.FS
+// itself, since both designs encrypt in the file wrapper.
 func (c Config) BuildFS() (vfs.FS, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if c.Mode == ModeEncFS {
-		return encfs.New(c.FS, c.InstanceDEK, c.WALBufferSize), nil
-	}
 	return c.FS, nil
 }
 
-// BuildWrapper returns the engine file wrapper: the SHIELD codec for
-// ModeSHIELD, the identity wrapper otherwise.
+// BuildWrapper returns the engine file wrapper: the encrypting wrapper with
+// the mode's key policy, or the identity wrapper for ModeNone.
 func (c Config) BuildWrapper() (lsm.FileWrapper, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if c.Mode != ModeSHIELD {
-		return lsm.NopWrapper{}, nil
+	switch c.Mode {
+	case ModeEncFS, ModeSHIELD:
+		return newShieldWrapper(c), nil
 	}
-	return newShieldWrapper(c), nil
+	return lsm.NopWrapper{}, nil
 }
 
 // cacheFreshness anchors a store's freshness epoch in the passkey-sealed
@@ -162,15 +165,11 @@ func (f cacheFreshness) SealEpoch(epoch uint64) error { return f.cache.SealEpoch
 // secure cache, opts.Freshness defaults to an epoch floor sealed into that
 // cache, making recovery rollback-proof (fail closed on epoch regression).
 func Open(dir string, cfg Config, opts lsm.Options) (*lsm.DB, error) {
-	fs, err := cfg.BuildFS()
-	if err != nil {
-		return nil, err
-	}
 	wrapper, err := cfg.BuildWrapper()
 	if err != nil {
 		return nil, err
 	}
-	opts.FS = fs
+	opts.FS = cfg.FS
 	opts.Wrapper = wrapper
 	if opts.Freshness == nil && cfg.Mode == ModeSHIELD && cfg.Cache != nil {
 		opts.Freshness = cacheFreshness{cache: cfg.Cache, store: dir}

@@ -214,10 +214,11 @@ func TestUniqueDEKPerFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, _, _, _, err := parseHeader(data)
+		h, err := parseHeader(data)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
+		id := h.dekID
 		if prev, dup := seen[id]; dup {
 			t.Fatalf("DEK-ID %s reused by %s and %s", id, prev, e.Name)
 		}
@@ -302,17 +303,17 @@ func sstDEKIDs(t *testing.T, fs *vfs.MemFS) map[kds.KeyID]bool {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, _, _, _, err := parseHeader(data)
+		h, err := parseHeader(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[id] = true
+		out[h.dekID] = true
 	}
 	return out
 }
 
 // TestWrongEncFSKeyFailsClosed: opening an EncFS database with the wrong
-// instance DEK must fail, not return garbage.
+// instance DEK must fail authentication, not return garbage.
 func TestWrongEncFSKeyFailsClosed(t *testing.T) {
 	fs := vfs.NewMem()
 	cfg := testConfig(t, ModeEncFS, fs)
@@ -334,8 +335,8 @@ func TestWrongEncFSKeyFailsClosed(t *testing.T) {
 	}
 	cfg2 := cfg
 	cfg2.InstanceDEK = bad
-	if _, err := Open("db", cfg2, smallOpts()); err == nil {
-		t.Fatal("open with wrong instance DEK succeeded")
+	if _, err := Open("db", cfg2, smallOpts()); !errors.Is(err, vfs.ErrIntegrity) {
+		t.Fatalf("open with wrong instance DEK: want vfs.ErrIntegrity, got %v", err)
 	}
 }
 
@@ -513,11 +514,11 @@ func TestLeakedDEKBlastRadius(t *testing.T) {
 			continue
 		}
 		data, _ := vfs.ReadFile(fs, "db/"+e.Name)
-		id, iv, _, hdr, err := parseHeader(data)
+		h, err := parseHeader(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		files = append(files, sstFile{name: e.Name, id: id, iv: iv, hdr: hdr, data: data})
+		files = append(files, sstFile{name: e.Name, id: h.dekID, iv: h.iv, hdr: h.len, data: data})
 	}
 	if len(files) < 2 {
 		t.Fatalf("need >=2 SSTs, have %d", len(files))

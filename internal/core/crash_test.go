@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"shield/internal/crypt"
 	"shield/internal/kds"
 	"shield/internal/lsm"
 	"shield/internal/seccache"
@@ -43,11 +44,27 @@ func shieldCrashLSMOptions() lsm.Options {
 }
 
 // TestShieldCrashRecoveryEnumeration is the full-stack version of the lsm
-// crash harness: SHIELD encryption (per-file DEKs from a KDS, buffered WAL,
-// secure DEK cache on the same failing disk) over a power-loss-simulating
-// filesystem. Every sync boundary must yield a recoverable image with all
-// synced-acked writes intact.
+// crash harness, under both key policies: per-file DEKs from a KDS with the
+// secure DEK cache on the same failing disk, and the instance key (which
+// also seals CURRENT); buffered WAL in both. Every sync boundary must yield
+// a recoverable image with all synced-acked writes intact.
 func TestShieldCrashRecoveryEnumeration(t *testing.T) {
+	svc := newCrashKDS()
+	dek, err := crypt.NewDEK()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("shield", func(t *testing.T) {
+		crashEnumeration(t, func(fs vfs.FS, cache *seccache.Cache) Config { return shieldCrashConfig(fs, svc, cache) })
+	})
+	t.Run("encfs", func(t *testing.T) {
+		crashEnumeration(t, func(fs vfs.FS, _ *seccache.Cache) Config {
+			return Config{Mode: ModeEncFS, FS: fs, InstanceDEK: dek, WALBufferSize: 512}
+		})
+	})
+}
+
+func crashEnumeration(t *testing.T, config func(fs vfs.FS, cache *seccache.Cache) Config) {
 	cfs := vfs.NewCrash(11)
 	type point struct {
 		event string
@@ -65,7 +82,6 @@ func TestShieldCrashRecoveryEnumeration(t *testing.T) {
 		mu.Unlock()
 	})
 
-	svc := newCrashKDS()
 	if err := cfs.MkdirAll("keys"); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +89,7 @@ func TestShieldCrashRecoveryEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open("db", shieldCrashConfig(cfs, svc, cache), shieldCrashLSMOptions())
+	db, err := Open("db", config(cfs, cache), shieldCrashLSMOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +134,7 @@ func TestShieldCrashRecoveryEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s point %d (%s): cache reopen: %v", mode, i, pt.event, err)
 			}
-			db2, err := Open("db", shieldCrashConfig(fs, svc, c2), shieldCrashLSMOptions())
+			db2, err := Open("db", config(fs, c2), shieldCrashLSMOptions())
 			if err != nil {
 				t.Fatalf("%s point %d (%s): reopen: %v\nimage:\n%s", mode, i, pt.event, err, pt.img)
 			}
@@ -233,12 +249,19 @@ func TestShieldWALBufferLossWindow(t *testing.T) {
 	}
 }
 
-// TestShieldScrubWithKeys: the scrub decrypts with the engine's own wrapper,
-// verifies every block, and quarantines a bit-flipped encrypted SST.
+// TestShieldScrubWithKeys: under either key policy the scrub decrypts with
+// the engine's own wrapper, verifies every block, quarantines a bit-flipped
+// encrypted SST, and repoints CURRENT (sealed under the instance policy) at
+// a repaired manifest the engine reopens.
 func TestShieldScrubWithKeys(t *testing.T) {
+	for _, mode := range []Mode{ModeSHIELD, ModeEncFS} {
+		t.Run(mode.String(), func(t *testing.T) { scrubWithKeys(t, mode) })
+	}
+}
+
+func scrubWithKeys(t *testing.T, mode Mode) {
 	fs := vfs.NewMem()
-	svc := newCrashKDS()
-	cfg := shieldCrashConfig(fs, svc, nil)
+	cfg := testConfig(t, mode, fs)
 	opts := lsm.Options{MemtableSize: 16 << 10, L0CompactionTrigger: 100}
 	db, err := Open("db", cfg, opts)
 	if err != nil {
@@ -263,7 +286,7 @@ func TestShieldScrubWithKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.Clean() {
-		t.Fatalf("clean SHIELD DB not clean:\n%s", rep)
+		t.Fatalf("clean %v DB not clean:\n%s", mode, rep)
 	}
 
 	// Bit-flip an SST body (past the plaintext header) and re-scrub.

@@ -48,7 +48,7 @@ func Example() {
 }
 
 // Example_instanceLevel shows the simpler EncFS design: one instance-wide
-// DEK, transparent filesystem-level encryption, engine unaware.
+// DEK for every file, no KDS and no per-file keys.
 func Example_instanceLevel() {
 	dek, err := newExampleDEK()
 	if err != nil {

@@ -3,21 +3,25 @@ package core
 import (
 	"encoding/binary"
 
-	"shield/internal/encfs"
 	"shield/internal/lsm"
 )
 
 // IsShieldHeader reports whether a file's raw prefix carries the plaintext
-// SHIELD per-file header (magic "SHLD").
+// file header (magic "SHLD"), under either key policy.
 func IsShieldHeader(prefix []byte) bool {
 	return len(prefix) >= 4 && binary.LittleEndian.Uint32(prefix[0:4]) == shieldMagic
 }
 
-// EncryptedSniffer recognizes both of the paper's encrypted on-disk formats
-// from a raw file prefix. Scrubs use it to skip (rather than quarantine)
-// files that fail verification only because the scrubber lacks the key.
+// EncryptedSniffer recognizes an encrypted file from its raw prefix: the
+// current header or the legacy EncFS one. Scrubs use it to skip (rather
+// than quarantine) files that fail verification only because the scrubber
+// lacks the key.
 func EncryptedSniffer(prefix []byte) bool {
-	return IsShieldHeader(prefix) || encfs.IsEncrypted(prefix)
+	if len(prefix) < 4 {
+		return false
+	}
+	magic := binary.LittleEndian.Uint32(prefix[0:4])
+	return magic == shieldMagic || magic == legacyMagic
 }
 
 // Scrub runs the offline corruption scrub on the database in dir with cfg's
@@ -28,10 +32,6 @@ func EncryptedSniffer(prefix []byte) bool {
 // (e.g. the KDS is unreachable, or scrubbing keyless with ModeNone) are
 // skipped, never quarantined. The database must not be open on dir.
 func Scrub(dir string, cfg Config, opts lsm.ScrubOptions) (*lsm.ScrubReport, error) {
-	fs, err := cfg.BuildFS()
-	if err != nil {
-		return nil, err
-	}
 	wrapper, err := cfg.BuildWrapper()
 	if err != nil {
 		return nil, err
@@ -46,5 +46,5 @@ func Scrub(dir string, cfg Config, opts lsm.ScrubOptions) (*lsm.ScrubReport, err
 	if opts.Freshness == nil && cfg.Mode == ModeSHIELD && cfg.Cache != nil {
 		opts.Freshness = cacheFreshness{cache: cfg.Cache, store: dir}
 	}
-	return lsm.Scrub(fs, dir, opts)
+	return lsm.Scrub(cfg.FS, dir, opts)
 }

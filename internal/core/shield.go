@@ -30,31 +30,41 @@ func kdsUnavailable(err error) bool {
 	return errors.Is(err, kds.ErrNoReplica)
 }
 
-// SHIELD file header (plaintext, precedes the encrypted body):
+// File header (plaintext, precedes the encrypted body):
 //
 //	magic(4) version(4) dekIDLen(2) dekID iv(16)
 //
 // The DEK-ID is deliberately in the clear — it is the metadata-enabled
 // sharing hook of Section 5.4. Possession of a DEK-ID is useless without
 // KDS authorization, and one-time provisioning blocks replay of leaked IDs.
+// An empty DEK-ID names the instance key (ModeEncFS).
 //
 // version selects the body format: 1 is AES-128-CTR under the 16-byte IV
 // (confidentiality only), 2 is per-block AES-GCM (crypt/seal.go) with the
 // first 8 IV bytes as the nonce prefix and the full header as AAD — so a
-// header cannot be transplanted onto another body. New SSTs are written as
-// v2; WAL and MANIFEST streams stay v1 (sealing finalizes on first Sync,
-// which append-many files cannot satisfy); readers accept both, which is
-// what lets a v1 store migrate file-by-file through compaction.
+// header cannot be transplanted onto another body. New SSTs (and CURRENT,
+// when sealed) are written as v2; WAL and MANIFEST streams stay v1 (sealing
+// finalizes on first Sync, which append-many files cannot satisfy); readers
+// accept both, which is what lets a v1 store migrate file-by-file through
+// compaction.
+//
+// Stores written by older builds under ModeEncFS carry the 24-byte EncFS
+// header instead: magic "ENCF"(4) version(4) iv(16), no DEK-ID, with the
+// same two versions and the whole header as AAD. parseHeader reads it into
+// the same fileHeader; nothing writes it any more.
 const (
 	shieldMagic    = 0x53484c44 // "SHLD"
 	shieldVersion  = 1
 	shieldVersion2 = 2
+
+	legacyMagic     = 0x454e4346 // "ENCF"
+	legacyHeaderLen = 8 + crypt.IVSize
 )
 
-// errBadHeader wraps lsm.ErrCorruption: a malformed SHIELD header is
+// errBadHeader wraps lsm.ErrCorruption: a malformed file header is
 // structural file damage (unlike an unresolvable DEK, which may just mean
 // the KDS is unreachable and must never classify as corruption).
-var errBadHeader = fmt.Errorf("core: bad SHIELD file header: %w", lsm.ErrCorruption)
+var errBadHeader = fmt.Errorf("core: bad file header: %w", lsm.ErrCorruption)
 
 func encodeHeader(dekID kds.KeyID, iv [crypt.IVSize]byte, version uint32) []byte {
 	out := make([]byte, 0, 10+len(dekID)+crypt.IVSize)
@@ -68,54 +78,82 @@ func encodeHeader(dekID kds.KeyID, iv [crypt.IVSize]byte, version uint32) []byte
 	return out
 }
 
-// parseHeader decodes a header from buf; returns the DEK-ID, IV, format
-// version, and total header length.
-func parseHeader(buf []byte) (kds.KeyID, [crypt.IVSize]byte, uint32, int, error) {
-	var iv [crypt.IVSize]byte
-	if len(buf) < 10 {
-		return "", iv, 0, 0, errBadHeader
-	}
-	if binary.LittleEndian.Uint32(buf[0:4]) != shieldMagic {
-		return "", iv, 0, 0, fmt.Errorf("%w: bad magic", errBadHeader)
-	}
-	v := binary.LittleEndian.Uint32(buf[4:8])
-	if v != shieldVersion && v != shieldVersion2 {
-		return "", iv, 0, 0, fmt.Errorf("%w: unsupported version %d", errBadHeader, v)
-	}
-	idLen := int(binary.LittleEndian.Uint16(buf[8:10]))
-	if len(buf) < 10+idLen+crypt.IVSize {
-		return "", iv, 0, 0, fmt.Errorf("%w: truncated", errBadHeader)
-	}
-	id := kds.KeyID(buf[10 : 10+idLen])
-	copy(iv[:], buf[10+idLen:10+idLen+crypt.IVSize])
-	return id, iv, v, 10 + idLen + crypt.IVSize, nil
+// fileHeader is a parsed file header.
+type fileHeader struct {
+	dekID   kds.KeyID // "" for the instance key
+	iv      [crypt.IVSize]byte
+	version uint32 // shieldVersion (CTR) or shieldVersion2 (sealed)
+	len     int    // header bytes; all of them are a sealed body's AAD
+	legacy  bool   // the EncFS header of older builds
 }
 
-// DEKIDFromHeader extracts the plaintext DEK-ID from the head of a SHIELD
-// file's raw bytes — the read any server performs before asking the KDS for
-// the key (metadata-enabled DEK sharing).
+// headerLen returns the length of the header that starts with prefix, which
+// must hold at least its first 10 bytes.
+func headerLen(prefix []byte) int {
+	if binary.LittleEndian.Uint32(prefix[0:4]) == legacyMagic {
+		return legacyHeaderLen
+	}
+	return 10 + int(binary.LittleEndian.Uint16(prefix[8:10])) + crypt.IVSize
+}
+
+// parseHeader decodes the header at the start of buf.
+func parseHeader(buf []byte) (fileHeader, error) {
+	var h fileHeader
+	if len(buf) < 10 {
+		return h, errBadHeader
+	}
+	magic := binary.LittleEndian.Uint32(buf[0:4])
+	if magic != shieldMagic && magic != legacyMagic {
+		return h, fmt.Errorf("%w: bad magic", errBadHeader)
+	}
+	h.version = binary.LittleEndian.Uint32(buf[4:8])
+	if h.version != shieldVersion && h.version != shieldVersion2 {
+		return h, fmt.Errorf("%w: unsupported version %d", errBadHeader, h.version)
+	}
+	h.legacy = magic == legacyMagic
+	h.len = headerLen(buf)
+	if len(buf) < h.len {
+		return h, fmt.Errorf("%w: truncated", errBadHeader)
+	}
+	if !h.legacy {
+		h.dekID = kds.KeyID(buf[10 : h.len-crypt.IVSize])
+	}
+	copy(h.iv[:], buf[h.len-crypt.IVSize:h.len])
+	return h, nil
+}
+
+// DEKIDFromHeader extracts the plaintext DEK-ID from the head of an
+// encrypted file's raw bytes — the read any server performs before asking
+// the KDS for the key (metadata-enabled DEK sharing). An empty ID means the
+// instance key. ok is false for anything but a current header, including
+// the legacy EncFS one (EncryptedSniffer still recognizes that).
 func DEKIDFromHeader(data []byte) (string, bool) {
-	id, _, _, _, err := parseHeader(data)
-	if err != nil {
+	h, err := parseHeader(data)
+	if err != nil || h.legacy {
 		return "", false
 	}
-	return string(id), true
+	return string(h.dekID), true
 }
 
 // SealedHeaderLen returns the header length and whether data begins a
-// format-v2 (sealed) SHIELD file — the layout information a storage node
-// needs to locate block tags without holding any key.
+// format-v2 (sealed) file — the layout information a storage node needs to
+// locate block tags without holding any key.
 func SealedHeaderLen(data []byte) (int, bool) {
-	_, _, version, hdrLen, err := parseHeader(data)
-	if err != nil || version != shieldVersion2 {
+	h, err := parseHeader(data)
+	if err != nil || h.legacy || h.version != shieldVersion2 {
 		return 0, false
 	}
-	return hdrLen, true
+	return h.len, true
 }
 
-// shieldWrapper implements lsm.FileWrapper with per-file DEKs.
+// shieldWrapper implements lsm.FileWrapper: the one encrypting layer of
+// both designs. They differ only in the key policy. Per-file (ModeSHIELD):
+// every new file gets a fresh DEK from the KDS, named in its header.
+// Instance (ModeEncFS): every file is under cfg.InstanceDEK, its header names
+// no DEK, and there is no KDS, secure cache or key lifecycle.
 type shieldWrapper struct {
-	cfg Config
+	cfg      Config
+	instance bool
 
 	// deks mirrors the DEKs of live files in memory (the paper keeps the
 	// DEK "in memory as part of the LSM-KVS metadata while the instance is
@@ -136,9 +174,10 @@ type shieldWrapper struct {
 
 func newShieldWrapper(cfg Config) *shieldWrapper {
 	return &shieldWrapper{
-		cfg:   cfg,
-		deks:  make(map[kds.KeyID]crypt.DEK),
-		names: make(map[string]kds.KeyID),
+		cfg:      cfg,
+		instance: cfg.Mode == ModeEncFS,
+		deks:     make(map[kds.KeyID]crypt.DEK),
+		names:    make(map[string]kds.KeyID),
 	}
 }
 
@@ -151,7 +190,7 @@ type WrapperStats struct {
 }
 
 // Stats extracts counters from a wrapper produced by BuildWrapper; ok is
-// false for non-SHIELD wrappers.
+// false for the plain (ModeNone) wrapper. Under ModeEncFS they stay zero.
 func Stats(w lsm.FileWrapper) (WrapperStats, bool) {
 	sw, ok := w.(*shieldWrapper)
 	if !ok {
@@ -167,54 +206,54 @@ func Stats(w lsm.FileWrapper) (WrapperStats, bool) {
 	}, true
 }
 
-// WrapCreate implements lsm.FileWrapper. Every new WAL/SST/MANIFEST gets a
-// fresh DEK; CURRENT (no user data, must be readable at bootstrap) passes
-// through.
+// seals reports whether files of kind are encrypted. CURRENT is sealed only
+// under the instance policy: per-file SHIELD leaves it readable to keyless
+// tools (it names a file and the freshness epoch, no user data).
+func (s *shieldWrapper) seals(kind lsm.FileKind) bool {
+	switch kind {
+	case lsm.FileKindCurrent:
+		return s.instance
+	case lsm.FileKindWAL:
+		return !s.cfg.PlaintextWAL
+	case lsm.FileKindOther:
+		return false
+	}
+	return true
+}
+
+// WrapCreate implements lsm.FileWrapper. Every new WAL/SST/MANIFEST (and,
+// under the instance policy, CURRENT) gets a fresh IV; under the per-file
+// policy also a fresh DEK.
 func (s *shieldWrapper) WrapCreate(name string, kind lsm.FileKind, f vfs.WritableFile) (_ vfs.WritableFile, _ string, err error) {
-	if kind == lsm.FileKindCurrent || kind == lsm.FileKindOther {
+	if !s.seals(kind) {
 		return f, "", nil
 	}
-	if kind == lsm.FileKindWAL && s.cfg.PlaintextWAL {
-		return f, "", nil
-	}
-	id, dek, err := s.cfg.KDS.CreateDEK()
-	if err != nil {
-		if kdsUnavailable(err) {
-			metrics.Net.DegradedWrites.Add(1)
-			return nil, "", fmt.Errorf("%w: requesting DEK for %s: %v", ErrDegraded, name, err)
+	id, dek := kds.KeyID(""), s.cfg.InstanceDEK
+	if !s.instance {
+		if id, dek, err = s.newDEK(name); err != nil {
+			return nil, "", err
 		}
-		return nil, "", fmt.Errorf("core: requesting DEK for %s: %w", name, err)
-	}
-	s.mu.Lock()
-	s.deks[id] = dek
-	s.names[name] = id
-	s.created++
-	s.mu.Unlock()
-	// A failure from here on must undo that registration itself: the caller
-	// never learns the DEK-ID, so its cleanup has nothing to hand FileDeleted.
-	defer func() {
-		if err != nil {
-			s.FileDeleted(name, string(id))
-			s.mu.Lock()
-			s.created--
-			s.mu.Unlock()
-		}
-	}()
-	if s.cfg.Cache != nil {
-		// Best effort: we hold the DEK in memory, so a cache-persistence
-		// failure (storage may itself be degraded) must not fail the write
-		// path.
-		s.cfg.Cache.Put(id, dek) //nolint:errcheck
+		// A failure from here on must undo that registration itself: the
+		// caller never learns the DEK-ID, so its cleanup has nothing to hand
+		// FileDeleted.
+		defer func() {
+			if err != nil {
+				s.FileDeleted(name, string(id))
+				s.mu.Lock()
+				s.created--
+				s.mu.Unlock()
+			}
+		}()
 	}
 	iv, err := crypt.NewIV()
 	if err != nil {
 		return nil, "", err
 	}
-	// SSTs are write-once and get the authenticated v2 format; WAL and
-	// MANIFEST are append-many streams and stay on v1 CTR (their records
-	// carry CRCs inside the ciphertext; see DESIGN.md §13).
+	// SSTs and CURRENT are write-once and get the authenticated v2 format;
+	// WAL and MANIFEST are append-many streams and stay on v1 CTR (their
+	// records carry CRCs inside the ciphertext; see DESIGN.md §13).
 	version := uint32(shieldVersion)
-	if kind == lsm.FileKindSST {
+	if kind == lsm.FileKindSST || kind == lsm.FileKindCurrent {
 		version = shieldVersion2
 	}
 	hdr := encodeHeader(id, iv, version)
@@ -223,10 +262,13 @@ func (s *shieldWrapper) WrapCreate(name string, kind lsm.FileKind, f vfs.Writabl
 	}
 
 	switch kind {
-	case lsm.FileKindSST:
+	case lsm.FileKindSST, lsm.FileKindCurrent:
 		sealer, err := crypt.NewSealer(dek, iv[:crypt.SealedNoncePrefixLen], hdr)
 		if err != nil {
 			return nil, "", err
+		}
+		if kind == lsm.FileKindCurrent {
+			return crypt.NewSealedWriter(f, sealer, 0, 0), "", nil // a few bytes: sealed inline
 		}
 		return crypt.NewSealedWriter(f, sealer, s.cfg.CompactionChunkSize, s.cfg.EncryptionThreads), string(id), nil
 	case lsm.FileKindWAL:
@@ -234,6 +276,45 @@ func (s *shieldWrapper) WrapCreate(name string, kind lsm.FileKind, f vfs.Writabl
 	default: // MANIFEST: small, infrequent appends
 		return crypt.NewBufferedWriter(f, dek, iv, 0), string(id), nil
 	}
+}
+
+// newDEK mints a per-file DEK at the KDS for name and registers it.
+func (s *shieldWrapper) newDEK(name string) (kds.KeyID, crypt.DEK, error) {
+	id, dek, err := s.cfg.KDS.CreateDEK()
+	if err != nil {
+		if kdsUnavailable(err) {
+			metrics.Net.DegradedWrites.Add(1)
+			return "", crypt.DEK{}, fmt.Errorf("%w: requesting DEK for %s: %v", ErrDegraded, name, err)
+		}
+		return "", crypt.DEK{}, fmt.Errorf("core: requesting DEK for %s: %w", name, err)
+	}
+	s.mu.Lock()
+	s.deks[id] = dek
+	s.names[name] = id
+	s.created++
+	s.mu.Unlock()
+	if s.cfg.Cache != nil {
+		// Best effort: we hold the DEK in memory, so a cache-persistence
+		// failure (storage may itself be degraded) must not fail the write
+		// path.
+		s.cfg.Cache.Put(id, dek) //nolint:errcheck
+	}
+	return id, dek, nil
+}
+
+// keyFor applies the key policy to a parsed header. The instance policy
+// reads only files under the instance key (an empty DEK-ID or a legacy
+// EncFS header), the per-file policy only files that name a DEK. Anything
+// else is a header the storage side rewrote: an integrity failure, like a
+// DEK-ID the KDS disavows.
+func (s *shieldWrapper) keyFor(name string, h fileHeader) (crypt.DEK, error) {
+	if s.instance != (h.dekID == "") {
+		return crypt.DEK{}, fmt.Errorf("core: %s: DEK-ID %q does not fit the %s key policy (header tampered?): %w", name, h.dekID, s.cfg.Mode, vfs.ErrIntegrity)
+	}
+	if s.instance {
+		return s.cfg.InstanceDEK, nil
+	}
+	return s.resolveDEK(h.dekID)
 }
 
 // resolveDEK finds a DEK by ID: in-memory map, then secure cache, then KDS.
@@ -288,47 +369,41 @@ func (s *shieldWrapper) resolveDEK(id kds.KeyID) (crypt.DEK, error) {
 
 // WrapOpen implements lsm.FileWrapper for positional reads.
 func (s *shieldWrapper) WrapOpen(name string, kind lsm.FileKind, f vfs.RandomAccessFile) (vfs.RandomAccessFile, error) {
-	if kind == lsm.FileKindCurrent || kind == lsm.FileKindOther {
+	if !s.seals(kind) {
 		return f, nil
 	}
-	if kind == lsm.FileKindWAL && s.cfg.PlaintextWAL {
-		return f, nil
-	}
-	var hdr [4096]byte
-	n, err := f.ReadAt(hdr[:], 0)
+	var buf [4096]byte
+	n, err := f.ReadAt(buf[:], 0)
 	if err != nil && err != io.EOF {
 		return nil, err
 	}
-	id, iv, version, hdrLen, err := parseHeader(hdr[:n])
+	h, err := parseHeader(buf[:n])
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
-	dek, err := s.resolveDEK(id)
+	dek, err := s.keyFor(name, h)
 	if err != nil {
 		return nil, err
 	}
-	if version == shieldVersion2 {
-		sealer, err := crypt.NewSealer(dek, iv[:crypt.SealedNoncePrefixLen], hdr[:hdrLen])
+	if h.version == shieldVersion2 {
+		sealer, err := crypt.NewSealer(dek, h.iv[:crypt.SealedNoncePrefixLen], buf[:h.len])
 		if err != nil {
 			return nil, err
 		}
-		r, err := crypt.NewSealedReaderAt(f, sealer, int64(hdrLen))
+		r, err := crypt.NewSealedReaderAt(f, sealer, int64(h.len))
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: %w", name, err)
 		}
 		return r, nil
 	}
 	//shield:noauthread format v1 compatibility: CTR files predate authentication; their absence of a manifest digest is what marks them unauthenticated
-	return crypt.NewDecryptingReaderAt(f, dek, iv, int64(hdrLen))
+	return crypt.NewDecryptingReaderAt(f, dek, h.iv, int64(h.len))
 }
 
 // WrapOpenSequential implements lsm.FileWrapper for streaming reads
 // (WAL/MANIFEST recovery).
 func (s *shieldWrapper) WrapOpenSequential(name string, kind lsm.FileKind, f vfs.SequentialFile) (vfs.SequentialFile, error) {
-	if kind == lsm.FileKindCurrent || kind == lsm.FileKindOther {
-		return f, nil
-	}
-	if kind == lsm.FileKindWAL && s.cfg.PlaintextWAL {
+	if !s.seals(kind) {
 		return f, nil
 	}
 	// Read the fixed prefix, then the variable tail of the header.
@@ -336,25 +411,25 @@ func (s *shieldWrapper) WrapOpenSequential(name string, kind lsm.FileKind, f vfs
 	if _, err := io.ReadFull(f, fixed[:]); err != nil {
 		return nil, fmt.Errorf("core: %s: reading header: %w", name, err)
 	}
-	idLen := int(binary.LittleEndian.Uint16(fixed[8:10]))
-	rest := make([]byte, idLen+crypt.IVSize)
-	if _, err := io.ReadFull(f, rest); err != nil {
+	hdr := make([]byte, headerLen(fixed[:]))
+	copy(hdr, fixed[:])
+	if _, err := io.ReadFull(f, hdr[len(fixed):]); err != nil {
 		return nil, fmt.Errorf("core: %s: reading header: %w", name, err)
 	}
-	id, iv, version, _, err := parseHeader(append(fixed[:], rest...))
+	h, err := parseHeader(hdr)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
-	if version == shieldVersion2 {
+	if h.version == shieldVersion2 {
 		// Only WAL/MANIFEST recovery streams files, and both stay on v1;
 		// sealed bodies need positional reads for block verification.
 		return nil, fmt.Errorf("core: %s: sealed (v2) files require positional reads", name)
 	}
-	dek, err := s.resolveDEK(id)
+	dek, err := s.keyFor(name, h)
 	if err != nil {
 		return nil, err
 	}
-	stream, err := crypt.NewStream(dek, iv)
+	stream, err := crypt.NewStream(dek, h.iv)
 	if err != nil {
 		return nil, err
 	}
@@ -362,8 +437,12 @@ func (s *shieldWrapper) WrapOpenSequential(name string, kind lsm.FileKind, f vfs
 }
 
 // FileDeleted implements lsm.FileWrapper: DEKs die with their files, which
-// is what makes compaction-driven rotation effective (Section 5.2).
+// is what makes compaction-driven rotation effective (Section 5.2). The
+// instance key outlives every file.
 func (s *shieldWrapper) FileDeleted(name string, dekID string) {
+	if s.instance {
+		return
+	}
 	id := kds.KeyID(dekID)
 	s.mu.Lock()
 	if id == "" {

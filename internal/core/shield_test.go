@@ -17,16 +17,16 @@ import (
 func TestHeaderRoundTrip(t *testing.T) {
 	iv := [16]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 	hdr := encodeHeader("dek-abc123", iv, shieldVersion)
-	id, gotIV, _, n, err := parseHeader(hdr)
+	h, err := parseHeader(hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != "dek-abc123" || gotIV != iv || n != len(hdr) {
-		t.Fatalf("parsed id=%q ivOK=%v n=%d", id, gotIV == iv, n)
+	if h.dekID != "dek-abc123" || h.iv != iv || h.len != len(hdr) || h.legacy {
+		t.Fatalf("parsed %+v", h)
 	}
 	// Extra trailing data after the header is ignored by the parser.
-	id2, _, _, n2, err := parseHeader(append(hdr, []byte("body bytes")...))
-	if err != nil || id2 != id || n2 != n {
+	h2, err := parseHeader(append(hdr, []byte("body bytes")...))
+	if err != nil || h2 != h {
 		t.Fatalf("parse with body: %v", err)
 	}
 }
@@ -39,7 +39,7 @@ func TestHeaderRejectsGarbage(t *testing.T) {
 		encodeHeader("dek-x", [16]byte{}, shieldVersion)[:12], // truncated
 	}
 	for i, c := range cases {
-		if _, _, _, _, err := parseHeader(c); err == nil {
+		if _, err := parseHeader(c); err == nil {
 			t.Fatalf("case %d: garbage header accepted", i)
 		}
 	}
@@ -212,6 +212,9 @@ func TestModeValidation(t *testing.T) {
 	}
 	if _, err := Open("db", Config{Mode: ModeNone}, smallOpts()); err == nil {
 		t.Fatal("missing FS accepted")
+	}
+	if _, err := Open("db", Config{Mode: ModeEncFS, FS: vfs.NewMem()}, smallOpts()); err == nil {
+		t.Fatal("EncFS with an all-zero instance DEK accepted")
 	}
 	if got := ModeSHIELD.String(); got != "shield" {
 		t.Fatalf("mode string %q", got)

@@ -75,7 +75,7 @@ func (d *DB) recover() error {
 	}
 
 	// Load CURRENT -> MANIFEST name (+ the optional epoch echo).
-	data, err := vfs.ReadFile(d.fs, currentName)
+	data, err := readCurrent(d.fs, d.wrapper, d.dir)
 	if err != nil {
 		return fmt.Errorf("lsm: reading CURRENT: %w", err)
 	}
@@ -151,7 +151,7 @@ func (d *DB) recover() error {
 		if err := d.writeSnapshotLocked(d.current, logNum); err != nil {
 			return err
 		}
-		if err := installCurrent(d.fs, d.dir, d.manifestNum, d.epoch); err != nil {
+		if err := installCurrent(d.fs, d.wrapper, d.dir, d.manifestNum, d.epoch); err != nil {
 			return err
 		}
 		d.sealEpoch()
@@ -255,7 +255,7 @@ func (d *DB) createNew() error {
 	// Only after the first edit is durable in the manifest does CURRENT get
 	// installed: a CURRENT pointing at an empty manifest would read as an
 	// empty database, silently discarding anything recovered later.
-	if err := installCurrent(d.fs, d.dir, d.manifestNum, d.epoch); err != nil {
+	if err := installCurrent(d.fs, d.wrapper, d.dir, d.manifestNum, d.epoch); err != nil {
 		return err
 	}
 	d.sealEpoch()
@@ -327,17 +327,50 @@ func (d *DB) createManifestFile() error {
 }
 
 // installCurrent atomically repoints CURRENT at manifestNum: write a synced
-// tmp file, rename over CURRENT, and sync the directory so both the rename
-// and the manifest file's entry survive power loss. epoch, when nonzero, is
-// echoed on a second line so tools (and the manifest cross-check in
-// recovery) can read the store's freshness epoch without replaying the
+// tmp file through w, rename over CURRENT, and sync the directory so both
+// the rename and the manifest file's entry survive power loss. epoch, when
+// nonzero, is echoed on a second line so tools (and the manifest cross-check
+// in recovery) can read the store's freshness epoch without replaying the
 // manifest; older builds that read only the first line are unaffected.
-func installCurrent(fsys vfs.FS, dir string, manifestNum uint64, epoch uint64) error {
+func installCurrent(fsys vfs.FS, w FileWrapper, dir string, manifestNum uint64, epoch uint64) error {
 	content := fmt.Sprintf("MANIFEST-%06d\n", manifestNum)
 	if epoch > 0 {
 		content += fmt.Sprintf("epoch %d\n", epoch)
 	}
-	return vfs.ReplaceFile(fsys, currentFileName(dir), []byte(content))
+	name := currentFileName(dir)
+	tmp := name + ".tmp"
+	raw, err := fsys.Create(tmp)
+	if err != nil {
+		return err
+	}
+	f, _, err := w.WrapCreate(tmp, FileKindCurrent, raw)
+	if err != nil {
+		raw.Close()
+		return err
+	}
+	if err := vfs.WriteSynced(f, []byte(content)); err != nil {
+		return err
+	}
+	if err := fsys.Rename(tmp, name); err != nil {
+		return err
+	}
+	return fsys.SyncDir(dir)
+}
+
+// readCurrent reads CURRENT through w.
+func readCurrent(fsys vfs.FS, w FileWrapper, dir string) ([]byte, error) {
+	name := currentFileName(dir)
+	raw, err := fsys.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	f, err := w.WrapOpen(name, FileKindCurrent, raw)
+	if err != nil {
+		raw.Close()
+		return nil, err
+	}
+	defer f.Close()
+	return vfs.ReadAll(f)
 }
 
 // parseCurrent splits a CURRENT file into the manifest name (first line)

@@ -3,11 +3,11 @@
 // flushes to block-based SST files, and leveled / universal / FIFO
 // background compaction, with a MANIFEST-logged version set.
 //
-// The engine is encryption-agnostic. Every file it creates or opens passes
-// through Options.FileWrapper — the seam where SHIELD (internal/core)
-// embeds per-file DEKs, the WAL buffer, and chunked compaction encryption,
-// and where instance-level encryption is a no-op (EncFS wraps the
-// filesystem below this layer instead).
+// The engine is encryption-agnostic. Every file it creates or opens,
+// CURRENT included, passes through Options.Wrapper — the seam where
+// internal/core embeds encryption for both of the paper's designs: per-file
+// DEKs (SHIELD) or one instance DEK (EncFS), the WAL buffer, and chunked
+// compaction encryption.
 package lsm
 
 import (
@@ -19,7 +19,7 @@ import (
 
 // FileKind tells the FileWrapper what role a file plays, so encryption
 // policy can differ per component (e.g. buffered WAL writes, chunked SST
-// encryption, plaintext CURRENT pointer).
+// encryption, a CURRENT pointer left readable to keyless tools).
 type FileKind int
 
 // File roles.

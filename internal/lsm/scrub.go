@@ -191,7 +191,7 @@ func Scrub(fsys vfs.FS, dir string, opts ScrubOptions) (*ScrubReport, error) {
 
 	// CURRENT -> manifest. A database without a readable CURRENT cannot be
 	// scrubbed (there is nothing to anchor the live file set to).
-	data, err := vfs.ReadFile(fsys, currentFileName(dir))
+	data, err := readCurrent(fsys, opts.Wrapper, dir)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: scrub: reading CURRENT: %w", err)
 	}
@@ -546,7 +546,7 @@ func (s *scrubber) repairManifest(st *manifestState, oldName string, oldNum uint
 	if err := w.Close(); err != nil {
 		return err
 	}
-	if err := installCurrent(s.fs, s.dir, newNum, epoch); err != nil {
+	if err := installCurrent(s.fs, s.opts.Wrapper, s.dir, newNum, epoch); err != nil {
 		return err
 	}
 	if s.opts.Freshness != nil {

@@ -114,7 +114,7 @@ func (d *DB) rotateManifestLocked(nv *manifest.Version, logNum uint64) error {
 		restore()
 		return err
 	}
-	if err := installCurrent(d.fs, d.dir, d.manifestNum, d.epoch); err != nil {
+	if err := installCurrent(d.fs, d.wrapper, d.dir, d.manifestNum, d.epoch); err != nil {
 		restore()
 		return err
 	}

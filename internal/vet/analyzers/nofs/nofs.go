@@ -2,8 +2,8 @@
 // package.
 //
 // Invariant: every file the engine touches goes through vfs.FS, because that
-// seam is where encryption (encfs, the SHIELD per-file wrapper), fault
-// injection, crash simulation, and I/O accounting interpose. A naked os.Open
+// seam is where fault injection, crash simulation, and I/O accounting
+// interpose, and what the engine's encrypting file wrapper writes through. A naked os.Open
 // or os.WriteFile is a path where plaintext can reach disk around the
 // encrypting layer — the exact host-side failure mode SHIELD exists to
 // prevent — and a path the crash/fault harnesses can never exercise.

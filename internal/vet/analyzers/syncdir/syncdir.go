@@ -20,7 +20,7 @@
 // annotation.
 //
 // Methods on FS-shaped receivers are exempt: wrappers (fault, latency,
-// counting, encfs, crash) forward Rename/Create and do not own durability
+// counting, crash) forward Rename/Create and do not own durability
 // policy — their callers do.
 package syncdir
 

@@ -113,6 +113,11 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
+	return ReadAll(f)
+}
+
+// ReadAll reads the whole of an open file.
+func ReadAll(f RandomAccessFile) ([]byte, error) {
 	size, err := f.Size()
 	if err != nil {
 		return nil, err
@@ -135,6 +140,12 @@ func WriteFile(fsys FS, name string, data []byte) error {
 	if err != nil {
 		return err
 	}
+	return WriteSynced(f, data)
+}
+
+// WriteSynced writes data to f, syncs and closes it. f is closed on every
+// path.
+func WriteSynced(f WritableFile, data []byte) error {
 	if err := WriteFull(f, data); err != nil {
 		f.Close()
 		return err
