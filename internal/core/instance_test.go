@@ -339,8 +339,8 @@ func TestCurrentSealedOnlyUnderInstancePolicy(t *testing.T) {
 
 // TestInstancePolicySSTAuditable: an EncFS SST now has the sealed layout a
 // storage node can audit without a key — SealedHeaderLen plus
-// crypt.TagChainDigest over its raw bytes give the digest its manifest
-// records. (The legacy EncFS header never was auditable.)
+// crypt.TagChainDigest over the file past that header give the digest its
+// manifest records. (The legacy EncFS header never was auditable.)
 func TestInstancePolicySSTAuditable(t *testing.T) {
 	fs := vfs.NewMem()
 	cfg := testConfig(t, ModeEncFS, fs)
@@ -416,7 +416,12 @@ func TestInstancePolicySSTAuditable(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: not a sealed layout", fi.Name)
 		}
-		sum, err := crypt.TagChainDigest(raw[n:])
+		f, err := fs.Open("db/" + fi.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := crypt.TagChainDigest(f, int64(n))
+		f.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

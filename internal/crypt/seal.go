@@ -196,18 +196,19 @@ func hashTags(h hash.Hash, ct []byte) {
 	}
 }
 
-// TagChainDigest hashes the per-block GCM tags of a sealed body, in block
-// order, into the file digest the manifest anchors. It needs only the
-// ciphertext — tags sit at fixed offsets — so a storage node can compute it
-// without holding any key; the digest is only *meaningful* against the
-// manifest because each tag is unforgeable without the DEK.
-func TagChainDigest(body []byte) ([]byte, error) {
-	if _, _, err := sealedBodyLayout(int64(len(body))); err != nil {
+// TagChainDigest hashes the per-block GCM tags of the sealed body of f,
+// which starts at headerLen, in block order, into the file digest the
+// manifest anchors. It needs only the ciphertext — tags sit at fixed offsets
+// — so a storage node can compute it without holding any key; the digest is
+// only *meaningful* against the manifest because each tag is unforgeable
+// without the DEK. It is FileDigest's walk: one extent of
+// digestExtentBlocks blocks in memory at a time.
+func TagChainDigest(f vfs.RandomAccessFile, headerLen int64) ([]byte, error) {
+	r, err := NewSealedReaderAt(f, nil, headerLen)
+	if err != nil {
 		return nil, err
 	}
-	h := sha256.New()
-	hashTags(h, body)
-	return h.Sum(nil), nil
+	return r.FileDigest()
 }
 
 // SealedReaderAt reads a format-v2 body with per-block verification: every

@@ -185,7 +185,12 @@ func TestTagChainDigestMatchesWriterAndReader(t *testing.T) {
 
 	body, _ := vfs.ReadFile(fs, "f")
 	// Keyless digest over the ciphertext must match the writer's.
-	cd, err := TagChainDigest(body)
+	cf, err := fs.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cf.Close()
+	cd, err := TagChainDigest(cf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

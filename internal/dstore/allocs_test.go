@@ -3,9 +3,14 @@
 package dstore
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
+	"shield/internal/crypt"
+	"shield/internal/metrics"
 	"shield/internal/vfs"
 )
 
@@ -83,4 +88,124 @@ func TestReadAheadServedAllocs(t *testing.T) {
 	if n := after.Mallocs - before.Mallocs; n != 0 {
 		t.Fatalf("%d allocations for 14 reads served from the packet, want 0", n)
 	}
+}
+
+// TestNodeFingerprintAllocs: a storage node fingerprints a file by streaming
+// it. OpSum hashes it through a fixed copy buffer and OpDigest walks it one
+// extent of sealed blocks at a time, so neither allocates in proportion to
+// the file (reading it whole would be 8 MiB each). Client and server share
+// this process, so the bounds cover both.
+func TestNodeFingerprintAllocs(t *testing.T) {
+	srv, client := newPair(t, 0, 0)
+	dek, err := crypt.NewDEK()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealer, err := crypt.NewSealer(dek, []byte("prefix00"), []byte("hdr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const headerLen = 100
+	f, err := srv.LocalFS().Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vfs.WriteFull(f, make([]byte, headerLen)); err != nil {
+		t.Fatal(err)
+	}
+	w := crypt.NewSealedWriter(f, sealer, 0, 0)
+	if err := vfs.WriteFull(w, make([]byte, 8<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := w.FileDigest()
+
+	for _, tt := range []struct {
+		name  string
+		limit uint64
+		call  func() error
+	}{
+		{"Sum", 256 << 10, func() error { _, _, err := client.Sum("f"); return err }},
+		{"Digest", 512 << 10, func() error {
+			d, err := client.Digest("f", headerLen)
+			if err == nil && !bytes.Equal(d, want) {
+				t.Fatalf("node digest %x, writer digest %x", d, want)
+			}
+			return err
+		}},
+	} {
+		if err := tt.call(); err != nil { // warm the connections' buffers
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := tt.call(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s of an 8 MiB file: %d KiB allocated", tt.name, got>>10)
+		if got > tt.limit {
+			t.Errorf("%s of an 8 MiB file allocated %d KiB, want at most %d KiB", tt.name, got>>10, tt.limit>>10)
+		}
+	}
+}
+
+// TestResyncAllocs: a rejoin pass fingerprints through the node's streaming
+// OpSum and copies each divergent file in writePacketSize packets, so its
+// memory does not follow the namespace size. Nodes, clients and the set
+// share this process, so the bounds cover every side.
+func TestResyncAllocs(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	rs := tc.dialEvery(2, time.Hour) // passes run only when the test calls them
+	if err := rs.MkdirAll("db"); err != nil {
+		t.Fatal(err)
+	}
+	// demote kills replica 2 and lets a mutation's failed branch demote it.
+	demote := func() {
+		t.Helper()
+		tc.kill(2)
+		if err := rs.SyncDir("db"); err != nil {
+			t.Fatal(err)
+		}
+		if rs.Replicas()[2].InSync {
+			t.Fatal("killed replica still in sync")
+		}
+	}
+	pass := func(what string, limit uint64, shipped int64) {
+		t.Helper()
+		tc.restart(2)
+		bytesBefore := metrics.Net.Snapshot().ResyncBytes
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rs.resyncPass()
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("pass that %s: %d KiB allocated", what, got>>10)
+		if !rs.Replicas()[2].InSync {
+			t.Fatalf("pass that %s left the replica stale", what)
+		}
+		requireConverged(t, tc.bases...)
+		if n := metrics.Net.Snapshot().ResyncBytes - bytesBefore; n != shipped {
+			t.Fatalf("pass that %s shipped %d bytes, want %d", what, n, shipped)
+		}
+		if got > limit {
+			t.Errorf("pass that %s allocated %d KiB, want at most %d KiB", what, got>>10, limit>>10)
+		}
+	}
+
+	demote()
+	const files, size = 4, 4 << 20
+	for i := 0; i < files; i++ {
+		if err := vfs.WriteFile(rs, fmt.Sprintf("db/f%d", i), make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// About 32 MiB of this bound is the target's MemFS growing to hold the
+	// 16 MiB of copies; the copy itself holds one packet per file.
+	pass("ships all 16 MiB", 40<<20, files*size)
+	demote()
+	pass("ships nothing", 2<<20, 0)
 }

@@ -369,38 +369,39 @@ func (s *Server) handle(req *Request, resp *Response, buf *[]byte) error {
 		if err := s.stats.SyncDir(req.Name); err != nil {
 			return err
 		}
-	case OpDigest:
-		// Compute a sealed file's tag-chain digest node-side. The digest is
-		// keyless — SHA-256 over the per-block AEAD tags at fixed offsets —
-		// so the storage node can answer an integrity audit without holding
-		// any DEK, and without shipping the file body over the link. Off is
-		// the plaintext header length (the client parses the header; the
-		// node stays format-agnostic beyond the block layout).
-		data, err := vfs.ReadFile(s.stats, req.Name)
+	case OpDigest, OpSum:
+		// Fingerprints computed node-side, streamed over the file so that
+		// neither holds it in memory nor ships its body across the link.
+		f, err := s.stats.Open(req.Name)
 		if err != nil {
 			return err
 		}
-		if req.Off < 0 || req.Off > int64(len(data)) {
-			return fmt.Errorf("dstore: digest offset %d outside file of %d bytes", req.Off, len(data))
-		}
-		d, err := crypt.TagChainDigest(data[req.Off:])
+		defer f.Close()
+		size, err := f.Size()
 		if err != nil {
 			return err
 		}
-		resp.Data = d
-		resp.N = len(data) - int(req.Off)
-	case OpSum:
-		// Content fingerprint for replica re-sync: SHA-256 of the whole file
-		// plus its size, computed node-side so the diff pass that decides
-		// what a rejoining replica is missing costs one small RPC per file
-		// instead of shipping every body across the link.
-		data, err := vfs.ReadFile(s.stats, req.Name)
+		if req.Op == OpSum {
+			// Replica re-sync's diff predicate: SHA-256 of the whole file
+			// plus its size, one small RPC per file.
+			h := sha256.New()
+			if _, err := io.Copy(h, io.NewSectionReader(f, 0, size)); err != nil {
+				return err
+			}
+			resp.Data, resp.Size = h.Sum(nil), size
+			break
+		}
+		// A sealed file's tag-chain digest is keyless (SHA-256 over the
+		// per-block AEAD tags), so the node audits without any DEK. Off is
+		// the plaintext header length, which the client parses.
+		if req.Off < 0 || req.Off > size {
+			return fmt.Errorf("dstore: digest offset %d outside file of %d bytes", req.Off, size)
+		}
+		d, err := crypt.TagChainDigest(f, req.Off)
 		if err != nil {
 			return err
 		}
-		sum := sha256.Sum256(data)
-		resp.Data = sum[:]
-		resp.Size = int64(len(data))
+		resp.Data, resp.N = d, int(size-req.Off)
 	default:
 		return fmt.Errorf("dstore: unknown op %d", req.Op)
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"path"
 	"sort"
 	"sync"
@@ -97,6 +98,17 @@ func (r *replica) fail(err error) {
 		r.ep.Failure()
 	}
 	r.setStale(true)
+}
+
+// promote returns the replica to the read/quorum set once a repair routine
+// has made it identical to the canonical state. It counts as a re-sync when
+// that routine wrote or removed at least one file on it.
+func (r *replica) promote(repaired bool) {
+	if repaired {
+		metrics.Net.Resyncs.Add(1)
+		metrics.Net.Endpoint(r.addr).Resyncs.Add(1)
+	}
+	r.setStale(false)
 }
 
 // ReplicaSet is a vfs.FS that replicates a namespace across N storage
@@ -253,17 +265,18 @@ func (rs *ReplicaSet) dirList() []string {
 	return out
 }
 
-// openWriterNames returns the paths with a live replicated write handle.
+// openWriters returns the live replicated write handles and their paths.
 // Those files are mid-append: their replica copies are kept converged by
 // handle adoption, not by the file-diff pass, which must skip them.
-func (rs *ReplicaSet) openWriterNames() map[string]struct{} {
+func (rs *ReplicaSet) openWriters() (ws []*replicatedWritable, names map[string]struct{}) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	out := make(map[string]struct{}, len(rs.writers))
+	names = make(map[string]struct{}, len(rs.writers))
 	for w := range rs.writers {
-		out[w.name] = struct{}{}
+		ws = append(ws, w)
+		names[w.name] = struct{}{}
 	}
-	return out
+	return ws, names
 }
 
 // inSync returns the replicas eligible for mutations and reads: dialed (or
@@ -284,11 +297,9 @@ func (rs *ReplicaSet) readOrder() []*replica {
 	rs.mu.Lock()
 	pref := rs.readPref
 	rs.mu.Unlock()
-	n := len(rs.reps)
 	var out []*replica
-	for i := 0; i < n; i++ {
-		r := rs.reps[(pref+i)%n]
-		if !r.isStale() {
+	for i := range rs.reps {
+		if r := rs.reps[(pref+i)%len(rs.reps)]; !r.isStale() {
 			out = append(out, r)
 		}
 	}
@@ -321,11 +332,12 @@ func (rs *ReplicaSet) advanceReadPref(r *replica) {
 }
 
 // readAny runs fn against in-sync replicas in preference order until one
-// gives an answer. Transport failures demote connectivity health and fail
-// over to the next replica; an application error is a live node's answer
-// and is returned as-is (failing over on it could mask an integrity
-// refusal with a replica that has not detected the problem yet).
-func (rs *ReplicaSet) readAny(fn func(c *Client) error) error {
+// gives an answer, handing it the replica that answers. Transport failures
+// demote connectivity health and fail over to the next replica; an
+// application error is a live node's answer and is returned as-is (failing
+// over on it could mask an integrity refusal with a replica that has not
+// detected the problem yet).
+func (rs *ReplicaSet) readAny(fn func(r *replica, c *Client) error) error {
 	var lastErr error
 	for _, r := range rs.readOrder() {
 		c, err := r.client()
@@ -333,7 +345,7 @@ func (rs *ReplicaSet) readAny(fn func(c *Client) error) error {
 			lastErr = err
 			continue
 		}
-		if err := fn(c); err != nil {
+		if err := fn(r, c); err != nil {
 			if netretry.IsTransport(err) {
 				r.ep.Failure()
 				lastErr = err
@@ -357,18 +369,18 @@ type branchOutcome struct {
 	err error
 }
 
-// fanOut applies fn to every target concurrently and collects per-replica
-// outcomes.
-func fanOut(targets []*replica, fn func(r *replica) error) []branchOutcome {
+// fanOut applies fn to every target concurrently, passing the target's
+// index, and collects per-replica outcomes in target order.
+func fanOut(targets []*replica, fn func(i int) error) []branchOutcome {
 	out := make([]branchOutcome, len(targets))
 	var wg sync.WaitGroup
 	for i, r := range targets {
 		out[i].rep = r
 		wg.Add(1)
-		go func(i int, r *replica) {
+		go func(i int) {
 			defer wg.Done()
-			out[i].err = fn(r)
-		}(i, r)
+			out[i].err = fn(i)
+		}(i)
 	}
 	wg.Wait()
 	return out
@@ -379,9 +391,6 @@ func fanOut(targets []*replica, fn func(r *replica) error) []branchOutcome {
 // done (remove of a missing file, create under a full namespace, ...), so
 // no copy diverged and nobody should be demoted.
 func consistentRefusal(outcomes []branchOutcome) error {
-	if len(outcomes) == 0 {
-		return nil
-	}
 	for _, sentinel := range []error{vfs.ErrNotFound, vfs.ErrExist, vfs.ErrNoSpace} {
 		all := true
 		for _, o := range outcomes {
@@ -435,123 +444,70 @@ func (rs *ReplicaSet) settle(outcomes []branchOutcome) error {
 func (rs *ReplicaSet) mutate(fn func(c *Client) error) error {
 	rs.opMu.RLock()
 	defer rs.opMu.RUnlock()
+	return rs.mutateLocked(func(_ *replica, c *Client) error { return fn(c) })
+}
+
+// mutateLocked fans fn out to every in-sync replica and settles the
+// outcomes. The caller holds opMu shared, so the target set cannot be
+// promoted into while the branches run.
+func (rs *ReplicaSet) mutateLocked(fn func(r *replica, c *Client) error) error {
 	targets := rs.inSync()
 	if len(targets) < rs.quorum {
 		metrics.Net.QuorumShortfalls.Add(1)
 		return fmt.Errorf("%w: %d in-sync replicas, quorum %d", ErrNoQuorum, len(targets), rs.quorum)
 	}
-	return rs.settle(fanOut(targets, func(r *replica) error {
-		c, err := r.client()
+	return rs.settle(fanOut(targets, func(i int) error {
+		c, err := targets[i].client()
 		if err != nil {
 			return err
 		}
-		return fn(c)
+		return fn(targets[i], c)
 	}))
 }
 
 // Create implements vfs.FS: the returned handle appends to every in-sync
-// replica and acknowledges once the write quorum has the bytes.
+// replica and acknowledges once the write quorum has the bytes. The handle
+// is registered under the same shared barrier that chose its branches, so a
+// re-sync promotion either sees it (and adopts it) or precedes it.
 //
-//shield:nolockio opMu (shared) is the promotion barrier; see mutate
+//shield:nolockio opMu (shared) is the promotion barrier; see mutateLocked
 func (rs *ReplicaSet) Create(name string) (vfs.WritableFile, error) {
 	rs.opMu.RLock()
 	defer rs.opMu.RUnlock()
-	targets := rs.inSync()
-	if len(targets) < rs.quorum {
-		metrics.Net.QuorumShortfalls.Add(1)
-		return nil, fmt.Errorf("%w: %d in-sync replicas, quorum %d", ErrNoQuorum, len(targets), rs.quorum)
-	}
-	files := make([]vfs.WritableFile, len(targets))
-	outcomes := make([]branchOutcome, len(targets))
-	var wg sync.WaitGroup
-	for i, r := range targets {
-		outcomes[i].rep = r
-		wg.Add(1)
-		go func(i int, r *replica) {
-			defer wg.Done()
-			c, err := r.client()
-			if err != nil {
-				outcomes[i].err = err
-				return
-			}
-			f, err := c.Create(name)
-			if err != nil {
-				outcomes[i].err = err
-				return
-			}
-			files[i] = f
-		}(i, r)
-	}
-	wg.Wait()
-	if err := rs.settle(outcomes); err != nil {
-		for _, f := range files {
-			if f != nil {
-				f.Close()
-			}
-		}
-		return nil, err
-	}
 	w := &replicatedWritable{rs: rs, name: name}
-	for i, o := range outcomes {
-		if o.err == nil && files[i] != nil {
-			w.branches = append(w.branches, wbranch{rep: o.rep, f: files[i]})
+	err := rs.mutateLocked(func(r *replica, c *Client) error {
+		f, err := c.Create(name)
+		if err == nil {
+			w.mu.Lock()
+			w.branches = append(w.branches, wbranch{rep: r, f: f})
+			w.mu.Unlock()
 		}
-	}
+		return err
+	})
 	rs.mu.Lock()
-	if rs.closed {
-		rs.mu.Unlock()
+	if err == nil && rs.closed {
+		err = ErrClosed
+	}
+	if err == nil {
+		rs.writers[w] = struct{}{}
+	}
+	rs.mu.Unlock()
+	if err != nil {
 		for _, b := range w.branches {
 			b.f.Close()
 		}
-		return nil, ErrClosed
+		return nil, err
 	}
-	rs.writers[w] = struct{}{}
-	rs.mu.Unlock()
 	return w, nil
-}
-
-// openAny opens name on the first in-sync replica that answers, in sticky
-// preference order, recording which replica serves the handle so a later
-// failover can charge it.
-func (rs *ReplicaSet) openAny(name string) (*replica, vfs.RandomAccessFile, int64, error) {
-	var lastErr error
-	for _, r := range rs.readOrder() {
-		c, err := r.client()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		f, err := c.Open(name)
-		if err != nil {
-			if netretry.IsTransport(err) {
-				r.ep.Failure()
-				lastErr = err
-				continue
-			}
-			return nil, nil, 0, err
-		}
-		size, err := f.Size()
-		if err != nil {
-			f.Close()
-			return nil, nil, 0, err
-		}
-		r.ep.Success()
-		rs.setReadPref(r)
-		return r, f, size, nil
-	}
-	if lastErr == nil {
-		return nil, nil, 0, fmt.Errorf("%w: no in-sync replica", ErrNoQuorum)
-	}
-	return nil, nil, 0, fmt.Errorf("%w: %w", ErrNoQuorum, lastErr)
 }
 
 // Open implements vfs.FS with read-any-failover semantics.
 func (rs *ReplicaSet) Open(name string) (vfs.RandomAccessFile, error) {
-	rep, f, size, err := rs.openAny(name)
-	if err != nil {
+	r := &replicatedRandom{rs: rs, name: name}
+	if err := r.openAny(); err != nil {
 		return nil, err
 	}
-	return &replicatedRandom{rs: rs, name: name, rep: rep, f: f, size: size}, nil
+	return r, nil
 }
 
 // OpenSequential implements vfs.FS via positional reads.
@@ -574,10 +530,8 @@ func (rs *ReplicaSet) Rename(oldname, newname string) error {
 }
 
 // List implements vfs.FS.
-func (rs *ReplicaSet) List(dir string) ([]vfs.FileInfo, error) {
-	var infos []vfs.FileInfo
-	err := rs.readAny(func(c *Client) error {
-		var err error
+func (rs *ReplicaSet) List(dir string) (infos []vfs.FileInfo, err error) {
+	err = rs.readAny(func(_ *replica, c *Client) (err error) {
 		infos, err = c.List(dir)
 		return err
 	})
@@ -600,26 +554,12 @@ func (rs *ReplicaSet) SyncDir(dir string) error {
 }
 
 // Stat implements vfs.FS.
-func (rs *ReplicaSet) Stat(name string) (vfs.FileInfo, error) {
-	var info vfs.FileInfo
-	err := rs.readAny(func(c *Client) error {
-		var err error
+func (rs *ReplicaSet) Stat(name string) (info vfs.FileInfo, err error) {
+	err = rs.readAny(func(_ *replica, c *Client) (err error) {
 		info, err = c.Stat(name)
 		return err
 	})
 	return info, err
-}
-
-// Digest returns the tag-chain digest of a sealed file from any in-sync
-// replica (read-any with failover), for callers that only need one answer.
-func (rs *ReplicaSet) Digest(name string, headerLen int64) ([]byte, error) {
-	var d []byte
-	err := rs.readAny(func(c *Client) error {
-		var err error
-		d, err = c.Digest(name, headerLen)
-		return err
-	})
-	return d, err
 }
 
 // DigestAll audits a sealed file on every in-sync replica and requires the
@@ -681,46 +621,27 @@ type replicatedWritable struct {
 	closed   bool
 }
 
-// apply runs op on every branch, drops the branches that failed (demoting
-// their replicas), and enforces quorum on the survivors.
+// apply runs op on every branch and settles the outcomes like any other
+// fanned-out mutation, then drops the failed branches whose replicas are
+// now stale: settle demoted them (a consistent refusal demotes nobody and
+// drops nothing), and re-sync adopts the handle afresh when they rejoin.
 func (w *replicatedWritable) apply(op func(f vfs.WritableFile) error) error {
-	outcomes := make([]branchOutcome, len(w.branches))
-	var wg sync.WaitGroup
-	for i := range w.branches {
-		outcomes[i].rep = w.branches[i].rep
-		wg.Add(1)
-		go func(i int, f vfs.WritableFile) {
-			defer wg.Done()
-			outcomes[i].err = op(f)
-		}(i, w.branches[i].f)
+	reps := make([]*replica, len(w.branches))
+	for i, b := range w.branches {
+		reps[i] = b.rep
 	}
-	wg.Wait()
-	if err := consistentRefusal(outcomes); err != nil {
-		return err
-	}
-	var firstErr error
+	outcomes := fanOut(reps, func(i int) error { return op(w.branches[i].f) })
+	err := w.rs.settle(outcomes)
 	kept := w.branches[:0]
-	for i, o := range outcomes {
-		if o.err == nil {
-			kept = append(kept, w.branches[i])
+	for i, b := range w.branches {
+		if outcomes[i].err != nil && b.rep.isStale() {
+			b.f.Close()
 			continue
 		}
-		if firstErr == nil {
-			firstErr = o.err
-		}
-		o.rep.fail(o.err)
-		w.branches[i].f.Close()
+		kept = append(kept, b)
 	}
 	w.branches = kept
-	if firstErr == nil {
-		return nil
-	}
-	if len(w.branches) >= w.rs.quorum {
-		return nil
-	}
-	metrics.Net.QuorumShortfalls.Add(1)
-	return fmt.Errorf("%w: %d of %d write branches alive (quorum %d): %w",
-		ErrNoQuorum, len(w.branches), len(outcomes), w.rs.quorum, firstErr)
+	return err
 }
 
 // Write implements io.Writer: bytes are accepted by every branch's packet
@@ -774,58 +695,39 @@ func (w *replicatedWritable) Close() error {
 
 // adopt grafts a branch for a rejoining replica onto a live handle: with
 // the handle locked, every live branch is flushed (so the source file holds
-// exactly the handle's shipped bytes), the bytes are copied into a fresh
+// exactly the handle's shipped bytes), the bytes are streamed into a fresh
 // handle on the target, and that handle joins the branch list so all
 // subsequent appends reach the target too. Called by the re-sync pass with
-// the promotion barrier held exclusively.
+// the promotion barrier held exclusively. It reports whether it grafted.
 //
 //shield:nolockio mu must be held across flush-copy-graft or a concurrent append would slip between the copy and the graft and be lost on the target
-//shield:nosyncdir the grafted branch joins w.branches, so the engine's own SyncDir fans out to the target like every other branch; adoption adds no extra durability point
-func (w *replicatedWritable) adopt(target *replica) error {
+func (w *replicatedWritable) adopt(target *replica) (bool, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return nil
+		return false, nil
 	}
 	for _, b := range w.branches {
 		if b.rep == target {
-			return nil
+			return false, nil
 		}
 	}
 	if err := w.apply(func(f vfs.WritableFile) error { return f.Sync() }); err != nil {
-		return err
+		return false, err
 	}
 	if len(w.branches) == 0 {
-		return fmt.Errorf("%w: no live branch to adopt %s from", ErrNoQuorum, w.name)
+		return false, fmt.Errorf("%w: no live branch to adopt %s from", ErrNoQuorum, w.name)
 	}
 	src, err := w.branches[0].rep.client()
 	if err != nil {
-		return err
+		return false, err
 	}
-	data, err := vfs.ReadFile(src, w.name)
+	f, _, err := ship(src, target, w.name)
 	if err != nil {
-		return err
+		return false, err
 	}
-	tc, err := target.client()
-	if err != nil {
-		return err
-	}
-	f, err := tc.Create(w.name)
-	if err != nil {
-		return err
-	}
-	if err := vfs.WriteFull(f, data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	metrics.Net.ResyncBytes.Add(int64(len(data)))
-	metrics.Net.Endpoint(target.addr).ResyncBytes.Add(int64(len(data)))
 	w.branches = append(w.branches, wbranch{rep: target, f: f})
-	return nil
+	return true, nil
 }
 
 // replicatedRandom is a read handle with failover: a transport error
@@ -856,13 +758,28 @@ func (r *replicatedRandom) ReadAt(p []byte, off int64) (int, error) {
 	// same positional read.
 	r.rep.ep.Failure()
 	r.rs.advanceReadPref(r.rep)
-	rep, nf, _, oerr := r.rs.openAny(r.name)
-	if oerr != nil {
+	if r.openAny() != nil {
 		return n, err
 	}
-	r.f.Close()
-	r.rep, r.f = rep, nf
 	return r.f.ReadAt(p, off)
+}
+
+// openAny points the handle at the first in-sync replica that opens the
+// file, in sticky preference order, closing the handle it replaces. The
+// serving replica is recorded so a later failover can charge it.
+func (r *replicatedRandom) openAny() error {
+	return r.rs.readAny(func(rep *replica, c *Client) error {
+		f, err := c.Open(r.name)
+		if err != nil {
+			return err
+		}
+		if r.f != nil {
+			r.f.Close()
+		}
+		r.rep, r.f = rep, f
+		r.size, err = f.Size() // the size the node reported at open: never fails
+		return err
+	})
 }
 
 func (r *replicatedRandom) Size() (int64, error) { return r.size, nil }
@@ -882,6 +799,11 @@ type fileVer struct {
 }
 
 var absentVer = fileVer{size: -1}
+
+// errChanged reports a copied file whose bytes did not match the version
+// the scan fingerprinted: it changed between the scan and the copy. No scan
+// vouches for the target's copy, so the target is not promoted on it.
+var errChanged = errors.New("dstore: file changed under the re-sync scan")
 
 // scan fingerprints every file under the registered directories on one
 // replica, skipping paths in omit (open write handles, kept converged by
@@ -914,63 +836,112 @@ func (rs *ReplicaSet) scan(c *Client, omit map[string]struct{}) (map[string]file
 	return out, nil
 }
 
-// repair makes target's files match canonical, copying divergent files from
-// sources (replicas known to hold the canonical version) and deleting files
-// canonical does not contain. Returns the number of bytes shipped.
-func (rs *ReplicaSet) repair(target *Client, targetState, canonical map[string]fileVer, source func(p string) *Client) (int64, error) {
-	for _, d := range rs.dirList() {
-		if err := target.MkdirAll(d); err != nil {
-			return 0, err
+// ship streams name from src into a fresh file on target, writePacketSize
+// bytes per read and per packet, hashing as it goes. It returns the synced
+// target handle, still open, and the version it wrote; ErrNotFound means src
+// no longer has the file, and target was not touched. Every byte a repair
+// routine ships to a replica is counted here.
+//
+//shield:nosyncdir the caller owns the directory: converge syncs it once the copy is closed, and adopt's grafted branch joins w.branches, so the engine's own SyncDir fans out to the target like every other branch; adoption adds no extra durability point
+func ship(src *Client, target *replica, name string) (vfs.WritableFile, fileVer, error) {
+	sf, err := src.Open(name)
+	if err != nil {
+		return nil, fileVer{}, err
+	}
+	defer sf.Close()
+	size, err := sf.Size()
+	if err != nil {
+		return nil, fileVer{}, err
+	}
+	tc, err := target.client()
+	if err != nil {
+		return nil, fileVer{}, err
+	}
+	f, err := tc.Create(name)
+	if err != nil {
+		return nil, fileVer{}, err
+	}
+	h := sha256.New()
+	n, err := io.CopyBuffer(io.MultiWriter(f, h), io.NewSectionReader(sf, 0, size), make([]byte, writePacketSize))
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		f.Close()
+		return nil, fileVer{}, err
+	}
+	metrics.Net.ResyncBytes.Add(n)
+	metrics.Net.Endpoint(target.addr).ResyncBytes.Add(n)
+	return f, fileVer{size: n, sum: string(h.Sum(nil))}, nil
+}
+
+// converge is the one repair routine: it makes target, whose scanned state
+// is have, hold want. Every file whose version differs is shipped from
+// source(path), a replica the scan found holding want's version, and is
+// synced, closed and its directory synced; every file want lacks is
+// removed. A file gone from its source since the scan is skipped (the next
+// pass sees the settled state). A copy that does not match want yields
+// errChanged, after the other files are done. It reports whether it wrote
+// or removed any file.
+func (rs *ReplicaSet) converge(target *replica, have, want map[string]fileVer, source func(path string) *Client) (bool, error) {
+	var copies, doomed []string
+	for p, v := range want {
+		if have[p] != v {
+			copies = append(copies, p)
 		}
 	}
-	var shipped int64
-	paths := make([]string, 0, len(canonical))
-	for p := range canonical {
-		paths = append(paths, p)
+	for p := range have {
+		if _, keep := want[p]; !keep {
+			doomed = append(doomed, p)
+		}
 	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		want := canonical[p]
-		if targetState[p] == want {
+	if len(copies)+len(doomed) == 0 {
+		return false, nil
+	}
+	tc, err := target.client()
+	if err != nil {
+		return false, err
+	}
+	for _, d := range rs.dirList() {
+		if err := tc.MkdirAll(d); err != nil {
+			return false, err
+		}
+	}
+	sort.Strings(copies)
+	wrote := false
+	var changed error
+	for _, p := range copies {
+		f, got, err := ship(source(p), target, p)
+		if errors.Is(err, vfs.ErrNotFound) {
 			continue
 		}
-		src := source(p)
-		if src == nil {
-			return shipped, fmt.Errorf("dstore: no source replica for %s during re-sync", p)
+		if err == nil {
+			err = f.Close()
 		}
-		data, err := vfs.ReadFile(src, p)
-		if errors.Is(err, vfs.ErrNotFound) {
-			continue // removed after the scan; the next pass sees the settled state
+		if err == nil {
+			err = tc.SyncDir(path.Dir(p))
 		}
 		if err != nil {
-			return shipped, err
+			return wrote, err
 		}
-		if sum := sha256.Sum256(data); int64(len(data)) != want.size || string(sum[:]) != want.sum {
-			// The file changed under the scan (engine mutation between
-			// fingerprint and copy); the next pass sees the settled state.
-			continue
-		}
-		if err := vfs.WriteFile(target, p, data); err != nil {
-			return shipped, err
-		}
-		if err := target.SyncDir(path.Dir(p)); err != nil {
-			return shipped, err
-		}
-		shipped += int64(len(data))
-	}
-	for p := range targetState {
-		if _, keep := canonical[p]; !keep {
-			if err := target.Remove(p); err != nil && !errors.Is(err, vfs.ErrNotFound) {
-				return shipped, err
-			}
+		wrote = true
+		if got != want[p] && changed == nil {
+			changed = fmt.Errorf("%w: %s", errChanged, p)
 		}
 	}
-	return shipped, nil
+	for _, p := range doomed {
+		if err := tc.Remove(p); err == nil {
+			wrote = true
+		} else if !errors.Is(err, vfs.ErrNotFound) {
+			return wrote, err
+		}
+	}
+	return wrote, changed
 }
 
 // reconcile establishes a canonical namespace by majority vote across the
-// reachable replicas and repairs the minority. It runs at Dial time — a
-// compute node that restarts cannot know which replica lagged behind a
+// reachable replicas and converges every one on it. It runs at Dial time —
+// a compute node that restarts cannot know which replica lagged behind a
 // crash, but the replicas can out-vote each other: for every file, the
 // (size, hash) version held by the most replicas wins, ties breaking
 // toward the larger file (more acknowledged bytes, and an acknowledged
@@ -983,7 +954,7 @@ func (rs *ReplicaSet) reconcile() error {
 		state map[string]fileVer
 	}
 	var scans []scanned
-	omit := rs.openWriterNames()
+	_, omit := rs.openWriters()
 	for _, r := range rs.reps {
 		c, err := r.client()
 		if err != nil {
@@ -1002,22 +973,18 @@ func (rs *ReplicaSet) reconcile() error {
 			ErrNoQuorum, len(scans), len(rs.reps), rs.quorum)
 	}
 
-	union := make(map[string]struct{})
+	ballots := make(map[string]map[fileVer]int)
 	for _, s := range scans {
-		for p := range s.state {
-			union[p] = struct{}{}
+		for p, v := range s.state {
+			if ballots[p] == nil {
+				ballots[p] = map[fileVer]int{absentVer: len(scans)}
+			}
+			ballots[p][v]++
+			ballots[p][absentVer]--
 		}
 	}
 	canonical := make(map[string]fileVer)
-	for p := range union {
-		votes := make(map[fileVer]int)
-		for _, s := range scans {
-			v, ok := s.state[p]
-			if !ok {
-				v = absentVer
-			}
-			votes[v]++
-		}
+	for p, votes := range ballots {
 		best := absentVer
 		bestN := 0
 		for v, n := range votes {
@@ -1035,50 +1002,22 @@ func (rs *ReplicaSet) reconcile() error {
 		}
 	}
 
+	// Every canonical version won a vote, so some scan holds it.
 	source := func(p string) *Client {
-		want, ok := canonical[p]
-		if !ok {
-			return nil
-		}
 		for _, s := range scans {
-			if s.state[p] == want {
+			if s.state[p] == canonical[p] {
 				return s.c
 			}
 		}
 		return nil
 	}
 	for _, s := range scans {
-		divergent := false
-		for p, want := range canonical {
-			if s.state[p] != want {
-				divergent = true
-				break
-			}
-		}
-		if !divergent {
-			for p := range s.state {
-				if _, ok := canonical[p]; !ok {
-					divergent = true
-					break
-				}
-			}
-		}
-		if !divergent {
-			s.rep.setStale(false)
-			continue
-		}
-		shipped, err := rs.repair(s.c, s.state, canonical, source)
-		if shipped > 0 {
-			metrics.Net.ResyncBytes.Add(shipped)
-			metrics.Net.Endpoint(s.rep.addr).ResyncBytes.Add(shipped)
-		}
+		wrote, err := rs.converge(s.rep, s.state, canonical, source)
 		if err != nil {
 			s.rep.fail(err)
 			continue
 		}
-		metrics.Net.Resyncs.Add(1)
-		metrics.Net.Endpoint(s.rep.addr).Resyncs.Add(1)
-		s.rep.setStale(false)
+		s.rep.promote(wrote)
 	}
 	if len(rs.inSync()) < rs.quorum {
 		return fmt.Errorf("%w: fewer than %d replicas reconciled", ErrNoQuorum, rs.quorum)
@@ -1104,74 +1043,70 @@ func (rs *ReplicaSet) resyncLoop() {
 // but only while no write handles are open, since reconcile cannot adopt
 // handles whose branches are all gone.
 func (rs *ReplicaSet) resyncPass() {
-	var stale []*replica
-	for _, r := range rs.reps {
-		if r.isStale() {
-			stale = append(stale, r)
-		}
-	}
-	if len(stale) == 0 {
+	switch len(rs.inSync()) {
+	case len(rs.reps):
 		return
-	}
-	if len(rs.inSync()) == 0 {
+	case 0:
 		rs.opMu.Lock()
-		if len(rs.openWriterNames()) == 0 {
+		if ws, _ := rs.openWriters(); len(ws) == 0 {
 			rs.reconcile() //nolint:errcheck // next pass retries; callers keep seeing ErrNoQuorum meanwhile
 		}
 		rs.opMu.Unlock()
 		return
 	}
-	for _, r := range stale {
+	for _, r := range rs.reps {
 		select {
 		case <-rs.done:
 			return
 		default:
 		}
-		if err := rs.resyncReplica(r); err == nil {
-			metrics.Net.Resyncs.Add(1)
-			metrics.Net.Endpoint(r.addr).Resyncs.Add(1)
+		if r.isStale() {
+			rs.resyncReplica(r) //nolint:errcheck // the replica stays stale; the next pass retries
 		}
 	}
 }
 
-// resyncReplica brings one stale replica back: bulk-copy the diff from an
-// in-sync source without blocking traffic, then — under the promotion
-// barrier — adopt open write handles, verify the remaining diff, and mark
-// the replica in-sync.
+// syncFrom scans src and target and converges target on src's state.
+func (rs *ReplicaSet) syncFrom(src, target *replica) (bool, error) {
+	tc, err := target.client()
+	if err != nil {
+		return false, err
+	}
+	sc, err := src.client()
+	if err != nil {
+		return false, err
+	}
+	_, omit := rs.openWriters()
+	want, err := rs.scan(sc, omit)
+	if err != nil {
+		return false, err
+	}
+	have, err := rs.scan(tc, omit)
+	if err != nil {
+		target.ep.Failure()
+		return false, err
+	}
+	return rs.converge(target, have, want, func(string) *Client { return sc })
+}
+
+// resyncReplica brings one stale replica back from an in-sync source: a
+// bulk syncFrom without blocking traffic, then — under the promotion
+// barrier — adopt open write handles, syncFrom again, and mark the replica
+// in-sync. The second syncFrom re-hashes the whole namespace on both
+// replicas, but ships only what changed since the first.
 //
 //shield:nolockio opMu (exclusive) IS the promotion barrier: the final verify and the in-sync flip must exclude concurrent mutations or an acknowledged write could land only on the old quorum
 func (rs *ReplicaSet) resyncReplica(target *replica) error {
-	tc, err := target.client()
-	if err != nil {
-		return err
-	}
 	srcs := rs.inSync()
 	if len(srcs) == 0 {
 		return fmt.Errorf("%w: no in-sync source", ErrNoQuorum)
 	}
-	sc, err := srcs[0].client()
-	if err != nil {
-		return err
-	}
+	src := srcs[0]
 
-	// Phase 1 (concurrent with traffic): bulk diff-copy. Anything that
-	// changes underneath is caught by the verify inside the barrier.
-	omit := rs.openWriterNames()
-	canonical, err := rs.scan(sc, omit)
-	if err != nil {
-		return err
-	}
-	targetState, err := rs.scan(tc, omit)
-	if err != nil {
-		target.ep.Failure()
-		return err
-	}
-	shipped, err := rs.repair(tc, targetState, canonical, func(string) *Client { return sc })
-	if shipped > 0 {
-		metrics.Net.ResyncBytes.Add(shipped)
-		metrics.Net.Endpoint(target.addr).ResyncBytes.Add(shipped)
-	}
-	if err != nil {
+	// Phase 1 (concurrent with traffic): bulk copy. A file that changes
+	// underneath (errChanged) is caught by the re-scan inside the barrier.
+	wrote, err := rs.syncFrom(src, target)
+	if err != nil && !errors.Is(err, errChanged) {
 		return err
 	}
 
@@ -1180,39 +1115,22 @@ func (rs *ReplicaSet) resyncReplica(target *replica) error {
 	// next mutation selects its targets.
 	rs.opMu.Lock()
 	defer rs.opMu.Unlock()
-	if srcs[0].isStale() {
-		return fmt.Errorf("dstore: re-sync source %s went stale mid-pass", srcs[0].addr)
+	if src.isStale() {
+		return fmt.Errorf("dstore: re-sync source %s went stale mid-pass", src.addr)
 	}
-	rs.mu.Lock()
-	writers := make([]*replicatedWritable, 0, len(rs.writers))
-	for w := range rs.writers {
-		writers = append(writers, w)
-	}
-	rs.mu.Unlock()
+	writers, _ := rs.openWriters()
 	for _, w := range writers {
-		if err := w.adopt(target); err != nil {
+		adopted, err := w.adopt(target)
+		if err != nil {
 			return err
 		}
+		wrote = wrote || adopted
 	}
-	omit = rs.openWriterNames()
-	canonical, err = rs.scan(sc, omit)
+	shipped, err := rs.syncFrom(src, target)
 	if err != nil {
 		return err
 	}
-	targetState, err = rs.scan(tc, omit)
-	if err != nil {
-		target.ep.Failure()
-		return err
-	}
-	shipped, err = rs.repair(tc, targetState, canonical, func(string) *Client { return sc })
-	if shipped > 0 {
-		metrics.Net.ResyncBytes.Add(shipped)
-		metrics.Net.Endpoint(target.addr).ResyncBytes.Add(shipped)
-	}
-	if err != nil {
-		return err
-	}
-	target.setStale(false)
+	target.promote(wrote || shipped)
 	target.ep.Success()
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -58,9 +59,16 @@ func (tc *testCluster) kill(i int) {
 
 // restart brings node i back on its original address with its MemFS intact
 // (the node lost its process, not its disk).
-func (tc *testCluster) restart(i int) {
+func (tc *testCluster) restart(i int) { tc.restartWith(i, tc.bases[i]) }
+
+// restartWith brings node i back on its original address serving base,
+// which may wrap the node's MemFS.
+func (tc *testCluster) restartWith(i int, base vfs.FS) {
 	tc.t.Helper()
-	srv, err := NewServer(tc.bases[i], tc.addrs[i], 0, 0)
+	if tc.srvs[i] != nil {
+		tc.kill(i)
+	}
+	srv, err := NewServer(base, tc.addrs[i], 0, 0)
 	if err != nil {
 		tc.t.Fatal(err)
 	}
@@ -69,11 +77,18 @@ func (tc *testCluster) restart(i int) {
 
 func (tc *testCluster) dial(quorum int) *ReplicaSet {
 	tc.t.Helper()
+	return tc.dialEvery(quorum, 20*time.Millisecond)
+}
+
+// dialEvery dials the set with the given re-sync interval; time.Hour leaves
+// every pass to the test, through rs.resyncPass.
+func (tc *testCluster) dialEvery(quorum int, every time.Duration) *ReplicaSet {
+	tc.t.Helper()
 	rs, err := DialReplicaSet(ReplicaConfig{
 		WriteQuorum: quorum,
 		Client:      fastDStoreConfig(1),
 		Dirs:        []string{"db"},
-		ResyncEvery: 20 * time.Millisecond,
+		ResyncEvery: every,
 	}, tc.addrs...)
 	if err != nil {
 		tc.t.Fatal(err)
@@ -261,13 +276,13 @@ func TestReplicaKillMidWorkload(t *testing.T) {
 
 // TestReplicaRejoinResync kills a replica, keeps writing (including to a
 // long-lived open handle, WAL-style), restarts the node with its old disk,
-// and requires the background re-sync to converge all three copies —
-// including adopting the open handle so post-rejoin appends reach the
-// rejoined node too.
+// and requires one re-sync pass to converge all three copies — including
+// adopting the open handle so post-rejoin appends reach the rejoined node
+// too.
 func TestReplicaRejoinResync(t *testing.T) {
 	metrics.Net.Reset()
 	tc := newTestCluster(t, 3)
-	rs := tc.dial(2)
+	rs := tc.dialEvery(2, time.Hour)
 	if err := rs.MkdirAll("db"); err != nil {
 		t.Fatal(err)
 	}
@@ -297,17 +312,12 @@ func TestReplicaRejoinResync(t *testing.T) {
 	}
 
 	tc.restart(2)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := rs.Replicas()
-		if st[2].InSync {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica 2 never rejoined: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if rs.Replicas()[2].InSync {
+		t.Fatal("replica 2 in sync before any re-sync pass")
+	}
+	rs.resyncPass()
+	if st := rs.Replicas(); !st[2].InSync {
+		t.Fatalf("replica 2 did not rejoin: %+v", st)
 	}
 
 	// Appends after the rejoin must reach the adopted branch on node 2.
@@ -534,5 +544,216 @@ func TestDigestAllCatchesDivergence(t *testing.T) {
 	}
 	if _, err := rs.DigestAll("db/sst", int64(len(header))); err == nil {
 		t.Fatal("divergence audit passed with a tampered replica")
+	}
+}
+
+// tamperFS serves a node's MemFS, except that the opens of name for which
+// flip returns true (counting from 1) read with the first byte inverted: a
+// source whose bytes change between the scan's fingerprint and the copy.
+type tamperFS struct {
+	*vfs.MemFS
+	name string
+	flip func(open int) bool
+
+	mu    sync.Mutex
+	opens int
+}
+
+func (fs *tamperFS) Open(name string) (vfs.RandomAccessFile, error) {
+	f, err := fs.MemFS.Open(name)
+	if err != nil || name != fs.name {
+		return f, err
+	}
+	fs.mu.Lock()
+	fs.opens++
+	flip := fs.flip(fs.opens)
+	fs.mu.Unlock()
+	if flip {
+		return flippedFile{f}, nil
+	}
+	return f, nil
+}
+
+type flippedFile struct{ vfs.RandomAccessFile }
+
+func (f flippedFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.RandomAccessFile.ReadAt(p, off)
+	if off == 0 && n > 0 {
+		p[0] ^= 0xFF
+	}
+	return n, err
+}
+
+// TestConvergeChangedSourceNotPromoted: a copy whose bytes do not match the
+// version the scan fingerprinted is errChanged, and the target is not
+// promoted on it, on the dial-time reconcile path or in phase 2 of a rejoin.
+// The next pass, with the source settled, promotes it.
+func TestConvergeChangedSourceNotPromoted(t *testing.T) {
+	good := []byte("full acknowledged contents")
+	settle := func(t *testing.T, tc *testCluster, rs *ReplicaSet) {
+		t.Helper()
+		if rs.Replicas()[2].InSync {
+			t.Fatal("replica promoted on a copy no scan vouched for")
+		}
+		rs.resyncPass()
+		if !rs.Replicas()[2].InSync {
+			t.Fatal("replica not promoted once its source settled")
+		}
+		requireConverged(t, tc.bases...)
+	}
+
+	t.Run("reconcile", func(t *testing.T) {
+		tc := newTestCluster(t, 3)
+		for i, base := range tc.bases {
+			data := good
+			if i == 2 {
+				data = good[:5]
+			}
+			if err := base.MkdirAll("db"); err != nil {
+				t.Fatal(err)
+			}
+			if err := vfs.WriteFile(base, "db/f", data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Node 0 is the repair's source: open 1 is the scan's Sum, open 2
+		// the copy.
+		tc.restartWith(0, &tamperFS{MemFS: tc.bases[0], name: "db/f", flip: func(n int) bool { return n == 2 }})
+		settle(t, tc, tc.dialEvery(2, time.Hour))
+	})
+
+	t.Run("rejoin", func(t *testing.T) {
+		tc := newTestCluster(t, 3)
+		// Node 0 is the rejoin's source: opens 1 and 2 are phase 1's Sum and
+		// copy, 3 and 4 phase 2's.
+		tc.restartWith(0, &tamperFS{MemFS: tc.bases[0], name: "db/f", flip: func(n int) bool { return n == 2 || n == 4 }})
+		rs := tc.dialEvery(2, time.Hour)
+		if err := rs.MkdirAll("db"); err != nil {
+			t.Fatal(err)
+		}
+		tc.kill(2)
+		if err := vfs.WriteFile(rs, "db/f", good); err != nil {
+			t.Fatal(err)
+		}
+		tc.restart(2)
+		rs.resyncPass()
+		settle(t, tc, rs)
+	})
+}
+
+// TestConvergeFiles: converge copies what differs, skips a file its source
+// lost after the scan, removes what the canonical state lacks, and reports a
+// copy that does not match the scan as errChanged only after the other files
+// are done.
+func TestConvergeFiles(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	rs := tc.dialEvery(1, time.Hour)
+	src, target := rs.reps[0], rs.reps[1]
+	for i, files := range []map[string]string{
+		{"db/a": "changes under the scan", "db/b": "copied", "db/gone": "removed after the scan"},
+		{"db/extra": "not canonical"},
+	} {
+		if err := tc.bases[i].MkdirAll("db"); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range files {
+			if err := vfs.WriteFile(tc.bases[i], name, []byte(data)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	scan := func(r *replica) map[string]fileVer {
+		t.Helper()
+		c, err := r.client()
+		if err != nil {
+			t.Fatal(err)
+		}
+		state, err := rs.scan(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return state
+	}
+	want, have := scan(src), scan(target)
+	want["db/a"] = fileVer{size: want["db/a"].size, sum: "the sum before it changed"}
+	if err := tc.bases[0].Remove("db/gone"); err != nil {
+		t.Fatal(err)
+	}
+	sc, _ := src.client() // dialed by the scan above
+
+	wrote, err := rs.converge(target, have, want, func(string) *Client { return sc })
+	if !errors.Is(err, errChanged) || !wrote {
+		t.Fatalf("converge = (%v, %v), want (true, errChanged)", wrote, err)
+	}
+	if got := readBase(t, tc.bases[1], "db/b"); string(got) != "copied" {
+		t.Fatalf("db/b after converge = %q", got)
+	}
+	for _, name := range []string{"db/gone", "db/extra"} {
+		if _, err := tc.bases[1].Stat(name); !errors.Is(err, vfs.ErrNotFound) {
+			t.Fatalf("%s on the target after converge: %v", name, err)
+		}
+	}
+}
+
+// TestResyncCountersAgree: one divergence — a file missing and an orphan
+// present on replica 2 — costs the same Resyncs and ResyncBytes, globally
+// and for that endpoint, whether the dial-time reconcile or a background
+// rejoin repairs it. A replica that comes back identical is promoted
+// without counting a re-sync.
+func TestResyncCountersAgree(t *testing.T) {
+	data := bytes.Repeat([]byte{9}, 10_000)
+	diverged := func() *testCluster {
+		tc := newTestCluster(t, 3)
+		for i, base := range tc.bases {
+			name, body := "db/f", data
+			if i == 2 {
+				name, body = "db/orphan", []byte("unacked")
+			}
+			if err := base.MkdirAll("db"); err != nil {
+				t.Fatal(err)
+			}
+			if err := vfs.WriteFile(base, name, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tc
+	}
+	type counts struct{ resyncs, bytes, epResyncs, epBytes int64 }
+	measure := func(addr string, repair func()) counts {
+		before := metrics.Net.Snapshot()
+		repair()
+		after := metrics.Net.Snapshot()
+		return counts{
+			after.Resyncs - before.Resyncs, after.ResyncBytes - before.ResyncBytes,
+			after.Endpoints[addr].Resyncs - before.Endpoints[addr].Resyncs,
+			after.Endpoints[addr].ResyncBytes - before.Endpoints[addr].ResyncBytes,
+		}
+	}
+	want := counts{1, int64(len(data)), 1, int64(len(data))}
+
+	dialed := diverged()
+	if got := measure(dialed.addrs[2], func() { dialed.dialEvery(2, time.Hour) }); got != want {
+		t.Fatalf("reconcile counted %+v, want %+v", got, want)
+	}
+
+	rejoined := diverged()
+	rejoined.kill(2)
+	rs := rejoined.dialEvery(2, time.Hour)
+	rejoined.restart(2)
+	if got := measure(rejoined.addrs[2], rs.resyncPass); got != want {
+		t.Fatalf("rejoin counted %+v, want %+v", got, want)
+	}
+	requireConverged(t, rejoined.bases...)
+
+	rejoined.kill(2)
+	if err := rs.SyncDir("db"); err != nil {
+		t.Fatal(err)
+	}
+	rejoined.restart(2)
+	if got := measure(rejoined.addrs[2], rs.resyncPass); got != (counts{}) {
+		t.Fatalf("rejoin with nothing to repair counted %+v, want nothing", got)
+	}
+	if !rs.Replicas()[2].InSync {
+		t.Fatal("identical replica not promoted")
 	}
 }

@@ -152,7 +152,7 @@ type network[T any] struct {
 	DegradedWrites   T `metric:"degraded_writes"`                              // writes refused because the KDS is unreachable
 	DegradedReads    T `metric:"degraded_reads"`                               // reads that failed even after the secure cache
 	QuorumShortfalls T `json:",omitempty" metric:"quorum_shortfalls,optional"` // replicated mutations acked by fewer than quorum replicas
-	Resyncs          T `json:",omitempty" metric:"resyncs,optional"`           // replica rejoin re-sync passes completed
+	Resyncs          T `json:",omitempty" metric:"resyncs,optional"`           // replicas promoted in-sync by a repair that wrote or removed a file
 	ResyncBytes      T `json:",omitempty" metric:"resync_bytes,optional"`      // bytes copied to rejoining replicas
 }
 
@@ -163,7 +163,7 @@ type network[T any] struct {
 type endpoint[T any] struct {
 	Failovers   T `json:"failovers" metric:"failovers"`                 // times traffic was re-pointed at this endpoint
 	Errors      T `json:"errors" metric:"errors"`                       // transport failures charged to this endpoint
-	Resyncs     T `json:"resyncs,omitempty" metric:"resyncs"`           // re-sync passes that repaired this endpoint
+	Resyncs     T `json:"resyncs,omitempty" metric:"resyncs"`           // promotions in-sync after a repair wrote or removed a file here
 	ResyncBytes T `json:"resync_bytes,omitempty" metric:"resync_bytes"` // bytes copied to this endpoint during re-sync
 }
 

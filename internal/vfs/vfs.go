@@ -130,11 +130,12 @@ func ReadAll(f RandomAccessFile) ([]byte, error) {
 }
 
 // WriteFile writes data to the named file through fs, replacing any existing
-// contents, and syncs it. It does not sync the directory: every caller in
-// this repo writes a .tmp and then renames it into place, and the rename
-// site owns the SyncDir.
+// contents, and syncs it. It does not sync the directory; the caller owns
+// that: ReplaceFile syncs it after renaming its .tmp into place, and a caller
+// that creates a file in place (shield-server's encfs.salt) syncs the parent
+// itself.
 //
-//shield:nosyncdir helper writes tmp files; the rename site owns directory durability
+//shield:nosyncdir helper; the caller owns directory durability, after its rename or in-place create
 func WriteFile(fsys FS, name string, data []byte) error {
 	f, err := fsys.Create(name)
 	if err != nil {
