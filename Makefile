@@ -6,7 +6,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.3
 
-.PHONY: all build test benchmark-check race io-path-check vet shield-vet shield-vet-suppressions loc knobs staticcheck govulncheck lint-extra fmt sim sim-long tamper-test replication-test fuzz server-test
+.PHONY: all build test benchmark-check race flake io-path-check vet shield-vet shield-vet-suppressions loc knobs staticcheck govulncheck lint-extra fmt sim sim-long tamper-test replication-test fuzz server-test
 
 all: build vet shield-vet test
 
@@ -24,6 +24,14 @@ benchmark-check:
 
 race:
 	go test -race ./...
+
+# The compaction scheduler's flake lane: the picker, scheduler, CompactRange,
+# universal/FIFO and subcompaction tests of internal/lsm and the offloaded-
+# compaction orchestrator, ten times each under the race detector, so an
+# interleaving one PR-gate run misses shows up here. Nightly in CI.
+flake:
+	go test -race -count=10 -run 'Sched|Compact|Universal|FIFO|Subcompaction|Pick' ./internal/lsm/
+	go test -race -count=10 ./internal/compactsvc/
 
 # The I/O paths' mechanisms, pinned. Reads: inner reads per sealed ReadAt, per
 # table open, per cache miss and per digest walk. Writes: allocations per Put,

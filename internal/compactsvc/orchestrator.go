@@ -241,8 +241,9 @@ func (o *Orchestrator) finishLocked(j *job, err error) {
 
 // sweep removes every table file in a dead attempt's fenced number range.
 // Best-effort: the worker may never have created most of the names, and the
-// engine's recovery-time orphan sweep catches anything a lost connection to
-// storage leaves behind.
+// engine's next writable open removes every table its recovered version does
+// not reference, which catches anything a lost connection to storage leaves
+// behind.
 func (o *Orchestrator) sweep(rec leaseRec) {
 	removed := false
 	for n := rec.first; n < rec.first+rec.width; n++ {

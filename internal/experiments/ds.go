@@ -224,7 +224,9 @@ func runFig15(opt Options) error {
 		opts := dsEngineOpts()
 		opts.CompactionStyle = style
 		opts.FIFOMaxTableSize = 8 << 20
-		opts.UniversalMaxRuns = 6
+		if style == lsm.CompactionUniversal {
+			opts.L0CompactionTrigger = 6
+		}
 		p.engine = &opts
 
 		w := bench.Workload{NumOps: opt.ops(20_000)}
@@ -261,7 +263,9 @@ func runTable3(opt Options) error {
 		opts := dsEngineOpts()
 		opts.CompactionStyle = style
 		opts.FIFOMaxTableSize = 8 << 20
-		opts.UniversalMaxRuns = 6
+		if style == lsm.CompactionUniversal {
+			opts.L0CompactionTrigger = 6
+		}
 		p.engine = &opts
 
 		dep, err := openDS(vShieldBuf, p)

@@ -20,14 +20,10 @@ import (
 func compactLevel(t *testing.T, db *DB, lvl int) {
 	t.Helper()
 	db.mu.Lock()
-	plan := db.newLeveledPlanLocked(lvl, db.current.Levels[lvl], lvl+1)
+	plan := newLeveledPlan(db.current, &db.opts, lvl, db.current.Levels[lvl], lvl+1)
 	db.claimPlanLocked(plan)
 	db.mu.Unlock()
-	err := db.runCompactionPlan(plan)
-	db.mu.Lock()
-	db.releasePlanLocked(plan)
-	db.mu.Unlock()
-	if err != nil {
+	if err := db.finishJob(plan, db.runCompactionPlan(plan)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -237,7 +233,7 @@ func TestCompactRangeWaitKeepsDegraded(t *testing.T) {
 	}
 	// An in-flight job holding the L0 file.
 	db.mu.Lock()
-	held := db.newLeveledPlanLocked(0, db.current.Levels[0], 1)
+	held := newLeveledPlan(db.current, &db.opts, 0, db.current.Levels[0], 1)
 	db.claimPlanLocked(held)
 	db.mu.Unlock()
 	defer func() {

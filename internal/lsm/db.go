@@ -95,11 +95,8 @@ type DB struct {
 
 	flushing    bool
 	compactions int // compaction jobs in flight (background + manual)
-	// l0Jobs counts in-flight jobs consuming level-0 inputs. At most one
-	// may run: L0 files overlap arbitrarily and files flushed after an L0
-	// job starts are not claimed by it, so a second L0 job's outputs could
-	// interleave the first's at the base level.
-	l0Jobs int
+	// held is what the in-flight compaction jobs have claimed.
+	held inFlight
 	// manualWaiters counts CompactRange jobs waiting to claim a plan;
 	// while nonzero the scheduler starts no new background jobs, so a
 	// manual compaction cannot be starved by a busy write load.
@@ -110,7 +107,6 @@ type DB struct {
 	// The next successful flush (proof that space is available again)
 	// clears it.
 	compactionsHalted bool
-	busyFiles         map[uint64]bool
 	bgErr             error
 	bgCond            *sync.Cond
 	closed            bool

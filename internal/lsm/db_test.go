@@ -326,7 +326,6 @@ func TestCompactionStyles(t *testing.T) {
 			fs := vfs.NewMem()
 			opts := testOptions(fs)
 			opts.CompactionStyle = style
-			opts.UniversalMaxRuns = 4
 			opts.FIFOMaxTableSize = 1 << 20
 			db, err := Open("db", opts)
 			if err != nil {

@@ -35,7 +35,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		dir:          dir,
 		fs:           opts.FS,
 		wrapper:      opts.Wrapper,
-		busyFiles:    make(map[uint64]bool),
+		held:         inFlight{files: make(map[uint64]bool)},
 		dekIDs:       make(map[uint64]string),
 		integrityBad: make(map[uint64]bool),
 	}
@@ -157,7 +157,17 @@ func (d *DB) recover() error {
 		d.sealEpoch()
 	}
 
-	// Replay WALs >= logNum, oldest first.
+	// Replay WALs >= logNum, oldest first. A writable open also removes
+	// every table the recovered version does not reference: the output of a
+	// flush or compaction whose edit never became durable or failed to
+	// install. No version will ever name it, and WAL replay below creates
+	// its tables only after this walk.
+	live := map[uint64]bool{}
+	for _, files := range d.current.Levels {
+		for _, f := range files {
+			live[f.FileNum] = true
+		}
+	}
 	entries, err := d.fs.List(d.dir)
 	if err != nil {
 		return err
@@ -175,6 +185,12 @@ func (d *DB) recover() error {
 		}
 		if kind == FileKindWAL && n >= d.logNum {
 			walNums = append(walNums, n)
+		}
+		if kind == FileKindSST && !live[n] && !d.opts.ReadOnly {
+			name := path.Join(d.dir, e.Name)
+			if err := d.fs.Remove(name); err == nil {
+				d.wrapper.FileDeleted(name, "")
+			}
 		}
 	}
 	sort.Slice(walNums, func(i, j int) bool { return walNums[i] < walNums[j] })

@@ -164,7 +164,8 @@ type Options struct {
 	BlockCacheSize int64
 
 	// L0CompactionTrigger is the L0 file count that starts a leveled
-	// compaction (or the run count for universal). Default 4.
+	// compaction, and the sorted-run count that starts a universal merge.
+	// Default 4.
 	L0CompactionTrigger int
 
 	// BaseLevelSize is the target size of L1. Default 16 MiB.
@@ -191,10 +192,6 @@ type Options struct {
 	// FIFOMaxTableSize is the total-size cap for FIFO compaction; oldest
 	// files are dropped beyond it. Default 256 MiB.
 	FIFOMaxTableSize uint64
-
-	// UniversalMaxRuns is the sorted-run count that triggers a universal
-	// merge. Default 8.
-	UniversalMaxRuns int
 
 	// SyncWrites makes every committed batch fsync the WAL. Default false
 	// (matching db_bench's default of buffered, non-synced WAL writes).
@@ -284,9 +281,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FIFOMaxTableSize == 0 {
 		o.FIFOMaxTableSize = 256 << 20
-	}
-	if o.UniversalMaxRuns == 0 {
-		o.UniversalMaxRuns = 8
 	}
 	if o.MaxManifestFileSize == 0 {
 		o.MaxManifestFileSize = 4 << 20

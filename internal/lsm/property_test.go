@@ -15,15 +15,18 @@ import (
 func TestModelEquivalence(t *testing.T) {
 	for _, style := range []CompactionStyle{CompactionLeveled, CompactionUniversal} {
 		t.Run(style.String(), func(t *testing.T) {
+			trigger := 3 // L0 files
+			if style == CompactionUniversal {
+				trigger = 4 // sorted runs
+			}
 			fs := vfs.NewMem()
 			opts := Options{
 				FS:                  fs,
 				MemtableSize:        32 << 10,
 				BaseLevelSize:       128 << 10,
 				TargetFileSize:      32 << 10,
-				L0CompactionTrigger: 3,
+				L0CompactionTrigger: trigger,
 				CompactionStyle:     style,
-				UniversalMaxRuns:    4,
 			}
 			db, err := Open("db", opts)
 			if err != nil {

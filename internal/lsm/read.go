@@ -156,7 +156,7 @@ func (d *DB) quarantineIntegrity(fileNum uint64) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed || d.integrityBad[fileNum] || d.busyFiles[fileNum] {
+	if d.closed || d.integrityBad[fileNum] || d.held.files[fileNum] {
 		return
 	}
 	level := -1

@@ -18,9 +18,8 @@ func TestUniversalCompactionConverges(t *testing.T) {
 		MemtableSize:        32 << 10,
 		BaseLevelSize:       128 << 10,
 		TargetFileSize:      32 << 10,
-		L0CompactionTrigger: 3,
+		L0CompactionTrigger: 4,
 		CompactionStyle:     CompactionUniversal,
-		UniversalMaxRuns:    4,
 	}
 	db, err := Open("db", opts)
 	if err != nil {

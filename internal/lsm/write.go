@@ -94,10 +94,7 @@ func (d *DB) makeRoomForWrite() (*wal.Writer, *memTable, error) {
 			d.maybeScheduleFlushLocked()
 			d.bgCond.Wait()
 			d.mu.Unlock()
-		case d.opts.CompactionStyle != CompactionFIFO &&
-			len(d.current.Levels[0]) >= l0StopWritesTrigger:
-			// FIFO is exempt: it never merges L0, so a file-count stall
-			// would never clear — FIFO bounds data by total size instead.
+		case l0Stalled(d.current, &d.opts):
 			if stallStart.IsZero() {
 				stallStart = time.Now()
 			}
