@@ -87,7 +87,14 @@ loc:
 # setter. It is grep: a field name two structs share is credited to both.
 # The rule the list is read against (DESIGN.md §11): a knob stays while a
 # cmd/ flag, an example, a sim band, an experiment or benchmark/ sets it to a
-# non-default, or it is a safety check; otherwise it becomes a constant.
+# non-default, or it is a safety check; otherwise it becomes a constant. A `-`
+# row fails the target unless its field is listed here, with its reason:
+#
+# lsm.Options.ParanoidChecks: a safety check (DESIGN.md §8 "Open-time verification", §11's rule).
+KNOBS_UNSET_OK += lsm.Options.ParanoidChecks
+# core.Config.RevokeOnDelete: ROADMAP.md item 6 decides it.
+KNOBS_UNSET_OK += core.Config.RevokeOnDelete
+
 knobs:
 	@grep -rlE '^type [A-Za-z]*(Options|Config|Policy) struct' --include='*.go' --exclude='*_test.go' cmd internal | sort \
 	| while read -r f; do awk -v f="$$f" ' \
@@ -99,7 +106,10 @@ knobs:
 		set -- $$(grep -rlE "(^|[^A-Za-z0-9_])$$n:|\.$$n (=|\+=|\|=) |&[A-Za-z_.]*\.$$n[,)]" --include='*.go' --exclude='*_test.go' \
 			cmd examples internal benchmark | grep -vx "$$f" | sort); \
 		printf '%-52s %s\n' "$${d#internal/}.$$s.$$n" "$${*:--}"; \
-	done
+	done \
+	| awk -v ok="$(KNOBS_UNSET_OK)" 'BEGIN { n = split(ok, a, " "); for (i = 1; i <= n; i++) allowed[a[i]] = 1 } \
+		{ print } $$2 == "-" && !($$1 in allowed) { bad = bad " " $$1 } \
+		END { if (bad != "") { print "make knobs: nothing sets" bad "; make it a constant, delete it, or list it in KNOBS_UNSET_OK" > "/dev/stderr"; exit 1 } }'
 
 # Seeded whole-stack fault simulation (cmd/shield-sim, DESIGN.md §10).
 # `sim` is the quick local gate; `sim-long` widens the fault matrix with the

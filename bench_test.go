@@ -1,25 +1,19 @@
 // Benchmarks with testing.B semantics. Each table and figure of the paper is
 // defined once, in internal/experiments (what cmd/shield-bench prints);
 // BenchmarkExperiment runs those definitions. The rest are what no experiment
-// covers: one ablation, and one micro-benchmark per layer of the read, write
-// and served paths.
+// covers: one micro-benchmark per layer of the read, write and served paths.
 package shield_test
 
 import (
-	"bytes"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
-	"shield/internal/bench"
-	"shield/internal/core"
 	"shield/internal/crypt"
 	"shield/internal/dstore"
 	"shield/internal/experiments"
-	"shield/internal/kds"
 	"shield/internal/lsm"
 	"shield/internal/lsm/base"
 	"shield/internal/lsm/sstable"
@@ -37,41 +31,6 @@ func BenchmarkExperiment(b *testing.B) {
 		b.Run(e.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := experiments.Run(e.ID, experiments.Options{Scale: 0.01, Out: io.Discard}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_CompressThenEncrypt measures the compress-before-
-// encrypt pipeline against encryption alone (an ablation of the design
-// choice that compression must precede encryption; ciphertext does not
-// compress).
-func BenchmarkAblation_CompressThenEncrypt(b *testing.B) {
-	for _, compress := range []bool{false, true} {
-		b.Run(fmt.Sprintf("flate=%v", compress), func(b *testing.B) {
-			cfg := core.Config{
-				Mode: core.ModeSHIELD,
-				FS:   vfs.NewMem(),
-				KDS:  kds.NewLocal(kds.NewStore(kds.Policy{MaxFetches: 1}), "bench"),
-			}
-			opts := lsm.Options{MemtableSize: 1 << 20}
-			if compress {
-				opts.Compression = sstable.FlateCompression
-			}
-			db, err := core.Open("db", cfg, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			kg := bench.NewKeyGen(16)
-			payload := bytes.Repeat([]byte("log-line "), 12) // compressible
-			rng := rand.New(rand.NewSource(1))
-			b.SetBytes(int64(len(payload) + 16))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := db.Put(kg.Key(rng.Uint64()%1_000_000), payload); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +16,32 @@ import (
 	"shield/internal/lsm/sstable"
 	"shield/internal/vfs"
 )
+
+// allocator is a test's engine-side file-number allocator: it issues next,
+// next+1, … and remembers what it issued, in order.
+type allocator struct {
+	mu     sync.Mutex
+	next   uint64
+	issued []uint64
+}
+
+func numbersFrom(first uint64) *allocator { return &allocator{next: first} }
+
+func (a *allocator) newFileNum() (uint64, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := a.next
+	a.next++
+	a.issued = append(a.issued, n)
+	return n, nil
+}
+
+// nums returns what the allocator has issued so far.
+func (a *allocator) nums() []uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return slices.Clone(a.issued)
+}
 
 // startPair stands up an orchestrator and one polling worker on fs.
 func startPair(t *testing.T, fs vfs.FS) (*Orchestrator, *Worker) {
@@ -72,26 +100,21 @@ func TestRemoteJobExecution(t *testing.T) {
 		Inputs: []lsm.JobLevel{
 			{Level: 0, Files: []manifest.FileMetadata{m2, m1}},
 		},
-		OutputLevel:        1,
-		Bottommost:         true,
-		SmallestSnapshot:   1 << 60,
-		FirstOutputFileNum: 10,
-		MaxOutputFiles:     16,
-		TargetFileSize:     1 << 20,
+		OutputLevel:      1,
+		Bottommost:       true,
+		SmallestSnapshot: 1 << 60,
+		TargetFileSize:   1 << 20,
 	}
-	res, err := orch.Compact(job)
+	nums := numbersFrom(10)
+	res, err := orch.Compact(job, nums.newFileNum)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Outputs) == 0 {
 		t.Fatal("no outputs")
 	}
-	var total uint64
-	for _, out := range res.Outputs {
-		total += out.Size
-		if out.FileNum < 10 || out.FileNum >= 26 {
-			t.Fatalf("output file number %d outside reservation", out.FileNum)
-		}
+	if got, issued := outputNums(res), nums.nums(); !slices.Equal(got, issued) {
+		t.Fatalf("outputs numbered %v, the allocator issued %v", got, issued)
 	}
 	if res.BytesWritten == 0 || res.BytesRead == 0 {
 		t.Fatalf("accounting: %+v", res)
@@ -137,18 +160,17 @@ func TestRemoteJobErrorPropagates(t *testing.T) {
 			Smallest: base.MakeInternalKey([]byte("a"), 1, base.KindSet),
 			Largest:  base.MakeInternalKey([]byte("b"), 1, base.KindSet),
 		}}}},
-		OutputLevel:        1,
-		FirstOutputFileNum: 10,
-		MaxOutputFiles:     4,
-		TargetFileSize:     1 << 20,
+		OutputLevel:    1,
+		TargetFileSize: 1 << 20,
 	}
-	if _, err := orch.Compact(job); err == nil {
+	nums := numbersFrom(10)
+	if _, err := orch.Compact(job, nums.newFileNum); err == nil {
 		t.Fatal("missing-input job succeeded")
 	}
 	// The worker remains usable after a remote error.
 	m := buildInput(t, fs, 1, 0, 10)
 	job.Inputs = []lsm.JobLevel{{Level: 0, Files: []manifest.FileMetadata{m}}}
-	if _, err := orch.Compact(job); err != nil {
+	if _, err := orch.Compact(job, nums.newFileNum); err != nil {
 		t.Fatalf("worker broken after remote error: %v", err)
 	}
 }
@@ -159,14 +181,13 @@ func TestWorkerReconnects(t *testing.T) {
 	orch, w := startPair(t, fs)
 
 	job := lsm.CompactionJob{
-		Dir:                "db",
-		Inputs:             []lsm.JobLevel{{Level: 0, Files: []manifest.FileMetadata{m}}},
-		OutputLevel:        1,
-		FirstOutputFileNum: 10,
-		MaxOutputFiles:     4,
-		TargetFileSize:     1 << 20,
+		Dir:            "db",
+		Inputs:         []lsm.JobLevel{{Level: 0, Files: []manifest.FileMetadata{m}}},
+		OutputLevel:    1,
+		TargetFileSize: 1 << 20,
 	}
-	if _, err := orch.Compact(job); err != nil {
+	nums := numbersFrom(10)
+	if _, err := orch.Compact(job, nums.newFileNum); err != nil {
 		t.Fatal(err)
 	}
 	// Force-close the worker's connection; the next poll must redial.
@@ -176,8 +197,7 @@ func TestWorkerReconnects(t *testing.T) {
 		w.conn = nil
 	}
 	w.connMu.Unlock()
-	job.FirstOutputFileNum = 20
-	if _, err := orch.Compact(job); err != nil {
+	if _, err := orch.Compact(job, nums.newFileNum); err != nil {
 		t.Fatalf("worker did not recover from dropped connection: %v", err)
 	}
 }
@@ -199,15 +219,13 @@ func TestRemoteSubcompactedJob(t *testing.T) {
 		Inputs: []lsm.JobLevel{
 			{Level: 0, Files: []manifest.FileMetadata{m2, m1}},
 		},
-		OutputLevel:        1,
-		Bottommost:         true,
-		SmallestSnapshot:   1 << 60,
-		FirstOutputFileNum: 10,
-		MaxOutputFiles:     30,
-		TargetFileSize:     4 << 10, // several outputs per shard
-		MaxSubcompactions:  3,
+		OutputLevel:       1,
+		Bottommost:        true,
+		SmallestSnapshot:  1 << 60,
+		TargetFileSize:    4 << 10, // several outputs per shard
+		MaxSubcompactions: 3,
 	}
-	res, err := orch.Compact(job)
+	res, err := orch.Compact(job, numbersFrom(10).newFileNum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +262,8 @@ func TestRemoteSubcompactedJob(t *testing.T) {
 }
 
 // TestParentEncodedJobRunsOffloaded: a job the previous build encoded (its own
-// block_size/bloom_bits_per_key/compression fields, pinned boundaries) goes
+// block_size/bloom_bits_per_key/compression fields, pinned boundaries, an
+// output-number reservation) goes
 // over the wire to a worker of this build, against the store that build wrote,
 // and the worker writes what that build's executor wrote. The fixtures are
 // lsm's (see internal/lsm/compat_test.go).
@@ -277,19 +296,82 @@ func TestParentEncodedJobRunsOffloaded(t *testing.T) {
 	}
 
 	orch, _ := startPair(t, fs)
-	res, err := orch.Compact(job)
+	nums := numbersFrom(7000)
+	res, err := orch.Compact(job, nums.newFileNum)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, issued := outputNums(res), nums.nums(); !sameSet(got, issued) {
+		t.Fatalf("outputs numbered %v, the allocator issued %v", got, issued)
 	}
 	if res.BytesRead != want.BytesRead || res.BytesWritten != want.BytesWritten ||
 		res.Subcompactions != want.Subcompactions || len(res.Outputs) != len(want.Outputs) {
 		t.Fatalf("offloaded result %+v, the parent's own %+v", res, want)
 	}
 	for i, out := range res.Outputs {
-		// File numbers are fenced per lease; everything else is the table.
+		// File numbers are the allocator's; everything else is the table.
 		out.FileNum = want.Outputs[i].FileNum
 		if !reflect.DeepEqual(out, want.Outputs[i]) {
 			t.Fatalf("output %d = %+v, the parent's own %+v", i, out, want.Outputs[i])
 		}
+	}
+}
+
+// outputNums lists a result's output file numbers in output order.
+func outputNums(res lsm.CompactionResult) []uint64 {
+	nums := make([]uint64, len(res.Outputs))
+	for i, out := range res.Outputs {
+		nums[i] = out.FileNum
+	}
+	return nums
+}
+
+// sameSet reports whether a and b hold the same numbers, in any order.
+func sameSet(a, b []uint64) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
+}
+
+// TestLargeOffloadedJob: a job cutting far more outputs than an earlier
+// build's per-attempt share of its 256 reserved file numbers (85) runs
+// through an orchestrator and a worker, one granted number per output.
+func TestLargeOffloadedJob(t *testing.T) {
+	fs := vfs.NewMem()
+	m := buildInput(t, fs, 1, 0, 3800)
+	orch, _ := startPair(t, fs)
+
+	nums := numbersFrom(10)
+	res, err := orch.Compact(lsm.CompactionJob{
+		Dir:            "db",
+		Inputs:         []lsm.JobLevel{{Level: 0, Files: []manifest.FileMetadata{m}}},
+		OutputLevel:    1,
+		TargetFileSize: 1 << 10,
+	}, nums.newFileNum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Outputs) < 88 {
+		t.Fatalf("%d outputs, want at least 88", len(res.Outputs))
+	}
+	if got, issued := outputNums(res), nums.nums(); !slices.Equal(got, issued) {
+		t.Fatalf("outputs numbered %v, the allocator issued %v", got, issued)
+	}
+	var entries uint64
+	for _, out := range res.Outputs {
+		raf, err := fs.Open(lsm.TableFileName("db", out.FileNum))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := sstable.NewReader(raf, sstable.ReaderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries += r.Properties().NumEntries
+		r.Close()
+	}
+	if entries != 3800 {
+		t.Fatalf("outputs hold %d entries, want 3800", entries)
 	}
 }

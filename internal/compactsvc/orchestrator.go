@@ -20,10 +20,7 @@ type OrchestratorConfig struct {
 	// Default 3s.
 	LeaseTTL time.Duration
 	// MaxAttempts bounds how many times a job is handed out (first claim
-	// included) before it fails with lsm.ErrJobLost. It also sets the
-	// output-number fencing: each attempt writes into a disjoint
-	// MaxOutputFiles/MaxAttempts sub-range of the job's reserved file
-	// numbers. Default 3.
+	// included) before it fails with lsm.ErrJobLost. Default 3.
 	MaxAttempts int
 	// JobTimeout bounds a job end to end — queue wait, every attempt,
 	// requeues — so a missing worker pool cannot wedge the engine's
@@ -66,9 +63,10 @@ const (
 )
 
 type job struct {
-	id       uint64
-	spec     lsm.CompactionJob
-	deadline time.Time
+	id         uint64
+	spec       lsm.CompactionJob
+	newFileNum func() (uint64, error) // the engine's allocator, from Compact
+	deadline   time.Time
 
 	state   jobState
 	attempt int // attempts started
@@ -81,13 +79,11 @@ type job struct {
 	err  error
 }
 
-// leaseRec remembers which fenced output range a lease was writing into, so
-// a dead or zombie attempt can be swept by file-number range alone.
+// leaseRec remembers the output file numbers granted to a lease, so a dead
+// or zombie attempt can be swept by those numbers alone.
 type leaseRec struct {
-	jobID uint64
-	dir   string
-	first uint64
-	width uint64
+	dir  string
+	nums []uint64
 }
 
 // Orchestrator queues compaction jobs for a pool of leased workers. It
@@ -113,7 +109,7 @@ type Orchestrator struct {
 
 // NewOrchestrator starts an orchestrator on addr. fs is the engine's view of
 // the shared storage (the same FS the engine itself runs on), used only to
-// remove the fenced partial outputs of dead attempts.
+// remove the partial outputs of dead attempts.
 func NewOrchestrator(fs vfs.FS, addr string, cfg OrchestratorConfig) (*Orchestrator, error) {
 	o := &Orchestrator{
 		fs:     fs,
@@ -175,8 +171,9 @@ func (o *Orchestrator) Close() error {
 }
 
 // Compact implements lsm.Compactor: enqueue the job and block until a
-// worker completes it or the orchestrator gives up on it.
-func (o *Orchestrator) Compact(spec lsm.CompactionJob) (lsm.CompactionResult, error) {
+// worker completes it or the orchestrator gives up on it. The worker holding
+// the job's lease asks for each output's file number; newFileNum issues it.
+func (o *Orchestrator) Compact(spec lsm.CompactionJob, newFileNum func() (uint64, error)) (lsm.CompactionResult, error) {
 	o.mu.Lock()
 	if o.closed {
 		o.mu.Unlock()
@@ -184,10 +181,11 @@ func (o *Orchestrator) Compact(spec lsm.CompactionJob) (lsm.CompactionResult, er
 	}
 	o.nextJob++
 	j := &job{
-		id:       o.nextJob,
-		spec:     spec,
-		deadline: time.Now().Add(o.cfg.JobTimeout),
-		done:     make(chan struct{}),
+		id:         o.nextJob,
+		spec:       spec,
+		newFileNum: newFileNum,
+		deadline:   time.Now().Add(o.cfg.JobTimeout),
+		done:       make(chan struct{}),
 	}
 	o.jobs[j.id] = j
 	o.queue = append(o.queue, j.id)
@@ -200,26 +198,6 @@ func (o *Orchestrator) Compact(spec lsm.CompactionJob) (lsm.CompactionResult, er
 	delete(o.jobs, j.id)
 	o.mu.Unlock()
 	return j.res, j.err
-}
-
-// attemptRange carves the fenced output-file-number sub-range for one
-// attempt out of the job's reservation. Attempts get disjoint ranges so a
-// zombie writer can never collide with the attempt that reclaimed its job;
-// the last attempt absorbs the remainder.
-func attemptRange(spec *lsm.CompactionJob, attempt, maxAttempts int) (first, width uint64) {
-	per := spec.MaxOutputFiles / uint64(maxAttempts)
-	if per < 1 {
-		// Degenerate reservation (fewer numbers than attempts): fencing is
-		// impossible, so every attempt reuses the whole range. Safe only
-		// because the janitor sweeps the range before requeueing.
-		return spec.FirstOutputFileNum, spec.MaxOutputFiles
-	}
-	first = spec.FirstOutputFileNum + uint64(attempt)*per
-	width = per
-	if attempt == maxAttempts-1 {
-		width = spec.MaxOutputFiles - per*uint64(maxAttempts-1)
-	}
-	return first, width
 }
 
 // finishLocked moves a job to its terminal state and wakes the engine.
@@ -239,14 +217,14 @@ func (o *Orchestrator) finishLocked(j *job, err error) {
 	close(j.done)
 }
 
-// sweep removes every table file in a dead attempt's fenced number range.
-// Best-effort: the worker may never have created most of the names, and the
-// engine's next writable open removes every table its recovered version does
-// not reference, which catches anything a lost connection to storage leaves
-// behind.
+// sweep removes every table file numbered with a number granted to a dead
+// attempt. Best-effort: the worker may not have created the last name it was
+// granted, and the engine's next writable open removes every table its
+// recovered version does not reference, which catches anything a lost
+// connection to storage leaves behind.
 func (o *Orchestrator) sweep(rec leaseRec) {
 	removed := false
-	for n := rec.first; n < rec.first+rec.width; n++ {
+	for _, n := range rec.nums {
 		if err := o.fs.Remove(lsm.TableFileName(rec.dir, n)); err == nil {
 			removed = true
 		}
@@ -256,7 +234,7 @@ func (o *Orchestrator) sweep(rec leaseRec) {
 	}
 }
 
-// janitor expires dead leases: sweep the attempt's fenced outputs, then
+// janitor expires dead leases: sweep the attempt's outputs, then
 // requeue the job (attempt budget permitting) or fail it with
 // lsm.ErrJobLost. It also enforces each job's end-to-end deadline.
 func (o *Orchestrator) janitor() {
@@ -324,6 +302,8 @@ func (o *Orchestrator) serveConn(conn net.Conn) {
 			resp = o.poll(req.Worker)
 		case "heartbeat":
 			resp = o.heartbeat(req.JobID, req.Lease)
+		case "file":
+			resp = o.fileNum(req.JobID, req.Lease)
 		case "complete":
 			resp = o.complete(&req)
 		default:
@@ -335,8 +315,7 @@ func (o *Orchestrator) serveConn(conn net.Conn) {
 	}
 }
 
-// poll claims the oldest pending job for a worker and leases it, handing out
-// that attempt's fenced output range.
+// poll claims the oldest pending job for a worker and leases it.
 func (o *Orchestrator) poll(worker string) *wireResponse {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -348,22 +327,18 @@ func (o *Orchestrator) poll(worker string) *wireResponse {
 			continue // finished (deadline, close) while queued
 		}
 		j.attempt++
-		first, width := attemptRange(&j.spec, j.attempt-1, o.cfg.MaxAttempts)
-		spec := j.spec
-		spec.FirstOutputFileNum = first
-		spec.MaxOutputFiles = width
 		o.nextLease++
 		j.state = stateLeased
 		j.lease = o.nextLease
 		j.worker = worker
 		j.expiry = time.Now().Add(o.cfg.LeaseTTL)
 		// The rec outlives the lease on purpose: a zombie's complete may
-		// arrive long after expiry, and the sweep needs the fenced range.
+		// arrive long after expiry, and the sweep needs the granted numbers.
 		// Growth is bounded by lease expiries plus live jobs; successful
 		// completes delete their rec.
-		o.leases[j.lease] = leaseRec{jobID: id, dir: spec.Dir, first: first, width: width}
+		o.leases[j.lease] = leaseRec{dir: j.spec.Dir}
 		return &wireResponse{
-			Job:   &spec,
+			Job:   &j.spec,
 			JobID: id,
 			Lease: j.lease,
 			TTLMs: o.cfg.LeaseTTL.Milliseconds(),
@@ -385,8 +360,31 @@ func (o *Orchestrator) heartbeat(jobID, lease uint64) *wireResponse {
 	return &wireResponse{}
 }
 
+// fileNum grants a live lease the next output file number from the engine's
+// allocator and records it against the lease, so a sweep of the lease
+// removes exactly what the attempt may have created. A revoked lease is told
+// Stale: the zombie creates no further table. The allocator never issues a
+// number twice, so attempts cannot collide. It takes the engine's lock, which
+// never waits on o.mu.
+func (o *Orchestrator) fileNum(jobID, lease uint64) *wireResponse {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	j, ok := o.jobs[jobID]
+	if !ok || j.state != stateLeased || j.lease != lease {
+		return &wireResponse{Stale: true}
+	}
+	n, err := j.newFileNum()
+	if err != nil {
+		return &wireResponse{Err: err.Error()}
+	}
+	rec := o.leases[lease]
+	rec.nums = append(rec.nums, n)
+	o.leases[lease] = rec
+	return &wireResponse{FileNum: n}
+}
+
 // complete delivers a worker's result. A result on a revoked lease is
-// answered Stale and the zombie attempt's fenced outputs are swept — the
+// answered Stale and the zombie attempt's outputs are swept — the
 // worker finished a job someone else now owns.
 func (o *Orchestrator) complete(req *wireRequest) *wireResponse {
 	o.mu.Lock()

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -45,6 +47,12 @@ func (f *fakeWorker) round(req *wireRequest) *wireResponse {
 	return &resp
 }
 
+// fileNum asks for the next output file number on a claim.
+func (f *fakeWorker) fileNum(claim *wireResponse) *wireResponse {
+	f.t.Helper()
+	return f.round(&wireRequest{Op: "file", Worker: "fake", JobID: claim.JobID, Lease: claim.Lease})
+}
+
 // claim polls until a job is handed out.
 func (f *fakeWorker) claim(name string) *wireResponse {
 	f.t.Helper()
@@ -62,23 +70,21 @@ func (f *fakeWorker) claim(name string) *wireResponse {
 
 func testJob(m1, m2 manifest.FileMetadata) lsm.CompactionJob {
 	return lsm.CompactionJob{
-		Dir:                "db",
-		Inputs:             []lsm.JobLevel{{Level: 0, Files: []manifest.FileMetadata{m2, m1}}},
-		OutputLevel:        1,
-		Bottommost:         true,
-		SmallestSnapshot:   1 << 60,
-		FirstOutputFileNum: 10,
-		MaxOutputFiles:     30,
-		TargetFileSize:     1 << 20,
+		Dir:              "db",
+		Inputs:           []lsm.JobLevel{{Level: 0, Files: []manifest.FileMetadata{m2, m1}}},
+		OutputLevel:      1,
+		Bottommost:       true,
+		SmallestSnapshot: 1 << 60,
+		TargetFileSize:   1 << 20,
 	}
 }
 
 // TestLeaseExpiryReclaimAndStaleComplete is the tentpole scenario: a worker
-// claims a job and dies (stops heartbeating). Its lease expires, the partial
-// output it left in its fenced number range is swept, the job is reclaimed
-// and finished by a healthy worker in a disjoint range — and when the dead
-// worker turns out to be a zombie and delivers its result anyway, the
-// orchestrator answers Stale and discards it.
+// claims a job, takes an output file number, writes a partial output under
+// it and dies (stops heartbeating). Its lease expires, the partial output is
+// swept, the job is reclaimed and finished by a healthy worker under numbers
+// the dead one was never granted — and when the dead worker turns out to be
+// a zombie, its next number request and its result are answered Stale.
 func TestLeaseExpiryReclaimAndStaleComplete(t *testing.T) {
 	fs := vfs.NewMem()
 	m1 := buildInput(t, fs, 1, 0, 500)
@@ -98,21 +104,21 @@ func TestLeaseExpiryReclaimAndStaleComplete(t *testing.T) {
 		err error
 	}
 	resCh := make(chan result, 1)
+	nums := numbersFrom(10)
 	go func() {
-		res, err := orch.Compact(testJob(m1, m2))
+		res, err := orch.Compact(testJob(m1, m2), nums.newFileNum)
 		resCh <- result{res, err}
 	}()
 
-	// The doomed worker claims attempt 1 and gets its fenced third of the
-	// 30 reserved output numbers.
+	// The doomed worker claims attempt 1 and takes one output number.
 	fake := dialFake(t, orch.Addr())
 	claim := fake.claim("doomed")
-	if claim.Job.FirstOutputFileNum != 10 || claim.Job.MaxOutputFiles != 10 {
-		t.Fatalf("attempt 1 fencing: got [%d,+%d), want [10,+10)",
-			claim.Job.FirstOutputFileNum, claim.Job.MaxOutputFiles)
+	granted := fake.fileNum(claim)
+	if granted.Stale || granted.FileNum != 10 {
+		t.Fatalf("first number on a live lease: %+v, want 10", granted)
 	}
 	// It writes one partial output, then dies (no heartbeats).
-	partial := lsm.TableFileName("db", claim.Job.FirstOutputFileNum)
+	partial := lsm.TableFileName("db", granted.FileNum)
 	if err := vfs.WriteFile(fs, partial, []byte("partial garbage")); err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +135,8 @@ func TestLeaseExpiryReclaimAndStaleComplete(t *testing.T) {
 		t.Fatal("no outputs")
 	}
 	for _, out := range r.res.Outputs {
-		if out.FileNum < 20 || out.FileNum >= 30 {
-			t.Fatalf("attempt 2 output %d outside its fenced range [20,30)", out.FileNum)
+		if out.FileNum == granted.FileNum {
+			t.Fatalf("attempt 2 reused the dead attempt's number %d", out.FileNum)
 		}
 	}
 
@@ -146,7 +152,11 @@ func TestLeaseExpiryReclaimAndStaleComplete(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// The zombie wakes up and delivers: told Stale, result discarded.
+	// The zombie wakes up: its next number request is refused, and its
+	// result is told Stale and discarded.
+	if again := fake.fileNum(claim); !again.Stale || again.FileNum != 0 {
+		t.Fatalf("number request on a revoked lease: %+v, want Stale", again)
+	}
 	done := fake.round(&wireRequest{
 		Op: "complete", Worker: "doomed",
 		JobID: claim.JobID, Lease: claim.Lease,
@@ -200,7 +210,7 @@ func TestHeartbeatKeepsSlowJobAlive(t *testing.T) {
 
 	resCh := make(chan error, 1)
 	go func() {
-		_, err := orch.Compact(testJob(m1, m2))
+		_, err := orch.Compact(testJob(m1, m2), numbersFrom(10).newFileNum)
 		resCh <- err
 	}()
 
@@ -260,7 +270,7 @@ func TestUnclaimedJobFailsWithJobLost(t *testing.T) {
 	}
 	defer orch.Close()
 
-	_, err = orch.Compact(testJob(m1, m2))
+	_, err = orch.Compact(testJob(m1, m2), numbersFrom(10).newFileNum)
 	if !errors.Is(err, lsm.ErrJobLost) {
 		t.Fatalf("unclaimed job returned %v, want ErrJobLost", err)
 	}
@@ -271,7 +281,7 @@ func TestUnclaimedJobFailsWithJobLost(t *testing.T) {
 
 // TestExhaustedAttemptsFailWithJobLost: every attempt claimed by a worker
 // that dies. After MaxAttempts lease expiries the job is terminal with
-// lsm.ErrJobLost and every fenced range was swept.
+// lsm.ErrJobLost and every number granted to an attempt was swept.
 func TestExhaustedAttemptsFailWithJobLost(t *testing.T) {
 	fs := vfs.NewMem()
 	m1 := buildInput(t, fs, 1, 0, 20)
@@ -288,7 +298,7 @@ func TestExhaustedAttemptsFailWithJobLost(t *testing.T) {
 
 	resCh := make(chan error, 1)
 	go func() {
-		_, err := orch.Compact(testJob(m1, m2))
+		_, err := orch.Compact(testJob(m1, m2), numbersFrom(10).newFileNum)
 		resCh <- err
 	}()
 
@@ -296,7 +306,7 @@ func TestExhaustedAttemptsFailWithJobLost(t *testing.T) {
 	var partials []string
 	for attempt := 0; attempt < 2; attempt++ {
 		claim := fake.claim("serial-killer")
-		p := lsm.TableFileName("db", claim.Job.FirstOutputFileNum)
+		p := lsm.TableFileName("db", fake.fileNum(claim).FileNum)
 		if err := vfs.WriteFile(fs, p, []byte("junk")); err != nil {
 			t.Fatal(err)
 		}
@@ -322,5 +332,151 @@ func TestExhaustedAttemptsFailWithJobLost(t *testing.T) {
 	}
 	if st := orch.Stats(); st.Expired != 2 || st.Failed != 1 {
 		t.Fatalf("stats after exhaustion: %+v", st)
+	}
+}
+
+// holdFS records the files a worker creates and holds the holdAt-th
+// creation until release is closed.
+type holdFS struct {
+	vfs.FS
+	holdAt  int
+	held    chan struct{} // closed when the held creation is reached
+	release chan struct{}
+
+	mu      sync.Mutex
+	created []string
+}
+
+func (h *holdFS) Create(name string) (vfs.WritableFile, error) {
+	h.mu.Lock()
+	h.created = append(h.created, name)
+	n := len(h.created)
+	h.mu.Unlock()
+	if n == h.holdAt {
+		close(h.held)
+		<-h.release
+	}
+	return h.FS.Create(name)
+}
+
+// removeLog records the files removed through it: the orchestrator's sweeps.
+type removeLog struct {
+	vfs.FS
+	mu      sync.Mutex
+	removed []string
+}
+
+func (r *removeLog) Remove(name string) error {
+	r.mu.Lock()
+	r.removed = append(r.removed, name)
+	r.mu.Unlock()
+	return r.FS.Remove(name)
+}
+
+func (r *removeLog) names() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.removed)
+}
+
+// waitFor polls cond until it holds or 5 s pass.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestZombieIsRefusedNumbers: a real worker loses its lease mid-job while it
+// is creating its second output. The janitor removes exactly the two numbers
+// granted to it; its next number request is answered Stale, so it creates no
+// further table and aborts its own outputs; and the worker that reclaims the
+// job writes under numbers disjoint from the zombie's.
+func TestZombieIsRefusedNumbers(t *testing.T) {
+	fs := vfs.NewMem()
+	m := buildInput(t, fs, 1, 0, 3800)
+	sweeps := &removeLog{FS: fs}
+	orch, err := NewOrchestrator(sweeps, "127.0.0.1:0", OrchestratorConfig{LeaseTTL: 100 * time.Millisecond, MaxAttempts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer orch.Close()
+
+	zfs := &holdFS{FS: fs, holdAt: 2, held: make(chan struct{}), release: make(chan struct{})}
+	zombie := NewWorker(zfs, lsm.NopWrapper{}, "zombie", orch.Addr(), WorkerConfig{PollEvery: 2 * time.Millisecond})
+	defer zombie.Close()
+
+	job := lsm.CompactionJob{
+		Dir:            "db",
+		Inputs:         []lsm.JobLevel{{Level: 0, Files: []manifest.FileMetadata{m}}},
+		OutputLevel:    1,
+		TargetFileSize: 1 << 10,
+	}
+	nums := numbersFrom(10)
+	type result struct {
+		res lsm.CompactionResult
+		err error
+	}
+	resCh := make(chan result, 1)
+	go func() {
+		res, err := orch.Compact(job, nums.newFileNum)
+		resCh <- result{res, err}
+	}()
+
+	select {
+	case <-zfs.held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the worker never created its second output")
+	}
+	// Holding the zombie's connection stops its heartbeats and its requests
+	// until its lease is revoked.
+	zombie.connMu.Lock()
+	granted := nums.nums()
+	if len(granted) != 2 {
+		t.Fatalf("worker holding its second output was granted %v", granted)
+	}
+	var grantedNames []string
+	for _, n := range granted {
+		grantedNames = append(grantedNames, lsm.TableFileName("db", n))
+	}
+	waitFor(t, "the lease to expire", func() bool { return orch.Stats().Expired == 1 })
+	waitFor(t, "the sweep", func() bool { return len(sweeps.names()) == len(granted) })
+
+	healthy := NewWorker(fs, lsm.NopWrapper{}, "healthy", orch.Addr(), WorkerConfig{PollEvery: 2 * time.Millisecond})
+	defer healthy.Close()
+	waitFor(t, "the reclaim", func() bool { st := orch.Stats(); return st.Leased == 1 || st.Completed == 1 })
+	close(zfs.release)     // the zombie creates the table it was granted...
+	zombie.connMu.Unlock() // ...then asks for its next number and is told Stale
+
+	r := <-resCh
+	if r.err != nil {
+		t.Fatalf("reclaimed job failed: %v", r.err)
+	}
+	if len(r.res.Outputs) < 88 {
+		t.Fatalf("%d outputs, want at least 88", len(r.res.Outputs))
+	}
+	// Every number issued after the revoke went to the reclaiming attempt.
+	if got, after := outputNums(r.res), nums.nums()[len(granted):]; !sameSet(got, after) {
+		t.Fatalf("reclaiming attempt wrote %v, numbers issued after the revoke %v", got, after)
+	}
+	waitFor(t, "the zombie's complete", func() bool { return orch.Stats().StaleCompletes == 1 })
+	zfs.mu.Lock()
+	created := slices.Clone(zfs.created)
+	zfs.mu.Unlock()
+	if !slices.Equal(created, grantedNames) {
+		t.Fatalf("zombie created %v, it was granted %v", created, grantedNames)
+	}
+	if removed := sweeps.names(); !slices.Equal(removed, grantedNames) {
+		t.Fatalf("the orchestrator removed %v, the zombie was granted %v", removed, grantedNames)
+	}
+	for _, name := range grantedNames {
+		if _, err := fs.Stat(name); !errors.Is(err, vfs.ErrNotFound) {
+			t.Fatalf("zombie output %s left behind: %v", name, err)
+		}
+	}
+	if jobs, _, _ := zombie.Stats(); jobs != 0 {
+		t.Fatalf("zombie counted %d jobs", jobs)
 	}
 }

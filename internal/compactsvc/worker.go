@@ -141,13 +141,24 @@ func (w *Worker) run() {
 }
 
 // execute runs one leased job, heartbeating until the result is delivered.
+// Each output's file number comes from the orchestrator; a lease it no
+// longer honors, or a failed round, fails the attempt like any other error.
 func (w *Worker) execute(claim *wireResponse) {
 	hbStop := make(chan struct{})
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
 	go w.heartbeatLoop(claim, hbStop, &hbWG)
 
-	res, err := lsm.RunCompaction(w.fs, w.wrapper, *claim.Job)
+	res, err := lsm.RunCompaction(w.fs, w.wrapper, *claim.Job, func() (uint64, error) {
+		resp, err := w.call(&wireRequest{Op: "file", Worker: w.name, JobID: claim.JobID, Lease: claim.Lease})
+		if err != nil {
+			return 0, err
+		}
+		if resp.Stale {
+			return 0, fmt.Errorf("compactsvc: lease %d on job %d revoked", claim.Lease, claim.JobID)
+		}
+		return resp.FileNum, nil
+	})
 
 	close(hbStop)
 	hbWG.Wait()

@@ -38,7 +38,7 @@ type Options struct {
 	// monolithic experiments with a device latency (e.g. 60µs to emulate
 	// the paper's SAS SSD). With it, decryption hides inside read latency
 	// as in the paper; at the default 0 the substrate is memory-speed and
-	// read overheads are inflated (EXPERIMENTS.md deviation 1).
+	// read overheads are overstated (EXPERIMENTS.md deviation 1).
 	DiskReadLatency time.Duration
 }
 

@@ -90,7 +90,7 @@ func (d *Derived) CreateDEK(serverID string) (KeyID, crypt.DEK, error) {
 	return id, dek, err
 }
 
-// CreateDEKToken implements TokenCreator. Derivation makes this cheap:
+// CreateDEKToken implements Backend. Derivation makes this cheap:
 // the DEK-ID is itself derived from the token, so any replica holding the
 // master resolves a replayed token to the same ID and key without shared
 // state — the dedup survives even a replica restart.

@@ -47,20 +47,18 @@ var (
 
 // Backend is the server-side key-store interface: what a KDS front end
 // (Server, Local) is backed by. *Store implements it in memory;
-// *PersistentStore adds an encrypted on-disk snapshot.
+// *PersistentStore adds an encrypted on-disk snapshot; *Derived derives keys
+// from a master secret.
 type Backend interface {
 	CreateDEK(serverID string) (KeyID, crypt.DEK, error)
+	// CreateDEKToken creates idempotently: a retried create carrying the
+	// same token returns the already-issued key instead of minting (and
+	// leaking) a second one. An empty token is a plain CreateDEK.
+	CreateDEKToken(serverID, token string) (KeyID, crypt.DEK, error)
 	FetchDEK(serverID string, id KeyID) (crypt.DEK, error)
 	RevokeDEK(id KeyID) error
-}
-
-// TokenCreator is implemented by backends that support idempotent DEK
-// creation: a retried create carrying the same token returns the
-// already-issued key instead of minting (and leaking) a second one. All
-// backends in this package implement it; the network server falls back to
-// plain CreateDEK for custom backends that do not.
-type TokenCreator interface {
-	CreateDEKToken(serverID, token string) (KeyID, crypt.DEK, error)
+	// Authorize enrolls serverID.
+	Authorize(serverID string)
 }
 
 // Service is the client-side interface SHIELD programs against. A Service
@@ -205,7 +203,7 @@ func (s *Store) CreateDEK(serverID string) (KeyID, crypt.DEK, error) {
 	return id, dek, nil
 }
 
-// CreateDEKToken implements TokenCreator: a replayed token returns the key
+// CreateDEKToken implements Backend: a replayed token returns the key
 // already issued for it, so a client retrying a create whose response was
 // lost does not double-issue a DEK. The check-then-create sequence is not
 // atomic across concurrent calls with the same token, but tokens are
@@ -300,18 +298,11 @@ type Local struct {
 	serverID string
 }
 
-// Authorizer is implemented by backends with an enrollment list.
-type Authorizer interface {
-	Authorize(serverID string)
-}
-
 // NewLocal returns a Service for serverID backed by store. The server is
 // authorized as a side effect (monolithic deployments control enrollment
 // out of band).
 func NewLocal(store Backend, serverID string) *Local {
-	if a, ok := store.(Authorizer); ok {
-		a.Authorize(serverID)
-	}
+	store.Authorize(serverID)
 	return &Local{store: store, serverID: serverID}
 }
 

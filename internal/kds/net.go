@@ -28,7 +28,7 @@ type wireRequest struct {
 	KeyID    string `json:"key_id,omitempty"`
 
 	// Token makes "create" idempotent: a retried create with the same
-	// token resolves to the key already issued for it (TokenCreator).
+	// token resolves to the key already issued for it (Backend.CreateDEKToken).
 	Token string `json:"token,omitempty"`
 }
 
@@ -89,8 +89,8 @@ func (s *Server) handle(req wireRequest) wireResponse {
 			dek crypt.DEK
 			err error
 		)
-		if tc, ok := s.store.(TokenCreator); ok && req.Token != "" {
-			id, dek, err = tc.CreateDEKToken(req.ServerID, req.Token)
+		if req.Token != "" {
+			id, dek, err = s.store.CreateDEKToken(req.ServerID, req.Token)
 		} else {
 			id, dek, err = s.store.CreateDEK(req.ServerID)
 		}

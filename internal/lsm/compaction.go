@@ -32,11 +32,6 @@ type CompactionJob struct {
 	// shadowed at or below it are dropped.
 	SmallestSnapshot uint64 `json:"smallest_snapshot"`
 
-	// FirstOutputFileNum is the first of MaxOutputFiles reserved file
-	// numbers for outputs.
-	FirstOutputFileNum uint64 `json:"first_output_file_num"`
-	MaxOutputFiles     uint64 `json:"max_output_files"`
-
 	// TargetFileSize caps each output file.
 	TargetFileSize uint64 `json:"target_file_size"`
 
@@ -46,14 +41,10 @@ type CompactionJob struct {
 	MaxSubcompactions int `json:"max_subcompactions,omitempty"`
 
 	// WriterOptions is the outputs' table format, the engine's own carried
-	// verbatim (its fields encode inline: block_size, bloom_bits_per_key,
-	// compression), so an offloaded worker writes the table the engine would.
+	// verbatim (its field encodes inline: block_size), so an offloaded
+	// worker writes the table the engine would.
 	sstable.WriterOptions
 }
-
-// MaxJobOutputFiles is how many output file numbers the engine reserves for
-// one compaction job (CompactionJob.MaxOutputFiles).
-const MaxJobOutputFiles = 256
 
 // JobLevel is one level's input file set.
 type JobLevel struct {
@@ -73,9 +64,11 @@ type CompactionResult struct {
 }
 
 // Compactor executes compaction jobs. The local implementation runs
-// in-process; internal/compactsvc ships jobs to a remote worker.
+// in-process; internal/compactsvc ships jobs to a remote worker. newFileNum
+// is the engine's file-number allocator: each output takes its number from
+// it when the output is created, from concurrent shards too.
 type Compactor interface {
-	Compact(job CompactionJob) (CompactionResult, error)
+	Compact(job CompactionJob, newFileNum func() (uint64, error)) (CompactionResult, error)
 }
 
 // LocalCompactor runs compactions in-process against fs.
@@ -85,22 +78,23 @@ type LocalCompactor struct {
 }
 
 // Compact implements Compactor.
-func (c *LocalCompactor) Compact(job CompactionJob) (CompactionResult, error) {
-	return RunCompaction(c.FS, c.Wrapper, job)
+func (c *LocalCompactor) Compact(job CompactionJob, newFileNum func() (uint64, error)) (CompactionResult, error) {
+	return RunCompaction(c.FS, c.Wrapper, job, newFileNum)
 }
 
 // RunCompaction merges the job's inputs into output tables on fs. It is the
 // single compaction implementation shared by the in-process path and the
 // offloaded-compaction worker. When the job allows subcompactions the merge
 // is sharded by key range across goroutines (subcompaction.go); otherwise
-// it runs as one serial shard.
+// it runs as one serial shard. Every output takes its file number from
+// newFileNum when it is created; shards call it concurrently.
 //
 // Failure is abort-and-retain-inputs: no manifest state changes until the
 // caller installs the returned edit, so on any error (ENOSPC on an output
 // being the expected one) every output file created so far is closed and
 // removed — releasing its quota and its DEK registration — and the inputs
 // remain the authoritative data. The caller can simply retry later.
-func RunCompaction(fs vfs.FS, wrapper FileWrapper, job CompactionJob) (CompactionResult, error) {
+func RunCompaction(fs vfs.FS, wrapper FileWrapper, job CompactionJob, newFileNum func() (uint64, error)) (CompactionResult, error) {
 	if wrapper == nil {
 		wrapper = NopWrapper{}
 	}
@@ -111,7 +105,7 @@ func RunCompaction(fs vfs.FS, wrapper FileWrapper, job CompactionJob) (Compactio
 			res.BytesRead += int64(f.Size)
 		}
 	}
-	outs, err := runShardedCompaction(fs, wrapper, job, bounds)
+	outs, err := runShardedCompaction(fs, wrapper, job, bounds, newFileNum)
 	// The output files' directory entries must be durable before the caller
 	// logs the manifest edit referencing them.
 	if err == nil && len(outs) > 0 {
@@ -249,28 +243,24 @@ func (d *DB) runCompactionPlan(plan *compactionPlan) error {
 
 	if !plan.dropOnly {
 		d.mu.Lock()
-		firstNum := d.nextFileNum
-		d.nextFileNum += MaxJobOutputFiles
 		smallestSnap := d.smallestSnapshotLocked()
 		d.mu.Unlock()
 
 		job := CompactionJob{
-			Dir:                d.dir,
-			Inputs:             plan.inputs,
-			OutputLevel:        plan.outputLevel,
-			Bottommost:         plan.bottommost,
-			SmallestSnapshot:   uint64(smallestSnap),
-			FirstOutputFileNum: firstNum,
-			MaxOutputFiles:     MaxJobOutputFiles,
-			TargetFileSize:     plan.targetFileSize,
-			MaxSubcompactions:  plan.maxSubcompactions,
-			WriterOptions:      d.opts.tableOptions(),
+			Dir:               d.dir,
+			Inputs:            plan.inputs,
+			OutputLevel:       plan.outputLevel,
+			Bottommost:        plan.bottommost,
+			SmallestSnapshot:  uint64(smallestSnap),
+			TargetFileSize:    plan.targetFileSize,
+			MaxSubcompactions: plan.maxSubcompactions,
+			WriterOptions:     d.opts.tableOptions(),
 		}
 		compactor := d.opts.Compactor
 		if compactor == nil {
 			compactor = &LocalCompactor{FS: d.fs, Wrapper: d.wrapper}
 		}
-		res, err := compactor.Compact(job)
+		res, err := compactor.Compact(job, d.newFileNum)
 		if err != nil {
 			if errors.Is(err, vfs.ErrNoSpace) || errors.Is(err, ErrJobLost) {
 				// RunCompaction (local or remote) aborted and cleaned up its

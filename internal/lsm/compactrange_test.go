@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -262,5 +263,84 @@ func TestCompactRangeWaitKeepsDegraded(t *testing.T) {
 	err = <-done
 	if !errors.Is(err, ErrDegraded) || !errors.Is(err, cause) {
 		t.Fatalf("CompactRange = %v, want ErrDegraded wrapping the cause", err)
+	}
+}
+
+// largestJob wraps a Compactor and keeps the result of the job with the most
+// outputs.
+type largestJob struct {
+	inner Compactor
+	mu    sync.Mutex
+	res   CompactionResult
+}
+
+func (c *largestJob) Compact(job CompactionJob, newFileNum func() (uint64, error)) (CompactionResult, error) {
+	res, err := c.inner.Compact(job, newFileNum)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err == nil && len(res.Outputs) > len(c.res.Outputs) {
+		c.res = res
+	}
+	return res, err
+}
+
+// TestCompactRangeOver256Outputs: CompactRange settles a tree whose one
+// whole-tree job cuts more outputs than the 256 file numbers an earlier build
+// reserved per job, serially and in four shards. The job succeeds, the DB
+// stays writable and every key reads back. It logs what one output costs in
+// the JSON result an offloaded worker sends (compactsvc's maxMessage).
+func TestCompactRangeOver256Outputs(t *testing.T) {
+	const keys = 80_000
+	val := func(i int) []byte { return []byte(fmt.Sprintf("%0100d", i)) }
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("subcompactions=%d", shards), func(t *testing.T) {
+			fs := vfs.NewMem()
+			largest := &largestJob{inner: &LocalCompactor{FS: fs}}
+			db, err := Open("db", Options{
+				FS:                fs,
+				MemtableSize:      32 << 10,
+				TargetFileSize:    32 << 10,
+				BaseLevelSize:     256 << 10,
+				MaxSubcompactions: shards,
+				Compactor:         largest,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			for _, i := range rand.New(rand.NewSource(1)).Perm(keys) {
+				if err := db.Put([]byte(fmt.Sprintf("key-%08d", i)), val(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.CompactRange(); err != nil {
+				t.Fatalf("CompactRange: %v", err)
+			}
+			res := largest.res
+			if len(res.Outputs) <= 256 {
+				t.Fatalf("largest job cut %d outputs, want more than 256", len(res.Outputs))
+			}
+			seen := map[uint64]bool{}
+			for _, out := range res.Outputs {
+				if seen[out.FileNum] {
+					t.Fatalf("file number %d used twice", out.FileNum)
+				}
+				seen[out.FileNum] = true
+			}
+			enc, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d outputs, %d JSON bytes of result, %d per output", len(res.Outputs), len(enc), len(enc)/len(res.Outputs))
+
+			if err := db.Put([]byte("key-after"), val(0)); err != nil {
+				t.Fatalf("Put after CompactRange: %v", err)
+			}
+			for i := 0; i < keys; i++ {
+				if got, err := db.Get([]byte(fmt.Sprintf("key-%08d", i))); err != nil || !bytes.Equal(got, val(i)) {
+					t.Fatalf("Get(key-%08d) = %q, %v", i, got, err)
+				}
+			}
+		})
 	}
 }

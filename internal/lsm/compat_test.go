@@ -7,6 +7,7 @@ import (
 	"path"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"shield/internal/lsm/sstable"
@@ -125,20 +126,26 @@ func TestParentStoreWithPrefixFiltersOpens(t *testing.T) {
 
 // parentCompactionJob is CompactionJob as the parent build declared it.
 type parentCompactionJob struct {
-	Dir                string              `json:"dir"`
-	Inputs             []JobLevel          `json:"inputs"`
-	OutputLevel        int                 `json:"output_level"`
-	Bottommost         bool                `json:"bottommost"`
-	SmallestSnapshot   uint64              `json:"smallest_snapshot"`
-	FirstOutputFileNum uint64              `json:"first_output_file_num"`
-	MaxOutputFiles     uint64              `json:"max_output_files"`
-	TargetFileSize     uint64              `json:"target_file_size"`
-	MaxSubcompactions  int                 `json:"max_subcompactions,omitempty"`
-	Boundaries         [][]byte            `json:"boundaries,omitempty"`
-	BlockSize          int                 `json:"block_size"`
-	BloomBitsPerKey    int                 `json:"bloom_bits_per_key"`
-	Compression        sstable.Compression `json:"compression"`
+	Dir                string     `json:"dir"`
+	Inputs             []JobLevel `json:"inputs"`
+	OutputLevel        int        `json:"output_level"`
+	Bottommost         bool       `json:"bottommost"`
+	SmallestSnapshot   uint64     `json:"smallest_snapshot"`
+	FirstOutputFileNum uint64     `json:"first_output_file_num"`
+	MaxOutputFiles     uint64     `json:"max_output_files"`
+	TargetFileSize     uint64     `json:"target_file_size"`
+	MaxSubcompactions  int        `json:"max_subcompactions,omitempty"`
+	Boundaries         [][]byte   `json:"boundaries,omitempty"`
+	BlockSize          int        `json:"block_size"`
+	BloomBitsPerKey    int        `json:"bloom_bits_per_key"`
+	Compression        uint8      `json:"compression"`
 }
+
+// droppedJobFields are the parent's job fields this build no longer has: the
+// pinned shard boundaries, the output-file-number reservation (outputs take
+// their numbers from the engine's allocator), the filter width (a constant
+// now) and the block codec (deleted).
+var droppedJobFields = []string{"boundaries", "first_output_file_num", "max_output_files", "bloom_bits_per_key", "compression"}
 
 func readGolden(t *testing.T, name string) []byte {
 	t.Helper()
@@ -159,23 +166,31 @@ func decodeStrict(t *testing.T, data []byte, into any) {
 }
 
 // TestParentCompactionJobGolden: the job wire format is unchanged for every
-// field both builds have. A job the parent encoded decodes here (the pinned
-// boundaries it may carry are dropped), this build's encoding of it decodes
-// with the parent's struct and is the parent's own encoding byte for byte,
-// and running it here gives the result the parent got.
+// field both builds have. A job the parent encoded decodes here (the fields
+// this build dropped are ignored), this build's encoding of it decodes with
+// the parent's struct and is the parent's own encoding of every kept field
+// byte for byte, and running it here gives the result the parent got, but
+// for the file numbers: those are the allocator's, distinct and issued by it.
 func TestParentCompactionJobGolden(t *testing.T) {
 	golden := readGolden(t, "compaction_job.golden.json")
 	var parent parentCompactionJob
 	decodeStrict(t, golden, &parent)
-	if len(parent.Boundaries) == 0 {
-		t.Fatal("golden job pins no boundaries; it no longer covers a dropped field")
+	var parentFields map[string]json.RawMessage
+	if err := json.Unmarshal(golden, &parentFields); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range droppedJobFields {
+		if _, ok := parentFields[f]; !ok {
+			t.Fatalf("golden job has no %q; it no longer covers that dropped field", f)
+		}
+		delete(parentFields, f)
 	}
 
 	var job CompactionJob
 	if err := json.Unmarshal(golden, &job); err != nil {
 		t.Fatal(err)
 	}
-	if want := (sstable.WriterOptions{BlockSize: 1024, BloomBitsPerKey: 10}); job.WriterOptions != want {
+	if want := (sstable.WriterOptions{BlockSize: 1024}); job.WriterOptions != want {
 		t.Fatalf("decoded table options %+v, want %+v", job.WriterOptions, want)
 	}
 	if job.Dir != "db" || job.OutputLevel != 1 || !job.Bottommost || job.MaxSubcompactions != 2 ||
@@ -190,27 +205,54 @@ func TestParentCompactionJobGolden(t *testing.T) {
 	var back parentCompactionJob
 	decodeStrict(t, encoded, &back)
 	parent.Boundaries = nil
+	parent.FirstOutputFileNum, parent.MaxOutputFiles = 0, 0
+	parent.BloomBitsPerKey, parent.Compression = 0, 0
 	if !reflect.DeepEqual(back, parent) {
 		t.Fatalf("this build's encoding reads back at the parent as\n%+v\nwant\n%+v", back, parent)
 	}
-	if parentEncoded, _ := json.MarshalIndent(parent, "", "  "); !bytes.Equal(encoded, parentEncoded) {
-		t.Fatalf("encodings differ:\nhere:\n%s\nparent:\n%s", encoded, parentEncoded)
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(encoded, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fields, parentFields) {
+		t.Fatalf("encodings of the kept fields differ:\nhere:\n%s\nparent:\n%s", encoded, golden)
 	}
 
 	goldenResult := readGolden(t, "compaction_result.golden.json")
 	var wantRes CompactionResult
 	decodeStrict(t, goldenResult, &wantRes)
 	fs := loadFixture(t, "testdata/parent_store", "db")
-	res, err := RunCompaction(fs, nil, job)
+	var (
+		mu     sync.Mutex
+		issued = map[uint64]bool{}
+	)
+	res, err := RunCompaction(fs, nil, job, func() (uint64, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		n := 7000 + uint64(len(issued))
+		issued[n] = true
+		return n, nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got, _ := json.MarshalIndent(res, "", "  "); !bytes.Equal(append(got, '\n'), goldenResult) {
-		t.Fatalf("result differs from the parent's:\nhere:\n%s\nparent:\n%s", got, goldenResult)
 	}
 	// Everything the store holds, and nothing it deleted, is in the outputs.
 	keys, _ := readJobOutputs(t, fs, NopWrapper{}, job.Dir, res.Outputs)
 	if want := parentStoreModel(); len(keys) != len(want) {
 		t.Fatalf("outputs hold %d records, the store %d live keys", len(keys), len(want))
+	}
+	if len(res.Outputs) != len(wantRes.Outputs) {
+		t.Fatalf("%d outputs, the parent's %d", len(res.Outputs), len(wantRes.Outputs))
+	}
+	for i := range res.Outputs {
+		n := res.Outputs[i].FileNum
+		if !issued[n] {
+			t.Fatalf("output %d has file number %d, which the allocator did not issue", i, n)
+		}
+		delete(issued, n) // a second output with n fails the check above
+		res.Outputs[i].FileNum = wantRes.Outputs[i].FileNum
+	}
+	if got, _ := json.MarshalIndent(res, "", "  "); !bytes.Equal(append(got, '\n'), goldenResult) {
+		t.Fatalf("result differs from the parent's but for file numbers:\nhere:\n%s\nparent:\n%s", got, goldenResult)
 	}
 }

@@ -26,13 +26,13 @@ type peakCompactor struct {
 	subPeak atomic.Int64
 }
 
-func (c *peakCompactor) Compact(job CompactionJob) (CompactionResult, error) {
+func (c *peakCompactor) Compact(job CompactionJob, newFileNum func() (uint64, error)) (CompactionResult, error) {
 	c.mu.Lock()
 	c.running++
 	c.peak = max(c.peak, c.running)
 	c.mu.Unlock()
 
-	res, err := c.inner.Compact(job)
+	res, err := c.inner.Compact(job, newFileNum)
 
 	c.mu.Lock()
 	c.running--

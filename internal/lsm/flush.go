@@ -100,7 +100,13 @@ func (d *DB) flushWorker() {
 			d.flushing = false
 			waiters := d.flushWaiters
 			d.flushWaiters = nil
-			err := d.bgErr
+			// A waiter gets what every write-path call returns once the DB
+			// is poisoned: the cause wrapped in ErrDegraded, also when a
+			// compaction, not this flush, poisoned it.
+			var err error
+			if d.bgErr != nil {
+				err = errDegraded(d.bgErr)
+			}
 			d.maybeScheduleCompactionLocked()
 			d.bgCond.Broadcast()
 			d.mu.Unlock()

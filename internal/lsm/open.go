@@ -320,6 +320,15 @@ func (d *DB) allocFileNum() uint64 {
 	return n
 }
 
+// newFileNum is the allocator compaction outputs take their numbers from
+// as they are created, the way a flush takes its own: allocFileNum under
+// d.mu, so concurrent shards never share a number.
+func (d *DB) newFileNum() (uint64, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.allocFileNum(), nil
+}
+
 // createManifestFile creates the MANIFEST numbered d.manifestNum and points
 // d.manifestW at it. It does NOT touch CURRENT — callers must write (and
 // sync) at least one edit, then installCurrent, in that order: repointing

@@ -149,15 +149,10 @@ type Options struct {
 	// many bytes. Default 4 MiB.
 	MemtableSize int64
 
-	// BlockSize is the SST data-block size. Default 4096. With Compression it
-	// is the part of the table format (sstable.WriterOptions) a caller sets;
-	// see tableOptions.
+	// BlockSize is the SST data-block size. Default 4096. It is the part of
+	// the table format (sstable.WriterOptions) a caller sets; see
+	// tableOptions.
 	BlockSize int
-
-	// Compression compresses SST data blocks before they are encrypted
-	// (ciphertext does not compress, so the pipeline order matters).
-	// Default off, matching the paper's evaluation configuration.
-	Compression sstable.Compression
 
 	// BlockCacheSize bounds the decrypted-block cache. Default 8 MiB;
 	// 0 keeps the default, negative disables the cache.
@@ -247,9 +242,8 @@ const l0StopWritesTrigger = 20
 // tableOptions is the table format this DB writes, in the form that travels:
 // a flush hands it to the table writer, a compaction puts it in its
 // CompactionJob and the executor, local or remote, hands that to the writer.
-// What is left zero (the bloom filter's bits per key) is the writer's default.
 func (o Options) tableOptions() sstable.WriterOptions {
-	return sstable.WriterOptions{BlockSize: o.BlockSize, Compression: o.Compression}
+	return sstable.WriterOptions{BlockSize: o.BlockSize}
 }
 
 func (o Options) withDefaults() Options {

@@ -215,15 +215,13 @@ func TestSSTOutputFailurePoints(t *testing.T) {
 			fault := vfs.NewFault(vfs.NewMem(), 1)
 			w := newTrackingWrapper()
 			job := shardTestJob(t, fault, w)
-			job.FirstOutputFileNum = 300
-			job.MaxOutputFiles = 64
 			job.MaxSubcompactions = 3
 			filesBefore, dekBefore := sstNames(t, fault, job.Dir), w.registered()
 			inKeys, _ := readJobOutputs(t, fault, w, job.Dir, append(job.Inputs[0].Files, job.Inputs[1].Files...))
 			goroutines := runtime.NumGoroutine()
 
 			rule := p.inject(fault, w, p.compactSkip)
-			res, err := RunCompaction(fault, w, job)
+			res, err := RunCompaction(fault, w, job, numbersFrom(300))
 			if !errors.Is(err, p.want) {
 				t.Fatalf("RunCompaction = %v, want %v", err, p.want)
 			}
@@ -244,7 +242,7 @@ func TestSSTOutputFailurePoints(t *testing.T) {
 			// The inputs are retained and whole: the same job now succeeds.
 			fault.ClearRules()
 			w.failAfter(-1)
-			res, err = RunCompaction(fault, w, job)
+			res, err = RunCompaction(fault, w, job, numbersFrom(300))
 			if err != nil {
 				t.Fatalf("retry after the fault cleared: %v", err)
 			}

@@ -22,14 +22,14 @@ func (bytesFile) Close() error           { return nil }
 
 // smallTable returns the bytes of a valid table of a few entries in several
 // blocks: a fuzz seed small enough to mutate byte by byte.
-func smallTable(tb testing.TB, c Compression) []byte {
+func smallTable(tb testing.TB) []byte {
 	tb.Helper()
 	fs := vfs.NewMem()
 	f, err := fs.Create("t.sst")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w := NewWriter(f, WriterOptions{BlockSize: 128, Compression: c})
+	w := NewWriter(f, WriterOptions{BlockSize: 128})
 	for i := 0; i < 12; i++ {
 		kind := base.KindSet
 		if i%5 == 4 {
@@ -109,8 +109,7 @@ func resealed(in []byte) []byte {
 // as given and resealed, so block contents the checksum would reject are
 // decoded too.
 func FuzzTableOpen(f *testing.F) {
-	f.Add(smallTable(f, NoCompression))
-	f.Add(smallTable(f, FlateCompression))
+	f.Add(smallTable(f))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, table := range [][]byte{in, resealed(in)} {
 			var before, after runtime.MemStats

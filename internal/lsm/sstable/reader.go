@@ -2,13 +2,11 @@ package sstable
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 
 	"shield/internal/cache"
 	"shield/internal/lsm/base"
@@ -172,9 +170,8 @@ func (r *Reader) readRaw(h blockHandle) ([]byte, error) {
 
 // decodeBlock takes the stored bytes of the block at off (payload, type byte,
 // CRC-32C), verifies the checksum (catching media corruption and — since the
-// checksum lives inside the encrypted body — ciphertext tampering), and
-// decompresses the payload if needed. A raw block is returned as a subslice
-// of buf.
+// checksum lives inside the encrypted body — ciphertext tampering) and the
+// type byte, and returns the payload as a subslice of buf.
 func decodeBlock(buf []byte, off uint64) ([]byte, error) {
 	if len(buf) < 1+blockTrailerLen {
 		return nil, fmt.Errorf("%w: block handle too short (%d bytes)", ErrCorruption, len(buf))
@@ -185,35 +182,10 @@ func decodeBlock(buf []byte, off uint64) ([]byte, error) {
 		return nil, fmt.Errorf("%w: block at %d fails checksum (media corruption or tampering)", ErrCorruption, off)
 	}
 	data := checked[:len(checked)-1]
-	switch checked[len(checked)-1] {
-	case rawBlock:
-		return data, nil
-	case flateBlock:
-		out, err := inflate(data)
-		if err != nil {
-			return nil, fmt.Errorf("%w: decompressing block at %d: %v", ErrCorruption, off, err)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown block type %d at %d", ErrCorruption, checked[len(checked)-1], off)
+	if t := checked[len(checked)-1]; t != rawBlock {
+		return nil, fmt.Errorf("%w: unknown block type %d at %d", ErrCorruption, t, off)
 	}
-}
-
-// flateReaders recycles DEFLATE decompressors: a fresh one allocates tens of
-// KiB of window and tables, more than the block it would decode.
-var flateReaders sync.Pool
-
-// inflate decompresses one DEFLATE block.
-func inflate(data []byte) ([]byte, error) {
-	src := bytes.NewReader(data)
-	fr, _ := flateReaders.Get().(io.ReadCloser)
-	if fr == nil {
-		fr = flate.NewReader(src)
-	} else if err := fr.(flate.Resetter).Reset(src, nil); err != nil {
-		return nil, err
-	}
-	defer flateReaders.Put(fr)
-	return io.ReadAll(fr)
+	return data, nil
 }
 
 // readBlock fetches a data block, consulting the block cache first.

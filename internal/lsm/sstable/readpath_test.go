@@ -33,16 +33,16 @@ func TestTableOpenAndGetInnerReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	const keys = 20000 // ~100 B entries: ~2 MiB of data blocks
-	for name, wopts := range map[string]WriterOptions{
-		"bloom":     {},
-		"no filter": {BloomBitsPerKey: -1},
-	} {
+	for name, filter := range map[string]bool{"bloom": true, "no filter": false} {
 		cfs := vfs.NewCounting(vfs.NewMem())
 		raw, err := cfs.Create("t.sst")
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := NewWriter(crypt.NewSealedWriter(raw, sealer, 0, 0), wopts)
+		w := NewWriter(crypt.NewSealedWriter(raw, sealer, 0, 0), WriterOptions{})
+		if !filter {
+			withoutFilter(w)
+		}
 		for i := 0; i < keys; i++ {
 			ikey := base.MakeInternalKey([]byte(fmt.Sprintf("key-%08d", i)), 1, base.KindSet)
 			if err := w.Add(ikey, []byte(fmt.Sprintf("%080d", i))); err != nil {

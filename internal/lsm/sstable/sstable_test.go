@@ -21,12 +21,24 @@ type kv struct {
 // buildTable writes entries (must be pre-sorted) and opens a reader.
 func buildTable(t *testing.T, entries []kv, opts WriterOptions, ropts ReaderOptions) *Reader {
 	t.Helper()
+	return buildTableWith(t, entries, func(f vfs.WritableFile) *Writer { return NewWriter(f, opts) }, ropts)
+}
+
+// withoutFilter is how a test builds a table with no filter block: no
+// writer option makes one, but the reader accepts it.
+func withoutFilter(w *Writer) *Writer {
+	w.filter = nil
+	return w
+}
+
+func buildTableWith(t *testing.T, entries []kv, newWriter func(vfs.WritableFile) *Writer, ropts ReaderOptions) *Reader {
+	t.Helper()
 	fs := vfs.NewMem()
 	f, err := fs.Create("t.sst")
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWriter(f, opts)
+	w := newWriter(f)
 	for _, e := range entries {
 		if err := w.Add(e.key, e.value); err != nil {
 			t.Fatal(err)
@@ -156,7 +168,7 @@ func TestIteratorFullScanAndSeek(t *testing.T) {
 func TestBloomFilterSkipsMissing(t *testing.T) {
 	entries := makeEntries(10_000, 1)
 	c := cache.New(1 << 20)
-	r := buildTable(t, entries, WriterOptions{BloomBitsPerKey: 10}, ReaderOptions{Cache: c, FileNum: 1})
+	r := buildTable(t, entries, WriterOptions{}, ReaderOptions{Cache: c, FileNum: 1})
 
 	// Misses should mostly be answered by the filter without block reads.
 	for i := 0; i < 2000; i++ {
@@ -175,7 +187,9 @@ func TestBloomFilterSkipsMissing(t *testing.T) {
 
 func TestBloomDisabled(t *testing.T) {
 	entries := makeEntries(100, 1)
-	r := buildTable(t, entries, WriterOptions{BloomBitsPerKey: -1}, ReaderOptions{})
+	r := buildTableWith(t, entries, func(f vfs.WritableFile) *Writer {
+		return withoutFilter(NewWriter(f, WriterOptions{}))
+	}, ReaderOptions{})
 	if _, _, err := r.Get([]byte("key-000050"), 100); err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,6 @@
 package sstable
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -28,25 +26,14 @@ const (
 	footerLen       = 16*3 + 8
 	blockTrailerLen = 4                  // CRC-32C of payload + type byte
 	tableMagic      = 0x5353544253484c44 // "SSTBSHLD"
-	defaultBits     = 10
+	defaultBits     = 10                 // bloom filter bits per user key
 
-	// Block type bytes, stored between payload and checksum.
-	rawBlock   = 0
-	flateBlock = 1
+	// rawBlock is the one block type byte, stored between payload and
+	// checksum.
+	rawBlock = 0
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Compression selects the data-block compression codec. Compression runs
-// before encryption on the write path (ciphertext does not compress), the
-// same pipeline order production LSM stores use.
-type Compression uint8
-
-// Compression codecs.
-const (
-	NoCompression Compression = iota
-	FlateCompression
-)
 
 // WriterOptions is the table format's description: everything that decides
 // the bytes of an SST besides its entries. The engine carries it verbatim
@@ -54,24 +41,13 @@ const (
 // format) and on to NewWriter, so a flush, a local compaction and an
 // offloaded worker cannot build different tables from the same settings.
 type WriterOptions struct {
-	// BlockSize is the uncompressed data-block flush threshold (default 4096).
+	// BlockSize is the data-block flush threshold (default 4096).
 	BlockSize int `json:"block_size"`
-
-	// BloomBitsPerKey sizes the filter (default 10); 0 keeps the default,
-	// negative disables the filter.
-	BloomBitsPerKey int `json:"bloom_bits_per_key"`
-
-	// Compression compresses data blocks (metadata blocks stay raw). A
-	// compressed block that does not shrink is stored raw.
-	Compression Compression `json:"compression"`
 }
 
 func (o WriterOptions) withDefaults() WriterOptions {
 	if o.BlockSize <= 0 {
 		o.BlockSize = 4096
-	}
-	if o.BloomBitsPerKey == 0 {
-		o.BloomBitsPerKey = defaultBits
 	}
 	return o
 }
@@ -103,14 +79,9 @@ type Writer struct {
 	closed   bool
 }
 
-// NewWriter begins a table on f.
+// NewWriter begins a table on f, with a bloom filter of defaultBits per key.
 func NewWriter(f vfs.WritableFile, opts WriterOptions) *Writer {
-	opts = opts.withDefaults()
-	w := &Writer{f: f, opts: opts}
-	if opts.BloomBitsPerKey > 0 {
-		w.filter = newBloomFilter(opts.BloomBitsPerKey)
-	}
-	return w
+	return &Writer{f: f, opts: opts.withDefaults(), filter: newBloomFilter(defaultBits)}
 }
 
 // Add appends one internal-key/value entry.
@@ -147,15 +118,7 @@ func (w *Writer) flushBlock() error {
 	if w.block.empty() {
 		return nil
 	}
-	data := w.block.finish()
-	blockType := byte(rawBlock)
-	if w.opts.Compression == FlateCompression {
-		if compressed, ok := flateCompress(data); ok {
-			data = compressed
-			blockType = flateBlock
-		}
-	}
-	handle, err := w.writeBlock(data, blockType)
+	handle, err := w.writeRaw(w.block.finish())
 	if err != nil {
 		return err
 	}
@@ -165,40 +128,15 @@ func (w *Writer) flushBlock() error {
 	return nil
 }
 
-// flateCompress returns the DEFLATE encoding of data when it actually
-// shrinks the block.
-func flateCompress(data []byte) ([]byte, bool) {
-	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, false
-	}
-	if _, err := fw.Write(data); err != nil {
-		return nil, false
-	}
-	if err := fw.Close(); err != nil {
-		return nil, false
-	}
-	if buf.Len() >= len(data) {
-		return nil, false
-	}
-	return buf.Bytes(), true
-}
-
-// writeRaw stores an uncompressed block.
-func (w *Writer) writeRaw(data []byte) (blockHandle, error) {
-	return w.writeBlock(data, rawBlock)
-}
-
-// writeBlock stores one block as payload, a type byte, and a CRC-32C over
-// both. The checksum gives end-to-end integrity — it is the "optional
+// writeRaw stores one block as payload, the rawBlock type byte, and a
+// CRC-32C over both. The checksum gives end-to-end integrity — it is the "optional
 // integrity check" layer of the encryption pipeline: CTR mode is malleable,
 // and the checksum (computed over the stored bytes, itself inside the
 // encrypted body) detects both media corruption and ciphertext tampering.
-func (w *Writer) writeBlock(data []byte, blockType byte) (blockHandle, error) {
+func (w *Writer) writeRaw(data []byte) (blockHandle, error) {
 	h := blockHandle{offset: w.offset, length: uint64(len(data)) + 1 + blockTrailerLen}
 	var tail [1 + blockTrailerLen]byte
-	tail[0] = blockType
+	tail[0] = rawBlock
 	crc := crc32.Checksum(data, castagnoli)
 	crc = crc32.Update(crc, castagnoli, tail[:1])
 	binary.LittleEndian.PutUint32(tail[1:], crc)

@@ -11,9 +11,10 @@ package lsm
 // Correctness relies on boundaries being user keys: all versions of a key
 // land in exactly one shard, so the per-shard drop logic (shadowed
 // versions, bottommost tombstone elision) sees the same record sequence
-// the serial merge would. Shard i owns a disjoint slice of the job's
-// reserved output-file-number space; with the same boundaries the
-// concatenated shard outputs are byte-identical to the serial path's.
+// the serial merge would. Every shard takes its output file numbers from
+// the job's one allocator as it creates them, so numbers may interleave
+// across shards; with the same boundaries the concatenated shard outputs
+// are byte-identical to the serial path's.
 
 import (
 	"bytes"
@@ -82,16 +83,13 @@ func subcompactionBoundaries(job CompactionJob) [][]byte {
 // define (none = one serial shard) and returns every finished output in key
 // order. On any shard error every output of every shard is aborted — the
 // job-level abort-and-retain contract is unchanged from the serial path.
-func runShardedCompaction(fs vfs.FS, wrapper FileWrapper, job CompactionJob, bounds [][]byte) ([]*sstOutput, error) {
+func runShardedCompaction(fs vfs.FS, wrapper FileWrapper, job CompactionJob, bounds [][]byte,
+	newFileNum func() (uint64, error)) ([]*sstOutput, error) {
 	n := len(bounds) + 1
 	if n == 1 {
-		return runCompactionShard(fs, wrapper, job, nil, nil, job.FirstOutputFileNum, job.MaxOutputFiles, nil)
+		return runCompactionShard(fs, wrapper, job, nil, nil, newFileNum, nil)
 	}
 
-	per := job.MaxOutputFiles / uint64(n)
-	if per == 0 {
-		return nil, fmt.Errorf("lsm: %d subcompactions over %d reserved file numbers", n, job.MaxOutputFiles)
-	}
 	metrics.Jobs.SubcompactionsStarted.Add(int64(n))
 	var (
 		wg      sync.WaitGroup
@@ -110,8 +108,7 @@ func runShardedCompaction(fs vfs.FS, wrapper FileWrapper, job CompactionJob, bou
 		wg.Add(1)
 		go func(i int, start, end []byte) {
 			defer wg.Done()
-			results[i], errs[i] = runCompactionShard(fs, wrapper, job,
-				start, end, job.FirstOutputFileNum+uint64(i)*per, per, &abort)
+			results[i], errs[i] = runCompactionShard(fs, wrapper, job, start, end, newFileNum, &abort)
 			if errs[i] != nil {
 				abort.Store(true)
 			}
@@ -169,15 +166,15 @@ func shardOverlapsFile(start, end []byte, f manifest.FileMetadata) bool {
 }
 
 // runCompactionShard merges the job's inputs restricted to user keys in
-// [start, end) (nil bounds are open), writing outputs numbered from
-// firstNum within a budget of maxFiles. A non-nil abort flag is polled so
-// a failing sibling shard cancels this one early.
+// [start, end) (nil bounds are open), numbering each output with
+// newFileNum as it is created. A non-nil abort flag is polled so a failing
+// sibling shard cancels this one early.
 //
 // Failure is abort-and-retain: every output this shard created is aborted —
 // releasing its quota and DEK registration — and the inputs remain
 // authoritative.
 func runCompactionShard(fs vfs.FS, wrapper FileWrapper, job CompactionJob,
-	start, end []byte, firstNum, maxFiles uint64, abort *atomic.Bool) (_ []*sstOutput, retErr error) {
+	start, end []byte, newFileNum func() (uint64, error), abort *atomic.Bool) (_ []*sstOutput, retErr error) {
 
 	// Open the inputs that can intersect this shard and build the merge.
 	var iters []internalIterator
@@ -217,8 +214,6 @@ func runCompactionShard(fs vfs.FS, wrapper FileWrapper, job CompactionJob,
 	var (
 		outs          []*sstOutput
 		out           *sstOutput // the one being filled (the last of outs), or nil
-		nextOutNum    = firstNum
-		lastOutNum    = firstNum + maxFiles
 		lastUserKey   []byte
 		haveUserKey   bool
 		lastSeqForKey base.SeqNum
@@ -279,14 +274,13 @@ func runCompactionShard(fs vfs.FS, wrapper FileWrapper, job CompactionJob,
 			out = nil
 		}
 		if out == nil {
-			if nextOutNum >= lastOutNum {
-				return nil, fmt.Errorf("lsm: compaction exhausted reserved file numbers")
-			}
-			var err error
-			if out, err = createSSTOutput(fs, wrapper, job.Dir, nextOutNum, job.WriterOptions); err != nil {
+			num, err := newFileNum()
+			if err != nil {
 				return nil, err
 			}
-			nextOutNum++
+			if out, err = createSSTOutput(fs, wrapper, job.Dir, num, job.WriterOptions); err != nil {
+				return nil, err
+			}
 			outs = append(outs, out)
 		}
 		if err := out.w.Add(ikey, merged.Value()); err != nil {

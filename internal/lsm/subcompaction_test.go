@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"shield/internal/crypt"
@@ -64,7 +65,15 @@ func writeShardInputSST(t *testing.T, fs vfs.FS, wrapper FileWrapper, dir string
 	return out.meta
 }
 
-var shardTableOptions = sstable.WriterOptions{BlockSize: 4096, BloomBitsPerKey: 10}
+var shardTableOptions = sstable.WriterOptions{BlockSize: 4096}
+
+// numbersFrom is a test's file-number allocator: first, first+1, … to any
+// number of concurrent shards.
+func numbersFrom(first uint64) func() (uint64, error) {
+	var next atomic.Uint64
+	next.Store(first)
+	return func() (uint64, error) { return next.Add(1) - 1, nil }
+}
 
 func shardKey(k int) []byte { return []byte(fmt.Sprintf("key-%06d", k)) }
 
@@ -112,10 +121,7 @@ func TestSubcompactionCiphertextByteIdentity(t *testing.T) {
 	serialWrapper := detEncWrapper{threads: 1}
 	job := shardTestJob(t, fs, serialWrapper)
 
-	serialJob := job
-	serialJob.FirstOutputFileNum = 100
-	serialJob.MaxOutputFiles = 64
-	serialRes, err := RunCompaction(fs, serialWrapper, serialJob)
+	serialRes, err := RunCompaction(fs, serialWrapper, job, numbersFrom(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +140,9 @@ func TestSubcompactionCiphertextByteIdentity(t *testing.T) {
 		append([]byte(nil), base.UserKey(serialRes.Outputs[m/3].Smallest)...),
 		append([]byte(nil), base.UserKey(serialRes.Outputs[2*m/3].Smallest)...),
 	}
-	parJob := job
-	parJob.FirstOutputFileNum = 300
-	parJob.MaxOutputFiles = 64
 	// The split points are pinned by running the three shards directly: a job
 	// has no field for them (RunCompaction derives its own from the inputs).
-	parOuts, err := runShardedCompaction(fs, detEncWrapper{threads: 4}, parJob, bounds)
+	parOuts, err := runShardedCompaction(fs, detEncWrapper{threads: 4}, job, bounds, numbersFrom(300))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,19 +217,14 @@ func TestSubcompactionAutoBoundariesEquivalence(t *testing.T) {
 	wrapper := detEncWrapper{threads: 2}
 	job := shardTestJob(t, fs, wrapper)
 
-	serialJob := job
-	serialJob.FirstOutputFileNum = 100
-	serialJob.MaxOutputFiles = 64
-	serialRes, err := RunCompaction(fs, wrapper, serialJob)
+	serialRes, err := RunCompaction(fs, wrapper, job, numbersFrom(100))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	parJob := job
-	parJob.FirstOutputFileNum = 300
-	parJob.MaxOutputFiles = 64
 	parJob.MaxSubcompactions = 4
-	parRes, err := RunCompaction(fs, wrapper, parJob)
+	parRes, err := RunCompaction(fs, wrapper, parJob, numbersFrom(300))
 	if err != nil {
 		t.Fatal(err)
 	}

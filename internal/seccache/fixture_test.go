@@ -52,7 +52,7 @@ func TestOpensParentWrittenCache(t *testing.T) {
 
 	// A save by this build keeps the file's salt, hence its derived keys:
 	// the header up to the IV is unchanged.
-	if err := c.Save(); err != nil {
+	if err := c.save(); err != nil {
 		t.Fatal(err)
 	}
 	resaved, _ := vfs.ReadFile(fs, "cache.bin")

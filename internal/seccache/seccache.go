@@ -64,7 +64,6 @@ type Cache struct {
 	epochs    map[string]uint64
 	hits      int64
 	misses    int64
-	autosave  bool
 	recovered bool
 }
 
@@ -72,10 +71,9 @@ type Cache struct {
 // Opening an existing cache with the wrong passkey fails with ErrBadPasskey.
 func Open(fs vfs.FS, path string, passkey []byte) (*Cache, error) {
 	c := &Cache{
-		state:    crypt.StateFile{FS: fs, Path: path, Magic: magic},
-		entries:  make(map[kds.KeyID]crypt.DEK),
-		epochs:   make(map[string]uint64),
-		autosave: true,
+		state:   crypt.StateFile{FS: fs, Path: path, Magic: magic},
+		entries: make(map[kds.KeyID]crypt.DEK),
+		epochs:  make(map[string]uint64),
 	}
 	plain, err := c.state.Load(saltSize, func(salt []byte) { c.deriveKeys(passkey, salt) })
 	switch {
@@ -188,14 +186,6 @@ func (c *Cache) SealEpoch(store string, epoch uint64) error {
 	return c.save()
 }
 
-// SetAutosave controls whether mutations persist immediately (default true).
-// Benchmarks that mutate at high rate can disable it and call Save once.
-func (c *Cache) SetAutosave(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.autosave = on
-}
-
 // Get returns the cached DEK for id, or ErrNotCached.
 func (c *Cache) Get(id kds.KeyID) (crypt.DEK, error) {
 	c.mu.Lock()
@@ -209,16 +199,12 @@ func (c *Cache) Get(id kds.KeyID) (crypt.DEK, error) {
 	return dek, nil
 }
 
-// Put stores a DEK and persists the cache (unless autosave is off).
+// Put stores a DEK and persists the cache.
 func (c *Cache) Put(id kds.KeyID, dek crypt.DEK) error {
 	c.mu.Lock()
 	c.entries[id] = dek
-	autosave := c.autosave
 	c.mu.Unlock()
-	if autosave {
-		return c.save()
-	}
-	return nil
+	return c.save()
 }
 
 // Delete removes a DEK — called when its file is deleted after compaction,
@@ -230,12 +216,8 @@ func (c *Cache) Delete(id kds.KeyID) error {
 		return nil
 	}
 	delete(c.entries, id)
-	autosave := c.autosave
 	c.mu.Unlock()
-	if autosave {
-		return c.save()
-	}
-	return nil
+	return c.save()
 }
 
 // Len reports the number of cached DEKs.
@@ -250,11 +232,6 @@ func (c *Cache) Stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
-}
-
-// Save persists the cache immediately.
-func (c *Cache) Save() error {
-	return c.save()
 }
 
 // save snapshots the current state under mu (CPU only) and has the state

@@ -184,34 +184,12 @@ func TestSharedBetweenInstances(t *testing.T) {
 	}
 }
 
-func TestAutosaveOff(t *testing.T) {
-	fs := vfs.NewMem()
-	c, err := Open(fs, "cache.bin", []byte("pw"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetAutosave(false)
-	c.Put("dek-1", mustDEK(t))
-
-	// Not yet persisted.
-	if _, err := fs.Stat("cache.bin"); !errors.Is(err, vfs.ErrNotFound) {
-		t.Fatalf("file exists before Save: %v", err)
-	}
-	if err := c.Save(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Stat("cache.bin"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStatsAndConcurrency(t *testing.T) {
 	fs := vfs.NewMem()
 	c, err := Open(fs, "cache.bin", []byte("pw"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetAutosave(false)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
