@@ -90,7 +90,7 @@ loc:
 # non-default, or it is a safety check; otherwise it becomes a constant. A `-`
 # row fails the target unless its field is listed here, with its reason:
 #
-# lsm.Options.ParanoidChecks: a safety check (DESIGN.md §8 "Open-time verification", §11's rule).
+# lsm.Options.ParanoidChecks: a safety check (DESIGN.md §8 "One recovery pass, two callers", §11's rule).
 KNOBS_UNSET_OK += lsm.Options.ParanoidChecks
 # core.Config.RevokeOnDelete: ROADMAP.md item 6 decides it.
 KNOBS_UNSET_OK += core.Config.RevokeOnDelete
@@ -162,6 +162,9 @@ tamper-test:
 # input) and the SHIELD file header. The SST table open: on any bytes, as
 # given and with every block's checksum recomputed, open, scan and Get
 # succeed or fail as sstable.ErrCorruption, allocation bounded by the input.
+# The two decoders the recovery pass (Open and Scrub alike) reads: WAL
+# records through readWAL, framing and batches, and manifest version edits
+# through strict and salvage replay; each ends in a typed error or succeeds.
 # FUZZTIME bounds each target; CI uses a short burst, leave
 # it running locally to dig deeper. Minimization is capped because its 60 s
 # default otherwise eats a short burst whole (execs drop to 0/sec after the
@@ -175,6 +178,8 @@ fuzz:
 	go test $(FUZZFLAGS) -fuzz=FuzzDstoreFrame ./internal/dstore/
 	go test $(FUZZFLAGS) -fuzz=FuzzParseHeader ./internal/core/
 	go test $(FUZZFLAGS) -fuzz=FuzzTableOpen ./internal/lsm/sstable/
+	go test $(FUZZFLAGS) -fuzz=FuzzWALRecords ./internal/lsm/
+	go test $(FUZZFLAGS) -fuzz=FuzzVersionEdit ./internal/lsm/
 
 # Third-party linters. These reach the network to fetch the pinned tool the
 # first time; they are deliberately NOT part of `make all` so an offline

@@ -78,11 +78,16 @@ func main() {
 	}
 }
 
-// runScrub walks the database, verifies every block checksum it can read,
-// and (with -apply) quarantines provably corrupt files into lost/ and
-// rewrites the MANIFEST around them. It runs keyless: encrypted files whose
-// key it does not hold are reported as skipped, never quarantined, and an
-// encrypted manifest makes the scrub refuse rather than guess.
+// runScrub runs the recovery pass an open runs, offline: it loads CURRENT
+// and the manifest (failing, as an open would, on a manifest older than the
+// epoch CURRENT echoes), verifies every block checksum it can read, decodes
+// every live WAL batch, and (with -apply) quarantines provably corrupt
+// tables into lost/ and rewrites the MANIFEST around them. A WAL batch that
+// does not decode is reported corrupt and left in place, because no open
+// can get past it either. It runs keyless: encrypted files whose key it
+// does not hold are reported as skipped, never quarantined, and an
+// encrypted manifest makes the scrub refuse rather than guess. It exits 1
+// when it quarantined a file or found one an open will refuse.
 func runScrub(args []string) int {
 	fs := flag.NewFlagSet("scrub", flag.ExitOnError)
 	apply := fs.Bool("apply", false, "quarantine corrupt files and repair the manifest (default: report only)")
@@ -94,10 +99,7 @@ func runScrub(args []string) int {
 	dir := fs.Arg(0)
 
 	cfg := core.Config{Mode: core.ModeNone, FS: vfs.NewOS()}
-	rep, err := core.Scrub(dir, cfg, lsm.ScrubOptions{
-		DryRun: !*apply,
-		Logger: log.Printf,
-	})
+	rep, err := core.Scrub(dir, cfg, lsm.Options{Logger: log.Printf}, lsm.ScrubOptions{DryRun: !*apply})
 	if err != nil {
 		log.Printf("scrub: %v", err)
 		return 1
@@ -108,6 +110,11 @@ func runScrub(args []string) int {
 	}
 	if rep.Quarantined > 0 {
 		return 1
+	}
+	for _, f := range rep.Findings {
+		if f.Action == lsm.ScrubCorrupt {
+			return 1
+		}
 	}
 	return 0
 }

@@ -126,7 +126,7 @@ func TestParentStoresOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			report, err := Scrub("db", cfg, lsm.ScrubOptions{})
+			report, err := Scrub("db", cfg, lsm.Options{}, lsm.ScrubOptions{})
 			if err != nil || !report.Clean() || report.SSTsChecked < 3 {
 				t.Fatalf("scrub: %v\n%s", err, report)
 			}

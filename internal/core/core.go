@@ -160,19 +160,31 @@ func (f cacheFreshness) EpochFloor() (uint64, bool) { return f.cache.EpochFloor(
 // SealEpoch implements lsm.FreshnessStore.
 func (f cacheFreshness) SealEpoch(epoch uint64) error { return f.cache.SealEpoch(f.store, epoch) }
 
-// Open opens a database in dir with the encryption design applied.
-// opts.FS and opts.Wrapper are populated from cfg. Under ModeSHIELD with a
-// secure cache, opts.Freshness defaults to an epoch floor sealed into that
-// cache, making recovery rollback-proof (fail closed on epoch regression).
+// Open opens a database in dir with the encryption design applied (see
+// engineOptions).
 func Open(dir string, cfg Config, opts lsm.Options) (*lsm.DB, error) {
-	wrapper, err := cfg.BuildWrapper()
+	opts, err := engineOptions(dir, cfg, opts)
 	if err != nil {
 		return nil, err
+	}
+	return lsm.Open(dir, opts)
+}
+
+// engineOptions fills opts with what cfg decides for the store in dir: FS
+// and Wrapper come from cfg, and under ModeSHIELD with a secure cache
+// Freshness defaults to an epoch floor sealed into that cache, making
+// recovery rollback-proof (fail closed on epoch regression). Open and Scrub
+// both start here, so a scrub decrypts and checks the epoch exactly as an
+// open does.
+func engineOptions(dir string, cfg Config, opts lsm.Options) (lsm.Options, error) {
+	wrapper, err := cfg.BuildWrapper()
+	if err != nil {
+		return opts, err
 	}
 	opts.FS = cfg.FS
 	opts.Wrapper = wrapper
 	if opts.Freshness == nil && cfg.Mode == ModeSHIELD && cfg.Cache != nil {
 		opts.Freshness = cacheFreshness{cache: cfg.Cache, store: dir}
 	}
-	return lsm.Open(dir, opts)
+	return opts, nil
 }

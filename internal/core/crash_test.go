@@ -281,7 +281,7 @@ func scrubWithKeys(t *testing.T, mode Mode) {
 		t.Fatal(err)
 	}
 
-	rep, err := Scrub("db", cfg, lsm.ScrubOptions{})
+	rep, err := Scrub("db", cfg, lsm.Options{}, lsm.ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func scrubWithKeys(t *testing.T, mode Mode) {
 	if err := vfs.WriteFile(fs, victim, data); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = Scrub("db", cfg, lsm.ScrubOptions{})
+	rep, err = Scrub("db", cfg, lsm.Options{}, lsm.ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestShieldScrubKeylessRefuses(t *testing.T) {
 	}
 
 	keyless := Config{Mode: ModeNone, FS: fs}
-	if _, err := Scrub("db", keyless, lsm.ScrubOptions{}); err == nil {
+	if _, err := Scrub("db", keyless, lsm.Options{}, lsm.ScrubOptions{}); err == nil {
 		t.Fatal("keyless scrub of an encrypted DB did not refuse")
 	} else if !strings.Contains(err.Error(), "encrypted") {
 		t.Fatalf("unexpected refusal: %v", err)

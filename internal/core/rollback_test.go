@@ -137,7 +137,7 @@ func TestV1V2Coexistence(t *testing.T) {
 	}
 	// The mixed tree scrubs clean: v1 files verify by their block checksums,
 	// v2 files by their GCM tag chain.
-	rep, err := Scrub("db", modern, lsm.ScrubOptions{DryRun: true})
+	rep, err := Scrub("db", modern, lsm.Options{}, lsm.ScrubOptions{DryRun: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,13 +332,13 @@ func TestRollbackFailClosedAndScrubRestamp(t *testing.T) {
 	if _, err := Open("db", rolledCfg, opts); !errors.Is(err, lsm.ErrEpochRegression) {
 		t.Fatalf("open of rolled-back store: got %v, want ErrEpochRegression", err)
 	}
-	if _, err := Scrub("db", rolledCfg, lsm.ScrubOptions{}); !errors.Is(err, lsm.ErrEpochRegression) {
+	if _, err := Scrub("db", rolledCfg, opts, lsm.ScrubOptions{}); !errors.Is(err, lsm.ErrEpochRegression) {
 		t.Fatalf("scrub of rolled-back store: got %v, want ErrEpochRegression", err)
 	}
 
 	// Operator override: scrub with AllowRollback accepts the loss, reports
 	// it, and re-stamps the tree as a fresh generation past the floor.
-	rep, err := Scrub("db", rolledCfg, lsm.ScrubOptions{AllowRollback: true})
+	rep, err := Scrub("db", rolledCfg, lsm.Options{AllowRollback: true}, lsm.ScrubOptions{})
 	if err != nil {
 		t.Fatalf("scrub with AllowRollback: %v", err)
 	}

@@ -25,26 +25,22 @@ func EncryptedSniffer(prefix []byte) bool {
 }
 
 // Scrub runs the offline corruption scrub on the database in dir with cfg's
-// encryption design applied: files are decrypted exactly as the engine
-// would decrypt them, per-block MACs/checksums are verified under the
-// DEKs cfg can resolve, and provably corrupt files are quarantined into
-// <dir>/lost/. Files in an encrypted format whose key cfg cannot resolve
-// (e.g. the KDS is unreachable, or scrubbing keyless with ModeNone) are
-// skipped, never quarantined. The database must not be open on dir.
-func Scrub(dir string, cfg Config, opts lsm.ScrubOptions) (*lsm.ScrubReport, error) {
-	wrapper, err := cfg.BuildWrapper()
+// encryption design applied, through the same engineOptions as Open: files
+// are decrypted exactly as the engine would decrypt them, per-block
+// MACs/checksums are verified under the DEKs cfg can resolve, the epoch is
+// held against the same sealed floor (opts.AllowRollback accepts a rollback
+// and re-stamps the store past the floor), and provably corrupt files are
+// quarantined into <dir>/lost/. Files in an encrypted format whose key cfg
+// cannot resolve (e.g. the KDS is unreachable, or scrubbing keyless with
+// ModeNone) are skipped, never quarantined. The database must not be open on
+// dir.
+func Scrub(dir string, cfg Config, opts lsm.Options, sopts lsm.ScrubOptions) (*lsm.ScrubReport, error) {
+	opts, err := engineOptions(dir, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	opts.Wrapper = wrapper
-	if opts.Encrypted == nil {
-		opts.Encrypted = EncryptedSniffer
+	if sopts.Encrypted == nil {
+		sopts.Encrypted = EncryptedSniffer
 	}
-	// Anchor rollback detection in the secure cache, matching what Open
-	// does: the scrub then reports stale-epoch verdicts for rolled-back
-	// stores and (with AllowRollback) re-stamps them past the sealed floor.
-	if opts.Freshness == nil && cfg.Mode == ModeSHIELD && cfg.Cache != nil {
-		opts.Freshness = cacheFreshness{cache: cfg.Cache, store: dir}
-	}
-	return lsm.Scrub(cfg.FS, dir, opts)
+	return lsm.Scrub(dir, opts, sopts)
 }

@@ -178,7 +178,7 @@ func TestRevokeOnDelete(t *testing.T) {
 	store := kds.NewStore(kds.Policy{MaxFetches: 0})
 	svc := kds.NewLocal(store, "s")
 	cfg := Config{Mode: ModeSHIELD, FS: fs, KDS: svc, RevokeOnDelete: true}
-	db, err := Open("db", cfg, smallOpts())
+	db, err := Open("db", cfg, compactRangeOnlyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func decodeBatch(data []byte, fn func(seq base.SeqNum, kind base.Kind, key, valu
 		kind := base.Kind(p[0])
 		p = p[1:]
 		klen, n := binary.Uvarint(p)
-		if n <= 0 || int(klen) > len(p)-n {
+		if n <= 0 || klen > uint64(len(p)-n) {
 			return fmt.Errorf("lsm: batch corrupt key at record %d", i)
 		}
 		key := p[n : n+int(klen)]
@@ -113,7 +113,7 @@ func decodeBatch(data []byte, fn func(seq base.SeqNum, kind base.Kind, key, valu
 		var value []byte
 		if kind == base.KindSet {
 			vlen, n := binary.Uvarint(p)
-			if n <= 0 || int(vlen) > len(p)-n {
+			if n <= 0 || vlen > uint64(len(p)-n) {
 				return fmt.Errorf("lsm: batch corrupt value at record %d", i)
 			}
 			value = p[n : n+int(vlen)]

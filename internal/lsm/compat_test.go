@@ -118,7 +118,7 @@ func TestParentStoreWithPrefixFiltersOpens(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	report, err := Scrub(fs, "db", ScrubOptions{})
+	report, err := Scrub("db", Options{FS: fs}, ScrubOptions{})
 	if err != nil || !report.Clean() || report.SSTsChecked != 3 {
 		t.Fatalf("scrub: %v\n%s", err, report)
 	}

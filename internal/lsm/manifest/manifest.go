@@ -135,6 +135,9 @@ func (v *Version) Apply(e *VersionEdit) (*Version, error) {
 		if a.Level < 0 || a.Level >= NumLevels {
 			return nil, fmt.Errorf("manifest: add at invalid level %d", a.Level)
 		}
+		if len(a.Meta.Smallest) < base.TrailerLen || len(a.Meta.Largest) < base.TrailerLen {
+			return nil, fmt.Errorf("manifest: file %d added without internal-key bounds", a.Meta.FileNum)
+		}
 		meta := a.Meta
 		nv.Levels[a.Level] = append(nv.Levels[a.Level], &meta)
 	}

@@ -221,8 +221,12 @@ type Options struct {
 
 	// AllowRollback downgrades an epoch regression from a fail-closed open
 	// error to a logged warning — the explicit operator acknowledgement
-	// that the store was restored from an older snapshot on purpose (scrub
-	// uses it for disaster recovery). Ignored when Freshness is nil.
+	// that the store was restored from an older snapshot on purpose.
+	// Ignored when Freshness is nil. It is the disaster-recovery override
+	// of Scrub too: the scrub accepts the rolled-back state, reports healthy
+	// files as "stale-epoch" (their contents authenticate, their recency
+	// does not), and re-stamps the store with a fresh epoch above the
+	// sealed floor, after which opens succeed without it.
 	AllowRollback bool
 
 	// ReadOnly opens the database as a read-only instance (the DS
@@ -232,7 +236,8 @@ type Options struct {
 	// CompactRange return ErrReadOnly.
 	ReadOnly bool
 
-	// Logger receives background-error and event lines; nil discards.
+	// Logger receives background-error and event lines, and a scrub's
+	// findings; nil discards.
 	Logger func(format string, args ...any)
 }
 

@@ -3,22 +3,18 @@ package lsm
 import (
 	"errors"
 	"fmt"
-	"io"
 	"path"
-	"sort"
 	"strings"
 
+	"shield/internal/lsm/base"
 	"shield/internal/lsm/manifest"
-	"shield/internal/lsm/wal"
 	"shield/internal/metrics"
-	"shield/internal/vfs"
 )
 
-// ScrubOptions configures an offline integrity scrub.
+// ScrubOptions holds what only a scrub has. Everything a scrub shares
+// with Open (the wrapper, the freshness store and AllowRollback, the logger)
+// comes from the Options value passed next to it.
 type ScrubOptions struct {
-	// Wrapper decrypts files the way the DB would; defaults to NopWrapper.
-	Wrapper FileWrapper
-
 	// DryRun reports what the scrub WOULD do without moving or writing
 	// anything.
 	DryRun bool
@@ -28,21 +24,6 @@ type ScrubOptions struct {
 	// Such files are skipped (reported, never quarantined): an undecryptable
 	// file is not provably corrupt.
 	Encrypted func(prefix []byte) bool
-
-	// Logger receives progress lines; nil discards.
-	Logger func(format string, args ...any)
-
-	// Freshness, when non-nil, supplies the sealed epoch floor for rollback
-	// detection, the same way Options.Freshness does at open.
-	Freshness FreshnessStore
-
-	// AllowRollback is the disaster-recovery override: instead of failing
-	// closed on an epoch regression, the scrub accepts the rolled-back
-	// state, re-stamps the store with a fresh epoch above the sealed floor,
-	// and seals the new floor — after which normal opens succeed again.
-	// Healthy files in a rolled-back store report verdict "stale-epoch",
-	// not "ok": their contents authenticate but their recency does not.
-	AllowRollback bool
 }
 
 // ScrubVerdict is the per-file integrity verdict of an authenticated scrub.
@@ -82,6 +63,7 @@ const (
 	ScrubSkipped     ScrubAction = "skipped"     // unverifiable (e.g. undecryptable); left alone
 	ScrubOrphan      ScrubAction = "orphan"      // unreferenced; moved to lost/
 	ScrubTornTail    ScrubAction = "torn-tail"   // WAL with a truncated tail; recoverable, left alone
+	ScrubCorrupt     ScrubAction = "corrupt"     // WAL that recovery cannot get past; left alone, Open refuses it
 	ScrubRepaired    ScrubAction = "repaired"    // manifest rewritten around damage
 )
 
@@ -166,164 +148,90 @@ func (r *ScrubReport) String() string {
 
 // scrubber carries one pass's state.
 type scrubber struct {
-	fs     vfs.FS
 	dir    string
-	opts   ScrubOptions
+	opts   Options
+	scrub  ScrubOptions
 	report *ScrubReport
 }
 
-// Scrub walks the database in dir like fsck: it verifies every SST block
-// checksum and WAL record the manifest makes live, quarantines provably
-// corrupt files into <dir>/lost/, rewrites the MANIFEST around the damage,
-// and moves unreferenced files aside. It must run offline (no DB open on
-// dir). A torn WAL or manifest tail is the expected power-loss outcome and
-// is reported, not quarantined. With DryRun nothing is modified.
-func Scrub(fsys vfs.FS, dir string, opts ScrubOptions) (*ScrubReport, error) {
-	if opts.Wrapper == nil {
-		opts.Wrapper = NopWrapper{}
+// Scrub walks the database in dir like fsck. It runs the recovery pass Open
+// runs (recover.go) over opts, the same Options value Open takes, but checks
+// every SST block and decodes every WAL record the manifest makes live,
+// reports instead of replaying, quarantines provably corrupt tables into
+// <dir>/lost/, rewrites the MANIFEST around the damage, and moves
+// unreferenced files aside. A store Open refuses at load (a manifest older
+// than CURRENT's epoch, an epoch below the sealed floor without
+// AllowRollback) fails the scrub with Open's error, before anything is
+// written; a WAL batch Open cannot decode is a corrupt finding, and the WAL
+// stays where it is. A torn WAL or manifest tail is the expected power-loss
+// outcome and is reported, not quarantined. It must run offline (no DB open
+// on dir). With DryRun nothing is modified.
+func Scrub(dir string, opts Options, sopts ScrubOptions) (*ScrubReport, error) {
+	opts = opts.withDefaults()
+	if opts.FS == nil {
+		return nil, fmt.Errorf("lsm: Options.FS is required")
 	}
-	if opts.Logger == nil {
-		opts.Logger = func(string, ...any) {}
-	}
-	s := &scrubber{fs: fsys, dir: dir, opts: opts, report: &ScrubReport{
+	s := &scrubber{dir: dir, opts: opts, scrub: sopts, report: &ScrubReport{
 		Verdicts: make(map[string]ScrubVerdict),
 	}}
 
-	// CURRENT -> manifest. A database without a readable CURRENT cannot be
-	// scrubbed (there is nothing to anchor the live file set to).
-	data, err := readCurrent(fsys, opts.Wrapper, dir)
+	// A database without a readable CURRENT cannot be scrubbed: there is
+	// nothing to anchor the live file set to.
+	st, err := loadStore(&opts, dir, true, s.sniffEncrypted)
 	if err != nil {
-		return nil, fmt.Errorf("lsm: scrub: reading CURRENT: %w", err)
+		return nil, err
 	}
-	manifestName, _ := parseCurrent(data)
-	manifestNum, ok := parseManifestName(manifestName)
-	if !ok {
-		return nil, &CorruptionError{
-			Path:   currentFileName(dir),
-			Kind:   FileKindCurrent,
-			Detail: fmt.Sprintf("points to invalid manifest %q", manifestName),
-		}
-	}
-
-	st, err := loadManifestSalvage(fsys, opts.Wrapper, dir, manifestName, true)
-	if err != nil {
-		return s.report, err
-	}
-	manifestDamaged := st.corrupt || st.torn
-	if manifestDamaged && !s.wrapperTransforms(path.Join(dir, manifestName)) &&
-		s.sniffEncrypted(path.Join(dir, manifestName)) {
-		// An encrypted manifest this wrapper cannot read is indistinguishable
-		// from a torn one, and "repairing" it would discard the real tree.
-		// Refuse rather than guess.
-		return nil, fmt.Errorf("lsm: scrub: manifest %s is in an encrypted format this scrub cannot read; rerun with the keys", manifestName)
-	}
+	manifestPath := path.Join(dir, st.name)
 	if st.corrupt {
-		s.finding(path.Join(dir, manifestName), FileKindManifest, ScrubQuarantined,
+		s.finding(manifestPath, FileKindManifest, ScrubQuarantined,
 			"undecodable edit record; salvaged the valid prefix")
 	} else if st.torn {
-		s.finding(path.Join(dir, manifestName), FileKindManifest, ScrubTornTail,
+		s.finding(manifestPath, FileKindManifest, ScrubTornTail,
 			"truncated tail record; salvaged the valid prefix")
 	}
 
-	// Freshness: a recovered epoch below the sealed floor means the whole
+	// A recovered epoch below the sealed floor means the whole
 	// tree is a rolled-back snapshot. Fail closed unless AllowRollback, in
 	// which case the repair below re-stamps the store past the floor.
 	s.report.Epoch = st.epoch
-	if opts.Freshness != nil {
-		if floor, sealed := opts.Freshness.EpochFloor(); sealed && st.epoch < floor {
-			s.report.EpochRegressed = true
-			if !opts.AllowRollback {
-				return s.report, fmt.Errorf("%w: recovered epoch %d below sealed floor %d (rerun with AllowRollback to accept)",
-					ErrEpochRegression, st.epoch, floor)
-			}
-			opts.Logger("scrub: accepting rollback: epoch %d below floor %d", st.epoch, floor)
-		}
-	}
-
-	// Verify every live SST.
-	dropped := make(map[uint64]bool)
-	for lvl := range st.ver.Levels {
-		for _, f := range st.ver.Levels[lvl] {
-			name := sstFileName(dir, f.FileNum)
-			s.report.SSTsChecked++
-			action, detail, verdict := s.classifySST(name, f)
-			if verdict == VerdictOK && s.report.EpochRegressed {
-				// Authentic bytes, stale tree.
-				verdict = VerdictStaleEpoch
-			}
-			s.report.Verdicts[name] = verdict
-			switch action {
-			case "":
-				// healthy
-			case ScrubSkipped:
-				s.finding(name, FileKindSST, ScrubSkipped, detail)
-			case ScrubMissing:
-				dropped[f.FileNum] = true
-				s.finding(name, FileKindSST, ScrubMissing, detail)
-			case ScrubQuarantined:
-				dropped[f.FileNum] = true
-				s.quarantine(name, FileKindSST, detail)
-			}
-		}
-	}
-
-	// Walk the directory: live WALs get read end to end, everything
-	// unreferenced is an orphan.
-	entries, err := fsys.List(dir)
+	epoch, regressed, err := checkEpoch(&opts, st.epoch)
+	s.report.EpochRegressed = regressed
 	if err != nil {
 		return s.report, err
 	}
-	live := make(map[uint64]bool)
-	for _, lvl := range st.ver.Levels {
-		for _, f := range lvl {
-			live[f.FileNum] = true
-		}
-	}
-	var walNums []uint64
-	for _, e := range entries {
-		full := path.Join(dir, e.Name)
-		kind, num, ok := parseFileName(e.Name)
-		if !ok {
-			if strings.HasSuffix(e.Name, ".tmp") {
-				// Leftover from an interrupted tmp+rename.
-				s.moveOrphan(full, FileKindOther, "interrupted tmp+rename leftover")
-			}
-			continue
-		}
-		switch kind {
-		case FileKindWAL:
-			if num >= st.logNum {
-				walNums = append(walNums, num)
-			} else {
-				s.moveOrphan(full, FileKindWAL, fmt.Sprintf("stale (older than live log %d)", st.logNum))
-			}
-		case FileKindSST:
-			if !live[num] && !dropped[num] {
-				s.moveOrphan(full, FileKindSST, "not referenced by the manifest")
-			}
-		case FileKindManifest:
-			if num != manifestNum {
-				s.moveOrphan(full, FileKindManifest, "not referenced by CURRENT")
-			}
-		}
-	}
 
-	// Read live WALs end to end; a torn tail is expected, anything the
-	// reader cannot get past is reported (recovery will truncate there).
-	sort.Slice(walNums, func(i, j int) bool { return walNums[i] < walNums[j] })
-	for _, num := range walNums {
+	thinned, err := verifyTables(dir, st.ver, s.judgeTable)
+	if err != nil {
+		return s.report, err
+	}
+	wals, orphans, err := walkStore(opts.FS, dir, st)
+	if err != nil {
+		return s.report, err
+	}
+	for _, o := range orphans {
+		s.moveOrphan(o.name, o.kind, o.detail)
+	}
+	for _, num := range wals {
 		s.checkWAL(num)
 	}
 
-	// Rewrite the manifest when damage was found in it, files were dropped,
+	// Rewrite the manifest when damage was found in it, tables were dropped,
 	// or a rollback was accepted (the repair re-stamps the epoch), so
 	// recovery never sees references to quarantined files or a stale epoch.
-	if (manifestDamaged || len(dropped) > 0 || s.report.EpochRegressed) && !s.opts.DryRun {
-		if err := s.repairManifest(st, manifestName, manifestNum, dropped); err != nil {
+	if (st.corrupt || st.torn || thinned != st.ver || regressed) && !sopts.DryRun {
+		num := st.nextFile
+		w, err := installSnapshot(&opts, dir, num, snapshotEdit(thinned, num+1, uint64(st.lastSeq), st.logNum, epoch+1))
+		if err == nil {
+			err = w.Close()
+		}
+		if err == nil {
+			err = quarantineFile(opts.FS, dir, manifestPath)
+		}
+		if err != nil {
 			return s.report, fmt.Errorf("lsm: scrub: rewriting manifest: %w", err)
 		}
 		s.report.ManifestRepaired = true
-		s.finding(path.Join(dir, manifestName), FileKindManifest, ScrubRepaired,
+		s.finding(manifestPath, FileKindManifest, ScrubRepaired,
 			"rewrote a compacted manifest around the damage")
 	}
 	return s.report, nil
@@ -348,8 +256,8 @@ func (s *scrubber) finding(p string, kind FileKind, action ScrubAction, detail s
 
 // quarantine moves a corrupt file to lost/ (or just reports under DryRun).
 func (s *scrubber) quarantine(name string, kind FileKind, detail string) {
-	if !s.opts.DryRun {
-		if err := quarantineFile(s.fs, s.dir, name); err != nil {
+	if !s.scrub.DryRun {
+		if err := quarantineFile(s.opts.FS, s.dir, name); err != nil {
 			s.finding(name, kind, ScrubSkipped, "quarantine failed: "+err.Error())
 			return
 		}
@@ -359,8 +267,8 @@ func (s *scrubber) quarantine(name string, kind FileKind, detail string) {
 }
 
 func (s *scrubber) moveOrphan(name string, kind FileKind, detail string) {
-	if !s.opts.DryRun {
-		if err := quarantineFile(s.fs, s.dir, name); err != nil {
+	if !s.scrub.DryRun {
+		if err := quarantineFile(s.opts.FS, s.dir, name); err != nil {
 			s.finding(name, kind, ScrubSkipped, "moving orphan failed: "+err.Error())
 			return
 		}
@@ -368,33 +276,13 @@ func (s *scrubber) moveOrphan(name string, kind FileKind, detail string) {
 	s.finding(name, kind, ScrubOrphan, detail)
 }
 
-// wrapperTransforms reports whether the configured wrapper actually decrypts
-// name (returns a different stream than the raw file). When it does, the
-// scrub holds the key, and damage found below it is genuine.
-func (s *scrubber) wrapperTransforms(name string) bool {
-	raw, err := s.fs.OpenSequential(name)
-	if err != nil {
-		return false
-	}
-	defer raw.Close()
-	wrapped, err := s.opts.Wrapper.WrapOpenSequential(name, FileKindManifest, raw)
-	if err != nil {
-		return false
-	}
-	if wrapped != vfs.SequentialFile(raw) {
-		wrapped.Close()
-		return true
-	}
-	return false
-}
-
 // sniffEncrypted reports whether the file's raw prefix is an encrypted
 // format the configured wrapper cannot read.
 func (s *scrubber) sniffEncrypted(name string) bool {
-	if s.opts.Encrypted == nil {
+	if s.scrub.Encrypted == nil {
 		return false
 	}
-	f, err := s.fs.Open(name)
+	f, err := s.opts.FS.Open(name)
 	if err != nil {
 		return false
 	}
@@ -404,155 +292,68 @@ func (s *scrubber) sniffEncrypted(name string) bool {
 	if n == 0 && err != nil {
 		return false
 	}
-	return s.opts.Encrypted(prefix[:n])
+	return s.scrub.Encrypted(prefix[:n])
 }
 
-// classifySST runs checkSST on one table and turns its answer into what a
-// scrub does about it. Returns "" when healthy, otherwise the action to
-// take, a detail string, and always the per-file verdict.
-func (s *scrubber) classifySST(name string, meta *manifest.FileMetadata) (ScrubAction, string, ScrubVerdict) {
-	n, transformed, err := checkSST(s.fs, s.opts.Wrapper, name, meta)
+// judgeTable is Scrub's side of the table verdict: every table gets the full
+// checkSST and a per-file verdict. A missing table is dropped, a corrupt one
+// is quarantined and dropped, and one the scrub cannot verify (its key is
+// unavailable) is skipped, never quarantined.
+func (s *scrubber) judgeTable(name string, meta *manifest.FileMetadata) (drop bool, err error) {
+	s.report.SSTsChecked++
+	n, transformed, err := checkSST(s.opts.FS, s.opts.Wrapper, name, meta)
 	s.report.BlocksVerified += n
 	metrics.Recovery.ScrubBlocksVerified.Add(n)
-	switch {
-	case err == nil:
-		return "", "", VerdictOK
-	case errors.Is(err, vfs.ErrNotFound):
-		return ScrubMissing, "referenced by the manifest but absent", VerdictTampered
-	case !isCorruptionErr(err):
-		// Cannot be read, but not provably corrupt (e.g. DEK unresolvable).
-		return ScrubSkipped, "unverifiable: " + err.Error(), VerdictUndecryptable
-	case !transformed && s.sniffEncrypted(name):
+	switch verdictOf(err) {
+	case tableOK:
+		s.report.Verdicts[name] = VerdictOK
+		if s.report.EpochRegressed {
+			// Authentic bytes, stale tree.
+			s.report.Verdicts[name] = VerdictStaleEpoch
+		}
+		return false, nil
+	case tableMissing:
+		s.report.Verdicts[name] = VerdictTampered
+		s.finding(name, FileKindSST, ScrubMissing, "referenced by the manifest but absent")
+		return true, nil
+	case tableUnverifiable:
+		s.report.Verdicts[name] = VerdictUndecryptable
+		s.finding(name, FileKindSST, ScrubSkipped, "unverifiable: "+err.Error())
+		return false, nil
+	}
+	if !transformed && s.sniffEncrypted(name) {
 		// The wrapper does not decrypt this file, so it looks corrupt only
 		// because we lack the key — never quarantine.
-		return ScrubSkipped, "encrypted with an unavailable key; not verified", VerdictUndecryptable
+		s.report.Verdicts[name] = VerdictUndecryptable
+		s.finding(name, FileKindSST, ScrubSkipped, "encrypted with an unavailable key; not verified")
+		return false, nil
 	}
-	return ScrubQuarantined, err.Error(), VerdictTampered
+	s.report.Verdicts[name] = VerdictTampered
+	s.quarantine(name, FileKindSST, err.Error())
+	return true, nil
 }
 
-// checkWAL reads one live WAL end to end.
+// checkWAL reads one live WAL end to end through recovery's reader, which
+// decodes every batch the way Open's replay does.
 func (s *scrubber) checkWAL(num uint64) {
 	name := walFileName(s.dir, num)
 	s.report.WALsChecked++
-	raw, err := s.fs.OpenSequential(name)
-	if err != nil {
-		s.finding(name, FileKindWAL, ScrubSkipped, "unreadable: "+err.Error())
-		return
-	}
-	wrapped, err := s.opts.Wrapper.WrapOpenSequential(name, FileKindWAL, raw)
-	if err != nil {
-		raw.Close()
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			// Header never reached storage: recovery treats this as empty.
-			s.finding(name, FileKindWAL, ScrubTornTail, "no readable header; recovery treats as empty")
-			return
-		}
+	res, err := readWAL(&s.opts, name, func(base.SeqNum, base.Kind, []byte, []byte) error { return nil })
+	s.report.WALRecordsRead += res.records
+	var ce *CorruptionError
+	switch {
+	case errors.As(err, &ce):
+		// Open fails on this very error and has no way around it, so the
+		// scrub has none either: the log stays where it is (DESIGN.md §8).
+		s.finding(name, FileKindWAL, ScrubCorrupt, err.Error())
+	case err != nil:
 		s.finding(name, FileKindWAL, ScrubSkipped, "unverifiable: "+err.Error())
-		return
+	case res.noHeader:
+		s.finding(name, FileKindWAL, ScrubTornTail, "no readable header; recovery treats as empty")
+	case res.torn != nil && !res.transformed && s.sniffEncrypted(name):
+		s.finding(name, FileKindWAL, ScrubSkipped, "encrypted with an unavailable key; not verified")
+	case res.torn != nil:
+		s.finding(name, FileKindWAL, ScrubTornTail,
+			fmt.Sprintf("recoverable torn tail after %d records: %v", res.records, res.torn))
 	}
-	transformed := wrapped != vfs.SequentialFile(raw)
-	r := wal.NewReader(wrapped)
-	defer r.Close()
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return
-		}
-		if err != nil {
-			if errors.Is(err, wal.ErrCorrupt) {
-				if !transformed && s.sniffEncrypted(name) {
-					s.finding(name, FileKindWAL, ScrubSkipped, "encrypted with an unavailable key; not verified")
-					return
-				}
-				s.finding(name, FileKindWAL, ScrubTornTail,
-					fmt.Sprintf("recoverable torn tail after %d records: %v", s.report.WALRecordsRead, err))
-			} else {
-				s.finding(name, FileKindWAL, ScrubSkipped, "unverifiable: "+err.Error())
-			}
-			return
-		}
-		_ = rec
-		s.report.WALRecordsRead++
-	}
-}
-
-// repairManifest writes the salvaged (and possibly thinned) version as a
-// fresh compacted MANIFEST, installs CURRENT over it, and quarantines the
-// damaged manifest.
-//
-//shield:nosyncdir installCurrent syncs the directory once the snapshot is durable; syncing earlier would be wasted — CURRENT still points at the old manifest
-func (s *scrubber) repairManifest(st *manifestState, oldName string, oldNum uint64, dropped map[uint64]bool) error {
-	thinned := &manifest.Version{}
-	for lvl := range st.ver.Levels {
-		for _, f := range st.ver.Levels[lvl] {
-			if !dropped[f.FileNum] {
-				thinned.Levels[lvl] = append(thinned.Levels[lvl], f)
-			}
-		}
-	}
-
-	newNum := st.nextFile
-	if oldNum >= newNum {
-		newNum = oldNum + 1
-	}
-	name := manifestFileName(s.dir, newNum)
-	raw, err := s.fs.Create(name)
-	if err != nil {
-		return err
-	}
-	wrapped, _, err := s.opts.Wrapper.WrapCreate(name, FileKindManifest, raw)
-	if err != nil {
-		raw.Close()
-		return err
-	}
-	w := wal.NewWriter(wrapped)
-
-	snap := &manifest.VersionEdit{}
-	for lvl := range thinned.Levels {
-		for _, f := range thinned.Levels[lvl] {
-			snap.Added = append(snap.Added, manifest.AddedFile{Level: lvl, Meta: *f})
-		}
-	}
-	nf := newNum + 1
-	ls := uint64(st.lastSeq)
-	ln := st.logNum
-	snap.NextFileNumber = &nf
-	snap.LastSeq = &ls
-	snap.LogNumber = &ln
-	// Re-stamp the epoch. After an accepted rollback the new epoch must
-	// clear the sealed floor, turning the restored snapshot into a fresh,
-	// newer generation that subsequent opens accept without AllowRollback.
-	epoch := st.epoch
-	if s.opts.Freshness != nil {
-		if floor, sealed := s.opts.Freshness.EpochFloor(); sealed && floor > epoch {
-			epoch = floor
-		}
-		epoch++
-	}
-	snap.Epoch = epoch
-	enc, err := snap.Encode()
-	if err != nil {
-		w.Close()
-		return err
-	}
-	if err := w.AddRecord(enc); err != nil {
-		w.Close()
-		return err
-	}
-	if err := w.Sync(); err != nil {
-		w.Close()
-		return err
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	if err := installCurrent(s.fs, s.opts.Wrapper, s.dir, newNum, epoch); err != nil {
-		return err
-	}
-	if s.opts.Freshness != nil {
-		if err := s.opts.Freshness.SealEpoch(epoch); err != nil {
-			s.opts.Logger("scrub: sealing epoch %d: %v", epoch, err)
-		}
-	}
-	return quarantineFile(s.fs, s.dir, path.Join(s.dir, oldName))
 }

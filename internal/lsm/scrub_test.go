@@ -3,10 +3,12 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"shield/internal/crypt"
+	"shield/internal/lsm/wal"
 	"shield/internal/vfs"
 )
 
@@ -78,7 +80,7 @@ func flipByte(t *testing.T, fs vfs.FS, name string) {
 func TestScrubCleanDB(t *testing.T) {
 	fs := vfs.NewMem()
 	buildScrubDB(t, fs)
-	rep, err := Scrub(fs, "db", ScrubOptions{})
+	rep, err := Scrub("db", Options{FS: fs}, ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestScrubQuarantinesBitFlippedSST(t *testing.T) {
 	victim := firstSST(t, fs)
 	flipByte(t, fs, victim)
 
-	rep, err := Scrub(fs, "db", ScrubOptions{})
+	rep, err := Scrub("db", Options{FS: fs}, ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,7 @@ func TestScrubDryRunTouchesNothing(t *testing.T) {
 	flipByte(t, fs, victim)
 	before := listNames(t, fs, "db")
 
-	rep, err := Scrub(fs, "db", ScrubOptions{DryRun: true})
+	rep, err := Scrub("db", Options{FS: fs}, ScrubOptions{DryRun: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +176,7 @@ func TestScrubRepairsTruncatedManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := Scrub(fs, "db", ScrubOptions{})
+	rep, err := Scrub("db", Options{FS: fs}, ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +205,7 @@ func TestScrubMovesOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := Scrub(fs, "db", ScrubOptions{})
+	rep, err := Scrub("db", Options{FS: fs}, ScrubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +366,7 @@ func TestParanoidOpenRejectsFileWithoutTheAnchoredDigest(t *testing.T) {
 	victim := firstSST(t, fs)
 
 	opts.Wrapper = undigestedWrapper{w}
-	report, err := Scrub(fs, "db", ScrubOptions{Wrapper: opts.Wrapper, DryRun: true})
+	report, err := Scrub("db", opts, ScrubOptions{DryRun: true})
 	if err != nil || report.Verdict(victim) != VerdictTampered {
 		t.Fatalf("scrub verdict = %v, %v; want tampered", report.Verdict(victim), err)
 	}
@@ -386,5 +388,122 @@ func TestParanoidOpenRejectsFileWithoutTheAnchoredDigest(t *testing.T) {
 	}
 	if _, err := db.Get([]byte("k")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after the table was dropped = %v, want ErrNotFound", err)
+	}
+}
+
+// dirImage reads every file directly under dir, so a test can tell whether
+// a pass wrote anything.
+func dirImage(t *testing.T, fs vfs.FS, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	for _, name := range listNames(t, fs, dir) {
+		data, err := vfs.ReadFile(fs, dir+"/"+name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = string(data)
+	}
+	return out
+}
+
+func manifestName(t *testing.T, fs vfs.FS) string {
+	t.Helper()
+	for _, n := range listNames(t, fs, "db") {
+		if strings.HasPrefix(n, "MANIFEST-") {
+			return "db/" + n
+		}
+	}
+	t.Fatal("no manifest")
+	return ""
+}
+
+// TestScrubRefusesManifestOlderThanCurrent: a manifest swapped for an older
+// one carries an epoch below the one CURRENT echoes. Open refuses the store
+// with an *IntegrityError, and Scrub, running the same load, returns that
+// same error before writing anything, whether it is a dry run or not and
+// whether or not it may accept a rollback.
+func TestScrubRefusesManifestOlderThanCurrent(t *testing.T) {
+	fs := vfs.NewMem()
+	buildScrubDB(t, fs)
+	old, err := vfs.ReadFile(fs, manifestName(t, fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open("db", testOptions(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := vfs.WriteFile(fs, manifestName(t, fs), old); err != nil {
+		t.Fatal(err)
+	}
+	before := dirImage(t, fs, "db")
+
+	opts := testOptions(fs)
+	_, openErr := Open("db", opts)
+	var ie *IntegrityError
+	if !errors.As(openErr, &ie) || ie.Kind != FileKindCurrent {
+		t.Fatalf("open = %v, want an *IntegrityError on CURRENT", openErr)
+	}
+	for _, allow := range []bool{false, true} {
+		for _, dry := range []bool{false, true} {
+			opts.AllowRollback = allow
+			rep, err := Scrub("db", opts, ScrubOptions{DryRun: dry})
+			if !errors.As(err, &ie) || err.Error() != openErr.Error() {
+				t.Fatalf("scrub (AllowRollback=%v, DryRun=%v) = %v, %v; want Open's error %v", allow, dry, rep, err, openErr)
+			}
+			if after := dirImage(t, fs, "db"); !reflect.DeepEqual(before, after) {
+				t.Fatalf("scrub (AllowRollback=%v, DryRun=%v) wrote to the store", allow, dry)
+			}
+		}
+	}
+}
+
+// TestScrubFindsUndecodableWALBatch: a WAL record whose checksum holds but
+// whose batch does not decode stops Open with a *CorruptionError. Scrub
+// decodes every batch through the same reader, so it reports the same
+// error as a corrupt finding and leaves the log where it is: Open has no
+// way around it, and neither has a scrub.
+func TestScrubFindsUndecodableWALBatch(t *testing.T) {
+	fs := vfs.NewMem()
+	buildScrubDB(t, fs)
+	victim := walFileName("db", 999999)
+	f, err := fs.Create(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wal.NewWriter(f)
+	if err := w.AddRecord([]byte("garbage-not-a-batch")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := Scrub("db", testOptions(fs), ScrubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Clean() {
+		t.Fatalf("scrub passed a store with an undecodable WAL batch:\n%s", rep)
+	}
+	if _, err := fs.Stat(victim); err != nil {
+		t.Fatalf("scrub moved the WAL: %v", err)
+	}
+	_, openErr := Open("db", testOptions(fs))
+	var ce *CorruptionError
+	if !errors.As(openErr, &ce) || ce.Kind != FileKindWAL || ce.Path != victim {
+		t.Fatalf("open = %v, want a *CorruptionError on %s", openErr, victim)
+	}
+	found := false
+	for _, f := range rep.Findings {
+		if f.Path == victim {
+			found = f.Kind == FileKindWAL && f.Action == ScrubCorrupt && f.Detail == openErr.Error()
+		}
+	}
+	if !found {
+		t.Fatalf("no corrupt finding for %s matching Open's %q:\n%s", victim, openErr, rep)
 	}
 }

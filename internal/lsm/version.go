@@ -88,38 +88,21 @@ func (d *DB) applyEditLocked(edit *manifest.VersionEdit) error {
 	return nil
 }
 
-// rotateManifestLocked writes nv as a single snapshot edit into a fresh
-// MANIFEST, then — only after that snapshot is durable — repoints CURRENT
-// and retires the old manifest file. A crash anywhere before installCurrent
-// leaves the old CURRENT/manifest pair fully intact. logNum is the oldest
-// WAL recovery must still replay (NOT necessarily d.logNum: queued immutable
-// memtables keep older logs live). d.mu held.
+// rotateManifestLocked installs nv as the snapshot of a fresh MANIFEST
+// (installSnapshot: CURRENT moves only once that snapshot is durable, so a
+// crash anywhere before leaves the old CURRENT/manifest pair fully intact)
+// and retires the old manifest file. logNum is the oldest WAL recovery must
+// still replay (NOT necessarily d.logNum: queued immutable memtables keep
+// older logs live). d.mu held.
 func (d *DB) rotateManifestLocked(nv *manifest.Version, logNum uint64) error {
-	oldNum := d.manifestNum
-	oldW := d.manifestW
-	restore := func() {
-		if d.manifestW != oldW {
-			d.manifestW.Close()
-		}
-		d.manifestNum = oldNum
-		d.manifestW = oldW
-	}
-	d.manifestNum = d.allocFileNum()
-	if err := d.createManifestFile(); err != nil {
-		d.manifestNum = oldNum
-		d.manifestW = oldW
+	num := d.allocFileNum()
+	w, err := installSnapshot(&d.opts, d.dir, num, snapshotEdit(nv, d.nextFileNum, d.lastSeq.Load(), logNum, d.epoch))
+	if err != nil {
 		return err
 	}
-	if err := d.writeSnapshotLocked(nv, logNum); err != nil {
-		restore()
-		return err
-	}
-	if err := installCurrent(d.fs, d.wrapper, d.dir, d.manifestNum, d.epoch); err != nil {
-		restore()
-		return err
-	}
-	oldW.Close()
-	oldName := manifestFileName(d.dir, oldNum)
+	d.manifestW.Close()
+	oldName := manifestFileName(d.dir, d.manifestNum)
+	d.manifestNum, d.manifestW = num, w
 	//shield:nolockio one unlink on the rare manifest-rollover path; retiring the old manifest atomically with the switch keeps recovery from ever seeing two
 	if err := d.fs.Remove(oldName); err == nil {
 		d.wrapper.FileDeleted(oldName, "")
@@ -127,11 +110,16 @@ func (d *DB) rotateManifestLocked(nv *manifest.Version, logNum uint64) error {
 	return nil
 }
 
-// deleteObsoleteLocked removes zombie SSTs (unless iterators pin them) and
-// WALs older than the live log. d.mu must be held.
+// deleteObsoleteLocked removes zombie SSTs (unless iterators pin them),
+// WALs older than the live log and manifests other than the live one. A
+// read-only instance removes nothing: the files belong to the writer. d.mu
+// must be held.
 //
 //shield:nolockio iterCount and the zombie list must be checked atomically with the removals (an iterator opened mid-delete would read a vanished SST); runs on the background flush/compaction goroutine, not the commit path
 func (d *DB) deleteObsoleteLocked() {
+	if d.opts.ReadOnly {
+		return
+	}
 	if d.iterCount == 0 {
 		for _, z := range d.zombies {
 			d.tables.evict(z.fileNum)

@@ -959,7 +959,7 @@ func (s *simulation) scrubAuditLocked() {
 		KDS:   s.kdsClient,
 		Cache: s.cache,
 	}
-	rep, err := core.Scrub(simDir, cfg, lsm.ScrubOptions{AllowRollback: true})
+	rep, err := core.Scrub(simDir, cfg, lsm.Options{AllowRollback: true}, lsm.ScrubOptions{})
 	if err != nil {
 		s.checker.violate("final scrub failed: %v", err)
 		return

@@ -18,7 +18,7 @@
 //     (or to the end of the function when the unlock is deferred);
 //   - the entire body of a function whose name contains "Locked" — this
 //     repo's convention for "caller holds the lock" (saveLocked,
-//     writeSnapshotLocked, ...), which is how lock-held I/O hides from a
+//     applyEditLocked, ...), which is how lock-held I/O hides from a
 //     purely intra-function scan.
 //
 // Self-calls are exempt from the shape-based classifications: a method
