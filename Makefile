@@ -35,10 +35,11 @@ flake:
 
 # The I/O paths' mechanisms, pinned. Reads: inner reads per sealed ReadAt, per
 # table open, per cache miss and per digest walk. Writes: allocations per Put,
-# per memtable entry, per sealed chunk and per memfs append, and the
-# equivalence tests of what the write path replaced (extent-backed memfs
-# bodies against a flat slice, the memtable arena under concurrent readers,
-# recycled sealed-writer jobs, pooled Put batches). The allocation tests carry
+# per memtable entry, per sealed chunk, per WAL/MANIFEST flush, per replay
+# read and per memfs append, and the equivalence tests of what the write path
+# replaced (extent-backed memfs bodies against a flat slice, the memtable
+# arena under concurrent readers, recycled sealed-writer jobs, pooled Put
+# batches). The allocation tests carry
 # a !race build tag (allocation counts are meaningless under the race
 # detector), so `make race` skips them and this target is where they run.
 # Served commands: allocations per pipeline through server.handle and through
@@ -165,6 +166,11 @@ tamper-test:
 # The two decoders the recovery pass (Open and Scrub alike) reads: WAL
 # records through readWAL, framing and batches, and manifest version edits
 # through strict and salvage replay; each ends in a typed error or succeeds.
+# The WAL/MANIFEST append stream, differentially: for any write sizes, buffer
+# size, failed-and-retried inner write and read sizes, the body is one
+# keystream pass over the plaintext and reads back as it. The sealed state
+# file (secure DEK cache, KDS key table): any bytes load or fail as a typed
+# error, allocation bounded by the input.
 # FUZZTIME bounds each target; CI uses a short burst, leave
 # it running locally to dig deeper. Minimization is capped because its 60 s
 # default otherwise eats a short burst whole (execs drop to 0/sec after the
@@ -180,6 +186,8 @@ fuzz:
 	go test $(FUZZFLAGS) -fuzz=FuzzTableOpen ./internal/lsm/sstable/
 	go test $(FUZZFLAGS) -fuzz=FuzzWALRecords ./internal/lsm/
 	go test $(FUZZFLAGS) -fuzz=FuzzVersionEdit ./internal/lsm/
+	go test $(FUZZFLAGS) -fuzz=FuzzAppendStream ./internal/crypt/
+	go test $(FUZZFLAGS) -fuzz=FuzzStateFile ./internal/crypt/
 
 # Third-party linters. These reach the network to fetch the pinned tool the
 # first time; they are deliberately NOT part of `make all` so an offline

@@ -1,5 +1,6 @@
-// Package cache provides a size-bounded, sharded LRU cache used for the LSM
-// block cache (decrypted data blocks) and the open-table cache.
+// Package cache provides a size-bounded, sharded LRU cache: the LSM block
+// cache of decrypted data blocks. (Open tables are kept by lsm's own
+// refcounted table cache, not here.)
 package cache
 
 import (

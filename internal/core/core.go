@@ -83,14 +83,17 @@ type Config struct {
 	Cache *seccache.Cache
 
 	// WALBufferSize is the application-managed WAL buffer in bytes
-	// (Section 5.3). 0 encrypts every WAL write individually (paying the
-	// full encryption-initialization cost per write); the paper's default
-	// trade-off point is 512 bytes.
+	// (Section 5.3). 0 encrypts and writes every WAL write individually;
+	// the paper's default trade-off point is 512 bytes. The WAL's cipher is
+	// keyed once per file either way, so the buffer saves write calls, and
+	// unsynced bytes it holds are lost if the process crashes.
 	WALBufferSize int
 
-	// CompactionChunkSize is the encryption granularity for SST bodies
-	// during flush/compaction. Defaults to 64 KiB; smaller chunks mean
-	// more encryption-initialization calls, larger chunks amortize them.
+	// CompactionChunkSize is the unit in which SST bodies are handed to
+	// the sealing goroutines during flush/compaction, rounded up to whole
+	// 4 KiB sealed blocks. Defaults to 64 KiB. The AEAD is built once per
+	// file, so the chunk size sets only the unit of dispatch and of file
+	// writes; the bytes on disk do not depend on it.
 	CompactionChunkSize int
 
 	// EncryptionThreads is the number of goroutines encrypting SST chunks

@@ -13,6 +13,7 @@ import (
 	"shield/internal/lsm"
 	"shield/internal/seccache"
 	"shield/internal/vfs"
+	"shield/internal/vfs/vfstest"
 )
 
 // newCrashKDS returns an in-memory KDS with unlimited fetches: the KDS is a
@@ -76,20 +77,23 @@ func crashEnumeration(t *testing.T, config func(fs vfs.FS, cache *seccache.Cache
 		points []point
 		acked  atomic.Int64
 	)
-	cfs.AfterSync(func(event string, img *vfs.CrashImage) {
+	// The engine's flush and compaction goroutines and the secure cache sync
+	// while the writer keeps getting acks: each point promises the count
+	// noted before its image was captured, so both reach the disk through afs.
+	afs := vfstest.NewAckedFS(cfs, acked.Load, func(event string, img *vfs.CrashImage, acked int64) {
 		mu.Lock()
-		points = append(points, point{event, img, acked.Load()})
+		points = append(points, point{event, img, acked})
 		mu.Unlock()
 	})
 
-	if err := cfs.MkdirAll("keys"); err != nil {
+	if err := afs.MkdirAll("keys"); err != nil {
 		t.Fatal(err)
 	}
-	cache, err := seccache.Open(cfs, "keys/cache.bin", []byte("pk"))
+	cache, err := seccache.Open(afs, "keys/cache.bin", []byte("pk"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open("db", config(cfs, cache), shieldCrashLSMOptions())
+	db, err := Open("db", config(afs, cache), shieldCrashLSMOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -429,11 +429,11 @@ func (s *shieldWrapper) WrapOpenSequential(name string, kind lsm.FileKind, f vfs
 	if err != nil {
 		return nil, err
 	}
-	stream, err := crypt.NewStream(dek, h.iv)
+	r, err := crypt.NewDecryptingReader(f, dek, h.iv)
 	if err != nil {
 		return nil, err
 	}
-	return &decryptingSequential{f: f, stream: stream}, nil
+	return r, nil
 }
 
 // FileDeleted implements lsm.FileWrapper: DEKs die with their files, which
@@ -462,21 +462,3 @@ func (s *shieldWrapper) FileDeleted(name string, dekID string) {
 		s.cfg.KDS.RevokeDEK(id) //nolint:errcheck // best-effort revoke
 	}
 }
-
-// decryptingSequential decrypts a streaming read of an encrypted body.
-type decryptingSequential struct {
-	f      vfs.SequentialFile
-	stream *crypt.Stream
-	off    int64
-}
-
-func (d *decryptingSequential) Read(p []byte) (int, error) {
-	n, err := d.f.Read(p)
-	if n > 0 {
-		d.stream.XORKeyStreamAt(p[:n], p[:n], d.off)
-		d.off += int64(n)
-	}
-	return n, err
-}
-
-func (d *decryptingSequential) Close() error { return d.f.Close() }

@@ -71,9 +71,11 @@ func NewIV() ([IVSize]byte, error) {
 // pair. XORKeyStreamAt encrypts or decrypts (the operation is symmetric) a
 // buffer that logically starts at the given byte offset of the file body.
 //
-// A Stream is stateless between calls and safe for concurrent use; every call
-// re-derives the counter block for its offset. This is exactly what lets
-// compaction encrypt chunks on multiple goroutines (Section 5.2).
+// A Stream is stateless between calls and safe for concurrent use; every
+// XORKeyStreamAt call derives the keystream for its offset, which is what
+// positional reads of a v1 body (DecryptingReaderAt) need. The append
+// streams (BufferedWriter, DecryptingReader) instead position one keystream
+// per file and carry it forward.
 type Stream struct {
 	block cipher.Block
 	iv    [IVSize]byte
@@ -94,20 +96,23 @@ func (s *Stream) XORKeyStreamAt(dst, src []byte, off int64) {
 	if len(dst) < len(src) {
 		panic("crypt: dst shorter than src")
 	}
-	blockIdx := uint64(off) / aes.BlockSize
-	skip := int(uint64(off) % aes.BlockSize)
+	s.keystreamAt(off).XORKeyStream(dst[:len(src)], src)
+}
 
+// keystreamAt returns the keystream positioned at file-body offset off: CTR
+// started at off's block, with the first off%16 keystream bytes discarded.
+// It carries its position forward, so an append stream (BufferedWriter,
+// DecryptingReader) positions one once per file and XORs every later byte
+// through it, with no key schedule, CTR setup or allocation per call.
+func (s *Stream) keystreamAt(off int64) cipher.Stream {
 	var ctr [aes.BlockSize]byte
-	addCounter(&ctr, s.iv, blockIdx)
-
-	// CTR streams from a block boundary; discard the first `skip` keystream
-	// bytes so the stream aligns with off.
+	addCounter(&ctr, s.iv, uint64(off)/aes.BlockSize)
 	stream := cipher.NewCTR(s.block, ctr[:])
-	if skip > 0 {
+	if skip := int(uint64(off) % aes.BlockSize); skip > 0 {
 		var scratch [aes.BlockSize]byte
 		stream.XORKeyStream(scratch[:skip], scratch[:skip])
 	}
-	stream.XORKeyStream(dst[:len(src)], src)
+	return stream
 }
 
 // addCounter sets ctr = iv + n treating the IV as a 128-bit big-endian
@@ -124,10 +129,11 @@ func addCounter(ctr *[aes.BlockSize]byte, iv [IVSize]byte, n uint64) {
 	}
 }
 
-// EncryptAt is a convenience that allocates a fresh Stream per call. It
-// deliberately pays the full encryption-initialization cost (AES key
-// schedule + CTR setup) every time — this is the overhead the paper measures
-// in Figure 4 and that the WAL buffer amortizes.
+// EncryptAt is a convenience that allocates a fresh Stream per call, paying
+// the full encryption-initialization cost (AES key schedule + CTR setup)
+// every time: the overhead the paper measures in Figure 4. The engine's
+// write path never calls it (BufferedWriter keys its stream once per file);
+// it seals the one-shot StateFile and drives the Figure 4 microbenchmark.
 func EncryptAt(key DEK, iv [IVSize]byte, dst, src []byte, off int64) error {
 	s, err := NewStream(key, iv)
 	if err != nil {

@@ -1,6 +1,7 @@
 package crypt
 
 import (
+	"crypto/cipher"
 	"io"
 
 	"shield/internal/vfs"
@@ -48,3 +49,34 @@ func (r *DecryptingReaderAt) Size() (int64, error) {
 
 // Close closes the underlying file.
 func (r *DecryptingReaderAt) Close() error { return r.f.Close() }
+
+// DecryptingReader decrypts a streaming read of a v1 body from its first
+// byte: the replay side of BufferedWriter (WAL and MANIFEST recovery, Scrub).
+// Like the writer it positions one keystream per file and carries it across
+// Reads, so a Read costs the inner read and an XOR.
+type DecryptingReader struct {
+	f  vfs.SequentialFile
+	ks cipher.Stream // positioned at the body bytes read so far
+}
+
+// NewDecryptingReader wraps f, which must be positioned at the start of the
+// encrypted body (just past the plaintext header).
+func NewDecryptingReader(f vfs.SequentialFile, key DEK, iv [IVSize]byte) (*DecryptingReader, error) {
+	s, err := NewStream(key, iv)
+	if err != nil {
+		return nil, err
+	}
+	return &DecryptingReader{f: f, ks: s.keystreamAt(0)}, nil
+}
+
+// Read implements io.Reader over the decrypted body.
+func (r *DecryptingReader) Read(p []byte) (int, error) {
+	n, err := r.f.Read(p)
+	if n > 0 {
+		r.ks.XORKeyStream(p[:n], p[:n])
+	}
+	return n, err
+}
+
+// Close closes the underlying file.
+func (r *DecryptingReader) Close() error { return r.f.Close() }

@@ -44,6 +44,10 @@ var (
 	// ErrStateAuth reports a state file whose tag does not verify: the wrong
 	// key and tampering are indistinguishable.
 	ErrStateAuth = errors.New("crypt: state file does not authenticate")
+
+	// ErrStateVersion reports a state file of a layout version this build
+	// does not know.
+	ErrStateVersion = errors.New("crypt: unsupported state file version")
 )
 
 // Load reads and unseals the file, first sweeping the temp a crashed Save
@@ -64,7 +68,7 @@ func (f *StateFile) Load(extraLen int, derive func(extra []byte)) ([]byte, error
 		return nil, fmt.Errorf("%w: bad magic", ErrStateCorrupt)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != stateVersion {
-		return nil, fmt.Errorf("crypt: unsupported state file version %d", v)
+		return nil, fmt.Errorf("%w %d", ErrStateVersion, v)
 	}
 	end := len(data) - stateTagLen
 	if n := binary.LittleEndian.Uint32(data[hdrLen-4 : hdrLen]); int64(n) != int64(end-hdrLen) {

@@ -1,6 +1,7 @@
 package crypt
 
 import (
+	"crypto/cipher"
 	"crypto/sha256"
 	"errors"
 	"hash"
@@ -13,10 +14,13 @@ import (
 // application-managed buffer that accumulates small writes and encrypts
 // them in one pass when the buffer reaches its threshold (or on Sync).
 //
-// Each flush pays one full encryption initialization (AES key schedule +
-// CTR setup via EncryptAt) — that is the cost the buffer amortizes
-// over many small WAL writes. With bufSize == 0 every Write is its own
-// flush, reproducing the per-write encryption bottleneck of Section 3.2.
+// The cipher is keyed once per file: the first flush runs the AES key
+// schedule and positions a CTR keystream at body offset 0, and every later
+// flush XORs into the reused scratch buffer through that same keystream,
+// whose position always equals off. What the buffer amortizes is the write
+// call per flush; with bufSize == 0 every Write is its own flush and its own
+// write call. The bytes are those of one XORKeyStreamAt pass from offset 0,
+// whatever the buffer size and however the writes were split.
 //
 // Trade-off: bytes still in the buffer are lost if the process crashes, but
 // nothing ever reaches storage in plaintext.
@@ -24,14 +28,15 @@ type BufferedWriter struct {
 	f       vfs.WritableFile
 	key     DEK
 	iv      [IVSize]byte
-	off     int64 // body offset already persisted
+	ks      cipher.Stream // positioned at off; nil before the first flush and after a failed one
+	off     int64         // body offset already persisted
 	buf     []byte
 	bufSize int
 	scratch []byte
 }
 
-// NewBufferedWriter wraps f with buffered encryption; bufSize 0 flushes
-// (and pays a full encryption initialization) on every Write.
+// NewBufferedWriter wraps f with buffered encryption; bufSize 0 flushes on
+// every Write.
 func NewBufferedWriter(f vfs.WritableFile, key DEK, iv [IVSize]byte, bufSize int) *BufferedWriter {
 	return &BufferedWriter{f: f, key: key, iv: iv, bufSize: bufSize}
 }
@@ -54,15 +59,23 @@ func (w *BufferedWriter) flush() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
+	if w.ks == nil {
+		s, err := NewStream(w.key, w.iv)
+		if err != nil {
+			return err
+		}
+		w.ks = s.keystreamAt(w.off)
+	}
 	if cap(w.scratch) < len(w.buf) {
 		w.scratch = make([]byte, len(w.buf))
 	}
 	ct := w.scratch[:len(w.buf)]
-	// Full per-flush initialization, deliberately not a cached stream.
-	if err := EncryptAt(w.key, w.iv, ct, w.buf, w.off); err != nil {
-		return err
-	}
+	w.ks.XORKeyStream(ct, w.buf)
 	if err := vfs.WriteFull(w.f, ct); err != nil {
+		// The keystream has moved past bytes the file did not accept. The
+		// buffer stays for the retry, which re-derives the keystream at off
+		// and so encrypts the same plaintext under the same keystream.
+		w.ks = nil
 		return err
 	}
 	w.off += int64(len(w.buf))

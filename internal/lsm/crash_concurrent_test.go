@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"shield/internal/vfs"
+	"shield/internal/vfs/vfstest"
 )
 
 // peakCompactor wraps the local compactor to record the peak number of
@@ -80,18 +81,17 @@ func TestCrashRecoveryConcurrentCompactions(t *testing.T) {
 	var (
 		ptMu   sync.Mutex
 		points []crashPoint
+		acked  atomic.Int64
 	)
 	// Compaction and flush goroutines sync while the writer keeps getting
 	// acks, so the ack count a crash point promises is the one noted BEFORE
 	// its image was captured; read afterwards, it can include a Put whose
 	// WAL sync the image is too old to hold.
-	fs := &ackedBeforeSyncFS{FS: cfs}
-	cfs.AfterSync(func(event string, img *vfs.CrashImage) {
+	fs := vfstest.NewAckedFS(cfs, acked.Load, func(event string, img *vfs.CrashImage, acked int64) {
 		ptMu.Lock()
-		points = append(points, crashPoint{event: event, img: img, acked: fs.atSync})
+		points = append(points, crashPoint{event: event, img: img, acked: acked})
 		ptMu.Unlock()
 	})
-	acked := &fs.acked
 
 	pairing := &peakCompactor{inner: &LocalCompactor{FS: fs}}
 	opts := crashTestOptions(fs)
@@ -140,44 +140,6 @@ func TestCrashRecoveryConcurrentCompactions(t *testing.T) {
 	}
 }
 
-// ackedBeforeSyncFS notes the workload's ack count just before every
-// durability boundary of the CrashFS below it. Its mutex makes "note the
-// count, sync, run the AfterSync hook" one step, so the hook (which the
-// CrashFS calls on the syncing goroutine, inside Sync) reads the count that
-// belongs to its image.
-type ackedBeforeSyncFS struct {
-	vfs.FS
-	acked  atomic.Int64
-	mu     sync.Mutex
-	atSync int64 // guarded by mu
-}
-
-func (f *ackedBeforeSyncFS) synced(sync func() error) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.atSync = f.acked.Load()
-	return sync()
-}
-
-func (f *ackedBeforeSyncFS) SyncDir(dir string) error {
-	return f.synced(func() error { return f.FS.SyncDir(dir) })
-}
-
-func (f *ackedBeforeSyncFS) Create(name string) (vfs.WritableFile, error) {
-	w, err := f.FS.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &ackedBeforeSyncFile{WritableFile: w, fs: f}, nil
-}
-
-type ackedBeforeSyncFile struct {
-	vfs.WritableFile
-	fs *ackedBeforeSyncFS
-}
-
-func (w *ackedBeforeSyncFile) Sync() error { return w.fs.synced(w.WritableFile.Sync) }
-
 // batchCrashPoint is one crash image plus a snapshot of how many ops each
 // concurrent writer had been acked for when the boundary fired.
 type batchCrashPoint struct {
@@ -203,19 +165,25 @@ func TestCrashRecoveryGroupCommitAtomicity(t *testing.T) {
 		points []batchCrashPoint
 		acked  [writers]atomic.Int64
 	)
-	cfs.AfterSync(func(event string, img *vfs.CrashImage) {
+	// Each point promises the counts noted before its image was captured
+	// (vfstest.AckedFS); read afterwards, they can include a Put whose WAL
+	// sync the image is too old to hold.
+	note := func() []int64 {
 		snap := make([]int64, writers)
 		for i := range snap {
 			snap[i] = acked[i].Load()
 		}
+		return snap
+	}
+	afs := vfstest.NewAckedFS(cfs, note, func(event string, img *vfs.CrashImage, acked []int64) {
 		ptMu.Lock()
-		points = append(points, batchCrashPoint{event: event, img: img, acked: snap})
+		points = append(points, batchCrashPoint{event: event, img: img, acked: acked})
 		ptMu.Unlock()
 	})
 
 	// Slow WAL syncs (layered above the crash capture) make writers pile up
 	// behind the leader, so groups really coalesce.
-	fs := &slowSyncFS{FS: cfs, delay: 100 * time.Microsecond}
+	fs := &slowSyncFS{FS: afs, delay: 100 * time.Microsecond}
 	opts := crashTestOptions(fs)
 	db, err := Open("db", opts)
 	if err != nil {

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"shield/internal/vfs"
+	"shield/internal/vfs/vfstest"
 )
 
 // crashPoint is one captured crash image plus the number of operations the
@@ -61,18 +63,18 @@ func crashTestOptions(fs vfs.FS) Options {
 // runCrashWorkload runs the scripted workload on a CrashFS, collecting a
 // crash image at every sync boundary. Flush and compaction goroutines sync
 // while the writer keeps getting acks, so each point promises the ack count
-// noted before its image was captured (ackedBeforeSyncFS).
+// noted before its image was captured (vfstest.AckedFS).
 func runCrashWorkload(t *testing.T, ops []crashOp) []crashPoint {
 	t.Helper()
 	cfs := vfs.NewCrash(1)
-	fs := &ackedBeforeSyncFS{FS: cfs}
 	var (
 		mu     sync.Mutex
 		points []crashPoint
+		acked  atomic.Int64
 	)
-	cfs.AfterSync(func(event string, img *vfs.CrashImage) {
+	fs := vfstest.NewAckedFS(cfs, acked.Load, func(event string, img *vfs.CrashImage, acked int64) {
 		mu.Lock()
-		points = append(points, crashPoint{event: event, img: img, acked: fs.atSync})
+		points = append(points, crashPoint{event: event, img: img, acked: acked})
 		mu.Unlock()
 	})
 
@@ -84,7 +86,7 @@ func runCrashWorkload(t *testing.T, ops []crashOp) []crashPoint {
 		if err := db.Put(op.key, op.value); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
-		fs.acked.Add(1)
+		acked.Add(1)
 		if (i+1)%25 == 0 {
 			if err := db.Flush(); err != nil {
 				t.Fatalf("flush at %d: %v", i, err)
