@@ -181,7 +181,7 @@ func (d *DB) maybeScheduleCompactionLocked() {
 		}
 		d.claimPlanLocked(plan)
 		// finishJob records the job's failure; no caller waits for it.
-		go func() { _ = d.finishJob(plan, d.runCompactionPlan(plan)) }()
+		go func() { _ = d.finishJob(plan, d.runCompactionPlan(plan, true)) }()
 	}
 	// Every job slot is taken; note whether runnable work had to queue.
 	if pick(d.current, &d.opts, d.held) != nil {
@@ -192,19 +192,20 @@ func (d *DB) maybeScheduleCompactionLocked() {
 
 // finishJob ends a claimed job, background or CompactRange's, with the
 // error runCompactionPlan returned. It releases the claim, then classifies
-// err: an abort (outputs removed, inputs retained, nothing installed) halts
-// background compaction without poisoning the DB — out of space is no reason
-// to stop writes, and the next successful flush clears the halt — while any
-// other failure, a failed manifest install included, degrades the DB. Last it
-// re-arms the scheduler and wakes waiters. It returns what CompactRange
-// reports: nil, the abort, or the ErrDegraded-wrapped failure.
+// err: a preemption (errPreempted) is no failure; an abort (outputs removed,
+// inputs retained, nothing installed) halts background compaction without
+// poisoning the DB — out of space is no reason to stop writes, and the next
+// successful flush clears the halt — while any other failure, a failed
+// manifest install included, degrades the DB. Last it re-arms the scheduler
+// and wakes waiters. It returns what CompactRange reports: nil, the abort, or
+// the ErrDegraded-wrapped failure.
 func (d *DB) finishJob(plan *compactionPlan, err error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.releasePlanLocked(plan)
 	var aborted *compactionAbortedError
 	switch {
-	case err == nil:
+	case err == nil, errors.Is(err, errPreempted):
 	case errors.As(err, &aborted):
 		d.compactionsHalted = true
 		d.opts.Logger("lsm: compactions halted (aborted, inputs retained): %v", aborted.err)
@@ -231,9 +232,17 @@ func (e *compactionAbortedError) Error() string {
 
 func (e *compactionAbortedError) Unwrap() error { return e.err }
 
+// errPreempted ends a background job that a waiting CompactRange settle plan
+// takes as input: RunCompaction removes what the job wrote and nothing is
+// installed (see backgroundFileNum).
+var errPreempted = errors.New("lsm: compaction preempted by CompactRange")
+
 // runCompactionPlan executes one plan (local or offloaded) and installs the
-// resulting version edit. The caller must have claimed the plan.
-func (d *DB) runCompactionPlan(plan *compactionPlan) error {
+// resulting version edit. The caller must have claimed the plan. A background
+// job run in-process takes its output numbers from backgroundFileNum, so a
+// waiting CompactRange can preempt it; an offloaded one cannot be, because
+// its worker would retry the allocator's refusal as a failed attempt.
+func (d *DB) runCompactionPlan(plan *compactionPlan, background bool) error {
 	edit := &manifest.VersionEdit{}
 	for _, in := range plan.inputs {
 		for _, f := range in.Files {
@@ -256,11 +265,14 @@ func (d *DB) runCompactionPlan(plan *compactionPlan) error {
 			MaxSubcompactions: plan.maxSubcompactions,
 			WriterOptions:     d.opts.tableOptions(),
 		}
-		compactor := d.opts.Compactor
+		compactor, newFileNum := d.opts.Compactor, d.newFileNum
 		if compactor == nil {
 			compactor = &LocalCompactor{FS: d.fs, Wrapper: d.wrapper}
+			if background {
+				newFileNum = d.backgroundFileNum
+			}
 		}
-		res, err := compactor.Compact(job, d.newFileNum)
+		res, err := compactor.Compact(job, newFileNum)
 		if err != nil {
 			if errors.Is(err, vfs.ErrNoSpace) || errors.Is(err, ErrJobLost) {
 				// RunCompaction (local or remote) aborted and cleaned up its
@@ -311,10 +323,14 @@ func (d *DB) runCompactionPlan(plan *compactionPlan) error {
 // to hide anything. When nothing lives above the bottom level no job runs.
 // Under universal and FIFO compaction it drains the style's own picks.
 //
-// Background jobs keep running: each manual job is claimed like any other
-// (the level-0 slot included) and finished by the same finishJob, so a failed
-// install degrades the DB here too. Two concurrent CompactRange callers, or a
-// manual job racing a background pick, can never install overlapping edits.
+// Each manual job is claimed like any other (the level-0 slot included) and
+// finished by the same finishJob, so a failed install degrades the DB here
+// too. Two concurrent CompactRange callers, or a manual job racing a
+// background pick, can never install overlapping edits. While the leveled
+// plan waits for in-flight background jobs, it preempts them: each stops at
+// its next output file instead of finishing tables the plan would rewrite at
+// once, so what CompactRange costs does not depend on how far background
+// compaction had got when it was called.
 func (d *DB) CompactRange() error {
 	if d.opts.ReadOnly {
 		return ErrReadOnly
@@ -327,7 +343,7 @@ func (d *DB) CompactRange() error {
 		if err != nil || plan == nil {
 			return err
 		}
-		if err := d.finishJob(plan, d.runCompactionPlan(plan)); err != nil || plan.settles {
+		if err := d.finishJob(plan, d.runCompactionPlan(plan, false)); err != nil || plan.settles {
 			return err
 		}
 	}
@@ -344,6 +360,7 @@ func (d *DB) claimManual() (*compactionPlan, error) {
 	d.manualWaiters++
 	defer func() {
 		d.manualWaiters--
+		d.preempt = false
 		// Background scheduling was suppressed while this job waited. Re-arm
 		// it on the way out — also when leaving without a plan — or a writer
 		// stalled on the L0 limit that deferred to this job sleeps forever.
@@ -365,6 +382,20 @@ func (d *DB) claimManual() (*compactionPlan, error) {
 		case plan == nil && d.compactions == 0:
 			return nil, nil
 		}
+		// A settle plan takes every background job's inputs as its own.
+		d.preempt = plan != nil && plan.settles
 		d.bgCond.Wait()
 	}
+}
+
+// backgroundFileNum is newFileNum for background jobs run in-process: while
+// a CompactRange settle plan waits (d.preempt) it refuses with errPreempted,
+// which aborts the job at its next output file and releases its claim.
+func (d *DB) backgroundFileNum() (uint64, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.preempt {
+		return 0, errPreempted
+	}
+	return d.allocFileNum(), nil
 }

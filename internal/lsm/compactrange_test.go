@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func compactLevel(t *testing.T, db *DB, lvl int) {
 	plan := newLeveledPlan(db.current, &db.opts, lvl, db.current.Levels[lvl], lvl+1)
 	db.claimPlanLocked(plan)
 	db.mu.Unlock()
-	if err := db.finishJob(plan, db.runCompactionPlan(plan)); err != nil {
+	if err := db.finishJob(plan, db.runCompactionPlan(plan, false)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -263,6 +264,106 @@ func TestCompactRangeWaitKeepsDegraded(t *testing.T) {
 	err = <-done
 	if !errors.Is(err, ErrDegraded) || !errors.Is(err, cause) {
 		t.Fatalf("CompactRange = %v, want ErrDegraded wrapping the cause", err)
+	}
+}
+
+// TestCompactRangePreemptsBackgroundJob: a background L0 job that
+// CompactRange's settle plan takes as input is preempted once the plan
+// waits on it. The job fails with errPreempted at its first output, leaves
+// no table behind and does not halt compaction; CompactRange then settles
+// the tree as one job. A job run by Options.Compactor is not preempted: it
+// installs its outputs, and CompactRange waits for it.
+func TestCompactRangePreemptsBackgroundJob(t *testing.T) {
+	for _, offloaded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("offloaded=%v", offloaded), func(t *testing.T) {
+			fs := vfs.NewMem()
+			opts := Options{FS: fs, L0CompactionTrigger: 1 << 20, TargetFileSize: 16 << 10}
+			if offloaded {
+				opts.Compactor = &LocalCompactor{FS: fs}
+			}
+			db, err := Open("db", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			model := map[string]string{}
+			for round := 0; round < 3; round++ {
+				for i := round; i < 3000; i += 2 {
+					k, v := fmt.Sprintf("k%06d", i), fmt.Sprintf("v%d-%0100d", round, i)
+					if err := db.Put([]byte(k), []byte(v)); err != nil {
+						t.Fatal(err)
+					}
+					model[k] = v
+				}
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Claim the L0 job the way the scheduler does, then let
+			// CompactRange wait on it.
+			db.mu.Lock()
+			plan := newLeveledPlan(db.current, &db.opts, 0, db.current.Levels[0], 1)
+			db.claimPlanLocked(plan)
+			db.mu.Unlock()
+			done := make(chan error, 1)
+			go func() { done <- db.CompactRange() }()
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				db.mu.Lock()
+				preempt := db.preempt
+				db.mu.Unlock()
+				if preempt {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("CompactRange never waited for the background job")
+				}
+			}
+
+			want := errPreempted
+			if offloaded {
+				want = nil
+			}
+			err = db.runCompactionPlan(plan, true)
+			if ferr := db.finishJob(plan, err); !errors.Is(ferr, want) {
+				t.Fatalf("background job = %v, finished as %v; want %v", err, ferr, want)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+
+			wantJobs := int64(1)
+			if offloaded {
+				wantJobs = 2
+			}
+			if got := db.Metrics().Compactions; got != wantJobs {
+				t.Fatalf("%d compactions installed, want %d", got, wantJobs)
+			}
+			db.mu.Lock()
+			halted := db.compactionsHalted
+			db.mu.Unlock()
+			if halted {
+				t.Fatal("a preemption halted background compaction")
+			}
+			for lvl := 0; lvl < manifest.NumLevels-1; lvl++ {
+				if n := db.NumFilesAtLevel(lvl); n != 0 {
+					t.Fatalf("L%d holds %d files after CompactRange", lvl, n)
+				}
+			}
+			infos, err := fs.List("db")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables := 0
+			for _, fi := range infos {
+				if strings.HasSuffix(fi.Name, ".sst") {
+					tables++
+				}
+			}
+			if live := db.NumFilesAtLevel(manifest.NumLevels - 1); tables != live {
+				t.Fatalf("%d tables on disk, %d live", tables, live)
+			}
+			checkAgainstModel(t, db, model)
+		})
 	}
 }
 
