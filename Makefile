@@ -170,7 +170,9 @@ tamper-test:
 # size, failed-and-retried inner write and read sizes, the body is one
 # keystream pass over the plaintext and reads back as it. The sealed state
 # file (secure DEK cache, KDS key table): any bytes load or fail as a typed
-# error, allocation bounded by the input.
+# error, allocation bounded by the input. The KDS request path: any bytes
+# through the server's JSON decode and handler never panic, every reply is
+# OK or an error, and no request from an unenrolled server succeeds.
 # FUZZTIME bounds each target; CI uses a short burst, leave
 # it running locally to dig deeper. Minimization is capped because its 60 s
 # default otherwise eats a short burst whole (execs drop to 0/sec after the
@@ -188,6 +190,7 @@ fuzz:
 	go test $(FUZZFLAGS) -fuzz=FuzzVersionEdit ./internal/lsm/
 	go test $(FUZZFLAGS) -fuzz=FuzzAppendStream ./internal/crypt/
 	go test $(FUZZFLAGS) -fuzz=FuzzStateFile ./internal/crypt/
+	go test $(FUZZFLAGS) -fuzz=FuzzKDSRequest ./internal/kds/
 
 # Third-party linters. These reach the network to fetch the pinned tool the
 # first time; they are deliberately NOT part of `make all` so an offline

@@ -27,8 +27,7 @@ func main() {
 
 	// KDS shared by both servers. Read replicas re-resolve many DEKs, so
 	// this deployment uses a per-server-sharing policy (unbounded fetches)
-	// rather than strict one-time provisioning; a production alternative is
-	// the hierarchical-derivation KDS (kds.NewDerived).
+	// rather than strict one-time provisioning.
 	kdsStore := kds.NewStore(kds.Policy{MaxFetches: 0})
 	kdsStore.Authorize("primary")
 	kdsStore.Authorize("replica")

@@ -47,16 +47,18 @@ var (
 
 // Backend is the server-side key-store interface: what a KDS front end
 // (Server, Local) is backed by. *Store implements it in memory;
-// *PersistentStore adds an encrypted on-disk snapshot; *Derived derives keys
-// from a master secret.
+// *PersistentStore adds an encrypted on-disk snapshot. Every key operation
+// names the requesting server and is refused unless that server is enrolled
+// and not revoked.
 type Backend interface {
 	CreateDEK(serverID string) (KeyID, crypt.DEK, error)
 	// CreateDEKToken creates idempotently: a retried create carrying the
 	// same token returns the already-issued key instead of minting (and
-	// leaking) a second one. An empty token is a plain CreateDEK.
+	// leaking) a second one, and only to the server that created it. An
+	// empty token is a plain CreateDEK.
 	CreateDEKToken(serverID, token string) (KeyID, crypt.DEK, error)
 	FetchDEK(serverID string, id KeyID) (crypt.DEK, error)
-	RevokeDEK(id KeyID) error
+	RevokeDEK(serverID string, id KeyID) error
 	// Authorize enrolls serverID.
 	Authorize(serverID string)
 }
@@ -152,13 +154,6 @@ func (s *Store) RevokeServer(serverID string) {
 	delete(s.authorized, serverID)
 }
 
-// SetLatency updates the synthetic per-request latency.
-func (s *Store) SetLatency(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.policy.Latency = d
-}
-
 func (s *Store) checkServer(serverID string) error {
 	if s.revokedSrv[serverID] {
 		return fmt.Errorf("%w: %s", ErrRevoked, serverID)
@@ -205,9 +200,11 @@ func (s *Store) CreateDEK(serverID string) (KeyID, crypt.DEK, error) {
 
 // CreateDEKToken implements Backend: a replayed token returns the key
 // already issued for it, so a client retrying a create whose response was
-// lost does not double-issue a DEK. The check-then-create sequence is not
-// atomic across concurrent calls with the same token, but tokens are
-// minted per request by a single client whose retries are serialized.
+// lost does not double-issue a DEK. The replay passes the same checks as a
+// fresh create, and goes only to the server that created the key, while the
+// key is not revoked. The check-then-create sequence is not atomic across
+// concurrent calls with the same token, but tokens are minted per request
+// by a single client whose retries are serialized.
 func (s *Store) CreateDEKToken(serverID, token string) (KeyID, crypt.DEK, error) {
 	if token == "" {
 		return s.CreateDEK(serverID)
@@ -215,9 +212,12 @@ func (s *Store) CreateDEKToken(serverID, token string) (KeyID, crypt.DEK, error)
 	s.mu.Lock()
 	if id, ok := s.tokens[token]; ok {
 		if e, live := s.keys[id]; live {
-			dek := e.dek
-			s.mu.Unlock()
-			return id, dek, nil
+			defer s.mu.Unlock()
+			if err := s.checkReplay(serverID, id, e); err != nil {
+				s.denied++
+				return "", crypt.DEK{}, err
+			}
+			return id, e.dek, nil
 		}
 	}
 	s.mu.Unlock()
@@ -237,6 +237,21 @@ func (s *Store) CreateDEKToken(serverID, token string) (KeyID, crypt.DEK, error)
 	}
 	s.mu.Unlock()
 	return id, dek, nil
+}
+
+// checkReplay authorizes serverID to receive the key a replayed create token
+// names. The caller holds s.mu.
+func (s *Store) checkReplay(serverID string, id KeyID, e *keyEntry) error {
+	if err := s.checkServer(serverID); err != nil {
+		return err
+	}
+	if serverID != e.creator {
+		return fmt.Errorf("%w: create token of another server", ErrPolicyViolated)
+	}
+	if e.revoked {
+		return fmt.Errorf("%w: %s", ErrKeyRevoked, id)
+	}
+	return nil
 }
 
 // FetchDEK implements the Service semantics at the store level.
@@ -272,10 +287,16 @@ func (s *Store) FetchDEK(serverID string, id KeyID) (crypt.DEK, error) {
 	return e.dek, nil
 }
 
-// RevokeDEK implements the Service semantics at the store level.
-func (s *Store) RevokeDEK(id KeyID) error {
+// RevokeDEK implements the Service semantics at the store level. Any enrolled
+// server may revoke any key: the engine revokes the outputs of offloaded
+// compactions, which a worker's identity created.
+func (s *Store) RevokeDEK(serverID string, id KeyID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.checkServer(serverID); err != nil {
+		s.denied++
+		return err
+	}
 	e, ok := s.keys[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownKey, id)
@@ -317,4 +338,4 @@ func (l *Local) FetchDEK(id KeyID) (crypt.DEK, error) {
 }
 
 // RevokeDEK implements Service.
-func (l *Local) RevokeDEK(id KeyID) error { return l.store.RevokeDEK(id) }
+func (l *Local) RevokeDEK(id KeyID) error { return l.store.RevokeDEK(l.serverID, id) }

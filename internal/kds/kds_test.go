@@ -82,14 +82,113 @@ func TestRevokeDEK(t *testing.T) {
 	store := NewStore(DefaultPolicy())
 	store.Authorize("s")
 	id, _, _ := store.CreateDEK("s")
-	if err := store.RevokeDEK(id); err != nil {
+	if err := store.RevokeDEK("s", id); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.FetchDEK("s", id); !errors.Is(err, ErrKeyRevoked) {
 		t.Fatalf("fetch revoked DEK: %v", err)
 	}
-	if err := store.RevokeDEK("dek-unknown"); !errors.Is(err, ErrUnknownKey) {
+	if err := store.RevokeDEK("s", "dek-unknown"); !errors.Is(err, ErrUnknownKey) {
 		t.Fatalf("revoke unknown: %v", err)
+	}
+}
+
+// TestRevokeDEKRequiresAuthorization: DEK-IDs are plaintext on storage, so a
+// revoke is refused unless its caller is enrolled and not revoked, in
+// process (Store, Local) and over TCP. The refused revokes leave the key
+// fetchable by its creator.
+func TestRevokeDEKRequiresAuthorization(t *testing.T) {
+	store := NewStore(DefaultPolicy())
+	store.Authorize("owner")
+	breached := NewLocal(store, "breached")
+	store.RevokeServer("breached")
+	id, dek, err := store.CreateDEK("owner")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.RevokeDEK("ghost", id); !errors.Is(err, ErrUnauthorized) {
+		t.Fatalf("revoke by a never-enrolled server: %v", err)
+	}
+	if err := breached.RevokeDEK(id); !errors.Is(err, ErrRevoked) {
+		t.Fatalf("revoke by a revoked server: %v", err)
+	}
+	if _, _, denied := store.Stats(); denied != 2 {
+		t.Fatalf("denied = %d, want 2", denied)
+	}
+
+	srv, err := NewServer(store, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, c := range []struct {
+		server string
+		want   error
+	}{{"ghost", ErrUnauthorized}, {"breached", ErrRevoked}} {
+		client := NewClient(c.server, srv.Addr())
+		err := client.RevokeDEK(id)
+		client.Close()
+		if !errors.Is(err, c.want) {
+			t.Fatalf("revoke over TCP by %s: %v, want %v", c.server, err, c.want)
+		}
+	}
+	if got, err := store.FetchDEK("owner", id); err != nil || got != dek {
+		t.Fatalf("creator's fetch after refused revokes: %v", err)
+	}
+}
+
+// A replayed create token is authorized like a fresh create: each of the
+// three tests below refuses one replay the store used to answer with the
+// token's key.
+
+func TestCreateTokenReplayByRevokedServer(t *testing.T) {
+	store := NewStore(DefaultPolicy())
+	store.Authorize("a")
+	if _, _, err := store.CreateDEKToken("a", "t1"); err != nil {
+		t.Fatal(err)
+	}
+	store.RevokeServer("a")
+	if _, _, err := store.CreateDEKToken("a", "t1"); !errors.Is(err, ErrRevoked) {
+		t.Fatalf("replay by a revoked server: %v", err)
+	}
+	if _, _, denied := store.Stats(); denied != 1 {
+		t.Fatalf("denied = %d, want 1", denied)
+	}
+}
+
+func TestCreateTokenReplayByForeignServer(t *testing.T) {
+	store := NewStore(DefaultPolicy())
+	store.Authorize("a")
+	store.Authorize("b")
+	if _, _, err := store.CreateDEKToken("a", "t1"); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := store.CreateDEKToken("b", "t1")
+	if !errors.Is(err, ErrPolicyViolated) {
+		t.Fatalf("replay of another server's token: %v", err)
+	}
+	// The sentinel survives the wire.
+	resp := (&Server{store: store}).handle(wireRequest{Op: "create", ServerID: "b", Token: "t1"})
+	if resp.OK || !errors.Is(mapWireError(resp.Err), ErrPolicyViolated) {
+		t.Fatalf("replay over the wire: %+v", resp)
+	}
+	if issued, _, denied := store.Stats(); issued != 1 || denied != 2 {
+		t.Fatalf("issued = %d, denied = %d; want 1, 2", issued, denied)
+	}
+}
+
+func TestCreateTokenReplayOfRevokedKey(t *testing.T) {
+	store := NewStore(DefaultPolicy())
+	store.Authorize("a")
+	id, _, err := store.CreateDEKToken("a", "t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.RevokeDEK("a", id); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.CreateDEKToken("a", "t1"); !errors.Is(err, ErrKeyRevoked) {
+		t.Fatalf("replay of a revoked key's token: %v", err)
 	}
 }
 
@@ -111,11 +210,12 @@ func TestSyntheticLatency(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
 		t.Fatalf("latency not applied: %v", elapsed)
 	}
-	store.SetLatency(0)
+	store = NewStore(Policy{MaxFetches: 1})
+	store.Authorize("s")
 	start = time.Now()
 	store.CreateDEK("s")
 	if elapsed := time.Since(start); elapsed > 10*time.Millisecond {
-		t.Fatalf("latency not cleared: %v", elapsed)
+		t.Fatalf("latency applied without a Policy.Latency: %v", elapsed)
 	}
 }
 

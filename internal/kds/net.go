@@ -105,7 +105,7 @@ func (s *Server) handle(req wireRequest) wireResponse {
 		}
 		return wireResponse{OK: true, KeyID: req.KeyID, DEKHex: hex.EncodeToString(dek[:])} //shield:nokeyhygiene threat model (Section 3.1) assumes the KDS channel is secured by infrastructure
 	case "revoke":
-		if err := s.store.RevokeDEK(KeyID(req.KeyID)); err != nil {
+		if err := s.store.RevokeDEK(req.ServerID, KeyID(req.KeyID)); err != nil {
 			return wireResponse{Err: err.Error()}
 		}
 		return wireResponse{OK: true}
@@ -332,6 +332,7 @@ func newCreateToken() (string, error) {
 func mapWireError(msg string) error {
 	for _, sentinel := range []error{
 		ErrUnauthorized, ErrUnknownKey, ErrAlreadyIssued, ErrRevoked, ErrKeyRevoked,
+		ErrPolicyViolated,
 	} {
 		if strings.Contains(msg, sentinel.Error()) {
 			return fmt.Errorf("%w (remote: %s)", sentinel, msg)

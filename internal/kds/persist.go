@@ -221,8 +221,8 @@ func (ps *PersistentStore) FetchDEK(serverID string, id KeyID) (crypt.DEK, error
 }
 
 // RevokeDEK revokes a key and persists the snapshot.
-func (ps *PersistentStore) RevokeDEK(id KeyID) error {
-	if err := ps.Store.RevokeDEK(id); err != nil {
+func (ps *PersistentStore) RevokeDEK(serverID string, id KeyID) error {
+	if err := ps.Store.RevokeDEK(serverID, id); err != nil {
 		return err
 	}
 	return ps.Save()

@@ -14,15 +14,6 @@ type internalIterator interface {
 	First() bool
 	Next() bool
 	SeekGE(target []byte) bool
-
-	// SeekLT and Last position in reverse: at the largest entry < target,
-	// or the largest entry overall. After a reverse positioning only
-	// Valid/Key/Value are defined until the next positioning call — calling
-	// Next from a reverse position is unsupported. (The DB iterator builds
-	// its Prev on one-shot reverse queries followed by forward re-seeks.)
-	SeekLT(target []byte) bool
-	Last() bool
-
 	Valid() bool
 	Key() []byte
 	Value() []byte
@@ -42,8 +33,6 @@ type sstIterAdapter struct {
 func (s *sstIterAdapter) First() bool               { return s.it.First() }
 func (s *sstIterAdapter) Next() bool                { return s.it.Next() }
 func (s *sstIterAdapter) SeekGE(target []byte) bool { return s.it.SeekGE(target) }
-func (s *sstIterAdapter) SeekLT(target []byte) bool { return s.it.SeekLT(target) }
-func (s *sstIterAdapter) Last() bool                { return s.it.Last() }
 func (s *sstIterAdapter) Valid() bool               { return s.it.Valid() }
 func (s *sstIterAdapter) Key() []byte               { return s.it.Key() }
 func (s *sstIterAdapter) Value() []byte             { return s.it.Value() }
@@ -111,39 +100,6 @@ func (m *mergingIter) First() bool {
 
 func (m *mergingIter) SeekGE(target []byte) bool {
 	return m.initHeap(func(it internalIterator) bool { return it.SeekGE(target) })
-}
-
-// reverseSelect positions every child with pos and keeps only the child
-// holding the maximum key — the one-shot reverse query of the
-// internalIterator contract.
-func (m *mergingIter) reverseSelect(pos func(internalIterator) bool) bool {
-	var best internalIterator
-	for _, it := range m.iters {
-		if pos(it) {
-			if best == nil || base.CompareInternal(it.Key(), best.Key()) > 0 {
-				best = it
-			}
-		} else if err := it.Err(); err != nil {
-			m.err = err
-			return false
-		}
-	}
-	m.h = m.h[:0]
-	if best == nil {
-		return false
-	}
-	m.h = append(m.h, best)
-	return true
-}
-
-// SeekLT positions at the largest entry < target.
-func (m *mergingIter) SeekLT(target []byte) bool {
-	return m.reverseSelect(func(it internalIterator) bool { return it.SeekLT(target) })
-}
-
-// Last positions at the overall largest entry.
-func (m *mergingIter) Last() bool {
-	return m.reverseSelect(func(it internalIterator) bool { return it.Last() })
 }
 
 func (m *mergingIter) Next() bool {
@@ -248,72 +204,6 @@ func (it *Iterator) Next() bool {
 	return it.valid
 }
 
-// resolveBackward emits the newest visible, non-deleted version of the
-// largest user key strictly below bound (nil bound = unbounded). Each step
-// is a one-shot reverse query for the previous user key followed by a
-// forward seek for its visible version — O(log n) per step, the classic
-// cost asymmetry of backward LSM iteration.
-func (it *Iterator) resolveBackward(bound []byte) bool {
-	it.valid = false
-	unbounded := bound == nil
-	cur := append([]byte(nil), bound...)
-	for {
-		// Largest internal key strictly below every version of cur
-		// (SearchKey(cur, MaxSeqNum) is cur's smallest internal key); an
-		// unbounded first step starts from the very end.
-		var ok bool
-		if unbounded {
-			ok = it.m.Last()
-			unbounded = false
-		} else {
-			ok = it.m.SeekLT(base.SearchKey(cur, base.MaxSeqNum))
-		}
-		if !ok {
-			return false
-		}
-		prevUser := append([]byte(nil), base.UserKey(it.m.Key())...)
-
-		// Forward seek to prevUser's newest visible version.
-		if !it.m.SeekGE(base.SearchKey(prevUser, it.seq)) {
-			return false
-		}
-		ikey := it.m.Key()
-		if !bytes.Equal(base.UserKey(ikey), prevUser) {
-			// No version of prevUser visible at this snapshot.
-			cur = prevUser
-			continue
-		}
-		if _, kind := base.DecodeTrailer(ikey); kind == base.KindDelete {
-			cur = prevUser
-			continue
-		}
-		it.key = append(it.key[:0], prevUser...)
-		it.value = append(it.value[:0], it.m.Value()...)
-		it.valid = true
-		return true
-	}
-}
-
-// Last positions at the largest visible key.
-func (it *Iterator) Last() bool { return it.resolveBackward(nil) }
-
-// SeekLT positions at the largest visible key strictly less than userKey.
-func (it *Iterator) SeekLT(userKey []byte) bool {
-	if userKey == nil {
-		userKey = []byte{}
-	}
-	return it.resolveBackward(userKey)
-}
-
-// Prev steps to the previous visible key. Valid after any positioning call
-// (First, Last, SeekGE, SeekLT, Next, Prev).
-func (it *Iterator) Prev() bool {
-	if !it.valid {
-		return false
-	}
-	return it.resolveBackward(it.key)
-}
-
 // Valid reports whether the iterator is positioned at an entry.
 func (it *Iterator) Valid() bool { return it.valid }
 
@@ -348,8 +238,8 @@ type concatIter struct {
 // fileHandle defers table opening to iteration time.
 type fileHandle struct {
 	open func() (internalIterator, error)
-	// smallest/largest bound the file in internal-key space.
-	smallest, largest []byte
+	// largest bounds the file in internal-key space.
+	largest []byte
 }
 
 func newConcatIter(files []fileHandle) *concatIter {
@@ -431,59 +321,6 @@ func (c *concatIter) SeekGE(target []byte) bool {
 		return true
 	}
 	return c.Next()
-}
-
-// SeekLT positions at the largest entry < target across the run.
-func (c *concatIter) SeekLT(target []byte) bool {
-	if len(c.files) == 0 {
-		return false
-	}
-	// The first file whose largest >= target can still hold entries below
-	// target when its smallest is below; otherwise the previous file is
-	// entirely below target.
-	lo, hi := 0, len(c.files)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if base.CompareInternal(c.files[mid].largest, target) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(c.files) && base.CompareInternal(c.files[lo].smallest, target) < 0 {
-		c.idx = lo
-		if !c.openIdx() {
-			return false
-		}
-		if c.cur.SeekLT(target) {
-			return true
-		}
-		if err := c.cur.Err(); err != nil {
-			c.err = err
-			return false
-		}
-	}
-	if lo == 0 {
-		c.closeCur()
-		return false
-	}
-	c.idx = lo - 1
-	if !c.openIdx() {
-		return false
-	}
-	return c.cur.Last()
-}
-
-// Last positions at the run's final entry.
-func (c *concatIter) Last() bool {
-	if len(c.files) == 0 {
-		return false
-	}
-	c.idx = len(c.files) - 1
-	if !c.openIdx() {
-		return false
-	}
-	return c.cur.Last()
 }
 
 func (c *concatIter) Valid() bool   { return c.err == nil && c.cur != nil && c.cur.Valid() }

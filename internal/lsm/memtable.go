@@ -104,16 +104,6 @@ func (m *memIter) SeekGE(target []byte) bool {
 	return m.it.Valid()
 }
 
-func (m *memIter) SeekLT(target []byte) bool {
-	m.it.SeekLT(target)
-	return m.it.Valid()
-}
-
-func (m *memIter) Last() bool {
-	m.it.Last()
-	return m.it.Valid()
-}
-
 func (m *memIter) Valid() bool   { return m.it.Valid() }
 func (m *memIter) Key() []byte   { return m.it.Key() }
 func (m *memIter) Value() []byte { return m.it.Value() }

@@ -32,9 +32,9 @@ func arenaValue(i int) []byte {
 }
 
 // TestMemTableArenaConcurrentReaders: one writer filling the arena-backed
-// memtable (slabs growing, doubling and being replaced under it) with four
-// readers on it: two point lookups of already published entries, a forward
-// scan and a reverse scan. Every entry a reader reaches must be whole, in
+// memtable (slabs growing, doubling and being replaced under it) with three
+// readers on it: two point lookups of already published entries and a forward
+// scan. Every entry a reader reaches must be whole, in
 // order, and carry the value its key implies. Run under -race: a node and its
 // bytes are written before the atomic store that publishes them, and nothing
 // else orders the two sides.
@@ -102,21 +102,6 @@ func TestMemTableArenaConcurrentReaders(t *testing.T) {
 				return false
 			}
 			prev = append(prev[:0], it.Key()...)
-			if !check(it.Key(), it.Value()) {
-				return false
-			}
-		}
-		return true
-	})
-	reader(4, func(*rand.Rand) bool { // reverse
-		it := m.iter()
-		var next []byte
-		for ok := it.Last(); ok; ok = it.SeekLT(next) {
-			if next != nil && base.CompareInternal(it.Key(), next) >= 0 {
-				t.Error("reverse scan out of order")
-				return false
-			}
-			next = append(next[:0], it.Key()...)
 			if !check(it.Key(), it.Value()) {
 				return false
 			}

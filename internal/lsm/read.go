@@ -222,9 +222,8 @@ func (d *DB) NewIter() (*Iterator, error) {
 		for _, f := range ver.Levels[lvl] {
 			num := f.FileNum
 			handles = append(handles, fileHandle{
-				open:     func() (internalIterator, error) { return d.openTableIter(num) },
-				smallest: f.Smallest,
-				largest:  f.Largest,
+				open:    func() (internalIterator, error) { return d.openTableIter(num) },
+				largest: f.Largest,
 			})
 		}
 		iters = append(iters, newConcatIter(handles))

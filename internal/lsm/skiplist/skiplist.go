@@ -163,50 +163,3 @@ func (it *Iterator) Next() { it.n = it.n.next[0].Load() }
 func (it *Iterator) SeekGE(target []byte) {
 	it.n = it.list.findGreaterOrEqual(target, nil)
 }
-
-// findLessThan returns the last node with key < target, or nil.
-func (l *List) findLessThan(target []byte) *node {
-	x := l.head
-	level := int(l.height.Load()) - 1
-	for {
-		next := x.next[level].Load()
-		if next != nil && l.cmp(next.key, target) < 0 {
-			x = next
-			continue
-		}
-		if level == 0 {
-			if x == l.head {
-				return nil
-			}
-			return x
-		}
-		level--
-	}
-}
-
-// SeekLT positions at the last entry with key < target (invalid if none).
-func (it *Iterator) SeekLT(target []byte) {
-	it.n = it.list.findLessThan(target)
-}
-
-// Last positions at the largest entry (invalid if the list is empty).
-func (it *Iterator) Last() {
-	x := it.list.head
-	level := int(it.list.height.Load()) - 1
-	for {
-		next := x.next[level].Load()
-		if next != nil {
-			x = next
-			continue
-		}
-		if level == 0 {
-			if x == it.list.head {
-				it.n = nil
-			} else {
-				it.n = x
-			}
-			return
-		}
-		level--
-	}
-}

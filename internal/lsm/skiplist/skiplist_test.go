@@ -158,40 +158,3 @@ func TestRandomizedAgainstSortedSlice(t *testing.T) {
 		t.Fatalf("scanned %d of %d", i, len(keys))
 	}
 }
-
-func TestSeekLTAndLast(t *testing.T) {
-	l := New(bytes.Compare)
-	it := l.NewIterator()
-	it.Last()
-	if it.Valid() {
-		t.Fatal("Last on empty list valid")
-	}
-	it.SeekLT([]byte("x"))
-	if it.Valid() {
-		t.Fatal("SeekLT on empty list valid")
-	}
-
-	for i := 0; i < 1000; i += 2 {
-		l.Insert([]byte(fmt.Sprintf("k%06d", i)), nil)
-	}
-	it.Last()
-	if !it.Valid() || string(it.Key()) != "k000998" {
-		t.Fatalf("Last = %q", it.Key())
-	}
-	it.SeekLT([]byte("k000500")) // exact even key: previous is 498
-	if !it.Valid() || string(it.Key()) != "k000498" {
-		t.Fatalf("SeekLT(exact) = %q", it.Key())
-	}
-	it.SeekLT([]byte("k000501")) // between: last below is 500
-	if !it.Valid() || string(it.Key()) != "k000500" {
-		t.Fatalf("SeekLT(between) = %q", it.Key())
-	}
-	it.SeekLT([]byte("k000000")) // before first
-	if it.Valid() {
-		t.Fatal("SeekLT(first) returned entry")
-	}
-	it.SeekLT([]byte("zzz")) // past end
-	if !it.Valid() || string(it.Key()) != "k000998" {
-		t.Fatalf("SeekLT(past end) = %q", it.Key())
-	}
-}

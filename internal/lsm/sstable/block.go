@@ -105,45 +105,6 @@ func (it *blockIter) seekGE(target []byte) bool {
 	return false
 }
 
-// seekLT positions at the last entry with internal key < target (false if
-// the block has none). Blocks are small, so a forward scan remembering the
-// last qualifying entry suffices.
-func (it *blockIter) seekLT(target []byte) bool {
-	it.off = 0
-	var lastKey, lastVal []byte
-	found := false
-	for it.next() {
-		if base.CompareInternal(it.key, target) >= 0 {
-			break
-		}
-		lastKey = append(lastKey[:0], it.key...)
-		lastVal = append(lastVal[:0], it.val...)
-		found = true
-	}
-	if it.err != nil || !found {
-		return false
-	}
-	it.key, it.val = lastKey, lastVal
-	return true
-}
-
-// last positions at the block's final entry.
-func (it *blockIter) last() bool {
-	it.off = 0
-	found := false
-	var lastKey, lastVal []byte
-	for it.next() {
-		lastKey = append(lastKey[:0], it.key...)
-		lastVal = append(lastVal[:0], it.val...)
-		found = true
-	}
-	if it.err != nil || !found {
-		return false
-	}
-	it.key, it.val = lastKey, lastVal
-	return true
-}
-
 // blockHandle locates a block within the table body.
 type blockHandle struct {
 	offset uint64

@@ -349,70 +349,6 @@ func (it *Iter) SeekGE(target []byte) bool {
 	return it.nextBlock() && it.advance()
 }
 
-// SeekLT positions at the last entry with internal key < target. After
-// SeekLT (or Last) only Key/Value/Valid are defined until the next
-// positioning call; forward Next from a reverse position is unsupported.
-func (it *Iter) SeekLT(target []byte) bool {
-	// First block whose last key >= target may still hold keys < target.
-	lo, hi := 0, len(it.r.index)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if base.CompareInternal(it.r.index[mid].lastKey, target) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	// Try block lo (its last key >= target, but it may start below target),
-	// then fall back to block lo-1, which is entirely < target.
-	if lo < len(it.r.index) {
-		it.blockIdx = lo - 1
-		if it.nextBlock() && it.bi.seekLT(target) {
-			return true
-		}
-		if it.bi != nil && it.bi.err != nil {
-			it.err = it.bi.err
-			return false
-		}
-	}
-	if lo == 0 {
-		it.bi = nil
-		return false
-	}
-	it.blockIdx = lo - 2 // nextBlock lands on lo-1
-	if !it.nextBlock() {
-		return false
-	}
-	if it.bi.last() {
-		return true
-	}
-	if it.bi.err != nil {
-		it.err = it.bi.err
-	}
-	it.bi = nil
-	return false
-}
-
-// Last positions at the table's final entry (same caveats as SeekLT).
-func (it *Iter) Last() bool {
-	if len(it.r.index) == 0 {
-		it.bi = nil
-		return false
-	}
-	it.blockIdx = len(it.r.index) - 2 // nextBlock lands on the final block
-	if !it.nextBlock() {
-		return false
-	}
-	if it.bi.last() {
-		return true
-	}
-	if it.bi.err != nil {
-		it.err = it.bi.err
-	}
-	it.bi = nil
-	return false
-}
-
 // Valid reports whether the iterator is positioned at an entry.
 func (it *Iter) Valid() bool { return it.bi != nil && it.err == nil && it.bi.key != nil }
 
