@@ -25,12 +25,12 @@ benchmark-check:
 race:
 	go test -race ./...
 
-# The compaction scheduler's flake lane: the picker, scheduler, CompactRange,
-# universal/FIFO and subcompaction tests of internal/lsm and the offloaded-
-# compaction orchestrator, ten times each under the race detector, so an
-# interleaving one PR-gate run misses shows up here. Nightly in CI.
+# The compaction scheduler's flake lane: the picker, scheduler, CompactRange
+# and universal/FIFO tests of internal/lsm and the offloaded-compaction
+# orchestrator, ten times each under the race detector, so an interleaving
+# one PR-gate run misses shows up here. Nightly in CI.
 flake:
-	go test -race -count=10 -run 'Sched|Compact|Universal|FIFO|Subcompaction|Pick' ./internal/lsm/
+	go test -race -count=10 -run 'Sched|Compact|Universal|FIFO|Pick' ./internal/lsm/
 	go test -race -count=10 ./internal/compactsvc/
 
 # The I/O paths' mechanisms, pinned. Reads: inner reads per sealed ReadAt, per
@@ -61,11 +61,13 @@ fmt:
 vet:
 	go vet ./...
 
-# The repo's own analysis suite (cmd/shield-vet), ten analyzers: nofs,
+# The repo's own analysis suite (cmd/shield-vet), eleven analyzers: nofs,
 # syncdir, keyhygiene, lockio, errclass, authread (persistence and keys,
-# DESIGN.md §9) plus lockorder, atomics, goroleak, noncebound (concurrency
-# and crypto misuse, §14). Stdlib-only — no downloads, works offline.
-# Packages analyze on a worker pool; output is identical at any -parallel.
+# DESIGN.md §9), testonly (every non-test function has a non-test caller
+# somewhere in the module; //shield:notestonly <reason> keeps one that has
+# none, §9) plus lockorder, atomics, goroleak, noncebound (concurrency and
+# crypto misuse, §14). Stdlib-only — no downloads, works offline. Packages
+# analyze on a worker pool; output is identical at any -parallel.
 shield-vet:
 	go run ./cmd/shield-vet ./...
 
@@ -157,7 +159,8 @@ tamper-test:
 # of a tampered body must read as the per-block oracle reads it — never panic
 # or misclassify. The RESP command parser, differentially: the in-place
 # reader and the bufio oracle must agree on commands, error class and stream
-# position for any input in any chunking. The two decoders a storage-side
+# position for any input in any chunking. The RESP reply parser the client
+# reads with: any bytes parse or fail, never panic, within its limits. The two decoders a storage-side
 # attacker reaches before any AEAD check: the dstore frame (typed error or a
 # value that re-encodes to the bytes consumed, allocation bounded by the
 # input) and the SHIELD file header. The SST table open: on any bytes, as
@@ -183,6 +186,7 @@ fuzz:
 	go test $(FUZZFLAGS) -fuzz=FuzzSealedOpen ./internal/crypt/
 	go test $(FUZZFLAGS) -fuzz=FuzzSealedReadAt ./internal/crypt/
 	go test $(FUZZFLAGS) -fuzz=FuzzReadCommand ./internal/resp/
+	go test $(FUZZFLAGS) -fuzz=FuzzReadReply ./internal/resp/
 	go test $(FUZZFLAGS) -fuzz=FuzzDstoreFrame ./internal/dstore/
 	go test $(FUZZFLAGS) -fuzz=FuzzParseHeader ./internal/core/
 	go test $(FUZZFLAGS) -fuzz=FuzzTableOpen ./internal/lsm/sstable/

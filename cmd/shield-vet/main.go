@@ -157,7 +157,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	results := analyzeAll(loader, dirs, suite, *parallel, *suppressions)
+	modules, err := moduleResults(loader, dirs, suite, *parallel)
+	if err != nil {
+		fmt.Fprintln(stderr, "shield-vet:", err)
+		return 2
+	}
+	results := analyzeAll(loader, dirs, suite, modules, *parallel, *suppressions)
 
 	// Load and type errors are hard failures: a package that does not
 	// type-check is silently half-analyzed, which is worse than failing.
@@ -219,16 +224,59 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// moduleResults runs each Analyzer.Module hook of the suite once, over every
+// package of the module and every package the patterns name: a caller in
+// any of them counts. A package that fails to load is left out here; it is
+// reported when it is analyzed.
+func moduleResults(loader *load.Loader, named []string, suite []*analysis.Analyzer, workers int) (map[*analysis.Analyzer]any, error) {
+	var hooked []*analysis.Analyzer
+	for _, a := range suite {
+		if a.Module != nil {
+			hooked = append(hooked, a)
+		}
+	}
+	if len(hooked) == 0 {
+		return nil, nil
+	}
+	dirs, err := loader.Expand(append([]string{"./..."}, named...))
+	if err != nil {
+		return nil, err
+	}
+	pkgs := make([]*load.Package, len(dirs))
+	forEach(len(dirs), workers, func(i int) {
+		pkgs[i], _ = loader.LoadDir(dirs[i])
+	})
+	var module []*load.Package
+	for _, p := range pkgs {
+		if p != nil {
+			module = append(module, p)
+		}
+	}
+	out := make(map[*analysis.Analyzer]any, len(hooked))
+	for _, a := range hooked {
+		out[a] = a.Module(module)
+	}
+	return out, nil
+}
+
 // analyzeAll fans dirs out over a bounded worker pool. Results land in a
 // slot per directory, so ordering never depends on scheduling.
-func analyzeAll(loader *load.Loader, dirs []string, suite []*analysis.Analyzer, workers int, trackSuppressions bool) []pkgResult {
+func analyzeAll(loader *load.Loader, dirs []string, suite []*analysis.Analyzer, modules map[*analysis.Analyzer]any, workers int, trackSuppressions bool) []pkgResult {
+	results := make([]pkgResult, len(dirs))
+	forEach(len(dirs), workers, func(i int) {
+		results[i] = analyzeOne(loader, dirs[i], suite, modules, trackSuppressions)
+	})
+	return results
+}
+
+// forEach calls fn(0..n-1) on a pool of at most workers goroutines.
+func forEach(n, workers int, fn func(int)) {
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > len(dirs) {
-		workers = len(dirs)
+	if workers > n {
+		workers = n
 	}
-	results := make([]pkgResult, len(dirs))
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -236,19 +284,18 @@ func analyzeAll(loader *load.Loader, dirs []string, suite []*analysis.Analyzer, 
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i] = analyzeOne(loader, dirs[i], suite, trackSuppressions)
+				fn(i)
 			}
 		}()
 	}
-	for i := range dirs {
+	for i := 0; i < n; i++ {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
-	return results
 }
 
-func analyzeOne(loader *load.Loader, dir string, suite []*analysis.Analyzer, trackSuppressions bool) pkgResult {
+func analyzeOne(loader *load.Loader, dir string, suite []*analysis.Analyzer, modules map[*analysis.Analyzer]any, trackSuppressions bool) pkgResult {
 	var r pkgResult
 	p, err := loader.LoadDir(dir)
 	if err != nil {
@@ -268,6 +315,7 @@ func analyzeOne(loader *load.Loader, dir string, suite []*analysis.Analyzer, tra
 			Files:     p.Files,
 			Pkg:       p.Types,
 			TypesInfo: p.Info,
+			Module:    modules[a],
 		}
 		name := a.Name
 		pass.Report = func(d analysis.Diagnostic) {

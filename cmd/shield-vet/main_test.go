@@ -34,14 +34,14 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 	}
 	for _, name := range []string{
 		"nofs", "syncdir", "keyhygiene", "lockio", "errclass", "authread",
-		"lockorder", "atomics", "goroleak", "noncebound",
+		"lockorder", "atomics", "goroleak", "noncebound", "testonly",
 	} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing analyzer %q", name)
 		}
 	}
-	if n := len(strings.Split(strings.TrimSpace(stdout), "\n")); n != 10 {
-		t.Errorf("-list printed %d lines, want 10", n)
+	if n := len(strings.Split(strings.TrimSpace(stdout), "\n")); n != 11 {
+		t.Errorf("-list printed %d lines, want 11", n)
 	}
 }
 

@@ -69,9 +69,6 @@ func (v *ValueGen) Value(n uint64) []byte {
 	return out
 }
 
-// Size returns the configured value size.
-func (v *ValueGen) Size() int { return v.size }
-
 // Zipfian implements the YCSB zipfian generator (theta = 0.99 by default),
 // which stdlib's rand.Zipf cannot express (it requires s > 1).
 type Zipfian struct {

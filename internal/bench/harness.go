@@ -89,8 +89,8 @@ type Result struct {
 	Recovery metrics.RecoverySnapshot
 
 	// Jobs is the delta of the background-job scheduler counters over this
-	// run: compactions claimed, peak concurrency, subcompaction shards,
-	// compaction I/O volume, and write-stall time spent waiting on debt.
+	// run: compactions claimed, peak concurrency, compaction I/O volume,
+	// and write-stall time spent waiting on debt.
 	Jobs metrics.JobsSnapshot
 
 	// Engine is the delta of the process-wide foreground engine counters

@@ -147,7 +147,7 @@ func (c *LRU) Stats() (hits, misses int64) {
 	return c.nHit.Load(), c.nMiss.Load()
 }
 
-// Used returns the total charge currently held.
+//shield:notestonly the total charge held, for the cache tests to assert on
 func (c *LRU) Used() int64 {
 	var n int64
 	for i := range c.shards {

@@ -202,72 +202,64 @@ func TestWorkerReconnects(t *testing.T) {
 	}
 }
 
-// TestRemoteSubcompactedJob ships a job with MaxSubcompactions over the
-// wire and checks the worker shards it: the field survives the JSON
-// protocol, the shard count comes back in the result, and the merged
-// output is identical in content to what a serial merge would produce —
-// sorted, non-overlapping outputs covering all 750 surviving keys.
-func TestRemoteSubcompactedJob(t *testing.T) {
-	fs := vfs.NewMem()
-	m1 := buildInput(t, fs, 1, 0, 500)
-	m2 := buildInput(t, fs, 2, 250, 750)
-
-	orch, _ := startPair(t, fs)
-
-	job := lsm.CompactionJob{
-		Dir: "db",
-		Inputs: []lsm.JobLevel{
-			{Level: 0, Files: []manifest.FileMetadata{m2, m1}},
-		},
-		OutputLevel:       1,
-		Bottommost:        true,
-		SmallestSnapshot:  1 << 60,
-		TargetFileSize:    4 << 10, // several outputs per shard
-		MaxSubcompactions: 3,
+// TestParentEncodedJobRunsOffloaded: a job the previous build encoded (its own
+// block_size/bloom_bits_per_key/compression fields, a shard count, pinned
+// boundaries, an output-number reservation) goes over the wire to a worker of
+// this build, against the store that build wrote. The worker writes what this
+// build's in-process executor writes of the same job, and that spans the key
+// range and reads the bytes the previous build's result reports (it ran the
+// job in two shards, so its outputs are cut elsewhere; lsm's
+// TestParentCompactionJobGolden checks the records). The fixtures are lsm's
+// (see internal/lsm/compat_test.go).
+func TestParentEncodedJobRunsOffloaded(t *testing.T) {
+	var job lsm.CompactionJob
+	var want lsm.CompactionResult
+	osfs := vfs.NewOS()
+	for name, into := range map[string]any{"compaction_job.golden.json": &job, "compaction_result.golden.json": &want} {
+		data, err := vfs.ReadFile(osfs, "../lsm/testdata/"+name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, into); err != nil {
+			t.Fatal(err)
+		}
 	}
-	res, err := orch.Compact(job, numbersFrom(10).newFileNum)
+
+	fs := parentStore(t)
+	orch, _ := startPair(t, fs)
+	nums := numbersFrom(7000)
+	res, err := orch.Compact(job, nums.newFileNum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Subcompactions < 2 {
-		t.Fatalf("job ran with %d subcompactions, want >= 2 (field lost over the wire?)", res.Subcompactions)
+	if got, issued := outputNums(res), nums.nums(); !sameSet(got, issued) {
+		t.Fatalf("outputs numbered %v, the allocator issued %v", got, issued)
 	}
-	if len(res.Outputs) < 2 {
-		t.Fatalf("got %d outputs, want several", len(res.Outputs))
+	local, err := lsm.RunCompaction(parentStore(t), nil, job, numbersFrom(7000).newFileNum)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	var total uint64
-	var prevLargest []byte
+	if res.BytesRead != local.BytesRead || res.BytesWritten != local.BytesWritten || len(res.Outputs) != len(local.Outputs) {
+		t.Fatalf("offloaded result %+v, the in-process one %+v", res, local)
+	}
 	for i, out := range res.Outputs {
-		if i > 0 && strings.Compare(string(base.UserKey(out.Smallest)), string(prevLargest)) <= 0 {
-			t.Fatalf("output %d overlaps or is out of order: smallest %q after largest %q",
-				i, base.UserKey(out.Smallest), prevLargest)
+		// File numbers are the allocator's; everything else is the table.
+		out.FileNum = local.Outputs[i].FileNum
+		if !reflect.DeepEqual(out, local.Outputs[i]) {
+			t.Fatalf("output %d = %+v, the in-process one %+v", i, out, local.Outputs[i])
 		}
-		prevLargest = append(prevLargest[:0], base.UserKey(out.Largest)...)
-
-		raf, err := fs.Open(fmt.Sprintf("db/%06d.sst", out.FileNum))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := sstable.NewReader(raf, sstable.ReaderOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += r.Properties().NumEntries
-		r.Close()
 	}
-	if total != 750 {
-		t.Fatalf("sharded merge produced %d entries, want 750", total)
+	first, last := res.Outputs[0], res.Outputs[len(res.Outputs)-1]
+	wantFirst, wantLast := want.Outputs[0], want.Outputs[len(want.Outputs)-1]
+	if res.BytesRead != want.BytesRead || !reflect.DeepEqual(first.Smallest, wantFirst.Smallest) || !reflect.DeepEqual(last.Largest, wantLast.Largest) {
+		t.Fatalf("offloaded result %+v, the previous build's %+v", res, want)
 	}
 }
 
-// TestParentEncodedJobRunsOffloaded: a job the previous build encoded (its own
-// block_size/bloom_bits_per_key/compression fields, pinned boundaries, an
-// output-number reservation) goes
-// over the wire to a worker of this build, against the store that build wrote,
-// and the worker writes what that build's executor wrote. The fixtures are
-// lsm's (see internal/lsm/compat_test.go).
-func TestParentEncodedJobRunsOffloaded(t *testing.T) {
+// parentStore copies the store the previous build wrote into db/ on a fresh
+// in-memory filesystem.
+func parentStore(t *testing.T) vfs.FS {
+	t.Helper()
 	osfs, fs := vfs.NewOS(), vfs.NewMem()
 	fs.MkdirAll("db")
 	entries, err := osfs.List("../lsm/testdata/parent_store")
@@ -283,38 +275,7 @@ func TestParentEncodedJobRunsOffloaded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var job lsm.CompactionJob
-	var want lsm.CompactionResult
-	for name, into := range map[string]any{"compaction_job.golden.json": &job, "compaction_result.golden.json": &want} {
-		data, err := vfs.ReadFile(osfs, "../lsm/testdata/"+name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(data, into); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	orch, _ := startPair(t, fs)
-	nums := numbersFrom(7000)
-	res, err := orch.Compact(job, nums.newFileNum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, issued := outputNums(res), nums.nums(); !sameSet(got, issued) {
-		t.Fatalf("outputs numbered %v, the allocator issued %v", got, issued)
-	}
-	if res.BytesRead != want.BytesRead || res.BytesWritten != want.BytesWritten ||
-		res.Subcompactions != want.Subcompactions || len(res.Outputs) != len(want.Outputs) {
-		t.Fatalf("offloaded result %+v, the parent's own %+v", res, want)
-	}
-	for i, out := range res.Outputs {
-		// File numbers are the allocator's; everything else is the table.
-		out.FileNum = want.Outputs[i].FileNum
-		if !reflect.DeepEqual(out, want.Outputs[i]) {
-			t.Fatalf("output %d = %+v, the parent's own %+v", i, out, want.Outputs[i])
-		}
-	}
+	return fs
 }
 
 // outputNums lists a result's output file numbers in output order.

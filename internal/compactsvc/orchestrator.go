@@ -131,7 +131,7 @@ func NewOrchestrator(fs vfs.FS, addr string, cfg OrchestratorConfig) (*Orchestra
 // Addr returns the listen address workers dial.
 func (o *Orchestrator) Addr() string { return o.ln.Addr() }
 
-// Stats snapshots the counters.
+//shield:notestonly a snapshot of the counters, for the orchestrator tests to assert on
 func (o *Orchestrator) Stats() OrchestratorStats {
 	o.mu.Lock()
 	defer o.mu.Unlock()

@@ -338,7 +338,7 @@ func TestCurrentSealedOnlyUnderInstancePolicy(t *testing.T) {
 }
 
 // TestInstancePolicySSTAuditable: an EncFS SST now has the sealed layout a
-// storage node can audit without a key — SealedHeaderLen plus
+// storage node can audit without a key — the header's length plus
 // crypt.TagChainDigest over the file past that header give the digest its
 // manifest records. (The legacy EncFS header never was auditable.)
 func TestInstancePolicySSTAuditable(t *testing.T) {
@@ -412,15 +412,15 @@ func TestInstancePolicySSTAuditable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, ok := SealedHeaderLen(raw)
-		if !ok {
+		h, err := parseHeader(raw)
+		if err != nil || h.legacy || h.version != shieldVersion2 {
 			t.Fatalf("%s: not a sealed layout", fi.Name)
 		}
 		f, err := fs.Open("db/" + fi.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := crypt.TagChainDigest(f, int64(n))
+		sum, err := crypt.TagChainDigest(f, int64(h.len))
 		f.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -29,7 +29,7 @@ func countFormats(t *testing.T, fs vfs.FS, dir string) (v1, v2 int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, sealed := SealedHeaderLen(data); sealed {
+		if h, err := parseHeader(data); err == nil && !h.legacy && h.version == shieldVersion2 {
 			v2++
 		} else {
 			v1++

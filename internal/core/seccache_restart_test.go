@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"shield/internal/kds"
@@ -117,4 +118,69 @@ func TestSecCacheRestartLoop(t *testing.T) {
 	if _, fetchedCold, _ := store.Stats(); fetchedCold == fetchedAfterWarm {
 		t.Fatal("cold-started cache served reads without any KDS fetch — cache was not actually cold")
 	}
+}
+
+// TestReopenReleasesRecoveredDEKs: a reopen replays the previous run's WAL
+// and replaces its MANIFEST, then deletes both. Their DEKs leave the secure
+// cache with them, so after every reopen the cache holds exactly the DEKs of
+// the live WAL, MANIFEST and SST files, however many times the store has been
+// reopened.
+func TestReopenReleasesRecoveredDEKs(t *testing.T) {
+	fs := vfs.NewMem()
+	cfg := testConfig(t, ModeSHIELD, fs)
+	cacheFS := vfs.NewMem()
+	for round := 0; round < 10; round++ {
+		cfg.Cache = openTestCache(t, cacheFS)
+		db, err := Open("db", cfg, compactRangeOnlyOpts())
+		if err != nil {
+			t.Fatalf("round %d: open: %v", round, err)
+		}
+		live := liveDEKIDs(t, fs)
+		if got := cfg.Cache.Len(); got != len(live) {
+			t.Fatalf("round %d: the secure cache holds %d DEKs after reopen, the live files %d", round, got, len(live))
+		}
+		for id := range live {
+			if _, err := cfg.Cache.Get(id); err != nil {
+				t.Fatalf("round %d: live DEK %s is not cached: %v", round, id, err)
+			}
+		}
+		if err := db.Put([]byte(fmt.Sprintf("k%02d", round)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CompactRange(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// liveDEKIDs collects the DEK-IDs named in the headers of the WAL, MANIFEST
+// and SST files in db.
+func liveDEKIDs(t *testing.T, fs vfs.FS) map[kds.KeyID]bool {
+	t.Helper()
+	entries, err := fs.List("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[kds.KeyID]bool)
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name, ".sst") && !strings.HasSuffix(e.Name, ".log") && !strings.HasPrefix(e.Name, "MANIFEST-") {
+			continue
+		}
+		data, err := vfs.ReadFile(fs, "db/"+e.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := parseHeader(data)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		out[h.dekID] = true
+	}
+	return out
 }

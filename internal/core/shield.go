@@ -135,17 +135,6 @@ func DEKIDFromHeader(data []byte) (string, bool) {
 	return string(h.dekID), true
 }
 
-// SealedHeaderLen returns the header length and whether data begins a
-// format-v2 (sealed) file — the layout information a storage node needs to
-// locate block tags without holding any key.
-func SealedHeaderLen(data []byte) (int, bool) {
-	h, err := parseHeader(data)
-	if err != nil || h.legacy || h.version != shieldVersion2 {
-		return 0, false
-	}
-	return h.len, true
-}
-
 // shieldWrapper implements lsm.FileWrapper: the one encrypting layer of
 // both designs. They differ only in the key policy. Per-file (ModeSHIELD):
 // every new file gets a fresh DEK from the KDS, named in its header.
@@ -158,9 +147,9 @@ type shieldWrapper struct {
 	// deks mirrors the DEKs of live files in memory (the paper keeps the
 	// DEK "in memory as part of the LSM-KVS metadata while the instance is
 	// running"); the secure cache persists them across restarts. names
-	// remembers which DEK this wrapper minted for which file so deletion
-	// notifications without an explicit DEK-ID (WALs, MANIFESTs) still
-	// prune the right key.
+	// remembers the DEK of every file this wrapper created and of every
+	// WAL or MANIFEST it streamed, so deletion notifications without an
+	// explicit DEK-ID (WALs, MANIFESTs) still prune the right key.
 	mu    sync.Mutex
 	deks  map[kds.KeyID]crypt.DEK
 	names map[string]kds.KeyID
@@ -191,6 +180,8 @@ type WrapperStats struct {
 
 // Stats extracts counters from a wrapper produced by BuildWrapper; ok is
 // false for the plain (ModeNone) wrapper. Under ModeEncFS they stay zero.
+//
+//shield:notestonly the wrapper tests assert on the DEK-resolution counters it reports
 func Stats(w lsm.FileWrapper) (WrapperStats, bool) {
 	sw, ok := w.(*shieldWrapper)
 	if !ok {
@@ -428,6 +419,13 @@ func (s *shieldWrapper) WrapOpenSequential(name string, kind lsm.FileKind, f vfs
 	dek, err := s.keyFor(name, h)
 	if err != nil {
 		return nil, err
+	}
+	if !s.instance {
+		// A recovered WAL or a replaced MANIFEST is deleted later with no
+		// DEK-ID, like the ones this process created: remember its key.
+		s.mu.Lock()
+		s.names[name] = h.dekID
+		s.mu.Unlock()
 	}
 	r, err := crypt.NewDecryptingReader(f, dek, h.iv)
 	if err != nil {

@@ -15,7 +15,6 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 )
@@ -54,9 +53,6 @@ func DEKFromBytes(b []byte) (DEK, error) {
 
 // String renders the DEK redacted; keys must never leak into logs.
 func (DEK) String() string { return "DEK(redacted)" }
-
-// Hex returns the full hex encoding. For tests only.
-func (k DEK) Hex() string { return hex.EncodeToString(k[:]) }
 
 // NewIV generates a fresh random CTR initialization vector.
 func NewIV() ([IVSize]byte, error) {

@@ -327,7 +327,7 @@ func TestChunkedWriterLengths(t *testing.T) {
 			t.Fatal(err)
 		}
 		info, _ := fs.Stat("f")
-		if plain, err := SealedPlainSize(info.Size); err != nil || plain != int64(total) {
+		if _, plain, err := sealedBodyLayout(info.Size); err != nil || plain != int64(total) {
 			t.Fatalf("total=%d: stored %d bytes = %d plaintext (err=%v)", total, info.Size, plain, err)
 		}
 	}

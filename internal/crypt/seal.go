@@ -166,14 +166,6 @@ func sealedBodyLayout(bodyLen int64) (fullBlocks int64, plainSize int64, err err
 	return fullBlocks, plainSize, nil
 }
 
-// SealedPlainSize returns the plaintext size of a sealed body of bodyLen
-// ciphertext bytes, or an error wrapping vfs.ErrIntegrity if no complete
-// writer could have produced that length.
-func SealedPlainSize(bodyLen int64) (int64, error) {
-	_, plain, err := sealedBodyLayout(bodyLen)
-	return plain, err
-}
-
 // leadingBlock is the one statement of where a sealed block ends and where
 // its tag sits: given the rem bytes of a sealed body that remain from a block
 // boundary, the leading block is n bytes long (sealedCipherBlock, or all of
@@ -239,8 +231,8 @@ func NewSealedReaderAt(f vfs.RandomAccessFile, s *Sealer, headerLen int64) (*Sea
 	return &SealedReaderAt{f: f, s: s, headerLen: headerLen, bodyLen: bodyLen, plainSize: plain, full: full}, nil
 }
 
-// digestExtentBlocks is how many sealed blocks FileDigest and VerifyAll fetch
-// per inner read.
+// digestExtentBlocks is how many sealed blocks FileDigest fetches per inner
+// read.
 const digestExtentBlocks = 64
 
 // readExtent fetches the ciphertext of sealed blocks first..last with exactly
@@ -329,21 +321,11 @@ func (r *SealedReaderAt) Close() error { return r.f.Close() }
 
 // FileDigest recomputes the tag-chain digest from the stored ciphertext. It
 // does not authenticate blocks — callers compare the result against the
-// manifest-recorded digest (whose tags only the DEK holder could forge).
-func (r *SealedReaderAt) FileDigest() ([]byte, error) { return r.tagChain(false) }
-
-// VerifyAll authenticates every block of the body (the scrub's full pass)
-// and returns the tag-chain digest.
-func (r *SealedReaderAt) VerifyAll() ([]byte, error) { return r.tagChain(true) }
-
-// tagChain walks the body in extents of digestExtentBlocks blocks, one inner
-// read each (storage round trips, not bytes, price a remote walk), folding
-// every block's tag into the digest and, when verify is set, opening each
-// block in place first.
-func (r *SealedReaderAt) tagChain(verify bool) ([]byte, error) {
+// manifest-recorded digest (whose tags only the DEK holder could forge). It
+// walks the body in extents of digestExtentBlocks blocks, one inner read
+// each: storage round trips, not bytes, price a remote walk.
+func (r *SealedReaderAt) FileDigest() ([]byte, error) {
 	h := sha256.New()
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
 	var buf []byte // one extent buffer for the whole walk
 	for first := int64(0); first <= r.full; first += digestExtentBlocks {
 		ct, err := r.readExtent(buf, first, min(first+digestExtentBlocks-1, r.full))
@@ -352,13 +334,6 @@ func (r *SealedReaderAt) tagChain(verify bool) ([]byte, error) {
 		}
 		buf = ct
 		hashTags(h, ct)
-		for idx := first; verify && len(ct) > 0; idx++ {
-			clen, _ := leadingBlock(int64(len(ct)))
-			if _, err := r.s.open(sc, ct[:0], ct[:clen], uint32(idx), idx == r.full); err != nil {
-				return nil, err
-			}
-			ct = ct[clen:]
-		}
 	}
 	return h.Sum(nil), nil
 }

@@ -197,7 +197,7 @@ func TestTagChainDigestMatchesWriterAndReader(t *testing.T) {
 	if !bytes.Equal(wd, cd) {
 		t.Fatal("TagChainDigest != writer digest")
 	}
-	// And the reader's (tag-scan and full-verify paths).
+	// And the reader's.
 	r, err := openSealed(t, s, body)
 	if err != nil {
 		t.Fatal(err)
@@ -209,13 +209,6 @@ func TestTagChainDigestMatchesWriterAndReader(t *testing.T) {
 	}
 	if !bytes.Equal(wd, rd) {
 		t.Fatal("reader FileDigest != writer digest")
-	}
-	vd, err := r.VerifyAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wd, vd) {
-		t.Fatal("VerifyAll digest != writer digest")
 	}
 }
 
@@ -329,10 +322,15 @@ func TestSealedWriterKnownAnswer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vd, err := r.VerifyAll()
+		plain := make([]byte, len(payload))
+		n, err := r.ReadAt(plain, 0)
+		if (err != nil && err != io.EOF) || n != len(payload) || !bytes.Equal(plain, payload) {
+			t.Fatalf("size=%d: recorded body reads back %d bytes (err=%v), not the payload", kat.size, n, err)
+		}
+		d, err := r.FileDigest()
 		r.Close()
-		if err != nil || hex.EncodeToString(vd) != kat.digest {
-			t.Fatalf("size=%d: VerifyAll digest %x (err=%v), recorded %s", kat.size, vd, err, kat.digest)
+		if err != nil || hex.EncodeToString(d) != kat.digest {
+			t.Fatalf("size=%d: FileDigest %x (err=%v), recorded %s", kat.size, d, err, kat.digest)
 		}
 	}
 }
@@ -614,7 +612,6 @@ func TestSealedReadAtInnerFault(t *testing.T) {
 	for name, read := range map[string]func() error{
 		"ReadAt":     func() error { _, err := r.ReadAt(make([]byte, 2*SealedBlockSize), 10); return err },
 		"FileDigest": func() error { _, err := r.FileDigest(); return err },
-		"VerifyAll":  func() error { _, err := r.VerifyAll(); return err },
 	} {
 		if err := read(); !errors.Is(err, vfs.ErrInjected) || errors.Is(err, vfs.ErrIntegrity) {
 			t.Fatalf("%s over a failing file: err = %v, want the injected fault and no integrity class", name, err)
@@ -684,9 +681,6 @@ func TestSealedReadAtInnerReads(t *testing.T) {
 	wantWalk := int64((blocks + 1 + digestExtentBlocks - 1) / digestExtentBlocks) // +1: the final block
 	if got := innerReads(func() { r.FileDigest() }); got != wantWalk {
 		t.Errorf("FileDigest over %d blocks: %d inner reads, want %d", blocks+1, got, wantWalk)
-	}
-	if got := innerReads(func() { r.VerifyAll() }); got != wantWalk {
-		t.Errorf("VerifyAll over %d blocks: %d inner reads, want %d", blocks+1, got, wantWalk)
 	}
 }
 

@@ -15,10 +15,3 @@ func Zeroize(b []byte) {
 		b[i] = 0
 	}
 }
-
-// Zeroize wipes the DEK in place. Callers that materialize a DEK copy
-// outside the secure cache (wire decode buffers, re-derived per-file keys)
-// wipe it as soon as the dependent cipher state is built.
-func (k *DEK) Zeroize() {
-	Zeroize(k[:])
-}

@@ -418,6 +418,8 @@ func (c *Client) SyncDir(dir string) error {
 // body transfer — so a compute-side audit of a remote SST costs one RPC
 // instead of a full file read. The caller compares the digest against the
 // manifest's anchored value.
+//
+//shield:notestonly the one client of the node's keyless OpDigest audit; ROADMAP item 13 decides the op
 func (c *Client) Digest(name string, headerLen int64) ([]byte, error) {
 	resp, err := c.roundTrip(&Request{Op: OpDigest, Name: name, Off: headerLen})
 	if err != nil {
@@ -437,9 +439,6 @@ func (c *Client) Sum(name string) ([]byte, int64, error) {
 	}
 	return resp.Data, resp.Size, nil
 }
-
-// Addr returns the storage node address this client dials.
-func (c *Client) Addr() string { return c.addr }
 
 // Stat implements vfs.FS.
 func (c *Client) Stat(name string) (vfs.FileInfo, error) {

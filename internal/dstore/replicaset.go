@@ -1,7 +1,6 @@
 package dstore
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -560,45 +559,6 @@ func (rs *ReplicaSet) Stat(name string) (info vfs.FileInfo, err error) {
 		return err
 	})
 	return info, err
-}
-
-// DigestAll audits a sealed file on every in-sync replica and requires the
-// answers to agree: a replica acknowledged as holding the bytes that now
-// reports a different tag chain has been tampered with (or silently
-// corrupted), which replication must surface, never paper over. Replicas
-// that are stale (entitled to lag) or unreachable (cannot be audited) are
-// skipped; at least one replica must answer.
-func (rs *ReplicaSet) DigestAll(name string, headerLen int64) ([]byte, error) {
-	type answer struct {
-		addr   string
-		digest []byte
-	}
-	var answers []answer
-	for _, r := range rs.inSync() {
-		c, err := r.client()
-		if err != nil {
-			continue
-		}
-		d, err := c.Digest(name, headerLen)
-		if err != nil {
-			if netretry.IsTransport(err) {
-				r.ep.Failure()
-				continue
-			}
-			return nil, err
-		}
-		answers = append(answers, answer{addr: r.addr, digest: d})
-	}
-	if len(answers) == 0 {
-		return nil, fmt.Errorf("%w: no replica answered digest audit of %s", ErrNoQuorum, name)
-	}
-	for _, a := range answers[1:] {
-		if !bytes.Equal(a.digest, answers[0].digest) {
-			return nil, fmt.Errorf("dstore: replica divergence on %s: %s and %s disagree on tag-chain digest (%x vs %x)",
-				name, answers[0].addr, a.addr, answers[0].digest, a.digest)
-		}
-	}
-	return answers[0].digest, nil
 }
 
 // wbranch is one replica's leg of a replicated write handle.

@@ -192,9 +192,6 @@ func NewClientConfig(serverID string, cfg ClientConfig, addrs ...string) *Client
 	}
 }
 
-// Status snapshots per-replica health, for INFO surfaces and tests.
-func (c *Client) Status() []netretry.EndpointStatus { return c.group.Status() }
-
 // Close releases the client connection and unblocks in-flight requests.
 func (c *Client) Close() error {
 	c.mu.Lock()

@@ -175,6 +175,8 @@ func (ps *PersistentStore) Authorize(serverID string) {
 }
 
 // RevokeServer blocks a server and persists the snapshot.
+//
+//shield:notestonly shadows the embedded Store.RevokeServer so that a revocation is written to disk
 func (ps *PersistentStore) RevokeServer(serverID string) {
 	ps.Store.RevokeServer(serverID)
 	ps.Save() //nolint:errcheck

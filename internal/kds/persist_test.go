@@ -1,6 +1,7 @@
 package kds
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -103,7 +104,7 @@ func TestPersistentStoreNoPlaintextKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, _ := vfs.ReadFile(fs, "kds.db")
-	if containsBytes(data, dek[:]) || containsBytes(data, []byte(dek.Hex())) || containsBytes(data, []byte(id)) {
+	if containsBytes(data, dek[:]) || containsBytes(data, []byte(hex.EncodeToString(dek[:]))) || containsBytes(data, []byte(id)) {
 		t.Fatal("plaintext key material in the KDS snapshot")
 	}
 }

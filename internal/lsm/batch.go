@@ -78,17 +78,6 @@ func (b *Batch) setSeq(seq base.SeqNum) {
 	binary.LittleEndian.PutUint32(b.data[8:12], b.count)
 }
 
-// seq reads the stamped sequence.
-func (b *Batch) seq() base.SeqNum {
-	return base.SeqNum(binary.LittleEndian.Uint64(b.data[:8]))
-}
-
-// appendBatch merges other's records into b (group commit).
-func (b *Batch) appendBatch(other *Batch) {
-	b.data = append(b.data, other.data[batchHeaderLen:]...)
-	b.count += other.count
-}
-
 // decodeBatch parses an encoded batch (a WAL record) and invokes fn for each
 // record with its assigned sequence number.
 func decodeBatch(data []byte, fn func(seq base.SeqNum, kind base.Kind, key, value []byte) error) error {

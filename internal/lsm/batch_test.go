@@ -104,26 +104,3 @@ func TestBatchReset(t *testing.T) {
 		t.Fatalf("count after reuse: %d", b.Count())
 	}
 }
-
-func TestBatchAppendBatch(t *testing.T) {
-	a, b := NewBatch(), NewBatch()
-	a.Put([]byte("a"), []byte("1"))
-	b.Put([]byte("b"), []byte("2"))
-	b.Delete([]byte("c"))
-	a.appendBatch(b)
-	a.setSeq(100)
-	var keys []string
-	decodeBatch(a.data, func(seq base.SeqNum, kind base.Kind, key, value []byte) error {
-		keys = append(keys, fmt.Sprintf("%s@%d:%v", key, seq, kind))
-		return nil
-	})
-	want := []string{"a@100:set", "b@101:set", "c@102:del"}
-	if len(keys) != 3 {
-		t.Fatalf("merged %v", keys)
-	}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("merged[%d] = %s want %s", i, keys[i], want[i])
-		}
-	}
-}

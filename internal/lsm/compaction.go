@@ -1,9 +1,11 @@
 package lsm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
+	"shield/internal/lsm/base"
 	"shield/internal/lsm/manifest"
 	"shield/internal/lsm/sstable"
 	"shield/internal/metrics"
@@ -35,11 +37,6 @@ type CompactionJob struct {
 	// TargetFileSize caps each output file.
 	TargetFileSize uint64 `json:"target_file_size"`
 
-	// MaxSubcompactions splits the merge into up to this many key-range
-	// shards executed on parallel goroutines (see subcompaction.go). 0 or
-	// 1 runs the merge serially.
-	MaxSubcompactions int `json:"max_subcompactions,omitempty"`
-
 	// WriterOptions is the outputs' table format, the engine's own carried
 	// verbatim (its field encodes inline: block_size), so an offloaded
 	// worker writes the table the engine would.
@@ -57,16 +54,12 @@ type CompactionResult struct {
 	Outputs      []manifest.FileMetadata `json:"outputs"`
 	BytesRead    int64                   `json:"bytes_read"`
 	BytesWritten int64                   `json:"bytes_written"`
-
-	// Subcompactions is the number of key-range shards the job ran as
-	// (1 = serial merge).
-	Subcompactions int `json:"subcompactions,omitempty"`
 }
 
 // Compactor executes compaction jobs. The local implementation runs
 // in-process; internal/compactsvc ships jobs to a remote worker. newFileNum
 // is the engine's file-number allocator: each output takes its number from
-// it when the output is created, from concurrent shards too.
+// it when the output is created.
 type Compactor interface {
 	Compact(job CompactionJob, newFileNum func() (uint64, error)) (CompactionResult, error)
 }
@@ -84,10 +77,9 @@ func (c *LocalCompactor) Compact(job CompactionJob, newFileNum func() (uint64, e
 
 // RunCompaction merges the job's inputs into output tables on fs. It is the
 // single compaction implementation shared by the in-process path and the
-// offloaded-compaction worker. When the job allows subcompactions the merge
-// is sharded by key range across goroutines (subcompaction.go); otherwise
-// it runs as one serial shard. Every output takes its file number from
-// newFileNum when it is created; shards call it concurrently.
+// offloaded-compaction worker. Every output takes its file number from
+// newFileNum when it is created. Under SHIELD each output drives its own
+// chunked encrypting writer, which is where the job's parallelism lives.
 //
 // Failure is abort-and-retain-inputs: no manifest state changes until the
 // caller installs the returned edit, so on any error (ENOSPC on an output
@@ -98,14 +90,13 @@ func RunCompaction(fs vfs.FS, wrapper FileWrapper, job CompactionJob, newFileNum
 	if wrapper == nil {
 		wrapper = NopWrapper{}
 	}
-	bounds := subcompactionBoundaries(job)
-	res := CompactionResult{Subcompactions: len(bounds) + 1}
+	var res CompactionResult
 	for _, lvl := range job.Inputs {
 		for _, f := range lvl.Files {
 			res.BytesRead += int64(f.Size)
 		}
 	}
-	outs, err := runShardedCompaction(fs, wrapper, job, bounds, newFileNum)
+	outs, err := runMerge(fs, wrapper, job, newFileNum)
 	// The output files' directory entries must be durable before the caller
 	// logs the manifest edit referencing them.
 	if err == nil && len(outs) > 0 {
@@ -122,6 +113,130 @@ func RunCompaction(fs vfs.FS, wrapper FileWrapper, job CompactionJob, newFileNum
 		res.BytesWritten += int64(o.meta.Size)
 	}
 	return res, nil
+}
+
+// abortOutputs discards a job's outputs (abort path).
+func abortOutputs(outs []*sstOutput) {
+	for _, o := range outs {
+		o.abort()
+	}
+}
+
+// runMerge merges the job's inputs into output tables, numbering each
+// output with newFileNum as it is created.
+//
+// Failure is abort-and-retain: every output the merge created is aborted —
+// releasing its quota and DEK registration — and the inputs remain
+// authoritative.
+func runMerge(fs vfs.FS, wrapper FileWrapper, job CompactionJob,
+	newFileNum func() (uint64, error)) (_ []*sstOutput, retErr error) {
+
+	// Open the inputs and build the merge.
+	var iters []internalIterator
+	var readers []*sstable.Reader
+	defer func() {
+		for _, r := range readers {
+			r.Close()
+		}
+	}()
+	for _, lvl := range job.Inputs {
+		for _, f := range lvl.Files {
+			name := sstFileName(job.Dir, f.FileNum)
+			raw, err := fs.Open(name)
+			if err != nil {
+				return nil, fmt.Errorf("lsm: compaction input %d: %w", f.FileNum, err)
+			}
+			wrapped, err := wrapper.WrapOpen(name, FileKindSST, raw)
+			if err != nil {
+				raw.Close()
+				return nil, err
+			}
+			r, err := sstable.NewReader(wrapped, sstable.ReaderOptions{FileNum: f.FileNum})
+			if err != nil {
+				wrapped.Close()
+				return nil, fmt.Errorf("lsm: compaction input %d: %w", f.FileNum, err)
+			}
+			readers = append(readers, r)
+			iters = append(iters, &sstIterAdapter{it: r.NewIter()})
+		}
+	}
+	merged := newMergingIter(iters...)
+
+	smallestSnapshot := base.SeqNum(job.SmallestSnapshot)
+	var (
+		outs          []*sstOutput
+		out           *sstOutput // the one being filled (the last of outs), or nil
+		lastUserKey   []byte
+		haveUserKey   bool
+		lastSeqForKey base.SeqNum
+		prevAddedUser []byte
+	)
+	defer func() {
+		if retErr != nil {
+			abortOutputs(outs)
+		}
+	}()
+
+	for ok := merged.First(); ok; ok = merged.Next() {
+		ikey := merged.Key()
+		userKey := base.UserKey(ikey)
+		seq, kind := base.DecodeTrailer(ikey)
+
+		firstOccurrence := !haveUserKey || !bytes.Equal(userKey, lastUserKey)
+		if firstOccurrence {
+			lastUserKey = append(lastUserKey[:0], userKey...)
+			haveUserKey = true
+		}
+
+		drop := false
+		switch {
+		case !firstOccurrence && lastSeqForKey <= smallestSnapshot:
+			// A newer record of this key is visible to every snapshot.
+			drop = true
+		case kind == base.KindDelete && seq <= smallestSnapshot && job.Bottommost:
+			// Tombstone with nothing underneath it to hide.
+			drop = true
+		}
+		lastSeqForKey = seq
+		if drop {
+			continue
+		}
+
+		// Cut the output at the target size, but only between user keys so
+		// all versions of a key share one file.
+		if out != nil && out.w.EstimatedSize() >= job.TargetFileSize &&
+			prevAddedUser != nil && !bytes.Equal(userKey, prevAddedUser) {
+			if err := out.finish(); err != nil {
+				return nil, err
+			}
+			out = nil
+		}
+		if out == nil {
+			num, err := newFileNum()
+			if err != nil {
+				return nil, err
+			}
+			if out, err = createSSTOutput(fs, wrapper, job.Dir, num, job.WriterOptions); err != nil {
+				return nil, err
+			}
+			outs = append(outs, out)
+		}
+		if err := out.w.Add(ikey, merged.Value()); err != nil {
+			return nil, err
+		}
+		prevAddedUser = append(prevAddedUser[:0], userKey...)
+	}
+	if err := merged.Err(); err != nil {
+		return nil, err
+	}
+	// An output is created only for an entry about to be added, so the one
+	// still open is never empty.
+	if out != nil {
+		if err := out.finish(); err != nil {
+			return nil, err
+		}
+	}
+	return outs, nil
 }
 
 // claimPlanLocked marks the plan's inputs (and the L0 slot, if it takes it)
@@ -256,14 +371,13 @@ func (d *DB) runCompactionPlan(plan *compactionPlan, background bool) error {
 		d.mu.Unlock()
 
 		job := CompactionJob{
-			Dir:               d.dir,
-			Inputs:            plan.inputs,
-			OutputLevel:       plan.outputLevel,
-			Bottommost:        plan.bottommost,
-			SmallestSnapshot:  uint64(smallestSnap),
-			TargetFileSize:    plan.targetFileSize,
-			MaxSubcompactions: plan.maxSubcompactions,
-			WriterOptions:     d.opts.tableOptions(),
+			Dir:              d.dir,
+			Inputs:           plan.inputs,
+			OutputLevel:      plan.outputLevel,
+			Bottommost:       plan.bottommost,
+			SmallestSnapshot: uint64(smallestSnap),
+			TargetFileSize:   plan.targetFileSize,
+			WriterOptions:    d.opts.tableOptions(),
 		}
 		compactor, newFileNum := d.opts.Compactor, d.newFileNum
 		if compactor == nil {
@@ -287,9 +401,6 @@ func (d *DB) runCompactionPlan(plan *compactionPlan, background bool) error {
 		d.metCompWrite.Add(res.BytesWritten)
 		metrics.Jobs.BytesRead.Add(res.BytesRead)
 		metrics.Jobs.BytesWritten.Add(res.BytesWritten)
-		if res.Subcompactions > 1 {
-			d.metSubcomp.Add(int64(res.Subcompactions))
-		}
 		for _, out := range res.Outputs {
 			meta := out
 			meta.Seq = plan.outputSeq

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"shield/internal/lsm/base"
+	"shield/internal/lsm/manifest"
 	"shield/internal/lsm/sstable"
 	"shield/internal/vfs"
 )
@@ -142,10 +144,19 @@ type parentCompactionJob struct {
 }
 
 // droppedJobFields are the parent's job fields this build no longer has: the
-// pinned shard boundaries, the output-file-number reservation (outputs take
-// their numbers from the engine's allocator), the filter width (a constant
-// now) and the block codec (deleted).
-var droppedJobFields = []string{"boundaries", "first_output_file_num", "max_output_files", "bloom_bits_per_key", "compression"}
+// shard count and pinned shard boundaries (a job is one merge), the
+// output-file-number reservation (outputs take their numbers from the
+// engine's allocator), the filter width (a constant now) and the block codec
+// (deleted).
+var droppedJobFields = []string{"max_subcompactions", "boundaries", "first_output_file_num", "max_output_files", "bloom_bits_per_key", "compression"}
+
+// parentCompactionResult is CompactionResult as the parent build declared it.
+type parentCompactionResult struct {
+	Outputs        []manifest.FileMetadata `json:"outputs"`
+	BytesRead      int64                   `json:"bytes_read"`
+	BytesWritten   int64                   `json:"bytes_written"`
+	Subcompactions int                     `json:"subcompactions,omitempty"`
+}
 
 func readGolden(t *testing.T, name string) []byte {
 	t.Helper()
@@ -154,6 +165,39 @@ func readGolden(t *testing.T, name string) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// dropField removes every object member called name from a JSON document,
+// so a golden that still carries a field this build dropped decodes
+// strictly.
+func dropField(t *testing.T, data []byte, name string) []byte {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var doc any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var walk func(any)
+	walk = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			delete(v, name)
+			for _, e := range v {
+				walk(e)
+			}
+		case []any:
+			for _, e := range v {
+				walk(e)
+			}
+		}
+	}
+	walk(doc)
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func decodeStrict(t *testing.T, data []byte, into any) {
@@ -167,10 +211,13 @@ func decodeStrict(t *testing.T, data []byte, into any) {
 
 // TestParentCompactionJobGolden: the job wire format is unchanged for every
 // field both builds have. A job the parent encoded decodes here (the fields
-// this build dropped are ignored), this build's encoding of it decodes with
-// the parent's struct and is the parent's own encoding of every kept field
-// byte for byte, and running it here gives the result the parent got, but
-// for the file numbers: those are the allocator's, distinct and issued by it.
+// this build dropped are ignored), and this build's encoding of it decodes
+// with the parent's struct and is the parent's own encoding of every kept
+// field byte for byte. Running it here gives what the parent's run gave, in
+// terms that do not depend on where the outputs are cut (the parent ran the
+// job in two shards and cut three outputs; one merge cuts two): the same
+// records, the same entry count, the same overall key range and the same
+// bytes read, in outputs numbered by the allocator, distinct and issued by it.
 func TestParentCompactionJobGolden(t *testing.T) {
 	golden := readGolden(t, "compaction_job.golden.json")
 	var parent parentCompactionJob
@@ -193,7 +240,7 @@ func TestParentCompactionJobGolden(t *testing.T) {
 	if want := (sstable.WriterOptions{BlockSize: 1024}); job.WriterOptions != want {
 		t.Fatalf("decoded table options %+v, want %+v", job.WriterOptions, want)
 	}
-	if job.Dir != "db" || job.OutputLevel != 1 || !job.Bottommost || job.MaxSubcompactions != 2 ||
+	if job.Dir != "db" || job.OutputLevel != 1 || !job.Bottommost ||
 		len(job.Inputs) != 1 || len(job.Inputs[0].Files) != 3 || !reflect.DeepEqual(job.Inputs, parent.Inputs) {
 		t.Fatalf("decoded job differs from the parent's: %+v", job)
 	}
@@ -204,7 +251,7 @@ func TestParentCompactionJobGolden(t *testing.T) {
 	}
 	var back parentCompactionJob
 	decodeStrict(t, encoded, &back)
-	parent.Boundaries = nil
+	parent.MaxSubcompactions, parent.Boundaries = 0, nil
 	parent.FirstOutputFileNum, parent.MaxOutputFiles = 0, 0
 	parent.BloomBitsPerKey, parent.Compression = 0, 0
 	if !reflect.DeepEqual(back, parent) {
@@ -219,7 +266,7 @@ func TestParentCompactionJobGolden(t *testing.T) {
 	}
 
 	goldenResult := readGolden(t, "compaction_result.golden.json")
-	var wantRes CompactionResult
+	var wantRes parentCompactionResult
 	decodeStrict(t, goldenResult, &wantRes)
 	fs := loadFixture(t, "testdata/parent_store", "db")
 	var (
@@ -236,23 +283,32 @@ func TestParentCompactionJobGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Everything the store holds, and nothing it deleted, is in the outputs.
-	keys, _ := readJobOutputs(t, fs, NopWrapper{}, job.Dir, res.Outputs)
-	if want := parentStoreModel(); len(keys) != len(want) {
+	// Everything the store holds, and nothing it deleted, is in the outputs,
+	// each live key once.
+	keys, vals := readJobOutputs(t, fs, NopWrapper{}, job.Dir, res.Outputs)
+	want := parentStoreModel()
+	if len(keys) != len(want) {
 		t.Fatalf("outputs hold %d records, the store %d live keys", len(keys), len(want))
 	}
-	if len(res.Outputs) != len(wantRes.Outputs) {
-		t.Fatalf("%d outputs, the parent's %d", len(res.Outputs), len(wantRes.Outputs))
+	got := map[string]string{}
+	for i, k := range keys {
+		got[string(base.UserKey(k))] = string(vals[i])
 	}
-	for i := range res.Outputs {
-		n := res.Outputs[i].FileNum
-		if !issued[n] {
-			t.Fatalf("output %d has file number %d, which the allocator did not issue", i, n)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the outputs' records differ from the store's live keys")
+	}
+	first, last := res.Outputs[0], res.Outputs[len(res.Outputs)-1]
+	wantFirst, wantLast := wantRes.Outputs[0], wantRes.Outputs[len(wantRes.Outputs)-1]
+	if !bytes.Equal(first.Smallest, wantFirst.Smallest) || !bytes.Equal(last.Largest, wantLast.Largest) {
+		t.Fatalf("outputs span [%q, %q], the parent's [%q, %q]", first.Smallest, last.Largest, wantFirst.Smallest, wantLast.Largest)
+	}
+	if res.BytesRead != wantRes.BytesRead {
+		t.Fatalf("read %d bytes, the parent %d", res.BytesRead, wantRes.BytesRead)
+	}
+	for i, out := range res.Outputs {
+		if !issued[out.FileNum] {
+			t.Fatalf("output %d has file number %d, which the allocator did not issue", i, out.FileNum)
 		}
-		delete(issued, n) // a second output with n fails the check above
-		res.Outputs[i].FileNum = wantRes.Outputs[i].FileNum
-	}
-	if got, _ := json.MarshalIndent(res, "", "  "); !bytes.Equal(append(got, '\n'), goldenResult) {
-		t.Fatalf("result differs from the parent's but for file numbers:\nhere:\n%s\nparent:\n%s", got, goldenResult)
+		delete(issued, out.FileNum) // a second output with it fails the check above
 	}
 }

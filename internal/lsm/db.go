@@ -3,7 +3,6 @@ package lsm
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +35,6 @@ type Metrics struct {
 	Writes            int64
 	CompactionsActive int64 // compaction jobs in flight now
 	CompactionsQueued int64 // runnable plans deferred for lack of a job slot
-	Subcompactions    int64 // key-range shards run by split compaction jobs
 
 	// Block-cache counters (zero when the cache is disabled).
 	BlockCacheHits   int64
@@ -136,7 +134,6 @@ type DB struct {
 	metStallNanos    atomic.Int64
 	metGets          atomic.Int64
 	metWrites        atomic.Int64
-	metSubcomp       atomic.Int64
 	metSchedDeferred atomic.Int64
 }
 
@@ -164,6 +161,8 @@ type Snapshot struct {
 }
 
 // NewSnapshot returns a snapshot at the current sequence.
+//
+//shield:notestonly the engine's MVCC read contract; the parent build made the tree behind TestCompactRangeShapeGolden holding a snapshot across one merge
 func (d *DB) NewSnapshot() *Snapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -173,9 +172,13 @@ func (d *DB) NewSnapshot() *Snapshot {
 }
 
 // Get reads key at the snapshot.
+//
+//shield:notestonly the read half of the snapshot contract that NewSnapshot keeps
 func (s *Snapshot) Get(key []byte) ([]byte, error) { return s.db.getAt(key, s.seq) }
 
 // Release unpins the snapshot.
+//
+//shield:notestonly the release half of the snapshot contract that NewSnapshot keeps
 func (s *Snapshot) Release() {
 	d := s.db
 	d.mu.Lock()
@@ -223,17 +226,9 @@ func (d *DB) Metrics() Metrics {
 		Writes:            d.metWrites.Load(),
 		CompactionsActive: active,
 		CompactionsQueued: d.metSchedDeferred.Load(),
-		Subcompactions:    d.metSubcomp.Load(),
 		BlockCacheHits:    hits,
 		BlockCacheMisses:  misses,
 	}
-}
-
-// NumFilesAtLevel reports the file count at a level (for tests/benches).
-func (d *DB) NumFilesAtLevel(level int) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.current.Levels[level])
 }
 
 // Close flushes the WAL and stops background work. Memtable contents remain
@@ -273,29 +268,4 @@ func (d *DB) Close() error {
 	}
 	d.tables.close()
 	return firstErr
-}
-
-// DebugString renders a human-readable summary of the tree: per-level file
-// counts and sizes plus engine counters — the analog of RocksDB's
-// "rocksdb.stats" property, used by tools and tests.
-func (d *DB) DebugString() string {
-	d.mu.Lock()
-	ver := d.current
-	memBytes := d.mem.approximateSize()
-	immCount := len(d.imm)
-	d.mu.Unlock()
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "memtable: %d bytes (+%d immutable)\n", memBytes, immCount)
-	for lvl := range ver.Levels {
-		if len(ver.Levels[lvl]) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "L%d: %3d files %10d bytes\n", lvl, len(ver.Levels[lvl]), ver.LevelSize(lvl))
-	}
-	m := d.Metrics()
-	fmt.Fprintf(&b, "flushes=%d compactions=%d wal=%dB flushed=%dB compacted(r/w)=%dB/%dB stall=%v\n",
-		m.Flushes, m.Compactions, m.WALWritten, m.FlushWritten,
-		m.CompactionRead, m.CompactionWritten, m.StallTime.Round(time.Millisecond))
-	return b.String()
 }

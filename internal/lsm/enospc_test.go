@@ -23,7 +23,7 @@ func TestWALAppendENOSPCDegradesThenRecovers(t *testing.T) {
 	opts.SyncWrites = true
 	opts.Logger = func(string, ...any) {}
 
-	storageBefore := metrics.Storage.Snapshot()
+	degradedBefore, noSpaceBefore := metrics.Storage.DegradedEntries.Load(), metrics.Storage.NoSpaceErrors.Load()
 
 	db, err := Open("db", opts)
 	if err != nil {
@@ -79,9 +79,9 @@ func TestWALAppendENOSPCDegradesThenRecovers(t *testing.T) {
 		}
 	}
 
-	storageAfter := metrics.Storage.Snapshot()
-	if d := storageAfter.Sub(storageBefore); d.DegradedEntries < 1 || d.NoSpaceErrors < 1 {
-		t.Fatalf("metrics did not record the incident: %+v", d)
+	if metrics.Storage.DegradedEntries.Load() == degradedBefore || metrics.Storage.NoSpaceErrors.Load() == noSpaceBefore {
+		t.Fatalf("metrics did not record the incident: %d degraded entries, %d out-of-space errors",
+			metrics.Storage.DegradedEntries.Load()-degradedBefore, metrics.Storage.NoSpaceErrors.Load()-noSpaceBefore)
 	}
 
 	// Close may fail flushing writer buffers into the full disk; the WAL's
@@ -191,7 +191,7 @@ func TestCompactionENOSPCAbortsAndRetainsInputs(t *testing.T) {
 
 	// Leave room for barely a block of compaction output, then compact.
 	q.SetLimit(q.Used() + 256)
-	storageBefore := metrics.Storage.Snapshot()
+	abortsBefore := metrics.Storage.CompactionAborts.Load()
 	err = db.CompactRange()
 	if err == nil {
 		t.Fatal("CompactRange succeeded with no space for outputs")
@@ -202,7 +202,7 @@ func TestCompactionENOSPCAbortsAndRetainsInputs(t *testing.T) {
 	if db.Degraded() != nil {
 		t.Fatalf("aborted compaction poisoned the engine: %v", db.Degraded())
 	}
-	if d := metrics.Storage.Snapshot().Sub(storageBefore); d.CompactionAborts < 1 {
+	if metrics.Storage.CompactionAborts.Load() == abortsBefore {
 		t.Fatal("CompactionAborts metric did not record the abort")
 	}
 	// Inputs retained, partial outputs deleted: same files, same data.

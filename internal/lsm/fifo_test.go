@@ -32,7 +32,7 @@ func TestFIFONoWriteStall(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if files := db.NumFilesAtLevel(0); files <= l0StopWritesTrigger {
+	if files := filesAtLevel(db, 0); files <= l0StopWritesTrigger {
 		t.Fatalf("expected more than %d L0 files under FIFO, got %d", l0StopWritesTrigger, files)
 	}
 	if _, err := db.Get([]byte("k019999")); err != nil {

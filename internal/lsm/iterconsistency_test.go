@@ -13,10 +13,10 @@ import (
 // property test for the parallel scheduler: an iterator opened at sequence
 // S must observe exactly the database state at S — every key exactly once,
 // in order, with the value written in round r — while concurrent writers
-// overwrite every key and subcompacted parallel jobs rewrite the levels
-// underneath it. A half-installed version edit or a shard dropping records
-// visible at S would surface here as a missing, duplicated, or
-// future-valued key.
+// overwrite every key and parallel jobs rewrite the levels underneath it. A
+// half-installed version edit or a job dropping records visible at S would
+// surface here as a missing, duplicated, or future-valued key. (The name is
+// from when each job also ran in key-range shards; a job is one merge now.)
 func TestIteratorSnapshotConsistencyUnderSubcompactions(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := testOptions(fs)
@@ -25,7 +25,6 @@ func TestIteratorSnapshotConsistencyUnderSubcompactions(t *testing.T) {
 	opts.TargetFileSize = 8 << 10
 	opts.L0CompactionTrigger = 2
 	opts.MaxBackgroundJobs = 4
-	opts.MaxSubcompactions = 4
 	db, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +119,7 @@ func TestIteratorSnapshotConsistencyUnderSubcompactions(t *testing.T) {
 	}
 
 	m := db.Metrics()
-	t.Logf("compactions=%d subcompactions=%d", m.Compactions, m.Subcompactions)
+	t.Logf("compactions=%d", m.Compactions)
 	if m.Compactions == 0 {
 		t.Fatal("test never compacted; property not exercised")
 	}

@@ -29,12 +29,12 @@ func TestReadsAcrossLevels(t *testing.T) {
 	if err := db.CompactRange(); err != nil {
 		t.Fatal(err)
 	}
-	if db.NumFilesAtLevel(0) != 0 {
-		t.Fatalf("L0 not empty after full compaction: %d", db.NumFilesAtLevel(0))
+	if filesAtLevel(db, 0) != 0 {
+		t.Fatalf("L0 not empty after full compaction: %d", filesAtLevel(db, 0))
 	}
 	deepFiles := 0
 	for lvl := 1; lvl < 7; lvl++ {
-		deepFiles += db.NumFilesAtLevel(lvl)
+		deepFiles += filesAtLevel(db, lvl)
 	}
 	if deepFiles == 0 {
 		t.Fatal("no files below L0 after CompactRange")
@@ -103,4 +103,11 @@ func TestReadsAcrossLevels(t *testing.T) {
 	if i != 3002 {
 		t.Fatalf("scan ended early at %d", i)
 	}
+}
+
+// filesAtLevel reports the file count at a level of the current version.
+func filesAtLevel(d *DB, level int) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.current.Levels[level])
 }

@@ -154,15 +154,6 @@ func (v *Version) Apply(e *VersionEdit) (*Version, error) {
 	return nv, nil
 }
 
-// NumFiles reports the total file count across all levels.
-func (v *Version) NumFiles() int {
-	n := 0
-	for _, lvl := range v.Levels {
-		n += len(lvl)
-	}
-	return n
-}
-
 // LevelSize returns the total byte size of files at level.
 func (v *Version) LevelSize(level int) uint64 {
 	var n uint64

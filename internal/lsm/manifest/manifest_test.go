@@ -59,11 +59,11 @@ func TestApplyAddDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Original untouched (immutability).
-	if v.NumFiles() != 0 {
+	if numFiles(v) != 0 {
 		t.Fatal("Apply mutated the receiver")
 	}
-	if v2.NumFiles() != 4 {
-		t.Fatalf("files %d", v2.NumFiles())
+	if numFiles(v2) != 4 {
+		t.Fatalf("files %d", numFiles(v2))
 	}
 	// L0 ordered newest-first by Seq.
 	if v2.Levels[0][0].FileNum != 2 || v2.Levels[0][1].FileNum != 1 {
@@ -142,4 +142,13 @@ func TestInvalidLevelRejected(t *testing.T) {
 	if _, err := v.Apply(&VersionEdit{Deleted: []DeletedFile{{Level: -1, FileNum: 1}}}); err == nil {
 		t.Fatal("negative level accepted")
 	}
+}
+
+// numFiles reports the total file count across all levels.
+func numFiles(v *Version) int {
+	n := 0
+	for _, lvl := range v.Levels {
+		n += len(lvl)
+	}
+	return n
 }

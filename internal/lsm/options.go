@@ -176,11 +176,6 @@ type Options struct {
 	// serial behavior).
 	MaxBackgroundJobs int
 
-	// MaxSubcompactions splits a single leveled compaction into up to this
-	// many key-range shards executed on parallel goroutines, each shard
-	// driving its own encrypting writer. Default 1 (no splitting).
-	MaxSubcompactions int
-
 	// CompactionStyle selects leveled, universal, or FIFO compaction.
 	CompactionStyle CompactionStyle
 
@@ -274,9 +269,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBackgroundJobs == 0 {
 		o.MaxBackgroundJobs = 2
-	}
-	if o.MaxSubcompactions <= 0 {
-		o.MaxSubcompactions = 1
 	}
 	if o.FIFOMaxTableSize == 0 {
 		o.FIFOMaxTableSize = 256 << 20

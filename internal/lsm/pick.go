@@ -48,9 +48,8 @@ type compactionPlan struct {
 	outputLevel int
 	bottommost  bool
 	// l0 marks a plan that holds the level-0 slot (see inFlight).
-	l0                bool
-	targetFileSize    uint64
-	maxSubcompactions int
+	l0             bool
+	targetFileSize uint64
 	// outputSeq is the run sequence the outputs take: under universal the
 	// oldest input's, so the merged run keeps its place in L0; 0 otherwise.
 	outputSeq uint64
@@ -165,10 +164,9 @@ func tryLeveled(v *manifest.Version, o *Options, held inFlight, level int) *comp
 // outputLevel. Returns nil when nothing above outputLevel is an input.
 func newLeveledPlan(v *manifest.Version, o *Options, level int, inputs0 []*manifest.FileMetadata, outputLevel int) *compactionPlan {
 	plan := &compactionPlan{
-		outputLevel:       outputLevel,
-		l0:                level == 0 && len(inputs0) > 0,
-		targetFileSize:    o.TargetFileSize,
-		maxSubcompactions: o.MaxSubcompactions,
+		outputLevel:    outputLevel,
+		l0:             level == 0 && len(inputs0) > 0,
+		targetFileSize: o.TargetFileSize,
 	}
 	var smallest, largest []byte
 	add := func(lvl int, files []*manifest.FileMetadata) {
@@ -209,11 +207,9 @@ func pickUniversal(v *manifest.Version, o *Options, held inFlight) *compactionPl
 		l0:         true,
 		// A universal sorted run is exactly one file: splitting the merged
 		// output would leave the run count unchanged, so compaction would
-		// reschedule forever. That also rules out subcompactions, which
-		// shard the output by key range.
-		targetFileSize:    1 << 62,
-		maxSubcompactions: 1,
-		outputSeq:         oldest[len(oldest)-1].Seq,
+		// reschedule forever.
+		targetFileSize: 1 << 62,
+		outputSeq:      oldest[len(oldest)-1].Seq,
 	}
 	if held.conflicts(plan) {
 		return nil

@@ -22,7 +22,8 @@ import (
 // (leveled: newLeveledPlanLocked(0, L0, NumLevels-1); universal and FIFO: the
 // style's pick), with the fields runCompactionPlan and CompactRange derived
 // from the style: target file size and subcompaction limit (universal: 1<<62
-// and 1; FIFO, which writes nothing: 0), the universal output run sequence,
+// and 1; FIFO, which writes nothing: 0; this build has no subcompaction
+// limit and ignores it), the universal output run sequence,
 // drop-only, and whether CompactRange runs the plan alone (leveled manual).
 // Every key is an internal key of the named user key, sequence = file number.
 
@@ -40,30 +41,28 @@ type goldenLevel struct {
 }
 
 type goldenPlan struct {
-	Inputs            []goldenLevel `json:"inputs"`
-	OutputLevel       int           `json:"output_level"`
-	Bottommost        bool          `json:"bottommost"`
-	L0                bool          `json:"l0"`
-	TargetFileSize    uint64        `json:"target_file_size"`
-	MaxSubcompactions int           `json:"max_subcompactions"`
-	OutputSeq         uint64        `json:"output_seq"`
-	DropOnly          bool          `json:"drop_only"`
-	Settles           bool          `json:"settles"`
+	Inputs         []goldenLevel `json:"inputs"`
+	OutputLevel    int           `json:"output_level"`
+	Bottommost     bool          `json:"bottommost"`
+	L0             bool          `json:"l0"`
+	TargetFileSize uint64        `json:"target_file_size"`
+	OutputSeq      uint64        `json:"output_seq"`
+	DropOnly       bool          `json:"drop_only"`
+	Settles        bool          `json:"settles"`
 }
 
 type goldenPickCase struct {
-	Name              string                           `json:"name"`
-	Style             string                           `json:"style"`
-	L0Trigger         int                              `json:"l0_compaction_trigger"`
-	BaseLevelSize     uint64                           `json:"base_level_size"`
-	TargetFileSize    uint64                           `json:"target_file_size"`
-	MaxSubcompactions int                              `json:"max_subcompactions"`
-	FIFOMaxTableSize  uint64                           `json:"fifo_max_table_size"`
-	Levels            [manifest.NumLevels][]goldenFile `json:"levels"`
-	Busy              []uint64                         `json:"busy"`
-	L0Held            bool                             `json:"l0_held"`
-	Pick              *goldenPlan                      `json:"pick"`
-	Manual            *goldenPlan                      `json:"manual"`
+	Name             string                           `json:"name"`
+	Style            string                           `json:"style"`
+	L0Trigger        int                              `json:"l0_compaction_trigger"`
+	BaseLevelSize    uint64                           `json:"base_level_size"`
+	TargetFileSize   uint64                           `json:"target_file_size"`
+	FIFOMaxTableSize uint64                           `json:"fifo_max_table_size"`
+	Levels           [manifest.NumLevels][]goldenFile `json:"levels"`
+	Busy             []uint64                         `json:"busy"`
+	L0Held           bool                             `json:"l0_held"`
+	Pick             *goldenPlan                      `json:"pick"`
+	Manual           *goldenPlan                      `json:"manual"`
 }
 
 func (c *goldenPickCase) inputs(t *testing.T) (*manifest.Version, *Options, inFlight) {
@@ -82,7 +81,6 @@ func (c *goldenPickCase) inputs(t *testing.T) (*manifest.Version, *Options, inFl
 		L0CompactionTrigger: c.L0Trigger,
 		BaseLevelSize:       c.BaseLevelSize,
 		TargetFileSize:      c.TargetFileSize,
-		MaxSubcompactions:   c.MaxSubcompactions,
 		FIFOMaxTableSize:    c.FIFOMaxTableSize,
 		CompactionStyle:     -1,
 	}
@@ -108,8 +106,8 @@ func goldenOf(p *compactionPlan) *goldenPlan {
 	}
 	g := &goldenPlan{
 		OutputLevel: p.outputLevel, Bottommost: p.bottommost, L0: p.l0,
-		TargetFileSize: p.targetFileSize, MaxSubcompactions: p.maxSubcompactions,
-		OutputSeq: p.outputSeq, DropOnly: p.dropOnly, Settles: p.settles,
+		TargetFileSize: p.targetFileSize, OutputSeq: p.outputSeq,
+		DropOnly: p.dropOnly, Settles: p.settles,
 	}
 	for _, in := range p.inputs {
 		gl := goldenLevel{Level: in.Level}
@@ -131,10 +129,12 @@ func planString(g *goldenPlan) string {
 
 // TestPickGolden: pick and pickManual make, for every case of the golden,
 // the plan the parent's pickers made — same inputs by level, output level,
-// bottommost and L0 flags, and the job fields the style decides.
+// bottommost and L0 flags, and the job fields the style decides. The
+// golden's shard counts, an option and a plan field this build no longer
+// has, are left out.
 func TestPickGolden(t *testing.T) {
 	var cases []goldenPickCase
-	decodeStrict(t, readGolden(t, "pick.golden.json"), &cases)
+	decodeStrict(t, dropField(t, readGolden(t, "pick.golden.json"), "max_subcompactions"), &cases)
 	if len(cases) < 40 {
 		t.Fatalf("golden holds %d cases", len(cases))
 	}
@@ -241,7 +241,7 @@ func TestPickShapes(t *testing.T) {
 		{name: "universal two runs is bottommost", v: runs(2), o: universal, held: held(false),
 			want: [][]uint64{{0, 1, 2}},
 			check: func(p *compactionPlan) bool {
-				return p.bottommost && p.l0 && p.outputSeq == 99 && p.maxSubcompactions == 1 && p.targetFileSize == 1<<62
+				return p.bottommost && p.l0 && p.outputSeq == 99 && p.targetFileSize == 1<<62
 			}},
 		{name: "universal merges the oldest half", v: runs(5), o: universal, held: held(false),
 			want:  [][]uint64{{0, 4, 5}},

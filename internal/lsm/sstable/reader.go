@@ -205,7 +205,7 @@ func (r *Reader) readBlock(h blockHandle) ([]byte, error) {
 	return data, nil
 }
 
-// Properties returns the table's properties block.
+//shield:notestonly the table's properties block, for the table and compaction tests to assert on
 func (r *Reader) Properties() Properties { return r.props }
 
 // VerifyChecksums reads every data block, verifying each CRC-32C trailer

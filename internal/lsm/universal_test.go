@@ -32,7 +32,7 @@ func TestUniversalCompactionConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%10000 == 0 {
-			t.Logf("step %d files=%d", i, db.NumFilesAtLevel(0))
+			t.Logf("step %d files=%d", i, filesAtLevel(db, 0))
 		}
 	}
 	t.Log("fill done")

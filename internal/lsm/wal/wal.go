@@ -64,8 +64,7 @@ type Metrics struct {
 	BytesSynced  int64 // appended bytes covered by the last completed Sync
 }
 
-// Metrics returns the writer's counters. Safe to call concurrently with
-// appends.
+//shield:notestonly the writer's counters, safe beside appends, for the WAL tests to assert on
 func (w *Writer) Metrics() Metrics {
 	return Metrics{
 		Syncs:        w.syncs.Load(),

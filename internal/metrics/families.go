@@ -29,7 +29,6 @@ type (
 	ServeCounters    serve[atomic.Int64]
 	ServeSnapshot    serve[int64]
 	StorageCounters  storage[atomic.Int64]
-	StorageSnapshot  storage[int64]
 	EndpointCounters endpoint[atomic.Int64]
 	EndpointSnapshot endpoint[int64]
 )
@@ -52,19 +51,17 @@ func (s EngineSnapshot) String() string                         { return render(
 
 // jobs counts the background-job scheduler: compaction jobs claimed and
 // finished, the running-jobs gauge and its high-water mark, picks that had
-// to wait for a free job slot (the "queued" signal), subcompaction shards
-// launched, per-job I/O volume, and write-stall time attributable to
-// compaction debt.
+// to wait for a free job slot (the "queued" signal), per-job I/O volume,
+// and write-stall time attributable to compaction debt.
 type jobs[T any] struct {
-	CompactionsStarted    T `metric:"jobs"`              // jobs claimed (manual + background)
-	CompactionsDone       T `metric:"done"`              // jobs released (success or failure)
-	CompactionsRunning    T `metric:"running,gauge"`     // jobs in flight right now
-	MaxRunning            T `metric:"max_running,gauge"` // high-water mark of CompactionsRunning
-	SchedDeferred         T `metric:"deferred"`          // runnable plans deferred for lack of a job slot
-	SubcompactionsStarted T `metric:"subcompactions"`    // key-range shards launched inside jobs
-	BytesRead             T `metric:"read_bytes"`        // compaction input bytes across all jobs
-	BytesWritten          T `metric:"written_bytes"`     // compaction output bytes across all jobs
-	StallNanos            T `metric:"stall_ns"`          // writer stall time waiting on background debt
+	CompactionsStarted T `metric:"jobs"`              // jobs claimed (manual + background)
+	CompactionsDone    T `metric:"done"`              // jobs released (success or failure)
+	CompactionsRunning T `metric:"running,gauge"`     // jobs in flight right now
+	MaxRunning         T `metric:"max_running,gauge"` // high-water mark of CompactionsRunning
+	SchedDeferred      T `metric:"deferred"`          // runnable plans deferred for lack of a job slot
+	BytesRead          T `metric:"read_bytes"`        // compaction input bytes across all jobs
+	BytesWritten       T `metric:"written_bytes"`     // compaction output bytes across all jobs
+	StallNanos         T `metric:"stall_ns"`          // writer stall time waiting on background debt
 }
 
 func (c *JobCounters) Snapshot() JobsSnapshot             { return snapshot[JobsSnapshot](c) }
@@ -137,9 +134,6 @@ type storage[T any] struct {
 	CacheSavesDropped T `metric:"cache_saves_dropped"` // seccache snapshot saves skipped (non-fatal)
 }
 
-func (c *StorageCounters) Snapshot() StorageSnapshot               { return snapshot[StorageSnapshot](c) }
-func (s StorageSnapshot) Sub(prev StorageSnapshot) StorageSnapshot { return delta(s, prev) }
-
 // network counts fault-tolerance events on the network paths: the KDS
 // client, the disaggregated-storage client, and the offloaded compaction
 // client all report into one counter set so the bench harness can print how
@@ -210,6 +204,8 @@ func (c *NetCounters) Snapshot() NetSnapshot {
 }
 
 // Reset zeroes every counter and forgets the endpoints.
+//
+//shield:notestonly tests zero the process-wide network counters between runs
 func (c *NetCounters) Reset() {
 	reset(&c.network)
 	c.epMu.Lock()

@@ -18,7 +18,7 @@ func TestFamiliesComplete(t *testing.T) {
 	t.Run("jobs", func(t *testing.T) { checkFamily[JobsSnapshot](t, &JobCounters{}) })
 	t.Run("recovery", func(t *testing.T) { checkFamily[RecoverySnapshot](t, &RecoveryCounters{}) })
 	t.Run("serve", func(t *testing.T) { checkFamily[ServeSnapshot](t, &ServeCounters{}) })
-	t.Run("storage", func(t *testing.T) { checkFamily[StorageSnapshot](t, &StorageCounters{}) })
+	t.Run("storage", func(t *testing.T) { checkFamily[storage[int64]](t, &StorageCounters{}) })
 	t.Run("net", func(t *testing.T) { checkFamily[network[int64]](t, &new(NetCounters).network) })
 	t.Run("endpoint", func(t *testing.T) { checkFamily[EndpointSnapshot](t, &EndpointCounters{}) })
 }

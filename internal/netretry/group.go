@@ -135,14 +135,6 @@ func (e *Endpoint) usable() bool {
 	return e.health != HealthDown || !time.Now().Before(e.retryAt)
 }
 
-// EndpointStatus is a point-in-time view of one endpoint, for health
-// surfaces (INFO sections, bench output, tests).
-type EndpointStatus struct {
-	Addr   string
-	Health Health
-	Fails  int
-}
-
 // Group tracks a set of peer endpoints with per-endpoint health and backoff
 // state, and hands out endpoints in failover order: the current preferred
 // endpoint first, then the others round-robin, Down endpoints last and only
@@ -172,9 +164,6 @@ func NewGroup(base, max time.Duration, addrs ...string) *Group {
 	}
 	return g
 }
-
-// Len returns the number of endpoints.
-func (g *Group) Len() int { return len(g.eps) }
 
 // Endpoints returns the members in configuration order.
 func (g *Group) Endpoints() []*Endpoint {
@@ -231,15 +220,4 @@ func (g *Group) Advance(ep *Endpoint) {
 		g.cur = (g.cur + 1) % len(g.eps)
 	}
 	g.mu.Unlock()
-}
-
-// Status snapshots every endpoint's health, in configuration order.
-func (g *Group) Status() []EndpointStatus {
-	out := make([]EndpointStatus, 0, len(g.eps))
-	for _, ep := range g.eps {
-		ep.mu.Lock()
-		out = append(out, EndpointStatus{Addr: ep.addr, Health: ep.health, Fails: ep.fails})
-		ep.mu.Unlock()
-	}
-	return out
 }

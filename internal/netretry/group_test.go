@@ -50,9 +50,8 @@ func TestEndpointHealthTransitions(t *testing.T) {
 	if ep.Health() != HealthUp {
 		t.Fatalf("success did not restore health: %v", ep.Health())
 	}
-	st := g.Status()
-	if len(st) != 2 || st[0].Addr != "a:1" || st[0].Health != HealthUp {
-		t.Fatalf("unexpected status: %+v", st)
+	if eps := g.Endpoints(); len(eps) != 2 || eps[0].Addr() != "a:1" || eps[0].Health() != HealthUp {
+		t.Fatalf("unexpected endpoints after recovery: %v", eps)
 	}
 }
 

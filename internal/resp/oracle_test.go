@@ -120,7 +120,7 @@ func class(err error) string {
 		return "ok"
 	case IsRecoverable(err):
 		return "recoverable"
-	case IsProtocolError(err):
+	case isProtocolError(err):
 		return "fatal"
 	}
 	return "io"

@@ -60,13 +60,6 @@ func IsRecoverable(err error) bool {
 	return errors.As(err, &pe) && pe.Recoverable
 }
 
-// IsProtocolError reports whether err is any protocol error (as opposed to
-// an I/O error on the underlying stream).
-func IsProtocolError(err error) bool {
-	var pe *ProtocolError
-	return errors.As(err, &pe)
-}
-
 func protoErr(recoverable bool, format string, args ...any) error {
 	return &ProtocolError{Msg: fmt.Sprintf(format, args...), Recoverable: recoverable}
 }
@@ -345,9 +338,6 @@ type Value struct {
 
 // IsError reports whether the value is an -ERR style reply.
 func (v Value) IsError() bool { return v.Kind == KindError }
-
-// Text returns the string payload (status, error, or bulk).
-func (v Value) Text() string { return string(v.Str) }
 
 // The two status replies this server sends. Every parsed "+OK" shares one
 // slice, so that a pipeline of SET replies allocates nothing.

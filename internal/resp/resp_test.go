@@ -100,7 +100,7 @@ func TestProtocolErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewReader(strings.NewReader(tc.in))
 			_, err := r.ReadCommand()
-			if !IsProtocolError(err) {
+			if !isProtocolError(err) {
 				t.Fatalf("want protocol error, got %v", err)
 			}
 			if IsRecoverable(err) != tc.recoverable {
@@ -125,14 +125,14 @@ func TestRecoverableErrorResyncs(t *testing.T) {
 func TestCustomBulkLimit(t *testing.T) {
 	r := NewReader(strings.NewReader("*1\r\n$100\r\n" + strings.Repeat("x", 100) + "\r\n"))
 	r.MaxBulkLen = 10
-	if _, err := r.ReadCommand(); !IsProtocolError(err) || IsRecoverable(err) {
+	if _, err := r.ReadCommand(); !isProtocolError(err) || IsRecoverable(err) {
 		t.Fatalf("want fatal protocol error, got %v", err)
 	}
 }
 
 func TestOversizedInlineLine(t *testing.T) {
 	r := NewReader(strings.NewReader(strings.Repeat("a", 1<<20) + "\r\nPING\r\n"))
-	if _, err := r.ReadCommand(); !IsProtocolError(err) || IsRecoverable(err) {
+	if _, err := r.ReadCommand(); !isProtocolError(err) || IsRecoverable(err) {
 		t.Fatalf("want fatal protocol error for giant line, got %v", err)
 	}
 }
@@ -156,19 +156,19 @@ func TestWriterRoundTrip(t *testing.T) {
 
 	r := NewReader(&buf)
 	v, err := r.ReadReply()
-	if err != nil || v.Kind != KindStatus || v.Text() != "OK" {
+	if err != nil || v.Kind != KindStatus || string(v.Str) != "OK" {
 		t.Fatalf("status: %+v %v", v, err)
 	}
 	v, _ = r.ReadReply()
-	if v.Kind != KindError || strings.Contains(v.Text(), "\n") {
-		t.Fatalf("error reply kept newline: %q", v.Text())
+	if v.Kind != KindError || strings.Contains(string(v.Str), "\n") {
+		t.Fatalf("error reply kept newline: %q", string(v.Str))
 	}
 	v, _ = r.ReadReply()
 	if v.Kind != KindInt || v.Int != -42 {
 		t.Fatalf("int: %+v", v)
 	}
 	v, _ = r.ReadReply()
-	if v.Kind != KindBulk || v.Text() != "hi\r\nthere" {
+	if v.Kind != KindBulk || string(v.Str) != "hi\r\nthere" {
 		t.Fatalf("bulk: %+v", v)
 	}
 	v, _ = r.ReadReply()
@@ -177,7 +177,7 @@ func TestWriterRoundTrip(t *testing.T) {
 	}
 	v, err = r.ReadReply()
 	if err != nil || v.Kind != KindArray || len(v.Array) != 2 ||
-		v.Array[0].Text() != "a" || v.Array[1].Int != 7 {
+		string(v.Array[0].Str) != "a" || v.Array[1].Int != 7 {
 		t.Fatalf("array: %+v %v", v, err)
 	}
 }
@@ -350,11 +350,18 @@ func TestWriterOneWritePerFlush(t *testing.T) {
 // recursing on it.
 func TestReplyNestingBounded(t *testing.T) {
 	r := NewReader(strings.NewReader(strings.Repeat("*1\r\n", 100) + ":1\r\n"))
-	if _, err := r.ReadReply(); !IsProtocolError(err) {
+	if _, err := r.ReadReply(); !isProtocolError(err) {
 		t.Fatalf("100 nested arrays: %v, want a protocol error", err)
 	}
 	r = NewReader(strings.NewReader(strings.Repeat("*1\r\n", maxReplyDepth) + ":1\r\n"))
 	if v, err := r.ReadReply(); err != nil || len(v.Array) != 1 {
 		t.Fatalf("%d nested arrays: %+v, %v", maxReplyDepth, v, err)
 	}
+}
+
+// isProtocolError reports whether err is any protocol error (as opposed to
+// an I/O error on the underlying stream).
+func isProtocolError(err error) bool {
+	var pe *ProtocolError
+	return errors.As(err, &pe)
 }

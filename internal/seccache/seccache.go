@@ -220,7 +220,7 @@ func (c *Cache) Delete(id kds.KeyID) error {
 	return c.save()
 }
 
-// Len reports the number of cached DEKs.
+//shield:notestonly the number of cached DEKs, for the secure-cache tests to assert on
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

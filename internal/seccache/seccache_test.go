@@ -1,6 +1,7 @@
 package seccache
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -135,7 +136,7 @@ func TestNoPlaintextDEKOnDisk(t *testing.T) {
 	}
 	// Neither the raw key bytes, the hex encoding, nor the key id may
 	// appear in the sealed file.
-	hexKey := dek.Hex()
+	hexKey := hex.EncodeToString(dek[:])
 	if containsSub(data, dek[:]) || containsSub(data, []byte(hexKey)) || containsSub(data, []byte("dek-secret")) {
 		t.Fatal("plaintext key material leaked into the cache file")
 	}

@@ -439,7 +439,6 @@ func (s *simulation) lsmOptsLocked() lsm.Options {
 		TargetFileSize:      16 << 10,
 		L0CompactionTrigger: 3,
 		MaxBackgroundJobs:   4,       // concurrent compactions under the nemesis
-		MaxSubcompactions:   3,       // crash mid-shard is part of the fault space
 		MaxManifestFileSize: 8 << 10, // exercise manifest rotation
 		SyncWrites:          true,    // acked == durable, the checker's axiom
 		BestEffortRecovery:  s.tainted,

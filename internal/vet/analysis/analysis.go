@@ -15,6 +15,8 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+
+	"shield/internal/vet/load"
 )
 
 // Analyzer describes one static check.
@@ -28,6 +30,12 @@ type Analyzer struct {
 
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
+
+	// Module, if set, runs once per driver run, before any Run, over every
+	// non-test package of the module, whatever packages the run names. Its
+	// result reaches each Run as Pass.Module. It serves invariants that
+	// span packages (testonly: a function that no package calls).
+	Module func([]*load.Package) any
 }
 
 // Pass carries one type-checked package through an Analyzer.Run.
@@ -37,6 +45,10 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+
+	// Module is the result of the analyzer's Module hook, nil if it has
+	// none.
+	Module any
 
 	// Report emits one diagnostic. The Pass wraps it with suppression
 	// handling: a //shield:no<name> directive with a justification on the

@@ -2,7 +2,7 @@
 // invariants were learned: encryption boundary, crash durability, key
 // hygiene, tail latency, error routing, authenticated reads, and the
 // concurrency/crypto-misuse set (lock ordering, atomics discipline,
-// goroutine accounting, nonce binding).
+// goroutine accounting, nonce binding), and code that only tests call.
 package all
 
 import (
@@ -17,6 +17,7 @@ import (
 	"shield/internal/vet/analyzers/nofs"
 	"shield/internal/vet/analyzers/noncebound"
 	"shield/internal/vet/analyzers/syncdir"
+	"shield/internal/vet/analyzers/testonly"
 )
 
 // Analyzers is the complete suite, in reporting order.
@@ -31,4 +32,5 @@ var Analyzers = []*analysis.Analyzer{
 	atomics.Analyzer,
 	goroleak.Analyzer,
 	noncebound.Analyzer,
+	testonly.Analyzer,
 }

@@ -37,9 +37,10 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	}
 	loader.FixtureRoots = []string{filepath.Join(abs, "src")}
 
+	// The fixture packages are the module an Analyzer.Module hook sees.
+	var loaded []*load.Package
 	for _, pkg := range pkgs {
-		dir := filepath.Join(abs, "src", pkg)
-		p, err := loader.LoadDir(dir)
+		p, err := loader.LoadDir(filepath.Join(abs, "src", pkg))
 		if err != nil {
 			t.Errorf("%s: load: %v", pkg, err)
 			continue
@@ -47,7 +48,14 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 		for _, terr := range p.TypeErrors {
 			t.Errorf("%s: type error: %v", pkg, terr)
 		}
+		loaded = append(loaded, p)
+	}
+	var modResult any
+	if a.Module != nil {
+		modResult = a.Module(loaded)
+	}
 
+	for _, p := range loaded {
 		var diags []analysis.Diagnostic
 		pass := &analysis.Pass{
 			Analyzer:  a,
@@ -55,13 +63,14 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 			Files:     p.Files,
 			Pkg:       p.Types,
 			TypesInfo: p.Info,
+			Module:    modResult,
 		}
 		pass.Report = func(d analysis.Diagnostic) { diags = append(diags, d) }
 		if err := a.Run(pass); err != nil {
-			t.Errorf("%s: analyzer: %v", pkg, err)
+			t.Errorf("%s: analyzer: %v", p.Path, err)
 			continue
 		}
-		compare(t, p.Fset, dir, diags)
+		compare(t, p.Fset, p.Dir, diags)
 	}
 }
 

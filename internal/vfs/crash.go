@@ -109,6 +109,8 @@ func (c *CrashFS) AfterSync(fn func(event string, img *CrashImage)) {
 
 // SyncPoints reports how many durability boundaries (file Sync + SyncDir)
 // have occurred.
+//
+//shield:notestonly accessor of a test double; moving it to vfstest would need new exported API
 func (c *CrashFS) SyncPoints() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -89,6 +89,8 @@ func (f *FaultFS) Inject(r FaultRule) *FaultRule {
 }
 
 // RemoveRule deletes a rule installed by Inject.
+//
+//shield:notestonly accessor of a test double; moving it to vfstest would need new exported API
 func (f *FaultFS) RemoveRule(r *FaultRule) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -108,6 +110,8 @@ func (f *FaultFS) ClearRules() {
 }
 
 // Injected reports how many faults have fired in total.
+//
+//shield:notestonly accessor of a test double; moving it to vfstest would need new exported API
 func (f *FaultFS) Injected() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -115,6 +119,8 @@ func (f *FaultFS) Injected() int64 {
 }
 
 // Fired reports how many times one rule has fired.
+//
+//shield:notestonly accessor of a test double; moving it to vfstest would need new exported API
 func (f *FaultFS) Fired(r *FaultRule) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

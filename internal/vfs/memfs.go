@@ -5,7 +5,6 @@ import (
 	"io"
 	"path"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -227,6 +226,8 @@ func (m *MemFS) Stat(name string) (FileInfo, error) {
 // CrashUnsynced simulates a system crash: for every file, data written after
 // the last Sync is discarded. Used by recovery tests to distinguish the OS
 // buffered-I/O persistency guarantee from the application-buffer trade-off.
+//
+//shield:notestonly crash simulation of a test double; moving it to vfstest would need new exported API
 func (m *MemFS) CrashUnsynced() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -237,22 +238,6 @@ func (m *MemFS) CrashUnsynced() {
 		}
 		f.mu.Unlock()
 	}
-}
-
-// TotalBytes reports the sum of all file sizes, optionally restricted to
-// names containing substr.
-func (m *MemFS) TotalBytes(substr string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	for name, f := range m.files {
-		if substr == "" || strings.Contains(name, substr) {
-			f.mu.Lock()
-			n += int64(f.body.len())
-			f.mu.Unlock()
-		}
-	}
-	return n
 }
 
 type memWritable struct {
