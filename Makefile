@@ -25,12 +25,13 @@ benchmark-check:
 race:
 	go test -race ./...
 
-# The compaction scheduler's flake lane: the picker, scheduler, CompactRange
-# and universal/FIFO tests of internal/lsm and the offloaded-compaction
+# The flake lane: the picker, scheduler, CompactRange and universal/FIFO
+# tests of internal/lsm, its open, recovery and scrub tests (the recovery
+# pass checks tables concurrently), and the offloaded-compaction
 # orchestrator, ten times each under the race detector, so an interleaving
 # one PR-gate run misses shows up here. Nightly in CI.
 flake:
-	go test -race -count=10 -run 'Sched|Compact|Universal|FIFO|Pick' ./internal/lsm/
+	go test -race -count=10 -run 'Sched|Compact|Universal|FIFO|Pick|Open|Recover|Scrub|BestEffort|Paranoid' ./internal/lsm/
 	go test -race -count=10 ./internal/compactsvc/
 
 # The I/O paths' mechanisms, pinned. Reads: inner reads per sealed ReadAt, per

@@ -3,9 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"shield/internal/crypt"
 	"shield/internal/kds"
 	"shield/internal/lsm"
 	"shield/internal/metrics"
@@ -240,4 +243,97 @@ func TestKDSReplicaKillMidDBWorkload(t *testing.T) {
 	if st.DEKsCreated < 3 {
 		t.Fatalf("workload too small to rotate files: %+v", st)
 	}
+}
+
+// unreachableFor is a KDS that cannot be reached for one DEK.
+type unreachableFor struct {
+	kds.Service
+	id kds.KeyID
+}
+
+func (u unreachableFor) FetchDEK(id kds.KeyID) (crypt.DEK, error) {
+	if id == u.id {
+		return crypt.DEK{}, fmt.Errorf("fetching %s: %w", id, kds.ErrNoReplica)
+	}
+	return u.Service.FetchDEK(id)
+}
+
+// TestOneUnreachableDEKFailsOpenDegraded: when the KDS cannot be reached for
+// one live table's DEK, the open fails with ErrDegraded and quarantines
+// nothing, even under BestEffortRecovery, and the error is the same whether
+// the tables are checked serially or four at a time.
+func TestOneUnreachableDEKFailsOpenDegraded(t *testing.T) {
+	fs := vfs.NewMem()
+	store := kds.NewStore(kds.Policy{})
+	cfg := Config{Mode: ModeSHIELD, FS: fs, KDS: kds.NewLocal(store, "server-1")}
+	db, err := Open("db", cfg, compactRangeOnlyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 6; round++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%02d", round)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirNames(t, fs, "db")
+	var victim string
+	for _, name := range before {
+		if strings.HasSuffix(name, ".sst") {
+			victim = name // the last table by name
+		}
+	}
+	data, err := vfs.ReadFile(fs, "db/"+victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := parseHeader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var errs []string
+	for _, jobs := range []int{1, 4} {
+		cfg.KDS = unreachableFor{kds.NewLocal(store, "server-1"), h.dekID}
+		opts := compactRangeOnlyOpts()
+		opts.BestEffortRecovery = true
+		opts.MaxBackgroundJobs = jobs
+		_, err := Open("db", cfg, opts) // a fresh wrapper: every DEK is resolved anew
+		if !errors.Is(err, ErrDegraded) {
+			t.Fatalf("jobs=%d: open = %v, want ErrDegraded", jobs, err)
+		}
+		if after := dirNames(t, fs, "db"); !slices.Equal(after, before) {
+			t.Fatalf("jobs=%d: the failed open changed the store: %v, was %v", jobs, after, before)
+		}
+		if lost := dirNames(t, fs, "db/lost"); len(lost) != 0 {
+			t.Fatalf("jobs=%d: quarantined %v", jobs, lost)
+		}
+		errs = append(errs, err.Error())
+	}
+	if errs[0] != errs[1] {
+		t.Fatalf("jobs=1 and jobs=4 fail differently:\n %s\n %s", errs[0], errs[1])
+	}
+}
+
+// dirNames lists the file names in dir, sorted; none when it is absent.
+func dirNames(t *testing.T, fs vfs.FS, dir string) []string {
+	t.Helper()
+	entries, err := fs.List(dir)
+	if errors.Is(err, vfs.ErrNotFound) {
+		return nil
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name)
+	}
+	slices.Sort(names)
+	return names
 }

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"shield/internal/kds"
+	"shield/internal/lsm"
+	"shield/internal/lsm/base"
+	"shield/internal/lsm/sstable"
 	"shield/internal/vfs"
 )
 
@@ -183,4 +187,61 @@ func liveDEKIDs(t *testing.T, fs vfs.FS) map[kds.KeyID]bool {
 		out[h.dekID] = true
 	}
 	return out
+}
+
+// TestOrphanSweepReleasesDEK: a table a previous process created but never
+// named in a manifest edit (it crashed in between) is removed by the next
+// writable open, and its DEK leaves the secure cache with it.
+func TestOrphanSweepReleasesDEK(t *testing.T) {
+	fs := vfs.NewMem()
+	cfg := testConfig(t, ModeSHIELD, fs)
+	cacheFS := vfs.NewMem()
+	cfg.Cache = openTestCache(t, cacheFS)
+	db, err := Open("db", cfg, compactRangeOnlyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w, err := cfg.BuildWrapper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphan := "db/000999.sst"
+	raw, err := fs.Create(orphan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, id, err := w.WrapCreate(orphan, lsm.FileKindSST, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw := sstable.NewWriter(f, sstable.WriterOptions{})
+	if err := tw.Add(base.MakeInternalKey([]byte("orphan"), 1, base.KindSet), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cfg.Cache.Get(kds.KeyID(id)); err != nil {
+		t.Fatalf("the orphan's DEK is not cached before the sweep: %v", err)
+	}
+
+	cfg.Cache = openTestCache(t, cacheFS) // the next process
+	db, err = Open("db", cfg, compactRangeOnlyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := fs.Stat(orphan); !errors.Is(err, vfs.ErrNotFound) {
+		t.Fatalf("the orphan survived the open: %v", err)
+	}
+	if _, err := cfg.Cache.Get(kds.KeyID(id)); err == nil {
+		t.Fatalf("the swept orphan's DEK %s is still in the secure cache", id)
+	}
 }

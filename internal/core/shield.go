@@ -147,9 +147,9 @@ type shieldWrapper struct {
 	// deks mirrors the DEKs of live files in memory (the paper keeps the
 	// DEK "in memory as part of the LSM-KVS metadata while the instance is
 	// running"); the secure cache persists them across restarts. names
-	// remembers the DEK of every file this wrapper created and of every
-	// WAL or MANIFEST it streamed, so deletion notifications without an
-	// explicit DEK-ID (WALs, MANIFESTs) still prune the right key.
+	// remembers the DEK of every file this wrapper created or opened, so
+	// deletion notifications without an explicit DEK-ID (WALs, MANIFESTs,
+	// orphan SSTs) still prune the right key.
 	mu    sync.Mutex
 	deks  map[kds.KeyID]crypt.DEK
 	names map[string]kds.KeyID
@@ -376,6 +376,7 @@ func (s *shieldWrapper) WrapOpen(name string, kind lsm.FileKind, f vfs.RandomAcc
 	if err != nil {
 		return nil, err
 	}
+	s.remember(name, h.dekID)
 	if h.version == shieldVersion2 {
 		sealer, err := crypt.NewSealer(dek, h.iv[:crypt.SealedNoncePrefixLen], buf[:h.len])
 		if err != nil {
@@ -420,18 +421,25 @@ func (s *shieldWrapper) WrapOpenSequential(name string, kind lsm.FileKind, f vfs
 	if err != nil {
 		return nil, err
 	}
-	if !s.instance {
-		// A recovered WAL or a replaced MANIFEST is deleted later with no
-		// DEK-ID, like the ones this process created: remember its key.
-		s.mu.Lock()
-		s.names[name] = h.dekID
-		s.mu.Unlock()
-	}
+	s.remember(name, h.dekID)
 	r, err := crypt.NewDecryptingReader(f, dek, h.iv)
 	if err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// remember records, under the per-file policy, the DEK of a file opened for
+// reading. A recovered WAL, a replaced MANIFEST or an orphan SST that a
+// previous process created is deleted later with no DEK-ID, like the files
+// this process created: FileDeleted then finds its key here.
+func (s *shieldWrapper) remember(name string, id kds.KeyID) {
+	if s.instance {
+		return
+	}
+	s.mu.Lock()
+	s.names[name] = id
+	s.mu.Unlock()
 }
 
 // FileDeleted implements lsm.FileWrapper: DEKs die with their files, which
@@ -444,7 +452,7 @@ func (s *shieldWrapper) FileDeleted(name string, dekID string) {
 	id := kds.KeyID(dekID)
 	s.mu.Lock()
 	if id == "" {
-		id = s.names[name] // WAL/MANIFEST deletions carry no explicit ID
+		id = s.names[name] // WAL, MANIFEST and orphan SST deletions carry no ID
 	}
 	delete(s.names, name)
 	if id == "" {

@@ -389,10 +389,9 @@ func (c *largestJob) Compact(job CompactionJob, newFileNum func() (uint64, error
 // whole-tree job cuts more outputs than the 256 file numbers an earlier build
 // reserved per job. The job succeeds, the DB stays writable and every key
 // reads back. It logs what one output costs in the JSON result an offloaded
-// worker sends (compactsvc's maxMessage). The subtest keeps its name from
-// when the test also ran the job in four key-range shards.
+// worker sends (compactsvc's maxMessage).
 func TestCompactRangeOver256Outputs(t *testing.T) {
-	t.Run("subcompactions=1", func(t *testing.T) {
+	t.Run("one-job", func(t *testing.T) {
 		const keys = 80_000
 		val := func(i int) []byte { return []byte(fmt.Sprintf("%0100d", i)) }
 		fs := vfs.NewMem()

@@ -9,15 +9,14 @@ import (
 	"shield/internal/vfs"
 )
 
-// TestIteratorSnapshotConsistencyUnderSubcompactions is the snapshot
+// TestIteratorSnapshotConsistencyUnderParallelJobs is the snapshot
 // property test for the parallel scheduler: an iterator opened at sequence
 // S must observe exactly the database state at S — every key exactly once,
 // in order, with the value written in round r — while concurrent writers
 // overwrite every key and parallel jobs rewrite the levels underneath it. A
 // half-installed version edit or a job dropping records visible at S would
-// surface here as a missing, duplicated, or future-valued key. (The name is
-// from when each job also ran in key-range shards; a job is one merge now.)
-func TestIteratorSnapshotConsistencyUnderSubcompactions(t *testing.T) {
+// surface here as a missing, duplicated, or future-valued key.
+func TestIteratorSnapshotConsistencyUnderParallelJobs(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := testOptions(fs)
 	opts.MemtableSize = 16 << 10

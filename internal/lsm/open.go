@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"shield/internal/cache"
@@ -39,11 +40,10 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	d.tables = newTableCache(d.fs, dir, d.wrapper, d.blockCache)
 
-	start := time.Now()
 	if err := d.recover(); err != nil {
+		d.closeRecovered()
 		return nil, err
 	}
-	metrics.Recovery.RecoveryNanos.Add(time.Since(start).Nanoseconds())
 
 	d.mu.Lock()
 	d.maybeScheduleFlushLocked()
@@ -54,15 +54,26 @@ func Open(dir string, opts Options) (*DB, error) {
 
 // ---- Recovery ----
 
-// recover is Open's side of the recovery pass (recover.go).
+// recover is Open's side of the recovery pass (recover.go). It adds the
+// time of each stage it completes to metrics.Recovery.
 func (d *DB) recover() error {
+	start := time.Now()
+	lap := func(stage *atomic.Int64) {
+		now := time.Now()
+		stage.Add(now.Sub(start).Nanoseconds())
+		start = now
+	}
 	_, err := d.fs.Stat(currentFileName(d.dir))
 	switch {
 	case errors.Is(err, vfs.ErrNotFound):
 		if d.opts.ReadOnly {
 			return fmt.Errorf("lsm: read-only open of missing database: %w", err)
 		}
-		return d.createNew()
+		if err := d.createNew(); err != nil {
+			return err
+		}
+		lap(&metrics.Recovery.InstallNanos)
+		return nil
 	case err != nil:
 		return err
 	}
@@ -89,12 +100,15 @@ func (d *DB) recover() error {
 		}
 	}
 
+	lap(&metrics.Recovery.LoadNanos)
+
 	// Verify every SST the manifest references before trusting the version:
 	// a missing or corrupt file either fails the open with a typed error or,
 	// under BestEffortRecovery, is quarantined and dropped.
-	if d.current, err = verifyTables(d.dir, st.ver, d.judgeTable); err != nil {
+	if d.current, err = verifyTables(d.dir, st.ver, d.opts.MaxBackgroundJobs, d.checkTable, d.judgeTable); err != nil {
 		return err
 	}
+	lap(&metrics.Recovery.TablesNanos)
 
 	// A writable open removes every table the recovered manifest does not
 	// reference: the output of a flush or compaction whose edit never became
@@ -107,8 +121,8 @@ func (d *DB) recover() error {
 	d.nextFileNum = st.nextFile
 	if !d.opts.ReadOnly {
 		for _, o := range orphans {
-			if o.kind == FileKindSST && d.fs.Remove(o.name) == nil {
-				d.wrapper.FileDeleted(o.name, "")
+			if o.kind == FileKindSST {
+				d.removeOrphanSST(o.name)
 			}
 		}
 		// Roll the verified state into a fresh MANIFEST (compacting the edit
@@ -120,6 +134,7 @@ func (d *DB) recover() error {
 			return err
 		}
 	}
+	lap(&metrics.Recovery.InstallNanos)
 
 	// Replay the live WALs, oldest first.
 	recovered := newMemTable(0)
@@ -150,6 +165,7 @@ func (d *DB) recover() error {
 	if d.opts.ReadOnly {
 		// Serve the replayed WAL contents from the memtable; write nothing.
 		d.mem = recovered
+		lap(&metrics.Recovery.ReplayNanos)
 		return nil
 	}
 
@@ -172,7 +188,39 @@ func (d *DB) recover() error {
 		return err
 	}
 	d.deleteObsoleteLocked()
+	lap(&metrics.Recovery.ReplayNanos)
 	return nil
+}
+
+// closeRecovered releases what a failed recover opened: the tables it
+// verified or checked ahead of the failure, and the WAL and MANIFEST
+// writers it created. No background job has started yet.
+func (d *DB) closeRecovered() {
+	if d.walWriter != nil {
+		d.walWriter.Close()
+	}
+	if d.manifestW != nil {
+		d.manifestW.Close()
+	}
+	d.tables.close()
+}
+
+// removeOrphanSST deletes a table no version names. It is opened through the
+// wrapper first, so that the wrapper learns the table's DEK from its header
+// and FileDeleted releases it: a table a previous process created has no DEK
+// this process knows of. A table whose key cannot be resolved is removed all
+// the same.
+func (d *DB) removeOrphanSST(name string) {
+	if raw, err := d.fs.Open(name); err == nil {
+		if f, err := d.wrapper.WrapOpen(name, FileKindSST, raw); err == nil {
+			f.Close()
+		} else {
+			raw.Close()
+		}
+	}
+	if d.fs.Remove(name) == nil {
+		d.wrapper.FileDeleted(name, "")
+	}
 }
 
 func (d *DB) createNew() error {
@@ -194,25 +242,42 @@ func (d *DB) createNew() error {
 	return err
 }
 
+// checkTable is Open's check of one table, safe to run concurrently:
+// without ParanoidChecks the file must exist and have a readable footer and
+// index (opening it into the table cache verifies those checksums); with
+// ParanoidChecks it gets the full checkSST, the check Scrub runs.
+func (d *DB) checkTable(name string, f *manifest.FileMetadata) tableCheck {
+	if d.opts.ParanoidChecks {
+		blocks, _, err := checkSST(d.fs, d.wrapper, name, f)
+		return tableCheck{blocks: blocks, err: err}
+	}
+	_, release, err := d.tables.get(f.FileNum)
+	if err != nil {
+		return tableCheck{err: err}
+	}
+	release()
+	return tableCheck{}
+}
+
 // judgeTable is Open's side of the table verdict. A table that is not ok
 // fails the open, unless it is missing or provably corrupt and
 // BestEffortRecovery is set: then it is dropped, and a corrupt one is
 // quarantined when the DB is writable. An unverifiable table (e.g. an
 // unreachable KDS left its DEK unresolvable) always fails the open: an
 // unverifiable file is not a corrupt one.
-func (d *DB) judgeTable(name string, f *manifest.FileMetadata) (drop bool, err error) {
-	err = d.verifyTable(name, f)
-	v := verdictOf(err)
+func (d *DB) judgeTable(name string, f *manifest.FileMetadata, c tableCheck) (drop bool, err error) {
+	metrics.Recovery.ScrubBlocksVerified.Add(c.blocks)
+	v := verdictOf(c.err)
 	switch v {
 	case tableOK:
 		return false, nil
 	case tableUnverifiable:
-		return false, fmt.Errorf("lsm: verifying %s: %w", name, err)
+		return false, fmt.Errorf("lsm: verifying %s: %w", name, c.err)
 	}
 	if !d.opts.BestEffortRecovery {
-		return false, &CorruptionError{Path: name, Kind: FileKindSST, Detail: "failed open-time verification", Err: err}
+		return false, &CorruptionError{Path: name, Kind: FileKindSST, Detail: "failed open-time verification", Err: c.err}
 	}
-	d.opts.Logger("lsm: best-effort recovery dropping %s: %v", name, err)
+	d.opts.Logger("lsm: best-effort recovery dropping %s: %v", name, c.err)
 	d.tables.evict(f.FileNum)
 	if v == tableCorrupt && !d.opts.ReadOnly {
 		d.quarantine(name)
@@ -220,24 +285,6 @@ func (d *DB) judgeTable(name string, f *manifest.FileMetadata) (drop bool, err e
 	metrics.Recovery.FilesQuarantined.Add(1)
 	delete(d.dekIDs, f.FileNum)
 	return true, nil
-}
-
-// verifyTable is the open-time check of one SST: without ParanoidChecks the
-// file must exist and have a readable footer and index (opening it verifies
-// those checksums); with ParanoidChecks it gets the full checkSST, the check
-// Scrub runs.
-func (d *DB) verifyTable(name string, f *manifest.FileMetadata) error {
-	if d.opts.ParanoidChecks {
-		blocks, _, err := checkSST(d.fs, d.wrapper, name, f)
-		metrics.Recovery.ScrubBlocksVerified.Add(blocks)
-		return err
-	}
-	_, release, err := d.tables.get(f.FileNum)
-	if err != nil {
-		return err
-	}
-	release()
-	return nil
 }
 
 func (d *DB) allocFileNum() uint64 {

@@ -173,7 +173,10 @@ type Options struct {
 	// slot is always reserved for the flush worker (flush preempts
 	// compaction), the rest run compaction jobs on disjoint level/key-range
 	// pairs. Default 2 (one flush slot + one compaction job, i.e. the
-	// serial behavior).
+	// serial behavior). It also bounds the goroutines, the caller's
+	// included, that check the live tables when Open or Scrub verifies
+	// them; the verdicts are still applied one table at a time, in level
+	// order, so 1 is the serial pass and any bound has its outcome.
 	MaxBackgroundJobs int
 
 	// CompactionStyle selects leveled, universal, or FIFO compaction.

@@ -9,11 +9,14 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"shield/internal/lsm/base"
 	"shield/internal/lsm/manifest"
 	"shield/internal/lsm/sstable"
 	"shield/internal/lsm/wal"
+	"shield/internal/metrics"
 	"shield/internal/vfs"
 )
 
@@ -255,24 +258,88 @@ func verdictOf(err error) tableVerdict {
 	return tableUnverifiable
 }
 
-// verifyTables hands every table ver names to judge, which runs its
-// caller's check and says whether the table goes, and returns ver without
-// the tables that went: ver itself when none did. judge's error fails the
-// pass.
-func verifyTables(dir string, ver *manifest.Version, judge func(name string, f *manifest.FileMetadata) (drop bool, err error)) (*manifest.Version, error) {
-	var dropped map[uint64]bool
+// tableCheck is what one table's check found.
+type tableCheck struct {
+	blocks      int64 // data blocks verified: a full check (checkSST) only
+	transformed bool  // the wrapper transforms the file: the caller holds its key
+	err         error
+}
+
+// verifyTables checks every table ver names and hands each result to judge,
+// which says whether the table goes, and returns ver without the tables that
+// went: ver itself when none did. judge's error fails the pass.
+//
+// The checks run on up to jobs goroutines, the calling one included; with
+// one table or jobs <= 1 no goroutine starts. check must be safe to run
+// concurrently, and it may only read: every side effect of a verdict
+// (quarantine, eviction, logging, counters) belongs in judge, which runs on
+// the calling goroutine, one table at a time, in level and file order. So
+// the version, the files dropped, the error and the log are those of a
+// serial pass; only the checks overlap. The first error stops the pass:
+// tables not yet claimed are never checked, and the checks in flight finish
+// before verifyTables returns, so the caller may release what they opened.
+func verifyTables(dir string, ver *manifest.Version, jobs int, check func(name string, f *manifest.FileMetadata) tableCheck, judge func(name string, f *manifest.FileMetadata, c tableCheck) (drop bool, err error)) (*manifest.Version, error) {
+	type table struct {
+		name string
+		f    *manifest.FileMetadata
+		res  tableCheck
+		done chan struct{}
+	}
+	var tables []table
 	for lvl := range ver.Levels {
 		for _, f := range ver.Levels[lvl] {
-			drop, err := judge(sstFileName(dir, f.FileNum), f)
-			if err != nil {
-				return nil, err
+			tables = append(tables, table{name: sstFileName(dir, f.FileNum), f: f, done: make(chan struct{})})
+		}
+	}
+	var next atomic.Int64
+	var stop atomic.Bool
+	// claim checks the next unclaimed table; false when none is left.
+	claim := func() bool {
+		if stop.Load() {
+			return false
+		}
+		i := int(next.Add(1) - 1)
+		if i >= len(tables) {
+			return false
+		}
+		t := &tables[i]
+		t.res = check(t.name, t.f)
+		close(t.done)
+		return true
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(jobs, len(tables)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for claim() {
 			}
-			if drop {
-				if dropped == nil {
-					dropped = make(map[uint64]bool)
-				}
-				dropped[f.FileNum] = true
+		}()
+	}
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+
+	var dropped map[uint64]bool
+	for i := range tables {
+		t := &tables[i]
+		// Check tables until this one's result is in, or wait for it.
+		for !isClosed(t.done) && claim() {
+		}
+		<-t.done
+		if t.res.err == nil {
+			metrics.Recovery.TablesVerified.Add(1)
+		}
+		drop, err := judge(t.name, t.f, t.res)
+		if err != nil {
+			return nil, err
+		}
+		if drop {
+			if dropped == nil {
+				dropped = make(map[uint64]bool)
 			}
+			dropped[t.f.FileNum] = true
 		}
 	}
 	if dropped == nil {
@@ -287,6 +354,16 @@ func verifyTables(dir string, ver *manifest.Version, judge func(name string, f *
 		}
 	}
 	return nv, nil
+}
+
+// isClosed reports whether ch is closed, without blocking.
+func isClosed(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
 }
 
 // checkSST is the one full check of an SST against the manifest entry that
@@ -304,7 +381,8 @@ func verifyTables(dir string, ver *manifest.Version, judge func(name string, f *
 //
 // It returns the data blocks verified and whether wrapper actually
 // transforms the file (it returned something other than the raw handle: the
-// caller holds the key, so damage found underneath is genuine).
+// caller holds the key, so damage found underneath is genuine). It reads
+// and never writes, so tables can be checked concurrently.
 func checkSST(fs vfs.FS, wrapper FileWrapper, name string, meta *manifest.FileMetadata) (blocks int64, transformed bool, err error) {
 	raw, err := fs.Open(name)
 	if err != nil {

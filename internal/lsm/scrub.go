@@ -200,7 +200,11 @@ func Scrub(dir string, opts Options, sopts ScrubOptions) (*ScrubReport, error) {
 		return s.report, err
 	}
 
-	thinned, err := verifyTables(dir, st.ver, s.judgeTable)
+	check := func(name string, meta *manifest.FileMetadata) tableCheck {
+		blocks, transformed, err := checkSST(opts.FS, opts.Wrapper, name, meta)
+		return tableCheck{blocks, transformed, err}
+	}
+	thinned, err := verifyTables(dir, st.ver, opts.MaxBackgroundJobs, check, s.judgeTable)
 	if err != nil {
 		return s.report, err
 	}
@@ -299,12 +303,11 @@ func (s *scrubber) sniffEncrypted(name string) bool {
 // checkSST and a per-file verdict. A missing table is dropped, a corrupt one
 // is quarantined and dropped, and one the scrub cannot verify (its key is
 // unavailable) is skipped, never quarantined.
-func (s *scrubber) judgeTable(name string, meta *manifest.FileMetadata) (drop bool, err error) {
+func (s *scrubber) judgeTable(name string, _ *manifest.FileMetadata, c tableCheck) (drop bool, err error) {
 	s.report.SSTsChecked++
-	n, transformed, err := checkSST(s.opts.FS, s.opts.Wrapper, name, meta)
-	s.report.BlocksVerified += n
-	metrics.Recovery.ScrubBlocksVerified.Add(n)
-	switch verdictOf(err) {
+	s.report.BlocksVerified += c.blocks
+	metrics.Recovery.ScrubBlocksVerified.Add(c.blocks)
+	switch verdictOf(c.err) {
 	case tableOK:
 		s.report.Verdicts[name] = VerdictOK
 		if s.report.EpochRegressed {
@@ -318,10 +321,10 @@ func (s *scrubber) judgeTable(name string, meta *manifest.FileMetadata) (drop bo
 		return true, nil
 	case tableUnverifiable:
 		s.report.Verdicts[name] = VerdictUndecryptable
-		s.finding(name, FileKindSST, ScrubSkipped, "unverifiable: "+err.Error())
+		s.finding(name, FileKindSST, ScrubSkipped, "unverifiable: "+c.err.Error())
 		return false, nil
 	}
-	if !transformed && s.sniffEncrypted(name) {
+	if !c.transformed && s.sniffEncrypted(name) {
 		// The wrapper does not decrypt this file, so it looks corrupt only
 		// because we lack the key — never quarantine.
 		s.report.Verdicts[name] = VerdictUndecryptable
@@ -329,7 +332,7 @@ func (s *scrubber) judgeTable(name string, meta *manifest.FileMetadata) (drop bo
 		return false, nil
 	}
 	s.report.Verdicts[name] = VerdictTampered
-	s.quarantine(name, FileKindSST, err.Error())
+	s.quarantine(name, FileKindSST, c.err.Error())
 	return true, nil
 }
 

@@ -101,18 +101,7 @@ func NewReader(f vfs.RandomAccessFile, opts ReaderOptions) (*Reader, error) {
 		return r.readRaw(h) // not in the tail this writer lays out: its own read
 	}
 
-	indexData, err := metaBlock(indexHandle)
-	if err != nil {
-		return nil, fmt.Errorf("sstable: reading index: %w", err)
-	}
-	if r.index, err = decodeIndex(indexData, metaEnd); err != nil {
-		return nil, err
-	}
-
-	r.filter, err = metaBlock(filterHandle)
-	if err != nil {
-		return nil, fmt.Errorf("sstable: reading filter: %w", err)
-	}
+	// Properties first: their block count sizes the index in one pass.
 	propsData, err := metaBlock(propsHandle)
 	if err != nil {
 		return nil, fmt.Errorf("sstable: reading properties: %w", err)
@@ -120,26 +109,36 @@ func NewReader(f vfs.RandomAccessFile, opts ReaderOptions) (*Reader, error) {
 	if err := json.Unmarshal(propsData, &r.props); err != nil {
 		return nil, fmt.Errorf("%w: decoding properties: %w", ErrCorruption, err)
 	}
+	indexData, err := metaBlock(indexHandle)
+	if err != nil {
+		return nil, fmt.Errorf("sstable: reading index: %w", err)
+	}
+	if r.index, err = decodeIndex(indexData, metaEnd, r.props.DataBlocks); err != nil {
+		return nil, err
+	}
+	r.filter, err = metaBlock(filterHandle)
+	if err != nil {
+		return nil, fmt.Errorf("sstable: reading filter: %w", err)
+	}
 	return r, nil
 }
 
-// decodeIndex decodes the index block in one allocation: a first pass counts
-// the entries, and each entry's last key is a view into data, which index
-// blocks store whole (blockIter.next), so data lives as long as the index.
-// The views are capacity-clipped, so an append to one cannot overwrite the
-// entry behind it. The data blocks must follow one another without overlap
-// and end by bodyEnd, as the writer lays them out, so a scan never reads
-// more than the file holds.
-func decodeIndex(data []byte, bodyEnd uint64) ([]indexEntry, error) {
-	n := 0
-	count := blockIter{data: data, off: -1}
-	for count.next() {
-		n++
-	}
-	if count.err != nil {
-		return nil, count.err
-	}
-	index := make([]indexEntry, 0, n)
+// minIndexEntryLen is the fewest bytes an index entry that decodes can
+// take: two one-byte lengths and a handle of two one-byte varints.
+const minIndexEntryLen = 4
+
+// decodeIndex decodes the index block in one pass into a slice sized by
+// blocks, the data-block count the properties record. The count is clamped
+// to the entries data can hold, so a hostile one cannot allocate past the
+// input; a wrong one costs a regrowth, never a wrong index. Each entry's
+// last key is a view into data, which index blocks store whole
+// (blockIter.next), so data lives as long as the index. The views are
+// capacity-clipped, so an append to one cannot overwrite the entry behind
+// it. The data blocks must follow one another without overlap and end by
+// bodyEnd, as the writer lays them out, so a scan never reads more than the
+// file holds.
+func decodeIndex(data []byte, bodyEnd, blocks uint64) ([]indexEntry, error) {
+	index := make([]indexEntry, 0, min(blocks, uint64(len(data)/minIndexEntryLen)))
 	var prevEnd uint64
 	it := blockIter{data: data, off: -1}
 	for it.next() {
@@ -152,6 +151,9 @@ func decodeIndex(data []byte, bodyEnd uint64) ([]indexEntry, error) {
 		}
 		prevEnd = h.offset + h.length
 		index = append(index, indexEntry{lastKey: it.key[:len(it.key):len(it.key)], handle: h})
+	}
+	if it.err != nil {
+		return nil, it.err
 	}
 	return index, nil
 }

@@ -90,13 +90,19 @@ func (c *JobCounters) JobDone() {
 
 // recovery counts crash-recovery and integrity-checking events: WAL replay
 // volume, torn tails truncated, files the recovery or scrub pass
-// quarantined, and how much data the scrub verified.
+// quarantined, how much data the scrub verified, how many tables passed
+// their check, and the time Open spends in each stage of the recovery pass
+// (their sum is the whole pass).
 type recovery[T any] struct {
 	WALRecordsReplayed  T `metric:"wal_replayed"`    // batch records re-applied from WALs at open
 	WALTailTruncations  T `metric:"wal_truncations"` // WALs ended early at a torn/corrupt tail
 	FilesQuarantined    T `metric:"quarantined"`     // corrupt files moved aside (lost/) or dropped
 	ScrubBlocksVerified T `metric:"scrub_blocks"`    // SST blocks whose checksums a scrub verified
-	RecoveryNanos       T `metric:"recovery_ns"`     // total time spent inside DB recovery
+	TablesVerified      T `metric:"tables"`          // live tables whose open-time or scrub check passed
+	LoadNanos           T `metric:"load_ns"`         // Open: CURRENT, MANIFEST replay and the epoch check
+	TablesNanos         T `metric:"tables_ns"`       // Open: verifying the tables the manifest names
+	InstallNanos        T `metric:"install_ns"`      // Open: orphan sweep and the snapshot install (a new store's creation)
+	ReplayNanos         T `metric:"replay_ns"`       // Open: WAL replay and the flush of what it recovered
 }
 
 func (c *RecoveryCounters) Snapshot() RecoverySnapshot                { return snapshot[RecoverySnapshot](c) }
