@@ -49,7 +49,8 @@ flake:
 # random and compaction read (counted at Server.Stats), read-ahead against
 # direct reads, allocations per remote read and per read served from the
 # read-ahead packet, the frame codec against hostile peers. Table opens:
-# allocations per open, flat in the table's size. Manual compaction: bytes
+# allocations per open, flat in the table's size. Gets: allocations per
+# block-cache hit and per miss (TestGetAllocs). Manual compaction: bytes
 # read by CompactRange against the tables it replaces (RewritesOnce).
 io-path-check:
 	go test -run 'InnerReads|Allocs|SliceOracle|Arena|OutlivesMemtable|PooledPutBatch|SealedWriter|Towers|MatchesOracle|SplitAcrossReads|Deadline|ReadAhead|Frame|RewritesOnce' \
@@ -176,7 +177,11 @@ tamper-test:
 # file (secure DEK cache, KDS key table): any bytes load or fail as a typed
 # error, allocation bounded by the input. The KDS request path: any bytes
 # through the server's JSON decode and handler never panic, every reply is
-# OK or an error, and no request from an unenrolled server succeeds.
+# OK or an error, and no request from an unenrolled server succeeds. The
+# offloaded-compaction wire, both ends: any bytes as worker requests through
+# the orchestrator's handler, and as orchestrator replies through the
+# worker's reading of them (a claim runs its job); no panic, allocation
+# bounded by the input.
 # FUZZTIME bounds each target; CI uses a short burst, leave
 # it running locally to dig deeper. Minimization is capped because its 60 s
 # default otherwise eats a short burst whole (execs drop to 0/sec after the
@@ -196,6 +201,7 @@ fuzz:
 	go test $(FUZZFLAGS) -fuzz=FuzzAppendStream ./internal/crypt/
 	go test $(FUZZFLAGS) -fuzz=FuzzStateFile ./internal/crypt/
 	go test $(FUZZFLAGS) -fuzz=FuzzKDSRequest ./internal/kds/
+	go test $(FUZZFLAGS) -fuzz=FuzzCompactsvcWire ./internal/compactsvc/
 
 # Third-party linters. These reach the network to fetch the pinned tool the
 # first time; they are deliberately NOT part of `make all` so an offline

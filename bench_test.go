@@ -46,6 +46,14 @@ func BenchmarkExperiment(b *testing.B) {
 // layout SHIELD gives a table, minus the DEK-ID header) and returns its name
 // and sealer.
 func sealedBenchFile(b *testing.B, fs vfs.FS, nKeys int) (string, *crypt.Sealer) {
+	return sealedTable(b, fs, nKeys,
+		func(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) },
+		func(i int) []byte { return []byte(fmt.Sprintf("%080d", i)) })
+}
+
+// sealedTable writes a sealed SST of the entries key(i), value(i) for i below
+// nKeys to fs and returns its name and sealer.
+func sealedTable(b *testing.B, fs vfs.FS, nKeys int, key, value func(i int) []byte) (string, *crypt.Sealer) {
 	b.Helper()
 	sealer, err := crypt.NewSealer(crypt.DEK{1, 2, 3}, []byte("benchpfx"), []byte("bench-header"))
 	if err != nil {
@@ -57,8 +65,8 @@ func sealedBenchFile(b *testing.B, fs vfs.FS, nKeys int) (string, *crypt.Sealer)
 	}
 	w := sstable.NewWriter(crypt.NewSealedWriter(raw, sealer, 0, 0), sstable.WriterOptions{})
 	for i := 0; i < nKeys; i++ {
-		ikey := base.MakeInternalKey([]byte(fmt.Sprintf("key-%08d", i)), 1, base.KindSet)
-		if err := w.Add(ikey, []byte(fmt.Sprintf("%080d", i))); err != nil {
+		ikey := base.MakeInternalKey(key(i), 1, base.KindSet)
+		if err := w.Add(ikey, value(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -117,19 +125,29 @@ func BenchmarkSealedReadAt(b *testing.B) {
 }
 
 // BenchmarkTableOpen is the per-file open cost that key-per-file multiplies:
-// wrap a sealed ~2 MiB table and sstable.NewReader it (footer, index, filter,
-// properties), over memfs and over a loopback dstore where every inner read
-// is a TCP round trip.
+// wrap a sealed table and sstable.NewReader it (footer, index, filter,
+// properties). The ~2 MiB table opens over memfs and over a loopback dstore
+// where every inner read is a TCP round trip; the benchmark-shaped one —
+// 20-byte decimal keys ("user" + 16 digits), 256-byte values, about 4 MiB,
+// as benchmark/ writes them — over memfs, which is the cost a restart pays
+// once per live table.
 func BenchmarkTableOpen(b *testing.B) {
-	for _, remote := range []bool{false, true} {
-		name := "memfs"
-		if remote {
-			name = "dstore-loopback"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		remote bool
+		table  func(b *testing.B, fs vfs.FS) (string, *crypt.Sealer)
+	}{
+		{"memfs", false, func(b *testing.B, fs vfs.FS) (string, *crypt.Sealer) { return sealedBenchFile(b, fs, 20000) }},
+		{"dstore-loopback", true, func(b *testing.B, fs vfs.FS) (string, *crypt.Sealer) { return sealedBenchFile(b, fs, 20000) }},
+		{"memfs-4MiB-bench-shaped", false, func(b *testing.B, fs vfs.FS) (string, *crypt.Sealer) {
+			value := make([]byte, 256)
+			return sealedTable(b, fs, 4<<20/(20+256), func(i int) []byte { return []byte(fmt.Sprintf("user%016d", i*7)) }, func(int) []byte { return value })
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			cfs := vfs.NewCounting(vfs.NewMem())
 			var fs vfs.FS = cfs
-			if remote {
+			if c.remote {
 				srv, err := dstore.NewServer(cfs, "127.0.0.1:0", 0, 0)
 				if err != nil {
 					b.Fatal(err)
@@ -142,7 +160,7 @@ func BenchmarkTableOpen(b *testing.B) {
 				defer client.Close()
 				fs = client
 			}
-			file, sealer := sealedBenchFile(b, fs, 20000)
+			file, sealer := c.table(b, fs)
 			f, err := fs.Open(file)
 			if err != nil {
 				b.Fatal(err)

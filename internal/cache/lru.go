@@ -17,7 +17,7 @@ type Key struct {
 
 type entry struct {
 	key    Key
-	value  any
+	value  []byte
 	charge int64
 }
 
@@ -72,10 +72,10 @@ func (c *LRU) shardFor(k Key) *shard {
 // the shard lock is held: a concurrent Put updating the same key writes
 // entry.value under that lock, so reading it after unlock would race and
 // could hand the caller a torn value.
-func (c *LRU) Get(k Key) (any, bool) {
+func (c *LRU) Get(k Key) ([]byte, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
-	var v any
+	var v []byte
 	var ok bool
 	if el, hit := s.items[k]; hit {
 		s.ll.MoveToFront(el)
@@ -92,8 +92,9 @@ func (c *LRU) Get(k Key) (any, bool) {
 }
 
 // Put inserts value under k with the given charge, evicting LRU entries to
-// stay within capacity.
-func (c *LRU) Put(k Key, value any, charge int64) {
+// stay within capacity. The cache stores the slice itself, never a boxed
+// copy of it, so a Put allocates only its entry.
+func (c *LRU) Put(k Key, value []byte, charge int64) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -9,9 +9,9 @@ import (
 func TestPutGet(t *testing.T) {
 	c := New(1 << 20)
 	k := Key{File: 1, Offset: 0}
-	c.Put(k, "hello", 5)
+	c.Put(k, []byte("hello"), 5)
 	v, ok := c.Get(k)
-	if !ok || v.(string) != "hello" {
+	if !ok || string(v) != "hello" {
 		t.Fatalf("get: %v %v", v, ok)
 	}
 	if _, ok := c.Get(Key{File: 2}); ok {
@@ -26,7 +26,7 @@ func TestPutGet(t *testing.T) {
 func TestEvictionUnderPressure(t *testing.T) {
 	c := New(8 * 1024) // 1 KiB per shard
 	for i := 0; i < 1000; i++ {
-		c.Put(Key{File: 1, Offset: uint64(i)}, i, 100)
+		c.Put(Key{File: 1, Offset: uint64(i)}, nil, 100)
 	}
 	if used := c.Used(); used > 8*1024 {
 		t.Fatalf("capacity exceeded: %d", used)
@@ -47,13 +47,13 @@ func TestEvictionUnderPressure(t *testing.T) {
 func TestUpdateExistingKeyAdjustsCharge(t *testing.T) {
 	c := New(8 * 1024)
 	k := Key{File: 1, Offset: 42}
-	c.Put(k, "a", 100)
-	c.Put(k, "bb", 200)
+	c.Put(k, []byte("a"), 100)
+	c.Put(k, []byte("bb"), 200)
 	if used := c.Used(); used != 200 {
 		t.Fatalf("used %d after replace", used)
 	}
 	v, _ := c.Get(k)
-	if v.(string) != "bb" {
+	if string(v) != "bb" {
 		t.Fatal("stale value after replace")
 	}
 }
@@ -61,8 +61,8 @@ func TestUpdateExistingKeyAdjustsCharge(t *testing.T) {
 func TestEvictFile(t *testing.T) {
 	c := New(1 << 20)
 	for i := 0; i < 100; i++ {
-		c.Put(Key{File: 1, Offset: uint64(i)}, i, 10)
-		c.Put(Key{File: 2, Offset: uint64(i)}, i, 10)
+		c.Put(Key{File: 1, Offset: uint64(i)}, nil, 10)
+		c.Put(Key{File: 2, Offset: uint64(i)}, nil, 10)
 	}
 	c.EvictFile(1)
 	for i := 0; i < 100; i++ {
@@ -83,7 +83,7 @@ func TestEvictFile(t *testing.T) {
 
 func TestZeroCapacityDisables(t *testing.T) {
 	c := New(0)
-	c.Put(Key{File: 1}, "x", 1)
+	c.Put(Key{File: 1}, []byte("x"), 1)
 	if _, ok := c.Get(Key{File: 1}); ok {
 		t.Fatal("zero-capacity cache stored an entry")
 	}
@@ -106,7 +106,7 @@ func TestSmallCapacityStillCaches(t *testing.T) {
 		cached := false
 		for i := 0; i < 64 && !cached; i++ {
 			k := Key{File: uint64(i), Offset: uint64(i)}
-			c.Put(k, i, 1)
+			c.Put(k, nil, 1)
 			_, cached = c.Get(k)
 		}
 		if !cached {
@@ -118,17 +118,20 @@ func TestSmallCapacityStillCaches(t *testing.T) {
 // Regression for the Get data race: Get used to read entry.value after
 // releasing the shard mutex while a concurrent Put on the same key updated
 // it under the lock. Run with -race; the checker flags the old code. The
-// value/generation pairing also catches torn reads without -race.
+// value's length/contents pairing also catches torn reads without -race.
 func TestConcurrentGetPutSameKeyRace(t *testing.T) {
 	c := New(1 << 20)
-	type val struct{ a, b int }
 	k := Key{File: 7, Offset: 7}
-	c.Put(k, val{0, 0}, 8)
+	c.Put(k, []byte{1}, 8)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 1; i < 5000; i++ {
-			c.Put(k, val{i, i}, 8)
+			v := make([]byte, 1+i%8)
+			for j := range v {
+				v[j] = byte(len(v))
+			}
+			c.Put(k, v, 8)
 		}
 	}()
 	for {
@@ -138,8 +141,10 @@ func TestConcurrentGetPutSameKeyRace(t *testing.T) {
 		default:
 		}
 		if v, ok := c.Get(k); ok {
-			if vv := v.(val); vv.a != vv.b {
-				t.Fatalf("torn read: %+v", vv)
+			for _, b := range v {
+				if int(b) != len(v) {
+					t.Fatalf("torn read: %v", v)
+				}
 			}
 		}
 	}
@@ -159,11 +164,9 @@ func TestConcurrentStress(t *testing.T) {
 				k := Key{File: uint64(i % 7), Offset: uint64(i % 101)}
 				switch i % 5 {
 				case 0, 1:
-					c.Put(k, fmt.Sprintf("%d-%d", g, i), int64(32+i%32))
+					c.Put(k, fmt.Appendf(nil, "%d-%d", g, i), int64(32+i%32))
 				case 2, 3:
-					if v, ok := c.Get(k); ok {
-						_ = v.(string)
-					}
+					c.Get(k)
 				default:
 					if i%250 == 0 {
 						c.EvictFile(uint64(i % 7))
@@ -187,10 +190,8 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				k := Key{File: uint64(g), Offset: uint64(i % 50)}
-				c.Put(k, fmt.Sprintf("%d-%d", g, i), 64)
-				if v, ok := c.Get(k); ok {
-					_ = v.(string)
-				}
+				c.Put(k, fmt.Appendf(nil, "%d-%d", g, i), 64)
+				c.Get(k)
 				if i%100 == 0 {
 					c.EvictFile(uint64(g))
 				}

@@ -300,7 +300,7 @@ func sameSet(a, b []uint64) bool {
 // through an orchestrator and a worker, one granted number per output.
 func TestLargeOffloadedJob(t *testing.T) {
 	fs := vfs.NewMem()
-	m := buildInput(t, fs, 1, 0, 3800)
+	m := buildInput(t, fs, 1, 0, 5000)
 	orch, _ := startPair(t, fs)
 
 	nums := numbersFrom(10)
@@ -332,7 +332,7 @@ func TestLargeOffloadedJob(t *testing.T) {
 		entries += r.Properties().NumEntries
 		r.Close()
 	}
-	if entries != 3800 {
-		t.Fatalf("outputs hold %d entries, want 3800", entries)
+	if entries != 5000 {
+		t.Fatalf("outputs hold %d entries, want 5000", entries)
 	}
 }

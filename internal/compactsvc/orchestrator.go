@@ -296,22 +296,25 @@ func (o *Orchestrator) serveConn(conn net.Conn) {
 		if err := wire.Recv(&req); err != nil {
 			return
 		}
-		var resp *wireResponse
-		switch req.Op {
-		case "poll":
-			resp = o.poll(req.Worker)
-		case "heartbeat":
-			resp = o.heartbeat(req.JobID, req.Lease)
-		case "file":
-			resp = o.fileNum(req.JobID, req.Lease)
-		case "complete":
-			resp = o.complete(&req)
-		default:
-			resp = &wireResponse{Err: fmt.Sprintf("compactsvc: unknown op %q", req.Op)}
-		}
-		if err := wire.Send(resp); err != nil {
+		if err := wire.Send(o.handle(&req)); err != nil {
 			return
 		}
+	}
+}
+
+// handle answers one worker request.
+func (o *Orchestrator) handle(req *wireRequest) *wireResponse {
+	switch req.Op {
+	case "poll":
+		return o.poll(req.Worker)
+	case "heartbeat":
+		return o.heartbeat(req.JobID, req.Lease)
+	case "file":
+		return o.fileNum(req.JobID, req.Lease)
+	case "complete":
+		return o.complete(req)
+	default:
+		return &wireResponse{Err: fmt.Sprintf("compactsvc: unknown op %q", req.Op)}
 	}
 }
 

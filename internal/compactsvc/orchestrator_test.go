@@ -396,7 +396,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // job writes under numbers disjoint from the zombie's.
 func TestZombieIsRefusedNumbers(t *testing.T) {
 	fs := vfs.NewMem()
-	m := buildInput(t, fs, 1, 0, 3800)
+	m := buildInput(t, fs, 1, 0, 5000)
 	sweeps := &removeLog{FS: fs}
 	orch, err := NewOrchestrator(sweeps, "127.0.0.1:0", OrchestratorConfig{LeaseTTL: 100 * time.Millisecond, MaxAttempts: 3})
 	if err != nil {

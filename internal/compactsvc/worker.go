@@ -154,10 +154,7 @@ func (w *Worker) execute(claim *wireResponse) {
 		if err != nil {
 			return 0, err
 		}
-		if resp.Stale {
-			return 0, fmt.Errorf("compactsvc: lease %d on job %d revoked", claim.Lease, claim.JobID)
-		}
-		return resp.FileNum, nil
+		return outputNum(claim, resp)
 	})
 
 	close(hbStop)
@@ -196,6 +193,15 @@ func (w *Worker) execute(claim *wireResponse) {
 	w.bytesIn += res.BytesRead
 	w.bytesOut += res.BytesWritten
 	w.mu.Unlock()
+}
+
+// outputNum is the output file number the orchestrator's answer to a file
+// round grants; a lease it no longer honors fails the attempt.
+func outputNum(claim, resp *wireResponse) (uint64, error) {
+	if resp.Stale {
+		return 0, fmt.Errorf("compactsvc: lease %d on job %d revoked", claim.Lease, claim.JobID)
+	}
+	return resp.FileNum, nil
 }
 
 // heartbeatLoop keeps the claim's lease alive while the job runs. Transport
@@ -259,8 +265,14 @@ func (w *Worker) call(req *wireRequest) (*wireResponse, error) {
 		return nil, fmt.Errorf("compactsvc: %s round: %w", req.Op, err)
 	}
 	w.conn.SetDeadline(time.Time{}) //nolint:errcheck
+	return answer(req.Op, &resp)
+}
+
+// answer is the worker's reading of the orchestrator's reply to op: its
+// error field, when set, fails the round.
+func answer(op string, resp *wireResponse) (*wireResponse, error) {
 	if resp.Err != "" {
-		return nil, fmt.Errorf("compactsvc: orchestrator rejected %s: %s", req.Op, resp.Err)
+		return nil, fmt.Errorf("compactsvc: orchestrator rejected %s: %s", op, resp.Err)
 	}
-	return &resp, nil
+	return resp, nil
 }

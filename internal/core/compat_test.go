@@ -66,10 +66,58 @@ func loadFixture(t *testing.T, mem vfs.FS, osDir, dir string) {
 	}
 }
 
+// checkTablesFormatV2 fails unless every table in dir, unsealed by cfg's
+// wrapper, ends in the SST format-2 magic ("SSTBSHL2" little-endian).
+func checkTablesFormatV2(t *testing.T, cfg Config, dir string) {
+	t.Helper()
+	wrapper, err := cfg.BuildWrapper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := cfg.FS.List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := 0
+	for _, e := range entries {
+		if path.Ext(e.Name) != ".sst" {
+			continue
+		}
+		tables++
+		name := path.Join(dir, e.Name)
+		raw, err := cfg.FS.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := wrapper.WrapOpen(name, lsm.FileKindSST, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := f.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		magic := make([]byte, 8)
+		if _, err := f.ReadAt(magic, size-8); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if string(magic) != "2LHSBTSS" {
+			t.Fatalf("%s ends in magic %q, not format 2's", name, magic)
+		}
+	}
+	if tables == 0 {
+		t.Fatalf("no tables in %s", dir)
+	}
+}
+
 // TestParentStoresOpen: a SHIELD store (with prefix filter blocks) and an
-// EncFS store written by the parent build open under ParanoidChecks — every
-// block authenticated, every tag-chain digest matched against the manifest —
-// read back whole by Get and by scan, and scrub clean afterwards.
+// EncFS store written by the parent build, in SST format 1, open under
+// ParanoidChecks — every block authenticated, every tag-chain digest matched
+// against the manifest — read back whole by Get and by scan, and scrub clean
+// afterwards. CompactRange then rewrites each in format 2: every table
+// carries the format-2 magic, every key reads back after a reopen, and the
+// scrub stays clean.
 func TestParentStoresOpen(t *testing.T) {
 	want := parentStoreModel()
 	keys := make([]string, 0, len(want))
@@ -98,43 +146,67 @@ func TestParentStoresOpen(t *testing.T) {
 	for name, build := range configs {
 		t.Run(name, func(t *testing.T) {
 			cfg := build(t, vfs.NewMem())
-			db, err := Open("db", cfg, lsm.Options{ParanoidChecks: true, L0CompactionTrigger: 100})
-			if err != nil {
-				t.Fatal(err)
+			opts := lsm.Options{ParanoidChecks: true, L0CompactionTrigger: 100}
+			openAndRead := func() *lsm.DB {
+				t.Helper()
+				db, err := Open("db", cfg, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, v := range want {
+					if got, err := db.Get([]byte(k)); err != nil || string(got) != v {
+						t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, v)
+					}
+				}
+				it, err := db.NewIter()
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				for ok := it.First(); ok; ok = it.Next() {
+					if n >= len(keys) || string(it.Key()) != keys[n] || string(it.Value()) != want[keys[n]] {
+						t.Fatalf("scan entry %d = %q, not in the model at that place", n, it.Key())
+					}
+					n++
+				}
+				if err := it.Err(); err != nil || n != len(keys) {
+					t.Fatalf("scan returned %d entries, %v; want %d", n, err, len(keys))
+				}
+				it.Close()
+				return db
 			}
-			for k, v := range want {
-				if got, err := db.Get([]byte(k)); err != nil || string(got) != v {
-					t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, v)
+			scrub := func(minTables int) {
+				t.Helper()
+				report, err := Scrub("db", cfg, lsm.Options{}, lsm.ScrubOptions{})
+				if err != nil || !report.Clean() || report.SSTsChecked < minTables {
+					t.Fatalf("scrub: %v\n%s", err, report)
+				}
+				for p, v := range report.Verdicts {
+					if v != lsm.VerdictOK {
+						t.Fatalf("scrub verdict for %s = %s", p, v)
+					}
 				}
 			}
-			it, err := db.NewIter()
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := 0
-			for ok := it.First(); ok; ok = it.Next() {
-				if n >= len(keys) || string(it.Key()) != keys[n] || string(it.Value()) != want[keys[n]] {
-					t.Fatalf("scan entry %d = %q, not in the model at that place", n, it.Key())
-				}
-				n++
-			}
-			if err := it.Err(); err != nil || n != len(keys) {
-				t.Fatalf("scan returned %d entries, %v; want %d", n, err, len(keys))
-			}
-			it.Close()
+
+			db := openAndRead()
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
+			scrub(3)
 
-			report, err := Scrub("db", cfg, lsm.Options{}, lsm.ScrubOptions{})
-			if err != nil || !report.Clean() || report.SSTsChecked < 3 {
-				t.Fatalf("scrub: %v\n%s", err, report)
+			db = openAndRead()
+			if err := db.CompactRange(); err != nil {
+				t.Fatal(err)
 			}
-			for p, v := range report.Verdicts {
-				if v != lsm.VerdictOK {
-					t.Fatalf("scrub verdict for %s = %s", p, v)
-				}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
 			}
+			checkTablesFormatV2(t, cfg, "db")
+			db = openAndRead()
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			scrub(1)
 		})
 	}
 }

@@ -572,7 +572,7 @@ func TestLeakedDEKBlastRadius(t *testing.T) {
 			return false
 		}
 		magic := plain[len(plain)-8:]
-		want := []byte{0x44, 0x4c, 0x48, 0x53, 0x42, 0x54, 0x53, 0x53} // "SSTBSHLD" LE
+		want := []byte{0x32, 0x4c, 0x48, 0x53, 0x42, 0x54, 0x53, 0x53} // "SSTBSHL2" LE: format 2
 		return bytes.Equal(magic, want)
 	}
 	if !decryptsValidTable(files[0], leaked) {

@@ -81,3 +81,69 @@ func TestMemTableAddAllocs(t *testing.T) {
 		t.Errorf("memTable.add: %.3f allocs per entry over %d entries, want < 0.05", a, entries)
 	}
 }
+
+// TestGetAllocs pins the Get path's allocations on a table Get, over a
+// one-table store with no FileWrapper. A block-cache hit allocates two: the
+// memtable probe's search key and the returned value. The table's search key
+// is built on the stack, the table is borrowed from the table cache without
+// a release closure, and the block iterator decodes keys into a buffer of
+// its own. A miss adds three: the block read, and the cache entry and list
+// element that keep the block — the cache stores the slice, not a boxed copy.
+func TestGetAllocs(t *testing.T) {
+	const keys = 2000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("user%016d", i)) }
+	for _, c := range []struct {
+		name      string
+		cacheSize int64
+		stride    int // keys between two Gets: two blocks' worth makes every Get a miss
+		want      float64
+	}{
+		{"cache hit", 8 << 20, 0, 2},
+		{"cache miss", 64 << 10, 29, 5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := testOptions(vfs.NewMem())
+			opts.MemtableSize = 64 << 20
+			opts.BlockCacheSize = c.cacheSize
+			db, err := Open("db", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			value := make([]byte, 276)
+			for i := 0; i < keys; i++ {
+				if err := db.Put(key(i), value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			lookups := make([][]byte, keys)
+			for i := range lookups {
+				lookups[i] = key(i * c.stride % keys)
+			}
+			i := 0
+			get := func() {
+				if _, err := db.Get(lookups[i%keys]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			for i < keys {
+				get() // warm the table cache and, for hits, the block cache
+			}
+			hits, misses := db.blockCache.Stats()
+			const runs = 5000
+			a := allocsPer(runs, get)
+			h, m := db.blockCache.Stats()
+			t.Logf("%.2f allocations per Get, %d block-cache hits and %d misses in %d Gets", a, h-hits, m-misses, runs)
+			if wantMisses := int64(runs) * int64(min(c.stride, 1)); m-misses != wantMisses {
+				t.Fatalf("%d block-cache misses in %d Gets, want %d", m-misses, runs, wantMisses)
+			}
+			if a > c.want+0.05 { // the slack is the rare allocation of a background goroutine
+				t.Errorf("DB.Get: %.2f allocations per call, want at most %.0f", a, c.want)
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 
 	"shield/internal/lsm/base"
 	"shield/internal/lsm/manifest"
@@ -379,14 +380,25 @@ func (d *DB) runCompactionPlan(plan *compactionPlan, background bool) error {
 			TargetFileSize:   plan.targetFileSize,
 			WriterOptions:    d.opts.tableOptions(),
 		}
-		compactor, newFileNum := d.opts.Compactor, d.newFileNum
+		compactor, alloc := d.opts.Compactor, d.newFileNum
 		if compactor == nil {
 			compactor = &LocalCompactor{FS: d.fs, Wrapper: d.wrapper}
 			if background {
-				newFileNum = d.backgroundFileNum
+				alloc = d.backgroundFileNum
 			}
 		}
-		res, err := compactor.Compact(job, newFileNum)
+		issued := &issuedNums{alloc: alloc, nums: map[uint64]bool{}}
+		res, err := compactor.Compact(job, issued.next)
+		if err == nil {
+			if err = issued.check(res.Outputs); err != nil {
+				// Nothing of the result is installed. Every table created
+				// under a number issued to the job is removed; the numbers
+				// it names otherwise are not the job's to remove.
+				for _, num := range issued.list() {
+					d.removeOrphanSST(sstFileName(d.dir, num))
+				}
+			}
+		}
 		if err != nil {
 			if errors.Is(err, vfs.ErrNoSpace) || errors.Is(err, ErrJobLost) {
 				// RunCompaction (local or remote) aborted and cleaned up its
@@ -422,6 +434,54 @@ func (d *DB) runCompactionPlan(plan *compactionPlan, background bool) error {
 	d.deleteObsoleteLocked()
 	d.bgCond.Broadcast()
 	return nil
+}
+
+// issuedNums is one job's file-number allocator: it records every number it
+// hands out, so that the job's result is installed only if its outputs are
+// numbered by it. A Compactor is trusted with the allocator, not with the
+// result: an offloaded job's result is a worker's JSON, relayed.
+type issuedNums struct {
+	alloc func() (uint64, error)
+	mu    sync.Mutex
+	nums  map[uint64]bool
+}
+
+func (n *issuedNums) next() (uint64, error) {
+	num, err := n.alloc()
+	if err == nil {
+		n.mu.Lock()
+		n.nums[num] = true
+		n.mu.Unlock()
+	}
+	return num, err
+}
+
+// check refuses a result that names a table under a number not issued for
+// the job (an input's, or one issued to nobody) or names one number twice.
+// The refusal wraps ErrJobLost: the job ends like a lost one, its inputs
+// retained and nothing installed.
+func (n *issuedNums) check(outs []manifest.FileMetadata) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	named := make(map[uint64]bool, len(outs))
+	for _, o := range outs {
+		if !n.nums[o.FileNum] || named[o.FileNum] {
+			return fmt.Errorf("lsm: compaction result names table %d, which was not issued to the job or is named twice: %w", o.FileNum, ErrJobLost)
+		}
+		named[o.FileNum] = true
+	}
+	return nil
+}
+
+// list returns the numbers issued so far.
+func (n *issuedNums) list() []uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	nums := make([]uint64, 0, len(n.nums))
+	for num := range n.nums {
+		nums = append(nums, num)
+	}
+	return nums
 }
 
 // CompactRange flushes the memtable, then compacts the whole key space and

@@ -102,9 +102,48 @@ func checkAgainstModel(t *testing.T, db *DB, want map[string]string) {
 	}
 }
 
-// TestParentStoreWithPrefixFiltersOpens: a store whose tables carry the prefix
-// filter block this build no longer reads opens under ParanoidChecks, reads
-// back whole, and scrubs clean.
+// formatV2Magic is the footer magic of an SST format-2 table as stored:
+// "SSTBSHL2" little-endian.
+const formatV2Magic = "2LHSBTSS"
+
+// checkTablesFormatV2 fails unless every table in dir ends in the format-2
+// magic once the wrapper has unsealed it.
+func checkTablesFormatV2(t *testing.T, fs vfs.FS, wrapper FileWrapper, dir string) {
+	t.Helper()
+	names := sstNames(t, fs, dir)
+	if len(names) == 0 {
+		t.Fatalf("no tables in %s", dir)
+	}
+	for _, name := range names {
+		name = path.Join(dir, name)
+		raw, err := fs.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := wrapper.WrapOpen(name, FileKindSST, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := f.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		magic := make([]byte, len(formatV2Magic))
+		if _, err := f.ReadAt(magic, size-int64(len(magic))); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if string(magic) != formatV2Magic {
+			t.Fatalf("%s ends in magic %q, not format 2's", name, magic)
+		}
+	}
+}
+
+// TestParentStoreWithPrefixFiltersOpens: a store whose format-1 tables carry
+// the prefix filter block this build no longer reads opens under
+// ParanoidChecks, reads back whole, and scrubs clean. CompactRange then
+// rewrites it in format 2: every live table carries the format-2 magic,
+// every key reads back, and a reopen and a scrub come back clean.
 func TestParentStoreWithPrefixFiltersOpens(t *testing.T) {
 	fs := loadFixture(t, "testdata/parent_store", "db")
 	for _, name := range listNames(t, fs, "db") {
@@ -112,7 +151,8 @@ func TestParentStoreWithPrefixFiltersOpens(t *testing.T) {
 			t.Fatalf("%s carries no prefix filter; the fixture no longer tests what it is for", name)
 		}
 	}
-	db, err := Open("db", Options{FS: fs, ParanoidChecks: true, L0CompactionTrigger: 100})
+	opts := Options{FS: fs, ParanoidChecks: true, L0CompactionTrigger: 100}
+	db, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +163,31 @@ func TestParentStoreWithPrefixFiltersOpens(t *testing.T) {
 	report, err := Scrub("db", Options{FS: fs}, ScrubOptions{})
 	if err != nil || !report.Clean() || report.SSTsChecked != 3 {
 		t.Fatalf("scrub: %v\n%s", err, report)
+	}
+
+	db, err = Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CompactRange(); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstModel(t, db, parentStoreModel())
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkTablesFormatV2(t, fs, NopWrapper{}, "db")
+	db, err = Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstModel(t, db, parentStoreModel())
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	report, err = Scrub("db", Options{FS: fs}, ScrubOptions{})
+	if err != nil || !report.Clean() || report.SSTsChecked == 0 {
+		t.Fatalf("scrub after the upgrade: %v\n%s", err, report)
 	}
 }
 

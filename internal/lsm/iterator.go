@@ -21,10 +21,12 @@ type internalIterator interface {
 	Close() error
 }
 
-// sstIterAdapter adapts sstable.Iter and owns the table-cache release.
+// sstIterAdapter adapts sstable.Iter and, when it borrowed its table from
+// the table cache, gives it back on Close.
 type sstIterAdapter struct {
-	it      *sstable.Iter
-	release func()
+	it     *sstable.Iter
+	tables *tableCache
+	entry  *tableEntry
 	// wrapErr, when set, types errors surfacing from lazy block loads
 	// (e.g. a sealed block failing authentication mid-iteration).
 	wrapErr func(error) error
@@ -45,9 +47,9 @@ func (s *sstIterAdapter) Err() error {
 }
 
 func (s *sstIterAdapter) Close() error {
-	if s.release != nil {
-		s.release()
-		s.release = nil
+	if s.entry != nil {
+		s.tables.release(s.entry)
+		s.entry = nil
 	}
 	return nil
 }

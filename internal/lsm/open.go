@@ -251,11 +251,11 @@ func (d *DB) checkTable(name string, f *manifest.FileMetadata) tableCheck {
 		blocks, _, err := checkSST(d.fs, d.wrapper, name, f)
 		return tableCheck{blocks: blocks, err: err}
 	}
-	_, release, err := d.tables.get(f.FileNum)
+	e, err := d.tables.get(f.FileNum)
 	if err != nil {
 		return tableCheck{err: err}
 	}
-	release()
+	d.tables.release(e)
 	return tableCheck{}
 }
 

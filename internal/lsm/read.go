@@ -98,12 +98,12 @@ func (d *DB) getAt(key []byte, seq base.SeqNum) ([]byte, error) {
 }
 
 func (d *DB) tableGet(fileNum uint64, key []byte, seq base.SeqNum) ([]byte, base.Kind, error) {
-	r, release, err := d.tables.get(fileNum)
+	e, err := d.tables.get(fileNum)
 	if err != nil {
 		return nil, 0, d.wrapIntegrityErr(fileNum, err)
 	}
-	defer release()
-	v, kind, err := r.Get(key, seq)
+	v, kind, err := e.reader.Get(key, seq)
+	d.tables.release(e)
 	if err != nil {
 		if errors.Is(err, sstable.ErrNotFound) {
 			return nil, 0, ErrNotFound
@@ -248,10 +248,10 @@ func (d *DB) NewIter() (*Iterator, error) {
 // NewIter) or lazily from concat iterators, so integrity failures are typed
 // here but quarantined later, by the read that surfaces them.
 func (d *DB) openTableIter(fileNum uint64) (internalIterator, error) {
-	r, release, err := d.tables.get(fileNum)
+	e, err := d.tables.get(fileNum)
 	if err != nil {
 		return nil, d.typeIntegrityErr(fileNum, err)
 	}
 	wrap := func(err error) error { return d.typeIntegrityErr(fileNum, err) }
-	return &sstIterAdapter{it: r.NewIter(), release: release, wrapErr: wrap}, nil
+	return &sstIterAdapter{it: e.reader.NewIter(), tables: d.tables, entry: e, wrapErr: wrap}, nil
 }

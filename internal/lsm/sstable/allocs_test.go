@@ -13,10 +13,10 @@ import (
 // Allocation counts mean nothing under the race detector, hence the build
 // tag; `make io-path-check` runs these without -race.
 
-// TestTableOpenAllocs pins the table open's mechanism: a fixed handful of
-// allocations — the reader, the metadata span, the index slice and the
-// properties decode — however many index entries the table has, because
-// each entry's last key is a view into the metadata span, not a copy.
+// TestTableOpenAllocs pins the format-2 table open's mechanism: three
+// allocations — the reader, the footer and the metadata span — however many
+// index entries the table has, because the index is searched where it lies
+// in the metadata span and the properties decode into the reader.
 func TestTableOpenAllocs(t *testing.T) {
 	counts := map[int]float64{}
 	for _, keys := range []int{20_000, 80_000} {
@@ -50,7 +50,7 @@ func TestTableOpenAllocs(t *testing.T) {
 		})
 		t.Logf("%d keys, %d index entries: %.0f allocations per open", keys, blocks, counts[keys])
 	}
-	if counts[20_000] != counts[80_000] || counts[80_000] > 12 {
-		t.Fatalf("allocations per open: %v; want the same for both tables, at most 12", counts)
+	if counts[20_000] != counts[80_000] || counts[80_000] > 3 {
+		t.Fatalf("allocations per open: %v; want the same for both tables, at most 3", counts)
 	}
 }

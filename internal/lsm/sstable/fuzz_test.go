@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -69,9 +70,10 @@ func readTable(in []byte) error {
 }
 
 // resealed returns a copy of in with the checksum of every block it names —
-// the footer's metadata blocks, then the data blocks a raw index names —
-// recomputed, so that mutated block contents reach the decoders behind the
-// checksum instead of all failing it.
+// the footer's metadata blocks, then the data blocks the index names, read
+// as the footer's magic says without the reader's checks — recomputed, so
+// that mutated block contents reach the decoders behind the checksum instead
+// of all failing it.
 func resealed(in []byte) []byte {
 	out := bytes.Clone(in)
 	if len(out) < footerLen {
@@ -92,7 +94,21 @@ func resealed(in []byte) []byte {
 		if at != 0 || len(body) == 0 || body[len(body)-1] != rawBlock {
 			continue
 		}
-		it := blockIter{data: body[:len(body)-1], off: -1}
+		data := body[:len(body)-1]
+		if binary.LittleEndian.Uint64(footer[48:]) == tableMagicV2 {
+			if len(data) < indexCountLen {
+				continue
+			}
+			n := int(binary.LittleEndian.Uint32(data[len(data)-indexCountLen:]))
+			handles := data[:len(data)-indexCountLen]
+			for i := 1; i <= n && i*indexHandleLen <= len(handles); i++ {
+				h := handles[len(handles)-i*indexHandleLen:]
+				seal(blockHandle{binary.LittleEndian.Uint64(h), binary.LittleEndian.Uint64(h[8:])})
+			}
+			continue
+		}
+		var it blockIter
+		it.init(data, false)
 		for it.next() {
 			if h, err := decodeHandle(it.val); err == nil {
 				seal(h)
@@ -107,9 +123,15 @@ func resealed(in []byte) []byte {
 // best-effort recovery quarantine on — and never panic; what they allocate
 // follows the input's length, not the lengths it declares. Each input runs
 // as given and resealed, so block contents the checksum would reject are
-// decoded too.
+// decoded too. The seeds are a format-2 table this build writes and the
+// format-1 fixture, so both decoders stay under fuzz.
 func FuzzTableOpen(f *testing.F) {
 	f.Add(smallTable(f))
+	v1, err := os.ReadFile("testdata/parent_prefix_filter.sst")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, table := range [][]byte{in, resealed(in)} {
 			var before, after runtime.MemStats

@@ -35,19 +35,17 @@ type ReaderOptions struct {
 type Reader struct {
 	f     vfs.RandomAccessFile
 	opts  ReaderOptions
-	index []indexEntry
+	index index
+	delta bool // format 2: data-block keys are delta-encoded
 	// filter is the serialized bloom filter (may be nil).
 	filter []byte
 	props  Properties
 }
 
-type indexEntry struct {
-	lastKey []byte
-	handle  blockHandle
-}
-
-// NewReader opens the table stored in f. The entire index, filter, and
-// properties are loaded eagerly; data blocks are read on demand.
+// NewReader opens the table stored in f, in format 2 or format 1. The
+// index, filter and properties are read eagerly and checked; a format-2
+// index is then searched where it lies, a format-1 one is converted to that
+// layout first. Data blocks are read on demand.
 func NewReader(f vfs.RandomAccessFile, opts ReaderOptions) (*Reader, error) {
 	size, err := f.Size()
 	if err != nil {
@@ -60,8 +58,13 @@ func NewReader(f vfs.RandomAccessFile, opts ReaderOptions) (*Reader, error) {
 	if _, err := f.ReadAt(footer[:], size-footerLen); err != nil && err != io.EOF {
 		return nil, fmt.Errorf("sstable: reading footer: %w", err)
 	}
-	if got := binary.LittleEndian.Uint64(footer[48:]); got != tableMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x (wrong key or corrupt file?)", ErrCorruption, got)
+	r := &Reader{f: f, opts: opts}
+	switch magic := binary.LittleEndian.Uint64(footer[48:]); magic {
+	case tableMagicV2:
+		r.delta = true
+	case tableMagicV1:
+	default:
+		return nil, fmt.Errorf("%w: bad magic %#x (wrong key or corrupt file?)", ErrCorruption, magic)
 	}
 	getHandle := func(off int) blockHandle {
 		return blockHandle{
@@ -69,19 +72,19 @@ func NewReader(f vfs.RandomAccessFile, opts ReaderOptions) (*Reader, error) {
 			length: binary.LittleEndian.Uint64(footer[off+8:]),
 		}
 	}
-	r := &Reader{f: f, opts: opts}
 	indexHandle, filterHandle, propsHandle := getHandle(0), getHandle(16), getHandle(32)
 
 	// Filter, index and properties sit back to back between the last data
 	// block and the footer (Writer.Finish), so a table open is two reads: the
 	// footer above, then everything from the lowest footer handle up to the
-	// footer, with each block sliced out of that one buffer (which r.filter
-	// keeps alive for the reader's life). Tables written before the prefix
-	// filter was removed carry one more block between filter and index; no
-	// footer handle names it, so it is read past and never decoded.
+	// footer, with each block sliced out of that one buffer (which the
+	// filter and a format-2 index keep alive for the reader's life). Format-1
+	// tables written before the prefix filter was removed carry one more
+	// block between filter and index; no footer handle names it, so it is
+	// read past and never decoded.
 	metaEnd := uint64(size - footerLen)
 	metaOff := metaEnd
-	for _, h := range []blockHandle{indexHandle, filterHandle, propsHandle} {
+	for _, h := range [...]blockHandle{indexHandle, filterHandle, propsHandle} {
 		if h.length == 0 {
 			continue
 		}
@@ -101,19 +104,28 @@ func NewReader(f vfs.RandomAccessFile, opts ReaderOptions) (*Reader, error) {
 		return r.readRaw(h) // not in the tail this writer lays out: its own read
 	}
 
-	// Properties first: their block count sizes the index in one pass.
 	propsData, err := metaBlock(propsHandle)
 	if err != nil {
 		return nil, fmt.Errorf("sstable: reading properties: %w", err)
 	}
-	if err := json.Unmarshal(propsData, &r.props); err != nil {
-		return nil, fmt.Errorf("%w: decoding properties: %w", ErrCorruption, err)
+	if r.delta {
+		err = r.props.decodeBinary(propsData)
+	} else if err = json.Unmarshal(propsData, &r.props); err != nil {
+		err = fmt.Errorf("%w: decoding properties: %w", ErrCorruption, err)
+	}
+	if err != nil {
+		return nil, err
 	}
 	indexData, err := metaBlock(indexHandle)
 	if err != nil {
 		return nil, fmt.Errorf("sstable: reading index: %w", err)
 	}
-	if r.index, err = decodeIndex(indexData, metaEnd, r.props.DataBlocks); err != nil {
+	if r.delta {
+		r.index, err = parseIndex(indexData, metaEnd)
+	} else {
+		r.index, err = parseIndexV1(indexData, metaEnd)
+	}
+	if err != nil {
 		return nil, err
 	}
 	r.filter, err = metaBlock(filterHandle)
@@ -121,41 +133,6 @@ func NewReader(f vfs.RandomAccessFile, opts ReaderOptions) (*Reader, error) {
 		return nil, fmt.Errorf("sstable: reading filter: %w", err)
 	}
 	return r, nil
-}
-
-// minIndexEntryLen is the fewest bytes an index entry that decodes can
-// take: two one-byte lengths and a handle of two one-byte varints.
-const minIndexEntryLen = 4
-
-// decodeIndex decodes the index block in one pass into a slice sized by
-// blocks, the data-block count the properties record. The count is clamped
-// to the entries data can hold, so a hostile one cannot allocate past the
-// input; a wrong one costs a regrowth, never a wrong index. Each entry's
-// last key is a view into data, which index blocks store whole
-// (blockIter.next), so data lives as long as the index. The views are
-// capacity-clipped, so an append to one cannot overwrite the entry behind
-// it. The data blocks must follow one another without overlap and end by
-// bodyEnd, as the writer lays them out, so a scan never reads more than the
-// file holds.
-func decodeIndex(data []byte, bodyEnd, blocks uint64) ([]indexEntry, error) {
-	index := make([]indexEntry, 0, min(blocks, uint64(len(data)/minIndexEntryLen)))
-	var prevEnd uint64
-	it := blockIter{data: data, off: -1}
-	for it.next() {
-		h, err := decodeHandle(it.val)
-		if err != nil {
-			return nil, err
-		}
-		if h.offset < prevEnd || h.length > bodyEnd || h.offset > bodyEnd-h.length {
-			return nil, fmt.Errorf("%w: data block handle [%d,+%d) overlaps its predecessor or leaves the table body", ErrCorruption, h.offset, h.length)
-		}
-		prevEnd = h.offset + h.length
-		index = append(index, indexEntry{lastKey: it.key[:len(it.key):len(it.key)], handle: h})
-	}
-	if it.err != nil {
-		return nil, it.err
-	}
-	return index, nil
 }
 
 // readRaw fetches a block with one read and decodes it.
@@ -193,8 +170,8 @@ func decodeBlock(buf []byte, off uint64) ([]byte, error) {
 // readBlock fetches a data block, consulting the block cache first.
 func (r *Reader) readBlock(h blockHandle) ([]byte, error) {
 	if r.opts.Cache != nil {
-		if v, ok := r.opts.Cache.Get(cache.Key{File: r.opts.FileNum, Offset: h.offset}); ok {
-			return v.([]byte), nil
+		if data, ok := r.opts.Cache.Get(cache.Key{File: r.opts.FileNum, Offset: h.offset}); ok {
+			return data, nil
 		}
 	}
 	data, err := r.readRaw(h)
@@ -217,8 +194,8 @@ func (r *Reader) Properties() Properties { return r.props }
 // walk with an ErrCorruption-wrapped error.
 func (r *Reader) VerifyChecksums() (int64, error) {
 	var n int64
-	for _, e := range r.index {
-		if _, err := r.readRaw(e.handle); err != nil {
+	for i := 0; i < r.index.n; i++ {
+		if _, err := r.readRaw(r.index.handle(i)); err != nil {
 			return n, err
 		}
 		n++
@@ -234,35 +211,29 @@ func (r *Reader) Get(userKey []byte, seq base.SeqNum) ([]byte, base.Kind, error)
 	if r.filter != nil && !bloomMayContain(r.filter, userKey) {
 		return nil, 0, ErrNotFound
 	}
-	search := base.SearchKey(userKey, seq)
-	// Binary-search the index for the first block whose last key >= search.
-	lo, hi := 0, len(r.index)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if base.CompareInternal(r.index[mid].lastKey, search) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(r.index) {
+	var searchBuf [inlineKeyLen]byte
+	search := base.AppendInternalKey(searchBuf[:0], userKey, seq, base.KindSet)
+	i := r.index.search(search)
+	if i == r.index.n {
 		return nil, 0, ErrNotFound
 	}
-	data, err := r.readBlock(r.index[lo].handle)
+	data, err := r.readBlock(r.index.handle(i))
 	if err != nil {
 		return nil, 0, err
 	}
-	it := newBlockIter(data)
+	var it blockIter
+	it.init(data, r.delta)
 	if !it.seekGE(search) {
 		if it.err != nil {
 			return nil, 0, it.err
 		}
 		return nil, 0, ErrNotFound
 	}
-	if !bytes.Equal(base.UserKey(it.key), userKey) {
+	key := it.key()
+	if !bytes.Equal(base.UserKey(key), userKey) {
 		return nil, 0, ErrNotFound
 	}
-	_, kind := base.DecodeTrailer(it.key)
+	_, kind := base.DecodeTrailer(key)
 	if kind == base.KindDelete {
 		return nil, base.KindDelete, nil
 	}
@@ -270,11 +241,14 @@ func (r *Reader) Get(userKey []byte, seq base.SeqNum) ([]byte, base.Kind, error)
 }
 
 // Iter is a two-level iterator over the table's entries in internal-key
-// order.
+// order. Key and Value are valid until the next positioning call (First,
+// Next, SeekGE): a format-2 key is rebuilt in a buffer the iterator reuses.
+// A caller that keeps a key copies it.
 type Iter struct {
 	r        *Reader
 	blockIdx int
-	bi       *blockIter
+	bi       blockIter
+	valid    bool
 	err      error
 }
 
@@ -284,31 +258,28 @@ func (r *Reader) NewIter() *Iter { return &Iter{r: r, blockIdx: -1} }
 // First positions at the smallest entry.
 func (it *Iter) First() bool {
 	it.blockIdx = -1
-	it.bi = nil
-	return it.nextBlock() && it.advance()
+	it.valid = it.nextBlock() && it.advance()
+	return it.valid
 }
 
+// nextBlock loads the block after blockIdx into bi.
 func (it *Iter) nextBlock() bool {
 	it.blockIdx++
-	if it.blockIdx >= len(it.r.index) {
-		it.bi = nil
+	if it.blockIdx >= it.r.index.n {
 		return false
 	}
-	data, err := it.r.readBlock(it.r.index[it.blockIdx].handle)
+	data, err := it.r.readBlock(it.r.index.handle(it.blockIdx))
 	if err != nil {
 		it.err = err
-		it.bi = nil
 		return false
 	}
-	it.bi = newBlockIter(data)
+	it.bi.init(data, it.r.delta)
 	return true
 }
 
+// advance moves bi to its next entry, crossing into later blocks as needed.
 func (it *Iter) advance() bool {
 	for {
-		if it.bi == nil {
-			return false
-		}
 		if it.bi.next() {
 			return true
 		}
@@ -323,23 +294,19 @@ func (it *Iter) advance() bool {
 }
 
 // Next advances to the following entry.
-func (it *Iter) Next() bool { return it.advance() }
+func (it *Iter) Next() bool {
+	it.valid = it.valid && it.advance()
+	return it.valid
+}
 
 // SeekGE positions at the first entry with internal key >= target.
 func (it *Iter) SeekGE(target []byte) bool {
-	lo, hi := 0, len(it.r.index)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if base.CompareInternal(it.r.index[mid].lastKey, target) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	it.blockIdx = lo - 1 // nextBlock will land on lo
-	if !it.nextBlock() {
-		return false
-	}
+	it.blockIdx = it.r.index.search(target) - 1 // nextBlock will land on it
+	it.valid = it.nextBlock() && it.seekInBlock(target)
+	return it.valid
+}
+
+func (it *Iter) seekInBlock(target []byte) bool {
 	if it.bi.seekGE(target) {
 		return true
 	}
@@ -352,12 +319,13 @@ func (it *Iter) SeekGE(target []byte) bool {
 }
 
 // Valid reports whether the iterator is positioned at an entry.
-func (it *Iter) Valid() bool { return it.bi != nil && it.err == nil && it.bi.key != nil }
+func (it *Iter) Valid() bool { return it.valid && it.err == nil }
 
-// Key returns the current internal key.
-func (it *Iter) Key() []byte { return it.bi.key }
+// Key returns the current internal key, valid until the next positioning
+// call.
+func (it *Iter) Key() []byte { return it.bi.key() }
 
-// Value returns the current value.
+// Value returns the current value, valid until the next positioning call.
 func (it *Iter) Value() []byte { return it.bi.val }
 
 // Err returns the first error encountered.

@@ -1,7 +1,10 @@
 // Package sstable implements the Sorted String Table file format: 4 KiB
-// data blocks of internal-key/value entries, a bloom filter over user keys,
-// an index block mapping last-keys to block handles, a properties block, and
-// a fixed footer.
+// data blocks of delta-encoded internal-key/value entries, a bloom filter
+// over user keys, an index block of the data blocks' last keys and handles,
+// a binary properties block, and a fixed footer whose magic names the
+// format. The writer writes format 2 only; the reader also reads format 1
+// (whole keys, a varint index, JSON properties), so stores written before
+// format 2 open, and compaction rewrites their tables in format 2.
 //
 // The package is encryption-agnostic by design: it writes through a
 // vfs.WritableFile and reads through a vfs.RandomAccessFile, and the caller
@@ -12,7 +15,6 @@ package sstable
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 
@@ -25,7 +27,8 @@ import (
 const (
 	footerLen       = 16*3 + 8
 	blockTrailerLen = 4                  // CRC-32C of payload + type byte
-	tableMagic      = 0x5353544253484c44 // "SSTBSHLD"
+	tableMagicV1    = 0x5353544253484c44 // "SSTBSHLD": whole keys, JSON properties
+	tableMagicV2    = 0x5353544253484c32 // "SSTBSHL2": delta keys, in-place index, binary properties
 	defaultBits     = 10                 // bloom filter bits per user key
 
 	// rawBlock is the one block type byte, stored between payload and
@@ -52,9 +55,11 @@ func (o WriterOptions) withDefaults() WriterOptions {
 	return o
 }
 
-// Properties summarizes a table; serialized as JSON in the properties block.
-// Unknown fields are ignored on decode, so the block doubles as the format's
-// forward-compatible extension point (the footer's handle slots are fixed).
+// Properties summarizes a table. Format 2 stores them as count-prefixed
+// uint64 fields (Properties.appendBinary), format 1 as JSON. A reader
+// ignores fields it does not know in either, so the block doubles as the
+// format's forward-compatible extension point (the footer's handle slots are
+// fixed).
 type Properties struct {
 	NumEntries  uint64 `json:"num_entries"`
 	NumDeletes  uint64 `json:"num_deletes"`
@@ -69,7 +74,7 @@ type Writer struct {
 	f      vfs.WritableFile
 	opts   WriterOptions
 	block  blockBuilder
-	index  blockBuilder
+	index  indexBuilder
 	filter *bloomFilter
 	props  Properties
 
@@ -84,7 +89,8 @@ func NewWriter(f vfs.WritableFile, opts WriterOptions) *Writer {
 	return &Writer{f: f, opts: opts.withDefaults(), filter: newBloomFilter(defaultBits)}
 }
 
-// Add appends one internal-key/value entry.
+// Add appends one internal-key/value entry. It copies what it keeps, so the
+// caller may reuse ikey and value once it returns.
 func (w *Writer) Add(ikey, value []byte) error {
 	if w.closed {
 		return fmt.Errorf("sstable: writer closed")
@@ -122,7 +128,7 @@ func (w *Writer) flushBlock() error {
 	if err != nil {
 		return err
 	}
-	w.index.add(w.largest, handle.encode())
+	w.index.add(w.largest, handle)
 	w.props.DataBlocks++
 	w.block.reset()
 	return nil
@@ -207,12 +213,7 @@ func (w *Writer) Finish() error {
 		return err
 	}
 
-	propsJSON, err := json.Marshal(w.props)
-	if err != nil {
-		w.f.Close()
-		return err
-	}
-	propsHandle, err := w.writeRaw(propsJSON)
+	propsHandle, err := w.writeRaw(w.props.appendBinary(nil))
 	if err != nil {
 		w.f.Close()
 		return err
@@ -226,7 +227,7 @@ func (w *Writer) Finish() error {
 	putHandle(0, indexHandle)
 	putHandle(16, filterHandle)
 	putHandle(32, propsHandle)
-	binary.LittleEndian.PutUint64(footer[48:], tableMagic)
+	binary.LittleEndian.PutUint64(footer[48:], tableMagicV2)
 	if err := vfs.WriteFull(w.f, footer[:]); err != nil {
 		w.f.Close()
 		return err

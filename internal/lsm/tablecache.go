@@ -22,10 +22,13 @@ type tableCache struct {
 	entries map[uint64]*tableEntry
 }
 
+// tableEntry is one open table. get hands it out borrowed; the borrower
+// gives it back with release.
 type tableEntry struct {
-	reader *sstable.Reader
-	refs   int
-	dead   bool // evicted; close when refs drop to zero
+	reader  *sstable.Reader
+	fileNum uint64
+	refs    int
+	dead    bool // evicted; close when refs drop to zero
 }
 
 func newTableCache(fs vfs.FS, dir string, wrapper FileWrapper, blockCache *cache.LRU) *tableCache {
@@ -38,14 +41,15 @@ func newTableCache(fs vfs.FS, dir string, wrapper FileWrapper, blockCache *cache
 	}
 }
 
-// get returns an open reader for fileNum and a release function the caller
-// must invoke when done.
-func (tc *tableCache) get(fileNum uint64) (*sstable.Reader, func(), error) {
+// get borrows the open table fileNum; the caller must release the entry
+// when done. It hands back the entry itself, not a release closure, so a
+// Get that finds the table open allocates nothing here.
+func (tc *tableCache) get(fileNum uint64) (*tableEntry, error) {
 	tc.mu.Lock()
 	if e, ok := tc.entries[fileNum]; ok && !e.dead {
 		e.refs++
 		tc.mu.Unlock()
-		return e.reader, func() { tc.release(fileNum, e) }, nil
+		return e, nil
 	}
 	tc.mu.Unlock()
 
@@ -53,17 +57,17 @@ func (tc *tableCache) get(fileNum uint64) (*sstable.Reader, func(), error) {
 	name := sstFileName(tc.dir, fileNum)
 	raw, err := tc.fs.Open(name)
 	if err != nil {
-		return nil, nil, fmt.Errorf("lsm: opening table %d: %w", fileNum, err)
+		return nil, fmt.Errorf("lsm: opening table %d: %w", fileNum, err)
 	}
 	wrapped, err := tc.wrapper.WrapOpen(name, FileKindSST, raw)
 	if err != nil {
 		raw.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	reader, err := sstable.NewReader(wrapped, sstable.ReaderOptions{Cache: tc.blockCache, FileNum: fileNum})
 	if err != nil {
 		wrapped.Close()
-		return nil, nil, fmt.Errorf("lsm: table %d: %w", fileNum, err)
+		return nil, fmt.Errorf("lsm: table %d: %w", fileNum, err)
 	}
 
 	tc.mu.Lock()
@@ -72,20 +76,21 @@ func (tc *tableCache) get(fileNum uint64) (*sstable.Reader, func(), error) {
 		e.refs++
 		tc.mu.Unlock()
 		reader.Close()
-		return e.reader, func() { tc.release(fileNum, e) }, nil
+		return e, nil
 	}
-	e := &tableEntry{reader: reader, refs: 2} // 1 cache ref + 1 borrower
+	e := &tableEntry{reader: reader, fileNum: fileNum, refs: 2} // 1 cache ref + 1 borrower
 	tc.entries[fileNum] = e
 	tc.mu.Unlock()
-	return e.reader, func() { tc.release(fileNum, e) }, nil
+	return e, nil
 }
 
-func (tc *tableCache) release(fileNum uint64, e *tableEntry) {
+// release gives back an entry get handed out.
+func (tc *tableCache) release(e *tableEntry) {
 	tc.mu.Lock()
 	e.refs--
 	shouldClose := e.refs == 0
 	if shouldClose {
-		delete(tc.entries, fileNum)
+		delete(tc.entries, e.fileNum)
 	}
 	tc.mu.Unlock()
 	if shouldClose {
