@@ -27,12 +27,14 @@ race:
 
 # The flake lane: the picker, scheduler, CompactRange and universal/FIFO
 # tests of internal/lsm, its open, recovery and scrub tests (the recovery
-# pass checks tables concurrently), and the offloaded-compaction
-# orchestrator, ten times each under the race detector, so an interleaving
-# one PR-gate run misses shows up here. Nightly in CI.
+# pass checks tables concurrently), the offloaded-compaction orchestrator,
+# and the KDS client and netretry, whose one control-plane client's Close
+# races its request path, ten times each under the race detector, so an
+# interleaving one PR-gate run misses shows up here. Nightly in CI.
 flake:
 	go test -race -count=10 -run 'Sched|Compact|Universal|FIFO|Pick|Open|Recover|Scrub|BestEffort|Paranoid' ./internal/lsm/
 	go test -race -count=10 ./internal/compactsvc/
+	go test -race -count=10 ./internal/kds/ ./internal/netretry/
 
 # The I/O paths' mechanisms, pinned. Reads: inner reads per sealed ReadAt, per
 # table open, per cache miss and per digest walk. Writes: allocations per Put,

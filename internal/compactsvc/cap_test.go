@@ -93,7 +93,7 @@ func TestWorkerDropsEndlessReply(t *testing.T) {
 		first <- outcome{sent, err}
 	}()
 	before := totalAlloc()
-	w := NewWorker(vfs.NewMem(), nil, "w", ln.Addr().String(), WorkerConfig{RequestTimeout: 30 * time.Second})
+	w := NewWorker(vfs.NewMem(), nil, "w", ln.Addr().String(), WorkerConfig{Policy: netretry.Policy{RequestTimeout: 30 * time.Second}})
 	defer w.Close()
 	if o := <-first; o.err == nil || o.sent >= floodBytes/2 {
 		t.Fatalf("worker read %d bytes of an endless reply (err %v)", o.sent, o.err)

@@ -3,6 +3,8 @@ package compactsvc
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"reflect"
 	"slices"
 	"strings"
@@ -54,6 +56,80 @@ func startPair(t *testing.T, fs vfs.FS) (*Orchestrator, *Worker) {
 	w := NewWorker(fs, lsm.NopWrapper{}, "w1", orch.Addr(), WorkerConfig{PollEvery: 2 * time.Millisecond})
 	t.Cleanup(func() { w.Close() })
 	return orch, w
+}
+
+// relay forwards TCP connections to an upstream address. While its gate is
+// held no byte crosses it in either direction; cut closes every connection
+// it carries.
+type relay struct {
+	ln   net.Listener
+	gate sync.RWMutex
+
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func startRelay(t *testing.T, upstream string) *relay {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &relay{ln: ln}
+	go func() {
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", upstream)
+			if err != nil {
+				down.Close()
+				continue
+			}
+			r.mu.Lock()
+			r.conns = append(r.conns, down, up)
+			r.mu.Unlock()
+			go r.pipe(up, down)
+			go r.pipe(down, up)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		r.cut()
+	})
+	return r
+}
+
+func (r *relay) addr() string { return r.ln.Addr().String() }
+
+func (r *relay) pipe(dst, src net.Conn) {
+	defer dst.Close()
+	defer src.Close()
+	buf := make([]byte, 32<<10)
+	for {
+		n, err := src.Read(buf)
+		if n > 0 {
+			r.gate.RLock()
+			_, werr := dst.Write(buf[:n])
+			r.gate.RUnlock()
+			if werr != nil {
+				return
+			}
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+func (r *relay) cut() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, c := range r.conns {
+		c.Close()
+	}
+	r.conns = nil
 }
 
 // buildInput writes one SST on fs and returns its metadata.
@@ -178,7 +254,14 @@ func TestRemoteJobErrorPropagates(t *testing.T) {
 func TestWorkerReconnects(t *testing.T) {
 	fs := vfs.NewMem()
 	m := buildInput(t, fs, 1, 0, 10)
-	orch, w := startPair(t, fs)
+	orch, err := NewOrchestrator(fs, "127.0.0.1:0", OrchestratorConfig{LeaseTTL: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer orch.Close()
+	link := startRelay(t, orch.Addr())
+	w := NewWorker(fs, lsm.NopWrapper{}, "w1", link.addr(), WorkerConfig{PollEvery: 2 * time.Millisecond})
+	defer w.Close()
 
 	job := lsm.CompactionJob{
 		Dir:            "db",
@@ -190,13 +273,8 @@ func TestWorkerReconnects(t *testing.T) {
 	if _, err := orch.Compact(job, nums.newFileNum); err != nil {
 		t.Fatal(err)
 	}
-	// Force-close the worker's connection; the next poll must redial.
-	w.connMu.Lock()
-	if w.conn != nil {
-		w.conn.Close()
-		w.conn = nil
-	}
-	w.connMu.Unlock()
+	// Cut the worker's connection; the next poll must redial.
+	link.cut()
 	if _, err := orch.Compact(job, nums.newFileNum); err != nil {
 		t.Fatalf("worker did not recover from dropped connection: %v", err)
 	}
@@ -334,5 +412,63 @@ func TestLargeOffloadedJob(t *testing.T) {
 	}
 	if entries != 5000 {
 		t.Fatalf("outputs hold %d entries, want 5000", entries)
+	}
+}
+
+// silentPeer accepts one connection and reads what it sends without ever
+// replying; read is closed once the first request has arrived.
+func silentPeer(t *testing.T) (addr string, read <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	got := make(chan struct{})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		buf := make([]byte, 4<<10)
+		if _, err := conn.Read(buf); err == nil {
+			close(got)
+		}
+		io.Copy(io.Discard, conn)
+	}()
+	return ln.Addr().String(), got
+}
+
+// TestWorkerCloseUnblocksHungRound: with no job executing, the worker's
+// rounds wait on an orchestrator that read the poll and never replies.
+// Close returns at once, not after the round's deadline, and a round
+// waiting then fails.
+func TestWorkerCloseUnblocksHungRound(t *testing.T) {
+	addr, read := silentPeer(t)
+	w := NewWorker(vfs.NewMem(), nil, "w", addr, WorkerConfig{}) // a round's deadline is 5s
+	defer w.Close()
+	select {
+	case <-read:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the worker never polled")
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := w.call(&wireRequest{Op: "poll", Worker: "w"})
+		errc <- err
+	}()
+	start := time.Now()
+	w.Close()
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("Close took %v with a round blocked on a silent orchestrator", d)
+	}
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("a round on a closed worker succeeded")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a round is still blocked after Close")
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"shield/internal/lsm"
 	"shield/internal/lsm/manifest"
+	"shield/internal/netretry"
 	"shield/internal/vfs"
 )
 
@@ -405,7 +406,10 @@ func TestZombieIsRefusedNumbers(t *testing.T) {
 	defer orch.Close()
 
 	zfs := &holdFS{FS: fs, holdAt: 2, held: make(chan struct{}), release: make(chan struct{})}
-	zombie := NewWorker(zfs, lsm.NopWrapper{}, "zombie", orch.Addr(), WorkerConfig{PollEvery: 2 * time.Millisecond})
+	link := startRelay(t, orch.Addr())
+	// The zombie's rounds wait out the held link rather than time out.
+	zombie := NewWorker(zfs, lsm.NopWrapper{}, "zombie", link.addr(),
+		WorkerConfig{PollEvery: 2 * time.Millisecond, Policy: netretry.Policy{RequestTimeout: time.Minute}})
 	defer zombie.Close()
 
 	job := lsm.CompactionJob{
@@ -430,9 +434,9 @@ func TestZombieIsRefusedNumbers(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the worker never created its second output")
 	}
-	// Holding the zombie's connection stops its heartbeats and its requests
-	// until its lease is revoked.
-	zombie.connMu.Lock()
+	// Holding the zombie's link stops its heartbeats and its requests until
+	// its lease is revoked.
+	link.gate.Lock()
 	granted := nums.nums()
 	if len(granted) != 2 {
 		t.Fatalf("worker holding its second output was granted %v", granted)
@@ -447,8 +451,8 @@ func TestZombieIsRefusedNumbers(t *testing.T) {
 	healthy := NewWorker(fs, lsm.NopWrapper{}, "healthy", orch.Addr(), WorkerConfig{PollEvery: 2 * time.Millisecond})
 	defer healthy.Close()
 	waitFor(t, "the reclaim", func() bool { st := orch.Stats(); return st.Leased == 1 || st.Completed == 1 })
-	close(zfs.release)     // the zombie creates the table it was granted...
-	zombie.connMu.Unlock() // ...then asks for its next number and is told Stale
+	close(zfs.release) // the zombie creates the table it was granted...
+	link.gate.Unlock() // ...then asks for its next number and is told Stale
 
 	r := <-resCh
 	if r.err != nil {

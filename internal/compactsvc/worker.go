@@ -2,7 +2,6 @@ package compactsvc
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -12,32 +11,11 @@ import (
 	"shield/internal/vfs"
 )
 
-// WorkerConfig tunes the polling loop.
+// WorkerConfig tunes the polling loop. The zero value selects the defaults:
+// poll every 100ms, dial 1s, one round 5s, redial backoff 10ms to 500ms.
 type WorkerConfig struct {
-	PollEvery      time.Duration // idle delay between polls; default 100ms
-	DialTimeout    time.Duration // default 1s
-	RequestTimeout time.Duration // one poll/heartbeat/complete round; default 5s
-	BackoffBase    time.Duration // redial backoff; default 10ms
-	BackoffMax     time.Duration // default 500ms
-}
-
-func (c WorkerConfig) withDefaults() WorkerConfig {
-	if c.PollEvery <= 0 {
-		c.PollEvery = 100 * time.Millisecond
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = time.Second
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 5 * time.Second
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 10 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 500 * time.Millisecond
-	}
-	return c
+	PollEvery time.Duration // idle delay between polls
+	netretry.Policy
 }
 
 // Worker executes compaction jobs leased from an orchestrator. It dials the
@@ -49,12 +27,8 @@ type Worker struct {
 	fs      vfs.FS
 	wrapper lsm.FileWrapper
 	name    string
-	addr    string
 	cfg     WorkerConfig
-
-	connMu sync.Mutex // serializes wire rounds (heartbeats interleave with nothing else)
-	conn   net.Conn
-	wire   *netretry.JSONConn
+	rt      *netretry.Client // one attempt per round: the worker's loops retry
 
 	mu       sync.Mutex
 	jobs     int64
@@ -71,12 +45,21 @@ func NewWorker(fs vfs.FS, wrapper lsm.FileWrapper, name, addr string, cfg Worker
 	if wrapper == nil {
 		wrapper = lsm.NopWrapper{}
 	}
+	if cfg.PollEvery <= 0 {
+		cfg.PollEvery = 100 * time.Millisecond
+	}
+	cfg.Policy = cfg.Policy.WithDefaults(netretry.Policy{
+		DialTimeout:    time.Second,
+		RequestTimeout: 5 * time.Second,
+		BackoffBase:    10 * time.Millisecond,
+		BackoffMax:     500 * time.Millisecond,
+	})
 	w := &Worker{
 		fs:      fs,
 		wrapper: wrapper,
 		name:    name,
-		addr:    addr,
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
+		rt:      netretry.NewClient(cfg.Policy, 1, maxMessage, addr),
 		done:    make(chan struct{}),
 	}
 	w.wg.Add(1)
@@ -92,9 +75,8 @@ func (w *Worker) Stats() (jobs, bytesRead, bytesWritten int64) {
 }
 
 // Close stops the polling loop and waits for it — including any job still
-// executing — to finish.
-//
-//shield:nolockio connMu only guards the conn pointer here; Close on a TCP conn is an immediate teardown, not a blocking round, and it is what unblocks a poll loop stuck mid-read
+// executing — to finish. Closing the connection fails a round blocked on
+// it, so a stuck poll does not hold Close for its deadline.
 func (w *Worker) Close() error {
 	select {
 	case <-w.done:
@@ -102,12 +84,7 @@ func (w *Worker) Close() error {
 	default:
 	}
 	close(w.done)
-	w.connMu.Lock()
-	if w.conn != nil {
-		w.conn.Close()
-		w.conn = nil
-	}
-	w.connMu.Unlock()
+	w.rt.Close()
 	w.wg.Wait()
 	return nil
 }
@@ -127,7 +104,7 @@ func (w *Worker) run() {
 	for !w.stopped() {
 		resp, err := w.call(&wireRequest{Op: "poll", Worker: w.name})
 		if err != nil {
-			netretry.Sleep(netretry.Delay(fails, w.cfg.BackoffBase, w.cfg.BackoffMax), w.done)
+			w.cfg.Backoff(fails, w.done)
 			fails++
 			continue
 		}
@@ -174,7 +151,7 @@ func (w *Worker) execute(claim *wireResponse) {
 	for attempt := 0; attempt < 3 && !w.stopped(); attempt++ {
 		if attempt > 0 {
 			metrics.Net.Retries.Add(1)
-			netretry.Sleep(netretry.Delay(attempt-1, w.cfg.BackoffBase, w.cfg.BackoffMax), w.done)
+			w.cfg.Backoff(attempt-1, w.done)
 		}
 		if resp, sendErr = w.call(req); sendErr == nil {
 			break
@@ -232,39 +209,12 @@ func (w *Worker) heartbeatLoop(claim *wireResponse, stop <-chan struct{}, wg *sy
 	}
 }
 
-// call performs one request/response round, dialing on demand and dropping
-// the connection on any error so the next round starts clean.
-//
-//shield:nolockio connMu is the wire: one in-flight round at a time is the protocol, and every round carries a deadline so a dead orchestrator cannot wedge the worker
+// call performs one request/response round on the orchestrator connection.
 func (w *Worker) call(req *wireRequest) (*wireResponse, error) {
-	w.connMu.Lock()
-	defer w.connMu.Unlock()
-	if w.stopped() {
-		return nil, fmt.Errorf("compactsvc: worker %q closed", w.name)
-	}
-	if w.conn == nil {
-		conn, err := net.DialTimeout("tcp", w.addr, w.cfg.DialTimeout)
-		if err != nil {
-			return nil, fmt.Errorf("compactsvc: dial %s: %w", w.addr, err)
-		}
-		w.conn = conn
-		w.wire = netretry.NewJSONConn(conn, maxMessage)
-	}
-	w.conn.SetDeadline(time.Now().Add(w.cfg.RequestTimeout)) //nolint:errcheck
-	err := w.wire.Send(req)
 	var resp wireResponse
-	if err == nil {
-		err = w.wire.Recv(&resp)
+	if err := w.rt.Call(req, &resp); err != nil {
+		return nil, fmt.Errorf("compactsvc: worker %q: %s round: %w", w.name, req.Op, err)
 	}
-	if err != nil {
-		if netretry.IsTimeout(err) {
-			metrics.Net.Timeouts.Add(1)
-		}
-		w.conn.Close()
-		w.conn = nil
-		return nil, fmt.Errorf("compactsvc: %s round: %w", req.Op, err)
-	}
-	w.conn.SetDeadline(time.Time{}) //nolint:errcheck
 	return answer(req.Op, &resp)
 }
 

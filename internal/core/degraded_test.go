@@ -12,17 +12,20 @@ import (
 	"shield/internal/kds"
 	"shield/internal/lsm"
 	"shield/internal/metrics"
+	"shield/internal/netretry"
 	"shield/internal/seccache"
 	"shield/internal/vfs"
 )
 
 func fastKDSClientConfig() kds.ClientConfig {
 	return kds.ClientConfig{
-		DialTimeout:    200 * time.Millisecond,
-		RequestTimeout: 300 * time.Millisecond,
-		MaxAttempts:    4,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     10 * time.Millisecond,
+		Policy: netretry.Policy{
+			DialTimeout:    200 * time.Millisecond,
+			RequestTimeout: 300 * time.Millisecond,
+			BackoffBase:    time.Millisecond,
+			BackoffMax:     10 * time.Millisecond,
+		},
+		MaxAttempts: 4,
 	}
 }
 

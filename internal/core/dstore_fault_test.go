@@ -10,6 +10,7 @@ import (
 
 	"shield/internal/dstore"
 	"shield/internal/kds"
+	"shield/internal/netretry"
 	"shield/internal/vfs"
 )
 
@@ -99,12 +100,14 @@ func TestDBOverFlakyDStoreLink(t *testing.T) {
 	proxy := newFlakyProxy(t, storage.Addr(), 7)
 
 	remote, err := dstore.DialConfig(proxy.addr(), dstore.Config{
-		Conns:          2,
-		DialTimeout:    200 * time.Millisecond,
-		RequestTimeout: 2 * time.Second,
-		MaxAttempts:    5,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     10 * time.Millisecond,
+		Conns: 2,
+		Policy: netretry.Policy{
+			DialTimeout:    200 * time.Millisecond,
+			RequestTimeout: 2 * time.Second,
+			BackoffBase:    time.Millisecond,
+			BackoffMax:     10 * time.Millisecond,
+		},
+		MaxAttempts: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

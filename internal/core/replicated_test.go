@@ -8,6 +8,7 @@ import (
 
 	"shield/internal/dstore"
 	"shield/internal/kds"
+	"shield/internal/netretry"
 	"shield/internal/vfs"
 )
 
@@ -49,12 +50,14 @@ func fleetConfig() dstore.ReplicaConfig {
 	return dstore.ReplicaConfig{
 		WriteQuorum: 2,
 		Client: dstore.Config{
-			Conns:          2,
-			DialTimeout:    200 * time.Millisecond,
-			RequestTimeout: 2 * time.Second,
-			MaxAttempts:    3,
-			BackoffBase:    time.Millisecond,
-			BackoffMax:     20 * time.Millisecond,
+			Conns: 2,
+			Policy: netretry.Policy{
+				DialTimeout:    200 * time.Millisecond,
+				RequestTimeout: 2 * time.Second,
+				BackoffBase:    time.Millisecond,
+				BackoffMax:     20 * time.Millisecond,
+			},
+			MaxAttempts: 3,
 		},
 		Dirs:        []string{"db"},
 		ResyncEvery: 25 * time.Millisecond,

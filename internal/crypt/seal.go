@@ -191,10 +191,11 @@ func hashTags(h hash.Hash, ct []byte) {
 // TagChainDigest hashes the per-block GCM tags of the sealed body of f,
 // which starts at headerLen, in block order, into the file digest the
 // manifest anchors. It needs only the ciphertext — tags sit at fixed offsets
-// — so a storage node can compute it without holding any key; the digest is
-// only *meaningful* against the manifest because each tag is unforgeable
-// without the DEK. It is FileDigest's walk: one extent of
-// digestExtentBlocks blocks in memory at a time.
+// — and no key; the digest is only *meaningful* against the manifest because
+// each tag is unforgeable without the DEK. It is FileDigest's walk: one
+// extent of digestExtentBlocks blocks in memory at a time.
+//
+//shield:notestonly the keyless reference the crypt and core digest tests check the writer's and reader's digests against
 func TagChainDigest(f vfs.RandomAccessFile, headerLen int64) ([]byte, error) {
 	r, err := NewSealedReaderAt(f, nil, headerLen)
 	if err != nil {

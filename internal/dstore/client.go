@@ -20,50 +20,34 @@ import (
 var ErrClosed = errors.New("dstore: client closed")
 
 // Config tunes the client's pool size and fault-tolerance behavior. The
-// zero value selects the defaults noted per field.
+// zero value selects the defaults: 1 connection, dial 1s, request 10s,
+// backoff 5ms to 250ms, and 3 attempts.
 type Config struct {
-	// Conns is the connection-pool size (default 1).
+	// Conns is the connection-pool size.
 	Conns int
 
-	// DialTimeout bounds each connection attempt (default 1s).
-	DialTimeout time.Duration
+	// Policy's RequestTimeout must cover packet serialization time: remote
+	// writes ride the emulated link's bandwidth cap. It is re-armed lazily
+	// (netretry.Deadline): an attempt is bounded by something in
+	// [7/8·RequestTimeout, RequestTimeout].
+	netretry.Policy
 
-	// RequestTimeout is the per-attempt deadline covering send and
-	// receive, so a hung storage node cannot wedge the engine
-	// (default 10s — remote writes ride the emulated link's bandwidth
-	// cap, so the deadline must cover packet serialization time). It is
-	// re-armed lazily (netretry.Deadline): an attempt is bounded by
-	// something in [7/8·RequestTimeout, RequestTimeout].
-	RequestTimeout time.Duration
-
-	// MaxAttempts is the total number of transport attempts per request
-	// (default 3).
+	// MaxAttempts is the total number of transport attempts per request.
 	MaxAttempts int
-
-	// BackoffBase and BackoffMax shape the jittered exponential backoff
-	// between attempts (defaults 5ms and 250ms).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 }
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Conns < 1 {
 		cfg.Conns = 1
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = time.Second
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 10 * time.Second
-	}
+	cfg.Policy = cfg.Policy.WithDefaults(netretry.Policy{
+		DialTimeout:    time.Second,
+		RequestTimeout: 10 * time.Second,
+		BackoffBase:    5 * time.Millisecond,
+		BackoffMax:     250 * time.Millisecond,
+	})
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 5 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 250 * time.Millisecond
 	}
 	return cfg
 }
@@ -275,7 +259,7 @@ func (c *Client) roundTripInto(req *Request, dst []byte) (Response, error) {
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			metrics.Net.Retries.Add(1)
-			if !netretry.Sleep(netretry.Delay(attempt-1, c.cfg.BackoffBase, c.cfg.BackoffMax), c.done) {
+			if !c.cfg.Backoff(attempt-1, c.done) {
 				return Response{}, ErrClosed
 			}
 		}
@@ -410,22 +394,6 @@ func (c *Client) MkdirAll(dir string) error {
 func (c *Client) SyncDir(dir string) error {
 	_, err := c.roundTrip(&Request{Op: OpSyncDir, Name: dir})
 	return err
-}
-
-// Digest asks the storage node for the tag-chain digest of the sealed
-// (format-v2) file name, skipping headerLen bytes of plaintext header. The
-// node computes SHA-256 over the per-block AEAD tags locally — no DEK, no
-// body transfer — so a compute-side audit of a remote SST costs one RPC
-// instead of a full file read. The caller compares the digest against the
-// manifest's anchored value.
-//
-//shield:notestonly the one client of the node's keyless OpDigest audit; ROADMAP item 13 decides the op
-func (c *Client) Digest(name string, headerLen int64) ([]byte, error) {
-	resp, err := c.roundTrip(&Request{Op: OpDigest, Name: name, Off: headerLen})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Data, nil
 }
 
 // Sum returns the storage node's SHA-256 of the whole named file plus its

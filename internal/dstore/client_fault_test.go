@@ -8,17 +8,20 @@ import (
 	"testing"
 	"time"
 
+	"shield/internal/netretry"
 	"shield/internal/vfs"
 )
 
 func fastDStoreConfig(conns int) Config {
 	return Config{
-		Conns:          conns,
-		DialTimeout:    200 * time.Millisecond,
-		RequestTimeout: 500 * time.Millisecond,
-		MaxAttempts:    4,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     10 * time.Millisecond,
+		Conns: conns,
+		Policy: netretry.Policy{
+			DialTimeout:    200 * time.Millisecond,
+			RequestTimeout: 500 * time.Millisecond,
+			BackoffBase:    time.Millisecond,
+			BackoffMax:     10 * time.Millisecond,
+		},
+		MaxAttempts: 4,
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"shield/internal/crypt"
 	"shield/internal/netretry"
 	"shield/internal/vfs"
 )
@@ -43,7 +42,7 @@ const (
 	OpMkdir
 	OpStat
 	OpSyncDir
-	OpDigest
+	opRetired // was OpDigest, a keyless tag-chain audit nothing ran; refused as an unknown op
 	OpSum
 )
 
@@ -369,9 +368,11 @@ func (s *Server) handle(req *Request, resp *Response, buf *[]byte) error {
 		if err := s.stats.SyncDir(req.Name); err != nil {
 			return err
 		}
-	case OpDigest, OpSum:
-		// Fingerprints computed node-side, streamed over the file so that
-		// neither holds it in memory nor ships its body across the link.
+	case OpSum:
+		// Replica re-sync's diff predicate: SHA-256 of the whole file plus
+		// its size, one small RPC per file. Computed node-side, streamed over
+		// the file so that neither holds it in memory nor ships its body
+		// across the link.
 		f, err := s.stats.Open(req.Name)
 		if err != nil {
 			return err
@@ -381,27 +382,11 @@ func (s *Server) handle(req *Request, resp *Response, buf *[]byte) error {
 		if err != nil {
 			return err
 		}
-		if req.Op == OpSum {
-			// Replica re-sync's diff predicate: SHA-256 of the whole file
-			// plus its size, one small RPC per file.
-			h := sha256.New()
-			if _, err := io.Copy(h, io.NewSectionReader(f, 0, size)); err != nil {
-				return err
-			}
-			resp.Data, resp.Size = h.Sum(nil), size
-			break
-		}
-		// A sealed file's tag-chain digest is keyless (SHA-256 over the
-		// per-block AEAD tags), so the node audits without any DEK. Off is
-		// the plaintext header length, which the client parses.
-		if req.Off < 0 || req.Off > size {
-			return fmt.Errorf("dstore: digest offset %d outside file of %d bytes", req.Off, size)
-		}
-		d, err := crypt.TagChainDigest(f, req.Off)
-		if err != nil {
+		h := sha256.New()
+		if _, err := io.Copy(h, io.NewSectionReader(f, 0, size)); err != nil {
 			return err
 		}
-		resp.Data, resp.N = d, int(size-req.Off)
+		resp.Data, resp.Size = h.Sum(nil), size
 	default:
 		return fmt.Errorf("dstore: unknown op %d", req.Op)
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"shield/internal/crypt"
 	"shield/internal/vfs"
 )
 
@@ -173,82 +172,6 @@ func TestServerIOAccounting(t *testing.T) {
 	}
 	if s.BytesRead != 70_000 {
 		t.Fatalf("bytes read %d", s.BytesRead)
-	}
-}
-
-func TestRemoteDigest(t *testing.T) {
-	_, client := newPair(t, 0, 0)
-
-	// Seal a payload with a fake 100-byte plaintext header in front, write
-	// it through the client, and ask the node for the tag-chain digest.
-	dek, err := crypt.NewDEK()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealer, err := crypt.NewSealer(dek, []byte("prefix00"), []byte("hdr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	header := bytes.Repeat([]byte{0x5A}, 100)
-	payload := make([]byte, 2*crypt.SealedBlockSize+77)
-	rand.New(rand.NewSource(42)).Read(payload)
-
-	f, err := client.Create("sst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(header); err != nil {
-		t.Fatal(err)
-	}
-	w := crypt.NewSealedWriter(f, sealer, 0, 0)
-	if _, err := w.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want, ok := w.FileDigest()
-	if !ok {
-		t.Fatal("writer has no digest")
-	}
-
-	got, err := client.Digest("sst", int64(len(header)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("remote digest %x != writer digest %x", got, want)
-	}
-
-	// A tampered remote body must change the digest the node reports.
-	raw, err := vfs.ReadFile(client, "sst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(header)+crypt.SealedBlockSize+3] ^= 0xFF // inside block 0's tag
-	if err := vfs.WriteFile(client, "sst", raw); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := client.Digest("sst", int64(len(header)))
-	if err == nil && bytes.Equal(got2, want) {
-		// Flips outside tag bytes legitimately leave the digest unchanged;
-		// flip a tag byte explicitly to pin the property down.
-		raw[len(header)+crypt.SealedBlockSize] ^= 0xFF
-		if err := vfs.WriteFile(client, "sst", raw); err != nil {
-			t.Fatal(err)
-		}
-		got2, err = client.Digest("sst", int64(len(header)))
-	}
-	if err == nil && bytes.Equal(got2, want) {
-		t.Fatal("digest unchanged after tampering with sealed body")
-	}
-
-	// Errors surface: missing file and bad offset.
-	if _, err := client.Digest("nope", 0); err == nil {
-		t.Fatal("digest of missing file succeeded")
-	}
-	if _, err := client.Digest("sst", 1<<40); err == nil {
-		t.Fatal("digest with absurd offset succeeded")
 	}
 }
 

@@ -199,7 +199,7 @@ func decodeRequest(meta []byte) (Request, error) {
 	if err := d.done(); err != nil {
 		return Request{}, err
 	}
-	if req.Op < OpCreate || req.Op > OpSum {
+	if req.Op < OpCreate || req.Op > OpSum || req.Op == opRetired {
 		return Request{}, frameErr("unknown op %d", req.Op)
 	}
 	return req, nil

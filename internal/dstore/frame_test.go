@@ -136,6 +136,8 @@ func hostileRequests() map[string][]byte {
 
 	unknownOp := bytes.Clone(valid)
 	unknownOp[frameHead] = 99
+	retiredOp := bytes.Clone(valid)
+	retiredOp[frameHead] = byte(opRetired)
 
 	truncated := append(head(uint32(metaLen), 1<<20), valid[frameHead:]...)
 	truncated = append(truncated, make([]byte, 100)...)
@@ -145,6 +147,7 @@ func hostileRequests() map[string][]byte {
 		"truncated":              append(preamble[:], truncated...),
 		"name overruns frame":    append(preamble[:], nameOverrun...),
 		"unknown op":             append(preamble[:], unknownOp...),
+		"retired digest op":      append(preamble[:], retiredOp...),
 		"gob-speaking client":    []byte(gobRequest),
 		"stray bytes after meta": append(append(preamble[:], head(uint32(metaLen+1), 0)...), append(valid[frameHead:], 0)...),
 	}
@@ -329,11 +332,19 @@ func randData(rng *rand.Rand) []byte {
 	return b
 }
 
+// sampleOp is a random op the node serves.
+func sampleOp(rng *rand.Rand) Op {
+	if op := Op(rng.Intn(int(OpSum)) + 1); op != opRetired {
+		return op
+	}
+	return OpSum
+}
+
 func sampleRequests(rng *rand.Rand, n int) []Request {
 	out := make([]Request, n)
 	for i := range out {
 		out[i] = Request{
-			Op: Op(rng.Intn(int(OpSum)) + 1), Name: randName(rng), Name2: randName(rng),
+			Op: sampleOp(rng), Name: randName(rng), Name2: randName(rng),
 			Handle: rng.Uint64(), Off: int64(rng.Uint64()), Len: int(int64(rng.Uint64())), Seq: rng.Uint64(),
 			Data: randData(rng),
 		}

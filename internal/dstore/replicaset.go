@@ -122,7 +122,8 @@ type ReplicaSet struct {
 	cfg    ReplicaConfig
 	quorum int
 	reps   []*replica
-	group  *netretry.Group
+	group  *netretry.Group                 // orders reads: the last replica that served one leads
+	byEP   map[*netretry.Endpoint]*replica // the replica behind each group member
 
 	// opMu is the re-sync promotion barrier: mutations hold it shared
 	// while selecting fan-out targets and applying branches; the re-sync
@@ -131,11 +132,10 @@ type ReplicaSet struct {
 	// marked in-sync".
 	opMu sync.RWMutex
 
-	mu       sync.Mutex
-	dirs     map[string]struct{}
-	writers  map[*replicatedWritable]struct{}
-	readPref int // index of the last replica that served a read
-	closed   bool
+	mu      sync.Mutex
+	dirs    map[string]struct{}
+	writers map[*replicatedWritable]struct{}
+	closed  bool
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -164,13 +164,16 @@ func DialReplicaSet(cfg ReplicaConfig, addrs ...string) (*ReplicaSet, error) {
 	rs := &ReplicaSet{
 		cfg:     cfg,
 		quorum:  cfg.WriteQuorum,
-		group:   netretry.NewGroup(cfg.Client.BackoffBase, cfg.Client.BackoffMax, addrs...),
+		group:   netretry.NewGroup(cfg.Client.Policy, addrs...),
+		byEP:    make(map[*netretry.Endpoint]*replica, len(addrs)),
 		dirs:    make(map[string]struct{}),
 		writers: make(map[*replicatedWritable]struct{}),
 		done:    make(chan struct{}),
 	}
-	for i, a := range addrs {
-		rs.reps = append(rs.reps, &replica{addr: a, ep: rs.group.Endpoints()[i], cfg: cfg.Client})
+	for _, ep := range rs.group.Endpoints() {
+		r := &replica{addr: ep.Addr(), ep: ep, cfg: cfg.Client}
+		rs.reps = append(rs.reps, r)
+		rs.byEP[ep] = r
 	}
 	for _, d := range cfg.Dirs {
 		rs.addDir(d)
@@ -290,55 +293,21 @@ func (rs *ReplicaSet) inSync() []*replica {
 	return out
 }
 
-// readOrder returns the in-sync replicas with the sticky read preference
-// first, so sequential reads stay on one node until it fails.
-func (rs *ReplicaSet) readOrder() []*replica {
-	rs.mu.Lock()
-	pref := rs.readPref
-	rs.mu.Unlock()
-	var out []*replica
-	for i := range rs.reps {
-		if r := rs.reps[(pref+i)%len(rs.reps)]; !r.isStale() {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func (rs *ReplicaSet) setReadPref(r *replica) {
-	rs.mu.Lock()
-	for i, cand := range rs.reps {
-		if cand == r {
-			if i != rs.readPref {
-				rs.readPref = i
-				rs.group.Promote(r.ep)
-			}
-			break
-		}
-	}
-	rs.mu.Unlock()
-}
-
-// advanceReadPref rotates the sticky read preference off a replica that
-// just failed a read, so the next open does not begin by re-probing it.
-func (rs *ReplicaSet) advanceReadPref(r *replica) {
-	rs.mu.Lock()
-	if len(rs.reps) > 0 && rs.reps[rs.readPref] == r {
-		rs.readPref = (rs.readPref + 1) % len(rs.reps)
-	}
-	rs.mu.Unlock()
-	rs.group.Advance(r.ep)
-}
-
-// readAny runs fn against in-sync replicas in preference order until one
-// gives an answer, handing it the replica that answers. Transport failures
-// demote connectivity health and fail over to the next replica; an
+// readAny runs fn against in-sync replicas in the group's failover order
+// until one gives an answer, handing it the replica that answers. The
+// replica that served the last read leads, so sequential reads stay on one
+// node until it fails; replicas inside their retry gate come last. Transport
+// failures demote connectivity health and fail over to the next replica; an
 // application error is a live node's answer and is returned as-is (failing
 // over on it could mask an integrity refusal with a replica that has not
 // detected the problem yet).
 func (rs *ReplicaSet) readAny(fn func(r *replica, c *Client) error) error {
 	var lastErr error
-	for _, r := range rs.readOrder() {
+	for _, ep := range rs.group.Sequence() {
+		r := rs.byEP[ep]
+		if r.isStale() {
+			continue
+		}
 		c, err := r.client()
 		if err != nil {
 			lastErr = err
@@ -353,7 +322,7 @@ func (rs *ReplicaSet) readAny(fn func(r *replica, c *Client) error) error {
 			return err
 		}
 		r.ep.Success()
-		rs.setReadPref(r)
+		rs.group.Promote(r.ep)
 		return nil
 	}
 	if lastErr == nil {
@@ -713,11 +682,11 @@ func (r *replicatedRandom) ReadAt(p []byte, off int64) (int, error) {
 	if err == nil || !netretry.IsTransport(err) {
 		return n, err
 	}
-	// The node serving this handle went away: charge it, rotate the sticky
+	// The node serving this handle went away: charge it, rotate the group's
 	// preference off it, reopen on another in-sync replica, and retry the
 	// same positional read.
 	r.rep.ep.Failure()
-	r.rs.advanceReadPref(r.rep)
+	r.rs.group.Advance(r.rep.ep)
 	if r.openAny() != nil {
 		return n, err
 	}
@@ -725,7 +694,7 @@ func (r *replicatedRandom) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // openAny points the handle at the first in-sync replica that opens the
-// file, in sticky preference order, closing the handle it replaces. The
+// file, in the group's failover order, closing the handle it replaces. The
 // serving replica is recorded so a later failover can charge it.
 func (r *replicatedRandom) openAny() error {
 	return r.rs.readAny(func(rep *replica, c *Client) error {

@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"time"
 
 	"shield/internal/crypt"
-	"shield/internal/metrics"
 	"shield/internal/netretry"
 )
 
@@ -114,65 +112,26 @@ func (s *Server) handle(req wireRequest) wireResponse {
 	}
 }
 
-// ClientConfig tunes the client's fault-tolerance behavior. The zero
-// value selects the defaults noted per field.
+// ClientConfig tunes the client's fault-tolerance behavior. The zero value
+// selects the defaults: dial 1s, request 2s, backoff 5ms to 250ms, and 4
+// attempts.
 type ClientConfig struct {
-	// DialTimeout bounds each connection attempt to one replica
-	// (default 1s).
-	DialTimeout time.Duration
-
-	// RequestTimeout is the per-attempt deadline covering send and
-	// receive, so a hung replica cannot wedge the caller (default 2s).
-	RequestTimeout time.Duration
+	netretry.Policy
 
 	// MaxAttempts is the total number of transport attempts per request,
-	// across replicas (default 4).
+	// across replicas.
 	MaxAttempts int
-
-	// BackoffBase and BackoffMax shape the jittered exponential backoff
-	// between attempts (defaults 5ms and 250ms).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 }
 
-func (cfg ClientConfig) withDefaults() ClientConfig {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = time.Second
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 2 * time.Second
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 5 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 250 * time.Millisecond
-	}
-	return cfg
-}
-
-// Client is a Service that talks to one or more KDS replicas over TCP.
-// Every request carries a deadline and fails over between replicas with
-// jittered exponential backoff. Every request is idempotent (fetch and
-// revoke by nature, create by the token it carries), so all of them are
-// retried across replicas. It is safe for concurrent use; requests are
-// serialized over one connection.
+// Client is a Service that talks to one or more KDS replicas over TCP
+// through a netretry.Client: every request carries a deadline and fails over
+// between replicas with jittered exponential backoff. Every request is
+// idempotent (fetch and revoke by nature, create by the token it carries),
+// so all of them are retried across replicas. It is safe for concurrent
+// use; requests are serialized over one connection.
 type Client struct {
 	serverID string
-	group    *netretry.Group
-	cfg      ClientConfig
-	done     chan struct{}
-
-	reqMu sync.Mutex // serializes requests on the shared connection
-
-	mu     sync.Mutex // guards connection state below
-	conn   net.Conn
-	wire   *netretry.JSONConn
-	ep     *netretry.Endpoint // replica the live connection is dialed to
-	closed bool
+	rt       *netretry.Client
 }
 
 // NewClient returns a Service identifying as serverID against the given
@@ -183,136 +142,33 @@ func NewClient(serverID string, addrs ...string) *Client {
 
 // NewClientConfig is NewClient with explicit retry/timeout settings.
 func NewClientConfig(serverID string, cfg ClientConfig, addrs ...string) *Client {
-	cfg = cfg.withDefaults()
-	return &Client{
-		serverID: serverID,
-		group:    netretry.NewGroup(cfg.BackoffBase, cfg.BackoffMax, addrs...),
-		cfg:      cfg,
-		done:     make(chan struct{}),
+	p := cfg.Policy.WithDefaults(netretry.Policy{
+		DialTimeout:    time.Second,
+		RequestTimeout: 2 * time.Second,
+		BackoffBase:    5 * time.Millisecond,
+		BackoffMax:     250 * time.Millisecond,
+	})
+	if cfg.MaxAttempts <= 0 {
+		cfg.MaxAttempts = 4
 	}
+	return &Client{serverID: serverID, rt: netretry.NewClient(p, cfg.MaxAttempts, maxMessage, addrs...)}
 }
 
 // Close releases the client connection and unblocks in-flight requests.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	close(c.done)
-	if c.conn != nil {
-		err := c.conn.Close() //shield:nolockio teardown must hold the state lock so a racing connect cannot resurrect the conn; Close does not block
-		c.conn = nil
-		return err
-	}
-	return nil
-}
+func (c *Client) Close() error { return c.rt.Close() }
 
-// connect returns the live connection, dialing replicas in the group's
-// failover order when there is none.
-func (c *Client) connect() (net.Conn, *netretry.JSONConn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, nil, ErrClosed
-	}
-	if c.conn != nil {
-		conn, wire := c.conn, c.wire
-		c.mu.Unlock()
-		return conn, wire, nil
-	}
-	c.mu.Unlock()
-
-	var lastErr error
-	for _, ep := range c.group.Sequence() {
-		conn, err := net.DialTimeout("tcp", ep.Addr(), c.cfg.DialTimeout)
-		if err != nil {
-			ep.Failure()
-			lastErr = err
-			continue
-		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			conn.Close()
-			return nil, nil, ErrClosed
-		}
-		ep.Success()
-		c.group.Promote(ep)
-		c.ep = ep
-		c.conn = conn
-		c.wire = netretry.NewJSONConn(conn, maxMessage)
-		wire := c.wire
-		c.mu.Unlock()
-		return conn, wire, nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no addresses configured")
-	}
-	return nil, nil, fmt.Errorf("%w: %v", ErrNoReplica, lastErr)
-}
-
-// dropConn discards a failed connection, charges the failure to its
-// replica, and rotates the group preference so the next dial tries a
-// different server first.
-func (c *Client) dropConn(conn net.Conn) {
-	conn.Close()
-	c.mu.Lock()
-	var ep *netretry.Endpoint
-	if c.conn == conn {
-		c.conn = nil
-		ep, c.ep = c.ep, nil
-	}
-	c.mu.Unlock()
-	if ep != nil {
-		ep.Failure()
-		c.group.Advance(ep)
-	}
-}
-
-// roundTrip sends one request with deadlines, backoff, and failover,
-// re-sending it on transport errors.
-//
-//shield:nolockio reqMu is the request queue: serializing I/O over the shared connection is its whole job
+// roundTrip sends one request, re-sending it across replicas on transport
+// errors.
 func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
 	req.ServerID = c.serverID
-
-	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			metrics.Net.Retries.Add(1)
-			if !netretry.Sleep(netretry.Delay(attempt-1, c.cfg.BackoffBase, c.cfg.BackoffMax), c.done) {
-				return wireResponse{}, ErrClosed
-			}
-		}
-		conn, wire, err := c.connect()
-		if err != nil {
-			if errors.Is(err, ErrClosed) {
-				return wireResponse{}, err
-			}
-			lastErr = err // nothing was sent; retryable for every op
-			continue
-		}
-		conn.SetDeadline(time.Now().Add(c.cfg.RequestTimeout)) //nolint:errcheck
-		err = wire.Send(&req)
-		if err == nil {
-			var resp wireResponse
-			if err = wire.Recv(&resp); err == nil {
-				conn.SetDeadline(time.Time{}) //nolint:errcheck
-				return resp, nil
-			}
-		}
-		if netretry.IsTimeout(err) {
-			metrics.Net.Timeouts.Add(1)
-		}
-		c.dropConn(conn)
-		lastErr = err
+	var resp wireResponse
+	switch err := c.rt.Call(&req, &resp); {
+	case errors.Is(err, netretry.ErrClosed):
+		return resp, ErrClosed
+	case err != nil:
+		return resp, fmt.Errorf("%w: %v", ErrNoReplica, err)
 	}
-	return wireResponse{}, fmt.Errorf("%w: request failed after %d attempts: %v",
-		ErrNoReplica, c.cfg.MaxAttempts, lastErr)
+	return resp, nil
 }
 
 // newCreateToken mints a random idempotency token for one create request.

@@ -96,7 +96,7 @@ func TestClientDropsEndlessReply(t *testing.T) {
 			}()
 		}
 	}()
-	c := NewClientConfig("compute-1", ClientConfig{MaxAttempts: 2, BackoffBase: time.Millisecond, RequestTimeout: 30 * time.Second}, ln.Addr().String())
+	c := NewClientConfig("compute-1", ClientConfig{MaxAttempts: 2, Policy: netretry.Policy{BackoffBase: time.Millisecond, RequestTimeout: 30 * time.Second}}, ln.Addr().String())
 	defer c.Close()
 	before := totalAlloc()
 	_, err = c.FetchDEK("dek-x")

@@ -10,16 +10,19 @@ import (
 	"time"
 
 	"shield/internal/metrics"
+	"shield/internal/netretry"
 )
 
 // fastConfig keeps fault tests snappy: short deadlines, tight backoff.
 func fastConfig() ClientConfig {
 	return ClientConfig{
-		DialTimeout:    200 * time.Millisecond,
-		RequestTimeout: 300 * time.Millisecond,
-		MaxAttempts:    5,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     10 * time.Millisecond,
+		Policy: netretry.Policy{
+			DialTimeout:    200 * time.Millisecond,
+			RequestTimeout: 300 * time.Millisecond,
+			BackoffBase:    time.Millisecond,
+			BackoffMax:     10 * time.Millisecond,
+		},
+		MaxAttempts: 5,
 	}
 }
 
@@ -328,5 +331,57 @@ func TestConcurrentCreatesUnderFailover(t *testing.T) {
 	}
 	if issued, _, _ := store.Stats(); issued != workers*perWorker {
 		t.Fatalf("issued %d, want %d", issued, workers*perWorker)
+	}
+}
+
+// TestCloseUnblocksHungRequest: a request waits on a replica that read it
+// and never replies. Close returns at once, not after the request deadline,
+// and the request fails with ErrClosed.
+func TestCloseUnblocksHungRequest(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	read := make(chan struct{})
+	go func() { // read the request; never respond
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		buf := make([]byte, 4<<10)
+		if _, err := conn.Read(buf); err == nil {
+			close(read)
+		}
+		io.Copy(io.Discard, conn)
+	}()
+
+	cfg := fastConfig()
+	cfg.RequestTimeout = 5 * time.Second
+	client := NewClientConfig("server-1", cfg, ln.Addr().String())
+	defer client.Close()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := client.FetchDEK("dek-x")
+		errc <- err
+	}()
+	select {
+	case <-read:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the request never reached the replica")
+	}
+	start := time.Now()
+	client.Close()
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("Close took %v with a request blocked on a silent replica", d)
+	}
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("err = %v, want ErrClosed", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the request is still blocked after Close")
 	}
 }

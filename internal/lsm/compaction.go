@@ -422,11 +422,6 @@ func (d *DB) runCompactionPlan(plan *compactionPlan, background bool) error {
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, a := range edit.Added {
-		if a.Meta.DEKID != "" {
-			d.dekIDs[a.Meta.FileNum] = a.Meta.DEKID
-		}
-	}
 	if err := d.applyEditLocked(edit); err != nil {
 		return err
 	}

@@ -19,8 +19,12 @@ import (
 // So a lone job waits, before it runs, until a second one joins it or the
 // writer has acknowledged holdOps more Puts. That window is counted in the
 // workload's own progress, not in wall clock (an earlier version held a job
-// for up to 100 ms, which a loaded machine could miss), and it is too short
-// for L0 to reach the write stall while the job holds it.
+// for up to 100 ms, which a loaded machine could miss). But flushes go on
+// while a job is held, and a run can reach the L0 write stall with a lone
+// job held: the writer then waits in makeRoomForWrite on l0Stalled, where it
+// acknowledges nothing until a compaction drains L0, and the held job waits
+// for its acknowledgements. So the hold also ends once the DB is in that
+// stall; it re-checks every millisecond, as the stall wakes nothing here.
 type peakCompactor struct {
 	inner   Compactor
 	mu      sync.Mutex
@@ -29,6 +33,7 @@ type peakCompactor struct {
 	peak    int
 	acked   int  // Puts the writer has acknowledged
 	done    bool // the writer has finished: hold nothing more
+	db      *DB  // the DB whose L0 stall ends a hold, once open
 }
 
 const holdOps = 20
@@ -44,8 +49,10 @@ func (c *peakCompactor) Compact(job CompactionJob, newFileNum func() (uint64, er
 	c.running++
 	c.peak = max(c.peak, c.running)
 	c.cond.Broadcast()
-	for until := c.acked + holdOps; c.running == 1 && c.acked < until && !c.done; {
+	for until := c.acked + holdOps; c.running == 1 && c.acked < until && !c.done && !c.writerStalled(); {
+		recheck := time.AfterFunc(time.Millisecond, c.wake)
 		c.cond.Wait()
+		recheck.Stop()
 	}
 	c.mu.Unlock()
 
@@ -55,6 +62,29 @@ func (c *peakCompactor) Compact(job CompactionJob, newFileNum func() (uint64, er
 	c.running--
 	c.mu.Unlock()
 	return res, err
+}
+
+// writerStalled reports whether writes wait on L0 compaction. c.mu held.
+func (c *peakCompactor) writerStalled() bool {
+	if c.db == nil {
+		return false
+	}
+	c.db.mu.Lock()
+	defer c.db.mu.Unlock()
+	return l0Stalled(c.db.current, &c.db.opts)
+}
+
+func (c *peakCompactor) wake() {
+	c.mu.Lock()
+	c.cond.Broadcast()
+	c.mu.Unlock()
+}
+
+// watch makes db's L0 write stall end every hold.
+func (c *peakCompactor) watch(db *DB) {
+	c.mu.Lock()
+	c.db = db
+	c.mu.Unlock()
 }
 
 // ack records one acknowledged Put, or with done the end of the workload.
@@ -125,6 +155,7 @@ func TestCrashRecoveryConcurrentCompactions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pairing.watch(db)
 	for i, op := range ops {
 		if err := db.Put(op.key, op.value); err != nil {
 			t.Fatalf("put %d: %v", i, err)

@@ -82,7 +82,6 @@ type DB struct {
 	fileSeq     uint64 // strictly increasing run ordinal for L0 ordering
 	logNum      uint64
 	walWriter   *wal.Writer
-	walDEKID    string
 	manifestW   *wal.Writer
 	manifestNum uint64
 	// manifestBad is set when an append to the live MANIFEST fails partway
@@ -114,7 +113,6 @@ type DB struct {
 	iterCount         int
 	zombies           []zombieFile
 	snapshots         []base.SeqNum
-	dekIDs            map[uint64]string // fileNum -> DEK-ID for SSTs
 	// epoch is the store's freshness epoch: bumped past both the recovered
 	// manifest epoch and the sealed floor on every writable open, written
 	// into snapshot edits and CURRENT, and sealed into Options.Freshness.

@@ -208,11 +208,6 @@ func (d *DB) writeMemTable(mem *memTable) (*manifest.FileMetadata, error) {
 	}
 	out.meta.Seq = seq
 	d.metFlushWrite.Add(int64(out.meta.Size))
-	if out.meta.DEKID != "" {
-		d.mu.Lock()
-		d.dekIDs[fileNum] = out.meta.DEKID
-		d.mu.Unlock()
-	}
 	return &out.meta, nil
 }
 

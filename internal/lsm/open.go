@@ -30,7 +30,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		fs:           opts.FS,
 		wrapper:      opts.Wrapper,
 		held:         inFlight{files: make(map[uint64]bool)},
-		dekIDs:       make(map[uint64]string),
 		integrityBad: make(map[uint64]bool),
 	}
 	d.bgCond = sync.NewCond(&d.mu)
@@ -91,9 +90,6 @@ func (d *DB) recover() error {
 	d.lastSeq.Store(uint64(st.lastSeq))
 	for _, files := range st.ver.Levels {
 		for _, f := range files {
-			if f.DEKID != "" {
-				d.dekIDs[f.FileNum] = f.DEKID
-			}
 			if f.Seq > d.fileSeq {
 				d.fileSeq = f.Seq
 			}
@@ -283,7 +279,6 @@ func (d *DB) judgeTable(name string, f *manifest.FileMetadata, c tableCheck) (dr
 		d.quarantine(name)
 	}
 	metrics.Recovery.FilesQuarantined.Add(1)
-	delete(d.dekIDs, f.FileNum)
 	return true, nil
 }
 
@@ -320,7 +315,7 @@ func (d *DB) startNewLogLocked() error {
 	if err != nil {
 		return err
 	}
-	wrapped, dekID, err := d.wrapper.WrapCreate(name, FileKindWAL, raw)
+	wrapped, _, err := d.wrapper.WrapCreate(name, FileKindWAL, raw)
 	if err != nil {
 		raw.Close()
 		return err
@@ -332,7 +327,6 @@ func (d *DB) startNewLogLocked() error {
 		return err
 	}
 	d.walWriter = wal.NewWriter(wrapped)
-	d.walDEKID = dekID
 	d.logNum = num
 	d.mem = newMemTable(num)
 	return nil

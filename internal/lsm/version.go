@@ -73,19 +73,29 @@ func (d *DB) applyEditLocked(edit *manifest.VersionEdit) error {
 			}
 		}
 	}
-	// Files removed by this edit become deletion candidates.
+	// Files removed by this edit become deletion candidates, each with the
+	// DEK-ID that the version it leaves recorded for it.
 	for _, del := range edit.Deleted {
-		dekID := d.dekIDs[del.FileNum]
-		delete(d.dekIDs, del.FileNum)
 		d.zombies = append(d.zombies, zombieFile{
 			name:    sstFileName(d.dir, del.FileNum),
-			dekID:   dekID,
+			dekID:   dekIDOf(d.current.Levels[del.Level], del.FileNum),
 			fileNum: del.FileNum,
 			isSST:   true,
 		})
 	}
 	d.current = nv
 	return nil
+}
+
+// dekIDOf returns the DEK-ID of table num among files ("" if none is
+// recorded).
+func dekIDOf(files []*manifest.FileMetadata, num uint64) string {
+	for _, f := range files {
+		if f.FileNum == num {
+			return f.DEKID
+		}
+	}
+	return ""
 }
 
 // rotateManifestLocked installs nv as the snapshot of a fresh MANIFEST

@@ -110,13 +110,13 @@ func (e *Endpoint) Success() {
 // Failure records a transport failure against the endpoint and returns its
 // new health: one failure makes it Suspect, downAfter consecutive failures
 // make it Down with an exponentially growing retry gate (the group's
-// backoff shape, capped at BackoffMax).
+// backoff policy, capped at BackoffMax).
 func (e *Endpoint) Failure() Health {
 	e.mu.Lock()
 	e.fails++
 	if e.fails >= downAfter {
 		e.health = HealthDown
-		e.retryAt = time.Now().Add(Delay(e.fails-downAfter, e.g.backoffBase, e.g.backoffMax))
+		e.retryAt = time.Now().Add(Delay(e.fails-downAfter, e.g.backoff.BackoffBase, e.g.backoff.BackoffMax))
 	} else {
 		e.health = HealthSuspect
 	}
@@ -138,27 +138,20 @@ func (e *Endpoint) usable() bool {
 // Group tracks a set of peer endpoints with per-endpoint health and backoff
 // state, and hands out endpoints in failover order: the current preferred
 // endpoint first, then the others round-robin, Down endpoints last and only
-// once their retry gate expires. It is the shared machinery behind the KDS
-// client's replica failover and the dstore replica set.
+// once their retry gate expires. It orders the dials of Client (the KDS
+// client's replica failover) and the reads of the dstore replica set.
 type Group struct {
-	backoffBase time.Duration
-	backoffMax  time.Duration
+	backoff Policy
 
 	mu  sync.Mutex
 	eps []*Endpoint
 	cur int // index of the preferred (last-good) endpoint
 }
 
-// NewGroup builds a group over addrs. base and max shape the per-endpoint
-// down-state retry gate; zero values select 50ms and 2s.
-func NewGroup(base, max time.Duration, addrs ...string) *Group {
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	g := &Group{backoffBase: base, backoffMax: max}
+// NewGroup builds a group over addrs. The policy's backoff shapes the
+// per-endpoint down-state retry gate.
+func NewGroup(p Policy, addrs ...string) *Group {
+	g := &Group{backoff: p}
 	for _, a := range addrs {
 		g.eps = append(g.eps, &Endpoint{addr: a, g: g})
 	}

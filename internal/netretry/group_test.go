@@ -34,7 +34,7 @@ func TestTransportClassification(t *testing.T) {
 }
 
 func TestEndpointHealthTransitions(t *testing.T) {
-	g := NewGroup(time.Millisecond, 4*time.Millisecond, "a:1", "b:1")
+	g := NewGroup(Policy{BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond}, "a:1", "b:1")
 	ep := g.Endpoints()[0]
 	if ep.Health() != HealthUp {
 		t.Fatalf("fresh endpoint health = %v, want up", ep.Health())
@@ -56,7 +56,7 @@ func TestEndpointHealthTransitions(t *testing.T) {
 }
 
 func TestSequenceFailoverOrder(t *testing.T) {
-	g := NewGroup(time.Millisecond, 4*time.Millisecond, "a:1", "b:1", "c:1")
+	g := NewGroup(Policy{BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond}, "a:1", "b:1", "c:1")
 	eps := g.Endpoints()
 
 	seq := g.Sequence()
@@ -94,7 +94,7 @@ func TestSequenceFailoverOrder(t *testing.T) {
 
 func TestPromoteCountsFailovers(t *testing.T) {
 	metrics.Net.Reset()
-	g := NewGroup(time.Millisecond, 4*time.Millisecond, "a:1", "b:1")
+	g := NewGroup(Policy{BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond}, "a:1", "b:1")
 	eps := g.Endpoints()
 	g.Promote(eps[0]) // already preferred: no failover
 	if n := metrics.Net.Snapshot().Failovers; n != 0 {

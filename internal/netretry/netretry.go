@@ -1,6 +1,8 @@
 // Package netretry provides the shared retry policy of the network
 // clients (kds, dstore, compactsvc): exponential backoff with full
-// jitter, interruptible sleeps, and timeout classification.
+// jitter, interruptible sleeps, and timeout classification; and the one
+// JSON request/response client the KDS client and the compaction worker
+// are built on.
 //
 // Backoff spreads reconnection attempts after a replica failure so a
 // fleet of clients does not stampede the surviving replicas; jitter

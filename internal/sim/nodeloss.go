@@ -48,6 +48,7 @@ import (
 	"shield/internal/core"
 	"shield/internal/dstore"
 	"shield/internal/kds"
+	"shield/internal/netretry"
 	"shield/internal/seccache"
 	"shield/internal/vfs"
 )
@@ -152,12 +153,14 @@ func (f *swapFS) Stat(name string) (vfs.FileInfo, error) {
 // stalling the run.
 func simReplicaClientCfg() dstore.Config {
 	return dstore.Config{
-		Conns:          2,
-		DialTimeout:    200 * time.Millisecond,
-		RequestTimeout: 2 * time.Second,
-		MaxAttempts:    3,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     20 * time.Millisecond,
+		Conns: 2,
+		Policy: netretry.Policy{
+			DialTimeout:    200 * time.Millisecond,
+			RequestTimeout: 2 * time.Second,
+			BackoffBase:    time.Millisecond,
+			BackoffMax:     20 * time.Millisecond,
+		},
+		MaxAttempts: 3,
 	}
 }
 
@@ -180,11 +183,13 @@ func (s *simulation) orchCfg() compactsvc.OrchestratorConfig {
 
 func simWorkerCfg() compactsvc.WorkerConfig {
 	return compactsvc.WorkerConfig{
-		PollEvery:      3 * time.Millisecond,
-		DialTimeout:    200 * time.Millisecond,
-		RequestTimeout: 2 * time.Second,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     50 * time.Millisecond,
+		PollEvery: 3 * time.Millisecond,
+		Policy: netretry.Policy{
+			DialTimeout:    200 * time.Millisecond,
+			RequestTimeout: 2 * time.Second,
+			BackoffBase:    time.Millisecond,
+			BackoffMax:     50 * time.Millisecond,
+		},
 	}
 }
 
@@ -276,11 +281,13 @@ func (s *simulation) startWorkersLocked() error {
 		id := fmt.Sprintf("sim-worker-%d", w+1)
 		s.kdsStore.Authorize(id)
 		s.workerKDS[w] = kds.NewClientConfig(id, kds.ClientConfig{
-			DialTimeout:    200 * time.Millisecond,
-			RequestTimeout: 500 * time.Millisecond,
-			MaxAttempts:    4,
-			BackoffBase:    time.Millisecond,
-			BackoffMax:     20 * time.Millisecond,
+			Policy: netretry.Policy{
+				DialTimeout:    200 * time.Millisecond,
+				RequestTimeout: 500 * time.Millisecond,
+				BackoffBase:    time.Millisecond,
+				BackoffMax:     20 * time.Millisecond,
+			},
+			MaxAttempts: 4,
 		}, s.kdsAddr[0], s.kdsAddr[1])
 		cache, err := seccache.Open(vfs.NewMem(), "worker-cache.bin", []byte("sim-worker-pass"))
 		if err != nil {

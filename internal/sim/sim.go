@@ -335,11 +335,13 @@ func (s *simulation) bootstrap() error {
 		s.kdsUp[i] = true
 	}
 	s.kdsClient = kds.NewClientConfig(simServerID, kds.ClientConfig{
-		DialTimeout:    200 * time.Millisecond,
-		RequestTimeout: 500 * time.Millisecond,
-		MaxAttempts:    4,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     20 * time.Millisecond,
+		Policy: netretry.Policy{
+			DialTimeout:    200 * time.Millisecond,
+			RequestTimeout: 500 * time.Millisecond,
+			BackoffBase:    time.Millisecond,
+			BackoffMax:     20 * time.Millisecond,
+		},
+		MaxAttempts: 4,
 	}, s.kdsAddr[0], s.kdsAddr[1])
 
 	s.cacheBase = vfs.NewMem()
@@ -403,12 +405,14 @@ func (s *simulation) startStoreLocked(addr string) error {
 	s.storeSrv = srv
 	s.storeAddr = srv.Addr()
 	client, err := dstore.DialConfig(s.storeAddr, dstore.Config{
-		Conns:          2,
-		DialTimeout:    200 * time.Millisecond,
-		RequestTimeout: 2 * time.Second,
-		MaxAttempts:    3,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     20 * time.Millisecond,
+		Conns: 2,
+		Policy: netretry.Policy{
+			DialTimeout:    200 * time.Millisecond,
+			RequestTimeout: 2 * time.Second,
+			BackoffBase:    time.Millisecond,
+			BackoffMax:     20 * time.Millisecond,
+		},
+		MaxAttempts: 3,
 	})
 	if err != nil {
 		srv.Close()
