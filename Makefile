@@ -52,12 +52,15 @@ flake:
 # direct reads, allocations per remote read and per read served from the
 # read-ahead packet, the frame codec against hostile peers. Table opens:
 # allocations per open, flat in the table's size. Gets: allocations per
-# block-cache hit and per miss (TestGetAllocs). Manual compaction: bytes
-# read by CompactRange against the tables it replaces (RewritesOnce).
+# block-cache hit and per miss (TestGetAllocs). The block cache: allocations
+# per evicting Put, and the cache against a map-plus-recency-slice oracle.
+# Sealed reads: allocations per ReadAt once the extent pool is warm, and the
+# pool's retention cap. Manual compaction: bytes read by CompactRange against
+# the tables it replaces (RewritesOnce).
 io-path-check:
 	go test -run 'InnerReads|Allocs|SliceOracle|Arena|OutlivesMemtable|PooledPutBatch|SealedWriter|Towers|MatchesOracle|SplitAcrossReads|Deadline|ReadAhead|Frame|RewritesOnce' \
 		./internal/crypt/ ./internal/lsm/ ./internal/lsm/skiplist/ ./internal/lsm/sstable/ ./internal/vfs/ ./internal/dstore/ \
-		./internal/resp/ ./internal/server/ ./internal/netretry/
+		./internal/resp/ ./internal/server/ ./internal/netretry/ ./internal/cache/
 
 fmt:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }

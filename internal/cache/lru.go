@@ -4,7 +4,6 @@
 package cache
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
@@ -15,17 +14,24 @@ type Key struct {
 	Offset uint64
 }
 
+// entry is one cached value and its links in its shard's recency list.
 type entry struct {
-	key    Key
-	value  []byte
-	charge int64
+	key        Key
+	value      []byte
+	charge     int64
+	prev, next *entry
 }
 
-// shard is one LRU segment.
+// shard is one LRU segment: a circular doubly linked recency list through
+// the sentinel head (head.next is the most recently used entry, head.prev
+// the least) and an index over it.
 type shard struct {
-	mu      sync.Mutex
-	ll      *list.List
-	items   map[Key]*list.Element
+	mu    sync.Mutex
+	head  entry
+	items map[Key]*entry
+	// spare is the entry the last eviction removed, cleared, kept for the
+	// next insert: a Put that evicts allocates nothing.
+	spare   *entry
 	used    int64 // total charge
 	maxSize int64
 }
@@ -53,11 +59,12 @@ func New(capacity int64) *LRU {
 	per := capacity / nShards
 	rem := capacity % nShards
 	for i := range c.shards {
-		c.shards[i].ll = list.New()
-		c.shards[i].items = make(map[Key]*list.Element)
-		c.shards[i].maxSize = per
+		s := &c.shards[i]
+		s.head.prev, s.head.next = &s.head, &s.head
+		s.items = make(map[Key]*entry)
+		s.maxSize = per
 		if int64(i) < rem {
-			c.shards[i].maxSize++
+			s.maxSize++
 		}
 	}
 	return c
@@ -66,6 +73,31 @@ func New(capacity int64) *LRU {
 func (c *LRU) shardFor(k Key) *shard {
 	h := k.File*0x9e3779b97f4a7c15 ^ k.Offset*0xbf58476d1ce4e5b9
 	return &c.shards[h%nShards]
+}
+
+// unlink takes e out of the recency list.
+func unlink(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// pushFront links e in as the most recently used entry.
+func (s *shard) pushFront(e *entry) {
+	e.prev, e.next = &s.head, s.head.next
+	s.head.next.prev = e
+	s.head.next = e
+}
+
+// moveToFront marks e as the most recently used entry.
+func (s *shard) moveToFront(e *entry) {
+	unlink(e)
+	s.pushFront(e)
+}
+
+// remove drops e from the list and the index and releases its charge.
+func (s *shard) remove(e *entry) {
+	unlink(e)
+	delete(s.items, e.key)
+	s.used -= e.charge
 }
 
 // Get returns the cached value for k, if present. The value is read while
@@ -77,9 +109,9 @@ func (c *LRU) Get(k Key) ([]byte, bool) {
 	s.mu.Lock()
 	var v []byte
 	var ok bool
-	if el, hit := s.items[k]; hit {
-		s.ll.MoveToFront(el)
-		v, ok = el.Value.(*entry).value, true
+	if e, hit := s.items[k]; hit {
+		s.moveToFront(e)
+		v, ok = e.value, true
 	}
 	s.mu.Unlock()
 
@@ -93,7 +125,8 @@ func (c *LRU) Get(k Key) ([]byte, bool) {
 
 // Put inserts value under k with the given charge, evicting LRU entries to
 // stay within capacity. The cache stores the slice itself, never a boxed
-// copy of it, so a Put allocates only its entry.
+// copy of it, and an insert reuses the entry the last eviction freed, so a
+// Put that evicts allocates nothing.
 func (c *LRU) Put(k Key, value []byte, charge int64) {
 	s := c.shardFor(k)
 	s.mu.Lock()
@@ -101,25 +134,26 @@ func (c *LRU) Put(k Key, value []byte, charge int64) {
 	if s.maxSize <= 0 {
 		return
 	}
-	if el, ok := s.items[k]; ok {
-		e := el.Value.(*entry)
+	if e, ok := s.items[k]; ok {
 		s.used += charge - e.charge
 		e.value, e.charge = value, charge
-		s.ll.MoveToFront(el)
+		s.moveToFront(e)
 	} else {
-		el := s.ll.PushFront(&entry{key: k, value: value, charge: charge})
-		s.items[k] = el
+		e := s.spare
+		if e == nil {
+			e = new(entry)
+		}
+		s.spare = nil
+		e.key, e.value, e.charge = k, value, charge
+		s.items[k] = e
+		s.pushFront(e)
 		s.used += charge
 	}
-	for s.used > s.maxSize {
-		back := s.ll.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*entry)
-		s.ll.Remove(back)
-		delete(s.items, e.key)
-		s.used -= e.charge
+	for s.used > s.maxSize && s.head.prev != &s.head {
+		e := s.head.prev
+		s.remove(e)
+		*e = entry{} // drop the value and links before it waits as the spare
+		s.spare = e
 	}
 }
 
@@ -129,15 +163,12 @@ func (c *LRU) EvictFile(file uint64) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for el := s.ll.Front(); el != nil; {
-			next := el.Next()
-			e := el.Value.(*entry)
+		for e := s.head.next; e != &s.head; {
+			next := e.next
 			if e.key.File == file {
-				s.ll.Remove(el)
-				delete(s.items, e.key)
-				s.used -= e.charge
+				s.remove(e)
 			}
-			el = next
+			e = next
 		}
 		s.mu.Unlock()
 	}

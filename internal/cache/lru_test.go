@@ -1,7 +1,10 @@
 package cache
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -199,4 +202,142 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// oracleShard is one shard of the LRU oracle: a map of live values and
+// charges plus a recency slice, least recently used first.
+type oracleShard struct {
+	vals    map[Key][]byte
+	charges map[Key]int64
+	order   []Key
+	used    int64
+	maxSize int64
+}
+
+func (o *oracleShard) touch(k Key) {
+	for i, x := range o.order {
+		if x == k {
+			o.order = append(append(o.order[:i:i], o.order[i+1:]...), k)
+			return
+		}
+	}
+	o.order = append(o.order, k)
+}
+
+func (o *oracleShard) drop(k Key) {
+	for i, x := range o.order {
+		if x == k {
+			o.order = append(o.order[:i], o.order[i+1:]...)
+			break
+		}
+	}
+	o.used -= o.charges[k]
+	delete(o.vals, k)
+	delete(o.charges, k)
+}
+
+func (o *oracleShard) put(k Key, v []byte, charge int64) {
+	if o.maxSize <= 0 {
+		return
+	}
+	o.used += charge - o.charges[k]
+	o.vals[k], o.charges[k] = v, charge
+	o.touch(k)
+	for o.used > o.maxSize && len(o.order) > 0 {
+		o.drop(o.order[0])
+	}
+}
+
+// checkLinks walks every shard's recency list and requires it to be the
+// index: each entry linked both ways, filed under its own key, and the
+// charges summing to used. A recycled entry still reachable under the key it
+// held before shows here.
+func checkLinks(t *testing.T, c *LRU) {
+	t.Helper()
+	for i := range c.shards {
+		s := &c.shards[i]
+		n, used := 0, int64(0)
+		for e := s.head.next; e != &s.head; e = e.next {
+			if e.next.prev != e || s.items[e.key] != e {
+				t.Fatalf("shard %d: entry %v is not linked or indexed as itself", i, e.key)
+			}
+			n, used = n+1, used+e.charge
+		}
+		if n != len(s.items) || used != s.used {
+			t.Fatalf("shard %d: %d entries charging %d in the list, %d indexed charging %d", i, n, used, len(s.items), s.used)
+		}
+	}
+}
+
+// TestLRUMatchesOracle drives a seeded random sequence of Puts (new keys,
+// replaced keys, charges above the shard size), Gets and EvictFiles through
+// the cache and through a map-plus-recency-slice oracle of each shard. Every
+// Get's verdict and value, and Used, must agree. Each Put stores a value of
+// its own, so an entry recycled by an eviction that served the key it held
+// before would return a value the oracle does not hold.
+func TestLRUMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	const shardSize = 1000
+	c := New(nShards * shardSize)
+	oracle := make([]oracleShard, nShards)
+	for i := range oracle {
+		oracle[i] = oracleShard{vals: map[Key][]byte{}, charges: map[Key]int64{}, maxSize: c.shards[i].maxSize}
+	}
+	shardOf := func(k Key) *oracleShard {
+		s := c.shardFor(k)
+		for i := range c.shards {
+			if &c.shards[i] == s {
+				return &oracle[i]
+			}
+		}
+		panic("key maps to no shard")
+	}
+	randKey := func() Key { return Key{File: uint64(rng.Intn(4)), Offset: uint64(rng.Intn(48))} }
+	for op := 0; op < 50000; op++ {
+		switch r := rng.Intn(100); {
+		case r < 45:
+			k := randKey()
+			charge := int64(1 + rng.Intn(300))
+			if rng.Intn(50) == 0 {
+				charge = shardSize + int64(rng.Intn(200)) // larger than its shard
+			}
+			v := binary.BigEndian.AppendUint64(nil, uint64(op))
+			c.Put(k, v, charge)
+			shardOf(k).put(k, v, charge)
+		case r < 98:
+			k := randKey()
+			got, ok := c.Get(k)
+			o := shardOf(k)
+			want, wantOK := o.vals[k]
+			if ok != wantOK || !bytes.Equal(got, want) {
+				t.Fatalf("op %d: Get(%v) = %x, %v; oracle %x, %v", op, k, got, ok, want, wantOK)
+			}
+			if ok {
+				o.touch(k)
+			}
+		default:
+			file := uint64(rng.Intn(4))
+			c.EvictFile(file)
+			for i := range oracle {
+				for _, k := range append([]Key(nil), oracle[i].order...) {
+					if k.File == file {
+						oracle[i].drop(k)
+					}
+				}
+			}
+		}
+		var want int64
+		for i := range oracle {
+			want += oracle[i].used
+		}
+		if got := c.Used(); got != want {
+			t.Fatalf("op %d: Used() = %d, oracle's live charges sum to %d", op, got, want)
+		}
+		if op%1000 == 0 {
+			checkLinks(t, c)
+		}
+	}
+	checkLinks(t, c)
+	h, m := c.Stats()
+	t.Logf("%d hits, %d misses", h, m)
 }

@@ -236,14 +236,27 @@ func NewSealedReaderAt(f vfs.RandomAccessFile, s *Sealer, headerLen int64) (*Sea
 // read.
 const digestExtentBlocks = 64
 
+// extentPoolMax is the largest extent buffer ReadAt gives back to
+// extentPool: the extent of any read of up to 64 KiB of plaintext, aligned
+// or not. A larger read (a table open's metadata span, a whole-file read)
+// allocates its extent and drops it, so no pooled buffer pins its size.
+const extentPoolMax = (64<<10/SealedBlockSize + 1) * sealedCipherBlock
+
+// extentPool holds ReadAt's ciphertext extents between calls. A pooled
+// buffer holds this file's (or another sealed file's) ciphertext and the
+// verified plaintext of the partial blocks a read opened in place — the
+// bytes the block cache holds anyway — and never key material.
+var extentPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // readExtent fetches the ciphertext of sealed blocks first..last with exactly
 // one inner ReadAt: the unit every read of the body goes through, so one
 // outer call costs one storage round trip however many blocks it covers. The
 // extent lands in buf when buf has the capacity, else in a new buffer; it is
-// the caller's working memory for this call only and is never shared, so
-// every byte a caller is handed was read and authenticated in that call.
-// A read that comes back short is an I/O error, not evidence of tampering
-// (the body length was validated at open).
+// the caller's working memory for this call only and is never shared with a
+// call in flight. Whatever buf held before is overwritten by the inner read
+// or the call fails, so every byte a caller is handed was read and
+// authenticated in that call. A read that comes back short is an I/O error,
+// not evidence of tampering (the body length was validated at open).
 func (r *SealedReaderAt) readExtent(buf []byte, first, last int64) ([]byte, error) {
 	off := first * sealedCipherBlock
 	end := min((last+1)*sealedCipherBlock, r.bodyLen)
@@ -277,9 +290,14 @@ func (r *SealedReaderAt) ReadAt(p []byte, off int64) (int, error) {
 		return 0, nil
 	}
 	first := off / SealedBlockSize
-	ct, err := r.readExtent(nil, first, (end-1)/SealedBlockSize)
+	ext := extentPool.Get().(*[]byte)
+	defer extentPool.Put(ext)
+	ct, err := r.readExtent(*ext, first, (end-1)/SealedBlockSize)
 	if err != nil {
 		return 0, err
+	}
+	if cap(ct) <= extentPoolMax {
+		*ext = ct
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)

@@ -12,10 +12,27 @@ import (
 // allocates on its own), hence the build tag; `make io-path-check` runs
 // these without -race.
 
-// TestSealedReadAtAllocs: a sealed read allocates its ciphertext extent and
-// nothing else, however many blocks it covers: no per-block ciphertext,
-// plaintext, nonce or AAD buffers (the per-block loop cost three allocations
-// a block, six for a straddling 4 KiB read).
+// mallocsPer returns the heap allocations per call of fn after one warm-up
+// call, as a fraction: testing.AllocsPerRun rounds down to a whole number,
+// which would pass anything below one allocation per call. Like
+// AllocsPerRun it runs on one P, so fn meets the pool it last put back into.
+func mallocsPer(runs int, fn func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// TestSealedReadAtAllocs: once warm, a sealed read allocates nothing,
+// however many blocks it covers: its ciphertext extent comes from
+// extentPool, and there are no per-block ciphertext, plaintext, nonce or AAD
+// buffers (the per-block loop cost three allocations a block, six for a
+// straddling 4 KiB read).
 func TestSealedReadAtAllocs(t *testing.T) {
 	s, _ := newTestSealer(t)
 	payload := make([]byte, 24*SealedBlockSize+77)
@@ -30,13 +47,57 @@ func TestSealedReadAtAllocs(t *testing.T) {
 		"64 KiB":           {1500, 64 << 10},
 	} {
 		p := make([]byte, rd.n)
-		if a := testing.AllocsPerRun(200, func() {
+		if a := mallocsPer(200, func() {
 			if _, err := r.ReadAt(p, rd.off); err != nil {
 				t.Fatal(err)
 			}
-		}); a != 1 {
-			t.Errorf("%s ReadAt: %v allocs per call, want 1 (the extent)", name, a)
+		}); a != 0 {
+			t.Errorf("%s ReadAt: %v allocs per call, want 0", name, a)
 		}
+	}
+}
+
+// TestSealedReadAtRetainedExtentAllocs: extentPool keeps no buffer larger
+// than extentPoolMax. A read past the cap allocates its extent on every
+// call and gives back the small buffer it took, so the 4 KiB misses after it
+// still allocate nothing.
+func TestSealedReadAtRetainedExtentAllocs(t *testing.T) {
+	s, _ := newTestSealer(t)
+	payload := make([]byte, 300*SealedBlockSize+5)
+	rand.New(rand.NewSource(19)).Read(payload)
+	r := mustOpenSealed(t, s, sealToMem(t, s, payload))
+	small, huge := make([]byte, SealedBlockSize), make([]byte, 1<<20)
+	read := func(p []byte, off int64) {
+		if _, err := r.ReadAt(p, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	read(small, 1500) // warm the pool
+	// The best of three rounds: a GC between a Put and the next Get may
+	// empty the pool (anything kept past the cap shows in every round).
+	best := ^uint64(0)
+	for round := 0; round < 3 && best != 0; round++ {
+		read(huge, 700)
+		ext := extentPool.Get().(*[]byte)
+		if cap(*ext) > extentPoolMax {
+			t.Fatalf("after a 1 MiB read the pool holds a %d-byte extent, cap %d", cap(*ext), extentPoolMax)
+		}
+		extentPool.Put(ext)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := int64(0); i < 100; i++ {
+			read(small, 1500+i*SealedBlockSize)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	if best != 0 {
+		t.Errorf("100 4 KiB reads after a 1 MiB read: %d allocations, want 0", best)
+	}
+	over := make([]byte, extentPoolMax)
+	if a := mallocsPer(20, func() { read(over, 1500) }); a < 1 {
+		t.Errorf("ReadAt over %d bytes (past the cap): %v allocs per call, want its extent on every call", len(over), a)
 	}
 }
 

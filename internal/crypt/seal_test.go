@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -487,6 +488,14 @@ func oracleReadAt(s *Sealer, body, p []byte, off int64) (int, error) {
 // nothing but what the caller put there (or zeros).
 func checkAgainstOracle(t testing.TB, r *SealedReaderAt, s *Sealer, body []byte, off int64, length int) {
 	t.Helper()
+	if err := oracleMismatch(r, s, body, off, length); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// oracleMismatch is checkAgainstOracle's comparison, returning what differs
+// (nil if nothing) so that a goroutine other than the test's can report it.
+func oracleMismatch(r *SealedReaderAt, s *Sealer, body []byte, off int64, length int) error {
 	const fill = 0xEE
 	got := bytes.Repeat([]byte{fill}, length)
 	want := bytes.Repeat([]byte{fill}, length)
@@ -494,16 +503,26 @@ func checkAgainstOracle(t testing.TB, r *SealedReaderAt, s *Sealer, body []byte,
 	wn, werr := oracleReadAt(s, body, want, off)
 	if gn != wn || (gerr == nil) != (werr == nil) || (gerr == io.EOF) != (werr == io.EOF) ||
 		errors.Is(gerr, vfs.ErrIntegrity) != errors.Is(werr, vfs.ErrIntegrity) {
-		t.Fatalf("body=%d off=%d len=%d: ReadAt = (%d, %v), oracle = (%d, %v)", len(body), off, length, gn, gerr, wn, werr)
+		return fmt.Errorf("body=%d off=%d len=%d: ReadAt = (%d, %v), oracle = (%d, %v)", len(body), off, length, gn, gerr, wn, werr)
 	}
 	if !bytes.Equal(got[:gn], want[:wn]) {
-		t.Fatalf("body=%d off=%d len=%d: bytes differ from the oracle", len(body), off, length)
+		return fmt.Errorf("body=%d off=%d len=%d: bytes differ from the oracle", len(body), off, length)
 	}
-	for i, b := range got[gn:] {
+	if err := untouchedPast(got, gn, fill); err != nil {
+		return fmt.Errorf("body=%d off=%d len=%d: %w", len(body), off, length, err)
+	}
+	return nil
+}
+
+// untouchedPast reports a byte of p[n:] that is neither fill nor zero: bytes
+// a failed or short read released past what it counted.
+func untouchedPast(p []byte, n int, fill byte) error {
+	for i, b := range p[n:] {
 		if b != fill && b != 0 {
-			t.Fatalf("body=%d off=%d len=%d: p[%d] = %#x past n=%d (unreleased plaintext?)", len(body), off, length, gn+i, b, gn)
+			return fmt.Errorf("p[%d] = %#x past n=%d (unreleased plaintext?)", n+i, b, n)
 		}
 	}
+	return nil
 }
 
 // boundaryGrid returns every plaintext position within one byte of a block
@@ -712,6 +731,87 @@ func TestSealedReadAtConcurrent(t *testing.T) {
 				}
 			}
 		}(int64(g))
+	}
+	wg.Wait()
+}
+
+// failFile fails every ReadAt with err.
+type failFile struct {
+	vfs.RandomAccessFile
+	err error
+}
+
+func (f failFile) ReadAt([]byte, int64) (int, error) { return 0, f.err }
+
+// TestSealedReadAtExtentIsPerCall: extentPool's buffers pass between readers
+// over different files and DEKs, and between calls that succeed and calls
+// that fail part way — on a tampered block, a short inner read, an inner
+// error — each of which leaves its extent holding ciphertext or the
+// plaintext of a partial block. Every call must still see only what it read
+// and authenticated itself: the oracle's bytes, count and error class, and
+// past n no byte of any call's plaintext. Run under -race: an extent shared
+// by two calls in flight is a data race.
+func TestSealedReadAtExtentIsPerCall(t *testing.T) {
+	errInner := errors.New("inner read failed")
+	spans := []struct {
+		align, n int
+		blocks   int // sealed blocks the span covers
+	}{
+		{0, SealedBlockSize, 1},                      // aligned 4 KiB
+		{1500, SealedBlockSize, 2},                   // straddling 4 KiB
+		{1500, 64 << 10, 64<<10/SealedBlockSize + 1}, // 64 KiB
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		rng := rand.New(rand.NewSource(int64(40 + g)))
+		s, _ := newTestSealer(t) // a DEK of its own per goroutine
+		payload := make([]byte, (20+3*g)*SealedBlockSize+97*g)
+		rng.Read(payload)
+		body := sealToMem(t, s, payload)
+		good := mustOpenSealed(t, s, body)
+		bad := 5 + g%3
+		tampered := append([]byte(nil), body...)
+		tampered[bad*sealedCipherBlock+11] ^= 0x40
+		tamper := mustOpenSealed(t, s, tampered)
+		// A limit of one tag: every extent of a non-empty read is longer.
+		short := mustOpenSealed(t, s, body)
+		short.f = shortFile{short.f, SealedTagSize}
+		failing := mustOpenSealed(t, s, body)
+		failing.f = failFile{failing.f, errInner}
+
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 150; i++ {
+				sp := spans[rng.Intn(len(spans))]
+				off := int64(sp.align + rng.Intn(len(payload)/SealedBlockSize-sp.blocks)*SealedBlockSize)
+				var err error
+				switch i % 5 {
+				case 0, 1:
+					err = oracleMismatch(good, s, body, off, sp.n)
+				case 2:
+					// A span that covers the tampered block.
+					k := max(0, bad-rng.Intn(sp.blocks))
+					err = oracleMismatch(tamper, s, tampered, int64(sp.align+k*SealedBlockSize), sp.n)
+				default:
+					r, want := short, io.ErrUnexpectedEOF
+					if i%5 == 4 {
+						r, want = failing, errInner
+					}
+					p := bytes.Repeat([]byte{0xEE}, sp.n)
+					n, rerr := r.ReadAt(p, off)
+					if n != 0 || !errors.Is(rerr, want) || errors.Is(rerr, vfs.ErrIntegrity) {
+						err = fmt.Errorf("off=%d len=%d: ReadAt = (%d, %v), want (0, %v) and no integrity class", off, sp.n, n, rerr, want)
+					} else {
+						err = untouchedPast(p, 0, 0xEE)
+					}
+				}
+				if err != nil {
+					t.Errorf("goroutine %d, call %d: %v", g, i, err)
+					return
+				}
+			}
+		}()
 	}
 	wg.Wait()
 }
