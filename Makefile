@@ -100,8 +100,6 @@ loc:
 # non-default, or it is a safety check; otherwise it becomes a constant. A `-`
 # row fails the target unless its field is listed here, with its reason:
 #
-# lsm.Options.ParanoidChecks: a safety check (DESIGN.md §8 "One recovery pass, two callers", §11's rule).
-KNOBS_UNSET_OK += lsm.Options.ParanoidChecks
 # core.Config.RevokeOnDelete: ROADMAP.md item 6 decides it.
 KNOBS_UNSET_OK += core.Config.RevokeOnDelete
 

@@ -143,7 +143,7 @@ func describeEncryption(data []byte) string {
 	case ok:
 		return "per-file DEK " + id
 	case core.EncryptedSniffer(data) && !core.IsShieldHeader(data):
-		return "legacy EncFS instance DEK"
+		return "legacy EncFS instance DEK (shield-server -migrate)"
 	}
 	return "plaintext (or foreign format)"
 }

@@ -12,8 +12,15 @@
 //	shield-server -dir /data/kv -shards 8       # persistent, 8 shards
 //	shield-server -mode none -addr :6400        # plaintext baseline
 //	shield-server -kds host1:7001,host2:7001    # external KDS replica set
+//	shield-server -dir /data/kv -migrate        # rewrite stores of older builds, then exit
 //
 // Then: redis-cli -p 6399 SET k v / GET k / DEL k / INFO.
+//
+// The server reads only the on-disk generation this build writes. A shard
+// written by an older build (the EncFS file header, unauthenticated v1
+// table bodies) fails to open with lsm.ErrNeedsMigrate; stop the server and
+// run it once with -migrate and the same flags, which rewrites every shard
+// in place (core.Migrate) and exits.
 //
 // Persistent encrypted deployments (-dir with -mode shield or encfs) must
 // survive a restart, so key material cannot live only in process memory:
@@ -58,21 +65,25 @@ func main() {
 		pipeline = flag.Int("max-pipeline", 128, "max commands executed per reader cycle")
 		idle     = flag.Duration("idle-timeout", 5*time.Minute, "drop a connection with no complete command for this long")
 		passkey  = flag.String("passkey", "shield-dev-passkey", "seals persistent key material (KDS snapshot, DEK cache, EncFS DEK derivation)")
+		migrate  = flag.Bool("migrate", false, "rewrite every shard under -dir written by an older build into the current on-disk generation, then exit instead of serving")
 	)
 	flag.Parse()
 
-	if err := run(*addr, *nShards, *dir, *mode, *kdsAddrs, *sync, *memtable, *cache, *pipeline, *idle, *passkey); err != nil {
+	if err := run(*addr, *nShards, *dir, *mode, *kdsAddrs, *sync, *memtable, *cache, *pipeline, *idle, *passkey, *migrate); err != nil {
 		fmt.Fprintln(os.Stderr, "shield-server:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, nShards int, dir, mode, kdsAddrs string, sync bool, memtable, cache int64, pipeline int, idle time.Duration, passkey string) error {
+func run(addr string, nShards int, dir, mode, kdsAddrs string, sync bool, memtable, cache int64, pipeline int, idle time.Duration, passkey string, migrate bool) error {
 	if nShards < 1 {
 		return fmt.Errorf("-shards must be >= 1, got %d", nShards)
 	}
 
 	persistent := dir != ""
+	if migrate && !persistent {
+		return errors.New("-migrate needs -dir")
+	}
 	fs := vfs.NewOS()
 	if persistent {
 		if err := fs.MkdirAll(dir); err != nil {
@@ -140,24 +151,28 @@ func run(addr string, nShards int, dir, mode, kdsAddrs string, sync bool, memtab
 		shardDir := fmt.Sprintf("shard-%d", i)
 		if persistent {
 			shardCfg.FS = fs
-			shardDir = filepath.Join(dir, shardDir)
-			if err := shardCfg.FS.MkdirAll(shardDir); err != nil {
-				closeAll()
-				return fmt.Errorf("create %s: %w", shardDir, err)
-			}
+			shardDir = filepath.Join(dir, shardDir) // core.Open creates it
 		} else {
 			shardCfg.FS = vfs.NewMem()
 		}
-		db, err := core.Open(shardDir, shardCfg, lsm.Options{
-			MemtableSize:   memtable,
-			BlockCacheSize: cache,
-		})
+		opts := lsm.Options{MemtableSize: memtable, BlockCacheSize: cache}
+		if migrate {
+			if err := core.Migrate(shardDir, shardCfg, opts); err != nil {
+				return fmt.Errorf("migrate shard %d: %w", i, err)
+			}
+			fmt.Fprintf(os.Stderr, "shield-server: migrated %s\n", shardDir)
+			continue
+		}
+		db, err := core.Open(shardDir, shardCfg, opts)
 		if err != nil {
 			closeAll()
 			return fmt.Errorf("open shard %d: %w", i, err)
 		}
 		dbs = append(dbs, db)
 		shards = append(shards, db)
+	}
+	if migrate {
+		return nil
 	}
 	defer closeAll()
 

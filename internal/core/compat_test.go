@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"path"
 	"sort"
+	"strings"
 	"testing"
 
 	"shield/internal/crypt"
@@ -111,13 +113,46 @@ func checkTablesFormatV2(t *testing.T, cfg Config, dir string) {
 	}
 }
 
-// TestParentStoresOpen: a SHIELD store (with prefix filter blocks) and an
-// EncFS store written by the parent build, in SST format 1, open under
+// checkCurrentHeaders fails unless every file in dir carries the header this
+// build writes for its kind: SHLD v2 over a table or a sealed CURRENT, SHLD
+// v1 over a WAL or MANIFEST stream, and a SHIELD store's CURRENT in the
+// clear.
+func checkCurrentHeaders(t *testing.T, cfg Config, dir string) {
+	t.Helper()
+	entries, err := cfg.FS.List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := vfs.ReadFile(cfg.FS, path.Join(dir, e.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Name == "CURRENT" && cfg.Mode == ModeSHIELD {
+			if !strings.HasPrefix(string(data), "MANIFEST-") {
+				t.Fatalf("%s: SHIELD CURRENT is not plaintext: %q", e.Name, data)
+			}
+			continue
+		}
+		want := uint32(shieldVersion)
+		if e.Name == "CURRENT" || path.Ext(e.Name) == ".sst" {
+			want = shieldVersion2
+		}
+		if h, err := parseHeader(data); err != nil || h.version != want {
+			t.Fatalf("%s: header %+v, %v; want SHLD v%d", e.Name, h, err, want)
+		}
+	}
+}
+
+// TestParentStoresOpen: the two stores written by the parent build, in SST
+// format 1, go through Migrate. The SHIELD store (with prefix filter blocks)
+// is in the current header generation, so before that it opens under
 // ParanoidChecks — every block authenticated, every tag-chain digest matched
-// against the manifest — read back whole by Get and by scan, and scrub clean
-// afterwards. CompactRange then rewrites each in format 2: every table
-// carries the format-2 magic, every key reads back after a reopen, and the
-// scrub stays clean.
+// against the manifest — reads back whole by Get and by scan, and scrubs
+// clean. The EncFS store carries the EncFS header of older builds, so the
+// serving path refuses it with lsm.ErrNeedsMigrate. After Migrate both read
+// back whole on the serving path, every file carries a current header,
+// every table the format-2 magic, and the scrub is clean.
 func TestParentStoresOpen(t *testing.T) {
 	want := parentStoreModel()
 	keys := make([]string, 0, len(want))
@@ -188,21 +223,24 @@ func TestParentStoresOpen(t *testing.T) {
 				}
 			}
 
-			db := openAndRead()
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
+			if cfg.Mode == ModeEncFS {
+				if _, err := Open("db", cfg, opts); !errors.Is(err, lsm.ErrNeedsMigrate) {
+					t.Fatalf("serving open of the EncFS store: %v, want lsm.ErrNeedsMigrate", err)
+				}
+			} else {
+				db := openAndRead()
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				scrub(3)
 			}
-			scrub(3)
 
-			db = openAndRead()
-			if err := db.CompactRange(); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Close(); err != nil {
+			if err := Migrate("db", cfg, opts); err != nil {
 				t.Fatal(err)
 			}
 			checkTablesFormatV2(t, cfg, "db")
-			db = openAndRead()
+			checkCurrentHeaders(t, cfg, "db")
+			db := openAndRead()
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}

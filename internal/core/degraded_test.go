@@ -340,3 +340,36 @@ func dirNames(t *testing.T, fs vfs.FS, dir string) []string {
 	slices.Sort(names)
 	return names
 }
+
+// TestFlushRotationCloseFailureDegrades: with a WAL buffer, Flush rotates
+// the memtable and closes the old WAL, and that close writes the records the
+// buffer still holds. When the write fails, records the DB acknowledged are
+// not in the log, so Flush poisons the DB the way a full-memtable rotation
+// does: it and the next Put fail with ErrDegraded.
+func TestFlushRotationCloseFailureDegrades(t *testing.T) {
+	ffs := vfs.NewFault(vfs.NewMem(), 1)
+	db, err := Open("db", Config{Mode: ModeSHIELD, FS: ffs, KDS: newCrashKDS(), WALBufferSize: 512}, lsm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Put([]byte("k1"), []byte("buffered")); err != nil {
+		t.Fatal(err)
+	}
+	var wals []string
+	for _, name := range dirNames(t, ffs, "db") {
+		if strings.HasSuffix(name, ".log") {
+			wals = append(wals, name)
+		}
+	}
+	if len(wals) != 1 {
+		t.Fatalf("WALs %v, want one", wals)
+	}
+	rule := ffs.Inject(vfs.FaultRule{Op: vfs.FaultWrite, Path: wals[0], Count: 1})
+	if err := db.Flush(); !errors.Is(err, lsm.ErrDegraded) || ffs.Fired(rule) != 1 {
+		t.Fatalf("Flush with the rotated WAL's close-time write failing: %v, want ErrDegraded", err)
+	}
+	if err := db.Put([]byte("k2"), []byte("v2")); !errors.Is(err, lsm.ErrDegraded) {
+		t.Fatalf("Put after the failed rotation: %v, want ErrDegraded", err)
+	}
+}

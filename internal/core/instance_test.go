@@ -256,9 +256,11 @@ func TestInstancePolicyRejectsPlaintext(t *testing.T) {
 }
 
 // TestKeyPolicyMismatch: each policy reads only its own headers. A DEK-ID
-// under the instance policy, or an instance-key (or legacy EncFS) header
-// under the per-file policy, is a rewritten header: vfs.ErrIntegrity, the
-// class of a KDS disavowal, found without asking the KDS.
+// under the instance policy, or an instance-key header under the per-file
+// policy, is a rewritten header: vfs.ErrIntegrity, the class of a KDS
+// disavowal, found without asking the KDS. A legacy EncFS header is refused
+// by the serving path as one to migrate, and the migrate wrapper holds it to
+// the per-file policy like any instance-key header.
 func TestKeyPolicyMismatch(t *testing.T) {
 	fs := vfs.NewMem()
 	inst := newInstanceWrapper(t, 0)
@@ -286,7 +288,10 @@ func TestKeyPolicyMismatch(t *testing.T) {
 			t.Fatalf("%s.log under the other policy: want vfs.ErrIntegrity, got %v", c.name, err)
 		}
 	}
-	if _, err := openVia(fs, perFile, "legacy.sst", lsm.FileKindSST); !errors.Is(err, vfs.ErrIntegrity) {
+	if _, err := openVia(fs, perFile, "legacy.sst", lsm.FileKindSST); !errors.Is(err, lsm.ErrNeedsMigrate) || errors.Is(err, vfs.ErrIntegrity) {
+		t.Fatalf("legacy EncFS header on the serving path: want only lsm.ErrNeedsMigrate, got %v", err)
+	}
+	if _, err := openVia(fs, migrateWrapper{perFile}, "legacy.sst", lsm.FileKindSST); !errors.Is(err, vfs.ErrIntegrity) {
 		t.Fatalf("legacy EncFS header under the per-file policy: want vfs.ErrIntegrity, got %v", err)
 	}
 	if _, f, d := store.Stats(); f+d != fetched+denied {
@@ -413,7 +418,7 @@ func TestInstancePolicySSTAuditable(t *testing.T) {
 			t.Fatal(err)
 		}
 		h, err := parseHeader(raw)
-		if err != nil || h.legacy || h.version != shieldVersion2 {
+		if err != nil || h.version != shieldVersion2 {
 			t.Fatalf("%s: not a sealed layout", fi.Name)
 		}
 		f, err := fs.Open("db/" + fi.Name)

@@ -29,7 +29,7 @@ func countFormats(t *testing.T, fs vfs.FS, dir string) (v1, v2 int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h, err := parseHeader(data); err == nil && !h.legacy && h.version == shieldVersion2 {
+		if h, err := parseHeader(data); err == nil && h.version == shieldVersion2 {
 			v2++
 		} else {
 			v1++
@@ -66,112 +66,51 @@ func (w v1SSTWrapper) WrapCreate(name string, kind lsm.FileKind, f vfs.WritableF
 }
 
 // TestV1V2Coexistence: a store whose SSTs are format v1 (as builds before
-// sealing wrote them) must stay fully readable when reopened by today's
-// v2-writing instance, the two formats must coexist in one tree, and
-// compaction must migrate everything to v2 — format is negotiated per file
-// from its header, never from config.
+// sealing wrote them) is refused by today's serving path with
+// lsm.ErrNeedsMigrate, before anything is written. Migrate rewrites every
+// table to v2; the serving path then reads the old generation, writes a
+// second one next to it, and the store scrubs clean.
 func TestV1V2Coexistence(t *testing.T) {
 	fs := vfs.NewMem()
-	svc := newCrashKDS()
-	modern := Config{Mode: ModeSHIELD, FS: fs, KDS: svc}
 	opts := lsm.Options{MemtableSize: 16 << 10, L0CompactionTrigger: 100}
+	modern := v1Store(t, fs, newCrashKDS(), opts, 300, false)
 
-	value := func(gen string, i int) []byte {
-		return []byte(fmt.Sprintf("%s-value-%04d", gen, i))
+	if _, err := Open("db", modern, opts); !errors.Is(err, lsm.ErrNeedsMigrate) {
+		t.Fatalf("serving open of the v1 store: %v, want lsm.ErrNeedsMigrate", err)
 	}
+	if err := Migrate("db", modern, opts); err != nil {
+		t.Fatal(err)
+	}
+	checkV1StoreMigrated(t, modern, opts, 300)
 
-	wrapper, err := modern.BuildWrapper()
+	db, err := Open("db", modern, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyOpts := opts
-	legacyOpts.FS = fs
-	legacyOpts.Wrapper = v1SSTWrapper{FileWrapper: wrapper, kds: svc}
-	db, err := lsm.Open("db", legacyOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	newValue := func(i int) []byte { return []byte(fmt.Sprintf("new-value-%04d", i)) }
 	for i := 0; i < 300; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("old-%04d", i)), value("old", i)); err != nil {
+		if err := db.Put([]byte(fmt.Sprintf("new-%04d", i)), newValue(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	for i := 0; i < 300; i += 37 {
+		if got, err := db.Get([]byte(fmt.Sprintf("old-%04d", i))); err != nil || string(got) != string(v1Value(i)) {
+			t.Fatalf("Get(old-%04d) = %q, %v", i, got, err)
+		}
+		if got, err := db.Get([]byte(fmt.Sprintf("new-%04d", i))); err != nil || string(got) != string(newValue(i)) {
+			t.Fatalf("Get(new-%04d) = %q, %v", i, got, err)
+		}
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if v1, v2 := countFormats(t, fs, "db"); v1 == 0 || v2 != 0 {
-		t.Fatalf("legacy store has %d v1 / %d v2 SSTs, want all v1", v1, v2)
-	}
-
-	// A default instance opens the legacy store and writes a second
-	// generation, producing a mixed-format tree.
-	db2, err := Open("db", modern, opts)
-	if err != nil {
-		t.Fatalf("v2 open of v1 store: %v", err)
-	}
-	for i := 0; i < 300; i++ {
-		if err := db2.Put([]byte(fmt.Sprintf("new-%04d", i)), value("new", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	v1, v2 := countFormats(t, fs, "db")
-	if v1 == 0 || v2 == 0 {
-		t.Fatalf("mixed store has %d v1 / %d v2 SSTs, want both present", v1, v2)
-	}
-	for i := 0; i < 300; i += 37 {
-		for _, gen := range []string{"old", "new"} {
-			got, err := db2.Get([]byte(fmt.Sprintf("%s-%04d", gen, i)))
-			if err != nil {
-				t.Fatalf("mixed read %s-%04d: %v", gen, i, err)
-			}
-			if string(got) != string(value(gen, i)) {
-				t.Fatalf("mixed read %s-%04d = %q", gen, i, got)
-			}
-		}
-	}
-	// The mixed tree scrubs clean: v1 files verify by their block checksums,
-	// v2 files by their GCM tag chain.
+	checkCurrentHeaders(t, modern, "db")
 	rep, err := Scrub("db", modern, lsm.Options{}, lsm.ScrubOptions{DryRun: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("mixed-format store not clean:\n%s", rep)
-	}
-
-	// Compaction rewrites every table under the writing config: all v2.
-	if err := db2.CompactRange(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if v1, v2 := countFormats(t, fs, "db"); v1 != 0 || v2 == 0 {
-		t.Fatalf("compacted store has %d v1 / %d v2 SSTs, want all v2", v1, v2)
-	}
-
-	// The migrated store reopens and serves both generations.
-	db3, err := Open("db", modern, opts)
-	if err != nil {
-		t.Fatalf("reopen of migrated store: %v", err)
-	}
-	defer db3.Close()
-	for i := 0; i < 300; i += 37 {
-		for _, gen := range []string{"old", "new"} {
-			got, err := db3.Get([]byte(fmt.Sprintf("%s-%04d", gen, i)))
-			if err != nil {
-				t.Fatalf("migrated read %s-%04d: %v", gen, i, err)
-			}
-			if string(got) != string(value(gen, i)) {
-				t.Fatalf("migrated read %s-%04d = %q", gen, i, got)
-			}
-		}
+	if err != nil || !rep.Clean() {
+		t.Fatalf("migrated store not clean: %v\n%s", err, rep)
 	}
 }
 

@@ -15,13 +15,9 @@ func IsShieldHeader(prefix []byte) bool {
 // EncryptedSniffer recognizes an encrypted file from its raw prefix: the
 // current header or the legacy EncFS one. Scrubs use it to skip (rather
 // than quarantine) files that fail verification only because the scrubber
-// lacks the key.
+// lacks the key. It only sniffs: an EncFS file is never read.
 func EncryptedSniffer(prefix []byte) bool {
-	if len(prefix) < 4 {
-		return false
-	}
-	magic := binary.LittleEndian.Uint32(prefix[0:4])
-	return magic == shieldMagic || magic == legacyMagic
+	return IsShieldHeader(prefix) || isLegacyHeader(prefix)
 }
 
 // Scrub runs the offline corruption scrub on the database in dir with cfg's

@@ -32,7 +32,7 @@ func kdsUnavailable(err error) bool {
 
 // File header (plaintext, precedes the encrypted body):
 //
-//	magic(4) version(4) dekIDLen(2) dekID iv(16)
+//	magic "SHLD"(4) version(4) dekIDLen(2) dekID iv(16)
 //
 // The DEK-ID is deliberately in the clear — it is the metadata-enabled
 // sharing hook of Section 5.4. Possession of a DEK-ID is useless without
@@ -42,23 +42,18 @@ func kdsUnavailable(err error) bool {
 // version selects the body format: 1 is AES-128-CTR under the 16-byte IV
 // (confidentiality only), 2 is per-block AES-GCM (crypt/seal.go) with the
 // first 8 IV bytes as the nonce prefix and the full header as AAD — so a
-// header cannot be transplanted onto another body. New SSTs (and CURRENT,
-// when sealed) are written as v2; WAL and MANIFEST streams stay v1 (sealing
-// finalizes on first Sync, which append-many files cannot satisfy); readers
-// accept both, which is what lets a v1 store migrate file-by-file through
-// compaction.
-//
-// Stores written by older builds under ModeEncFS carry the 24-byte EncFS
-// header instead: magic "ENCF"(4) version(4) iv(16), no DEK-ID, with the
-// same two versions and the whole header as AAD. parseHeader reads it into
-// the same fileHeader; nothing writes it any more.
+// header cannot be transplanted onto another body. SSTs and CURRENT (when
+// sealed) are write-once and are written as v2, WAL and MANIFEST streams as
+// v1 (sealing finalizes on first Sync, which append-many files cannot
+// satisfy). The serving path reads exactly that: a positional read (SST,
+// CURRENT) accepts only a v2 body, a streaming read (WAL, MANIFEST) only a
+// v1 one. Anything an older build wrote — the EncFS header, a v1 SST or
+// CURRENT body — is refused with lsm.ErrNeedsMigrate; only Migrate
+// (migrate.go) reads those.
 const (
 	shieldMagic    = 0x53484c44 // "SHLD"
 	shieldVersion  = 1
 	shieldVersion2 = 2
-
-	legacyMagic     = 0x454e4346 // "ENCF"
-	legacyHeaderLen = 8 + crypt.IVSize
 )
 
 // errBadHeader wraps lsm.ErrCorruption: a malformed file header is
@@ -84,52 +79,72 @@ type fileHeader struct {
 	iv      [crypt.IVSize]byte
 	version uint32 // shieldVersion (CTR) or shieldVersion2 (sealed)
 	len     int    // header bytes; all of them are a sealed body's AAD
-	legacy  bool   // the EncFS header of older builds
 }
 
 // headerLen returns the length of the header that starts with prefix, which
-// must hold at least its first 10 bytes.
+// must hold at least its first 10 bytes. Under the EncFS magic it is just
+// the prefix's (parseHeader refuses that magic; migrate.go reads it); under
+// any other it is read as a SHLD header's, so a WAL whose header was torn
+// into a zero-filled region reads short and replays as an empty log.
 func headerLen(prefix []byte) int {
-	if binary.LittleEndian.Uint32(prefix[0:4]) == legacyMagic {
-		return legacyHeaderLen
+	if isLegacyHeader(prefix) {
+		return len(prefix)
 	}
 	return 10 + int(binary.LittleEndian.Uint16(prefix[8:10])) + crypt.IVSize
 }
 
-// parseHeader decodes the header at the start of buf.
+// parseHeader decodes the SHLD header at the start of buf.
 func parseHeader(buf []byte) (fileHeader, error) {
 	var h fileHeader
 	if len(buf) < 10 {
 		return h, errBadHeader
 	}
-	magic := binary.LittleEndian.Uint32(buf[0:4])
-	if magic != shieldMagic && magic != legacyMagic {
+	if !IsShieldHeader(buf) {
 		return h, fmt.Errorf("%w: bad magic", errBadHeader)
 	}
 	h.version = binary.LittleEndian.Uint32(buf[4:8])
 	if h.version != shieldVersion && h.version != shieldVersion2 {
 		return h, fmt.Errorf("%w: unsupported version %d", errBadHeader, h.version)
 	}
-	h.legacy = magic == legacyMagic
 	h.len = headerLen(buf)
 	if len(buf) < h.len {
 		return h, fmt.Errorf("%w: truncated", errBadHeader)
 	}
-	if !h.legacy {
-		h.dekID = kds.KeyID(buf[10 : h.len-crypt.IVSize])
-	}
+	h.dekID = kds.KeyID(buf[10 : h.len-crypt.IVSize])
 	copy(h.iv[:], buf[h.len-crypt.IVSize:h.len])
 	return h, nil
+}
+
+// servingHeader parses the header of file name, of kind, as the serving
+// path reads it: SHLD, over a v2 body for the positional kinds (SST,
+// CURRENT). An older generation — the EncFS header, a v1 SST or CURRENT
+// body — is refused with lsm.ErrNeedsMigrate, in a fresh error that wraps
+// no corruption class, so no recovery or scrub drops, quarantines or skips
+// the file.
+func servingHeader(name string, kind lsm.FileKind, buf []byte) (fileHeader, error) {
+	h, err := parseHeader(buf)
+	var what string
+	switch {
+	case err != nil && isLegacyHeader(buf):
+		what = "EncFS header"
+	case err != nil:
+		return h, fmt.Errorf("core: %s: %w", name, err)
+	case h.version != shieldVersion2 && (kind == lsm.FileKindSST || kind == lsm.FileKindCurrent):
+		what = fmt.Sprintf("v1 (CTR) %s body", kind)
+	default:
+		return h, nil
+	}
+	return h, fmt.Errorf("core: %s: %s: %w", name, what, lsm.ErrNeedsMigrate)
 }
 
 // DEKIDFromHeader extracts the plaintext DEK-ID from the head of an
 // encrypted file's raw bytes — the read any server performs before asking
 // the KDS for the key (metadata-enabled DEK sharing). An empty ID means the
-// instance key. ok is false for anything but a current header, including
-// the legacy EncFS one (EncryptedSniffer still recognizes that).
+// instance key. ok is false for anything but a SHLD header, including the
+// EncFS one of older builds (EncryptedSniffer still recognizes that).
 func DEKIDFromHeader(data []byte) (string, bool) {
 	h, err := parseHeader(data)
-	if err != nil || h.legacy {
+	if err != nil {
 		return "", false
 	}
 	return string(h.dekID), true
@@ -293,11 +308,11 @@ func (s *shieldWrapper) newDEK(name string) (kds.KeyID, crypt.DEK, error) {
 	return id, dek, nil
 }
 
-// keyFor applies the key policy to a parsed header. The instance policy
-// reads only files under the instance key (an empty DEK-ID or a legacy
-// EncFS header), the per-file policy only files that name a DEK. Anything
-// else is a header the storage side rewrote: an integrity failure, like a
-// DEK-ID the KDS disavows.
+// keyFor applies the key policy to a parsed header of file name and
+// remembers the file's DEK. The instance policy reads only files under the
+// instance key (an empty DEK-ID), the per-file policy only files that name
+// a DEK. Anything else is a header the storage side rewrote: an integrity
+// failure, like a DEK-ID the KDS disavows.
 func (s *shieldWrapper) keyFor(name string, h fileHeader) (crypt.DEK, error) {
 	if s.instance != (h.dekID == "") {
 		return crypt.DEK{}, fmt.Errorf("core: %s: DEK-ID %q does not fit the %s key policy (header tampered?): %w", name, h.dekID, s.cfg.Mode, vfs.ErrIntegrity)
@@ -305,7 +320,17 @@ func (s *shieldWrapper) keyFor(name string, h fileHeader) (crypt.DEK, error) {
 	if s.instance {
 		return s.cfg.InstanceDEK, nil
 	}
-	return s.resolveDEK(h.dekID)
+	dek, err := s.resolveDEK(h.dekID)
+	if err != nil {
+		return crypt.DEK{}, err
+	}
+	// A recovered WAL, a replaced MANIFEST or an orphan SST that a previous
+	// process created is deleted later with no DEK-ID, like the files this
+	// process created: FileDeleted then finds its key here.
+	s.mu.Lock()
+	s.names[name] = h.dekID
+	s.mu.Unlock()
+	return dek, nil
 }
 
 // resolveDEK finds a DEK by ID: in-memory map, then secure cache, then KDS.
@@ -358,7 +383,8 @@ func (s *shieldWrapper) resolveDEK(id kds.KeyID) (crypt.DEK, error) {
 	return dek, nil
 }
 
-// WrapOpen implements lsm.FileWrapper for positional reads.
+// WrapOpen implements lsm.FileWrapper for positional reads (SST, CURRENT):
+// only a sealed v2 body is read.
 func (s *shieldWrapper) WrapOpen(name string, kind lsm.FileKind, f vfs.RandomAccessFile) (vfs.RandomAccessFile, error) {
 	if !s.seals(kind) {
 		return f, nil
@@ -368,28 +394,28 @@ func (s *shieldWrapper) WrapOpen(name string, kind lsm.FileKind, f vfs.RandomAcc
 	if err != nil && err != io.EOF {
 		return nil, err
 	}
-	h, err := parseHeader(buf[:n])
+	h, err := servingHeader(name, kind, buf[:n])
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", name, err)
+		return nil, err
 	}
+	return s.openSealed(name, f, h, buf[:h.len])
+}
+
+// openSealed opens the sealed (v2) body of file name, whose header h is hdr.
+func (s *shieldWrapper) openSealed(name string, f vfs.RandomAccessFile, h fileHeader, hdr []byte) (vfs.RandomAccessFile, error) {
 	dek, err := s.keyFor(name, h)
 	if err != nil {
 		return nil, err
 	}
-	s.remember(name, h.dekID)
-	if h.version == shieldVersion2 {
-		sealer, err := crypt.NewSealer(dek, h.iv[:crypt.SealedNoncePrefixLen], buf[:h.len])
-		if err != nil {
-			return nil, err
-		}
-		r, err := crypt.NewSealedReaderAt(f, sealer, int64(h.len))
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", name, err)
-		}
-		return r, nil
+	sealer, err := crypt.NewSealer(dek, h.iv[:crypt.SealedNoncePrefixLen], hdr)
+	if err != nil {
+		return nil, err
 	}
-	//shield:noauthread format v1 compatibility: CTR files predate authentication; their absence of a manifest digest is what marks them unauthenticated
-	return crypt.NewDecryptingReaderAt(f, dek, h.iv, int64(h.len))
+	r, err := crypt.NewSealedReaderAt(f, sealer, int64(h.len))
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", name, err)
+	}
+	return r, nil
 }
 
 // WrapOpenSequential implements lsm.FileWrapper for streaming reads
@@ -398,20 +424,35 @@ func (s *shieldWrapper) WrapOpenSequential(name string, kind lsm.FileKind, f vfs
 	if !s.seals(kind) {
 		return f, nil
 	}
-	// Read the fixed prefix, then the variable tail of the header.
+	hdr, err := readStreamHeader(name, f, headerLen)
+	if err != nil {
+		return nil, err
+	}
+	h, err := servingHeader(name, kind, hdr)
+	if err != nil {
+		return nil, err
+	}
+	return s.openStream(name, f, h)
+}
+
+// readStreamHeader reads the header at the head of stream f: its fixed
+// 10-byte prefix, then the rest of the length size gives for that prefix.
+func readStreamHeader(name string, f vfs.SequentialFile, size func(prefix []byte) int) ([]byte, error) {
 	var fixed [10]byte
 	if _, err := io.ReadFull(f, fixed[:]); err != nil {
 		return nil, fmt.Errorf("core: %s: reading header: %w", name, err)
 	}
-	hdr := make([]byte, headerLen(fixed[:]))
+	hdr := make([]byte, size(fixed[:]))
 	copy(hdr, fixed[:])
 	if _, err := io.ReadFull(f, hdr[len(fixed):]); err != nil {
 		return nil, fmt.Errorf("core: %s: reading header: %w", name, err)
 	}
-	h, err := parseHeader(hdr)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", name, err)
-	}
+	return hdr, nil
+}
+
+// openStream opens the v1 (CTR) stream body of file name, whose header h
+// has been read off f.
+func (s *shieldWrapper) openStream(name string, f vfs.SequentialFile, h fileHeader) (vfs.SequentialFile, error) {
 	if h.version == shieldVersion2 {
 		// Only WAL/MANIFEST recovery streams files, and both stay on v1;
 		// sealed bodies need positional reads for block verification.
@@ -421,25 +462,11 @@ func (s *shieldWrapper) WrapOpenSequential(name string, kind lsm.FileKind, f vfs
 	if err != nil {
 		return nil, err
 	}
-	s.remember(name, h.dekID)
 	r, err := crypt.NewDecryptingReader(f, dek, h.iv)
 	if err != nil {
 		return nil, err
 	}
 	return r, nil
-}
-
-// remember records, under the per-file policy, the DEK of a file opened for
-// reading. A recovered WAL, a replaced MANIFEST or an orphan SST that a
-// previous process created is deleted later with no DEK-ID, like the files
-// this process created: FileDeleted then finds its key here.
-func (s *shieldWrapper) remember(name string, id kds.KeyID) {
-	if s.instance {
-		return
-	}
-	s.mu.Lock()
-	s.names[name] = id
-	s.mu.Unlock()
 }
 
 // FileDeleted implements lsm.FileWrapper: DEKs die with their files, which

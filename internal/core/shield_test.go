@@ -21,7 +21,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.dekID != "dek-abc123" || h.iv != iv || h.len != len(hdr) || h.legacy {
+	if h.dekID != "dek-abc123" || h.iv != iv || h.len != len(hdr) {
 		t.Fatalf("parsed %+v", h)
 	}
 	// Extra trailing data after the header is ignored by the parser.
@@ -47,6 +47,47 @@ func TestHeaderRejectsGarbage(t *testing.T) {
 
 // TestWALDEKPrunedOnDeletion: when a WAL is deleted after flush, its DEK
 // leaves the secure cache even though the engine reports no DEK-ID for WALs.
+// TestTornWALHeaderReplaysEmpty: a live WAL whose header never reached
+// storage whole (power loss left a few zero bytes) is an empty log, not a
+// corrupt one: Open replays nothing from it and serves the store.
+func TestTornWALHeaderReplaysEmpty(t *testing.T) {
+	fs := vfs.NewMem()
+	cfg := Config{Mode: ModeSHIELD, FS: fs, KDS: newCrashKDS()}
+	db, err := Open("db", cfg, lsm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var wal string
+	for _, name := range dirNames(t, fs, "db") {
+		if strings.HasSuffix(name, ".log") {
+			wal = "db/" + name // dirNames sorts: the last is the live one
+		}
+	}
+	if wal == "" {
+		t.Fatal("no WAL")
+	}
+	if err := vfs.WriteFile(fs, wal, make([]byte, 12)); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open("db", cfg, lsm.Options{})
+	if err != nil {
+		t.Fatalf("Open over a torn WAL header: %v", err)
+	}
+	defer db.Close()
+	if got, err := db.Get([]byte("k")); err != nil || string(got) != "v" {
+		t.Fatalf("Get(k) = %q, %v", got, err)
+	}
+}
+
 func TestWALDEKPrunedOnDeletion(t *testing.T) {
 	fs := vfs.NewMem()
 	_, svc := newTestKDS(t)

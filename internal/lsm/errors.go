@@ -39,6 +39,15 @@ var ErrIntegrity = errors.New("lsm: integrity violation")
 // Options.AllowRollback acknowledges the regression.
 var ErrEpochRegression = errors.New("lsm: freshness epoch regression (store rolled back)")
 
+// ErrNeedsMigrate is the sentinel wrapped by the refusal to read a file in an
+// on-disk generation only an older build wrote (the wrapper decides which
+// generations those are). The error names the file. It is not corruption:
+// it wraps none of ErrCorruption, vfs.ErrIntegrity, vfs.ErrNotFound or
+// io.EOF, so Open fails on it even under BestEffortRecovery and Scrub fails
+// on it, and neither drops, quarantines or skips the file. The way forward
+// is the offline migration (core.Migrate, `shield-server -migrate`).
+var ErrNeedsMigrate = errors.New("lsm: file from an older build needs migration (shield-server -migrate)")
+
 // ErrJobLost is the sentinel wrapped by an offloaded-compaction failure in
 // which the job could not be completed by any worker: every lease expired
 // (worker died mid-job) or no worker claimed the job before its deadline.

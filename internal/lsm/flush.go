@@ -156,7 +156,8 @@ func (d *DB) flushWorker() {
 
 // fileDigest extracts the tag-chain digest from a finalized sealed SST
 // handle (the wrapper's encrypting writer exposes it after Finish/Close).
-// Empty when the file carries no authentication: format v1 or no encryption.
+// Empty when the file carries no authentication: encryption is off (the
+// encrypting wrapper writes every table sealed).
 func fileDigest(f vfs.WritableFile) string {
 	dw, ok := f.(interface{ FileDigest() ([]byte, bool) })
 	if !ok {
@@ -211,14 +212,25 @@ func (d *DB) writeMemTable(mem *memTable) (*manifest.FileMetadata, error) {
 	return &out.meta, nil
 }
 
-// rotateMemtable seals the active memtable behind a fresh WAL. It runs only
-// on the commit-pipeline leader, so it never races WAL appends.
+// rotateMemtable seals a non-empty active memtable behind a fresh WAL. It
+// runs only on the commit-pipeline leader, so it never races WAL appends.
 func (d *DB) rotateMemtable() error {
 	d.mu.Lock()
 	if d.mem.empty() {
 		d.mu.Unlock()
 		return nil
 	}
+	return d.rotateAndUnlock()
+}
+
+// rotateAndUnlock is the one memtable rotation, of Flush and of a full
+// memtable alike: it seals the active memtable, starts a fresh WAL,
+// schedules the flush, releases d.mu, and closes the old WAL. Closing it
+// writes what its buffer still holds, so a failure there, like one starting
+// the new WAL, may have lost acknowledged writes from the log: it poisons
+// the DB and returns ErrDegraded. Called with d.mu held, on the
+// commit-pipeline leader.
+func (d *DB) rotateAndUnlock() error {
 	old := d.walWriter
 	d.imm = append(d.imm, d.mem)
 	if err := d.startNewLogLocked(); err != nil {
@@ -229,7 +241,10 @@ func (d *DB) rotateMemtable() error {
 	d.maybeScheduleFlushLocked()
 	d.mu.Unlock()
 	if old != nil {
-		return old.Close()
+		if err := old.Close(); err != nil {
+			d.setBGErr(err)
+			return errDegraded(err)
+		}
 	}
 	return nil
 }

@@ -37,8 +37,10 @@ type FileMetadata struct {
 	// Because the tags are unforgeable without the file's DEK, anchoring
 	// their digest in the manifest extends the manifest's authenticity to
 	// every block of every SST: replacing a file with an older validly-
-	// sealed version changes the chain and is detected. Empty for format
-	// v1 files (which carry no authentication) and when encryption is off.
+	// sealed version changes the chain and is detected. Empty when
+	// encryption is off, and for the v1 tables of builds before sealing
+	// (which carry no authentication and which only the offline migration
+	// reads).
 	Digest string `json:"digest,omitempty"`
 }
 

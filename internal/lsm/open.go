@@ -98,41 +98,17 @@ func (d *DB) recover() error {
 
 	lap(&metrics.Recovery.LoadNanos)
 
-	// Verify every SST the manifest references before trusting the version:
-	// a missing or corrupt file either fails the open with a typed error or,
-	// under BestEffortRecovery, is quarantined and dropped.
-	if d.current, err = verifyTables(d.dir, st.ver, d.opts.MaxBackgroundJobs, d.checkTable, d.judgeTable); err != nil {
-		return err
-	}
-	lap(&metrics.Recovery.TablesNanos)
-
-	// A writable open removes every table the recovered manifest does not
-	// reference: the output of a flush or compaction whose edit never became
-	// durable or failed to install. No version will ever name it, and WAL
-	// replay below creates its tables only after this walk.
+	// Replay the live WALs, oldest first, into a memtable before the tables
+	// are judged or anything is written: a log that cannot be read (one only
+	// Migrate reads, or whose key is unresolvable) fails the open with the
+	// store as it was. walkStore's orphans are the tables the recovered
+	// manifest does not reference; the flush of what replay recovers creates
+	// its table only after this walk.
 	wals, orphans, err := walkStore(d.fs, d.dir, st)
 	if err != nil {
 		return err
 	}
 	d.nextFileNum = st.nextFile
-	if !d.opts.ReadOnly {
-		for _, o := range orphans {
-			if o.kind == FileKindSST {
-				d.removeOrphanSST(o.name)
-			}
-		}
-		// Roll the verified state into a fresh MANIFEST (compacting the edit
-		// history) under a new freshness epoch.
-		d.epoch++
-		d.manifestNum = d.allocFileNum()
-		snap := snapshotEdit(d.current, d.nextFileNum, d.lastSeq.Load(), d.logNum, d.epoch)
-		if d.manifestW, err = installSnapshot(&d.opts, d.dir, d.manifestNum, snap); err != nil {
-			return err
-		}
-	}
-	lap(&metrics.Recovery.InstallNanos)
-
-	// Replay the live WALs, oldest first.
 	recovered := newMemTable(0)
 	var maxSeq base.SeqNum
 	replay := func(seq base.SeqNum, kind base.Kind, key, value []byte) error {
@@ -154,6 +130,36 @@ func (d *DB) recover() error {
 			metrics.Recovery.WALTailTruncations.Add(1)
 		}
 	}
+	lap(&metrics.Recovery.ReplayNanos)
+
+	// Verify every SST the manifest references before trusting the version:
+	// a missing or corrupt file either fails the open with a typed error or,
+	// under BestEffortRecovery, is quarantined and dropped.
+	if d.current, err = verifyTables(d.dir, st.ver, d.opts.MaxBackgroundJobs, d.checkTable, d.judgeTable); err != nil {
+		return err
+	}
+	lap(&metrics.Recovery.TablesNanos)
+
+	// A writable open removes every table the recovered manifest does not
+	// reference: the output of a flush or compaction whose edit never became
+	// durable or failed to install. No version will ever name it.
+	if !d.opts.ReadOnly {
+		for _, o := range orphans {
+			if o.kind == FileKindSST {
+				d.removeOrphanSST(o.name)
+			}
+		}
+		// Roll the verified state into a fresh MANIFEST (compacting the edit
+		// history) under a new freshness epoch.
+		d.epoch++
+		d.manifestNum = d.allocFileNum()
+		snap := snapshotEdit(d.current, d.nextFileNum, d.lastSeq.Load(), d.logNum, d.epoch)
+		if d.manifestW, err = installSnapshot(&d.opts, d.dir, d.manifestNum, snap); err != nil {
+			return err
+		}
+	}
+	lap(&metrics.Recovery.InstallNanos)
+
 	if uint64(maxSeq) > d.lastSeq.Load() {
 		d.lastSeq.Store(uint64(maxSeq))
 	}
@@ -161,7 +167,6 @@ func (d *DB) recover() error {
 	if d.opts.ReadOnly {
 		// Serve the replayed WAL contents from the memtable; write nothing.
 		d.mem = recovered
-		lap(&metrics.Recovery.ReplayNanos)
 		return nil
 	}
 

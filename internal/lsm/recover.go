@@ -273,61 +273,49 @@ type tableCheck struct {
 // one table or jobs <= 1 no goroutine starts. check must be safe to run
 // concurrently, and it may only read: every side effect of a verdict
 // (quarantine, eviction, logging, counters) belongs in judge, which runs on
-// the calling goroutine, one table at a time, in level and file order. So
-// the version, the files dropped, the error and the log are those of a
-// serial pass; only the checks overlap. The first error stops the pass:
-// tables not yet claimed are never checked, and the checks in flight finish
-// before verifyTables returns, so the caller may release what they opened.
+// the calling goroutine, one table at a time, in level and file order, once
+// every check is in. So the version, the files dropped, the error and the
+// log are those of a serial pass; only the checks overlap. A table only
+// Migrate can read (ErrNeedsMigrate) fails the pass before any table is
+// judged, so nothing has moved when it does.
 func verifyTables(dir string, ver *manifest.Version, jobs int, check func(name string, f *manifest.FileMetadata) tableCheck, judge func(name string, f *manifest.FileMetadata, c tableCheck) (drop bool, err error)) (*manifest.Version, error) {
 	type table struct {
 		name string
 		f    *manifest.FileMetadata
 		res  tableCheck
-		done chan struct{}
 	}
 	var tables []table
 	for lvl := range ver.Levels {
 		for _, f := range ver.Levels[lvl] {
-			tables = append(tables, table{name: sstFileName(dir, f.FileNum), f: f, done: make(chan struct{})})
+			tables = append(tables, table{name: sstFileName(dir, f.FileNum), f: f})
 		}
 	}
 	var next atomic.Int64
-	var stop atomic.Bool
-	// claim checks the next unclaimed table; false when none is left.
-	claim := func() bool {
-		if stop.Load() {
-			return false
+	// checkAll checks unclaimed tables until none is left.
+	checkAll := func() {
+		for i := int(next.Add(1) - 1); i < len(tables); i = int(next.Add(1) - 1) {
+			tables[i].res = check(tables[i].name, tables[i].f)
 		}
-		i := int(next.Add(1) - 1)
-		if i >= len(tables) {
-			return false
-		}
-		t := &tables[i]
-		t.res = check(t.name, t.f)
-		close(t.done)
-		return true
 	}
 	var wg sync.WaitGroup
 	for w := 1; w < min(jobs, len(tables)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for claim() {
-			}
+			checkAll()
 		}()
 	}
-	defer func() {
-		stop.Store(true)
-		wg.Wait()
-	}()
+	checkAll()
+	wg.Wait()
 
+	for i := range tables {
+		if err := tables[i].res.err; errors.Is(err, ErrNeedsMigrate) {
+			return nil, fmt.Errorf("lsm: verifying %s: %w", tables[i].name, err)
+		}
+	}
 	var dropped map[uint64]bool
 	for i := range tables {
 		t := &tables[i]
-		// Check tables until this one's result is in, or wait for it.
-		for !isClosed(t.done) && claim() {
-		}
-		<-t.done
 		if t.res.err == nil {
 			metrics.Recovery.TablesVerified.Add(1)
 		}
@@ -356,16 +344,6 @@ func verifyTables(dir string, ver *manifest.Version, jobs int, check func(name s
 	return nv, nil
 }
 
-// isClosed reports whether ch is closed, without blocking.
-func isClosed(ch chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
-}
-
 // checkSST is the one full check of an SST against the manifest entry that
 // names it, run by Scrub and by a ParanoidChecks open. Opening the table
 // verifies footer, index, filter and properties; every data block is then
@@ -376,8 +354,10 @@ func isClosed(ch chan struct{}) bool {
 // proves the file is the exact one this version installed: an older
 // validly-sealed version spliced back in has a different chain, and a file
 // that exposes no chain at all where the manifest recorded one has been
-// replaced by an unauthenticated file. Files without a manifest digest
-// (format v1, encryption off) have no anchor to check.
+// replaced by an unauthenticated file; that is how a sealed table whose
+// header was downgraded to v1 fails Migrate's paranoid open. Files without
+// a manifest digest (encryption off, or a v1 table of a build before
+// sealing, which only Migrate's wrapper reads) have no anchor to check.
 //
 // It returns the data blocks verified and whether wrapper actually
 // transforms the file (it returned something other than the raw handle: the

@@ -31,15 +31,15 @@ type ScrubVerdict string
 
 // Per-file verdicts.
 const (
-	// VerdictOK: every block authenticated (or, for format v1 files, every
-	// checksum verified) and the tag-chain digest matches the manifest.
+	// VerdictOK: every block authenticated (or, for unencrypted tables,
+	// every checksum verified) and the tag-chain digest matches the manifest.
 	VerdictOK ScrubVerdict = "ok"
 
 	// VerdictTampered: cryptographic proof the bytes changed after sealing —
 	// an AEAD tag failed under the right key, or the tag-chain digest does
-	// not match the digest the manifest anchored. (Unauthenticated v1 files
-	// report tampered on checksum failure; the proof is weaker but the
-	// handling identical.)
+	// not match the digest the manifest anchored. (Unencrypted tables report
+	// tampered on checksum failure; the proof is weaker but the handling
+	// identical.)
 	VerdictTampered ScrubVerdict = "tampered"
 
 	// VerdictStaleEpoch: the file itself authenticates, but the store's
@@ -162,7 +162,8 @@ type scrubber struct {
 // unreferenced files aside. A store Open refuses at load (a manifest older
 // than CURRENT's epoch, an epoch below the sealed floor without
 // AllowRollback) fails the scrub with Open's error, before anything is
-// written; a WAL batch Open cannot decode is a corrupt finding, and the WAL
+// written, and so does a table or live WAL only Migrate can read
+// (ErrNeedsMigrate); a WAL batch Open cannot decode is a corrupt finding, and the WAL
 // stays where it is. A torn WAL or manifest tail is the expected power-loss
 // outcome and is reported, not quarantined. It must run offline (no DB open
 // on dir). With DryRun nothing is modified.
@@ -200,6 +201,18 @@ func Scrub(dir string, opts Options, sopts ScrubOptions) (*ScrubReport, error) {
 		return s.report, err
 	}
 
+	// The WALs are read, and the tables checked, before anything moves: a
+	// log or table only Migrate can read fails the scrub with nothing
+	// written.
+	wals, orphans, err := walkStore(opts.FS, dir, st)
+	if err != nil {
+		return s.report, err
+	}
+	for _, num := range wals {
+		if err := s.checkWAL(num); err != nil {
+			return s.report, err
+		}
+	}
 	check := func(name string, meta *manifest.FileMetadata) tableCheck {
 		blocks, transformed, err := checkSST(opts.FS, opts.Wrapper, name, meta)
 		return tableCheck{blocks, transformed, err}
@@ -208,15 +221,8 @@ func Scrub(dir string, opts Options, sopts ScrubOptions) (*ScrubReport, error) {
 	if err != nil {
 		return s.report, err
 	}
-	wals, orphans, err := walkStore(opts.FS, dir, st)
-	if err != nil {
-		return s.report, err
-	}
 	for _, o := range orphans {
 		s.moveOrphan(o.name, o.kind, o.detail)
-	}
-	for _, num := range wals {
-		s.checkWAL(num)
 	}
 
 	// Rewrite the manifest when damage was found in it, tables were dropped,
@@ -302,7 +308,8 @@ func (s *scrubber) sniffEncrypted(name string) bool {
 // judgeTable is Scrub's side of the table verdict: every table gets the full
 // checkSST and a per-file verdict. A missing table is dropped, a corrupt one
 // is quarantined and dropped, and one the scrub cannot verify (its key is
-// unavailable) is skipped, never quarantined.
+// unavailable) is skipped, never quarantined. (A table only Migrate can read
+// never reaches judgeTable: verifyTables fails the scrub first.)
 func (s *scrubber) judgeTable(name string, _ *manifest.FileMetadata, c tableCheck) (drop bool, err error) {
 	s.report.SSTsChecked++
 	s.report.BlocksVerified += c.blocks
@@ -337,14 +344,17 @@ func (s *scrubber) judgeTable(name string, _ *manifest.FileMetadata, c tableChec
 }
 
 // checkWAL reads one live WAL end to end through recovery's reader, which
-// decodes every batch the way Open's replay does.
-func (s *scrubber) checkWAL(num uint64) {
+// decodes every batch the way Open's replay does. It returns only the error
+// of a log only Migrate can read; every other outcome is a finding.
+func (s *scrubber) checkWAL(num uint64) error {
 	name := walFileName(s.dir, num)
 	s.report.WALsChecked++
 	res, err := readWAL(&s.opts, name, func(base.SeqNum, base.Kind, []byte, []byte) error { return nil })
 	s.report.WALRecordsRead += res.records
 	var ce *CorruptionError
 	switch {
+	case errors.Is(err, ErrNeedsMigrate):
+		return fmt.Errorf("lsm: scrub: %w", err)
 	case errors.As(err, &ce):
 		// Open fails on this very error and has no way around it, so the
 		// scrub has none either: the log stays where it is (DESIGN.md §8).
@@ -359,4 +369,5 @@ func (s *scrubber) checkWAL(num uint64) {
 		s.finding(name, FileKindWAL, ScrubTornTail,
 			fmt.Sprintf("recoverable torn tail after %d records: %v", res.records, res.torn))
 	}
+	return nil
 }

@@ -102,21 +102,8 @@ func (d *DB) makeRoomForWrite() (*wal.Writer, *memTable, error) {
 			d.bgCond.Wait()
 			d.mu.Unlock()
 		default:
-			// Rotate: seal current memtable, start a fresh WAL.
-			old := d.walWriter
-			d.imm = append(d.imm, d.mem)
-			if err := d.startNewLogLocked(); err != nil {
-				d.setBGErrLocked(err)
-				d.mu.Unlock()
-				return nil, nil, errDegraded(err)
-			}
-			d.maybeScheduleFlushLocked()
-			d.mu.Unlock()
-			if old != nil {
-				if err := old.Close(); err != nil {
-					d.setBGErr(err)
-					return nil, nil, errDegraded(err)
-				}
+			if err := d.rotateAndUnlock(); err != nil {
+				return nil, nil, err
 			}
 		}
 	}

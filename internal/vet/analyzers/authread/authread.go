@@ -4,11 +4,14 @@
 // that were written or fails with an integrity error. The v1 CTR reader
 // (crypt.NewDecryptingReaderAt) has no such guarantee — CTR decryption of
 // tampered ciphertext yields silently wrong plaintext — so every call to it
-// is a hole in the authenticated-read story. The holes that must exist
-// (reading v1 files written before format v2, recovery and scrub paths that
-// must accept both formats) are few, deliberate, and need a written reason;
-// a new one appearing anywhere else is a regression that reopens the silent
-// tampering window the format migration closed.
+// is a hole in the authenticated-read story. The serving path (Open,
+// recovery, Scrub) reads only sealed v2 tables and refuses a v1 one with
+// lsm.ErrNeedsMigrate. The one legitimate site is the offline migration
+// (core.Migrate's wrapper, internal/core/migrate.go), which reads v1 tables
+// written before format v2 once, under a paranoid open, to rewrite them;
+// its suppression carries that reason. A call appearing anywhere else is a
+// regression that reopens the silent tampering window the format migration
+// closed.
 //
 // Rule: any call to NewDecryptingReaderAt outside test files is flagged.
 // Suppress with //shield:noauthread <reason> on the call line or the
