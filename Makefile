@@ -55,7 +55,7 @@ flake:
 # block-cache hit and per miss (TestGetAllocs). The block cache: allocations
 # per evicting Put, and the cache against a map-plus-recency-slice oracle.
 # Sealed reads: allocations per ReadAt once the extent pool is warm, and the
-# pool's retention cap. Manual compaction: bytes read by CompactRange against
+# pool's retention cap. Record logs: allocations per Append. Manual compaction: bytes read by CompactRange against
 # the tables it replaces (RewritesOnce).
 io-path-check:
 	go test -run 'InnerReads|Allocs|SliceOracle|Arena|OutlivesMemtable|PooledPutBatch|SealedWriter|Towers|MatchesOracle|SplitAcrossReads|Deadline|ReadAhead|Frame|RewritesOnce' \
@@ -177,8 +177,11 @@ tamper-test:
 # The WAL/MANIFEST append stream, differentially: for any write sizes, buffer
 # size, failed-and-retried inner write and read sizes, the body is one
 # keystream pass over the plaintext and reads back as it. The sealed state
-# file (secure DEK cache, KDS key table): any bytes load or fail as a typed
-# error, allocation bounded by the input. The KDS request path: any bytes
+# file (the KDS key table, and secure-cache files of older builds): any
+# bytes load or fail as a typed error, allocation bounded by the input. The
+# record log (the secure DEK cache): on any bytes the reader returns a
+# prefix of the records written, then a clean end, a torn tail or a typed
+# error. The KDS request path: any bytes
 # through the server's JSON decode and handler never panic, every reply is
 # OK or an error, and no request from an unenrolled server succeeds. The
 # offloaded-compaction wire, both ends: any bytes as worker requests through
@@ -203,6 +206,7 @@ fuzz:
 	go test $(FUZZFLAGS) -fuzz=FuzzVersionEdit ./internal/lsm/
 	go test $(FUZZFLAGS) -fuzz=FuzzAppendStream ./internal/crypt/
 	go test $(FUZZFLAGS) -fuzz=FuzzStateFile ./internal/crypt/
+	go test $(FUZZFLAGS) -fuzz=FuzzRecordLog ./internal/crypt/
 	go test $(FUZZFLAGS) -fuzz=FuzzKDSRequest ./internal/kds/
 	go test $(FUZZFLAGS) -fuzz=FuzzCompactsvcWire ./internal/compactsvc/
 

@@ -52,7 +52,10 @@ func TestRemoteReadAtAllocs(t *testing.T) {
 }
 
 // TestReadAheadServedAllocs: a read served from the read-ahead packet is a
-// copy under the handle's lock — no round trip and no allocation.
+// copy under the handle's lock — no round trip and no allocation. The
+// count is the process's, and the in-process node's goroutines run beside
+// the reads, so it is taken on one P and is the fewest of 5 rounds: a read
+// that allocates does so in every round.
 func TestReadAheadServedAllocs(t *testing.T) {
 	srv, client := newPair(t, 0, 0)
 	if err := vfs.WriteFile(client, "f", make([]byte, 1<<20)); err != nil {
@@ -72,19 +75,24 @@ func TestReadAheadServedAllocs(t *testing.T) {
 		}
 	}
 	frames := srv.Stats().ReadOps
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for off := int64(8 << 10); off < 64<<10; off += int64(len(p)) {
-		if _, err := f.ReadAt(p, off); err != nil {
-			t.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	best := ^uint64(0)
+	for round := 0; round < 5 && best != 0; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for off := int64(8 << 10); off < 64<<10; off += int64(len(p)) {
+			if _, err := f.ReadAt(p, off); err != nil {
+				t.Fatal(err)
+			}
 		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
 	}
-	runtime.ReadMemStats(&after)
 	if n := srv.Stats().ReadOps - frames; n != 0 {
 		t.Fatalf("%d read frames for reads inside the packet, want 0", n)
 	}
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("%d allocations for 14 reads served from the packet, want 0", n)
+	if best != 0 {
+		t.Fatalf("%d allocations for 14 reads served from the packet in the best of 5 rounds, want 0", best)
 	}
 }
 

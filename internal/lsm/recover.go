@@ -62,13 +62,19 @@ type manifestState struct {
 // the caller holds no key for. It cannot be told from a torn one, and
 // salvaging it would discard the real tree, so it is refused.
 func loadStore(opts *Options, dir string, salvage bool, encrypted func(name string) bool) (*manifestState, error) {
-	data, err := readCurrent(opts.FS, opts.Wrapper, dir)
+	data, transformed, err := readCurrent(opts.FS, opts.Wrapper, dir)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: reading CURRENT: %w", err)
 	}
 	name, curEpoch := parseCurrent(data)
 	kind, num, ok := parseFileName(name)
 	if !ok || kind != FileKindManifest {
+		// A CURRENT in a format the wrapper did not decrypt names no
+		// manifest; its bytes are ciphertext, not damage, and stay out of
+		// the error.
+		if !transformed && encrypted != nil && encrypted(currentFileName(dir)) {
+			return nil, errEncryptedFormat("CURRENT")
+		}
 		return nil, &CorruptionError{
 			Path:   currentFileName(dir),
 			Kind:   FileKindCurrent,
@@ -84,7 +90,7 @@ func loadStore(opts *Options, dir string, salvage bool, encrypted func(name stri
 		st.nextFile = st.num + 1
 	}
 	if (st.torn || st.corrupt) && !st.transformed && encrypted != nil && encrypted(path.Join(dir, name)) {
-		return nil, fmt.Errorf("lsm: manifest %s is in an encrypted format this scrub cannot read; rerun with the keys", name)
+		return nil, errEncryptedFormat("manifest " + name)
 	}
 	// CURRENT echoes the epoch of the manifest it points at; a manifest
 	// carrying an older epoch than its own CURRENT claims was swapped in
@@ -98,20 +104,27 @@ func loadStore(opts *Options, dir string, salvage bool, encrypted func(name stri
 	return st, nil
 }
 
-// readCurrent reads CURRENT through w.
-func readCurrent(fsys vfs.FS, w FileWrapper, dir string) ([]byte, error) {
+// errEncryptedFormat reports a store file this scrub holds no key for.
+func errEncryptedFormat(what string) error {
+	return fmt.Errorf("lsm: %s is in an encrypted format this scrub cannot read; rerun with the keys", what)
+}
+
+// readCurrent reads CURRENT through w, and reports whether w transformed
+// (decrypted) it.
+func readCurrent(fsys vfs.FS, w FileWrapper, dir string) (data []byte, transformed bool, err error) {
 	name := currentFileName(dir)
 	raw, err := fsys.Open(name)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	f, err := w.WrapOpen(name, FileKindCurrent, raw)
 	if err != nil {
 		raw.Close()
-		return nil, err
+		return nil, false, err
 	}
 	defer f.Close()
-	return vfs.ReadAll(f)
+	data, err = vfs.ReadAll(f)
+	return data, f != vfs.RandomAccessFile(raw), err
 }
 
 // parseCurrent splits a CURRENT file into the manifest name (first line)

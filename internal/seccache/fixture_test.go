@@ -1,6 +1,7 @@
 package seccache
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 
 // parentCacheHex is a cache file written by the build before the sealed-state
 // codec was shared with the KDS (passkey "fixture-passkey"; two DEKs and one
-// epoch floor): the on-disk layout is an instance of the shared codec, so it
-// must keep opening.
+// epoch floor), in the v1 layout (crypt.StateFile) that preceded the record
+// log: it must keep opening, and Open migrates it to the log.
 const parentCacheHex = "" +
 	"48434353010000001a314a67594cf2daf5cd01e7f35db0fcf5b70c7eeeb79c663f58045e9b2725e06e000000601a6ddb" +
 	"9f3989233d437bf55993b4ffa22c3c89f8d1f79c9e3fe04f9c53c8287f581db125ae27147b99b85d93532ba5b97c3308" +
@@ -27,6 +28,9 @@ func TestOpensParentWrittenCache(t *testing.T) {
 	fs := vfs.NewMem()
 	if err := vfs.WriteFile(fs, "cache.bin", data); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := Open(fs, "cache.bin", []byte("another passkey")); err != ErrBadPasskey {
+		t.Fatalf("wrong passkey on the v1 file: %v", err)
 	}
 	c, err := Open(fs, "cache.bin", []byte("fixture-passkey"))
 	if err != nil {
@@ -46,17 +50,32 @@ func TestOpensParentWrittenCache(t *testing.T) {
 	if e, ok := c.EpochFloor("db"); !ok || e != 7 {
 		t.Fatalf("epoch floor = %d, %v", e, ok)
 	}
+	// A wrong passkey fails closed on the migrated file as it did on the v1
+	// one.
 	if _, err := Open(fs, "cache.bin", []byte("another passkey")); err != ErrBadPasskey {
 		t.Fatalf("wrong passkey: %v", err)
 	}
 
-	// A save by this build keeps the file's salt, hence its derived keys:
-	// the header up to the IV is unchanged.
-	if err := c.save(); err != nil {
+	// Open rewrote the file as a record log under the fixture's salt, and
+	// the log reopens to the same DEKs and floor.
+	logged, err := vfs.ReadFile(fs, "cache.bin")
+	if err != nil {
 		t.Fatal(err)
 	}
-	resaved, _ := vfs.ReadFile(fs, "cache.bin")
-	if string(resaved[:8+saltSize]) != string(data[:8+saltSize]) || len(resaved) != len(data) {
-		t.Fatalf("re-saved header %x (%d bytes), parent wrote %x (%d bytes)", resaved[:8+saltSize], len(resaved), data[:8+saltSize], len(data))
+	if m := binary.LittleEndian.Uint32(logged); m != logMagic {
+		t.Fatalf("file magic %#x after opening the v1 fixture, want the log's %#x", m, logMagic)
+	}
+	if string(logged[8:8+saltSize]) != string(data[8:8+saltSize]) {
+		t.Fatalf("salt %x after migration, the fixture's %x", logged[8:8+saltSize], data[8:8+saltSize])
+	}
+	c2, err := Open(fs, "cache.bin", []byte("fixture-passkey"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := c2.EpochFloor("db"); c2.Recovered() || c2.Len() != 2 || !ok || e != 7 {
+		t.Fatalf("reopened migrated cache: recovered=%v len=%d floor=%d,%v", c2.Recovered(), c2.Len(), e, ok)
+	}
+	if got, err := c2.Get("dek-alpha"); err != nil || got != (crypt.DEK{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}) {
+		t.Fatalf("dek-alpha after migration = %x, %v", got, err)
 	}
 }

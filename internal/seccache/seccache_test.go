@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -293,58 +294,179 @@ func TestLeftoverTmpRemovedOnOpen(t *testing.T) {
 	}
 }
 
-func TestCrashDuringSave(t *testing.T) {
-	// Power-loss simulation around Save: at every sync boundary the durable
-	// image must either hold the previous sealed cache or the new one —
-	// never an unreadable hybrid — and reopening must always succeed.
-	cfs := vfs.NewCrash(7)
-	var images []*vfs.CrashImage
-	cfs.AfterSync(func(event string, img *vfs.CrashImage) {
-		images = append(images, img)
-	})
+// snapFS hands out files that capture a crash image after every Write, so
+// the images include the moment a record is written and not yet synced:
+// the state a torn image tears.
+type snapFS struct {
+	*vfs.CrashFS
+	onWrite func(img *vfs.CrashImage)
+}
 
-	c, err := Open(cfs, "cache.bin", []byte("pw"))
+func (s snapFS) Create(name string) (vfs.WritableFile, error) {
+	f, err := s.CrashFS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return snapFile{f, s}, nil
+}
+
+type snapFile struct {
+	vfs.WritableFile
+	fs snapFS
+}
+
+func (f snapFile) Write(p []byte) (int, error) {
+	n, err := f.WritableFile.Write(p)
+	f.fs.onWrite(f.fs.Snapshot())
+	return n, err
+}
+
+// TestCrashDuringSave: power loss at every write and sync of the cache's
+// appends and of the checkpoints (Open's and one the log's growth
+// triggers), each image reopened strict, torn, and torn with the lost part
+// of the tail zero-filled (the file's size landed, its data did not).
+// Every reopen succeeds,
+// holds only DEKs that were stored, holds every DEK, deletion and epoch
+// floor whose call returned before the image was taken (the call in flight
+// may or may not have landed), and reads a torn last record as a torn
+// tail, not as corruption.
+func TestCrashDuringSave(t *testing.T) {
+	type state struct {
+		deks   map[kds.KeyID]crypt.DEK // absent: never stored or deleted
+		epochs map[string]uint64
+	}
+	type point struct {
+		img      *vfs.CrashImage
+		acked    state
+		inflight kds.KeyID // the ID the call in flight changes, if any
+		epochMax uint64    // the floor the call in flight seals, if any
+	}
+	acked := state{deks: map[kds.KeyID]crypt.DEK{}, epochs: map[string]uint64{}}
+	stored := map[crypt.DEK]kds.KeyID{}
+	var (
+		points   []point
+		inflight kds.KeyID
+		epochMax uint64
+		syncDirs int
+	)
+	capture := func(img *vfs.CrashImage) {
+		cp := state{deks: map[kds.KeyID]crypt.DEK{}, epochs: map[string]uint64{}}
+		for id, d := range acked.deks {
+			cp.deks[id] = d
+		}
+		for s, e := range acked.epochs {
+			cp.epochs[s] = e
+		}
+		points = append(points, point{img, cp, inflight, epochMax})
+	}
+	cfs := vfs.NewCrash(7)
+	cfs.AfterSync(func(event string, img *vfs.CrashImage) {
+		if strings.HasPrefix(event, "syncdir:") {
+			syncDirs++
+		}
+		capture(img)
+	})
+	fs := snapFS{cfs, capture}
+
+	c, err := Open(fs, "cache.bin", []byte("pw"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	deks := make(map[kds.KeyID]crypt.DEK)
-	for i := 0; i < 5; i++ {
-		id := kds.KeyID(fmt.Sprintf("dek-%d", i))
-		deks[id] = mustDEK(t)
-		if err := c.Put(id, deks[id]); err != nil {
+	put := func(id kds.KeyID) {
+		dek := mustDEK(t)
+		stored[dek] = id
+		inflight = id
+		if err := c.Put(id, dek); err != nil {
 			t.Fatal(err)
 		}
+		acked.deks[id], inflight = dek, ""
 	}
-	if len(images) == 0 {
-		t.Fatal("no sync boundaries during saves")
+	del := func(id kds.KeyID) {
+		inflight = id
+		if err := c.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		delete(acked.deks, id)
+		inflight = ""
 	}
-	for i, img := range images {
-		for _, mode := range []string{"strict", "torn"} {
-			var fs *vfs.MemFS
-			if mode == "strict" {
-				fs = img.Strict()
-			} else {
-				fs = img.Torn(0)
+	seal := func(e uint64) {
+		epochMax = e
+		if err := c.SealEpoch("db", e); err != nil {
+			t.Fatal(err)
+		}
+		acked.epochs["db"] = e
+	}
+	for i := 0; i < 5; i++ {
+		put(kds.KeyID(fmt.Sprintf("dek-%d", i)))
+	}
+	seal(3)
+	del("dek-2")
+	// Churn until the log passes twice the live set and checkpoints.
+	for i := 0; syncDirs < 2; i++ {
+		if i > 4*checkpointSlack {
+			t.Fatal("no checkpoint after the log grew past twice the live set")
+		}
+		switch i % 3 {
+		case 0:
+			put("churn")
+		case 1:
+			del("churn")
+		case 2:
+			seal(uint64(4 + i))
+		}
+	}
+	put("after-checkpoint")
+	seal(epochMax + 1)
+
+	torn := map[string]int{}
+	for i, pt := range points {
+		for _, mode := range []string{"strict", "torn", "zero-filled"} {
+			var mfs *vfs.MemFS
+			switch mode {
+			case "strict":
+				mfs = pt.img.Strict()
+			case "torn":
+				mfs = pt.img.Torn(0)
+			default:
+				mfs = pt.img.ZeroFilled(0)
 			}
-			c2, err := Open(fs, "cache.bin", []byte("pw"))
+			if data, err := vfs.ReadFile(mfs, "cache.bin"); err == nil && endsTorn(t, data) {
+				torn[mode]++
+			}
+			c2, err := Open(mfs, "cache.bin", []byte("pw"))
 			if err != nil {
 				t.Fatalf("%s point %d: reopen: %v", mode, i, err)
 			}
-			// Every entry present is one we actually stored.
-			for id, want := range deks {
-				got, err := c2.Get(id)
-				if errors.Is(err, ErrNotCached) {
-					continue
+			if c2.Recovered() {
+				t.Fatalf("%s point %d: reopen cold-started a cache a crash left", mode, i)
+			}
+			for id, got := range c2.entries {
+				if stored[got] != id {
+					t.Fatalf("%s point %d: %s holds a DEK never stored under it", mode, i, id)
 				}
-				if err != nil {
-					t.Fatalf("%s point %d: Get(%s): %v", mode, i, id, err)
+			}
+			for id, want := range pt.acked.deks {
+				if got, ok := c2.entries[id]; id != pt.inflight && (!ok || got != want) {
+					t.Fatalf("%s point %d: acknowledged DEK %s lost or stale", mode, i, id)
 				}
-				if got != want {
-					t.Fatalf("%s point %d: DEK %s mangled", mode, i, id)
+			}
+			for id := range c2.entries {
+				if _, ok := pt.acked.deks[id]; !ok && id != pt.inflight {
+					t.Fatalf("%s point %d: %s present, but its deletion was acknowledged", mode, i, id)
 				}
+			}
+			got := c2.epochs["db"]
+			if want := pt.acked.epochs["db"]; got < want || got > max(want, pt.epochMax) {
+				t.Fatalf("%s point %d: epoch floor %d, acknowledged %d, in flight up to %d", mode, i, got, want, pt.epochMax)
 			}
 		}
 	}
+	for _, mode := range []string{"torn", "zero-filled"} {
+		if torn[mode] == 0 {
+			t.Fatalf("none of %d %s images tore a record", len(points), mode)
+		}
+	}
+	t.Logf("%d crash points; images that tore a record: %v", len(points), torn)
 }
 
 // TestEpochRatchet: the sealed freshness-epoch floor only moves up. Sealing

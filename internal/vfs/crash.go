@@ -312,6 +312,19 @@ func (img *CrashImage) Strict() *MemFS {
 // The namespace stays strict in both modes: entry survival is all-or-nothing,
 // content is what tears. seed 0 uses the image's own deterministic seed.
 func (img *CrashImage) Torn(seed int64) *MemFS {
+	return img.torn(seed, false)
+}
+
+// ZeroFilled is Torn where each file's new size reached the disk ahead of
+// its data: a file keeps the same random-length prefix of its volatile tail
+// as Torn(seed) does, and the rest of the tail reads as zero bytes.
+//
+//shield:notestonly crash image of a test double; moving it to vfstest would need new exported API
+func (img *CrashImage) ZeroFilled(seed int64) *MemFS {
+	return img.torn(seed, true)
+}
+
+func (img *CrashImage) torn(seed int64, zeroFill bool) *MemFS {
 	if seed == 0 {
 		seed = img.seed
 	}
@@ -329,7 +342,7 @@ func (img *CrashImage) Torn(seed int64) *MemFS {
 		}
 	}
 	m := img.materialize(func(e imageEntry) []byte { return e.durable })
-	graftVolatile(m, img, kept)
+	graftVolatile(m, img, kept, zeroFill)
 	return m
 }
 
@@ -348,11 +361,14 @@ func (img *CrashImage) materialize(contentOf func(imageEntry) []byte) *MemFS {
 }
 
 // graftVolatile appends the chosen volatile prefixes onto a strict
-// materialization.
-func graftVolatile(m *MemFS, img *CrashImage, kept map[string]int) {
+// materialization, each padded with zeros to the whole tail if zeroFill.
+func graftVolatile(m *MemFS, img *CrashImage, kept map[string]int, zeroFill bool) {
 	for name, n := range kept {
 		e := img.entries[name]
 		data := append(append([]byte(nil), e.durable...), e.volatile[:n]...)
+		if zeroFill {
+			data = append(data, make([]byte, len(e.volatile)-n)...)
+		}
 		if err := WriteFile(m, name, data); err != nil {
 			panic("vfs: materializing crash image: " + err.Error())
 		}

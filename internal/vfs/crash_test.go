@@ -113,7 +113,7 @@ func TestCrashFSRemoveResurrection(t *testing.T) {
 }
 
 // Torn images keep the synced prefix intact and at most the volatile tail;
-// the namespace stays strict.
+// the namespace stays strict. ZeroFilled images keep the file's whole size.
 func TestCrashFSTornTail(t *testing.T) {
 	fs := NewCrash(7)
 	fs.MkdirAll("d")
@@ -144,6 +144,16 @@ func TestCrashFSTornTail(t *testing.T) {
 	}
 	if !sawPartial {
 		t.Fatal("no seed produced a partially-kept tail")
+	}
+	// A zero-filled image keeps Torn's prefix and zeros in place of the
+	// rest of the tail.
+	for seed := int64(1); seed <= 32; seed++ {
+		torn := mustRead(t, img.Torn(seed), "d/a")
+		got := mustRead(t, img.ZeroFilled(seed), "d/a")
+		want := append(torn, make([]byte, len("durable-volatile")-len(torn))...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: zero-filled image %q, want %q", seed, got, want)
+		}
 	}
 	// Same seed → same image.
 	a := mustRead(t, img.Torn(3), "d/a")
