@@ -177,9 +177,10 @@ tamper-test:
 # The WAL/MANIFEST append stream, differentially: for any write sizes, buffer
 # size, failed-and-retried inner write and read sizes, the body is one
 # keystream pass over the plaintext and reads back as it. The sealed state
-# file (the KDS key table, and secure-cache files of older builds): any
-# bytes load or fail as a typed error, allocation bounded by the input. The
-# record log (the secure DEK cache): on any bytes the reader returns a
+# file older builds kept the KDS key table and the secure cache in, read once
+# to upgrade: any bytes decode or fail as a typed error, allocation bounded
+# by the input. The record log (the KDS key table and the secure DEK cache,
+# as crypt.StateLog): on any bytes the reader returns a
 # prefix of the records written, then a clean end, a torn tail or a typed
 # error. The KDS request path: any bytes
 # through the server's JSON decode and handler never panic, every reply is

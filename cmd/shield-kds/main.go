@@ -5,6 +5,12 @@
 // them. Servers named with -authorize may create and fetch DEKs; everything
 // else is denied.
 //
+// With -store the key table is durable: a sealed log under -master-key to
+// which every issue, spent fetch budget, revocation and enrollment appends
+// a record before the request is answered. The periodic stats line counts
+// issued keys from the table (across restarts) and fetches and denials
+// since this process started.
+//
 // Usage:
 //
 //	shield-kds -addr :7601 -authorize compute-1,worker-1 -latency 2750us
@@ -30,35 +36,26 @@ func main() {
 		authorize = flag.String("authorize", "", "comma-separated server IDs allowed to request DEKs")
 		latency   = flag.Duration("latency", 0, "synthetic per-request service latency (e.g. 2750us to mimic SSToolkit)")
 		maxFetch  = flag.Int("max-fetches", 1, "fetches allowed per DEK-ID for non-creators (0 = unlimited; 1 = one-time provisioning)")
-		storePath = flag.String("store", "", "encrypted snapshot path for durable key state (empty = in-memory only)")
-		masterKey = flag.String("master-key", "", "master secret sealing the snapshot (required with -store)")
+		storePath = flag.String("store", "", "path of the encrypted log of durable key state (empty = in-memory only)")
+		masterKey = flag.String("master-key", "", "master secret sealing the key-state log (required with -store)")
 	)
 	flag.Parse()
 
 	policy := kds.Policy{MaxFetches: *maxFetch, Latency: *latency}
-	type enrollable interface {
-		Authorize(string)
-		Stats() (int64, int64, int64)
-	}
-	var store kds.Backend
-	var admin enrollable
+	store := kds.NewStore(policy)
 	if *storePath != "" {
 		if *masterKey == "" {
 			log.Fatal("-store requires -master-key")
 		}
-		ps, err := kds.OpenPersistentStore(vfs.NewOS(), *storePath, []byte(*masterKey), policy)
-		if err != nil {
+		var err error
+		if store, err = kds.OpenPersistentStore(vfs.NewOS(), *storePath, []byte(*masterKey), policy); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("durable key store at %s", *storePath)
-		store, admin = ps, ps
-	} else {
-		ms := kds.NewStore(policy)
-		store, admin = ms, ms
 	}
 	for _, id := range strings.Split(*authorize, ",") {
 		if id = strings.TrimSpace(id); id != "" {
-			admin.Authorize(id)
+			store.Authorize(id)
 			log.Printf("authorized server %q", id)
 		}
 	}
@@ -80,8 +77,8 @@ func main() {
 			srv.Close()
 			return
 		case <-tick.C:
-			issued, fetched, denied := admin.Stats()
-			fmt.Printf("stats: issued=%d fetched=%d denied=%d\n", issued, fetched, denied)
+			issued, fetched, denied := store.Stats()
+			fmt.Printf("stats: keys issued=%d; since start: fetched=%d denied=%d\n", issued, fetched, denied)
 		}
 	}
 }

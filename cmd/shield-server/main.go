@@ -64,7 +64,7 @@ func main() {
 		cache    = flag.Int64("block-cache", 8<<20, "per-shard decrypted-block cache in bytes; negative disables")
 		pipeline = flag.Int("max-pipeline", 128, "max commands executed per reader cycle")
 		idle     = flag.Duration("idle-timeout", 5*time.Minute, "drop a connection with no complete command for this long")
-		passkey  = flag.String("passkey", "shield-dev-passkey", "seals persistent key material (KDS snapshot, DEK cache, EncFS DEK derivation)")
+		passkey  = flag.String("passkey", "shield-dev-passkey", "seals persistent key material (KDS key log, DEK cache, EncFS DEK derivation)")
 		migrate  = flag.Bool("migrate", false, "rewrite every shard under -dir written by an older build into the current on-disk generation, then exit instead of serving")
 	)
 	flag.Parse()

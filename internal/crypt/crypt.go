@@ -129,7 +129,8 @@ func addCounter(ctr *[aes.BlockSize]byte, iv [IVSize]byte, n uint64) {
 // the full encryption-initialization cost (AES key schedule + CTR setup)
 // every time: the overhead the paper measures in Figure 4. The engine's
 // write path never calls it (BufferedWriter keys its stream once per file);
-// it seals the one-shot StateFile and drives the Figure 4 microbenchmark.
+// it opens the sealed state files of older builds and drives the Figure 4
+// microbenchmark.
 func EncryptAt(key DEK, iv [IVSize]byte, dst, src []byte, off int64) error {
 	s, err := NewStream(key, iv)
 	if err != nil {

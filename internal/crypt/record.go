@@ -9,12 +9,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"shield/internal/vfs"
 )
 
-// Record log format. A file that many small updates append to (the secure
-// DEK cache) is a header and a run of AES-GCM records, integers
+// Record log format. A file that many small updates append to (a StateLog:
+// the secure DEK cache, the KDS key table) is a header and a run of AES-GCM
+// records, integers
 // little-endian except the big-endian counter in nonce and AAD:
 //
 //	header = magic(4) version(4) extra prefix(8)
@@ -113,14 +115,19 @@ func (c *recordChain) advance(tag []byte) {
 }
 
 // RecordWriter appends sealed records to a new log file. Append only seals
-// into the writer's buffer; Sync writes what is buffered and syncs. It keys
-// the cipher once per file, reuses one buffer, and allocates nothing per
-// Append once the buffer has grown. It is not safe for concurrent use.
+// into the writer's buffer; Sync writes what is buffered and syncs. Append
+// may run while a Sync writes, into a second buffer, so an owner can seal
+// under its own lock and sync outside it; Syncs must not overlap. It keys
+// the cipher once per file, and allocates nothing per Append once its two
+// buffers have grown.
 type RecordWriter struct {
-	f     vfs.WritableFile
+	f vfs.WritableFile
+
+	mu    sync.Mutex // guards the fields below; never held across I/O
 	chain recordChain
-	buf   []byte
-	err   error // sticky: once a write fails, the file may end in a torn record
+	buf   []byte // sealed records not yet handed to a Sync
+	spare []byte // the buffer the last Sync wrote, for the next one to fill
+	err   error  // sticky: once a write fails, the file may end in a torn record
 }
 
 // NewRecordWriter starts a log on f, which must be empty: it buffers the
@@ -143,12 +150,16 @@ func newRecordWriter(f vfs.WritableFile, key DEK, magic uint32, extra []byte, pr
 	if err != nil {
 		return nil, err
 	}
-	return &RecordWriter{f: f, chain: chain, buf: hdr}, nil
+	// The spare starts with room for a few small records, so a writer that
+	// appends and syncs one at a time allocates no buffer after its first.
+	return &RecordWriter{f: f, chain: chain, buf: hdr, spare: make([]byte, 0, 512)}, nil
 }
 
 // Append seals rec as the log's next record into the buffer. rec may be
 // wiped as soon as Append returns.
 func (w *RecordWriter) Append(rec []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.err != nil {
 		return w.err
 	}
@@ -166,25 +177,32 @@ func (w *RecordWriter) Append(rec []byte) error {
 	return nil
 }
 
-// Sync writes the buffered records in one Write and syncs the file. After
-// a failed write or sync the file may end in a torn record, so the writer
-// refuses every later call.
+// Sync writes the records appended before it in one Write and syncs the
+// file. With nothing buffered it returns at once: an earlier Sync wrote and
+// synced every record. After a failed write or sync the file may end in a
+// torn record, so the writer refuses every later call.
 func (w *RecordWriter) Sync() error {
-	if w.err != nil {
-		return w.err
+	w.mu.Lock()
+	buf, err := w.buf, w.err
+	if err == nil && len(buf) > 0 {
+		w.buf, w.spare = w.spare[:0], nil
 	}
-	if err := vfs.WriteFull(w.f, w.buf); err != nil {
+	w.mu.Unlock()
+	if err != nil || len(buf) == 0 {
+		return err
+	}
+	err = vfs.WriteFull(w.f, buf)
+	if err == nil {
+		err = w.f.Sync()
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err != nil {
 		w.err = err
 		return err
 	}
-	if cap(w.buf) > recordBufKeep {
-		w.buf = nil
-	} else {
-		w.buf = w.buf[:0]
-	}
-	if err := w.f.Sync(); err != nil {
-		w.err = err
-		return err
+	if cap(buf) <= recordBufKeep {
+		w.spare = buf[:0]
 	}
 	return nil
 }

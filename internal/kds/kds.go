@@ -45,24 +45,6 @@ var (
 	ErrPolicyViolated = errors.New("kds: request denied by policy")
 )
 
-// Backend is the server-side key-store interface: what a KDS front end
-// (Server, Local) is backed by. *Store implements it in memory;
-// *PersistentStore adds an encrypted on-disk snapshot. Every key operation
-// names the requesting server and is refused unless that server is enrolled
-// and not revoked.
-type Backend interface {
-	CreateDEK(serverID string) (KeyID, crypt.DEK, error)
-	// CreateDEKToken creates idempotently: a retried create carrying the
-	// same token returns the already-issued key instead of minting (and
-	// leaking) a second one, and only to the server that created it. An
-	// empty token is a plain CreateDEK.
-	CreateDEKToken(serverID, token string) (KeyID, crypt.DEK, error)
-	FetchDEK(serverID string, id KeyID) (crypt.DEK, error)
-	RevokeDEK(serverID string, id KeyID) error
-	// Authorize enrolls serverID.
-	Authorize(serverID string)
-}
-
 // Service is the client-side interface SHIELD programs against. A Service
 // value is bound to one requesting server identity; the KDS authenticates
 // and authorizes that identity on every call.
@@ -98,7 +80,7 @@ type Policy struct {
 func DefaultPolicy() Policy { return Policy{MaxFetches: 1} }
 
 type keyEntry struct {
-	dek     crypt.DEK
+	dek     crypt.DEK // zero once revoked: a revoked key is a tombstone
 	creator string
 	fetches int
 	revoked bool
@@ -106,16 +88,20 @@ type keyEntry struct {
 
 // Store is the replicated key database behind one or more KDS front ends.
 // Multiple Servers (or in-process Locals) sharing one *Store model a
-// decentralized KDS deployment: any replica can serve any request.
+// decentralized KDS deployment: any replica can serve any request. Every
+// key operation names the requesting server and is refused unless that
+// server is enrolled and not revoked. Opened with OpenPersistentStore, a
+// Store journals every change before the call returns (persist.go).
 type Store struct {
-	mu         sync.Mutex
-	policy     Policy
-	keys       map[KeyID]*keyEntry
-	authorized map[string]bool // serverID -> enrolled
-	revokedSrv map[string]bool // serverID -> revoked
-	issued     int64
-	fetched    int64
-	denied     int64
+	mu      sync.Mutex
+	policy  Policy
+	keys    map[KeyID]*keyEntry
+	servers map[string]bool // serverID -> enrolled (true) or revoked (false)
+	fetched int64
+	denied  int64
+
+	log *crypt.StateLog // nil: in memory only
+	rec []byte          // plaintext of the record being sealed; wiped after
 
 	// Idempotency-token window for CreateDEKToken: token -> issued KeyID,
 	// bounded FIFO so a retry storm cannot grow the store.
@@ -130,35 +116,40 @@ const tokenWindow = 1024
 
 // NewStore creates an empty key store with the given policy.
 func NewStore(policy Policy) *Store {
-	return &Store{
-		policy:     policy,
-		keys:       make(map[KeyID]*keyEntry),
-		authorized: make(map[string]bool),
-		revokedSrv: make(map[string]bool),
-	}
+	return &Store{policy: policy, keys: make(map[KeyID]*keyEntry), servers: make(map[string]bool)}
 }
 
-// Authorize enrolls a server so it may create and fetch DEKs.
+// Authorize enrolls a server so it may create and fetch DEKs. Persisting
+// the enrollment is best effort: one that fails to persist is still live in
+// memory, and deployments enroll their servers at every start.
 func (s *Store) Authorize(serverID string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.authorized[serverID] = true
-	delete(s.revokedSrv, serverID)
+	_ = s.setServer(serverID, true)
 }
 
-// RevokeServer blocks all further requests from a breached server.
-func (s *Store) RevokeServer(serverID string) {
+// RevokeServer blocks all further requests from a breached server. The
+// error reports a revocation that may not survive a restart.
+//
+//shield:notestonly the breach response (Section 5.4); no command drives it, the KDS tests and the crash enumeration do
+func (s *Store) RevokeServer(serverID string) error {
+	return s.setServer(serverID, false)
+}
+
+// setServer enrolls or revokes serverID and returns once that is durable.
+func (s *Store) setServer(serverID string, enrolled bool) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.revokedSrv[serverID] = true
-	delete(s.authorized, serverID)
+	if was, known := s.servers[serverID]; known && was == enrolled {
+		s.mu.Unlock()
+		return nil
+	}
+	s.servers[serverID] = enrolled
+	return s.seal(appendServerRecord(s.rec[:0], serverID, enrolled))
 }
 
 func (s *Store) checkServer(serverID string) error {
-	if s.revokedSrv[serverID] {
+	switch enrolled, known := s.servers[serverID]; {
+	case known && !enrolled:
 		return fmt.Errorf("%w: %s", ErrRevoked, serverID)
-	}
-	if !s.authorized[serverID] {
+	case !enrolled:
 		return fmt.Errorf("%w: %s", ErrUnauthorized, serverID)
 	}
 	return nil
@@ -188,23 +179,27 @@ func (s *Store) CreateDEK(serverID string) (KeyID, crypt.DEK, error) {
 	id := KeyID("dek-" + hex.EncodeToString(raw[:]))
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := s.checkServer(serverID); err != nil {
 		s.denied++
+		s.mu.Unlock()
 		return "", crypt.DEK{}, err
 	}
-	s.keys[id] = &keyEntry{dek: dek, creator: serverID}
-	s.issued++
+	e := &keyEntry{dek: dek, creator: serverID}
+	s.keys[id] = e
+	if err := s.seal(appendKeyRecord(s.rec[:0], id, e)); err != nil {
+		return "", crypt.DEK{}, fmt.Errorf("kds: persisting after issue: %w", err)
+	}
 	return id, dek, nil
 }
 
-// CreateDEKToken implements Backend: a replayed token returns the key
+// CreateDEKToken creates idempotently: a replayed token returns the key
 // already issued for it, so a client retrying a create whose response was
-// lost does not double-issue a DEK. The replay passes the same checks as a
-// fresh create, and goes only to the server that created the key, while the
-// key is not revoked. The check-then-create sequence is not atomic across
-// concurrent calls with the same token, but tokens are minted per request
-// by a single client whose retries are serialized.
+// lost does not double-issue a DEK. An empty token is a plain CreateDEK.
+// The replay passes the same checks as a fresh create, and goes only to the
+// server that created the key, while the key is not revoked. The
+// check-then-create sequence is not atomic across concurrent calls with the
+// same token, but tokens are minted per request by a single client whose
+// retries are serialized.
 func (s *Store) CreateDEKToken(serverID, token string) (KeyID, crypt.DEK, error) {
 	if token == "" {
 		return s.CreateDEK(serverID)
@@ -260,69 +255,91 @@ func (s *Store) FetchDEK(serverID string, id KeyID) (crypt.DEK, error) {
 		time.Sleep(d)
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkServer(serverID); err != nil {
+	e, err := s.fetchable(serverID, id)
+	if err != nil {
 		s.denied++
+		s.mu.Unlock()
 		return crypt.DEK{}, err
 	}
-	e, ok := s.keys[id]
-	if !ok {
-		s.denied++
-		return crypt.DEK{}, fmt.Errorf("%w: %s", ErrUnknownKey, id)
-	}
-	if e.revoked {
-		s.denied++
-		return crypt.DEK{}, fmt.Errorf("%w: %s", ErrKeyRevoked, id)
-	}
+	s.fetched++
+	dek := e.dek
 	// The creator re-fetching its own key (e.g. on restart with a cold
 	// secure cache) does not consume the one-time budget; foreign servers do.
-	if serverID != e.creator {
-		if s.policy.MaxFetches > 0 && e.fetches >= s.policy.MaxFetches {
-			s.denied++
-			return crypt.DEK{}, fmt.Errorf("%w: %s", ErrAlreadyIssued, id)
-		}
-		e.fetches++
+	if serverID == e.creator {
+		s.mu.Unlock()
+		return dek, nil
 	}
-	s.fetched++
-	return e.dek, nil
+	e.fetches++
+	if err := s.seal(appendKeyRecord(s.rec[:0], id, e)); err != nil {
+		return crypt.DEK{}, fmt.Errorf("kds: persisting after fetch: %w", err)
+	}
+	return dek, nil
+}
+
+// fetchable returns the entry of id if serverID may fetch it. The caller
+// holds s.mu.
+func (s *Store) fetchable(serverID string, id KeyID) (*keyEntry, error) {
+	if err := s.checkServer(serverID); err != nil {
+		return nil, err
+	}
+	switch e, ok := s.keys[id]; {
+	case !ok:
+		return nil, fmt.Errorf("%w: %s", ErrUnknownKey, id)
+	case e.revoked:
+		return nil, fmt.Errorf("%w: %s", ErrKeyRevoked, id)
+	case serverID != e.creator && s.policy.MaxFetches > 0 && e.fetches >= s.policy.MaxFetches:
+		return nil, fmt.Errorf("%w: %s", ErrAlreadyIssued, id)
+	default:
+		return e, nil
+	}
 }
 
 // RevokeDEK implements the Service semantics at the store level. Any enrolled
 // server may revoke any key: the engine revokes the outputs of offloaded
-// compactions, which a worker's identity created.
+// compactions, which a worker's identity created. The key's bytes are wiped;
+// its ID, creator and fetch count stay as a tombstone, so the ID is refused
+// for good.
 func (s *Store) RevokeDEK(serverID string, id KeyID) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := s.checkServer(serverID); err != nil {
 		s.denied++
+		s.mu.Unlock()
 		return err
 	}
 	e, ok := s.keys[id]
 	if !ok {
+		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownKey, id)
 	}
+	if e.revoked {
+		s.mu.Unlock()
+		return nil
+	}
 	e.revoked = true
-	return nil
+	crypt.Zeroize(e.dek[:]) // so no later checkpoint writes it
+	return s.seal(appendKeyRecord(s.rec[:0], id, e))
 }
 
-// Stats reports cumulative request counts.
+// Stats reports request counts: issued counts the keys the store holds
+// (revoked ones included), fetched and denied the requests since the
+// process started.
 func (s *Store) Stats() (issued, fetched, denied int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.issued, s.fetched, s.denied
+	return int64(len(s.keys)), s.fetched, s.denied
 }
 
 // Local is an in-process Service bound to one serverID, used for monolithic
 // deployments and tests.
 type Local struct {
-	store    Backend
+	store    *Store
 	serverID string
 }
 
 // NewLocal returns a Service for serverID backed by store. The server is
 // authorized as a side effect (monolithic deployments control enrollment
 // out of band).
-func NewLocal(store Backend, serverID string) *Local {
+func NewLocal(store *Store, serverID string) *Local {
 	store.Authorize(serverID)
 	return &Local{store: store, serverID: serverID}
 }

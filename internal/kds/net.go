@@ -26,7 +26,7 @@ type wireRequest struct {
 	KeyID    string `json:"key_id,omitempty"`
 
 	// Token makes "create" idempotent: a retried create with the same
-	// token resolves to the key already issued for it (Backend.CreateDEKToken).
+	// token resolves to the key already issued for it (Store.CreateDEKToken).
 	Token string `json:"token,omitempty"`
 }
 
@@ -44,12 +44,12 @@ type wireResponse struct {
 // Server exposes a Store over TCP. Several Servers may front the same Store,
 // modeling the decentralized replica set.
 type Server struct {
-	store Backend
+	store *Store
 	ln    *netretry.Listener
 }
 
 // NewServer starts a KDS server on addr (e.g. "127.0.0.1:0") backed by store.
-func NewServer(store Backend, addr string) (*Server, error) {
+func NewServer(store *Store, addr string) (*Server, error) {
 	s := &Server{store: store}
 	ln, err := netretry.Listen(addr, s.serveConn)
 	if err != nil {

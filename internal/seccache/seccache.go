@@ -9,30 +9,24 @@
 // compacted-away file is deleted, so only keys for live files remain
 // recoverable.
 //
-// On disk the cache is a crypt record log whose header carries the PBKDF2
+// On disk the cache is a crypt.StateLog whose header carries the PBKDF2
 // salt:
 //
 //	magic(4) version(4) salt(16) nonce-prefix(8) record...
 //	record = len(4) AES-GCM(body) tag(16) end(1)
 //
-// The first record of a file is a checkpoint marker; the live set follows
-// it, one put record per DEK and one epoch record per store's freshness
-// floor. After that every Put, Delete and raised epoch floor appends one
-// record and syncs before it returns, so a mutation costs the same bytes
-// whatever the size of the cache. The log is sealed under a GCM key derived
-// by HKDF from the PBKDF2 output of the passkey and salt; nonce and AAD
-// chain every record to its index and to the tag before it, so a flipped
-// byte, a reordered or a foreign record fails closed. A last record that a
-// crash tore (cut short, or zero from where its data stopped to the end of
-// the file) is dropped: its call never returned.
+// A checkpoint writes one put record per DEK and one epoch record per
+// store's freshness floor; after it every Put, Delete and raised epoch floor
+// appends one record and syncs before it returns, so a mutation costs the
+// same bytes whatever the size of the cache. The log is sealed under a GCM
+// key derived by HKDF from the PBKDF2 output of the passkey and salt; nonce
+// and AAD chain every record to its index and to the tag before it, so a
+// flipped byte, a reordered or a foreign record fails closed. A last record
+// that a crash tore (cut short, or zero from where its data stopped to the
+// end of the file) is dropped: its call never returned. One Cache owns its
+// file: a second Cache on the same path replaces the file at its Open.
 //
-// A checkpoint writes the live set to path.tmp, syncs it, renames it over
-// path and syncs the directory. It runs at Open and whenever the log holds
-// more than twice the live set (plus checkpointSlack records), and its
-// handle is the one later records append to. One Cache owns its file: a
-// second Cache on the same path replaces the file at its Open.
-//
-// A file in the layout of older builds (a crypt.StateFile sealing a JSON
+// A file in the layout of older builds (a crypt sealed state file: a JSON
 // map under AES-CTR and HMAC-SHA256, magic "SCCH") is read once and
 // rewritten as the first checkpoint, keeping its salt.
 package seccache
@@ -43,8 +37,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"path"
 	"strconv"
 	"strings"
 	"sync"
@@ -66,16 +58,15 @@ const (
 	// the v1 layout's CTR and HMAC keys, which share its PBKDF2 input.
 	logKeyLabel = "shield seccache record log v1"
 
-	// checkpointSlack is how many records past twice the live set the log
-	// may grow before a checkpoint rewrites it, so a near-empty cache does
-	// not rewrite itself on every second mutation.
-	checkpointSlack = 64
+	// checkpointSlack is the log's growth allowance past twice the live set,
+	// which the crash test sizes its churn by.
+	checkpointSlack = crypt.StateLogSlack
 )
 
-// Record types: the first byte of every record's plaintext.
+// Record types: the first byte of every record's plaintext after the log's
+// checkpoint marker.
 const (
-	recCheckpoint = iota // first record of every file; no body
-	recPut               // dek(16) ‖ id
+	recPut    = iota + 1 // dek(16) ‖ id
 	recDelete            // id
 	recEpoch             // u64 epoch ‖ store
 )
@@ -88,22 +79,15 @@ var (
 
 // Cache is a secure, persistent DEK cache. It is safe for concurrent use.
 //
-// Locking: logMu serializes mutations and owns the log, so records reach
-// the file in the order the maps change; it is held across the append and
-// the sync. mu guards the maps and counters and is never held across I/O,
-// so Get does not wait on a disk (or, disaggregated, a network) write. The
-// maps change only under both locks, so a holder of either may read them:
-// a checkpoint walks them under logMu alone.
+// Locking: mu guards the maps and counters. A mutation changes the maps and
+// seals its record under mu, so records reach the log in the order the maps
+// change, and syncs after releasing it, so Get never waits on a disk (or,
+// disaggregated, a network) write. A checkpoint takes mu while it seals the
+// live set.
 type Cache struct {
-	fs   vfs.FS
-	path string
 	salt []byte
 	key  crypt.DEK // the log's GCM key
-
-	logMu  sync.Mutex
-	log    *crypt.RecordWriter // nil: the next mutation checkpoints first
-	logged int                 // records in the current file after its checkpoint marker
-	rec    []byte              // plaintext of the record being appended; wiped after
+	log  *crypt.StateLog
 
 	mu      sync.Mutex
 	entries map[kds.KeyID]crypt.DEK
@@ -112,6 +96,7 @@ type Cache struct {
 	// can roll the data directory back cannot roll the floor back without
 	// the passkey.
 	epochs    map[string]uint64
+	rec       []byte // plaintext of the record being sealed; wiped after
 	hits      int64
 	misses    int64
 	recovered bool
@@ -121,21 +106,22 @@ type Cache struct {
 // Opening an existing cache with the wrong passkey fails with ErrBadPasskey.
 func Open(fs vfs.FS, path string, passkey []byte) (*Cache, error) {
 	c := &Cache{
-		fs:      fs,
-		path:    path,
 		entries: make(map[kds.KeyID]crypt.DEK),
 		epochs:  make(map[string]uint64),
 	}
-	data, err := vfs.ReadReplaced(fs, path)
+	data, err := vfs.ReadFile(fs, path)
 	switch {
 	case errors.Is(err, vfs.ErrNotFound):
 		err = c.coldStart(passkey)
 	case err != nil:
 		return nil, err
 	case len(data) >= 4 && binary.LittleEndian.Uint32(data) == v1Magic:
-		err = c.loadV1(passkey)
+		err = c.loadV1(data, passkey)
 	default:
-		err = c.replay(data, passkey)
+		var r *crypt.RecordReader
+		if r, err = c.logReader(data, passkey); err == nil {
+			err = crypt.ReplayStateLog(r, c.apply)
+		}
 	}
 	switch {
 	case err == nil:
@@ -156,28 +142,24 @@ func Open(fs vfs.FS, path string, passkey []byte) (*Cache, error) {
 	default:
 		return nil, err
 	}
-	// Start this process's log with a checkpoint. If it cannot be written,
-	// the file on disk is still the one just loaded, and the first mutation
-	// checkpoints again (c.log stays nil).
-	c.logMu.Lock()
-	defer c.logMu.Unlock()
-	_ = c.dropped(c.checkpoint()) // retried by the first mutation; the loaded file stands
+	c.log = crypt.NewStateLog(fs, path, logMagic, c.salt, c.key, &c.mu, c.writeLive)
+	// The first Sync checkpoints. If it fails, the file on disk is still the
+	// one just loaded, and the first mutation checkpoints again.
+	_ = c.dropped(c.log.Sync())
 	return c, nil
 }
 
-// masterKey is the PBKDF2 output every key of the cache comes from: n
-// bytes, 32 for the log key alone and 48 for the v1 layout's CTR and HMAC
-// keys, whose first 32 bytes are the same.
-func masterKey(passkey, salt []byte, n int) []byte {
-	return crypt.PBKDF2SHA256(passkey, salt, pbkdf2Iter, n)
-}
-
-// setLogKey derives the log's GCM key from the first 32 bytes of the
-// master key.
-func (c *Cache) setLogKey(mk []byte) {
+// deriveKeys keeps salt and the log's GCM key, which HKDF derives from the
+// first 32 bytes of the master key: the PBKDF2 output of passkey and salt.
+// It returns the master key's n bytes, 32 for the log key alone and 48 for
+// the v1 layout's CTR and HMAC keys too; the caller wipes them.
+func (c *Cache) deriveKeys(passkey, salt []byte, n int) []byte {
+	c.salt = append([]byte(nil), salt...)
+	mk := crypt.PBKDF2SHA256(passkey, salt, pbkdf2Iter, n)
 	k := crypt.HKDFSHA256(mk[:32], nil, []byte(logKeyLabel), crypt.KeySize)
-	defer crypt.Zeroize(k)
 	copy(c.key[:], k)
+	crypt.Zeroize(k)
+	return mk
 }
 
 // coldStart starts an empty cache under a fresh salt, so derived keys are
@@ -187,10 +169,7 @@ func (c *Cache) coldStart(passkey []byte) error {
 	if err != nil {
 		return err
 	}
-	c.salt = salt[:saltSize]
-	mk := masterKey(passkey, c.salt, 32)
-	defer crypt.Zeroize(mk)
-	c.setLogKey(mk)
+	crypt.Zeroize(c.deriveKeys(passkey, salt[:saltSize], 32))
 	return nil
 }
 
@@ -198,48 +177,13 @@ func (c *Cache) coldStart(passkey []byte) error {
 // the salt in its header, which it keeps with the log key.
 func (c *Cache) logReader(data, passkey []byte) (*crypt.RecordReader, error) {
 	return crypt.NewRecordReader(data, logMagic, saltSize, func(salt []byte) (crypt.DEK, error) {
-		c.salt = append([]byte(nil), salt...)
-		mk := masterKey(passkey, salt, 32)
-		defer crypt.Zeroize(mk)
-		c.setLogKey(mk)
+		crypt.Zeroize(c.deriveKeys(passkey, salt, 32))
 		return c.key, nil
 	})
 }
 
-// replay fills the maps from a record log. A torn last record is dropped:
-// its mutation never returned, and the checkpoint that follows Open leaves
-// it out of the file.
-func (c *Cache) replay(data, passkey []byte) error {
-	r, err := c.logReader(data, passkey)
-	if err != nil {
-		return err
-	}
-	for first := true; ; first = false {
-		rec, err := r.Next()
-		switch {
-		case err == nil:
-		case first && (err == io.EOF || errors.Is(err, crypt.ErrTornRecord)):
-			// Every file starts with a synced checkpoint marker: without
-			// one it was cut, not written.
-			return fmt.Errorf("%w: no checkpoint record", crypt.ErrStateCorrupt)
-		case err == io.EOF, errors.Is(err, crypt.ErrTornRecord):
-			return nil
-		default:
-			return err
-		}
-		if marker := len(rec) == 1 && rec[0] == recCheckpoint; marker != first {
-			return fmt.Errorf("%w: checkpoint marker out of place", ErrBadPasskey)
-		}
-		if !first {
-			if err := c.apply(rec); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// apply applies one authenticated record to the maps (Open runs it before
-// the cache is shared, so without locks).
+// apply applies one replayed record to the maps (Open runs it before the
+// cache is shared, so without locks).
 func (c *Cache) apply(rec []byte) error {
 	if len(rec) > 0 {
 		switch t, body := rec[0], rec[1:]; {
@@ -256,26 +200,19 @@ func (c *Cache) apply(rec []byte) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("%w: undecodable record of %d bytes", ErrBadPasskey, len(rec))
+	return fmt.Errorf("seccache: undecodable record of %d bytes: %w", len(rec), vfs.ErrIntegrity)
 }
 
-// loadV1 fills the maps from a file in the layout of older builds (a
-// crypt.StateFile), keeping its salt for the log that replaces it.
-func (c *Cache) loadV1(passkey []byte) error {
-	st := crypt.StateFile{FS: c.fs, Path: c.path, Magic: v1Magic}
-	defer func() {
-		crypt.Zeroize(st.AES[:])
-		crypt.Zeroize(st.HMAC)
-	}()
-	plain, err := st.Load(saltSize, func(salt []byte) {
-		c.salt = append([]byte(nil), salt...)
-		mk := masterKey(passkey, salt, crypt.KeySize+hmacSize)
+// loadV1 fills the maps from a file in the layout of older builds (a crypt
+// sealed state file), keeping its salt for the log that replaces it.
+func (c *Cache) loadV1(data, passkey []byte) error {
+	plain, err := crypt.DecodeStateFile(data, v1Magic, saltSize, func(salt []byte) (aes crypt.DEK, mac []byte) {
+		mk := c.deriveKeys(passkey, salt, crypt.KeySize+hmacSize)
 		defer crypt.Zeroize(mk)
-		copy(st.AES[:], mk[:crypt.KeySize])
+		copy(aes[:], mk[:crypt.KeySize])
 		// Copy rather than alias: retaining a sub-slice would keep the
 		// whole derived buffer alive and un-wipeable.
-		st.HMAC = append(st.HMAC[:0], mk[crypt.KeySize:]...)
-		c.setLogKey(mk)
+		return aes, append(mac, mk[crypt.KeySize:]...)
 	})
 	if err != nil {
 		return err
@@ -340,16 +277,13 @@ func (c *Cache) EpochFloor(store string) (uint64, bool) {
 // it. Lower values are ignored — the floor never moves backwards, which is
 // the whole point.
 func (c *Cache) SealEpoch(store string, epoch uint64) error {
-	c.logMu.Lock()
-	defer c.logMu.Unlock()
 	c.mu.Lock()
 	if cur, ok := c.epochs[store]; ok && cur >= epoch {
 		c.mu.Unlock()
 		return nil
 	}
 	c.epochs[store] = epoch
-	c.mu.Unlock()
-	return c.persist(appendEpoch(c.rec[:0], store, epoch))
+	return c.seal(appendEpoch(c.rec[:0], store, epoch))
 }
 
 // Get returns the cached DEK for id, or ErrNotCached.
@@ -367,27 +301,21 @@ func (c *Cache) Get(id kds.KeyID) (crypt.DEK, error) {
 
 // Put stores a DEK and persists it.
 func (c *Cache) Put(id kds.KeyID, dek crypt.DEK) error {
-	c.logMu.Lock()
-	defer c.logMu.Unlock()
 	c.mu.Lock()
 	c.entries[id] = dek
-	c.mu.Unlock()
-	return c.persist(appendPut(c.rec[:0], id, dek))
+	return c.seal(appendPut(c.rec[:0], id, dek))
 }
 
 // Delete removes a DEK — called when its file is deleted after compaction,
 // ensuring only current keys remain accessible.
 func (c *Cache) Delete(id kds.KeyID) error {
-	c.logMu.Lock()
-	defer c.logMu.Unlock()
 	c.mu.Lock()
 	if _, ok := c.entries[id]; !ok {
 		c.mu.Unlock()
 		return nil
 	}
 	delete(c.entries, id)
-	c.mu.Unlock()
-	return c.persist(append(append(c.rec[:0], recDelete), id...))
+	return c.seal(append(append(c.rec[:0], recDelete), id...))
 }
 
 //shield:notestonly the number of cached DEKs, for the secure-cache tests to assert on
@@ -412,34 +340,21 @@ func appendEpoch(b []byte, store string, epoch uint64) []byte {
 	return append(binary.LittleEndian.AppendUint64(append(b, recEpoch), epoch), store...)
 }
 
-// persist makes the mutation whose record is rec durable: it appends rec
-// and syncs, or checkpoints instead when the log is gone (a failed append
-// left it possibly torn) or would pass twice the live set. rec is wiped.
-// Caller holds logMu, and the maps already hold the mutation.
-func (c *Cache) persist(rec []byte) error {
+// seal makes the mutation whose record is rec durable: it seals rec onto
+// the log and wipes it, releases mu, which the caller holds with the maps
+// already changed, and syncs.
+func (c *Cache) seal(rec []byte) error {
+	c.log.Seal(rec)
+	crypt.Zeroize(rec)
 	c.rec = rec
-	defer func() { crypt.Zeroize(c.rec[:cap(c.rec)]) }()
-	if c.log == nil || c.logged >= 2*(len(c.entries)+len(c.epochs))+checkpointSlack {
-		return c.dropped(c.checkpoint())
-	}
-	err := c.log.Append(rec)
-	if err == nil {
-		err = c.log.Sync()
-	}
-	if err != nil {
-		// The file may now end in a torn record, and no record may follow
-		// it: the next mutation rewrites the file first.
-		c.closeLog()
-		return c.dropped(err)
-	}
-	c.logged++
-	return nil
+	c.mu.Unlock()
+	return c.dropped(c.log.Sync())
 }
 
 // dropped absorbs a full cache disk: it must not fail the write path, since
 // the cache is an optimization (every DEK is re-fetchable from the KDS) and
-// the entry is already live in memory. The drop is counted and the next
-// mutation checkpoints.
+// the entry is already live in memory. The drop is counted and the log
+// checkpoints on the next mutation.
 func (c *Cache) dropped(err error) error {
 	if errors.Is(err, vfs.ErrNoSpace) {
 		metrics.Storage.CacheSavesDropped.Add(1)
@@ -448,71 +363,25 @@ func (c *Cache) dropped(err error) error {
 	return err
 }
 
-// checkpoint writes the live set as a new log to path.tmp, syncs it,
-// renames it over path and syncs the directory; its handle then takes the
-// appends. On failure the file at path is the previous log, intact, and
-// c.log stays nil. Caller holds logMu, which makes walking the maps safe
-// without mu: Get only reads them.
-func (c *Cache) checkpoint() error {
-	c.closeLog()
-	tmp := c.path + ".tmp"
-	f, err := c.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	w, err := crypt.NewRecordWriter(f, c.key, logMagic, c.salt)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	err = c.writeLive(w)
-	if err == nil {
-		err = w.Sync()
-	}
-	if err == nil {
-		err = c.fs.Rename(tmp, c.path)
-	}
-	if err == nil {
-		err = c.fs.SyncDir(path.Dir(c.path))
-	}
-	if err != nil {
-		w.Close()
-		return err
-	}
-	c.log, c.logged = w, len(c.entries)+len(c.epochs)
-	return nil
-}
-
-// writeLive appends the checkpoint marker and one record per DEK and epoch
-// floor to w. Caller holds logMu.
-func (c *Cache) writeLive(w *crypt.RecordWriter) error {
-	rec := append(c.rec[:0], recCheckpoint)
+// writeLive emits one record per DEK and epoch floor: the live set a
+// checkpoint writes. The log calls it with mu held.
+func (c *Cache) writeLive(emit func(rec []byte) error) error {
+	rec := c.rec[:0]
 	defer func() {
 		crypt.Zeroize(rec[:cap(rec)])
 		c.rec = rec
 	}()
-	if err := w.Append(rec); err != nil {
-		return err
-	}
 	for id, dek := range c.entries {
 		rec = appendPut(rec[:0], id, dek)
-		if err := w.Append(rec); err != nil {
+		if err := emit(rec); err != nil {
 			return err
 		}
 	}
 	for store, e := range c.epochs {
 		rec = appendEpoch(rec[:0], store, e)
-		if err := w.Append(rec); err != nil {
+		if err := emit(rec); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// closeLog closes the log's handle, if any; the file stays as it is.
-func (c *Cache) closeLog() {
-	if c.log != nil {
-		c.log.Close() //nolint:errcheck // every record that counts was synced
-		c.log = nil
-	}
 }

@@ -215,46 +215,3 @@ func TestCrashFSCreateOverDurable(t *testing.T) {
 		t.Fatalf("crash mid-rewrite should keep old inode, got %q", got)
 	}
 }
-
-// ReplaceFile at every crash point, strict or torn: the name holds a whole
-// version that was written, never a mix and, once the first replace has
-// returned, never nothing; ReadReplaced sweeps whatever temp was left.
-func TestReplaceFileNeverTornAtAnyCrashPoint(t *testing.T) {
-	fs := NewCrash(3)
-	type point struct {
-		img  *CrashImage
-		done int // replaces that had returned
-	}
-	var points []point
-	done := 0
-	fs.AfterSync(func(_ string, img *CrashImage) { points = append(points, point{img, done}) })
-	fs.MkdirAll("d")
-	versions := [][]byte{bytes.Repeat([]byte("a"), 3000), bytes.Repeat([]byte("b"), 5000), []byte("c")}
-	for _, v := range versions {
-		if err := ReplaceFile(fs, "d/state", v); err != nil {
-			t.Fatal(err)
-		}
-		done++
-	}
-	if len(points) < 2*len(versions) {
-		t.Fatalf("%d crash points for %d replaces", len(points), len(versions))
-	}
-	for i, p := range points {
-		for _, post := range []*MemFS{p.img.Strict(), p.img.Torn(int64(i))} {
-			got, err := ReadReplaced(post, "d/state")
-			if errors.Is(err, ErrNotFound) && p.done == 0 {
-				continue
-			}
-			if err != nil {
-				t.Fatalf("point %d (%d replaces returned): %v", i, p.done, err)
-			}
-			// The survivor is the last acknowledged version or the one in flight.
-			if !(p.done > 0 && bytes.Equal(got, versions[p.done-1])) && !(p.done < len(versions) && bytes.Equal(got, versions[p.done])) {
-				t.Fatalf("point %d (%d replaces returned): %d bytes %.8q", i, p.done, len(got), got)
-			}
-			if _, err := post.Stat("d/state.tmp"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("point %d: temp survived ReadReplaced: %v", i, err)
-			}
-		}
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"path"
 )
 
 // ErrNotFound reports that a file does not exist.
@@ -131,11 +130,10 @@ func ReadAll(f RandomAccessFile) ([]byte, error) {
 
 // WriteFile writes data to the named file through fs, replacing any existing
 // contents, and syncs it. It does not sync the directory; the caller owns
-// that: ReplaceFile syncs it after renaming its .tmp into place, and a caller
-// that creates a file in place (shield-server's encfs.salt) syncs the parent
-// itself.
+// that: a caller that creates a file in place (shield-server's encfs.salt)
+// syncs the parent itself.
 //
-//shield:nosyncdir helper; the caller owns directory durability, after its rename or in-place create
+//shield:nosyncdir helper; the caller owns directory durability, as after an in-place create
 func WriteFile(fsys FS, name string, data []byte) error {
 	f, err := fsys.Create(name)
 	if err != nil {
@@ -156,30 +154,6 @@ func WriteSynced(f WritableFile, data []byte) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ReplaceFile atomically replaces the named file with data: it writes and
-// syncs name.tmp, renames it over name and syncs the directory, so a crash
-// leaves the old contents or the new ones, never a mix or neither.
-func ReplaceFile(fsys FS, name string, data []byte) error {
-	tmp := name + ".tmp"
-	if err := WriteFile(fsys, tmp, data); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp, name); err != nil {
-		return err
-	}
-	return fsys.SyncDir(path.Dir(name))
-}
-
-// ReadReplaced reads a file that ReplaceFile maintains. A leftover name.tmp
-// means a ReplaceFile crashed before its rename: the live file (if any) is
-// intact and the partial one is garbage, so it is removed first.
-func ReadReplaced(fsys FS, name string) ([]byte, error) {
-	if err := fsys.Remove(name + ".tmp"); err != nil && !errors.Is(err, ErrNotFound) {
-		return nil, err
-	}
-	return ReadFile(fsys, name)
 }
 
 // WriteFull writes all of p to w and converts the silent short-write case
