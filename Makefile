@@ -40,9 +40,12 @@ flake:
 # table open, per cache miss and per digest walk. Writes: allocations per Put,
 # per memtable entry, per sealed chunk, per WAL/MANIFEST flush, per replay
 # read and per memfs append, and the equivalence tests of what the write path
-# replaced (extent-backed memfs bodies against a flat slice, the memtable
-# arena under concurrent readers, recycled sealed-writer jobs, pooled Put
-# batches). The allocation tests carry
+# replaced (extent-backed memfs bodies against a flat slice, recycled
+# sealed-writer jobs, pooled Put batches). The memtable arena: allocations
+# per memtable lookup (0), the skiplist under concurrent readers
+# and a looping GC across more than twenty chunks (Arena), clipped and
+# surviving Key/Value views, and the seed corpus of its oracle fuzz target
+# (SkiplistOracle). The allocation tests carry
 # a !race build tag (allocation counts are meaningless under the race
 # detector), so `make race` skips them and this target is where they run.
 # Served commands: allocations per pipeline through server.handle and through
@@ -58,7 +61,7 @@ flake:
 # pool's retention cap. Record logs: allocations per Append. Manual compaction: bytes read by CompactRange against
 # the tables it replaces (RewritesOnce).
 io-path-check:
-	go test -run 'InnerReads|Allocs|SliceOracle|Arena|OutlivesMemtable|PooledPutBatch|SealedWriter|Towers|MatchesOracle|SplitAcrossReads|Deadline|ReadAhead|Frame|RewritesOnce' \
+	go test -run 'InnerReads|Allocs|SliceOracle|Arena|OutlivesMemtable|PooledPutBatch|SealedWriter|Towers|MatchesOracle|SkiplistOracle|SplitAcrossReads|Deadline|ReadAhead|Frame|RewritesOnce' \
 		./internal/crypt/ ./internal/lsm/ ./internal/lsm/skiplist/ ./internal/lsm/sstable/ ./internal/vfs/ ./internal/dstore/ \
 		./internal/resp/ ./internal/server/ ./internal/netretry/ ./internal/cache/
 
@@ -188,7 +191,10 @@ tamper-test:
 # offloaded-compaction wire, both ends: any bytes as worker requests through
 # the orchestrator's handler, and as orchestrator replies through the
 # worker's reading of them (a claim runs its job); no panic, allocation
-# bounded by the input.
+# bounded by the input. The memtable's arena skiplist, against a sorted-slice
+# oracle: any insert and seek sequence (one user key at many sequence numbers,
+# entries that straddle chunks or take a chunk of their own) seeks, scans and
+# sizes as the oracle does.
 # FUZZTIME bounds each target; CI uses a short burst, leave
 # it running locally to dig deeper. Minimization is capped because its 60 s
 # default otherwise eats a short burst whole (execs drop to 0/sec after the
@@ -210,6 +216,7 @@ fuzz:
 	go test $(FUZZFLAGS) -fuzz=FuzzRecordLog ./internal/crypt/
 	go test $(FUZZFLAGS) -fuzz=FuzzKDSRequest ./internal/kds/
 	go test $(FUZZFLAGS) -fuzz=FuzzCompactsvcWire ./internal/compactsvc/
+	go test $(FUZZFLAGS) -fuzz=FuzzSkiplistOracle ./internal/lsm/skiplist/
 
 # Third-party linters. These reach the network to fetch the pinned tool the
 # first time; they are deliberately NOT part of `make all` so an offline

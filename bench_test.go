@@ -18,6 +18,7 @@ import (
 	"shield/internal/kds"
 	"shield/internal/lsm"
 	"shield/internal/lsm/base"
+	"shield/internal/lsm/skiplist"
 	"shield/internal/lsm/sstable"
 	"shield/internal/metrics"
 	"shield/internal/resp"
@@ -272,6 +273,78 @@ func BenchmarkPut(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkMemTable is the memtable alone at the benchmark's shape: 20-byte
+// keys drawn uniformly from 200 000, 256-byte values, 4 MiB memtables.
+// memTable.add and memTable.get are one call each to the skiplist's Insert
+// and SeekGE (internal/lsm/memtable.go), so the list is driven directly. add
+// starts a new list each time one reaches 4 MiB, as rotation does, and
+// reports the heap one full memtable allocates (MiB/memtable); get looks up
+// keys present in one full memtable at the newest sequence number.
+func BenchmarkMemTable(b *testing.B) {
+	const (
+		memtableSize = 4 << 20
+		keySpace     = 200000
+	)
+	value := make([]byte, 256)
+	setKey := func(key []byte, n int) {
+		for j := len(key) - 1; j >= 4; j, n = j-1, n/10 {
+			key[j] = byte('0' + n%10)
+		}
+	}
+	// keyAt sets key to the key the record of sequence number seq writes.
+	keyAt := func(key []byte, seq base.SeqNum) {
+		setKey(key, int(uint64(seq)*0x9E3779B97F4A7C15>>40%keySpace))
+	}
+	// fill inserts records from sequence number *seq+1 on until the list
+	// reaches memtableSize.
+	fill := func(l *skiplist.List, seq *base.SeqNum) {
+		key := []byte("user0000000000000000")
+		for l.ApproximateSize() < memtableSize {
+			*seq++
+			keyAt(key, *seq)
+			l.Insert(key, base.MakeTrailer(*seq, base.KindSet), value)
+		}
+	}
+	b.Run("add", func(b *testing.B) {
+		var seq base.SeqNum
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fill(skiplist.New(), &seq)
+		runtime.ReadMemStats(&after)
+		perMemtable := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+
+		key := []byte("user0000000000000000")
+		l := skiplist.New()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if l.ApproximateSize() >= memtableSize {
+				l = skiplist.New()
+			}
+			seq++
+			keyAt(key, seq)
+			l.Insert(key, base.MakeTrailer(seq, base.KindSet), value)
+		}
+		b.ReportMetric(perMemtable, "MiB/memtable")
+	})
+	b.Run("get", func(b *testing.B) {
+		var seq base.SeqNum
+		l := skiplist.New()
+		fill(l, &seq)
+		key := []byte("user0000000000000000")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			keyAt(key, 1+base.SeqNum(i*7919)%seq)
+			it := l.NewIterator()
+			it.SeekGE(key, base.MakeTrailer(base.MaxSeqNum, base.KindSet))
+			if !it.Valid() || string(base.UserKey(it.Key())) != string(key) {
+				b.Fatalf("%s missing", key)
+			}
+		}
+	})
 }
 
 // discardFile is a device that costs nothing, so a writer above it is

@@ -31,8 +31,8 @@ func allocsPer(runs int, fn func()) float64 {
 // allocates nothing of its own: the batch and its commit-pipeline seat come
 // from a pool, an uncontended commit needs no channel and no group slice, and
 // the memtable copies the entry into its arena. What remains is amortised
-// growth: an arena slab per several hundred entries, node and tower slabs,
-// and a memfs extent per 256 KiB of WAL. The engine is opened with no
+// growth: an arena chunk per several hundred entries and a memfs extent per
+// 256 KiB of WAL. The engine is opened with no
 // FileWrapper, so the number is lsm's own and not an encrypting writer's, and
 // the memtable is large enough that no flush runs inside the measurement.
 func TestPutAllocs(t *testing.T) {
@@ -59,12 +59,12 @@ func TestPutAllocs(t *testing.T) {
 		put()
 	}
 	if a := allocsPer(20000, put); a > 0.1 {
-		t.Errorf("DB.Put: %.3f allocs per call in steady state, want <= 0.1 (slab and extent growth only)", a)
+		t.Errorf("DB.Put: %.3f allocs per call in steady state, want <= 0.1 (chunk and extent growth only)", a)
 	}
 }
 
 // TestMemTableAddAllocs: an entry costs no allocation of its own, only its
-// share of the slabs it is carved from.
+// share of the arena chunk it is carved from.
 func TestMemTableAddAllocs(t *testing.T) {
 	const entries = 10000
 	m := newMemTable(1)
@@ -82,12 +82,37 @@ func TestMemTableAddAllocs(t *testing.T) {
 	}
 }
 
+// TestMemTableGetAllocs: a memtable lookup, hit or miss, allocates nothing.
+// The list orders internal keys itself, so the seek takes the user key and
+// trailer as they are, and its iterator stays on the stack.
+func TestMemTableGetAllocs(t *testing.T) {
+	m := newMemTable(1)
+	value := make([]byte, 256)
+	for i := 0; i < 1000; i++ {
+		m.add(base.SeqNum(i+1), base.KindSet, []byte(fmt.Sprintf("user%016d", 2*i)), value)
+	}
+	hit, miss := []byte(fmt.Sprintf("user%016d", 500)), []byte(fmt.Sprintf("user%016d", 501))
+	for _, c := range []struct {
+		name string
+		key  []byte
+		ok   bool
+	}{{"hit", hit, true}, {"miss", miss, false}} {
+		if a := allocsPer(10000, func() {
+			if _, _, ok := m.get(c.key, base.MaxSeqNum); ok != c.ok {
+				t.Fatalf("get(%s) found %v", c.key, ok)
+			}
+		}); a != 0 {
+			t.Errorf("memTable.get, %s: %.3f allocations per call, want 0", c.name, a)
+		}
+	}
+}
+
 // TestGetAllocs pins the Get path's allocations on a table Get, over a
-// one-table store with no FileWrapper. A block-cache hit allocates two: the
-// memtable probe's search key and the returned value. The table's search key
-// is built on the stack, the table is borrowed from the table cache without
-// a release closure, and the block iterator decodes keys into a buffer of
-// its own. A miss adds one: the block read. The cache stores that slice, not
+// one-table store with no FileWrapper. A block-cache hit allocates one: the
+// returned value. The memtable probe builds no search key
+// (TestMemTableGetAllocs), the table's search key is built on the stack, the
+// table is borrowed from the table cache without a release closure, and the
+// block iterator decodes keys into a buffer of its own. A miss adds one: the block read. The cache stores that slice, not
 // a boxed copy, in the entry its last eviction freed.
 func TestGetAllocs(t *testing.T) {
 	const keys = 2000
@@ -98,8 +123,8 @@ func TestGetAllocs(t *testing.T) {
 		stride    int // keys between two Gets: two blocks' worth makes every Get a miss
 		want      float64
 	}{
-		{"cache hit", 8 << 20, 0, 2},
-		{"cache miss", 64 << 10, 29, 3},
+		{"cache hit", 8 << 20, 0, 1},
+		{"cache miss", 64 << 10, 29, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			opts := testOptions(vfs.NewMem())

@@ -7,65 +7,32 @@ import (
 	"shield/internal/lsm/skiplist"
 )
 
-// memTable wraps the skiplist with internal-key semantics.
+// memTable is the skiplist arena holding one WAL's worth of records. The
+// list orders internal keys itself and copies each record into its arena,
+// so an entry costs no allocation of its own and a lookup builds no search
+// key.
 type memTable struct {
 	list   *skiplist.List
 	logNum uint64 // WAL file backing this memtable
-
-	// slab is the arena entries are copied into: each add carves
-	// key ‖ trailer ‖ value off its free tail and hands the skiplist two
-	// capacity-clipped views. Slabs are never reused or freed one by one; they
-	// live exactly as long as the memtable (readers and iterators hold it) and
-	// go together when it is dropped after its flush.
-	slab []byte
-}
-
-// Arena slabs start at memSlabMin and double to memSlabMax, so a near-empty
-// memtable (every reopen has one) does not pay for a full one's slab. An
-// entry larger than memSlabMax gets an allocation of its own.
-const (
-	memSlabMin = 4 << 10
-	memSlabMax = 256 << 10
-)
-
-// alloc returns n fresh bytes of arena.
-func (m *memTable) alloc(n int) []byte {
-	if n > memSlabMax {
-		return make([]byte, n)
-	}
-	if n > cap(m.slab)-len(m.slab) {
-		size := min(max(2*cap(m.slab), memSlabMin), memSlabMax)
-		for size < n {
-			size *= 2
-		}
-		m.slab = make([]byte, 0, size)
-	}
-	at := len(m.slab)
-	m.slab = m.slab[:at+n]
-	return m.slab[at : at+n : at+n]
 }
 
 func newMemTable(logNum uint64) *memTable {
-	return &memTable{list: skiplist.New(base.CompareInternal), logNum: logNum}
+	return &memTable{list: skiplist.New(), logNum: logNum}
 }
 
 // add inserts a copy of one record. Callers serialize adds (the commit
 // pipeline). approximateSize counts len(ikey)+len(value) per record and
-// nothing of the arena's slack, so flush timing does not depend on slab sizes.
+// nothing of the arena's overhead, so flush timing does not depend on it.
 func (m *memTable) add(seq base.SeqNum, kind base.Kind, key, value []byte) {
-	k := len(key) + base.TrailerLen
-	buf := m.alloc(k + len(value))
-	ikey := base.AppendInternalKey(buf[:0], key, seq, kind)
-	copy(buf[k:], value)
-	m.list.Insert(ikey[:k:k], buf[k:])
+	m.list.Insert(key, base.MakeTrailer(seq, kind), value)
 }
 
 // get returns the newest record for userKey visible at seq.
 // ok reports whether any record was found; kind distinguishes live values
-// from tombstones.
+// from tombstones. It allocates nothing.
 func (m *memTable) get(userKey []byte, seq base.SeqNum) (value []byte, kind base.Kind, ok bool) {
 	it := m.list.NewIterator()
-	it.SeekGE(base.SearchKey(userKey, seq))
+	it.SeekGE(userKey, base.MakeTrailer(seq, base.KindSet))
 	if !it.Valid() {
 		return nil, 0, false
 	}
@@ -86,7 +53,7 @@ func (m *memTable) iter() internalIterator {
 }
 
 type memIter struct {
-	it *skiplist.Iterator
+	it skiplist.Iterator
 }
 
 func (m *memIter) First() bool {
@@ -100,7 +67,8 @@ func (m *memIter) Next() bool {
 }
 
 func (m *memIter) SeekGE(target []byte) bool {
-	m.it.SeekGE(target)
+	seq, kind := base.DecodeTrailer(target)
+	m.it.SeekGE(base.UserKey(target), base.MakeTrailer(seq, kind))
 	return m.it.Valid()
 }
 

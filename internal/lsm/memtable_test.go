@@ -14,14 +14,19 @@ import (
 	"shield/internal/vfs"
 )
 
+// arenaChunkCap is the skiplist arena's chunk cap: an entry above it gets a
+// chunk of its own, and a list holding more than 20× it in entries has
+// filled more than 20 chunks.
+const arenaChunkCap = 256 << 10
+
 // arenaKey and arenaValue derive entry i's key and value. Every 1500th value
-// is larger than the largest arena slab, so it takes the own-allocation path.
+// is larger than the arena's chunk cap, so it takes the own-chunk path.
 func arenaKey(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }
 
 func arenaValue(i int) []byte {
-	n := 20 + i%300
+	n := 20 + i%1200
 	if i%1500 == 7 {
-		n = memSlabMax + 1 + i
+		n = arenaChunkCap + 1 + i
 	}
 	v := make([]byte, n)
 	binary.LittleEndian.PutUint32(v, uint32(i))
@@ -32,14 +37,15 @@ func arenaValue(i int) []byte {
 }
 
 // TestMemTableArenaConcurrentReaders: one writer filling the arena-backed
-// memtable (slabs growing, doubling and being replaced under it) with three
-// readers on it: two point lookups of already published entries and a forward
-// scan. Every entry a reader reaches must be whole, in
-// order, and carry the value its key implies. Run under -race: a node and its
-// bytes are written before the atomic store that publishes them, and nothing
-// else orders the two sides.
+// memtable (more than twenty chunks, growing, doubling and one per outsized
+// entry) with readers on it: two point lookups of already published
+// entries, a seek-and-scan from arbitrary internal keys and a forward scan,
+// while the GC runs in a loop. Every entry a reader reaches must be whole, in
+// order, and carry the value its key implies. Run under -race: an entry's
+// bytes and the chunk table naming its chunk are written before the atomic
+// store that publishes it, and nothing else orders the two sides.
 func TestMemTableArenaConcurrentReaders(t *testing.T) {
-	const entries = 6000
+	const entries = 9000
 	// Inserted in a scattered order so new nodes land between old ones;
 	// order[:published] is what lookups may expect to find.
 	order := rand.New(rand.NewSource(5)).Perm(entries)
@@ -93,7 +99,27 @@ func TestMemTableArenaConcurrentReaders(t *testing.T) {
 	}
 	reader(1, get)
 	reader(2, get)
-	reader(3, func(*rand.Rand) bool { // forward
+	reader(3, func(rng *rand.Rand) bool { // seek to any internal key, scan a few
+		it := m.iter()
+		target := base.MakeInternalKey(arenaKey(rng.Intn(entries)), base.SeqNum(rng.Intn(entries+2)), base.KindSet)
+		var prev []byte
+		for ok, j := it.SeekGE(target), 0; ok && j < 20; ok, j = it.Next(), j+1 {
+			if base.CompareInternal(it.Key(), target) < 0 || prev != nil && base.CompareInternal(prev, it.Key()) >= 0 {
+				t.Error("seek-and-scan out of order")
+				return false
+			}
+			prev = append(prev[:0], it.Key()...)
+			if !check(it.Key(), it.Value()) {
+				return false
+			}
+		}
+		return true
+	})
+	reader(4, func(*rand.Rand) bool {
+		runtime.GC()
+		return true
+	})
+	reader(5, func(*rand.Rand) bool { // forward
 		it := m.iter()
 		var prev []byte
 		for ok := it.First(); ok; ok = it.Next() {
@@ -120,15 +146,19 @@ func TestMemTableArenaConcurrentReaders(t *testing.T) {
 	close(done)
 	wg.Wait()
 
-	// Accounting is the sum of key and value bytes, as before the arena:
-	// slab slack is not counted, so flush timing did not move.
+	// Accounting is the sum of key and value bytes: the arena's headers,
+	// links and slack are not counted, so flush timing does not depend on
+	// chunk sizes.
 	if got := m.approximateSize(); got != want {
 		t.Fatalf("approximateSize = %d, want %d (sum of internal key and value lengths)", got, want)
+	}
+	if want <= 20*arenaChunkCap {
+		t.Fatalf("the writer added %d bytes, too few to fill 20 chunks", want)
 	}
 }
 
 // TestGetValueOutlivesMemtable: DB.Get returns a copy. It must stay valid and
-// unchanged after the memtable (and arena slab) it was copied from has been
+// unchanged after the memtable (and arena chunk) it was copied from has been
 // flushed and dropped, and writing to it must not reach the store.
 func TestGetValueOutlivesMemtable(t *testing.T) {
 	db, err := Open("db", testOptions(vfs.NewMem()))
