@@ -57,11 +57,12 @@ flake:
 # allocations per open, flat in the table's size. Gets: allocations per
 # block-cache hit and per miss (TestGetAllocs). The block cache: allocations
 # per evicting Put, and the cache against a map-plus-recency-slice oracle.
-# Sealed reads: allocations per ReadAt once the extent pool is warm, and the
-# pool's retention cap. Record logs: allocations per Append. Manual compaction: bytes read by CompactRange against
+# Sealed reads: one inner read and no allocation per whole-record read (an
+# SST block-cache miss) once the extent pool is warm, and the pool's
+# retention cap. Record logs: allocations per Append. Manual compaction: bytes read by CompactRange against
 # the tables it replaces (RewritesOnce).
 io-path-check:
-	go test -run 'InnerReads|Allocs|SliceOracle|Arena|OutlivesMemtable|PooledPutBatch|SealedWriter|Towers|MatchesOracle|SkiplistOracle|SplitAcrossReads|Deadline|ReadAhead|Frame|RewritesOnce' \
+	go test -run 'InnerReads|Allocs|SliceOracle|Arena|OutlivesMemtable|PooledPutBatch|SealedWriter|WholeRecord|SmallRecords|OneWritePerBlock|Towers|MatchesOracle|SkiplistOracle|SplitAcrossReads|Deadline|ReadAhead|Frame|RewritesOnce' \
 		./internal/crypt/ ./internal/lsm/ ./internal/lsm/skiplist/ ./internal/lsm/sstable/ ./internal/vfs/ ./internal/dstore/ \
 		./internal/resp/ ./internal/server/ ./internal/netretry/ ./internal/cache/
 
@@ -162,10 +163,11 @@ replication-test:
 tamper-test:
 	go run ./cmd/shield-sim -seeds $(SIM_SEEDS) -bitrot -rollback
 
-# Coverage-guided fuzzing. The sealed (format v2) parser and reader:
-# arbitrary bodies must round-trip or fail as integrity errors, and any span
-# of a tampered body must read as the per-block oracle reads it — never panic
-# or misclassify. The RESP command parser, differentially: the in-place
+# Coverage-guided fuzzing. The sealed (format v3) parser and reader:
+# arbitrary bodies must open and read or fail as integrity errors, and any
+# span of a mutated or cut body must read back the written plaintext or fail
+# as an integrity error, as the per-record oracle reads it — never panic,
+# misclassify or release a byte that was not written there. The RESP command parser, differentially: the in-place
 # reader and the bufio oracle must agree on commands, error class and stream
 # position for any input in any chunking. The RESP reply parser the client
 # reads with: any bytes parse or fail, never panic, within its limits. The two decoders a storage-side

@@ -82,10 +82,23 @@ func reportInnerReads(b *testing.B, cfs *vfs.CountingFS, before vfs.Snapshot) {
 	b.ReportMetric(float64(cfs.Stats.Snapshot().ReadOps-before.ReadOps)/float64(b.N), "inner-reads/op")
 }
 
+// readLog records the spans of the ReadAt calls made through it.
+type readLog struct {
+	vfs.RandomAccessFile
+	spans [][2]int64 // offset, length
+}
+
+func (f *readLog) ReadAt(p []byte, off int64) (int, error) {
+	f.spans = append(f.spans, [2]int64{off, int64(len(p))})
+	return f.RandomAccessFile.ReadAt(p, off)
+}
+
 // BenchmarkSealedReadAt is the crypt layer of a block-cache miss on its own:
-// one ReadAt through crypt.SealedReaderAt over memfs, block-aligned, at the
-// offset an SST data block really has (straddling two sealed blocks), and a
-// 64 KiB span. inner-reads/op is the storage reads each outer read cost.
+// one ReadAt through crypt.SealedReaderAt over memfs, of spans a table
+// reader really asks for: a whole data block (one sealed record), the
+// metadata tail a table open reads (filter, index, properties: one record
+// each), and a 64 KiB span from inside a block. inner-reads/op is the
+// storage reads each outer read cost.
 func BenchmarkSealedReadAt(b *testing.B) {
 	cfs := vfs.NewCounting(vfs.NewMem())
 	name, sealer := sealedBenchFile(b, cfs, 20000)
@@ -99,24 +112,40 @@ func BenchmarkSealedReadAt(b *testing.B) {
 		b.Fatal(err)
 	}
 	size, _ := r.Size()
+	// The table reader's own reads give the spans: its open reads the
+	// footer, then the metadata tail; each Get without a cache one block.
+	log := &readLog{RandomAccessFile: r}
+	tr, err := sstable.NewReader(log, sstable.ReaderOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	meta := log.spans[1]
+	for i := 0; i < 20000; i += 97 {
+		if _, _, err := tr.Get([]byte(fmt.Sprintf("key-%08d", i)), 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	blocks := log.spans[2:]
 	for _, c := range []struct {
-		name     string
-		off, len int64
+		name  string
+		spans [][2]int64
 	}{
-		{"aligned4k", 0, 4096},
-		{"straddle4k", 1500, 4096},
-		{"64k", 1500, 64 << 10},
+		{"block", blocks},
+		{"meta-tail", [][2]int64{meta}},
+		{"64k", [][2]int64{{1500, 64 << 10}, {size / 2, 64 << 10}, {size - 70<<10, 64 << 10}}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			p := make([]byte, c.len)
-			stride := (size - c.len - c.off) / crypt.SealedBlockSize
-			b.SetBytes(c.len)
+			p := make([]byte, 0, 64<<10)
+			for _, sp := range c.spans {
+				p = make([]byte, max(int64(cap(p)), sp[1]))
+			}
+			b.SetBytes(c.spans[0][1])
 			b.ReportAllocs()
 			before := cfs.Stats.Snapshot()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				off := c.off + (int64(i)*7919%stride)*crypt.SealedBlockSize
-				if _, err := r.ReadAt(p, off); err != nil {
+				sp := c.spans[i%len(c.spans)]
+				if _, err := r.ReadAt(p[:sp[1]], sp[0]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"path"
 	"sort"
 	"strings"
@@ -114,7 +115,7 @@ func checkTablesFormatV2(t *testing.T, cfg Config, dir string) {
 }
 
 // checkCurrentHeaders fails unless every file in dir carries the header this
-// build writes for its kind: SHLD v2 over a table or a sealed CURRENT, SHLD
+// build writes for its kind: SHLD v3 over a table or a sealed CURRENT, SHLD
 // v1 over a WAL or MANIFEST stream, and a SHIELD store's CURRENT in the
 // clear.
 func checkCurrentHeaders(t *testing.T, cfg Config, dir string) {
@@ -136,7 +137,7 @@ func checkCurrentHeaders(t *testing.T, cfg Config, dir string) {
 		}
 		want := uint32(shieldVersion)
 		if e.Name == "CURRENT" || path.Ext(e.Name) == ".sst" {
-			want = shieldVersion2
+			want = shieldVersion3
 		}
 		if h, err := parseHeader(data); err != nil || h.version != want {
 			t.Fatalf("%s: header %+v, %v; want SHLD v%d", e.Name, h, err, want)
@@ -145,14 +146,14 @@ func checkCurrentHeaders(t *testing.T, cfg Config, dir string) {
 }
 
 // TestParentStoresOpen: the two stores written by the parent build, in SST
-// format 1, go through Migrate. The SHIELD store (with prefix filter blocks)
-// is in the current header generation, so before that it opens under
-// ParanoidChecks — every block authenticated, every tag-chain digest matched
-// against the manifest — reads back whole by Get and by scan, and scrubs
-// clean. The EncFS store carries the EncFS header of older builds, so the
-// serving path refuses it with lsm.ErrNeedsMigrate. After Migrate both read
-// back whole on the serving path, every file carries a current header,
-// every table the format-2 magic, and the scrub is clean.
+// format 1, are refused, then migrated, then served. The SHIELD store (with
+// prefix filter blocks) has v2 (per-4-KiB-block) table bodies and the EncFS
+// store the EncFS header of older builds, so the serving path refuses both,
+// open and scrub alike, with lsm.ErrNeedsMigrate and nothing written. After
+// Migrate — whose open runs under ParanoidChecks, every block authenticated
+// and every tag-chain digest matched against the manifest — both read back
+// whole by Get and by scan on the serving path, every file carries a
+// current header, every table the format-2 magic, and the scrub is clean.
 func TestParentStoresOpen(t *testing.T) {
 	want := parentStoreModel()
 	keys := make([]string, 0, len(want))
@@ -223,16 +224,15 @@ func TestParentStoresOpen(t *testing.T) {
 				}
 			}
 
-			if cfg.Mode == ModeEncFS {
-				if _, err := Open("db", cfg, opts); !errors.Is(err, lsm.ErrNeedsMigrate) {
-					t.Fatalf("serving open of the EncFS store: %v, want lsm.ErrNeedsMigrate", err)
-				}
-			} else {
-				db := openAndRead()
-				if err := db.Close(); err != nil {
-					t.Fatal(err)
-				}
-				scrub(3)
+			before := storeFiles(t, cfg.FS)
+			if _, err := Open("db", cfg, opts); !errors.Is(err, lsm.ErrNeedsMigrate) {
+				t.Fatalf("serving open of the parent store: %v, want lsm.ErrNeedsMigrate", err)
+			}
+			if _, err := Scrub("db", cfg, lsm.Options{}, lsm.ScrubOptions{}); !errors.Is(err, lsm.ErrNeedsMigrate) {
+				t.Fatalf("scrub of the parent store: %v, want lsm.ErrNeedsMigrate", err)
+			}
+			if after := storeFiles(t, cfg.FS); !maps.Equal(before, after) {
+				t.Fatal("the refused open or scrub changed the store's files")
 			}
 
 			if err := Migrate("db", cfg, opts); err != nil {

@@ -89,11 +89,11 @@ type Config struct {
 	// unsynced bytes it holds are lost if the process crashes.
 	WALBufferSize int
 
-	// CompactionChunkSize is the unit in which SST bodies are handed to
-	// the sealing goroutines during flush/compaction, rounded up to whole
-	// 4 KiB sealed blocks. Defaults to 64 KiB. The AEAD is built once per
-	// file, so the chunk size sets only the unit of dispatch and of file
-	// writes; the bytes on disk do not depend on it.
+	// CompactionChunkSize is about how many bytes of whole sealed records
+	// (one per SST block) are handed to the sealing goroutines at a time
+	// during flush/compaction. Defaults to 64 KiB. The AEAD is built once
+	// per file, so the chunk size sets only the unit of dispatch and of
+	// file writes; the bytes on disk do not depend on it.
 	CompactionChunkSize int
 
 	// EncryptionThreads is the number of goroutines encrypting SST chunks

@@ -542,30 +542,27 @@ func TestLeakedDEKBlastRadius(t *testing.T) {
 	}
 
 	decryptsValidTable := func(f sstFile, dek crypt.DEK) bool {
-		// SSTs are sealed (format v2): open every block under the DEK. The
-		// wrong key fails authentication rather than yielding garbage.
+		// SSTs are sealed (format v3): open every record under the DEK.
+		// The wrong key fails authentication rather than yielding garbage.
 		sealer, err := crypt.NewSealer(dek, f.iv[:crypt.SealedNoncePrefixLen], f.data[:f.hdr])
 		if err != nil {
 			t.Fatal(err)
 		}
-		const cb = crypt.SealedBlockSize + crypt.SealedTagSize
-		body := f.data[f.hdr:]
-		var plain []byte
-		for i := 0; ; i++ {
-			start := i * cb
-			final := len(body)-start <= cb
-			end := start + cb
-			if final {
-				end = len(body)
-			}
-			out, err := sealer.OpenBlock(nil, body[start:end], uint32(i), final)
-			if err != nil {
-				return false
-			}
-			plain = append(plain, out...)
-			if final {
-				break
-			}
+		mem := vfs.NewMem()
+		if err := vfs.WriteFile(mem, "t", f.data); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := mem.Open("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := crypt.NewSealedReaderAt(raw, sealer, int64(f.hdr))
+		if err != nil {
+			return false
+		}
+		plain, err := vfs.ReadAll(r)
+		if err != nil {
+			return false
 		}
 		// A correct DEK yields the table magic in the footer.
 		if len(plain) < 8 {

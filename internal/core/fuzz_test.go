@@ -23,7 +23,8 @@ func legacyHeader(version uint32, iv [16]byte) []byte {
 // builds. On any of them parseHeader returns a corruption-class error or a
 // header that re-encodes to exactly the prefix it claims, and never reports
 // a length past its input. The serving path refuses every EncFS prefix, and
-// a v1 table header, with lsm.ErrNeedsMigrate, which is no corruption class. The migrate parser
+// a v1 or v2 table header, with lsm.ErrNeedsMigrate, which is no corruption
+// class. The migrate parser
 // decodes the same inputs: as parseHeader does a SHLD one, and an EncFS one
 // into a header that re-encodes to its legacy prefix. Nothing panics.
 func FuzzParseHeader(f *testing.F) {
@@ -34,7 +35,9 @@ func FuzzParseHeader(f *testing.F) {
 	f.Add(encodeHeader("dek-x", iv, shieldVersion)[:12])
 	f.Add([]byte("SHLD"))
 	f.Add([]byte{})
-	f.Add(encodeHeader("dek-abc123", iv, 3))
+	f.Add(append(encodeHeader("dek-abc123", iv, shieldVersion3), "body"...))
+	f.Add(encodeHeader("", iv, shieldVersion3))
+	f.Add(encodeHeader("dek-abc123", iv, 4))
 	f.Add(encodeHeader(kds.KeyID(bytes.Repeat([]byte("d"), 300)), iv, shieldVersion2))
 	f.Add(encodeHeader("dek-abc123", iv, shieldVersion2)[:20])
 	f.Add(bytes.Repeat([]byte{0}, 64))
@@ -68,7 +71,7 @@ func checkHeaderParsers(t *testing.T, in []byte) {
 	for _, kind := range []lsm.FileKind{lsm.FileKindWAL, lsm.FileKindSST} {
 		_, serr := servingHeader("f", kind, in)
 		switch {
-		case isLegacyHeader(in) || err == nil && kind == lsm.FileKindSST && h.version != shieldVersion2:
+		case isLegacyHeader(in) || err == nil && kind == lsm.FileKindSST && h.version != shieldVersion3:
 			if !errors.Is(serr, lsm.ErrNeedsMigrate) || errors.Is(serr, lsm.ErrCorruption) {
 				t.Fatalf("serving parser on older %s header %x: %v, want only ErrNeedsMigrate", kind, in, serr)
 			}

@@ -95,7 +95,8 @@ func instanceSST(t *testing.T, fs vfs.FS, w lsm.FileWrapper, name string) []byte
 
 // TestInstancePolicyRoundTrip: a sealed SST under the instance key reads
 // back whole; the header is hidden from the reader and the raw bytes are
-// header + ciphertext + one tag per sealed block.
+// header + ciphertext + one tag and length per record + the table's tag and
+// count.
 func TestInstancePolicyRoundTrip(t *testing.T) {
 	fs := vfs.NewMem()
 	w := newInstanceWrapper(t, 0)
@@ -104,7 +105,10 @@ func TestInstancePolicyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRaw := instanceHeaderLen + len(payload) + (len(payload)/crypt.SealedBlockSize+1)*crypt.SealedTagSize
+	// One Write: records of crypt.SealedRecordMax, a tag and a table entry
+	// each, then the table's tag and the count.
+	records := (len(payload) + crypt.SealedRecordMax - 1) / crypt.SealedRecordMax
+	wantRaw := instanceHeaderLen + len(payload) + records*(crypt.SealedTagSize+4) + crypt.SealedTagSize + 4
 	if len(raw) != wantRaw {
 		t.Fatalf("raw size %d, want %d", len(raw), wantRaw)
 	}
@@ -237,7 +241,7 @@ func TestInstancePolicyWALBuffer(t *testing.T) {
 		t.Fatalf("sealed write leaked before finalization: %d", got)
 	}
 	g.Close()
-	if got := size("000002.sst"); got != instanceHeaderLen+5+crypt.SealedTagSize {
+	if got := size("000002.sst"); got != instanceHeaderLen+5+crypt.SealedTagSize+4+crypt.SealedTagSize+4 {
 		t.Fatalf("sealed close did not finalize: %d", got)
 	}
 }
@@ -418,7 +422,7 @@ func TestInstancePolicySSTAuditable(t *testing.T) {
 			t.Fatal(err)
 		}
 		h, err := parseHeader(raw)
-		if err != nil || h.version != shieldVersion2 {
+		if err != nil || h.version != shieldVersion3 {
 			t.Fatalf("%s: not a sealed layout", fi.Name)
 		}
 		f, err := fs.Open("db/" + fi.Name)

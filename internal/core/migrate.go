@@ -22,7 +22,10 @@ import (
 //     sealed body's AAD;
 //   - v1 (AES-CTR, unauthenticated) bodies read positionally: EncFS tables
 //     and CURRENT, and SHLD tables of the per-file policy written before
-//     sealing.
+//     sealing;
+//   - v2 bodies (AES-GCM per fixed 4 KiB block, crypt.BlockSealedReaderAt):
+//     SSTs and sealed CURRENT written before format v3, under either
+//     header.
 //
 // No build wrote a v1 body under a SHLD header for CURRENT or for an
 // instance-key table, so the migrate wrapper refuses those as downgraded
@@ -60,6 +63,7 @@ func parseMigrateHeader(buf []byte) (h fileHeader, encfs bool, err error) {
 	}
 	h.version = binary.LittleEndian.Uint32(buf[4:8])
 	if h.version != shieldVersion && h.version != shieldVersion2 {
+		// EncFS headers predate format v3.
 		return h, true, fmt.Errorf("%w: unsupported version %d", errBadHeader, h.version)
 	}
 	h.len = legacyHeaderLen
@@ -89,8 +93,19 @@ func (m migrateWrapper) WrapOpen(name string, kind lsm.FileKind, f vfs.RandomAcc
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
-	if h.version == shieldVersion2 {
+	switch h.version {
+	case shieldVersion3:
 		return m.openSealed(name, f, h, buf[:h.len])
+	case shieldVersion2:
+		sealer, err := m.sealerFor(name, h, buf[:h.len])
+		if err != nil {
+			return nil, err
+		}
+		r, err := crypt.NewBlockSealedReaderAt(f, sealer, int64(h.len))
+		if err != nil {
+			return nil, fmt.Errorf("core: %s: %w", name, err)
+		}
+		return r, nil
 	}
 	if !encfs && (kind != lsm.FileKindSST || h.dekID == "") {
 		return nil, &lsm.IntegrityError{Path: name, Kind: kind,

@@ -69,21 +69,31 @@ func checkNotCorruption(t *testing.T, err error, what string) {
 	}
 }
 
-// downgradeSealed rewrites a sealed file of under 4 KiB (one final seal
-// block) into the v1 layout an older build would have written: its header
-// becomes version 1 with IV = nonce prefix ‖ 0 ‖ 2, GCM's counter for seal
-// block 0, and its tag is dropped, so the CTR reader decrypts the very
-// ciphertext. flip then edits that ciphertext, seeing the plaintext only to
+// downgradeSealed rewrites a sealed (v3) file into the v1 layout an older
+// build would have written: its header becomes version 1 with IV = nonce
+// prefix ‖ 0 ‖ 2, GCM's counter for record 0, and its body the records'
+// ciphertext with tags, length table and count dropped, so the CTR reader
+// decrypts record 0 — all of a CURRENT, the first data block of a table —
+// to its plaintext (later records, sealed under other nonces, decrypt to
+// noise). flip then edits that ciphertext, seeing the plaintext only to
 // find offsets.
 func downgradeSealed(t *testing.T, data, plain []byte, flip func(body, plain []byte)) []byte {
 	t.Helper()
 	h, err := parseHeader(data)
-	if err != nil || h.version != shieldVersion2 {
+	if err != nil || h.version != shieldVersion3 {
 		t.Fatalf("not a sealed file: %+v, %v", h, err)
 	}
-	body := append([]byte(nil), data[h.len:len(data)-crypt.SealedTagSize]...)
-	if len(body) != len(plain) || len(body) >= crypt.SealedBlockSize {
-		t.Fatalf("sealed body of %d bytes (plaintext %d), want one block under 4 KiB", len(body), len(plain))
+	sealed := data[h.len:]
+	n := int(binary.LittleEndian.Uint32(sealed[len(sealed)-4:]))
+	table := sealed[len(sealed)-4-crypt.SealedTagSize-4*n:]
+	var body []byte
+	for k := 0; k < n; k++ {
+		l := int(binary.LittleEndian.Uint32(table[4*k:]))
+		body = append(body, sealed[:l]...)
+		sealed = sealed[l+crypt.SealedTagSize:]
+	}
+	if len(body) != len(plain) {
+		t.Fatalf("sealed body of %d bytes, plaintext %d", len(body), len(plain))
 	}
 	if flip != nil {
 		flip(body, plain)
@@ -148,12 +158,13 @@ func readPlain(t *testing.T, cfg Config, name string, kind lsm.FileKind) []byte 
 
 // TestSealedHeaderDowngradeRefused: a storage adversary rewrites a sealed
 // table's header to v1 with the IV that makes the CTR reader decrypt its
-// GCM ciphertext, drops the tag, and flips a value and its CRC. The serving
-// path refuses the file as one to migrate instead of returning the flipped
-// value, and Migrate's paranoid open fails it as tampered (its manifest
-// anchors a digest) with every file unchanged. A downgraded CURRENT under
-// the instance policy fares the same: Migrate's wrapper knows no build wrote
-// it.
+// first record's GCM ciphertext, drops tags and table, and flips a value
+// and its CRC. The serving path refuses the file as one to migrate instead
+// of returning the flipped value, and Migrate's paranoid open fails it as
+// corrupt or tampered with every file unchanged: the table's later records,
+// sealed under other nonces, read as noise, and its manifest anchors a
+// digest a v1 file cannot produce. A downgraded CURRENT under the instance
+// policy fares the same: Migrate's wrapper knows no build wrote it.
 func TestSealedHeaderDowngradeRefused(t *testing.T) {
 	var dek crypt.DEK
 	copy(dek[:], "downgrade-dek-16")
@@ -219,8 +230,9 @@ func TestSealedHeaderDowngradeRefused(t *testing.T) {
 
 			err = Migrate("db", cfg, lsm.Options{})
 			var ie *lsm.IntegrityError
-			if !errors.As(err, &ie) || ie.Path != target {
-				t.Fatalf("Migrate of a downgraded %s: %v, want an IntegrityError for %s", c.file, err, target)
+			var ce *lsm.CorruptionError
+			if !(errors.As(err, &ie) && ie.Path == target || errors.As(err, &ce) && ce.Path == target) {
+				t.Fatalf("Migrate of a downgraded %s: %v, want an IntegrityError or CorruptionError for %s", c.file, err, target)
 			}
 			t.Logf("Migrate: %v", err)
 			checkUnchanged(t, cfg.FS, "db", before, "Migrate")
@@ -262,8 +274,8 @@ func v1Store(t *testing.T, fs vfs.FS, svc kds.Service, opts lsm.Options, n int, 
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if v1, v2 := countFormats(t, fs, "db"); v1 == 0 || v2 != 0 {
-		t.Fatalf("legacy store has %d v1 / %d v2 SSTs, want all v1", v1, v2)
+	if v1, v3 := countFormats(t, fs, "db"); v1 == 0 || v3 != 0 {
+		t.Fatalf("legacy store has %d v1 / %d v3 SSTs, want all v1", v1, v3)
 	}
 	return cfg
 }
@@ -273,11 +285,11 @@ func v1Value(i int) []byte {
 }
 
 // checkV1StoreMigrated fails unless the serving path opens the store, reads
-// every one of its n keys, and finds every table in the v2 layout.
+// every one of its n keys, and finds every table in the v3 layout.
 func checkV1StoreMigrated(t *testing.T, cfg Config, opts lsm.Options, n int) {
 	t.Helper()
-	if v1, v2 := countFormats(t, cfg.FS, "db"); v1 != 0 || v2 == 0 {
-		t.Fatalf("migrated store has %d v1 / %d v2 SSTs, want all v2", v1, v2)
+	if v1, v3 := countFormats(t, cfg.FS, "db"); v1 != 0 || v3 == 0 {
+		t.Fatalf("migrated store has %d v1 / %d v3 SSTs, want all v3", v1, v3)
 	}
 	db, err := Open("db", cfg, opts)
 	if err != nil {
@@ -485,7 +497,7 @@ func TestNeedsMigrateRefusedBeforeQuarantine(t *testing.T) {
 	}
 	var sealed string
 	for name, data := range snapshotDir(t, fs, "db") {
-		if h, err := parseHeader(data); err == nil && h.version == shieldVersion2 && strings.HasSuffix(name, ".sst") {
+		if h, err := parseHeader(data); err == nil && h.version == shieldVersion3 && strings.HasSuffix(name, ".sst") {
 			if sealed != "" {
 				t.Fatalf("two sealed tables: %s, %s", sealed, name)
 			}
@@ -568,10 +580,10 @@ func TestMigrateInterrupted(t *testing.T) {
 		t.Fatalf("Migrate with table write %d of %d failing: %v", writes/2+1, writes, err)
 	}
 	ffs.ClearRules()
-	// The re-put keys were flushed into a v2 table and the compaction
+	// The re-put keys were flushed into a v3 table and the compaction
 	// failed: both layouts are on disk.
-	if v1, v2 := countFormats(t, ffs, "db"); v1 == 0 || v2 == 0 {
-		t.Fatalf("interrupted migrate left %d v1 / %d v2 SSTs, want both", v1, v2)
+	if v1, v3 := countFormats(t, ffs, "db"); v1 == 0 || v3 == 0 {
+		t.Fatalf("interrupted migrate left %d v1 / %d v3 SSTs, want both", v1, v3)
 	}
 	if err := Migrate("db", cfg, opts); err != nil {
 		t.Fatalf("rerun of the interrupted migrate: %v", err)

@@ -14,8 +14,9 @@ import (
 	"shield/internal/vfs"
 )
 
-// countFormats classifies every SST in dir by its header version.
-func countFormats(t *testing.T, fs vfs.FS, dir string) (v1, v2 int) {
+// countFormats classifies every SST in dir by its header version: the
+// current v3, or an older one.
+func countFormats(t *testing.T, fs vfs.FS, dir string) (v1, v3 int) {
 	t.Helper()
 	entries, err := fs.List(dir)
 	if err != nil {
@@ -29,13 +30,13 @@ func countFormats(t *testing.T, fs vfs.FS, dir string) (v1, v2 int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h, err := parseHeader(data); err == nil && h.version == shieldVersion2 {
-			v2++
+		if h, err := parseHeader(data); err == nil && h.version == shieldVersion3 {
+			v3++
 		} else {
 			v1++
 		}
 	}
-	return v1, v2
+	return v1, v3
 }
 
 // v1SSTWrapper writes SSTs the way builds before format v2 did — header
@@ -68,7 +69,7 @@ func (w v1SSTWrapper) WrapCreate(name string, kind lsm.FileKind, f vfs.WritableF
 // TestV1V2Coexistence: a store whose SSTs are format v1 (as builds before
 // sealing wrote them) is refused by today's serving path with
 // lsm.ErrNeedsMigrate, before anything is written. Migrate rewrites every
-// table to v2; the serving path then reads the old generation, writes a
+// table to v3; the serving path then reads the old generation, writes a
 // second one next to it, and the store scrubs clean.
 func TestV1V2Coexistence(t *testing.T) {
 	fs := vfs.NewMem()

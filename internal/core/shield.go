@@ -40,20 +40,21 @@ func kdsUnavailable(err error) bool {
 // An empty DEK-ID names the instance key (ModeEncFS).
 //
 // version selects the body format: 1 is AES-128-CTR under the 16-byte IV
-// (confidentiality only), 2 is per-block AES-GCM (crypt/seal.go) with the
-// first 8 IV bytes as the nonce prefix and the full header as AAD — so a
-// header cannot be transplanted onto another body. SSTs and CURRENT (when
-// sealed) are write-once and are written as v2, WAL and MANIFEST streams as
-// v1 (sealing finalizes on first Sync, which append-many files cannot
-// satisfy). The serving path reads exactly that: a positional read (SST,
-// CURRENT) accepts only a v2 body, a streaming read (WAL, MANIFEST) only a
-// v1 one. Anything an older build wrote — the EncFS header, a v1 SST or
-// CURRENT body — is refused with lsm.ErrNeedsMigrate; only Migrate
-// (migrate.go) reads those.
+// (confidentiality only); 3 is a run of AES-GCM records, one per write
+// (crypt/seal.go), with the first 8 IV bytes as the nonce prefix and the
+// full header as AAD — so a header cannot be transplanted onto another body.
+// SSTs and CURRENT (when sealed) are write-once and are written as v3, WAL
+// and MANIFEST streams as v1 (sealing finalizes on first Sync, which
+// append-many files cannot satisfy). The serving path reads exactly that: a
+// positional read (SST, CURRENT) accepts only a v3 body, a streaming read
+// (WAL, MANIFEST) only a v1 one. Anything an older build wrote — the EncFS
+// header, a v1 or v2 (per-4-KiB-block GCM) SST or CURRENT body — is refused
+// with lsm.ErrNeedsMigrate; only Migrate (migrate.go) reads those.
 const (
 	shieldMagic    = 0x53484c44 // "SHLD"
 	shieldVersion  = 1
 	shieldVersion2 = 2
+	shieldVersion3 = 3
 )
 
 // errBadHeader wraps lsm.ErrCorruption: a malformed file header is
@@ -77,7 +78,7 @@ func encodeHeader(dekID kds.KeyID, iv [crypt.IVSize]byte, version uint32) []byte
 type fileHeader struct {
 	dekID   kds.KeyID // "" for the instance key
 	iv      [crypt.IVSize]byte
-	version uint32 // shieldVersion (CTR) or shieldVersion2 (sealed)
+	version uint32 // shieldVersion (CTR), shieldVersion2 or shieldVersion3 (sealed)
 	len     int    // header bytes; all of them are a sealed body's AAD
 }
 
@@ -103,7 +104,7 @@ func parseHeader(buf []byte) (fileHeader, error) {
 		return h, fmt.Errorf("%w: bad magic", errBadHeader)
 	}
 	h.version = binary.LittleEndian.Uint32(buf[4:8])
-	if h.version != shieldVersion && h.version != shieldVersion2 {
+	if h.version < shieldVersion || h.version > shieldVersion3 {
 		return h, fmt.Errorf("%w: unsupported version %d", errBadHeader, h.version)
 	}
 	h.len = headerLen(buf)
@@ -116,11 +117,11 @@ func parseHeader(buf []byte) (fileHeader, error) {
 }
 
 // servingHeader parses the header of file name, of kind, as the serving
-// path reads it: SHLD, over a v2 body for the positional kinds (SST,
-// CURRENT). An older generation — the EncFS header, a v1 SST or CURRENT
-// body — is refused with lsm.ErrNeedsMigrate, in a fresh error that wraps
-// no corruption class, so no recovery or scrub drops, quarantines or skips
-// the file.
+// path reads it: SHLD, over a v3 body for the positional kinds (SST,
+// CURRENT). An older generation — the EncFS header, a v1 or v2 SST or
+// CURRENT body — is refused with lsm.ErrNeedsMigrate, in a fresh error that
+// wraps no corruption class, so no recovery or scrub drops, quarantines or
+// skips the file.
 func servingHeader(name string, kind lsm.FileKind, buf []byte) (fileHeader, error) {
 	h, err := parseHeader(buf)
 	var what string
@@ -129,8 +130,8 @@ func servingHeader(name string, kind lsm.FileKind, buf []byte) (fileHeader, erro
 		what = "EncFS header"
 	case err != nil:
 		return h, fmt.Errorf("core: %s: %w", name, err)
-	case h.version != shieldVersion2 && (kind == lsm.FileKindSST || kind == lsm.FileKindCurrent):
-		what = fmt.Sprintf("v1 (CTR) %s body", kind)
+	case h.version != shieldVersion3 && (kind == lsm.FileKindSST || kind == lsm.FileKindCurrent):
+		what = fmt.Sprintf("v%d %s body", h.version, kind)
 	default:
 		return h, nil
 	}
@@ -255,12 +256,12 @@ func (s *shieldWrapper) WrapCreate(name string, kind lsm.FileKind, f vfs.Writabl
 	if err != nil {
 		return nil, "", err
 	}
-	// SSTs and CURRENT are write-once and get the authenticated v2 format;
+	// SSTs and CURRENT are write-once and get the authenticated v3 format;
 	// WAL and MANIFEST are append-many streams and stay on v1 CTR (their
 	// records carry CRCs inside the ciphertext; see DESIGN.md §13).
 	version := uint32(shieldVersion)
 	if kind == lsm.FileKindSST || kind == lsm.FileKindCurrent {
-		version = shieldVersion2
+		version = shieldVersion3
 	}
 	hdr := encodeHeader(id, iv, version)
 	if err := vfs.WriteFull(f, hdr); err != nil {
@@ -384,7 +385,7 @@ func (s *shieldWrapper) resolveDEK(id kds.KeyID) (crypt.DEK, error) {
 }
 
 // WrapOpen implements lsm.FileWrapper for positional reads (SST, CURRENT):
-// only a sealed v2 body is read.
+// only a sealed v3 body is read.
 func (s *shieldWrapper) WrapOpen(name string, kind lsm.FileKind, f vfs.RandomAccessFile) (vfs.RandomAccessFile, error) {
 	if !s.seals(kind) {
 		return f, nil
@@ -401,13 +402,9 @@ func (s *shieldWrapper) WrapOpen(name string, kind lsm.FileKind, f vfs.RandomAcc
 	return s.openSealed(name, f, h, buf[:h.len])
 }
 
-// openSealed opens the sealed (v2) body of file name, whose header h is hdr.
+// openSealed opens the sealed (v3) body of file name, whose header h is hdr.
 func (s *shieldWrapper) openSealed(name string, f vfs.RandomAccessFile, h fileHeader, hdr []byte) (vfs.RandomAccessFile, error) {
-	dek, err := s.keyFor(name, h)
-	if err != nil {
-		return nil, err
-	}
-	sealer, err := crypt.NewSealer(dek, h.iv[:crypt.SealedNoncePrefixLen], hdr)
+	sealer, err := s.sealerFor(name, h, hdr)
 	if err != nil {
 		return nil, err
 	}
@@ -416,6 +413,16 @@ func (s *shieldWrapper) openSealed(name string, f vfs.RandomAccessFile, h fileHe
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
 	return r, nil
+}
+
+// sealerFor resolves the key of file name, whose header h is hdr, and builds
+// the Sealer its sealed body opens under.
+func (s *shieldWrapper) sealerFor(name string, h fileHeader, hdr []byte) (*crypt.Sealer, error) {
+	dek, err := s.keyFor(name, h)
+	if err != nil {
+		return nil, err
+	}
+	return crypt.NewSealer(dek, h.iv[:crypt.SealedNoncePrefixLen], hdr)
 }
 
 // WrapOpenSequential implements lsm.FileWrapper for streaming reads
@@ -453,10 +460,10 @@ func readStreamHeader(name string, f vfs.SequentialFile, size func(prefix []byte
 // openStream opens the v1 (CTR) stream body of file name, whose header h
 // has been read off f.
 func (s *shieldWrapper) openStream(name string, f vfs.SequentialFile, h fileHeader) (vfs.SequentialFile, error) {
-	if h.version == shieldVersion2 {
+	if h.version != shieldVersion {
 		// Only WAL/MANIFEST recovery streams files, and both stay on v1;
-		// sealed bodies need positional reads for block verification.
-		return nil, fmt.Errorf("core: %s: sealed (v2) files require positional reads", name)
+		// sealed bodies need positional reads for record verification.
+		return nil, fmt.Errorf("core: %s: sealed (v%d) files require positional reads", name, h.version)
 	}
 	dek, err := s.keyFor(name, h)
 	if err != nil {

@@ -307,8 +307,8 @@ func TestDecryptingReaderAt(t *testing.T) {
 }
 
 // TestChunkedWriterLengths: under the parallel pipeline every payload length,
-// including the empty one and exact block multiples, stores the plaintext
-// plus one tag per full block plus the mandatory final block's tag.
+// including the empty one and Writes above SealedRecordMax, stores the
+// plaintext plus a tag per record plus the table and count.
 func TestChunkedWriterLengths(t *testing.T) {
 	key, iv := testKeyIV(t)
 	sealer, err := NewSealer(key, iv[:SealedNoncePrefixLen], nil)
@@ -327,8 +327,9 @@ func TestChunkedWriterLengths(t *testing.T) {
 			t.Fatal(err)
 		}
 		info, _ := fs.Stat("f")
-		if _, plain, err := sealedBodyLayout(info.Size); err != nil || plain != int64(total) {
-			t.Fatalf("total=%d: stored %d bytes = %d plaintext (err=%v)", total, info.Size, plain, err)
+		records := (total + SealedRecordMax - 1) / SealedRecordMax
+		if want := int64(total + records*(SealedTagSize+4) + SealedTagSize + sealedCountLen); info.Size != want {
+			t.Fatalf("total=%d: stored %d bytes, want %d", total, info.Size, want)
 		}
 	}
 }

@@ -29,30 +29,34 @@ func mallocsPer(runs int, fn func()) float64 {
 }
 
 // TestSealedReadAtAllocs: once warm, a sealed read allocates nothing,
-// however many blocks it covers: its ciphertext extent comes from
-// extentPool, and there are no per-block ciphertext, plaintext, nonce or AAD
-// buffers (the per-block loop cost three allocations a block, six for a
-// straddling 4 KiB read).
+// however many records it covers: its ciphertext comes from extentPool, and
+// there are no per-record ciphertext, plaintext, nonce or AAD buffers. A
+// whole-record read — an SST block-cache miss — is also exactly one inner
+// read.
 func TestSealedReadAtAllocs(t *testing.T) {
 	s, _ := newTestSealer(t)
-	payload := make([]byte, 24*SealedBlockSize+77)
+	payload := make([]byte, 24*4096+77)
 	rand.New(rand.NewSource(18)).Read(payload)
-	r := mustOpenSealed(t, s, sealToMem(t, s, payload))
+	r, innerReads := countedSealed(t, s, payload, 4096)
 	for name, rd := range map[string]struct {
 		off int64
 		n   int
 	}{
-		"aligned 4 KiB":    {2 * SealedBlockSize, SealedBlockSize},
-		"straddling 4 KiB": {2*SealedBlockSize + 1500, SealedBlockSize},
-		"64 KiB":           {1500, 64 << 10},
+		"whole 4 KiB record": {2 * 4096, 4096},
+		"straddling 4 KiB":   {2*4096 + 1500, 4096},
+		"64 KiB":             {1500, 64 << 10},
 	} {
 		p := make([]byte, rd.n)
-		if a := mallocsPer(200, func() {
+		read := func() {
 			if _, err := r.ReadAt(p, rd.off); err != nil {
 				t.Fatal(err)
 			}
-		}); a != 0 {
+		}
+		if a := mallocsPer(200, read); a != 0 {
 			t.Errorf("%s ReadAt: %v allocs per call, want 0", name, a)
+		}
+		if n := innerReads(read); n != 1 {
+			t.Errorf("%s ReadAt: %d inner reads, want 1", name, n)
 		}
 	}
 }
@@ -63,10 +67,10 @@ func TestSealedReadAtAllocs(t *testing.T) {
 // still allocate nothing.
 func TestSealedReadAtRetainedExtentAllocs(t *testing.T) {
 	s, _ := newTestSealer(t)
-	payload := make([]byte, 300*SealedBlockSize+5)
+	payload := make([]byte, 300*4096+5)
 	rand.New(rand.NewSource(19)).Read(payload)
 	r := mustOpenSealed(t, s, sealToMem(t, s, payload))
-	small, huge := make([]byte, SealedBlockSize), make([]byte, 1<<20)
+	small, huge := make([]byte, 4096), make([]byte, 1<<20)
 	read := func(p []byte, off int64) {
 		if _, err := r.ReadAt(p, off); err != nil {
 			t.Fatal(err)
@@ -87,7 +91,7 @@ func TestSealedReadAtRetainedExtentAllocs(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := int64(0); i < 100; i++ {
-			read(small, 1500+i*SealedBlockSize)
+			read(small, 1500+i*4096)
 		}
 		runtime.ReadMemStats(&after)
 		best = min(best, after.Mallocs-before.Mallocs)
@@ -104,7 +108,7 @@ func TestSealedReadAtRetainedExtentAllocs(t *testing.T) {
 func TestSealOpenBlockAllocs(t *testing.T) {
 	s, _ := newTestSealer(t)
 	plain := make([]byte, SealedBlockSize)
-	sealed := make([]byte, 0, sealedCipherBlock)
+	sealed := make([]byte, 0, SealedBlockSize+SealedTagSize)
 	opened := make([]byte, 0, SealedBlockSize)
 	if a := testing.AllocsPerRun(200, func() { sealed = s.SealBlock(sealed[:0], plain, 3, false) }); a != 0 {
 		t.Errorf("SealBlock into a caller buffer: %v allocs, want 0", a)

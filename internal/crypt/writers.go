@@ -3,8 +3,10 @@ package crypt
 import (
 	"crypto/cipher"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"hash"
+	"slices"
 	"sync"
 
 	"shield/internal/vfs"
@@ -100,26 +102,29 @@ func (w *BufferedWriter) Close() error {
 	return w.f.Close()
 }
 
-// SealedWriter writes a format-v2 body (seal.go) to an append-only file. It
-// is the one writer for write-once files: SSTs under SHIELD, every
-// non-stream file under EncFS. Plaintext accumulates into chunks of whole
-// blocks; each chunk is sealed inline or on `workers` goroutines (Section
-// 5.2's multi-threaded compaction encryption) and written back strictly in
-// order, so the bytes on disk depend on neither the worker count nor the
-// chunk size. Sync (or Close) finalizes the body with the mandatory final
-// block, after which the writer accepts no more data; append-many streams
-// (WAL, MANIFEST) use BufferedWriter instead.
+// SealedWriter writes a format-v3 body (seal.go) to an append-only file. It
+// is the one writer for write-once files: SSTs under SHIELD, and CURRENT
+// under the instance policy. Every Write becomes one record (a Write above
+// SealedRecordMax several). Records accumulate into chunks of about
+// chunkSize bytes; each chunk is sealed inline or on `workers` goroutines
+// (Section 5.2's multi-threaded compaction encryption) and written back
+// strictly in order, so the bytes on disk depend only on the Write calls,
+// not on the worker count or the chunk size. Sync (or Close) finalizes the
+// body with the length table, after which the writer accepts no more data;
+// append-many streams (WAL, MANIFEST) use BufferedWriter instead.
 type SealedWriter struct {
 	f         vfs.WritableFile
 	sealer    *Sealer
-	chunkSize int // a multiple of SealedBlockSize
+	chunkSize int
 	workers   int
 
-	cur       *chunkJob // its plain is the chunk accumulating; nil between chunks
-	nextBlock uint32    // index of the current chunk's first block
-	digest    hash.Hash // tag chain, folded in retirement (= plaintext) order
-	sum       []byte    // the file digest; non-nil once finalized
-	err       error     // first failure; every later call returns it
+	cur     *chunkJob // the chunk accumulating; nil between chunks
+	nextRec uint32    // index of the current chunk's first record
+	size    uint64    // plaintext bytes accepted
+	lens    []uint32  // lengths of the records retired so far: the table
+	digest  hash.Hash // tag chain, folded in retirement (= record) order
+	sum     []byte    // the file digest; non-nil once finalized
+	err     error     // first failure; every later call returns it
 
 	// Retired jobs wait here to be filled again, so a file of any length
 	// allocates at most 2*workers+1 of them (one inline) and nothing per
@@ -135,46 +140,39 @@ type SealedWriter struct {
 
 // chunkJob is one chunk on its way through the writer: filled by Write,
 // sealed by sealChunk (inline or on a worker), written and folded into the
-// digest by retire, then reused.
+// digest and the table by retire, then reused.
 type chunkJob struct {
 	plain    []byte
+	lens     []uint32 // plaintext length of each record in plain
 	sealed   []byte
-	firstIdx uint32        // index of the chunk's first block
-	final    bool          // this chunk ends with the final block
+	firstIdx uint32        // index of the chunk's first record
 	done     chan struct{} // worker mode: receives once the chunk is sealed
 }
 
+// errSealedTooLarge refuses a body the reader's uint32 prefix sums cannot
+// address.
+var errSealedTooLarge = errors.New("crypt: sealed body above 4 GiB")
+
 // NewSealedWriter wraps f (positioned just past the plaintext header) with
-// sealed encryption in chunks of chunkSize bytes on `workers` goroutines
-// (workers <= 1 seals inline). chunkSize defaults to 64 KiB and is rounded
-// up to a multiple of SealedBlockSize so chunk and block boundaries coincide.
+// sealed encryption in chunks of about chunkSize bytes (default 64 KiB) on
+// `workers` goroutines (workers <= 1 seals inline).
 func NewSealedWriter(f vfs.WritableFile, sealer *Sealer, chunkSize, workers int) *SealedWriter {
 	if chunkSize <= 0 {
 		chunkSize = 64 << 10
 	}
-	if r := chunkSize % SealedBlockSize; r != 0 {
-		chunkSize += SealedBlockSize - r
-	}
 	return &SealedWriter{f: f, sealer: sealer, chunkSize: chunkSize, workers: workers, digest: sha256.New()}
 }
 
-// sealChunk seals one chunk job into job.sealed: every full block non-final,
-// then, only on the final job, the 0..SealedBlockSize-1 byte tail as the
-// final block.
+// sealChunk seals every record of one chunk job into job.sealed.
 func (w *SealedWriter) sealChunk(job *chunkJob) {
-	p := job.plain
-	idx := job.firstIdx
 	out := job.sealed[:0]
-	if need := len(p) + (len(p)/SealedBlockSize+1)*SealedTagSize; cap(out) < need {
+	if need := len(job.plain) + len(job.lens)*SealedTagSize; cap(out) < need {
 		out = make([]byte, 0, need)
 	}
-	for len(p) >= SealedBlockSize {
-		out = w.sealer.SealBlock(out, p[:SealedBlockSize], idx, false)
-		idx++
-		p = p[SealedBlockSize:]
-	}
-	if job.final {
-		out = w.sealer.SealBlock(out, p, idx, true)
+	p := job.plain
+	for i, n := range job.lens {
+		out = w.sealer.SealBlock(out, p[:n], job.firstIdx+uint32(i), false)
+		p = p[n:]
 	}
 	job.sealed = out
 }
@@ -202,11 +200,11 @@ func (w *SealedWriter) nextJob() *chunkJob {
 	if n := len(w.free); n > 0 {
 		job := w.free[n-1]
 		w.free = w.free[:n-1]
-		job.plain = job.plain[:0]
+		job.plain, job.lens = job.plain[:0], job.lens[:0]
 		return job
 	}
 	job := &chunkJob{}
-	if w.nextBlock > 0 {
+	if w.nextRec > 0 {
 		job.plain = make([]byte, 0, w.chunkSize)
 	}
 	if w.workers > 1 {
@@ -215,7 +213,8 @@ func (w *SealedWriter) nextJob() *chunkJob {
 	return job
 }
 
-// Write implements io.Writer.
+// Write implements io.Writer: p becomes the next record, or the next several
+// when it is longer than SealedRecordMax. An empty p writes nothing.
 func (w *SealedWriter) Write(p []byte) (int, error) {
 	if w.err != nil {
 		return 0, w.err
@@ -225,36 +224,44 @@ func (w *SealedWriter) Write(p []byte) (int, error) {
 	}
 	consumed := 0
 	for len(p) > 0 {
-		if w.cur == nil {
-			w.cur = w.nextJob()
+		n := min(len(p), SealedRecordMax)
+		if w.size+uint64(n) > sealedMaxBody {
+			w.err = errSealedTooLarge
+			return consumed, w.err
 		}
-		n := min(len(p), w.chunkSize-len(w.cur.plain))
-		w.cur.plain = append(w.cur.plain, p[:n]...)
-		consumed += n
-		p = p[n:]
-		if len(w.cur.plain) == w.chunkSize {
-			if err := w.dispatch(false); err != nil {
+		if w.cur != nil && len(w.cur.plain)+n > w.chunkSize {
+			if err := w.dispatch(); err != nil {
 				w.err = err
 				// Report the bytes actually accepted so far (io.Writer
 				// contract: n < len(p) must accompany a non-nil error).
 				return consumed, err
 			}
 		}
+		if w.cur == nil {
+			w.cur = w.nextJob()
+		}
+		w.cur.plain = append(w.cur.plain, p[:n]...)
+		w.cur.lens = append(w.cur.lens, uint32(n))
+		w.size += uint64(n)
+		consumed += n
+		p = p[n:]
+	}
+	if w.cur != nil && len(w.cur.plain) >= w.chunkSize {
+		if err := w.dispatch(); err != nil {
+			w.err = err
+			return consumed, err
+		}
 	}
 	return consumed, nil
 }
 
 // dispatch ships the accumulated chunk: sealed and written inline when
-// single-threaded, handed to the pipeline otherwise. final marks the tail
-// chunk, which ships even when empty because the final block is mandatory.
-func (w *SealedWriter) dispatch(final bool) error {
+// single-threaded, handed to the pipeline otherwise.
+func (w *SealedWriter) dispatch() error {
 	job := w.cur
-	if job == nil {
-		job = w.nextJob()
-	}
 	w.cur = nil
-	job.firstIdx, job.final = w.nextBlock, final
-	w.nextBlock += uint32(len(job.plain) / SealedBlockSize)
+	job.firstIdx = w.nextRec
+	w.nextRec += uint32(len(job.lens))
 	if w.workers <= 1 {
 		w.sealChunk(job)
 		return w.retire(job)
@@ -273,13 +280,23 @@ func (w *SealedWriter) dispatch(final bool) error {
 	return nil
 }
 
-// retire appends one sealed chunk to the file and the tag chain, and frees
-// its job for the next chunk.
+// retire appends one sealed chunk to the file, its tags to the tag chain and
+// its lengths to the table, and frees its job for the next chunk.
 func (w *SealedWriter) retire(job *chunkJob) error {
 	if err := vfs.WriteFull(w.f, job.sealed); err != nil {
 		return err
 	}
-	hashTags(w.digest, job.sealed)
+	end := 0
+	for _, n := range job.lens {
+		end += int(n) + SealedTagSize
+		w.digest.Write(job.sealed[end-SealedTagSize : end])
+	}
+	if len(w.lens)+len(job.lens) > cap(w.lens) {
+		// Double: the table costs O(log n) allocations per file, none in
+		// most chunks.
+		w.lens = slices.Grow(w.lens, len(w.lens)+len(job.lens))
+	}
+	w.lens = append(w.lens, job.lens...)
 	w.free = append(w.free, job)
 	return nil
 }
@@ -296,15 +313,29 @@ func (w *SealedWriter) retireOldest() error {
 	return w.retire(job)
 }
 
-// finalize ships the tail as the final chunk and retires everything in
-// flight; the sealed body and its digest are complete afterwards.
+// finalize ships the last chunk, retires everything in flight and writes the
+// length table and count; the sealed body and its digest are complete
+// afterwards.
 func (w *SealedWriter) finalize() error {
 	if w.err != nil || w.sum != nil {
 		return w.err
 	}
-	err := w.dispatch(true)
+	var err error
+	if w.cur != nil {
+		err = w.dispatch()
+	}
 	for err == nil && len(w.order) > 0 {
 		err = w.retireOldest()
+	}
+	if err == nil {
+		n := len(w.lens)
+		table := make([]byte, 4*n, 4*n+SealedTagSize+sealedCountLen)
+		for k, l := range w.lens {
+			binary.LittleEndian.PutUint32(table[4*k:], l)
+		}
+		table = w.sealer.tableTag(table, table, uint32(n))
+		w.digest.Write(table[4*n:])
+		err = vfs.WriteFull(w.f, binary.LittleEndian.AppendUint32(table, uint32(n)))
 	}
 	if err != nil {
 		w.err = err

@@ -25,6 +25,8 @@ import (
 // acknowledges nothing until a compaction drains L0, and the held job waits
 // for its acknowledgements. So the hold also ends once the DB is in that
 // stall; it re-checks every millisecond, as the stall wakes nothing here.
+// And it ends when the writer, waiting in settleRangeA for a job that the
+// held one blocks, releases every job held at that moment.
 type peakCompactor struct {
 	inner   Compactor
 	mu      sync.Mutex
@@ -34,9 +36,17 @@ type peakCompactor struct {
 	acked   int  // Puts the writer has acknowledged
 	done    bool // the writer has finished: hold nothing more
 	db      *DB  // the DB whose L0 stall ends a hold, once open
+	// releases counts settleRangeA's releases; a hold ends when it moves.
+	// Atomic, because the writer bumps it holding db.mu, and a hold takes
+	// db.mu under c.mu.
+	releases atomic.Int64
 }
 
 const holdOps = 20
+
+// firstBurstB is the burst length of concurrentCrashOps: ops [0, 40) write
+// range A, [40, 80) range B, and so on.
+const firstBurstB = 40
 
 func newPeakCompactor(inner Compactor) *peakCompactor {
 	c := &peakCompactor{inner: inner}
@@ -49,7 +59,8 @@ func (c *peakCompactor) Compact(job CompactionJob, newFileNum func() (uint64, er
 	c.running++
 	c.peak = max(c.peak, c.running)
 	c.cond.Broadcast()
-	for until := c.acked + holdOps; c.running == 1 && c.acked < until && !c.done && !c.writerStalled(); {
+	gen := c.releases.Load()
+	for until := c.acked + holdOps; c.running == 1 && c.acked < until && !c.done && c.releases.Load() == gen && !c.writerStalled(); {
 		recheck := time.AfterFunc(time.Millisecond, c.wake)
 		c.cond.Wait()
 		recheck.Stop()
@@ -102,6 +113,56 @@ func (c *peakCompactor) peakRunning() int {
 	return c.peak
 }
 
+// settleRangeA waits, before range B's first burst, until range A's L0→L1
+// job has installed: L0 holds no range-A table and L1 holds range A. That
+// is the premise the pairing needs — B's first L0→L1 job then shares no
+// input with an L1(A)→L2 job — and the writer waits on the Version for it
+// instead of hoping the scheduler got there first: a job that took A's last
+// L0 table together with B's first ones would leave the two nothing to run
+// beside. While it waits, every job held for a partner is released (the
+// acks it waits for are what this wait withholds); the job the install of
+// A's L0→L1 job starts is not, and waits for B's. If nothing runs and range A
+// still has a table in L0 under the trigger (or none in L1), the last op is
+// put again — its own key and value, so the state the images are checked
+// against does not change — and flushed, until a job takes it.
+func settleRangeA(t *testing.T, db *DB, c *peakCompactor, last crashOp) {
+	t.Helper()
+	inA := func(level int) (n int) {
+		for _, f := range db.current.Levels[level] {
+			if f.Overlaps([]byte("a"), []byte("a\xff")) {
+				n++
+			}
+		}
+		return n
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for inA(0) > 0 || inA(1) == 0 {
+		if db.compactions == 0 && !db.flushing && len(db.imm) == 0 {
+			db.mu.Unlock()
+			err := db.Put(last.key, last.value)
+			if err == nil {
+				err = db.Flush()
+			}
+			db.mu.Lock()
+			if err != nil {
+				t.Fatalf("settling range A: %v", err)
+			}
+			continue
+		}
+		// Release what is held now, and look again in a millisecond: a job
+		// that starts after this release holds until the next one.
+		c.releases.Add(1)
+		recheck := time.AfterFunc(time.Millisecond, func() {
+			db.mu.Lock()
+			db.bgCond.Broadcast()
+			db.mu.Unlock()
+		})
+		db.bgCond.Wait()
+		recheck.Stop()
+	}
+}
+
 // concurrentCrashOps alternates write bursts between two disjoint key
 // ranges. After range A's data settles into L1, a burst in range B arms an
 // L0→L1 job with no overlap on A's files — so an L1(A)→L2 job can run
@@ -110,7 +171,7 @@ func concurrentCrashOps(n int) []crashOp {
 	ops := make([]crashOp, n)
 	for i := range ops {
 		prefix := "a"
-		if (i/40)%2 == 1 {
+		if (i/firstBurstB)%2 == 1 {
 			prefix = "b"
 		}
 		k := fmt.Sprintf("%s%03d", prefix, i%60)
@@ -157,6 +218,9 @@ func TestCrashRecoveryConcurrentCompactions(t *testing.T) {
 	}
 	pairing.watch(db)
 	for i, op := range ops {
+		if i == firstBurstB {
+			settleRangeA(t, db, pairing, ops[i-1])
+		}
 		if err := db.Put(op.key, op.value); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}

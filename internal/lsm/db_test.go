@@ -1,10 +1,13 @@
 package lsm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"shield/internal/vfs"
@@ -351,5 +354,61 @@ func TestCompactionStyles(t *testing.T) {
 				t.Fatalf("style %v: bad value length %d", style, len(v))
 			}
 		})
+	}
+}
+
+// TestGetDuringRotateAndFlush: Gets run while a writer fills small
+// memtables, so rotations append to d.imm and flushes reslice it under the
+// slice headers the readers took. Every Get of a key written before it
+// started sees that key's value. Run under -race: a reader's view of d.imm
+// must not race a rotation or a flush.
+func TestGetDuringRotateAndFlush(t *testing.T) {
+	opts := testOptions(vfs.NewMem())
+	opts.MemtableSize = 16 << 10
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	key := func(i int64) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
+	value := func(i int64) []byte { return []byte(fmt.Sprintf("value-%06d-%0100d", i, i)) }
+	const n = 3000
+	var written atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := int64(0); g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(g))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				w := written.Load()
+				if w == 0 {
+					runtime.Gosched()
+					continue
+				}
+				i := rng.Int63n(w)
+				if got, err := db.Get(key(i)); err != nil || !bytes.Equal(got, value(i)) {
+					t.Errorf("Get(%s) = %q, %v", key(i), got, err)
+					return
+				}
+			}
+		}()
+	}
+	for i := int64(0); i < n; i++ {
+		if err := db.Put(key(i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+		written.Store(i + 1)
+	}
+	close(stop)
+	wg.Wait()
+	if flushes := db.metFlushes.Load(); flushes < 10 {
+		t.Fatalf("%d flushes, want the writes to rotate memtables many times", flushes)
 	}
 }

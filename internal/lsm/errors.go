@@ -23,7 +23,7 @@ var ErrCorruption = errors.New("lsm: corruption")
 var ErrDegraded = errors.New("lsm: degraded (read-only) mode")
 
 // ErrIntegrity is the sentinel wrapped by every authenticated-read failure:
-// a sealed (format v2) block whose AEAD tag did not verify, or an SST whose
+// a sealed record whose AEAD tag did not verify, or an SST whose
 // tag-chain digest disagrees with the manifest. Unlike a block-checksum
 // mismatch (which CRC32 can miss under an adversary), an integrity failure
 // is cryptographic proof the ciphertext was altered after sealing. Every

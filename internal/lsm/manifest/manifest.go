@@ -32,8 +32,9 @@ type FileMetadata struct {
 	// FIFO compaction to know run recency (higher = newer).
 	Seq uint64 `json:"seq"`
 
-	// Digest is the hex SHA-256 over the file's per-block AEAD tag chain
-	// (format v2), recorded by the version edit that installed the file.
+	// Digest is the hex SHA-256 over the file's AEAD tag chain (one tag per
+	// sealed record, then the length table's), recorded by the version edit
+	// that installed the file.
 	// Because the tags are unforgeable without the file's DEK, anchoring
 	// their digest in the manifest extends the manifest's authenticity to
 	// every block of every SST: replacing a file with an older validly-

@@ -26,7 +26,11 @@ func (d *DB) getAt(key []byte, seq base.SeqNum) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	mem := d.mem
-	imms := append([]*memTable(nil), d.imm...)
+	// No copy: d.imm is only appended to (rotateAndUnlock) and resliced
+	// from the front (the flush loop), never written in place, so an append
+	// lands past the end of every slice header taken before it and the one
+	// taken here under d.mu still names the same memtables after the unlock.
+	imms := d.imm
 	ver := d.current
 	// Pin obsolete-file deletion while this read holds the version:
 	// compaction may otherwise unlink an SST between the version capture

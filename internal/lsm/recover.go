@@ -418,7 +418,7 @@ func checkSST(fs vfs.FS, wrapper FileWrapper, name string, meta *manifest.FileMe
 
 // isCorruptionErr reports whether err proves the file's bytes are wrong (or
 // the file is missing entirely), as opposed to a transient failure to read
-// or decrypt it. An authentication failure from a sealed (format v2) file
+// or decrypt it. An authentication failure from a sealed file
 // proves tampering or rot — the GCM tag cannot fail under the right key
 // unless the ciphertext changed — so vfs.ErrIntegrity counts.
 func isCorruptionErr(err error) bool {

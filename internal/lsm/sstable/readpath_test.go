@@ -83,3 +83,68 @@ func TestTableOpenAndGetInnerReads(t *testing.T) {
 		r.Close()
 	}
 }
+
+// writeLog records the Write calls a table writer issues.
+type writeLog struct {
+	vfs.WritableFile
+	writes []int // length of each Write
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return w.WritableFile.Write(p)
+}
+
+// TestWriterOneWritePerBlock: the writer hands the file exactly one Write
+// per block — every data block, then filter, index, properties and footer —
+// and each Write is exactly the span its handle names, so a file layer that
+// frames each Write on its own (a sealed body) serves every block read from
+// one frame.
+func TestWriterOneWritePerBlock(t *testing.T) {
+	for name, filter := range map[string]bool{"bloom": true, "no filter": false} {
+		fs := vfs.NewMem()
+		raw, err := fs.Create("t.sst")
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := &writeLog{WritableFile: raw}
+		w := NewWriter(log, WriterOptions{})
+		if !filter {
+			withoutFilter(w)
+		}
+		for i := 0; i < 3000; i++ {
+			if err := w.Add(base.MakeInternalKey([]byte(fmt.Sprintf("key-%08d", i)), 1, base.KindSet), []byte(fmt.Sprintf("%080d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Open("t.sst")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(f, ReaderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int
+		for i := 0; i < r.index.n; i++ {
+			want = append(want, int(r.index.handle(i).length))
+		}
+		if filter {
+			want = append(want, len(r.filter)+1+blockTrailerLen)
+		}
+		// The index and properties blocks, whose lengths the footer names.
+		want = append(want, -1, -1, footerLen)
+		if len(log.writes) != len(want) {
+			t.Fatalf("%s: %d Writes for %d data blocks, want %d", name, len(log.writes), r.index.n, len(want))
+		}
+		for i, n := range want {
+			if n >= 0 && log.writes[i] != n {
+				t.Fatalf("%s: Write %d is %d bytes, want its block's %d", name, i, log.writes[i], n)
+			}
+		}
+		r.Close()
+	}
+}

@@ -9,8 +9,11 @@
 // The package is encryption-agnostic by design: it writes through a
 // vfs.WritableFile and reads through a vfs.RandomAccessFile, and the caller
 // (the SHIELD codec in internal/core) supplies wrappers that encrypt the
-// body and carry the plaintext DEK-ID header. Block granularity is what
-// makes SHIELD's chunked, multi-threaded compaction encryption possible.
+// body and carry the plaintext DEK-ID header. The writer hands the file
+// exactly one Write per block (data, filter, index, properties, footer) and
+// the reader reads a block with one ReadAt of its handle, so a file layer
+// that frames each Write on its own serves each block read from exactly its
+// own frame.
 package sstable
 
 import (
@@ -146,15 +149,11 @@ func (w *Writer) writeRaw(data []byte) (blockHandle, error) {
 	crc := crc32.Checksum(data, castagnoli)
 	crc = crc32.Update(crc, castagnoli, tail[:1])
 	binary.LittleEndian.PutUint32(tail[1:], crc)
-	// One Write when the trailer fits behind the payload in the caller's
-	// buffer (a data block's builder keeps that room), two when it does not.
-	var err error
-	if cap(data)-len(data) >= len(tail) {
-		err = vfs.WriteFull(w.f, append(data, tail[:]...))
-	} else if err = vfs.WriteFull(w.f, data); err == nil {
-		err = vfs.WriteFull(w.f, tail[:])
-	}
-	if err != nil {
+	// Exactly one Write per block, so a file layer that frames each Write on
+	// its own frames each block whole. The trailer goes behind the payload
+	// in the caller's buffer when it has the room (a data block's builder
+	// keeps it), else append copies the block once.
+	if err := vfs.WriteFull(w.f, append(data, tail[:]...)); err != nil {
 		return blockHandle{}, err
 	}
 	w.offset += h.length
