@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -68,9 +69,9 @@ func TestShieldCrashRecoveryEnumeration(t *testing.T) {
 func crashEnumeration(t *testing.T, config func(fs vfs.FS, cache *seccache.Cache) Config) {
 	cfs := vfs.NewCrash(11)
 	type point struct {
-		event string
-		img   *vfs.CrashImage
-		acked int64
+		event           string
+		img             *vfs.CrashImage
+		acked, captured int64
 	}
 	var (
 		mu     sync.Mutex
@@ -79,10 +80,10 @@ func crashEnumeration(t *testing.T, config func(fs vfs.FS, cache *seccache.Cache
 	)
 	// The engine's flush and compaction goroutines and the secure cache sync
 	// while the writer keeps getting acks: each point promises the count
-	// noted before its image was captured, so both reach the disk through afs.
-	afs := vfstest.NewAckedFS(cfs, acked.Load, func(event string, img *vfs.CrashImage, acked int64) {
+	// noted before its sync, so both reach the disk through afs.
+	afs := vfstest.NewAckedFS(cfs, acked.Load, func(event string, img *vfs.CrashImage, acked, captured int64) {
 		mu.Lock()
-		points = append(points, point{event, img, acked})
+		points = append(points, point{event, img, acked, captured})
 		mu.Unlock()
 	})
 
@@ -142,29 +143,34 @@ func crashEnumeration(t *testing.T, config func(fs vfs.FS, cache *seccache.Cache
 			if err != nil {
 				t.Fatalf("%s point %d (%s): reopen: %v\nimage:\n%s", mode, i, pt.event, err, pt.img)
 			}
-			// Expected state from the acked prefix, allowing the in-flight op.
-			expected := make(map[string][]byte)
-			for j := int64(0); j < pt.acked; j++ {
-				expected[fmt.Sprintf("k%03d", j%60)] = value(int(j))
-			}
-			var inflightKey string
-			var inflightVal []byte
-			if pt.acked < nops {
-				inflightKey = fmt.Sprintf("k%03d", pt.acked%60)
-				inflightVal = value(int(pt.acked))
-			}
-			for k, want := range expected {
-				got, err := db2.Get([]byte(k))
-				if err != nil {
+			// The image must hold the state after the first k ops, for some
+			// k from the count acked before the sync to the op in flight
+			// when the image was captured.
+			got := make(map[string]string)
+			for j := 0; j < 60 && j < nops; j++ {
+				k := fmt.Sprintf("k%03d", j)
+				v, err := db2.Get([]byte(k))
+				switch {
+				case err == nil:
+					got[k] = string(v)
+				case !errors.Is(err, lsm.ErrNotFound):
 					t.Fatalf("%s point %d (%s, acked=%d): Get(%s): %v", mode, i, pt.event, pt.acked, k, err)
 				}
-				if string(got) == string(want) {
-					continue
+			}
+			after := func(n int64) map[string]string {
+				m := make(map[string]string)
+				for j := int64(0); j < n; j++ {
+					m[fmt.Sprintf("k%03d", j%60)] = string(value(int(j)))
 				}
-				if k == inflightKey && string(got) == string(inflightVal) {
-					continue
-				}
-				t.Fatalf("%s point %d (%s, acked=%d): Get(%s) = %q, want %q", mode, i, pt.event, pt.acked, k, got, want)
+				return m
+			}
+			hi := min(pt.captured+1, nops)
+			matched := false
+			for n := pt.acked; n <= hi && !matched; n++ {
+				matched = maps.Equal(got, after(n))
+			}
+			if !matched {
+				t.Fatalf("%s point %d (%s, acked=%d, captured=%d): the image holds the state after no prefix of %d to %d ops: %v", mode, i, pt.event, pt.acked, pt.captured, pt.acked, hi, got)
 			}
 			db2.Close()
 		}

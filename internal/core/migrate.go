@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"path"
 
 	"shield/internal/crypt"
@@ -84,12 +83,11 @@ func (m migrateWrapper) WrapOpen(name string, kind lsm.FileKind, f vfs.RandomAcc
 	if !m.seals(kind) {
 		return f, nil
 	}
-	var buf [4096]byte
-	n, err := f.ReadAt(buf[:], 0)
-	if err != nil && err != io.EOF {
+	buf, err := readHeaderAt(f, migrateHeaderLen)
+	if err != nil {
 		return nil, err
 	}
-	h, encfs, err := parseMigrateHeader(buf[:n])
+	h, encfs, err := parseMigrateHeader(buf)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}

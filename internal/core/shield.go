@@ -390,16 +390,46 @@ func (s *shieldWrapper) WrapOpen(name string, kind lsm.FileKind, f vfs.RandomAcc
 	if !s.seals(kind) {
 		return f, nil
 	}
-	var buf [4096]byte
-	n, err := f.ReadAt(buf[:], 0)
-	if err != nil && err != io.EOF {
+	buf, err := readHeaderAt(f, headerLen)
+	if err != nil {
 		return nil, err
 	}
-	h, err := servingHeader(name, kind, buf[:n])
+	h, err := servingHeader(name, kind, buf)
 	if err != nil {
 		return nil, err
 	}
 	return s.openSealed(name, f, h, buf[:h.len])
+}
+
+// headerReadSize is what a positional open reads first: a header under a
+// KDS-issued DEK-ID ("dek-" and 24 hex digits, 54 bytes) fits, and so do the
+// instance key's and the EncFS header (26 and 24).
+const headerReadSize = 64
+
+// readHeaderAt reads the header at the start of f: headerReadSize bytes,
+// then, only when size declares a longer header for what came back, the rest
+// of it in a second read. A file shorter than its header yields what it
+// holds, for the parser to refuse.
+func readHeaderAt(f vfs.RandomAccessFile, size func(prefix []byte) int) ([]byte, error) {
+	buf := make([]byte, headerReadSize)
+	n, err := f.ReadAt(buf, 0)
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	if n < len(buf) {
+		return buf[:n], nil
+	}
+	want := size(buf)
+	if want <= n {
+		return buf, nil
+	}
+	long := make([]byte, want)
+	copy(long, buf)
+	m, err := f.ReadAt(long[n:], int64(n))
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	return long[:n+m], nil
 }
 
 // openSealed opens the sealed (v3) body of file name, whose header h is hdr.

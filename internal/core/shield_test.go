@@ -365,3 +365,105 @@ func (r *recordingKDS) CreateDEK() (kds.KeyID, crypt.DEK, error) {
 	}
 	return id, dek, err
 }
+
+// readLog is a RandomAccessFile that records the offset and length of every
+// read.
+type readLog struct {
+	vfs.RandomAccessFile
+	reads [][2]int64
+}
+
+func (r *readLog) ReadAt(p []byte, off int64) (int, error) {
+	r.reads = append(r.reads, [2]int64{off, int64(len(p))})
+	return r.RandomAccessFile.ReadAt(p, off)
+}
+
+// longIDKDS issues every DEK under a DEK-ID of 300 bytes.
+type longIDKDS struct {
+	kds.Service
+	ids map[kds.KeyID]kds.KeyID // long ID → the inner service's
+}
+
+func (l *longIDKDS) CreateDEK() (kds.KeyID, crypt.DEK, error) {
+	id, dek, err := l.Service.CreateDEK()
+	long := kds.KeyID(fmt.Sprintf("%s-%0*d", id, 300-len(id)-1, 0))
+	l.ids[long] = id
+	return long, dek, err
+}
+
+func (l *longIDKDS) FetchDEK(id kds.KeyID) (crypt.DEK, error) {
+	return l.Service.FetchDEK(l.ids[id])
+}
+
+// TestWrapOpenReadsOnlyTheHeader: a table open reads its header in one read
+// of at most headerReadSize bytes when the DEK-ID is one the KDS issues, and
+// in two when a longer one makes the header outgrow that read; both open.
+func TestWrapOpenReadsOnlyTheHeader(t *testing.T) {
+	_, local := newTestKDS(t)
+	for _, tc := range []struct {
+		name      string
+		svc       kds.Service
+		headerLen int64
+		reads     int
+	}{
+		{"KDS-issued DEK-ID", local, 54, 1},
+		{"300-byte DEK-ID", &longIDKDS{Service: local, ids: map[kds.KeyID]kds.KeyID{}}, 326, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := vfs.NewMem()
+			w, err := Config{Mode: ModeSHIELD, FS: fs, KDS: tc.svc}.BuildWrapper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			const name = "db/000007.sst"
+			raw, err := fs.Create(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, _, err := w.WrapCreate(name, lsm.FileKindSST, raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := []byte("one sealed record")
+			if err := vfs.WriteFull(f, body); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			r, err := Config{Mode: ModeSHIELD, FS: fs, KDS: tc.svc}.BuildWrapper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := fs.Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log := &readLog{RandomAccessFile: in}
+			opened, err := r.WrapOpen(name, lsm.FileKindSST, log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, len(body))
+			if _, err := opened.ReadAt(got, 0); err != nil || !bytes.Equal(got, body) {
+				t.Fatalf("ReadAt = %q, %v; want %q", got, err, body)
+			}
+			var header [][2]int64
+			for _, rd := range log.reads {
+				if rd[0] < tc.headerLen {
+					header = append(header, rd)
+				}
+			}
+			if len(header) != tc.reads || header[0] != [2]int64{0, headerReadSize} {
+				t.Fatalf("header reads (offset, length) %v, want %d starting with (0, %d)", header, tc.reads, headerReadSize)
+			}
+			if tc.reads == 2 && header[1] != [2]int64{headerReadSize, tc.headerLen - headerReadSize} {
+				t.Fatalf("second header read %v, want (%d, %d)", header[1], headerReadSize, tc.headerLen-headerReadSize)
+			}
+		})
+	}
+}

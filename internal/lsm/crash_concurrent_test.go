@@ -3,21 +3,23 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"shield/internal/lsm/manifest"
 	"shield/internal/vfs"
 	"shield/internal/vfs/vfstest"
 )
 
 // peakCompactor wraps the local compactor to record the peak number of
 // concurrently executing compaction jobs. The workload and the options below
-// keep two runnable plans around (an over-target L1 beside a filling L0), but
-// a job over a few tiny tables can finish before the second plan is picked.
-// So a lone job waits, before it runs, until a second one joins it or the
-// writer has acknowledged holdOps more Puts. That window is counted in the
+// keep two runnable plans around (an over-target base level beside a filling
+// L0), but a job over a few tiny tables can finish before the second plan is
+// picked. So a lone job waits, before it runs, until a second one joins it or
+// the writer has acknowledged holdOps more Puts. That window is counted in the
 // workload's own progress, not in wall clock (an earlier version held a job
 // for up to 100 ms, which a loaded machine could miss). But flushes go on
 // while a job is held, and a run can reach the L0 write stall with a lone
@@ -27,6 +29,11 @@ import (
 // stall; it re-checks every millisecond, as the stall wakes nothing here.
 // And it ends when the writer, waiting in settleRangeA for a job that the
 // held one blocks, releases every job held at that moment.
+//
+// The writer yields its processor after each acknowledgement: on memfs it
+// never blocks, and without the yield the job the scheduler has just started
+// (and the held job re-checking its window) can wait for the runtime to
+// preempt the writer, long enough for the held job's window to close first.
 type peakCompactor struct {
 	inner   Compactor
 	mu      sync.Mutex
@@ -98,13 +105,15 @@ func (c *peakCompactor) watch(db *DB) {
 	c.mu.Unlock()
 }
 
-// ack records one acknowledged Put, or with done the end of the workload.
+// ack records one acknowledged Put, or with done the end of the workload,
+// and yields the writer's processor to the jobs.
 func (c *peakCompactor) ack(done bool) {
 	c.mu.Lock()
 	c.acked++
 	c.done = c.done || done
 	c.cond.Broadcast()
 	c.mu.Unlock()
+	runtime.Gosched()
 }
 
 func (c *peakCompactor) peakRunning() int {
@@ -113,18 +122,21 @@ func (c *peakCompactor) peakRunning() int {
 	return c.peak
 }
 
-// settleRangeA waits, before range B's first burst, until range A's L0→L1
-// job has installed: L0 holds no range-A table and L1 holds range A. That
-// is the premise the pairing needs — B's first L0→L1 job then shares no
-// input with an L1(A)→L2 job — and the writer waits on the Version for it
-// instead of hoping the scheduler got there first: a job that took A's last
-// L0 table together with B's first ones would leave the two nothing to run
-// beside. While it waits, every job held for a partner is released (the
-// acks it waits for are what this wait withholds); the job the install of
-// A's L0→L1 job starts is not, and waits for B's. If nothing runs and range A
-// still has a table in L0 under the trigger (or none in L1), the last op is
-// put again — its own key and value, so the state the images are checked
-// against does not change — and flushed, until a job takes it.
+// settleRangeA waits, before range B's first burst, until one of range A's
+// L0 jobs has installed above the bottom level: L0 holds no range-A table
+// and a level between L0 and the bottom holds range A. That is the premise
+// the pairing needs — B's first L0 job then shares no input with the job
+// that moves A's tables down from there — and the writer waits on the
+// Version for it instead of hoping the scheduler got there first: a job
+// that took A's last L0 table together with B's first ones would leave the
+// two nothing to run beside. While it waits, every job held for a partner
+// is released (the acks it waits for are what this wait withholds); the job
+// the install of A's L0 job starts is not, and waits for B's. If nothing
+// runs and range A still has a table in L0 under the trigger (or none above
+// the bottom), the last op is put again — its own key and value, so the
+// state the images are checked against does not change — and flushed,
+// until a job takes it. (A's first L0 job goes to the bottom level, the
+// base of an empty tree; the next one lands above it.)
 func settleRangeA(t *testing.T, db *DB, c *peakCompactor, last crashOp) {
 	t.Helper()
 	inA := func(level int) (n int) {
@@ -137,7 +149,13 @@ func settleRangeA(t *testing.T, db *DB, c *peakCompactor, last crashOp) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for inA(0) > 0 || inA(1) == 0 {
+	aboveBottom := func() (n int) {
+		for level := 1; level < manifest.NumLevels-1; level++ {
+			n += inA(level)
+		}
+		return n
+	}
+	for inA(0) > 0 || aboveBottom() == 0 {
 		if db.compactions == 0 && !db.flushing && len(db.imm) == 0 {
 			db.mu.Unlock()
 			err := db.Put(last.key, last.value)
@@ -164,9 +182,10 @@ func settleRangeA(t *testing.T, db *DB, c *peakCompactor, last crashOp) {
 }
 
 // concurrentCrashOps alternates write bursts between two disjoint key
-// ranges. After range A's data settles into L1, a burst in range B arms an
-// L0→L1 job with no overlap on A's files — so an L1(A)→L2 job can run
-// beside it, which is what puts two jobs in flight.
+// ranges. After range A's data settles into the base level, a burst in range
+// B arms an L0 job with no overlap on A's files — so the job moving A's
+// tables out of the base can run beside it, which is what puts two jobs in
+// flight.
 func concurrentCrashOps(n int) []crashOp {
 	ops := make([]crashOp, n)
 	for i := range ops {
@@ -198,11 +217,11 @@ func TestCrashRecoveryConcurrentCompactions(t *testing.T) {
 	)
 	// Compaction and flush goroutines sync while the writer keeps getting
 	// acks, so the ack count a crash point promises is the one noted BEFORE
-	// its image was captured; read afterwards, it can include a Put whose
-	// WAL sync the image is too old to hold.
-	fs := vfstest.NewAckedFS(cfs, acked.Load, func(event string, img *vfs.CrashImage, acked int64) {
+	// its sync; the one noted after its image was captured bounds the ops
+	// whose unsynced WAL tail the image may hold.
+	fs := vfstest.NewAckedFS(cfs, acked.Load, func(event string, img *vfs.CrashImage, acked, captured int64) {
 		ptMu.Lock()
-		points = append(points, crashPoint{event: event, img: img, acked: acked})
+		points = append(points, crashPoint{event: event, img: img, acked: acked, captured: captured})
 		ptMu.Unlock()
 	})
 
@@ -210,7 +229,10 @@ func TestCrashRecoveryConcurrentCompactions(t *testing.T) {
 	opts := crashTestOptions(fs)
 	opts.MaxBackgroundJobs = 4
 	opts.Compactor = pairing
-	opts.BaseLevelSize = 2 << 10 // L1 is over target as soon as a range settles: see peakCompactor
+	// Once range A's first tables reach the bottom level, a tenth of it is
+	// over BaseLevelSize, so the base moves above the bottom and is over
+	// its target as soon as a range settles there: see peakCompactor.
+	opts.BaseLevelSize = 128
 
 	db, err := Open("db", opts)
 	if err != nil {
@@ -289,7 +311,7 @@ func TestCrashRecoveryGroupCommitAtomicity(t *testing.T) {
 		}
 		return snap
 	}
-	afs := vfstest.NewAckedFS(cfs, note, func(event string, img *vfs.CrashImage, acked []int64) {
+	afs := vfstest.NewAckedFS(cfs, note, func(event string, img *vfs.CrashImage, acked, _ []int64) {
 		ptMu.Lock()
 		points = append(points, batchCrashPoint{event: event, img: img, acked: acked})
 		ptMu.Unlock()

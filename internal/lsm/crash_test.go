@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,13 +14,16 @@ import (
 )
 
 // crashPoint is one captured crash image plus the number of operations the
-// workload had been acknowledged for when the sync boundary fired. Every op
-// with index < acked completed a synced commit before this point, so its
-// effect must survive the crash.
+// workload had been acknowledged for just before the sync boundary (acked)
+// and once its image had been captured (captured). Every op with index <
+// acked completed a synced commit before this point, so its effect must
+// survive the crash; the op with index captured may be mid-commit, and no
+// later op had started.
 type crashPoint struct {
-	event string
-	img   *vfs.CrashImage
-	acked int64
+	event    string
+	img      *vfs.CrashImage
+	acked    int64
+	captured int64
 }
 
 // crashOp is one scripted workload operation (Put of key->value).
@@ -72,9 +76,9 @@ func runCrashWorkload(t *testing.T, ops []crashOp) []crashPoint {
 		points []crashPoint
 		acked  atomic.Int64
 	)
-	fs := vfstest.NewAckedFS(cfs, acked.Load, func(event string, img *vfs.CrashImage, acked int64) {
+	fs := vfstest.NewAckedFS(cfs, acked.Load, func(event string, img *vfs.CrashImage, acked, captured int64) {
 		mu.Lock()
-		points = append(points, crashPoint{event: event, img: img, acked: acked})
+		points = append(points, crashPoint{event: event, img: img, acked: acked, captured: captured})
 		mu.Unlock()
 	})
 
@@ -102,7 +106,10 @@ func runCrashWorkload(t *testing.T, ops []crashOp) []crashPoint {
 }
 
 // verifyCrashImage reopens a materialized post-crash filesystem and checks
-// that every acked op survived.
+// that it holds exactly the state after some prefix of the ops: the first k,
+// for some k from pt.acked (every acked op survived) to pt.captured+1 (an
+// unsynced tail, kept by a torn image, can hold every op up to the one in
+// flight when the image was captured).
 func verifyCrashImage(t *testing.T, mode string, i int, pt crashPoint, fs *vfs.MemFS, ops []crashOp) {
 	t.Helper()
 	opts := crashTestOptions(fs)
@@ -112,26 +119,29 @@ func verifyCrashImage(t *testing.T, mode string, i int, pt crashPoint, fs *vfs.M
 		t.Fatalf("%s point %d (%s): reopen failed: %v\nimage:\n%s", mode, i, pt.event, err, pt.img)
 	}
 	defer db.Close()
-	// The op with index == acked is mid-commit when the boundary fires (the
-	// boundary runs inside its WAL sync, before the ack), so its effect MAY
-	// already be durable. Anything below acked MUST be.
-	var inflight *crashOp
-	if pt.acked < int64(len(ops)) {
-		inflight = &ops[pt.acked]
+	got := map[string][]byte{}
+	for _, op := range ops {
+		v, err := db.Get(op.key)
+		switch {
+		case err == nil:
+			got[string(op.key)] = v
+		case !errors.Is(err, ErrNotFound):
+			t.Fatalf("%s point %d (%s, acked=%d): Get(%s): %v", mode, i, pt.event, pt.acked, op.key, err)
+		}
 	}
-	for k, want := range expectedAfter(ops, pt.acked) {
-		got, err := db.Get([]byte(k))
-		if err != nil {
-			t.Fatalf("%s point %d (%s, acked=%d): Get(%s): %v", mode, i, pt.event, pt.acked, k, err)
+	hi := min(pt.captured+1, int64(len(ops)))
+	for k := pt.acked; k <= hi; k++ {
+		if maps.EqualFunc(got, expectedAfter(ops, k), bytes.Equal) {
+			return
 		}
-		if bytes.Equal(got, want) {
-			continue
-		}
-		if inflight != nil && k == string(inflight.key) && bytes.Equal(got, inflight.value) {
-			continue
-		}
-		t.Fatalf("%s point %d (%s, acked=%d): Get(%s) = %q, want %q", mode, i, pt.event, pt.acked, k, got, want)
 	}
+	want := expectedAfter(ops, pt.acked)
+	for k, w := range want {
+		if !bytes.Equal(got[k], w) {
+			t.Fatalf("%s point %d (%s, acked=%d, captured=%d): Get(%s) = %q, want %q", mode, i, pt.event, pt.acked, pt.captured, k, got[k], w)
+		}
+	}
+	t.Fatalf("%s point %d (%s, acked=%d, captured=%d): the image holds the state after no prefix of %d to %d ops", mode, i, pt.event, pt.acked, pt.captured, pt.acked, hi)
 }
 
 // TestCrashRecoveryEnumeration crashes the database at every sync boundary of

@@ -159,11 +159,19 @@ type Options struct {
 	BlockCacheSize int64
 
 	// L0CompactionTrigger is the L0 file count that starts a leveled
-	// compaction, and the sorted-run count that starts a universal merge.
-	// Default 4.
+	// compaction, which merges all of L0 into the base level at once, and
+	// the sorted-run count that starts a universal merge. Default 8: with
+	// the default memtable, 32 MiB per L0 job. Every Get probes each L0
+	// file (a bloom check each), so a larger trigger trades read work for
+	// fewer rewrites of the base level.
 	L0CompactionTrigger int
 
-	// BaseLevelSize is the target size of L1. Default 16 MiB.
+	// BaseLevelSize is the floor of the base level's target under leveled
+	// compaction. Level targets follow the tree: the deepest non-empty
+	// level keeps its size, each level above it targets a tenth of the one
+	// below, and L0 merges into the highest level whose target is still at
+	// least BaseLevelSize, or into the deepest level while a tenth of it is
+	// below that (see levelShape). Default 16 MiB.
 	BaseLevelSize uint64
 
 	// TargetFileSize caps individual compaction output files. Default 4 MiB.
@@ -262,7 +270,7 @@ func (o Options) withDefaults() Options {
 		o.BlockCacheSize = 0
 	}
 	if o.L0CompactionTrigger == 0 {
-		o.L0CompactionTrigger = 4
+		o.L0CompactionTrigger = 8
 	}
 	if o.BaseLevelSize == 0 {
 		o.BaseLevelSize = 16 << 20

@@ -99,47 +99,76 @@ func l0Stalled(v *manifest.Version, o *Options) bool {
 // levelSizeMultiplier is the fanout between level targets.
 const levelSizeMultiplier = 10
 
-// levelTarget returns the size target for a level under leveled compaction.
-func levelTarget(o *Options, level int) uint64 {
-	t := o.BaseLevelSize
-	for i := 1; i < level; i++ {
-		t *= levelSizeMultiplier
+// levelShape works out the leveled tree's shape from the tree itself, the
+// rule RocksDB calls level_compaction_dynamic_level_bytes. The deepest
+// non-empty level below L0, bottom, keeps its size; each level above it
+// targets a tenth of the level below. The base level, where L0 merges, is the
+// highest level whose target is still at least BaseLevelSize. That is the
+// bottom level itself while its tenth is below it, and the last level of an
+// empty tree. targets is set for base ≤ level ≤ bottom.
+func levelShape(v *manifest.Version, o *Options) (base, bottom int, targets [manifest.NumLevels]uint64) {
+	bottom = manifest.NumLevels - 1
+	for bottom > 1 && len(v.Levels[bottom]) == 0 {
+		bottom--
 	}
-	return t
+	if len(v.Levels[bottom]) == 0 {
+		return manifest.NumLevels - 1, manifest.NumLevels - 1, targets
+	}
+	base = bottom
+	targets[bottom] = v.LevelSize(bottom)
+	for base > 1 && targets[base]/levelSizeMultiplier >= o.BaseLevelSize {
+		targets[base-1] = targets[base] / levelSizeMultiplier
+		base--
+	}
+	return base, bottom, targets
 }
 
-// pickLeveled scores every level and tries candidates best-first, so one
-// busy level does not block compacting the runner-up: disjoint level/key-range
-// pairs (an L0→L1 job and an L2→L3 job, say) run concurrently.
+// pickLeveled scores L0 and the levels from the base down to above the
+// bottom, and tries candidates best-first, so one busy level does not block
+// compacting the runner-up: disjoint level/key-range pairs (an L0 job and an
+// L4→L5 job, say) run concurrently.
+//
+// A level above the base holds data only after the tree shrank or when the
+// store comes from a build with fixed level targets. It is not scored: L0's
+// job drains it, because newLeveledPlan carries every file of the levels
+// between L0 and the base, so L0 never skips past it and the job's claim
+// covers each file it carries.
 func pickLeveled(v *manifest.Version, o *Options, held inFlight) *compactionPlan {
+	base, bottom, targets := levelShape(v, o)
 	type scored struct {
 		level int
 		score float64
 	}
 	var cands []scored
-	// Score L0 by file count, deeper levels by size vs target.
+	// Score L0 by file count, the levels below it by size vs target. The
+	// bottom level has no target to pass: nothing lies below it.
 	if s := float64(len(v.Levels[0])) / float64(o.L0CompactionTrigger); s >= 1 {
 		cands = append(cands, scored{0, s})
 	}
-	for lvl := 1; lvl < manifest.NumLevels-1; lvl++ {
-		if s := float64(v.LevelSize(lvl)) / float64(levelTarget(o, lvl)); s >= 1 {
+	for lvl := base; lvl < bottom; lvl++ {
+		if s := float64(v.LevelSize(lvl)) / float64(targets[lvl]); s >= 1 {
 			cands = append(cands, scored{lvl, s})
 		}
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
 	for _, c := range cands {
-		if plan := tryLeveled(v, o, held, c.level); plan != nil {
+		out := c.level + 1
+		if c.level == 0 {
+			out = base
+		}
+		if plan := tryLeveled(v, o, held, c.level, out); plan != nil {
 			return plan
 		}
 	}
 	return nil
 }
 
-// tryLeveled builds a conflict-free plan compacting out of level, or nil.
-func tryLeveled(v *manifest.Version, o *Options, held inFlight, level int) *compactionPlan {
+// tryLeveled builds a conflict-free plan compacting out of level into
+// outputLevel, or nil.
+func tryLeveled(v *manifest.Version, o *Options, held inFlight, level, outputLevel int) *compactionPlan {
 	if level == 0 {
 		// All of L0 compacts at once, holding the L0 slot.
-		if plan := newLeveledPlan(v, o, 0, v.Levels[0], 1); plan != nil && !held.conflicts(plan) {
+		if plan := newLeveledPlan(v, o, 0, v.Levels[0], outputLevel); plan != nil && !held.conflicts(plan) {
 			return plan
 		}
 		return nil
@@ -150,7 +179,7 @@ func tryLeveled(v *manifest.Version, o *Options, held inFlight, level int) *comp
 		if held.files[f.FileNum] {
 			continue
 		}
-		plan := newLeveledPlan(v, o, level, []*manifest.FileMetadata{f}, level+1)
+		plan := newLeveledPlan(v, o, level, []*manifest.FileMetadata{f}, outputLevel)
 		if !held.conflicts(plan) {
 			return plan
 		}

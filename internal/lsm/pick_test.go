@@ -26,6 +26,20 @@ import (
 // limit and ignores it), the universal output run sequence,
 // drop-only, and whether CompactRange runs the plan alone (leveled manual).
 // Every key is an internal key of the named user key, sequence = file number.
+//
+// The leveled background picks of eight cases were re-pinned when level
+// targets came to be sized from the bottom level (levelShape): the plans
+// recorded for them are this picker's. Their synthetic trees end in a small
+// bottom level, so under that rule the levels the older picker compacted
+// lie above the base, are not scored, and drain only with L0's job:
+// leveled-tie-all-1.0 now merges L0, L1 and L2 into its 3 KB L3;
+// leveled-tie-l0-held, leveled-tie-l0-held-l1-first-busy,
+// leveled-tie-l1-l3, leveled-busy-first-L1 and leveled-output-widens-hull
+// pick nothing. random-01-leveled picks nothing because its L3 is under its
+// new 2.2 MB target (1 MB before) and the L2 file over its target overlaps
+// busy L3 files; random-05-leveled picks nothing because its L4 is now the
+// bottom level and its L0 job conflicts with busy L0 files. Every manual
+// plan is unchanged.
 
 type goldenFile struct {
 	Num      uint64 `json:"num"`
@@ -209,9 +223,24 @@ func TestPickShapes(t *testing.T) {
 	// goes to the shallower level.
 	tie := pickTree("0:1:a000-a500:10", "0:2:a100-a900:10",
 		"1:3:a000-a300:50", "1:4:a400-a900:50", "2:5:a000-a900:1000")
-	// A level-1 file over its target whose first file is busy.
+	// A level-1 file over its target whose first file is busy. The bottom
+	// level's 1000 bytes make L1 the base, with a target of 100.
 	busyFirst := pickTree("1:1:a000-a300:80", "1:2:a400-a600:80",
-		"2:3:a000-a200:10", "2:4:a450-a500:10")
+		"2:3:a000-a200:500", "2:4:a450-a500:500")
+	// L0 at the trigger over a tree whose bottom is L6 (500 bytes: the base
+	// is L6 too), with two files left above the base in L2.
+	aboveBase := pickTree("0:1:a000-a500:10", "0:2:a100-a900:10",
+		"2:3:a000-a300:30", "2:4:a600-a700:30",
+		"6:5:a000-a400:250", "6:6:a500-a900:250")
+	// L0 at the trigger over a bottom level of size bytes.
+	overBottom := func(size uint64) *manifest.Version {
+		return pickTree("0:1:a000-a500:10", "0:2:a100-a900:10",
+			fmt.Sprintf("6:3:a000-a900:%d", size))
+	}
+	defaults := Options{}.withDefaults()
+	outputs := func(level int) func(*compactionPlan) bool {
+		return func(p *compactionPlan) bool { return p.outputLevel == level }
+	}
 	runs := func(n int) *manifest.Version {
 		var specs []string
 		for i := 0; i < n; i++ {
@@ -253,6 +282,19 @@ func TestPickShapes(t *testing.T) {
 		{name: "FIFO stops at a busy victim", v: runs(4), o: fifo, held: held(false, 3),
 			want: [][]uint64{{0, 4}}},
 		{name: "FIFO with the oldest busy picks nothing", v: runs(4), o: fifo, held: held(false, 4)},
+		{name: "L0 of an empty tree goes to the bottom level", v: runs(8), o: defaults, held: held(false),
+			want:  [][]uint64{{0, 1, 2, 3, 4, 5, 6, 7, 8}},
+			check: func(p *compactionPlan) bool { return p.outputLevel == 6 && p.bottommost && p.l0 }},
+		{name: "L0 at 7 files waits for the eighth", v: runs(7), o: defaults, held: held(false)},
+		{name: "bottom under ten base sizes is the base", v: overBottom(999), o: leveled, held: held(false),
+			want: [][]uint64{{0, 1, 2}, {6, 3}}, check: outputs(6)},
+		{name: "bottom at ten base sizes moves the base up", v: overBottom(1000), o: leveled, held: held(false),
+			want: [][]uint64{{0, 1, 2}}, check: outputs(5)},
+		{name: "a level above the base drains with L0", v: aboveBase, o: leveled, held: held(false),
+			want: [][]uint64{{0, 1, 2}, {2, 3, 4}, {6, 5, 6}}, check: outputs(6)},
+		{name: "a level above the base is not scored alone", v: pickTree("2:3:a000-a300:30", "6:5:a000-a400:250"),
+			o: leveled, held: held(false)},
+		{name: "L0 waits while a job holds a file above the base", v: aboveBase, o: leveled, held: held(false, 4)},
 		{name: "manual over a busy tree still plans", v: tie, o: leveled, held: held(true, 1, 3), manual: true,
 			want:  [][]uint64{{0, 1, 2}, {1, 3, 4}, {2, 5}},
 			check: func(p *compactionPlan) bool { return p.settles && p.bottommost && p.outputLevel == 6 }},

@@ -9,14 +9,17 @@ import (
 )
 
 // AckedFS notes a workload's ack state (what it has had acknowledged: one
-// count, or one per writer) just before every durability boundary (file Sync
-// or SyncDir) of the CrashFS below it, and hands that state to the
-// crash-point hook with the boundary's image. Flush, compaction and secure
-// cache goroutines sync while writers keep getting acks, so a state read
-// after the image was captured can include a Put whose WAL sync the image is
-// too old to hold. The mutex makes "note the state, sync, run the hook" one
-// step: the CrashFS runs the hook on the syncing goroutine, inside Sync.
-// Every component of the workload must reach the CrashFS through it.
+// count, or one per writer) twice at every durability boundary (file Sync or
+// SyncDir) of the CrashFS below it: just before the sync, and once the
+// boundary's image has been captured. It hands both to the crash-point hook
+// with the image. Flush, compaction and secure cache goroutines sync while
+// writers keep getting acks, so the two bound what the image may hold: every
+// op acked before the sync is durable in it, and unsynced tails (a torn
+// image keeps prefixes of them) can hold ops up to the one in flight when it
+// was captured, but none later. The mutex makes "note the state, sync, run
+// the hook" one step: the CrashFS runs the hook on the syncing goroutine,
+// inside Sync, after it captured the image. Every component of the workload
+// must reach the CrashFS through it.
 type AckedFS[T any] struct {
 	vfs.FS
 	note   func() T
@@ -24,12 +27,13 @@ type AckedFS[T any] struct {
 	atSync T // guarded by mu
 }
 
-// NewAckedFS wraps cfs and installs point as its AfterSync hook. Before each
-// sync it calls note for the ack state, and point gets each boundary's event
-// and image with that state.
-func NewAckedFS[T any](cfs *vfs.CrashFS, note func() T, point func(event string, img *vfs.CrashImage, acked T)) *AckedFS[T] {
+// NewAckedFS wraps cfs and installs point as its AfterSync hook. It calls
+// note for the ack state before each sync and again in the hook, and point
+// gets each boundary's event and image with the state noted before the sync
+// (before) and the one noted after the image was captured (captured).
+func NewAckedFS[T any](cfs *vfs.CrashFS, note func() T, point func(event string, img *vfs.CrashImage, before, captured T)) *AckedFS[T] {
 	f := &AckedFS[T]{FS: cfs, note: note}
-	cfs.AfterSync(func(event string, img *vfs.CrashImage) { point(event, img, f.atSync) })
+	cfs.AfterSync(func(event string, img *vfs.CrashImage) { point(event, img, f.atSync, note()) })
 	return f
 }
 
