@@ -25,14 +25,14 @@ benchmark-check:
 race:
 	go test -race ./...
 
-# The flake lane: the picker, scheduler, CompactRange and universal/FIFO
-# tests of internal/lsm, its open, recovery and scrub tests (the recovery
+# The flake lane: the picker, scheduler and CompactRange tests of
+# internal/lsm, its open, recovery and scrub tests (the recovery
 # pass checks tables concurrently), the offloaded-compaction orchestrator,
 # and the KDS client and netretry, whose one control-plane client's Close
 # races its request path, ten times each under the race detector, so an
 # interleaving one PR-gate run misses shows up here. Nightly in CI.
 flake:
-	go test -race -count=10 -run 'Sched|Compact|Universal|FIFO|Pick|Open|Recover|Scrub|BestEffort|Paranoid' ./internal/lsm/
+	go test -race -count=10 -run 'Sched|Compact|Pick|Open|Recover|Scrub|BestEffort|Paranoid' ./internal/lsm/
 	go test -race -count=10 ./internal/compactsvc/
 	go test -race -count=10 ./internal/kds/ ./internal/netretry/
 
@@ -100,7 +100,7 @@ loc:
 # The declaring file is left out, so a withDefaults does not count as a
 # setter. It is grep: a field name two structs share is credited to both.
 # The rule the list is read against (DESIGN.md §11): a knob stays while a
-# cmd/ flag, an example, a sim band, an experiment or benchmark/ sets it to a
+# cmd/ flag, an example, a sim band or benchmark/ sets it to a
 # non-default, or it is a safety check; otherwise it becomes a constant. A `-`
 # row fails the target unless its field is listed here, with its reason:
 #

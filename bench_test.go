@@ -1,12 +1,9 @@
-// Benchmarks with testing.B semantics. Each table and figure of the paper is
-// defined once, in internal/experiments (what cmd/shield-bench prints);
-// BenchmarkExperiment runs those definitions. The rest are what no experiment
-// covers: one micro-benchmark per layer of the read, write and served paths.
+// Benchmarks with testing.B semantics: one micro-benchmark per layer of the
+// read, write and served paths. The end-to-end workloads live in benchmark/.
 package shield_test
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -14,7 +11,6 @@ import (
 	"shield/internal/core"
 	"shield/internal/crypt"
 	"shield/internal/dstore"
-	"shield/internal/experiments"
 	"shield/internal/kds"
 	"shield/internal/lsm"
 	"shield/internal/lsm/base"
@@ -26,22 +22,6 @@ import (
 	"shield/internal/server"
 	"shield/internal/vfs"
 )
-
-// BenchmarkExperiment runs every registered table and figure at the smallest
-// scale the harness accepts, discarding the report: one op is one whole
-// experiment, so the number is a smoke-level cost of the run, not a paper
-// result (`shield-bench -experiment <id>` prints those).
-func BenchmarkExperiment(b *testing.B) {
-	for _, e := range experiments.All() {
-		b.Run(e.ID, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := experiments.Run(e.ID, experiments.Options{Scale: 0.01, Out: io.Discard}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // sealedBenchFile writes a sealed SST of nKeys ~100-byte entries to fs (the
 // layout SHIELD gives a table, minus the DEK-ID header) and returns its name
@@ -249,7 +229,7 @@ func BenchmarkReopen(b *testing.B) {
 				}
 			}
 			b.ReportAllocs()
-			before := metrics.Recovery.Snapshot()
+			tablesBefore := metrics.Recovery.TablesNanos.Load()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := db.Close(); err != nil {
@@ -260,7 +240,7 @@ func BenchmarkReopen(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
-			tables := metrics.Recovery.Snapshot().Sub(before).TablesNanos
+			tables := metrics.Recovery.TablesNanos.Load() - tablesBefore
 			b.ReportMetric(float64(tables)/1e6/float64(b.N), "tables-ms/op")
 			b.StopTimer()
 			db.Close()

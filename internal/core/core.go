@@ -67,7 +67,7 @@ type Config struct {
 	// Mode selects the design.
 	Mode Mode
 
-	// FS is the backing filesystem (local, counting, latency-injected, or
+	// FS is the backing filesystem (local, counting, fault-injecting, or
 	// the disaggregated-storage client).
 	FS vfs.FS
 
@@ -89,13 +89,6 @@ type Config struct {
 	// unsynced bytes it holds are lost if the process crashes.
 	WALBufferSize int
 
-	// CompactionChunkSize is about how many bytes of whole sealed records
-	// (one per SST block) are handed to the sealing goroutines at a time
-	// during flush/compaction. Defaults to 64 KiB. The AEAD is built once
-	// per file, so the chunk size sets only the unit of dispatch and of
-	// file writes; the bytes on disk do not depend on it.
-	CompactionChunkSize int
-
 	// EncryptionThreads is the number of goroutines encrypting SST chunks
 	// concurrently (Section 5.2's multi-threaded compaction encryption).
 	// Values <= 1 encrypt inline.
@@ -105,11 +98,6 @@ type Config struct {
 	// deleted (after compaction), making stale DEK-IDs useless even to
 	// authorized servers.
 	RevokeOnDelete bool
-
-	// PlaintextWAL leaves the WAL unencrypted. This is an ablation knob for
-	// the paper's Table 2 ("Encrypted SST" row); it violates the threat
-	// model and exists only for measurement.
-	PlaintextWAL bool
 }
 
 // Validate checks mode-specific requirements.

@@ -213,6 +213,12 @@ func Stats(w lsm.FileWrapper) (WrapperStats, bool) {
 	}, true
 }
 
+// sstChunkSize is about how many bytes of whole sealed records (one per SST
+// block) a flush or compaction hands the sealing goroutines at a time. The
+// AEAD is built once per file, so it sets only the unit of dispatch and of
+// file writes; the bytes on disk do not depend on it.
+const sstChunkSize = 64 << 10
+
 // seals reports whether files of kind are encrypted. CURRENT is sealed only
 // under the instance policy: per-file SHIELD leaves it readable to keyless
 // tools (it names a file and the freshness epoch, no user data).
@@ -220,8 +226,6 @@ func (s *shieldWrapper) seals(kind lsm.FileKind) bool {
 	switch kind {
 	case lsm.FileKindCurrent:
 		return s.instance
-	case lsm.FileKindWAL:
-		return !s.cfg.PlaintextWAL
 	case lsm.FileKindOther:
 		return false
 	}
@@ -277,7 +281,7 @@ func (s *shieldWrapper) WrapCreate(name string, kind lsm.FileKind, f vfs.Writabl
 		if kind == lsm.FileKindCurrent {
 			return crypt.NewSealedWriter(f, sealer, 0, 0), "", nil // a few bytes: sealed inline
 		}
-		return crypt.NewSealedWriter(f, sealer, s.cfg.CompactionChunkSize, s.cfg.EncryptionThreads), string(id), nil
+		return crypt.NewSealedWriter(f, sealer, sstChunkSize, s.cfg.EncryptionThreads), string(id), nil
 	case lsm.FileKindWAL:
 		return crypt.NewBufferedWriter(f, dek, iv, s.cfg.WALBufferSize), string(id), nil
 	default: // MANIFEST: small, infrequent appends

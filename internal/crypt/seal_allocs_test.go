@@ -5,6 +5,7 @@ package crypt
 import (
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -16,8 +17,15 @@ import (
 // call, as a fraction: testing.AllocsPerRun rounds down to a whole number,
 // which would pass anything below one allocation per call. Like
 // AllocsPerRun it runs on one P, so fn meets the pool it last put back into.
+// No GC cycle runs while it counts: a cycle empties every sync.Pool, and
+// the first use of a pool after one allocates the pool's per-P array again,
+// an allocation of the runtime's, not of fn's. So it turns the collector
+// off (which waits out a cycle in progress), collects once, and warms up
+// after that.
 func mallocsPer(runs int, fn func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
 	fn()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

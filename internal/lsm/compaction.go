@@ -241,7 +241,7 @@ func runMerge(fs vfs.FS, wrapper FileWrapper, job CompactionJob,
 }
 
 // claimPlanLocked marks the plan's inputs (and the L0 slot, if it takes it)
-// held and accounts the job in the scheduler state and metrics. d.mu held.
+// held and accounts the job in the scheduler state. d.mu held.
 func (d *DB) claimPlanLocked(plan *compactionPlan) {
 	for _, in := range plan.inputs {
 		for _, f := range in.Files {
@@ -252,7 +252,6 @@ func (d *DB) claimPlanLocked(plan *compactionPlan) {
 		d.held.l0 = true
 	}
 	d.compactions++
-	metrics.Jobs.JobStarted()
 }
 
 // releasePlanLocked undoes claimPlanLocked once the job finishes. d.mu held.
@@ -266,7 +265,6 @@ func (d *DB) releasePlanLocked(plan *compactionPlan) {
 		d.held.l0 = false
 	}
 	d.compactions--
-	metrics.Jobs.JobDone()
 }
 
 // maybeScheduleCompactionLocked starts compaction workers while runnable
@@ -291,7 +289,7 @@ func (d *DB) maybeScheduleCompactionLocked() {
 		maxWorkers = 1
 	}
 	for d.compactions < maxWorkers {
-		plan := pick(d.current, &d.opts, d.held)
+		plan := pickLeveled(d.current, &d.opts, d.held)
 		if plan == nil {
 			return
 		}
@@ -300,9 +298,8 @@ func (d *DB) maybeScheduleCompactionLocked() {
 		go func() { _ = d.finishJob(plan, d.runCompactionPlan(plan, true)) }()
 	}
 	// Every job slot is taken; note whether runnable work had to queue.
-	if pick(d.current, &d.opts, d.held) != nil {
+	if pickLeveled(d.current, &d.opts, d.held) != nil {
 		d.metSchedDeferred.Add(1)
-		metrics.Jobs.SchedDeferred.Add(1)
 	}
 }
 
@@ -348,8 +345,8 @@ func (e *compactionAbortedError) Error() string {
 
 func (e *compactionAbortedError) Unwrap() error { return e.err }
 
-// errPreempted ends a background job that a waiting CompactRange settle plan
-// takes as input: RunCompaction removes what the job wrote and nothing is
+// errPreempted ends a background job that a waiting CompactRange plan takes
+// as input: RunCompaction removes what the job wrote and nothing is
 // installed (see backgroundFileNum).
 var errPreempted = errors.New("lsm: compaction preempted by CompactRange")
 
@@ -366,58 +363,56 @@ func (d *DB) runCompactionPlan(plan *compactionPlan, background bool) error {
 		}
 	}
 
-	if !plan.dropOnly {
-		d.mu.Lock()
-		smallestSnap := d.smallestSnapshotLocked()
-		d.mu.Unlock()
+	d.mu.Lock()
+	smallestSnap := d.smallestSnapshotLocked()
+	d.mu.Unlock()
 
-		job := CompactionJob{
-			Dir:              d.dir,
-			Inputs:           plan.inputs,
-			OutputLevel:      plan.outputLevel,
-			Bottommost:       plan.bottommost,
-			SmallestSnapshot: uint64(smallestSnap),
-			TargetFileSize:   plan.targetFileSize,
-			WriterOptions:    d.opts.tableOptions(),
+	job := CompactionJob{
+		Dir:              d.dir,
+		Inputs:           plan.inputs,
+		OutputLevel:      plan.outputLevel,
+		Bottommost:       plan.bottommost,
+		SmallestSnapshot: uint64(smallestSnap),
+		TargetFileSize:   d.opts.TargetFileSize,
+		WriterOptions:    d.opts.tableOptions(),
+	}
+	compactor, alloc := d.opts.Compactor, d.newFileNum
+	if compactor == nil {
+		compactor = &LocalCompactor{FS: d.fs, Wrapper: d.wrapper}
+		if background {
+			alloc = d.backgroundFileNum
 		}
-		compactor, alloc := d.opts.Compactor, d.newFileNum
-		if compactor == nil {
-			compactor = &LocalCompactor{FS: d.fs, Wrapper: d.wrapper}
-			if background {
-				alloc = d.backgroundFileNum
+	}
+	issued := &issuedNums{alloc: alloc, nums: map[uint64]bool{}}
+	res, err := compactor.Compact(job, issued.next)
+	if err == nil {
+		if err = issued.check(res.Outputs); err != nil {
+			// Nothing of the result is installed. Every table created
+			// under a number issued to the job is removed; the numbers
+			// it names otherwise are not the job's to remove.
+			for _, num := range issued.list() {
+				d.removeOrphanSST(sstFileName(d.dir, num))
 			}
 		}
-		issued := &issuedNums{alloc: alloc, nums: map[uint64]bool{}}
-		res, err := compactor.Compact(job, issued.next)
-		if err == nil {
-			if err = issued.check(res.Outputs); err != nil {
-				// Nothing of the result is installed. Every table created
-				// under a number issued to the job is removed; the numbers
-				// it names otherwise are not the job's to remove.
-				for _, num := range issued.list() {
-					d.removeOrphanSST(sstFileName(d.dir, num))
-				}
-			}
+	}
+	if err != nil {
+		if errors.Is(err, vfs.ErrNoSpace) || errors.Is(err, ErrJobLost) {
+			// RunCompaction (local or remote) aborted and cleaned up its
+			// outputs — or the orchestrator lost every worker lease and
+			// swept the partial outputs itself. Either way nothing was
+			// installed and the inputs are retained, so this is retryable.
+			return &compactionAbortedError{err: err}
 		}
-		if err != nil {
-			if errors.Is(err, vfs.ErrNoSpace) || errors.Is(err, ErrJobLost) {
-				// RunCompaction (local or remote) aborted and cleaned up its
-				// outputs — or the orchestrator lost every worker lease and
-				// swept the partial outputs itself. Either way nothing was
-				// installed and the inputs are retained, so this is retryable.
-				return &compactionAbortedError{err: err}
-			}
-			return err
-		}
-		d.metCompRead.Add(res.BytesRead)
-		d.metCompWrite.Add(res.BytesWritten)
-		metrics.Jobs.BytesRead.Add(res.BytesRead)
-		metrics.Jobs.BytesWritten.Add(res.BytesWritten)
-		for _, out := range res.Outputs {
-			meta := out
-			meta.Seq = plan.outputSeq
-			edit.Added = append(edit.Added, manifest.AddedFile{Level: plan.outputLevel, Meta: meta})
-		}
+		return err
+	}
+	d.metCompRead.Add(res.BytesRead)
+	d.metCompWrite.Add(res.BytesWritten)
+	for _, out := range res.Outputs {
+		meta := out
+		// Seq orders L0 files, which only a flush writes; outputs install
+		// with 0 whatever the (possibly offloaded) result says.
+		meta.Seq = 0
+		edit.Added = append(edit.Added, manifest.AddedFile{Level: plan.outputLevel, Meta: meta})
 	}
 
 	d.mu.Lock()
@@ -482,21 +477,20 @@ func (n *issuedNums) list() []uint64 {
 // CompactRange flushes the memtable, then compacts the whole key space and
 // waits for the result to install.
 //
-// Under leveled compaction that is one job (pickManual): it merges every file
-// above the bottom level with the bottom-level files that overlap their key
-// range, and runs bottommost: what survives is the newest version of each
-// live key (plus what a pinned snapshot still needs), with no tombstone left
-// to hide anything. When nothing lives above the bottom level no job runs.
-// Under universal and FIFO compaction it drains the style's own picks.
+// That is one job (pickManual): it merges every file above the bottom level
+// with the bottom-level files that overlap their key range, and runs
+// bottommost: what survives is the newest version of each live key (plus
+// what a pinned snapshot still needs), with no tombstone left to hide
+// anything. When nothing lives above the bottom level no job runs.
 //
-// Each manual job is claimed like any other (the level-0 slot included) and
+// The manual job is claimed like any other (the level-0 slot included) and
 // finished by the same finishJob, so a failed install degrades the DB here
 // too. Two concurrent CompactRange callers, or a manual job racing a
-// background pick, can never install overlapping edits. While the leveled
-// plan waits for in-flight background jobs, it preempts them: each stops at
-// its next output file instead of finishing tables the plan would rewrite at
-// once, so what CompactRange costs does not depend on how far background
-// compaction had got when it was called.
+// background pick, can never install overlapping edits. While the plan waits
+// for in-flight background jobs, it preempts them: each stops at its next
+// output file instead of finishing tables the plan would rewrite at once, so
+// what CompactRange costs does not depend on how far background compaction
+// had got when it was called.
 func (d *DB) CompactRange() error {
 	if d.opts.ReadOnly {
 		return ErrReadOnly
@@ -504,22 +498,18 @@ func (d *DB) CompactRange() error {
 	if err := d.Flush(); err != nil {
 		return err
 	}
-	for {
-		plan, err := d.claimManual()
-		if err != nil || plan == nil {
-			return err
-		}
-		if err := d.finishJob(plan, d.runCompactionPlan(plan, false)); err != nil || plan.settles {
-			return err
-		}
+	plan, err := d.claimManual()
+	if err != nil || plan == nil {
+		return err
 	}
+	return d.finishJob(plan, d.runCompactionPlan(plan, false))
 }
 
-// claimManual claims CompactRange's next plan, or returns nil when there is
-// nothing left to do. It waits while the plan conflicts with an in-flight job
-// — rebuilding it from the then-current version after every wait, never
-// running a stale pick — and, when the style picks nothing, while jobs that
-// may re-arm the pick are in flight.
+// claimManual claims CompactRange's plan, or returns nil when there is
+// nothing to do. It waits while the plan conflicts with an in-flight job —
+// rebuilding it from the then-current version after every wait, never
+// running a stale pick — and, when it picks nothing, while jobs are in
+// flight.
 func (d *DB) claimManual() (*compactionPlan, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -540,7 +530,7 @@ func (d *DB) claimManual() (*compactionPlan, error) {
 		if d.bgErr != nil {
 			return nil, errDegraded(d.bgErr)
 		}
-		plan := pickManual(d.current, &d.opts, d.held)
+		plan := pickManual(d.current)
 		switch {
 		case plan != nil && !d.held.conflicts(plan):
 			d.claimPlanLocked(plan)
@@ -548,14 +538,14 @@ func (d *DB) claimManual() (*compactionPlan, error) {
 		case plan == nil && d.compactions == 0:
 			return nil, nil
 		}
-		// A settle plan takes every background job's inputs as its own.
-		d.preempt = plan != nil && plan.settles
+		// The plan takes every background job's inputs as its own.
+		d.preempt = plan != nil
 		d.bgCond.Wait()
 	}
 }
 
 // backgroundFileNum is newFileNum for background jobs run in-process: while
-// a CompactRange settle plan waits (d.preempt) it refuses with errPreempted,
+// a CompactRange plan waits (d.preempt) it refuses with errPreempted,
 // which aborts the job at its next output file and releases its claim.
 func (d *DB) backgroundFileNum() (uint64, error) {
 	d.mu.Lock()

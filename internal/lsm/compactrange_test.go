@@ -22,7 +22,7 @@ import (
 func compactLevel(t *testing.T, db *DB, lvl int) {
 	t.Helper()
 	db.mu.Lock()
-	plan := newLeveledPlan(db.current, &db.opts, lvl, db.current.Levels[lvl], lvl+1)
+	plan := newLeveledPlan(db.current, lvl, db.current.Levels[lvl], lvl+1)
 	db.claimPlanLocked(plan)
 	db.mu.Unlock()
 	if err := db.finishJob(plan, db.runCompactionPlan(plan, false)); err != nil {
@@ -237,7 +237,7 @@ func TestCompactRangeWaitKeepsDegraded(t *testing.T) {
 	}
 	// An in-flight job holding the L0 file.
 	db.mu.Lock()
-	held := newLeveledPlan(db.current, &db.opts, 0, db.current.Levels[0], 1)
+	held := newLeveledPlan(db.current, 0, db.current.Levels[0], 1)
 	db.claimPlanLocked(held)
 	db.mu.Unlock()
 	defer func() {
@@ -304,7 +304,7 @@ func TestCompactRangePreemptsBackgroundJob(t *testing.T) {
 			// Claim the L0 job the way the scheduler does, then let
 			// CompactRange wait on it.
 			db.mu.Lock()
-			plan := newLeveledPlan(db.current, &db.opts, 0, db.current.Levels[0], 1)
+			plan := newLeveledPlan(db.current, 0, db.current.Levels[0], 1)
 			db.claimPlanLocked(plan)
 			db.mu.Unlock()
 			done := make(chan error, 1)

@@ -89,7 +89,7 @@ func (c *peakCompactor) writerStalled() bool {
 	}
 	c.db.mu.Lock()
 	defer c.db.mu.Unlock()
-	return l0Stalled(c.db.current, &c.db.opts)
+	return l0Stalled(c.db.current)
 }
 
 func (c *peakCompactor) wake() {

@@ -98,8 +98,8 @@ type DB struct {
 	// while nonzero the scheduler starts no new background jobs, so a
 	// manual compaction cannot be starved by a busy write load.
 	manualWaiters int
-	// preempt is set while a CompactRange settle plan waits for background
-	// jobs it conflicts with; backgroundFileNum then stops them.
+	// preempt is set while a CompactRange plan waits for background jobs
+	// it conflicts with; backgroundFileNum then stops them.
 	preempt bool
 	// compactionsHalted stops background compaction scheduling after a
 	// compaction aborted on ENOSPC. Unlike bgErr it does not poison writes:

@@ -90,7 +90,7 @@ func TestWALAppendENOSPCDegradesThenRecovers(t *testing.T) {
 
 	// Operator frees space; reopen recovers all acked writes.
 	q.SetLimit(0)
-	recBefore := metrics.Recovery.Snapshot()
+	replayedBefore := metrics.Recovery.WALRecordsReplayed.Load()
 	db2, err := Open("db", opts)
 	if err != nil {
 		t.Fatalf("reopen after raising quota: %v", err)
@@ -112,7 +112,7 @@ func TestWALAppendENOSPCDegradesThenRecovers(t *testing.T) {
 			t.Fatalf("unacked key %s resurrected with garbage %q", k, got)
 		}
 	}
-	if d := metrics.Recovery.Snapshot().Sub(recBefore); d.WALRecordsReplayed == 0 {
+	if metrics.Recovery.WALRecordsReplayed.Load() == replayedBefore {
 		t.Fatal("recovery replayed no WAL records; the acked writes came from nowhere")
 	}
 	if err := db2.Close(); err != nil {
@@ -122,14 +122,14 @@ func TestWALAppendENOSPCDegradesThenRecovers(t *testing.T) {
 	// WAL idempotence across the degraded boundary: recovery flushed the
 	// replayed records to L0 and advanced the log number, so a second reopen
 	// replays nothing twice.
-	recBefore = metrics.Recovery.Snapshot()
+	replayedBefore = metrics.Recovery.WALRecordsReplayed.Load()
 	db3, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db3.Close()
-	if d := metrics.Recovery.Snapshot().Sub(recBefore); d.WALRecordsReplayed != 0 {
-		t.Fatalf("second reopen replayed %d WAL records; recovery is not idempotent", d.WALRecordsReplayed)
+	if d := metrics.Recovery.WALRecordsReplayed.Load() - replayedBefore; d != 0 {
+		t.Fatalf("second reopen replayed %d WAL records; recovery is not idempotent", d)
 	}
 	for k, want := range acked {
 		got, err := db3.Get([]byte(k))

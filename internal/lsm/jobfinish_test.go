@@ -47,7 +47,7 @@ func failJobInstall(fs *vfs.FaultFS, skip int) {
 
 // TestCompactionInstallFailureDegrades: a compaction whose version edit
 // fails to install poisons the DB, whether a background worker or
-// CompactRange ran it, under leveled and universal compaction alike.
+// CompactRange ran it.
 func TestCompactionInstallFailureDegrades(t *testing.T) {
 	quiet := func(string, ...any) {}
 	t.Run("leveled CompactRange", func(t *testing.T) {
@@ -59,28 +59,6 @@ func TestCompactionInstallFailureDegrades(t *testing.T) {
 		defer db.Close()
 		putRound(t, db, 0)
 		putRound(t, db, 1)
-		failJobInstall(fs, 0)
-		if err := db.CompactRange(); !errors.Is(err, ErrDegraded) || !errors.Is(err, vfs.ErrInjected) {
-			t.Fatalf("CompactRange = %v, want ErrDegraded wrapping the injected fault", err)
-		}
-		if db.Degraded() == nil {
-			t.Fatal("a failed manifest install left the DB writable")
-		}
-	})
-	t.Run("universal CompactRange", func(t *testing.T) {
-		fs := vfs.NewFault(vfs.NewMem(), 1)
-		db, err := Open("db", Options{FS: fs, CompactionStyle: CompactionUniversal, L0CompactionTrigger: 2, Logger: quiet})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		// The background merge of the second run aborts out of space
-		// (its output create fails; the two flushes' creates pass), which
-		// halts background compaction, so CompactRange runs the merge.
-		fs.Inject(vfs.FaultRule{Op: vfs.FaultCreate, Path: ".sst", After: 2, Count: 1, Err: vfs.ErrNoSpace})
-		putRound(t, db, 0)
-		putRound(t, db, 1)
-		waitFor(t, db, "the background abort", func() bool { return db.compactionsHalted && db.compactions == 0 })
 		failJobInstall(fs, 0)
 		if err := db.CompactRange(); !errors.Is(err, ErrDegraded) || !errors.Is(err, vfs.ErrInjected) {
 			t.Fatalf("CompactRange = %v, want ErrDegraded wrapping the injected fault", err)

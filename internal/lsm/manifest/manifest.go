@@ -28,8 +28,8 @@ type FileMetadata struct {
 	// handles it transparently.
 	DEKID string `json:"dek_id,omitempty"`
 
-	// Seq orders files created by flush/compaction; used by universal and
-	// FIFO compaction to know run recency (higher = newer).
+	// Seq orders L0 files by flush recency (higher = newer); Apply keeps L0
+	// newest first by it. Compaction outputs carry 0.
 	Seq uint64 `json:"seq"`
 
 	// Digest is the hex SHA-256 over the file's AEAD tag chain (one tag per

@@ -1,7 +1,7 @@
 // Package lsm implements the Log-Structured Merge-tree key-value store the
 // SHIELD paper builds on: WAL-fronted writes into a skiplist memtable,
-// flushes to block-based SST files, and leveled / universal / FIFO
-// background compaction, with a MANIFEST-logged version set.
+// flushes to block-based SST files, and leveled background compaction, with
+// a MANIFEST-logged version set.
 //
 // The engine is encryption-agnostic. Every file it creates or opens,
 // CURRENT included, passes through Options.Wrapper — the seam where
@@ -11,8 +11,6 @@
 package lsm
 
 import (
-	"fmt"
-
 	"shield/internal/lsm/sstable"
 	"shield/internal/vfs"
 )
@@ -111,31 +109,6 @@ type FreshnessStore interface {
 	SealEpoch(epoch uint64) error
 }
 
-// CompactionStyle selects the background-compaction policy.
-type CompactionStyle int
-
-// Compaction styles, mirroring RocksDB's leveled, universal (size-tiered),
-// and FIFO policies.
-const (
-	CompactionLeveled CompactionStyle = iota
-	CompactionUniversal
-	CompactionFIFO
-)
-
-// String implements fmt.Stringer.
-func (s CompactionStyle) String() string {
-	switch s {
-	case CompactionLeveled:
-		return "leveled"
-	case CompactionUniversal:
-		return "universal"
-	case CompactionFIFO:
-		return "fifo"
-	default:
-		return fmt.Sprintf("style(%d)", int(s))
-	}
-}
-
 // Options configures a DB.
 type Options struct {
 	// FS is the filesystem; defaults to the in-memory filesystem (tests)
@@ -158,16 +131,14 @@ type Options struct {
 	// 0 keeps the default, negative disables the cache.
 	BlockCacheSize int64
 
-	// L0CompactionTrigger is the L0 file count that starts a leveled
-	// compaction, which merges all of L0 into the base level at once, and
-	// the sorted-run count that starts a universal merge. Default 8: with
+	// L0CompactionTrigger is the L0 file count that starts a compaction,
+	// which merges all of L0 into the base level at once. Default 8: with
 	// the default memtable, 32 MiB per L0 job. Every Get probes each L0
 	// file (a bloom check each), so a larger trigger trades read work for
 	// fewer rewrites of the base level.
 	L0CompactionTrigger int
 
-	// BaseLevelSize is the floor of the base level's target under leveled
-	// compaction. Level targets follow the tree: the deepest non-empty
+	// BaseLevelSize is the floor of the base level's target. Level targets follow the tree: the deepest non-empty
 	// level keeps its size, each level above it targets a tenth of the one
 	// below, and L0 merges into the highest level whose target is still at
 	// least BaseLevelSize, or into the deepest level while a tenth of it is
@@ -186,13 +157,6 @@ type Options struct {
 	// them; the verdicts are still applied one table at a time, in level
 	// order, so 1 is the serial pass and any bound has its outcome.
 	MaxBackgroundJobs int
-
-	// CompactionStyle selects leveled, universal, or FIFO compaction.
-	CompactionStyle CompactionStyle
-
-	// FIFOMaxTableSize is the total-size cap for FIFO compaction; oldest
-	// files are dropped beyond it. Default 256 MiB.
-	FIFOMaxTableSize uint64
 
 	// SyncWrites makes every committed batch fsync the WAL. Default false
 	// (matching db_bench's default of buffered, non-synced WAL writes).
@@ -280,9 +244,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBackgroundJobs == 0 {
 		o.MaxBackgroundJobs = 2
-	}
-	if o.FIFOMaxTableSize == 0 {
-		o.FIFOMaxTableSize = 256 << 20
 	}
 	if o.MaxManifestFileSize == 0 {
 		o.MaxManifestFileSize = 4 << 20

@@ -7,17 +7,15 @@ import (
 	"shield/internal/lsm/manifest"
 )
 
-// The compaction policy. pick and pickManual are the only code that reads
-// Options.CompactionStyle; what a style decides about a job travels in the
-// plan they return, so the scheduler, the executor and CompactRange never ask.
-// Both are pure functions of a Version, the Options and what in-flight jobs
-// hold, and table-testable without a DB.
+// The compaction policy: pickLeveled (background) and pickManual
+// (CompactRange) are pure functions of a Version, the Options and what
+// in-flight jobs hold, and table-testable without a DB.
 
 // inFlight is what running compaction jobs hold: their claimed input files,
 // and whether one of them holds the level-0 slot. At most one job may: L0
 // files overlap arbitrarily, and files flushed after an L0 job started are not
 // claimed by it, so a second L0 job's outputs could interleave the first's at
-// the base level (or, under universal, break L0's newest-first run order).
+// the base level.
 type inFlight struct {
 	files map[uint64]bool
 	l0    bool
@@ -41,59 +39,27 @@ func (h inFlight) conflicts(plan *compactionPlan) bool {
 	return false
 }
 
-// compactionPlan is one pick: which files move where, and everything the
-// style decides about how the job runs.
+// compactionPlan is one pick: which files move where.
 type compactionPlan struct {
 	inputs      []JobLevel
 	outputLevel int
 	bottommost  bool
 	// l0 marks a plan that holds the level-0 slot (see inFlight).
-	l0             bool
-	targetFileSize uint64
-	// outputSeq is the run sequence the outputs take: under universal the
-	// oldest input's, so the merged run keeps its place in L0; 0 otherwise.
-	outputSeq uint64
-	// dropOnly plans delete their inputs without merging (FIFO).
-	dropOnly bool
-	// settles marks CompactRange's leveled plan: it takes everything above
-	// the bottom level, so CompactRange runs it alone instead of draining.
-	settles bool
+	l0 bool
 }
 
-// pick chooses the next runnable compaction of v, or nil.
-func pick(v *manifest.Version, o *Options, held inFlight) *compactionPlan {
-	switch o.CompactionStyle {
-	case CompactionUniversal:
-		return pickUniversal(v, o, held)
-	case CompactionFIFO:
-		return pickFIFO(v, o, held)
-	default:
-		return pickLeveled(v, o, held)
-	}
-}
-
-// pickManual is CompactRange's pick. Under leveled compaction it is one plan
-// merging every file above the bottom level, with the bottom-level files that
-// overlap them, into the bottom level — built whether or not it conflicts
-// with held (CompactRange waits until it does not) — or nil when nothing lives
-// above the bottom level. Under universal and FIFO it is the style's own
-// pick, which CompactRange drains to quiescence.
-func pickManual(v *manifest.Version, o *Options, held inFlight) *compactionPlan {
-	if o.CompactionStyle != CompactionLeveled {
-		return pick(v, o, held)
-	}
-	plan := newLeveledPlan(v, o, 0, v.Levels[0], manifest.NumLevels-1)
-	if plan != nil {
-		plan.settles = true
-	}
-	return plan
+// pickManual is CompactRange's pick: one plan merging every file above the
+// bottom level, with the bottom-level files that overlap them, into the
+// bottom level — built whether or not it conflicts with in-flight jobs
+// (CompactRange waits until it does not) — or nil when nothing lives above
+// the bottom level.
+func pickManual(v *manifest.Version) *compactionPlan {
+	return newLeveledPlan(v, 0, v.Levels[0], manifest.NumLevels-1)
 }
 
 // l0Stalled reports whether writes must wait for compaction to drain L0.
-// FIFO is exempt: it never merges L0, so a file-count stall would never
-// clear — FIFO bounds data by total size instead.
-func l0Stalled(v *manifest.Version, o *Options) bool {
-	return o.CompactionStyle != CompactionFIFO && len(v.Levels[0]) >= l0StopWritesTrigger
+func l0Stalled(v *manifest.Version) bool {
+	return len(v.Levels[0]) >= l0StopWritesTrigger
 }
 
 // levelSizeMultiplier is the fanout between level targets.
@@ -156,7 +122,7 @@ func pickLeveled(v *manifest.Version, o *Options, held inFlight) *compactionPlan
 		if c.level == 0 {
 			out = base
 		}
-		if plan := tryLeveled(v, o, held, c.level, out); plan != nil {
+		if plan := tryLeveled(v, held, c.level, out); plan != nil {
 			return plan
 		}
 	}
@@ -165,10 +131,10 @@ func pickLeveled(v *manifest.Version, o *Options, held inFlight) *compactionPlan
 
 // tryLeveled builds a conflict-free plan compacting out of level into
 // outputLevel, or nil.
-func tryLeveled(v *manifest.Version, o *Options, held inFlight, level, outputLevel int) *compactionPlan {
+func tryLeveled(v *manifest.Version, held inFlight, level, outputLevel int) *compactionPlan {
 	if level == 0 {
 		// All of L0 compacts at once, holding the L0 slot.
-		if plan := newLeveledPlan(v, o, 0, v.Levels[0], outputLevel); plan != nil && !held.conflicts(plan) {
+		if plan := newLeveledPlan(v, 0, v.Levels[0], outputLevel); plan != nil && !held.conflicts(plan) {
 			return plan
 		}
 		return nil
@@ -179,7 +145,7 @@ func tryLeveled(v *manifest.Version, o *Options, held inFlight, level, outputLev
 		if held.files[f.FileNum] {
 			continue
 		}
-		plan := newLeveledPlan(v, o, level, []*manifest.FileMetadata{f}, outputLevel)
+		plan := newLeveledPlan(v, level, []*manifest.FileMetadata{f}, outputLevel)
 		if !held.conflicts(plan) {
 			return plan
 		}
@@ -191,11 +157,10 @@ func tryLeveled(v *manifest.Version, o *Options, held inFlight, level, outputLev
 // inputs0 (files of level), every file of the levels between level and
 // outputLevel, and every outputLevel file overlapping their key hull into
 // outputLevel. Returns nil when nothing above outputLevel is an input.
-func newLeveledPlan(v *manifest.Version, o *Options, level int, inputs0 []*manifest.FileMetadata, outputLevel int) *compactionPlan {
+func newLeveledPlan(v *manifest.Version, level int, inputs0 []*manifest.FileMetadata, outputLevel int) *compactionPlan {
 	plan := &compactionPlan{
-		outputLevel:    outputLevel,
-		l0:             level == 0 && len(inputs0) > 0,
-		targetFileSize: o.TargetFileSize,
+		outputLevel: outputLevel,
+		l0:          level == 0 && len(inputs0) > 0,
 	}
 	var smallest, largest []byte
 	add := func(lvl int, files []*manifest.FileMetadata) {
@@ -219,56 +184,6 @@ func newLeveledPlan(v *manifest.Version, o *Options, level int, inputs0 []*manif
 		plan.bottommost = len(v.Overlapping(lvl, lo, hi)) == 0
 	}
 	return plan
-}
-
-// pickUniversal merges the oldest half of L0's sorted runs (at least two)
-// into one run once there are L0CompactionTrigger of them.
-func pickUniversal(v *manifest.Version, o *Options, held inFlight) *compactionPlan {
-	runs := v.Levels[0] // newest first
-	if len(runs) < max(o.L0CompactionTrigger, 2) {
-		return nil
-	}
-	n := max(len(runs)/2, 2)
-	oldest := runs[len(runs)-n:]
-	plan := &compactionPlan{
-		inputs:     []JobLevel{{Level: 0, Files: derefFiles(oldest)}},
-		bottommost: n == len(runs),
-		l0:         true,
-		// A universal sorted run is exactly one file: splitting the merged
-		// output would leave the run count unchanged, so compaction would
-		// reschedule forever.
-		targetFileSize: 1 << 62,
-		outputSeq:      oldest[len(oldest)-1].Seq,
-	}
-	if held.conflicts(plan) {
-		return nil
-	}
-	return plan
-}
-
-// pickFIFO drops the oldest L0 files while their total size is over
-// FIFOMaxTableSize.
-func pickFIFO(v *manifest.Version, o *Options, held inFlight) *compactionPlan {
-	var total uint64
-	for _, f := range v.Levels[0] {
-		total += f.Size
-	}
-	if total <= o.FIFOMaxTableSize || held.l0 {
-		return nil
-	}
-	var victims []*manifest.FileMetadata
-	for i := len(v.Levels[0]) - 1; i >= 0 && total > o.FIFOMaxTableSize; i-- {
-		f := v.Levels[0][i]
-		if held.files[f.FileNum] {
-			break
-		}
-		victims = append(victims, f)
-		total -= f.Size
-	}
-	if len(victims) == 0 {
-		return nil
-	}
-	return &compactionPlan{inputs: []JobLevel{{Level: 0, Files: derefFiles(victims)}}, l0: true, dropOnly: true}
 }
 
 // widenRange extends the internal-key range [smallest, largest] (nil when

@@ -10,22 +10,21 @@ import (
 	"shield/internal/lsm/manifest"
 )
 
-// testdata/pick.golden.json holds 43 picker cases — 22 hand-shaped (leveled
-// score ties, a busy first file at L1, L2 and L4, an output-level overlap that
-// widens the hull onto a deeper level, a tree with nothing above the bottom
-// level, universal with 2, 3, 4 and 7 runs, FIFO with a busy victim) and 21
-// seeded random trees over the three styles, some files busy,
-// some with the L0 slot held — and the plans commit 14a4489's own pickers made
-// of them. A test-package generator there built, for each case, a
-// DB{opts, current, busyFiles, l0Jobs} (UniversalMaxRuns set equal to
-// L0CompactionTrigger) and recorded pickCompactionLocked and the manual plan
-// (leveled: newLeveledPlanLocked(0, L0, NumLevels-1); universal and FIFO: the
-// style's pick), with the fields runCompactionPlan and CompactRange derived
-// from the style: target file size and subcompaction limit (universal: 1<<62
-// and 1; FIFO, which writes nothing: 0; this build has no subcompaction
-// limit and ignores it), the universal output run sequence,
-// drop-only, and whether CompactRange runs the plan alone (leveled manual).
-// Every key is an internal key of the named user key, sequence = file number.
+// testdata/pick.golden.json holds 21 leveled picker cases — 10 hand-shaped
+// (score ties, a busy first file at L1, L2 and L4, an output-level overlap
+// that widens the hull onto a deeper level, a tree with nothing above the
+// bottom level, an empty tree) and 11 seeded random trees, some files busy,
+// some with the L0 slot held — and the plans commit 14a4489's own pickers
+// made of them. A test-package generator there built, for each case, a
+// DB{opts, current, busyFiles, l0Jobs} and recorded pickCompactionLocked and
+// the manual plan, newLeveledPlanLocked(0, L0, NumLevels-1), with the fields
+// runCompactionPlan and CompactRange derived from them: target file size
+// (the option's), subcompaction limit (this build has none and ignores it),
+// output run sequence (0), drop-only (false), and whether CompactRange runs
+// the plan alone (the manual plan does). Every key is an internal key of the
+// named user key, sequence = file number. The cases of the universal and
+// FIFO styles that build also had were dropped with those styles; the 21
+// kept are byte for byte as recorded.
 //
 // The leveled background picks of eight cases were re-pinned when level
 // targets came to be sized from the bottom level (levelShape): the plans
@@ -66,17 +65,16 @@ type goldenPlan struct {
 }
 
 type goldenPickCase struct {
-	Name             string                           `json:"name"`
-	Style            string                           `json:"style"`
-	L0Trigger        int                              `json:"l0_compaction_trigger"`
-	BaseLevelSize    uint64                           `json:"base_level_size"`
-	TargetFileSize   uint64                           `json:"target_file_size"`
-	FIFOMaxTableSize uint64                           `json:"fifo_max_table_size"`
-	Levels           [manifest.NumLevels][]goldenFile `json:"levels"`
-	Busy             []uint64                         `json:"busy"`
-	L0Held           bool                             `json:"l0_held"`
-	Pick             *goldenPlan                      `json:"pick"`
-	Manual           *goldenPlan                      `json:"manual"`
+	Name           string                           `json:"name"`
+	Style          string                           `json:"style"`
+	L0Trigger      int                              `json:"l0_compaction_trigger"`
+	BaseLevelSize  uint64                           `json:"base_level_size"`
+	TargetFileSize uint64                           `json:"target_file_size"`
+	Levels         [manifest.NumLevels][]goldenFile `json:"levels"`
+	Busy           []uint64                         `json:"busy"`
+	L0Held         bool                             `json:"l0_held"`
+	Pick           *goldenPlan                      `json:"pick"`
+	Manual         *goldenPlan                      `json:"manual"`
 }
 
 func (c *goldenPickCase) inputs(t *testing.T) (*manifest.Version, *Options, inFlight) {
@@ -91,22 +89,14 @@ func (c *goldenPickCase) inputs(t *testing.T) (*manifest.Version, *Options, inFl
 			})
 		}
 	}
+	if c.Style != "leveled" {
+		t.Fatalf("%s: style %q", c.Name, c.Style)
+	}
 	o := Options{
 		L0CompactionTrigger: c.L0Trigger,
 		BaseLevelSize:       c.BaseLevelSize,
 		TargetFileSize:      c.TargetFileSize,
-		FIFOMaxTableSize:    c.FIFOMaxTableSize,
-		CompactionStyle:     -1,
-	}
-	for _, s := range []CompactionStyle{CompactionLeveled, CompactionUniversal, CompactionFIFO} {
-		if s.String() == c.Style {
-			o.CompactionStyle = s
-		}
-	}
-	if o.CompactionStyle < 0 {
-		t.Fatalf("%s: unknown style %q", c.Name, c.Style)
-	}
-	o = o.withDefaults()
+	}.withDefaults()
 	held := inFlight{files: map[uint64]bool{}, l0: c.L0Held}
 	for _, n := range c.Busy {
 		held.files[n] = true
@@ -114,14 +104,17 @@ func (c *goldenPickCase) inputs(t *testing.T) (*manifest.Version, *Options, inFl
 	return v, &o, held
 }
 
-func goldenOf(p *compactionPlan) *goldenPlan {
+// goldenOf records p as the golden does. The job fields the older build's
+// plan carried are what this build derives for every plan: the option's
+// target file size, output sequence 0, never drop-only, and settles for the
+// manual plan.
+func goldenOf(p *compactionPlan, o *Options, manual bool) *goldenPlan {
 	if p == nil {
 		return nil
 	}
 	g := &goldenPlan{
 		OutputLevel: p.outputLevel, Bottommost: p.bottommost, L0: p.l0,
-		TargetFileSize: p.targetFileSize, OutputSeq: p.outputSeq,
-		DropOnly: p.dropOnly, Settles: p.settles,
+		TargetFileSize: o.TargetFileSize, Settles: manual,
 	}
 	for _, in := range p.inputs {
 		gl := goldenLevel{Level: in.Level}
@@ -141,23 +134,24 @@ func planString(g *goldenPlan) string {
 	return string(b)
 }
 
-// TestPickGolden: pick and pickManual make, for every case of the golden,
-// the plan the parent's pickers made — same inputs by level, output level,
-// bottommost and L0 flags, and the job fields the style decides. The
-// golden's shard counts, an option and a plan field this build no longer
+// TestPickGolden: pickLeveled and pickManual make, for every case of the
+// golden, the plan the parent's pickers made — same inputs by level, output
+// level, bottommost and L0 flags, and the job fields the plan carried. The
+// golden's shard counts and FIFO size cap, options this build no longer
 // has, are left out.
 func TestPickGolden(t *testing.T) {
 	var cases []goldenPickCase
-	decodeStrict(t, dropField(t, readGolden(t, "pick.golden.json"), "max_subcompactions"), &cases)
-	if len(cases) < 40 {
+	golden := dropField(t, readGolden(t, "pick.golden.json"), "max_subcompactions")
+	decodeStrict(t, dropField(t, golden, "fifo_max_table_size"), &cases)
+	if len(cases) != 21 {
 		t.Fatalf("golden holds %d cases", len(cases))
 	}
 	for _, c := range cases {
 		v, o, held := c.inputs(t)
-		if got := goldenOf(pick(v, o, held)); !reflect.DeepEqual(got, c.Pick) {
+		if got := goldenOf(pickLeveled(v, o, held), o, false); !reflect.DeepEqual(got, c.Pick) {
 			t.Errorf("%s: pick = %s, golden %s", c.Name, planString(got), planString(c.Pick))
 		}
-		if got := goldenOf(pickManual(v, o, held)); !reflect.DeepEqual(got, c.Manual) {
+		if got := goldenOf(pickManual(v), o, true); !reflect.DeepEqual(got, c.Manual) {
 			t.Errorf("%s: pickManual = %s, golden %s", c.Name, planString(got), planString(c.Manual))
 		}
 	}
@@ -213,11 +207,6 @@ func TestPickShapes(t *testing.T) {
 		return h
 	}
 	leveled := Options{L0CompactionTrigger: 2, BaseLevelSize: 100}.withDefaults()
-	universal := leveled
-	universal.CompactionStyle = CompactionUniversal
-	fifo := leveled
-	fifo.CompactionStyle = CompactionFIFO
-	fifo.FIFOMaxTableSize = 100
 
 	// L0 at its trigger and L1 at its target: both score 1.0, and the tie
 	// goes to the shallower level.
@@ -267,21 +256,6 @@ func TestPickShapes(t *testing.T) {
 			check: func(p *compactionPlan) bool { return p.outputLevel == 2 && p.bottommost && !p.l0 }},
 		{name: "busy overlap at the output level skipped", v: busyFirst, o: leveled, held: held(false, 3),
 			want: [][]uint64{{1, 2}, {2, 4}}},
-		{name: "universal two runs is bottommost", v: runs(2), o: universal, held: held(false),
-			want: [][]uint64{{0, 1, 2}},
-			check: func(p *compactionPlan) bool {
-				return p.bottommost && p.l0 && p.outputSeq == 99 && p.targetFileSize == 1<<62
-			}},
-		{name: "universal merges the oldest half", v: runs(5), o: universal, held: held(false),
-			want:  [][]uint64{{0, 4, 5}},
-			check: func(p *compactionPlan) bool { return !p.bottommost && p.outputSeq == 96 }},
-		{name: "universal waits for the L0 slot", v: runs(5), o: universal, held: held(true)},
-		{name: "FIFO drops oldest until under the cap", v: runs(4), o: fifo, held: held(false),
-			want:  [][]uint64{{0, 4, 3}},
-			check: func(p *compactionPlan) bool { return p.dropOnly && p.l0 }},
-		{name: "FIFO stops at a busy victim", v: runs(4), o: fifo, held: held(false, 3),
-			want: [][]uint64{{0, 4}}},
-		{name: "FIFO with the oldest busy picks nothing", v: runs(4), o: fifo, held: held(false, 4)},
 		{name: "L0 of an empty tree goes to the bottom level", v: runs(8), o: defaults, held: held(false),
 			want:  [][]uint64{{0, 1, 2, 3, 4, 5, 6, 7, 8}},
 			check: func(p *compactionPlan) bool { return p.outputLevel == 6 && p.bottommost && p.l0 }},
@@ -297,20 +271,20 @@ func TestPickShapes(t *testing.T) {
 		{name: "L0 waits while a job holds a file above the base", v: aboveBase, o: leveled, held: held(false, 4)},
 		{name: "manual over a busy tree still plans", v: tie, o: leveled, held: held(true, 1, 3), manual: true,
 			want:  [][]uint64{{0, 1, 2}, {1, 3, 4}, {2, 5}},
-			check: func(p *compactionPlan) bool { return p.settles && p.bottommost && p.outputLevel == 6 }},
+			check: func(p *compactionPlan) bool { return p.bottommost && p.outputLevel == 6 }},
 		{name: "manual with nothing above the bottom", v: pickTree("6:1:a000-a900:10"), o: leveled,
 			held: held(false), manual: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := pick(tc.v, &tc.o, tc.held)
+			p := pickLeveled(tc.v, &tc.o, tc.held)
 			if tc.manual {
-				p = pickManual(tc.v, &tc.o, tc.held)
+				p = pickManual(tc.v)
 			}
 			if got := planFiles(p); !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("plan inputs %v, want %v", got, tc.want)
 			}
 			if tc.check != nil && !tc.check(p) {
-				t.Fatalf("plan %s", planString(goldenOf(p)))
+				t.Fatalf("plan %s", planString(goldenOf(p, &tc.o, tc.manual)))
 			}
 		})
 	}

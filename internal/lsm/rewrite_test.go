@@ -13,7 +13,7 @@ import (
 func drainBackground(db *DB) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for db.flushing || len(db.imm) > 0 || db.compactions > 0 || pick(db.current, &db.opts, db.held) != nil {
+	for db.flushing || len(db.imm) > 0 || db.compactions > 0 || pickLeveled(db.current, &db.opts, db.held) != nil {
 		db.bgCond.Wait()
 	}
 }

@@ -81,9 +81,7 @@ func (d *DB) makeRoomForWrite() (*wal.Writer, *memTable, error) {
 			w, mem := d.walWriter, d.mem
 			d.mu.Unlock()
 			if !stallStart.IsZero() {
-				stalled := time.Since(stallStart).Nanoseconds()
-				d.metStallNanos.Add(stalled)
-				metrics.Jobs.StallNanos.Add(stalled)
+				d.metStallNanos.Add(time.Since(stallStart).Nanoseconds())
 			}
 			return w, mem, nil
 		case len(d.imm) >= 2:
@@ -94,7 +92,7 @@ func (d *DB) makeRoomForWrite() (*wal.Writer, *memTable, error) {
 			d.maybeScheduleFlushLocked()
 			d.bgCond.Wait()
 			d.mu.Unlock()
-		case l0Stalled(d.current, &d.opts):
+		case l0Stalled(d.current):
 			if stallStart.IsZero() {
 				stallStart = time.Now()
 			}

@@ -12,18 +12,16 @@ import (
 // counters call sites bump directly, and with int64 it is the snapshot, so
 // the two cannot drift apart. Each field's tag is its whole description,
 //
-//	metric:"<printed key>[,gauge][,optional]"
+//	metric:"<printed key>[,optional]"
 //
 // and the operations every family has are the functions below, driven by
-// that declaration. gauge marks a point-in-time value or high-water mark:
-// the delta keeps the later snapshot's value and activity ignores it.
-// optional fields print only when one of them is non-zero.
+// that declaration. optional fields print only when one of them is non-zero.
 
 // field is one tagged field of a family struct.
 type field struct {
-	val             reflect.Value
-	key             string
-	gauge, optional bool
+	val      reflect.Value
+	key      string
+	optional bool
 }
 
 // fields returns the tagged fields of the family struct *p in declaration
@@ -40,7 +38,6 @@ func fields(p any) []field {
 		out = append(out, field{
 			val:      v.Field(i),
 			key:      key,
-			gauge:    opts == "gauge",
 			optional: opts == "optional",
 		})
 	}
@@ -67,25 +64,13 @@ func reset(c any) {
 	}
 }
 
-// delta returns s minus prev, keeping gauges from s.
+// delta returns s minus prev.
 func delta[S any](s, prev S) S {
 	before := fields(&prev)
 	for i, f := range fields(&s) {
-		if !f.gauge {
-			f.val.SetInt(f.val.Int() - before[i].val.Int())
-		}
+		f.val.SetInt(f.val.Int() - before[i].val.Int())
 	}
 	return s
-}
-
-// active reports whether any cumulative counter of the snapshot is non-zero.
-func active[S any](s S) bool {
-	for _, f := range fields(&s) {
-		if !f.gauge && f.val.Int() != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // render prints the snapshot as space-separated key=value pairs.

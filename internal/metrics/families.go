@@ -7,12 +7,11 @@ import (
 	"sync/atomic"
 )
 
-// The six process-wide counter families (see counters.go): the sets call
+// The five process-wide counter families (see counters.go): the sets call
 // sites report into, then the live and the snapshot type of each family and
 // of one endpoint's counters. The zero value of a live set is ready to use.
 var (
 	Engine   = &EngineCounters{}
-	Jobs     = &JobCounters{}
 	Recovery = &RecoveryCounters{}
 	Serve    = &ServeCounters{}
 	Storage  = &StorageCounters{}
@@ -22,10 +21,7 @@ var (
 type (
 	EngineCounters   engine[atomic.Int64]
 	EngineSnapshot   engine[int64]
-	JobCounters      jobs[atomic.Int64]
-	JobsSnapshot     jobs[int64]
 	RecoveryCounters recovery[atomic.Int64]
-	RecoverySnapshot recovery[int64]
 	ServeCounters    serve[atomic.Int64]
 	ServeSnapshot    serve[int64]
 	StorageCounters  storage[atomic.Int64]
@@ -46,47 +42,7 @@ type engine[T any] struct {
 
 func (c *EngineCounters) Snapshot() EngineSnapshot              { return snapshot[EngineSnapshot](c) }
 func (s EngineSnapshot) Sub(prev EngineSnapshot) EngineSnapshot { return delta(s, prev) }
-func (s EngineSnapshot) Any() bool                              { return active(s) }
 func (s EngineSnapshot) String() string                         { return render(s) }
-
-// jobs counts the background-job scheduler: compaction jobs claimed and
-// finished, the running-jobs gauge and its high-water mark, picks that had
-// to wait for a free job slot (the "queued" signal), per-job I/O volume,
-// and write-stall time attributable to compaction debt.
-type jobs[T any] struct {
-	CompactionsStarted T `metric:"jobs"`              // jobs claimed (manual + background)
-	CompactionsDone    T `metric:"done"`              // jobs released (success or failure)
-	CompactionsRunning T `metric:"running,gauge"`     // jobs in flight right now
-	MaxRunning         T `metric:"max_running,gauge"` // high-water mark of CompactionsRunning
-	SchedDeferred      T `metric:"deferred"`          // runnable plans deferred for lack of a job slot
-	BytesRead          T `metric:"read_bytes"`        // compaction input bytes across all jobs
-	BytesWritten       T `metric:"written_bytes"`     // compaction output bytes across all jobs
-	StallNanos         T `metric:"stall_ns"`          // writer stall time waiting on background debt
-}
-
-func (c *JobCounters) Snapshot() JobsSnapshot             { return snapshot[JobsSnapshot](c) }
-func (s JobsSnapshot) Sub(prev JobsSnapshot) JobsSnapshot { return delta(s, prev) }
-func (s JobsSnapshot) Any() bool                          { return active(s) }
-func (s JobsSnapshot) String() string                     { return render(s) }
-
-// JobStarted records a claimed job and maintains the running gauge and its
-// high-water mark.
-func (c *JobCounters) JobStarted() {
-	c.CompactionsStarted.Add(1)
-	running := c.CompactionsRunning.Add(1)
-	for {
-		max := c.MaxRunning.Load()
-		if running <= max || c.MaxRunning.CompareAndSwap(max, running) {
-			return
-		}
-	}
-}
-
-// JobDone records a released job.
-func (c *JobCounters) JobDone() {
-	c.CompactionsDone.Add(1)
-	c.CompactionsRunning.Add(-1)
-}
 
 // recovery counts crash-recovery and integrity-checking events: WAL replay
 // volume, torn tails truncated, files the recovery or scrub pass
@@ -105,20 +61,14 @@ type recovery[T any] struct {
 	ReplayNanos         T `metric:"replay_ns"`       // Open: WAL replay and the flush of what it recovered
 }
 
-func (c *RecoveryCounters) Snapshot() RecoverySnapshot                { return snapshot[RecoverySnapshot](c) }
-func (s RecoverySnapshot) Sub(prev RecoverySnapshot) RecoverySnapshot { return delta(s, prev) }
-func (s RecoverySnapshot) Any() bool                                  { return active(s) }
-func (s RecoverySnapshot) String() string                             { return render(s) }
-
 // serve counts serving-layer events: connection lifecycle, commands
 // executed, pipelining behavior, and the misbehaving-client paths (protocol
 // errors, slow clients dropped at a deadline). Per-shard op counters live on
 // server.Server — the shard count is a runtime value — but the process-wide
-// totals report here so the bench harness can print them next to the engine
-// counters.
+// totals report here, where the server's INFO reads them.
 type serve[T any] struct {
 	ConnsOpened     T `metric:"conns"`         // connections accepted
-	ConnsOpen       T `metric:"open,gauge"`    // connections open right now
+	ConnsOpen       T `metric:"open"`          // connections open right now
 	Commands        T `metric:"commands"`      // commands executed (all types)
 	PipelineBatches T `metric:"batches"`       // reader cycles that executed >= 1 command
 	PipelinedCmds   T `metric:"pipelined"`     // commands arriving in a batch of >= 2
@@ -142,8 +92,8 @@ type storage[T any] struct {
 
 // network counts fault-tolerance events on the network paths: the KDS
 // client, the disaggregated-storage client, and the offloaded compaction
-// client all report into one counter set so the bench harness can print how
-// much retrying/failover a run needed.
+// client all report into one counter set, so one snapshot shows how much
+// retrying/failover a run needed.
 type network[T any] struct {
 	Retries          T `metric:"retries"`                                      // requests re-sent after a transport failure
 	Timeouts         T `metric:"timeouts"`                                     // attempts that hit the per-request deadline
@@ -218,9 +168,6 @@ func (c *NetCounters) Reset() {
 	c.byEndpoint = nil
 	c.epMu.Unlock()
 }
-
-// Any reports whether any fault-tolerance event occurred.
-func (s NetSnapshot) Any() bool { return active(s.network) }
 
 // Sub returns the delta s minus prev. Endpoint counters subtract pairwise;
 // endpoints absent from prev pass through unchanged.

@@ -15,8 +15,7 @@ import (
 // tag fails here (one added to a live set only does not compile).
 func TestFamiliesComplete(t *testing.T) {
 	t.Run("engine", func(t *testing.T) { checkFamily[EngineSnapshot](t, &EngineCounters{}) })
-	t.Run("jobs", func(t *testing.T) { checkFamily[JobsSnapshot](t, &JobCounters{}) })
-	t.Run("recovery", func(t *testing.T) { checkFamily[RecoverySnapshot](t, &RecoveryCounters{}) })
+	t.Run("recovery", func(t *testing.T) { checkFamily[recovery[int64]](t, &RecoveryCounters{}) })
 	t.Run("serve", func(t *testing.T) { checkFamily[ServeSnapshot](t, &ServeCounters{}) })
 	t.Run("storage", func(t *testing.T) { checkFamily[storage[int64]](t, &StorageCounters{}) })
 	t.Run("net", func(t *testing.T) { checkFamily[network[int64]](t, &new(NetCounters).network) })
@@ -58,9 +57,8 @@ func checkFamily[S any](t *testing.T, live any) {
 		if got := value(delta(full, zero), name); got != want {
 			t.Errorf("delta against zero: %s = %d, want %d", name, got, want)
 		}
-		// A cumulative counter subtracts to 0; a gauge keeps the later value.
-		if got := value(delta(full, full), name); got != 0 && got != want {
-			t.Errorf("delta against itself: %s = %d, want 0 (or %d for a gauge)", name, got, want)
+		if got := value(delta(full, full), name); got != 0 {
+			t.Errorf("delta against itself: %s = %d, want 0", name, got)
 		}
 		// Rendered once, as key=value under a key of its own.
 		kv := fmt.Sprintf("=%d", want)
@@ -79,36 +77,6 @@ func checkFamily[S any](t *testing.T, live any) {
 	reset(live)
 	if !reflect.DeepEqual(snapshot[S](live), zero) {
 		t.Errorf("after reset: %+v, want all zero", snapshot[S](live))
-	}
-}
-
-// TestGaugesSurviveSub: the running-jobs gauge and its high-water mark are
-// not deltas, and do not count as activity.
-func TestGaugesSurviveSub(t *testing.T) {
-	var c JobCounters
-	c.JobStarted()
-	c.JobStarted()
-	c.JobDone()
-	before := c.Snapshot()
-	d := c.Snapshot().Sub(before)
-	if d.CompactionsRunning != 1 || d.MaxRunning != 2 || d.CompactionsStarted != 0 {
-		t.Fatalf("delta = %+v", d)
-	}
-	if d.Any() {
-		t.Fatal("gauges alone count as activity")
-	}
-	if !c.Snapshot().Any() {
-		t.Fatal("started jobs do not count as activity")
-	}
-}
-
-// TestAnyCoversEveryCounter: the hand-written Any of the engine family used
-// to ignore GroupedWriters.
-func TestAnyCoversEveryCounter(t *testing.T) {
-	var c EngineCounters
-	c.GroupedWriters.Add(1)
-	if !c.Snapshot().Any() {
-		t.Fatal("Any() = false with GroupedWriters = 1")
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package metrics provides the latency histogram the benchmark harness uses
+// Package metrics provides the latency histogram shield-bench keeps
 // and the process-wide counter families the engine, the network clients and
 // the serving layer report into.
 package metrics

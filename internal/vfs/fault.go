@@ -62,7 +62,7 @@ type FaultRule struct {
 
 // FaultFS wraps an FS and injects per-operation errors, torn writes, and
 // stalls according to a rule set, so network/storage failure modes are
-// reproducible in tests (sibling of ReadLatencyFS, which injects only delay).
+// reproducible in tests.
 type FaultFS struct {
 	base FS
 
